@@ -5,6 +5,7 @@ Exit codes are a stable contract:
   1  input error (bad flags, unreadable file, schema violation)
   2  search failure (no certified fixed point within budget)
   3  verification failure (certificate or dichotomy check did not hold)
+  4  internal check failed (an engine invariant broke: a bug, not bad input)
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def build_parser():
     solve.add_argument("--max-iters", type=int, default=64, metavar="N")
     solve.add_argument("--grid", type=int, default=8, metavar="R", help="fallback grid resolution")
     solve.add_argument("--trace", metavar="F", help="write per-iteration JSON lines here")
-    solve.add_argument("--jobs", type=int, default=1, metavar="N")
+    solve.add_argument("--jobs", type=int, default=1, metavar="N", help="accepted; currently ignored")
     solve.add_argument("--strict", action="store_true", help="reject allocation lists that need closing")
     solve.set_defaults(func=cmd_solve)
 
@@ -221,7 +222,7 @@ def main(argv=None):
         return 2
     except EngineInvariantError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
-        return 2
+        return 4
 
 
 if __name__ == "__main__":

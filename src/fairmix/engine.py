@@ -7,6 +7,13 @@ the chosen lottery in P(w) is envy-free, and any lottery supported on the
 w-welfare argmax with strictly positive w is automatically Pareto efficient,
 so certified fixed points settle both properties at once.
 
+The argmax scores only the instance's Pareto frontier (``Instance.kernel``):
+with every w_i > 0 a weakly dominated own-utility vector never attains the
+maximum.  The frontier is stored scaled to integers per player, and the
+weights are scaled to integers with the same factors and one common
+denominator, so every comparison is an exact int comparison.  The winning
+vectors expand to all their member allocations, in ascending order.
+
 Iteration from the uniform weight is a heuristic with no convergence
 guarantee; the fallback therefore walks weight space directly.  For two
 players the candidate weights (welfare-tie breakpoints plus the interval
@@ -21,10 +28,10 @@ raises, and never claims non-existence.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
 from .envy import certify
 from .errors import (
@@ -48,7 +55,7 @@ class EngineConfig:
     epsilon: Fraction | str = "auto"
     fallback: bool = True
     grid_resolution: int = 8
-    jobs: int = 1
+    jobs: int = 1  # accepted and validated; the search runs in one thread
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -84,31 +91,33 @@ class TraceRecord:
     nu: tuple
 
 
-def _own_matrix(inst):
-    """own[i][j] = player i's value for her bundle in allocation j."""
-    return [
-        [inst.value(i, a.bundles[i]) for a in inst.allocations]
-        for i in range(inst.n)
-    ]
+def _argmax_of(frontier, w):
+    """Ascending indices of the allocations of maximum w-welfare.
 
-
-def _argmax_of(own, w):
-    k = len(own[0])
+    Frontier point f scores sum_i (w_i / scales[i]) * points[f][i], which is
+    its exact welfare; multiplying every w_i / scales[i] by the lcm of their
+    denominators makes each score an int without changing the order.
+    """
+    ratios = [wi / s for wi, s in zip(w.w, frontier.scales)]
+    common = lcm(*(r.denominator for r in ratios))
+    weights = [r.numerator * (common // r.denominator) for r in ratios]
     best = None
-    out = []
-    for j in range(k):
-        val = sum(w.w[i] * own[i][j] for i in range(len(own)))
+    winners = []
+    for f, point in enumerate(frontier.points):
+        val = sum(a * b for a, b in zip(weights, point))
         if best is None or val > best:
             best = val
-            out = [j]
+            winners = [f]
         elif val == best:
-            out.append(j)
-    return tuple(out)
+            winners.append(f)
+    if len(winners) == 1:
+        return frontier.members[winners[0]]
+    return tuple(sorted(chain.from_iterable(frontier.members[f] for f in winners)))
 
 
 def argmax_allocations(w, inst):
     """Indices of the allocations maximizing the w-weighted welfare, exactly."""
-    return _argmax_of(_own_matrix(inst), w)
+    return _argmax_of(inst.kernel.frontier, w)
 
 
 def select_p_in_P(w, inst, argmax=None):
@@ -126,6 +135,7 @@ def select_p_in_P(w, inst, argmax=None):
         return MixedAllocation.point_mass(k, argmax[0])
 
     q = len(argmax)
+    own = inst.kernel.own
     zero = Fraction(0)
     objective = (zero,) * q + (Fraction(-1),)
     rows = [((Fraction(1),) * q + (zero,), "=", Fraction(1))]
@@ -134,9 +144,7 @@ def select_p_in_P(w, inst, argmax=None):
             if h == i:
                 continue
             coeffs = tuple(
-                inst.value(i, inst.allocations[j].bundles[h])
-                - inst.value(i, inst.allocations[j].bundles[i])
-                for j in argmax
+                inst.value(i, inst.allocations[j].bundles[h]) - own[i][j] for j in argmax
             )
             rows.append((coeffs + (Fraction(-1),), "<=", zero))
     bounds = ((zero, None),) * q + ((None, None),)
@@ -178,6 +186,13 @@ def _nu_from_views(views, w):
     return nu
 
 
+def _share_step(views, w):
+    """Corrected weights, their projection onto W, and the L1 step between w and it."""
+    nu = _nu_from_views(views, w)
+    w_next = WeightVector(project_onto_truncated_simplex(nu, w.epsilon), w.epsilon)
+    return nu, w_next, _l1(w_next.w, w.w)
+
+
 def nu_update(p, w, inst):
     """Corrected weights: w_i plus best-view share minus own-view share.
 
@@ -188,8 +203,7 @@ def nu_update(p, w, inst):
 
 def varpi(p, w, inst):
     """Projection of the corrected weights back onto the truncated simplex."""
-    nu = nu_update(p, w, inst)
-    return WeightVector(project_onto_truncated_simplex(nu, w.epsilon), w.epsilon)
+    return _share_step(_views(p, inst), w)[1]
 
 
 def compute_rho(inst):
@@ -442,15 +456,10 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
     cfg = cfg or EngineConfig()
     _validate_for_search(inst)
     n = inst.n
-    own = _own_matrix(inst)
+    kernel = inst.kernel
     rho = compute_rho(inst)
     eps = choose_epsilon(rho, n, cfg)
     best = {"envy": None, "state": None}
-
-    def residual_at(w, views):
-        nu = _nu_from_views(views, w)
-        w_next = WeightVector(project_onto_truncated_simplex(nu, eps), eps)
-        return nu, _l1(w_next.w, w.w)
 
     def note_best(w, p, iteration, views, residual):
         envy = _max_envy(views)
@@ -462,7 +471,7 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
 
     def consider(w, p, iteration, views=None):
         views = views if views is not None else _views(p, inst)
-        nu, residual = residual_at(w, views)
+        nu, _, residual = _share_step(views, w)
         cert = certify(p, inst, residual=residual)
         if all(v >= eps for v in nu) and not cert.ef_ok:
             raise EngineInvariantError("corrected weights lie in the domain yet envy persists")
@@ -481,12 +490,10 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
     iterations_done = 0
     for it in range(1, cfg.max_iterations + 1):
         iterations_done = it
-        amax = _argmax_of(own, w)
+        amax = _argmax_of(kernel.frontier, w)
         p = select_p_in_P(w, inst, amax)
         views = _views(p, inst)
-        nu = _nu_from_views(views, w)
-        w_next = WeightVector(project_onto_truncated_simplex(nu, eps), eps)
-        residual = _l1(w_next.w, w.w)
+        nu, w_next, residual = _share_step(views, w)
         if trace_sink is not None:
             trace_sink.append(TraceRecord(it, w.w, p.support(), residual, nu))
         if residual <= cfg.residual_tolerance:
@@ -501,7 +508,7 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
         w = w_next
 
     if cfg.fallback:
-        hit = _fallback_search(inst, own, eps, cfg, consider, note_best, residual_at, iterations_done)
+        hit = _fallback_search(inst, kernel, eps, cfg, consider, note_best, iterations_done)
         if hit:
             return hit
 
@@ -516,17 +523,15 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
     )
 
 
-def _fallback_search(inst, own, eps, cfg, consider, note_best, residual_at, iteration):
+def _fallback_search(inst, kernel, eps, cfg, consider, note_best, iteration):
     n = inst.n
+    own = kernel.own
     seen_supports = set()
     tried_members = set()
 
-    def evaluate(w):
-        amax = _argmax_of(own, w)
-        return w, amax
-
-    def scan(pairs):
-        for w, amax in pairs:
+    def scan(weights):
+        for w in weights:
+            amax = _argmax_of(kernel.frontier, w)
             tried_members.update(amax)
             key = frozenset(amax)
             if key in seen_supports:
@@ -535,20 +540,13 @@ def _fallback_search(inst, own, eps, cfg, consider, note_best, residual_at, iter
             p = select_p_in_P(w, inst, amax)
             views = _views(p, inst)
             if _max_envy(views) > 0:
-                _, residual = residual_at(w, views)
+                _, _, residual = _share_step(views, w)
                 note_best(w, p, iteration, views, residual)
                 continue
             hit = consider(w, p, iteration, views)
             if hit:
                 return hit
         return None
-
-    def run(source):
-        candidates = list(source)
-        if cfg.jobs > 1 and len(candidates) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                return scan(pool.map(evaluate, candidates))
-        return scan(map(evaluate, candidates))
 
     stages = [iter((WeightVector.uniform(n, eps),))]
     if n > 1:
@@ -560,17 +558,17 @@ def _fallback_search(inst, own, eps, cfg, consider, note_best, residual_at, iter
         if n == 3:
             stages.append(_exact_hull_normals_3d(own, eps))
     for source in stages:
-        hit = run(source)
+        hit = scan(source)
         if hit:
             return hit
 
     if n == 3:
         members = sorted(tried_members)
         pairs = list(combinations(members, 2))
-        hit = run(_boundary_tie_points_3d(own, eps, pairs))
+        hit = scan(_boundary_tie_points_3d(own, eps, pairs))
         if hit:
             return hit
-        hit = run(_interior_tie_points_3d(own, eps, members))
+        hit = scan(_interior_tie_points_3d(own, eps, members))
         if hit:
             return hit
     return None

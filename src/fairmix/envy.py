@@ -3,8 +3,12 @@
 Envy edges use strict exact comparison (ties are non-envy).  Pareto
 efficiency is decided by a single exact LP: maximize the total slack by which
 another lottery beats the current one player-by-player; the optimum is zero
-precisely when no dominating lottery exists.  Every negative answer carries a
-witness that is re-verified outside the LP.
+precisely when no dominating lottery exists.  The LP has one column per
+vector of the instance's Pareto frontier (``Instance.kernel``), not one per
+allocation: any lottery can move its mass onto frontier vectors that weakly
+dominate its own, so the optimum is the same.  Every negative answer carries
+a witness, mapped back onto one allocation per frontier vector and
+re-verified outside the LP.
 """
 
 from __future__ import annotations
@@ -133,21 +137,24 @@ def check_envy_free(p, inst):
 def check_pareto_efficient(p, inst):
     """Decide PE by maximizing total per-player improvement over all lotteries.
 
-    Variables are a lottery p' and slacks t_i >= 0 with the constraints
-    sum p' = 1 and (own utility of p')_i >= (own utility of p)_i + t_i.
-    The optimum is exactly 0 iff p is Pareto efficient; otherwise the optimal
-    p' dominates and is returned after independent re-verification.
+    Variables are a lottery p' over the frontier vectors and slacks
+    t_i >= 0 with the constraints sum p' = 1 and
+    (own utility of p')_i >= (own utility of p)_i + t_i.  The optimum is
+    exactly 0 iff p is Pareto efficient; otherwise the optimal p', placed on
+    the first member allocation of each vector, dominates and is returned
+    after independent re-verification.
     """
-    k = len(inst.allocations)
+    frontier = inst.kernel.frontier
+    cols = len(frontier.vectors)
     n = inst.n
-    own = [[inst.value(i, a.bundles[i]) for a in inst.allocations] for i in range(n)]
     current = [expected_utility(p, i, i, inst) for i in range(n)]
 
     zero = Fraction(0)
-    objective = (zero,) * k + (Fraction(1),) * n
-    rows = [((Fraction(1),) * k + (zero,) * n, "=", Fraction(1))]
+    objective = (zero,) * cols + (Fraction(1),) * n
+    rows = [((Fraction(1),) * cols + (zero,) * n, "=", Fraction(1))]
     for i in range(n):
-        row = tuple(own[i]) + tuple(Fraction(-1) if t == i else zero for t in range(n))
+        row = tuple(vec[i] for vec in frontier.vectors)
+        row += tuple(Fraction(-1) if t == i else zero for t in range(n))
         rows.append((row, ">=", current[i]))
     result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))
     if result.status != OPTIMAL:
@@ -155,7 +162,10 @@ def check_pareto_efficient(p, inst):
     if result.objective_value == 0:
         return PeCheck(True)
 
-    dominator = MixedAllocation(result.solution[:k])
+    dominator = MixedAllocation.from_support(
+        len(inst.allocations),
+        {frontier.members[f][0]: q for f, q in enumerate(result.solution[:cols]) if q},
+    )
     better = [expected_utility(dominator, i, i, inst) for i in range(n)]
     weak = all(b >= c for b, c in zip(better, current))
     strict = any(b > c for b, c in zip(better, current))

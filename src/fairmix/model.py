@@ -7,9 +7,11 @@ Every type is immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 
 from .errors import EnumerationLimitError, MalformedInstanceError
 
@@ -212,6 +214,87 @@ class Instance:
 
     def raw_value(self, player, bundle):
         return self.utilities.raw_value(player, bundle)
+
+    @cached_property
+    def kernel(self):
+        """The instance's :class:`UtilityKernel`, built on first use."""
+        return UtilityKernel.of(self)
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """The Pareto-maximal own-utility vectors, exact and scaled to integers.
+
+    ``vectors[f]`` is a frontier vector, ``members[f]`` the ascending indices
+    of the allocations that give it, and ``points[f][i]`` equals
+    ``vectors[f][i] * scales[i]``, an int: ``scales[i]`` is the lcm of
+    player i's denominators over the frontier.  The frontier reads as the
+    sequence of its integer points.
+    """
+
+    vectors: tuple
+    members: tuple
+    scales: tuple
+    points: tuple
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, f):
+        return self.points[f]
+
+
+@dataclass(frozen=True)
+class UtilityKernel:
+    """Own-utility data of an instance, derived once.
+
+    ``own[i][j]`` is player i's value for her bundle in allocation j.
+    ``vectors`` are the distinct own-utility vectors (columns of ``own``) in
+    order of first occurrence, ``members[v]`` the ascending indices of the
+    allocations sharing vector v; allocations with equal own vectors stay
+    separate, because their envy views differ.  ``frontier`` keeps the
+    vectors that no other vector weakly dominates.
+    """
+
+    own: tuple
+    vectors: tuple
+    members: tuple
+    frontier: Frontier
+
+    @classmethod
+    def of(cls, inst):
+        own = tuple(
+            tuple(inst.value(i, a.bundles[i]) for a in inst.allocations)
+            for i in range(inst.n)
+        )
+        groups = {}
+        for j, vec in enumerate(zip(*own)):
+            groups.setdefault(vec, []).append(j)
+        vectors = tuple(groups)
+        members = tuple(tuple(js) for js in groups.values())
+        kept = pareto_frontier(vectors)
+        front = tuple(vectors[v] for v in kept)
+        scales = tuple(lcm(*(vec[i].denominator for vec in front)) for i in range(inst.n))
+        points = tuple(
+            tuple(int(x * s) for x, s in zip(vec, scales)) for vec in front
+        )
+        frontier = Frontier(front, tuple(members[v] for v in kept), scales, points)
+        return cls(own, vectors, members, frontier)
+
+
+def pareto_frontier(vectors):
+    """Ascending indices of the distinct ``vectors`` that no other weakly dominates.
+
+    Sort-based skyline: in descending lexicographic order a vector can only
+    be dominated by one that came before it, so one pass that keeps each
+    vector no kept vector dominates finds the maximal set.
+    """
+    kept = []
+    for v in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
+        vec = vectors[v]
+        if not any(all(a >= b for a, b in zip(vectors[u], vec)) for u in kept):
+            kept.append(v)
+    return sorted(kept)
 
 
 def all_partitions_allocation_set(n, m, budget=DEFAULT_ENUMERATION_BUDGET):

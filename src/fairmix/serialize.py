@@ -19,16 +19,16 @@ from fractions import Fraction
 from .envy import is_acyclic
 from .errors import MalformedInstanceError
 from .model import (
+    MAX_ITEMS,
     AllocationSet,
     Instance,
     MixedAllocation,
     PureAllocation,
     all_partitions_allocation_set,
+    as_fraction,
     normalize_utilities,
     swap_closure,
 )
-
-MAX_ITEMS = 24
 
 
 def format_rational(q):
@@ -38,8 +38,6 @@ def format_rational(q):
 
 def parse_rational(value):
     """Accept 'num/den' strings (or bare integers); reject floats and 1/0."""
-    from .model import as_fraction
-
     return as_fraction(value)
 
 

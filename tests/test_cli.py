@@ -1,11 +1,13 @@
 """Exit-code contract and end-to-end command behaviour."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fairmix
 from fairmix.cli import main
 from fairmix.errors import EngineInvariantError, SearchFailedError
 
@@ -160,12 +162,13 @@ class TestSolve:
         assert main(["solve", "--instance", symmetric_instance(tmp_path)]) == 2
         assert "search failed" in capsys.readouterr().err
 
-    def test_internal_invariant_failure_maps_to_two(self, tmp_path, capsys, monkeypatch):
+    def test_internal_invariant_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
         def boom(inst, cfg, trace_sink=None):
             raise EngineInvariantError("residual zero but envy present")
 
         monkeypatch.setattr("fairmix.cli.find_fixed_point", boom)
-        assert main(["solve", "--instance", symmetric_instance(tmp_path)]) == 2
+        assert main(["solve", "--instance", symmetric_instance(tmp_path)]) == 4
+        assert "internal check failed" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -306,10 +309,15 @@ class TestFlagContract:
         assert main([]) == 1
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same fairmix as this process, however the
+        # test run put it on the path
+        src = os.path.dirname(os.path.dirname(fairmix.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fairmix", "gen-hard", "--p", "1", "--x1", "1", "--x2", "0"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 2
