@@ -31,9 +31,9 @@ inst = Instance.build(
 state, cert = find_fixed_point(inst)
 
 print("support of the certified lottery:")
-for j in state.p.support():
+for j, q in state.p.pairs:
     bundles = inst.allocations[j].bundles
-    print(f"  probability {state.p.p[j]}: player 1 gets {bundles[0]:02b}, player 2 gets {bundles[1]:02b}")
+    print(f"  probability {q}: player 1 gets {bundles[0]:02b}, player 2 gets {bundles[1]:02b}")
 
 print(f"\nweights at the fixed point: {state.w.w}")
 print(f"residual: {state.residual} after {state.iteration} iteration(s)")

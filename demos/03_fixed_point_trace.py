@@ -44,8 +44,8 @@ def show(label, raw, n):
     print(f"certified at iteration {state.iteration}, residual {state.residual}")
     print(f"certificate: envy-free={cert.ef_ok} efficient={cert.pe_ok}")
     print("lottery:")
-    for j in state.p.support():
-        print(f"  {state.p.p[j]} on bundles {[f'{b:02b}' for b in inst.allocations[j].bundles]}")
+    for j, q in state.p.pairs:
+        print(f"  {q} on bundles {[f'{b:02b}' for b in inst.allocations[j].bundles]}")
 
     # every recorded share update sums to one exactly; that conservation
     # is what keeps the projection from drifting off the simplex

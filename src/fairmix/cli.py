@@ -94,7 +94,6 @@ def cmd_solve(args):
         max_iterations=args.max_iters,
         epsilon=epsilon,
         grid_resolution=args.grid,
-        jobs=args.jobs,
     )
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
@@ -159,7 +158,6 @@ def build_parser():
     solve.add_argument("--max-iters", type=int, default=64, metavar="N")
     solve.add_argument("--grid", type=int, default=8, metavar="R", help="fallback grid resolution")
     solve.add_argument("--trace", metavar="F", help="write per-iteration JSON lines here")
-    solve.add_argument("--jobs", type=int, default=1, metavar="N", help="accepted; currently ignored")
     solve.add_argument("--strict", action="store_true", help="reject allocation lists that need closing")
     solve.set_defaults(func=cmd_solve)
 

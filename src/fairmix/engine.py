@@ -55,7 +55,6 @@ class EngineConfig:
     epsilon: Fraction | str = "auto"
     fallback: bool = True
     grid_resolution: int = 8
-    jobs: int = 1  # accepted and validated; the search runs in one thread
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -70,8 +69,6 @@ class EngineConfig:
             object.__setattr__(self, "epsilon", eps)
         if self.grid_resolution < 1:
             raise ConfigurationError("grid_resolution must be at least 1")
-        if self.jobs < 1:
-            raise ConfigurationError("jobs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -151,9 +148,8 @@ def select_p_in_P(w, inst, argmax=None):
     result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows), bounds=bounds))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
-    return MixedAllocation.from_support(
-        k, {j: result.solution[pos] for pos, j in enumerate(argmax)}
-    )
+    # zip stops before the trailing envy-bound variable s
+    return MixedAllocation.from_support(k, zip(argmax, result.solution))
 
 
 def _views(p, inst):

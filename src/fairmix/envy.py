@@ -162,9 +162,9 @@ def check_pareto_efficient(p, inst):
     if result.objective_value == 0:
         return PeCheck(True)
 
+    # zip stops before the slack variables t
     dominator = MixedAllocation.from_support(
-        len(inst.allocations),
-        {frontier.members[f][0]: q for f, q in enumerate(result.solution[:cols]) if q},
+        len(inst.allocations), zip((js[0] for js in frontier.members), result.solution)
     )
     better = [expected_utility(dominator, i, i, inst) for i in range(n)]
     weak = all(b >= c for b, c in zip(better, current))

@@ -197,9 +197,8 @@ class DichotomyReport:
 def _raw_welfare(p, inst):
     total = Fraction(0)
     for i in range(inst.n):
-        for j, q in enumerate(p.p):
-            if q:
-                total += q * inst.raw_value(i, inst.allocations[j].bundles[i])
+        for j, q in p.pairs:
+            total += q * inst.raw_value(i, inst.allocations[j].bundles[i])
     return total
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm
+from operator import index
 
 from .errors import EnumerationLimitError, MalformedInstanceError
 
@@ -366,38 +367,89 @@ def swap_closure(allocations, budget=DEFAULT_ENUMERATION_BUDGET):
     return AllocationSet(closed.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MixedAllocation:
-    """A lottery over the allocation set: exact probabilities summing to one."""
+    """A lottery over an allocation set of size ``k``: exact probabilities summing to one.
 
-    p: tuple[Fraction, ...]
+    Only the support is stored: ``pairs`` holds the ``(index, probability)``
+    pairs with positive probability, in ascending index order, so building a
+    lottery and reading it cost O(|support|) rather than O(k).  Equality and
+    hashing follow ``(k, pairs)``.  ``MixedAllocation(dense)`` takes a
+    length-k sequence of probabilities; ``p`` is that dense tuple, derived
+    on first use.
+    """
 
-    def __post_init__(self):
-        probs = tuple(as_fraction(v) for v in self.p)
-        object.__setattr__(self, "p", probs)
-        if any(v < 0 for v in probs):
-            raise MalformedInstanceError("negative probability in mixed allocation")
-        if sum(probs) != 1:
-            raise MalformedInstanceError(f"probabilities sum to {sum(probs)}, not 1")
+    k: int
+    pairs: tuple
+
+    def __init__(self, p):
+        probs = tuple(as_fraction(v) for v in p)
+        object.__setattr__(self, "k", len(probs))
+        object.__setattr__(self, "pairs", _checked_pairs(len(probs), enumerate(probs)))
+
+    @classmethod
+    def _of(cls, k, pairs):
+        out = object.__new__(cls)
+        object.__setattr__(out, "k", k)
+        object.__setattr__(out, "pairs", pairs)
+        return out
 
     @classmethod
     def point_mass(cls, k, j):
-        return cls(tuple(Fraction(1) if i == j else Fraction(0) for i in range(k)))
+        return cls._of(k, ((_checked_index(j, k), _ONE),))
 
     @classmethod
     def uniform(cls, k):
-        return cls((Fraction(1, k),) * k)
+        q = Fraction(1, k)
+        return cls._of(k, tuple((j, q) for j in range(k)))
 
     @classmethod
     def from_support(cls, k, support):
-        """Build from a {index: probability} mapping over a set of size k."""
-        probs = [Fraction(0)] * k
-        for j, q in support.items():
-            probs[j] += as_fraction(q)
-        return cls(tuple(probs))
+        """Build from an {index: probability} mapping or (index, probability) pairs.
+
+        Zero entries drop out; repeated indices add up.
+        """
+        items = support.items() if hasattr(support, "items") else support
+        return cls._of(k, _checked_pairs(k, items))
+
+    @cached_property
+    def p(self):
+        probs = [Fraction(0)] * self.k
+        for j, q in self.pairs:
+            probs[j] = q
+        return tuple(probs)
 
     def support(self):
-        return tuple(j for j, q in enumerate(self.p) if q > 0)
+        return tuple(j for j, _ in self.pairs)
+
+
+_ONE = Fraction(1)
+
+
+def _checked_index(j, k):
+    try:
+        i = index(j)
+    except TypeError:
+        i = -1
+    if not 0 <= i < k:
+        raise MalformedInstanceError(f"lottery index {j!r} outside 0..{k - 1}")
+    return i
+
+
+def _checked_pairs(k, items):
+    """Ascending positive (index, probability) pairs, validated to sum to one."""
+    probs = {}
+    for j, q in items:
+        j = _checked_index(j, k)
+        q = as_fraction(q)
+        if q < 0:
+            raise MalformedInstanceError("negative probability in mixed allocation")
+        if q:
+            probs[j] = probs.get(j, 0) + q
+    total = sum(probs.values())
+    if total != 1:
+        raise MalformedInstanceError(f"probabilities sum to {total}, not 1")
+    return tuple(sorted(probs.items()))
 
 
 @dataclass(frozen=True)
@@ -429,12 +481,13 @@ class WeightVector:
 
 def expected_utility(p, viewer, owner, inst):
     """Viewer's expected value for the bundle stream handed to ``owner``."""
-    if len(p.p) != len(inst.allocations):
+    if p.k != len(inst.allocations):
         raise MalformedInstanceError(
-            f"lottery over {len(p.p)} allocations, instance has {len(inst.allocations)}"
+            f"lottery over {p.k} allocations, instance has {len(inst.allocations)}"
         )
+    values = inst.utilities.values[viewer]
+    allocations = inst.allocations.allocations
     total = Fraction(0)
-    for j, q in enumerate(p.p):
-        if q:
-            total += q * inst.value(viewer, inst.allocations[j].bundles[owner])
+    for j, q in p.pairs:
+        total += q * values[allocations[j].bundles[owner]]
     return total

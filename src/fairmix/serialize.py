@@ -186,12 +186,12 @@ def dump_instance(inst):
 
 def dump_mixed_allocation(p, inst):
     support = []
-    for j in p.support():
+    for j, q in p.pairs:
         bundles = inst.allocations[j].bundles
         support.append(
             {
                 "bundles": [mask_to_items(b) for b in bundles],
-                "probability": format_rational(p.p[j]),
+                "probability": format_rational(q),
             }
         )
     return {"support": support}

@@ -115,8 +115,6 @@ class TestSolve:
                 "16",
                 "--grid",
                 "4",
-                "--jobs",
-                "2",
             ]
         )
         assert code == 0

@@ -186,8 +186,6 @@ class TestEngineConfig:
             EngineConfig(epsilon=F(0))
         with pytest.raises(ConfigurationError):
             EngineConfig(grid_resolution=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(jobs=0)
 
 
 class TestFindFixedPoint:
@@ -253,12 +251,6 @@ class TestFindFixedPoint:
         first = find_fixed_point(inst)
         second = find_fixed_point(inst)
         assert first[0] == second[0]
-
-    def test_jobs_do_not_change_the_result(self):
-        inst = opposed_tastes_instance()
-        cfg1 = EngineConfig(max_iterations=1, residual_tolerance=F(0), jobs=1)
-        cfg2 = EngineConfig(max_iterations=1, residual_tolerance=F(0), jobs=3)
-        assert find_fixed_point(inst, cfg1)[0] == find_fixed_point(inst, cfg2)[0]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

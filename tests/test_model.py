@@ -191,6 +191,42 @@ class TestMixedAllocation:
         p = MixedAllocation.from_support(3, {0: F(1, 4), 2: F(3, 4)})
         assert p.p == (F(1, 4), F(0), F(3, 4))
 
+    def test_stores_only_the_support(self):
+        p = MixedAllocation.from_support(5, {4: F(1, 3), 1: F(2, 3), 2: F(0)})
+        assert p.k == 5
+        assert p.pairs == ((1, F(2, 3)), (4, F(1, 3)))
+        assert p.support() == (1, 4)
+
+    def test_dense_and_duplicate_support_agree(self):
+        dense = MixedAllocation((0, F(1, 2), 0, F(1, 2)))
+        split = MixedAllocation.from_support(
+            4, [(3, F(1, 4)), (1, F(1, 2)), (0, 0), (3, F(1, 4))]
+        )
+        assert dense == split
+        assert hash(dense) == hash(split)
+        assert dense != MixedAllocation.from_support(5, {1: F(1, 2), 3: F(1, 2)})
+
+    def test_dense_round_trip(self):
+        probs = (F(1, 6), F(0), F(1, 2), F(0), F(1, 3))
+        p = MixedAllocation(probs)
+        assert p.p == probs
+        assert MixedAllocation(p.p) == p
+        assert MixedAllocation.from_support(len(probs), dict(p.pairs)).p == probs
+
+    def test_rejects_indices_outside_the_set(self):
+        with pytest.raises(MalformedInstanceError):
+            MixedAllocation.from_support(3, {-1: 1})
+        with pytest.raises(MalformedInstanceError):
+            MixedAllocation.from_support(3, {3: 1})
+        with pytest.raises(MalformedInstanceError, match="outside"):
+            MixedAllocation.point_mass(3, 3)
+        with pytest.raises(MalformedInstanceError):
+            MixedAllocation.point_mass(3, -1)
+
+    def test_rejects_negative_support_entry(self):
+        with pytest.raises(MalformedInstanceError):
+            MixedAllocation.from_support(3, [(0, F(3, 2)), (0, F(-1, 2))])
+
 
 class TestWeightVector:
     def test_rejects_floor_violation(self):
@@ -264,3 +300,30 @@ class TestInstance:
                     1 - alpha
                 ) * expected_utility(pb, viewer, owner, inst)
                 assert lhs == rhs
+
+    @given(st.integers(0, 2**30 - 1))
+    @settings(max_examples=40)
+    def test_expected_utility_matches_dense_sum(self, seed):
+        from conftest import random_table_instance, seeded_rng
+
+        rng = seeded_rng(seed)
+        inst = random_table_instance(rng)
+        k = len(inst.allocations)
+        picks = [rng.randrange(k) for _ in range(rng.randint(1, 6))]
+        raw = [F(rng.randint(0, 5)) for _ in picks]
+        raw[0] += 1
+        p = MixedAllocation.from_support(k, [(j, r / sum(raw)) for j, r in zip(picks, raw)])
+        assert list(p.support()) == sorted(set(p.support()))
+        assert MixedAllocation(p.p) == p
+        for viewer in range(inst.n):
+            for owner in range(inst.n):
+                dense = sum(
+                    p.p[j] * inst.value(viewer, inst.allocations[j].bundles[owner])
+                    for j in range(k)
+                )
+                assert expected_utility(p, viewer, owner, inst) == dense
+
+    def test_expected_utility_rejects_foreign_lottery(self):
+        inst = self.build_symmetric()
+        with pytest.raises(MalformedInstanceError):
+            expected_utility(MixedAllocation.point_mass(4, 0), 0, 0, inst)
