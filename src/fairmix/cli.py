@@ -3,7 +3,9 @@
 Exit codes are a stable contract:
   0  success (certified result / checks passed)
   1  input error (bad flags, unreadable file, schema violation)
-  2  search failure (no certified fixed point within budget)
+  2  search failure: reserved for SearchFailedError, which the engine raises
+     only with its fallback scan off (EngineConfig(fallback=False)); solve
+     always runs the scan, and exhausting it exits 4
   3  verification failure (certificate or dichotomy check did not hold)
   4  internal check failed (an engine invariant broke: a bug, not bad input)
 """
@@ -90,11 +92,7 @@ class _TraceWriter:
 def cmd_solve(args):
     inst = load_instance(_read_json(args.instance), strict=args.strict, warn=_warn)
     epsilon = "auto" if args.epsilon == "auto" else parse_rational(args.epsilon)
-    cfg = EngineConfig(
-        max_iterations=args.max_iters,
-        epsilon=epsilon,
-        grid_resolution=args.grid,
-    )
+    cfg = EngineConfig(max_iterations=args.max_iters, epsilon=epsilon)
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
         sink = _TraceWriter(trace_fh, inst) if trace_fh else None
@@ -156,7 +154,6 @@ def build_parser():
     solve.add_argument("--instance", required=True, metavar="F")
     solve.add_argument("--epsilon", default="auto", metavar="Q", help="weight floor, a rational or 'auto'")
     solve.add_argument("--max-iters", type=int, default=64, metavar="N")
-    solve.add_argument("--grid", type=int, default=8, metavar="R", help="fallback grid resolution")
     solve.add_argument("--trace", metavar="F", help="write per-iteration JSON lines here")
     solve.add_argument("--strict", action="store_true", help="reject allocation lists that need closing")
     solve.set_defaults(func=cmd_solve)

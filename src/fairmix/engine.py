@@ -15,23 +15,22 @@ denominator, so every comparison is an exact int comparison.  The winning
 vectors expand to all their member allocations, in ascending order.
 
 Iteration from the uniform weight is a heuristic with no convergence
-guarantee; the fallback therefore walks weight space directly.  For two
-players the candidate weights (welfare-tie breakpoints plus the interval
-ends) are provably exhaustive: the argmax set of any weight is contained in
-the argmax set of an adjacent candidate.  For three players the candidates
-come from the facet structure of the convex hull of the own-utility vectors
-(float-guided, then made exact), tie lines crossing the domain boundary, a
-coarse grid, and a budgeted exact tie-intersection sweep; beyond three
-players the grid and corners remain.  Failure to find a certified lottery
-raises, and never claims non-existence.
+guarantee; the fallback therefore walks weight space directly, the same way
+for every n.  It enumerates, by double description in exact integers, the
+vertices of the welfare envelope {(w, t) : w in W, t >= w.u for every
+frontier vector u}.  The argmax set of any weight is contained in that of
+some vertex, so scanning the vertices with inclusion-maximal argmax sets is
+complete: with ``fallback`` on, exhausting the scan means an invariant
+broke, not that the search gave up.  With it off, a phase-one miss raises
+a search failure, which never claims non-existence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .envy import certify
 from .errors import (
@@ -43,9 +42,6 @@ from .errors import (
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_swappable
 
-TIE_SYSTEM_BUDGET = 250_000
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Search knobs; the defaults suit desk-scale instances."""
@@ -54,7 +50,6 @@ class EngineConfig:
     residual_tolerance: Fraction = Fraction(1, 10**6)
     epsilon: Fraction | str = "auto"
     fallback: bool = True
-    grid_resolution: int = 8
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -67,8 +62,6 @@ class EngineConfig:
             if eps <= 0:
                 raise ConfigurationError("explicit floor must be positive")
             object.__setattr__(self, "epsilon", eps)
-        if self.grid_resolution < 1:
-            raise ConfigurationError("grid_resolution must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -257,179 +250,6 @@ def _l1(a, b):
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _grid_weights(n, eps, resolution):
-    scale = 1 - n * eps
-    for comp in _compositions(resolution, n):
-        yield WeightVector(
-            tuple(eps + scale * Fraction(c, resolution) for c in comp), eps
-        )
-
-
-def _corner_weights(n, eps):
-    top = 1 - (n - 1) * eps
-    for i in range(n):
-        yield WeightVector(tuple(top if t == i else eps for t in range(n)), eps)
-
-
-def _breakpoints_two_players(own, eps):
-    """All welfare-tie points of the weight interval, plus its two ends.
-
-    welfare_j(t) = t*own[0][j] + (1-t)*own[1][j] is a line in t = w_1; the
-    argmax set changes only at pairwise intersections, and the argmax at an
-    intersection contains the argmax on both sides, so these points witness
-    every attainable argmax set.
-    """
-    k = len(own[0])
-    lo, hi = eps, 1 - eps
-    points = {lo, hi}
-    for j, l in combinations(range(k), 2):
-        slope = own[0][j] - own[1][j] - own[0][l] + own[1][l]
-        if slope == 0:
-            continue
-        t = (own[1][l] - own[1][j]) / slope
-        if lo < t < hi:
-            points.add(t)
-    for t in sorted(points):
-        yield WeightVector((t, 1 - t), eps)
-
-
-def _exact_hull_normals_3d(own, eps):
-    """Candidate weights from hull facets of the own-utility point cloud.
-
-    Facet triples come from a floating-point hull, but each normal is rebuilt
-    exactly from the rational points, so every yielded weight is exact.  A
-    normal leaving the domain is projected back as a further heuristic guess.
-    """
-    try:
-        import numpy as np
-        from scipy.spatial import ConvexHull
-    except ImportError:  # geometry guidance is optional
-        return
-    k = len(own[0])
-    if k < 4:
-        return
-    pts = [[own[i][j] for i in range(3)] for j in range(k)]
-    cloud = np.array([[float(v) for v in row] for row in pts])
-    hull = None
-    for opts in (None, "QJ"):
-        try:
-            hull = ConvexHull(cloud, qhull_options=opts)
-            break
-        except Exception:
-            continue
-    if hull is None:
-        return
-    centroid = [sum(row[i] for row in pts) / k for i in range(3)]
-    triples = sorted({tuple(sorted(map(int, s))) for s in hull.simplices})
-    seen = set()
-    for a, b, c in triples:
-        u = [pts[b][i] - pts[a][i] for i in range(3)]
-        v = [pts[c][i] - pts[a][i] for i in range(3)]
-        normal = [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ]
-        if not any(normal):
-            continue
-        outward = sum(nv * (pa - cv) for nv, pa, cv in zip(normal, pts[a], centroid))
-        for sign in ((1,) if outward > 0 else (-1,) if outward < 0 else (1, -1)):
-            cand = tuple(sign * nv for nv in normal)
-            total = sum(cand)
-            if total <= 0 or any(v < 0 for v in cand):
-                continue
-            w = tuple(v / total for v in cand)
-            if w in seen:
-                continue
-            seen.add(w)
-            if all(v >= eps for v in w):
-                yield WeightVector(w, eps)
-            else:
-                yield WeightVector(project_onto_truncated_simplex(w, eps), eps)
-
-
-def _boundary_tie_points_3d(own, eps, pairs):
-    """Weights on a floor edge (w_i = eps) where two allocations tie."""
-    out = set()
-    for j, l in pairs:
-        d = [own[i][j] - own[i][l] for i in range(3)]
-        for fixed in range(3):
-            g, h = [t for t in range(3) if t != fixed]
-            # w_g*d_g + w_h*d_h = -eps*d_fixed with w_g + w_h = 1 - eps
-            slope = d[g] - d[h]
-            if slope == 0:
-                continue
-            wg = (-eps * d[fixed] - d[h] * (1 - eps)) / slope
-            wh = 1 - eps - wg
-            if wg < eps or wh < eps:
-                continue
-            w = [Fraction(0)] * 3
-            w[fixed] = eps
-            w[g] = wg
-            w[h] = wh
-            out.add(tuple(w))
-    for w in sorted(out):
-        yield WeightVector(w, eps)
-
-
-def _interior_tie_points_3d(own, eps, members, budget=TIE_SYSTEM_BUDGET):
-    """Exact pairwise intersections of tie lines spanned by ``members``.
-
-    Each pair of allocations defines a tie line in the weight plane; the
-    crossing of two such lines is the 3x3 system {tie, tie, sum = 1}.  The
-    sweep is capped: candidates beyond the budget are silently dropped, which
-    can only cost completeness, never soundness.
-    """
-    members = sorted(members)
-    lines = []
-    seen_dirs = set()
-    for j, l in combinations(members, 2):
-        d = tuple(own[i][j] - own[i][l] for i in range(3))
-        if not any(d):
-            continue
-        key = _normalize_direction(d)
-        if key in seen_dirs:
-            continue
-        seen_dirs.add(key)
-        lines.append(d)
-    count = 0
-    out = set()
-    for d1, d2 in combinations(lines, 2):
-        count += 1
-        if count > budget:
-            break
-        det = (
-            d1[0] * (d2[1] - d2[2])
-            - d1[1] * (d2[0] - d2[2])
-            + d1[2] * (d2[0] - d2[1])
-        )
-        if det == 0:
-            continue
-        # solve {d1.w = 0, d2.w = 0, sum w = 1} by Cramer's rule
-        w0 = (d1[1] * d2[2] - d1[2] * d2[1]) / det
-        w1 = (d1[2] * d2[0] - d1[0] * d2[2]) / det
-        w2 = (d1[0] * d2[1] - d1[1] * d2[0]) / det
-        w = (w0, w1, w2)
-        if all(v >= eps for v in w):
-            out.add(w)
-    for w in sorted(out):
-        yield WeightVector(w, eps)
-
-
-def _normalize_direction(d):
-    lead = next(v for v in d if v)
-    return tuple(v / lead for v in d)
-
-
 def _validate_for_search(inst):
     ok, witness = is_swappable(inst.allocations)
     if not ok:
@@ -442,12 +262,14 @@ def _validate_for_search(inst):
 def find_fixed_point(inst, cfg=None, trace_sink=None):
     """Search for a certified efficient envy-free lottery.
 
-    Phase one iterates the weight map from the uniform point; phase two walks
-    candidate weights as described in the module docstring.  The returned
-    lottery always carries a fully verified certificate.  Exhausting both
-    phases raises a search failure carrying the least-envy candidate seen;
-    existence is guaranteed in theory, so a failure indicates insufficient
-    search effort, not an impossible instance.
+    Phase one iterates the weight map from the uniform point; phase two
+    scans the welfare-envelope vertices as described in the module
+    docstring.  The returned lottery always carries a fully verified
+    certificate.  With the fallback on, exhausting it raises
+    ``EngineInvariantError``: the scan is complete, so that is a bug.  With
+    it off, a phase-one miss raises a search failure carrying the least-envy
+    candidate seen; it indicates insufficient search effort, not an
+    impossible instance.
     """
     cfg = cfg or EngineConfig()
     _validate_for_search(inst)
@@ -504,9 +326,12 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
         w = w_next
 
     if cfg.fallback:
-        hit = _fallback_search(inst, kernel, eps, cfg, consider, note_best, iterations_done)
+        hit = _fallback_search(inst, kernel, eps, consider, note_best, iterations_done)
         if hit:
             return hit
+        raise EngineInvariantError(
+            "every vertex of the welfare envelope was scanned without an envy-free lottery"
+        )
 
     diagnostic = None
     if best["state"] is not None:
@@ -519,52 +344,116 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
     )
 
 
-def _fallback_search(inst, kernel, eps, cfg, consider, note_best, iteration):
-    n = inst.n
-    own = kernel.own
-    seen_supports = set()
-    tried_members = set()
+def _envelope_vertices(vectors, eps):
+    """Vertices of {(w, t) : w in W, t >= w.u for every u in ``vectors``}, exactly.
 
-    def scan(weights):
-        for w in weights:
-            amax = _argmax_of(kernel.frontier, w)
-            tried_members.update(amax)
-            key = frozenset(amax)
-            if key in seen_supports:
-                continue
-            seen_supports.add(key)
-            p = select_p_in_P(w, inst, amax)
-            views = _views(p, inst)
-            if _max_envy(views) > 0:
-                _, _, residual = _share_step(views, w)
-                note_best(w, p, iteration, views, residual)
-                continue
-            hit = consider(w, p, iteration, views)
-            if hit:
-                return hit
-        return None
+    Returns ``(w, tight)`` pairs: a vertex weight and the ascending indices
+    of the vectors of maximum w-welfare there.  Double description over
+    primitive integer rays in homogeneous coordinates (x0, w_1..w_{n-1}, T),
+    where w_n = x0 - sum of the others and T is t scaled by the lcm of the
+    vectors' denominators.  The start is the simplicial cone of the n floor
+    rows and the first vector's row (independent because eps < 1/n): its
+    rays are the n corners of W and the recession direction (0, .., 0, 1).
+    Each further row splits the rays by sign and joins every adjacent pair
+    across the split, adjacency being the combinatorial test: no third ray
+    is tight on every row the pair shares.  The rays with x0 > 0 at the end
+    are the vertices, and the vector rows a ray is tight on are its argmax.
+    """
+    n = len(vectors[0])
+    scale = lcm(*(x.denominator for vec in vectors for x in vec))
+    num, den = eps.numerator, eps.denominator
+    points = [[int(x * scale) for x in vec] for vec in vectors]
+    rows = []
+    for i in range(n - 1):
+        rows.append(tuple(-num if c == 0 else den if c == i + 1 else 0 for c in range(n + 1)))
+    rows.append((den - num,) + (-den,) * (n - 1) + (0,))
+    for u in points:
+        rows.append((-u[-1],) + tuple(u[-1] - x for x in u[:-1]) + (1,))
 
-    stages = [iter((WeightVector.uniform(n, eps),))]
-    if n > 1:
-        stages.append(_corner_weights(n, eps))
-    if n == 2:
-        stages.append(_breakpoints_two_players(own, eps))
-    elif n >= 3:
-        stages.append(_grid_weights(n, eps, cfg.grid_resolution))
-        if n == 3:
-            stages.append(_exact_hull_normals_3d(own, eps))
-    for source in stages:
-        hit = scan(source)
-        if hit:
-            return hit
+    # corner i scaled by den: x0 = den, w_i = den - (n-1)*num, the others num
+    corner = den - (n - 1) * num
+    rays = []
+    for i in range(n):
+        w = [corner if c == i else num for c in range(n)]
+        t = sum(a * b for a, b in zip(w, points[0]))
+        tight = sum(1 << r for r in range(n) if r != i) | (1 << n)
+        rays.append((_primitive((den, *w[:-1], t)), tight))
+    rays.append(((0,) * n + (1,), (1 << n) - 1))
 
-    if n == 3:
-        members = sorted(tried_members)
-        pairs = list(combinations(members, 2))
-        hit = scan(_boundary_tie_points_3d(own, eps, pairs))
-        if hit:
-            return hit
-        hit = scan(_interior_tie_points_3d(own, eps, members))
+    for r in range(n + 1, len(rows)):
+        row = rows[r]
+        bit = 1 << r
+        pos, neg, kept = [], [], []
+        for ray, tight in rays:
+            s = sum(a * b for a, b in zip(row, ray))
+            if s > 0:
+                pos.append((ray, tight, s))
+                kept.append((ray, tight))
+            elif s < 0:
+                neg.append((ray, tight, s))
+            else:
+                kept.append((ray, tight | bit))
+        if not neg:
+            rays = kept
+            continue
+        masks = [tight for _, tight in rays]
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if bin(common).count("1") < n - 1:
+                    continue
+                if any(z & common == common and z != zp and z != zn for z in masks):
+                    continue
+                ray = tuple(sp * b - sn * a for a, b in zip(rp, rn))
+                kept.append((_primitive(ray), common | bit))
+        rays = kept
+
+    out = []
+    for ray, tight in rays:
+        if ray[0] == 0:
+            continue
+        head = [Fraction(x, ray[0]) for x in ray[1:n]]
+        w = tuple(head) + (1 - sum(head),)
+        out.append((w, tuple(f for f in range(len(vectors)) if tight >> (n + f) & 1)))
+    return out
+
+
+def _primitive(ray):
+    g = gcd(*ray)
+    return tuple(x // g for x in ray) if g > 1 else ray
+
+
+def _fallback_search(inst, kernel, eps, consider, note_best, iteration):
+    """Scan the welfare-envelope vertices with inclusion-maximal argmax sets.
+
+    Every weight lies in the relative interior of a face of the envelope,
+    and every vertex of that face has an argmax set containing the weight's
+    own, so P(w) is inside P(vertex) and ``select_p_in_P`` there does at
+    least as well on envy.  The scan is therefore complete: by the paper's
+    existence theorem some maximal vertex yields an envy-free lottery.
+    """
+    frontier = kernel.frontier
+    weight_of = {}
+    for w, tight in _envelope_vertices(frontier.vectors, eps):
+        weight_of.setdefault(sum(1 << f for f in tight), w)
+    maximal = [
+        (mask, w) for mask, w in weight_of.items()
+        if not any(other != mask and other & mask == mask for other in weight_of)
+    ]
+    maximal.sort(key=lambda item: -bin(item[0]).count("1"))
+    for mask, w in maximal:
+        w = WeightVector(w, eps)
+        amax = _argmax_of(frontier, w)
+        tight = (frontier.members[f] for f in range(len(frontier)) if mask >> f & 1)
+        if amax != tuple(sorted(chain.from_iterable(tight))):
+            raise EngineInvariantError("welfare-envelope vertex disagrees with the argmax")
+        p = select_p_in_P(w, inst, amax)
+        views = _views(p, inst)
+        if _max_envy(views) > 0:
+            _, _, residual = _share_step(views, w)
+            note_best(w, p, iteration, views, residual)
+            continue
+        hit = consider(w, p, iteration, views)
         if hit:
             return hit
     return None

@@ -400,6 +400,8 @@ class MixedAllocation:
 
     @classmethod
     def uniform(cls, k):
+        if k < 1:
+            raise MalformedInstanceError(f"a uniform lottery needs at least one allocation, got k={k}")
         q = Fraction(1, k)
         return cls._of(k, tuple((j, q) for j in range(k)))
 

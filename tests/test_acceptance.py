@@ -46,6 +46,7 @@ DESK_RUNS = 200
 PROJECTION_RUNS = 1000
 WEIGHT_GAP_RUNS = 100
 CROSS_VALIDATION_RUNS = 50
+LARGE_N_RUNS = 10
 
 
 def report(name, ok, detail):
@@ -264,6 +265,46 @@ def test_existence_at_desk_scale(desk_runs):
         ok,
         f"{len(desk_runs.runs) - len(failures)}/{len(desk_runs.runs)} certified and "
         f"oracle-confirmed in {desk_runs.elapsed:.1f}s"
+        + (f"; first problem: {failures[0]}" if failures else ""),
+    )
+
+
+def test_existence_beyond_three_players(tmp_path):
+    """n = 4 and n = 5 instances solve to doubly-oracle-checked certificates."""
+    failures = []
+    solved = 0
+    slowest = 0.0
+    for n, m in ((4, 2), (4, 3), (5, 2)):
+        rng = random.Random(7)
+        for t in range(LARGE_N_RUNS):
+            data = random_instance_data(rng, n=n, m=m)
+            label = f"n={n} m={m} run {t}"
+            path = tmp_path / f"instance_{n}_{m}_{t}.json"
+            path.write_text(json.dumps(data))
+            out = io.StringIO()
+            started = time.perf_counter()
+            with redirect_stdout(out):
+                code = main(["solve", "--instance", str(path)])
+            slowest = max(slowest, time.perf_counter() - started)
+            if code != 0:
+                failures.append(f"{label} exited {code}")
+                continue
+            result = json.loads(out.getvalue())
+            inst = load_instance(data)
+            p = load_mixed_allocation(result["p"], inst)
+            if not result["certificate"]["ok"]:
+                failures.append(f"{label} emitted a failing certificate")
+            elif envy_edges(p, inst):
+                failures.append(f"{label} fails the envy-margin oracle")
+            elif pe_gap_via_scipy(p, inst) > 1e-7:
+                failures.append(f"{label} fails the float LP oracle")
+            else:
+                solved += 1
+    total = 3 * LARGE_N_RUNS
+    report(
+        "existence beyond three players",
+        not failures,
+        f"{solved}/{total} certified and oracle-confirmed, slowest solve {slowest:.2f}s"
         + (f"; first problem: {failures[0]}" if failures else ""),
     )
 

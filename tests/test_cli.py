@@ -113,8 +113,6 @@ class TestSolve:
                 "1/16",
                 "--max-iters",
                 "16",
-                "--grid",
-                "4",
             ]
         )
         assert code == 0
@@ -299,6 +297,9 @@ class TestFlagContract:
 
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["solve", "--instance", symmetric_instance(tmp_path), "--bogus"]) == 1
+
+    def test_removed_grid_flag_is_unknown(self, tmp_path, capsys):
+        assert main(["solve", "--instance", symmetric_instance(tmp_path), "--grid", "4"]) == 1
 
     def test_missing_required_flag(self, capsys):
         assert main(["solve"]) == 1

@@ -1,5 +1,9 @@
 """Engine components (argmax, selection, update, constants) and the search."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import additive_table, random_additive_instance, random_table_instance, seeded_rng
+from fairmix import engine
 from fairmix.engine import (
     EngineConfig,
     FixedPointState,
@@ -19,7 +24,12 @@ from fairmix.engine import (
     varpi,
 )
 from fairmix.envy import build_envy_graph
-from fairmix.errors import ConfigurationError, PreconditionError, SearchFailedError
+from fairmix.errors import (
+    ConfigurationError,
+    EngineInvariantError,
+    PreconditionError,
+    SearchFailedError,
+)
 from fairmix.lp import project_onto_truncated_simplex
 from fairmix.model import (
     AllocationSet,
@@ -184,8 +194,6 @@ class TestEngineConfig:
             EngineConfig(residual_tolerance=F(-1))
         with pytest.raises(ConfigurationError):
             EngineConfig(epsilon=F(0))
-        with pytest.raises(ConfigurationError):
-            EngineConfig(grid_resolution=0)
 
 
 class TestFindFixedPoint:
@@ -227,6 +235,15 @@ class TestFindFixedPoint:
             find_fixed_point(inst, cfg)
         assert info.value.best_state is not None
         assert not info.value.best_certificate.ef_ok
+
+    def test_exhausted_fallback_is_an_invariant_failure(self, monkeypatch):
+        # the vertex scan is complete, so running out of vertices means a
+        # check broke; here the envy screen is forced to reject everything
+        monkeypatch.setattr(engine, "_max_envy", lambda views: F(1))
+        inst = opposed_tastes_instance()
+        cfg = EngineConfig(max_iterations=1, residual_tolerance=F(0))
+        with pytest.raises(EngineInvariantError):
+            find_fixed_point(inst, cfg)
 
     def test_rejects_non_swappable_set(self):
         raw = [{0: 1, 1: 2}, {0: 1, 1: 2}]
@@ -270,3 +287,32 @@ class TestFindFixedPoint:
         state, cert = find_fixed_point(inst)
         assert cert.ok
         assert build_envy_graph(state.p, inst).edges == ()
+
+
+def test_fallback_solve_imports_neither_numpy_nor_scipy():
+    """A three-player solve that reaches the fallback stays on the standard
+    library: a fresh isolated interpreter has neither module loaded after it."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    script = f"""
+import json, sys
+sys.path.insert(0, {src!r})
+from fractions import Fraction as F
+from fairmix import EngineConfig, Instance, all_partitions_allocation_set, engine
+
+calls = []
+search = engine._fallback_search
+engine._fallback_search = lambda *args: calls.append(1) or search(*args)
+raw = [
+    {{0: F(0), 1: F(4), 2: F(1), 3: F(5)}},
+    {{0: F(0), 1: F(1), 2: F(4), 3: F(5)}},
+    {{0: F(0), 1: F(3), 2: F(3), 3: F(6)}},
+]
+inst = Instance.build(raw, all_partitions_allocation_set(3, 2))
+state, cert = engine.find_fixed_point(inst, EngineConfig(max_iterations=1))
+print(json.dumps([len(calls), cert.ok, "numpy" in sys.modules, "scipy" in sys.modules]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, True, False, False]

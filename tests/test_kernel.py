@@ -7,11 +7,19 @@ domination LP with one column per allocation.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
 from conftest import additive_table, seeded_rng
-from fairmix.engine import argmax_allocations
+from fairmix.engine import (
+    EngineConfig,
+    _envelope_vertices,
+    argmax_allocations,
+    choose_epsilon,
+    compute_rho,
+)
 from fairmix.envy import check_pareto_efficient
 from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.lp import OPTIMAL, LinearProgram, solve_lp
@@ -247,3 +255,121 @@ class TestFrontier:
     def test_disjoint_hard_instance_frontier(self):
         inst = build_hard_instance(DisjointnessInput(3, (1,) + (0,) * 9, (0, 1) + (0,) * 8))
         assert sorted(inst.kernel.frontier.vectors) == [(F(17, 9), F(2)), (F(2), F(17, 9))]
+
+
+def solve_exact(rows):
+    """Solve an integer augmented system [A | b] by fraction-free Gauss-Jordan
+    elimination: returns (det A, numerators) with x = numerators / det and
+    det > 0, or None when A is singular."""
+    size = len(rows)
+    rows = [list(row) for row in rows]
+    prev = 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for r in range(size):
+            if r != col:
+                row = rows[r]
+                rows[r] = [(row[c] * top[col] - row[col] * top[c]) // prev for c in range(size + 1)]
+        prev = top[col]
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [sign * row[size] for row in rows]
+
+
+def integer_row(entries):
+    scale = lcm(*(F(x).denominator for x in entries))
+    return [int(x * scale) for x in entries]
+
+
+def brute_force_vertices(vectors, eps):
+    """Every feasible basic point of {w in W, t >= w.u_j}: n of the n + K
+    constraints made tight, plus sum w = 1, solved exactly."""
+    n = len(vectors[0])
+    scale = lcm(*(x.denominator for vec in vectors for x in vec))
+    points = [[int(x * scale) for x in vec] for vec in vectors]
+    floors = [integer_row([int(c == i) for c in range(n)] + [0, eps]) for i in range(n)]
+    ties = [point + [-scale, 0] for point in points]
+    total = [1] * n + [0, 1]
+    out = {}
+    for chosen in combinations(floors + ties, n):
+        solved = solve_exact(list(chosen) + [total])
+        if solved is None:
+            continue
+        det, (*w, t) = solved
+        if min(w) * eps.denominator < eps.numerator * det:
+            continue
+        welfare = [sum(a * b for a, b in zip(w, point)) for point in points]
+        if max(welfare) <= t * scale:
+            key = tuple(F(x, det) for x in w)
+            out[key] = tuple(f for f, v in enumerate(welfare) if v == t * scale)
+    return out
+
+
+# seeded instances whose frontier has at most 14 vectors: the brute force
+# solves C(n + K, n) systems, 3060 at n = 4 and K = 14
+ENVELOPE_CANDIDATES = [
+    (n, m, listed, seed) for n in (2, 3, 4) for m in (2, 3) for listed in (False, True) for seed in (0, 1, 2)
+]
+ENVELOPE_CASES = [case for case in ENVELOPE_CANDIDATES if len(make_instance(*case).kernel.frontier) <= 14]
+
+
+@pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
+def test_envelope_vertices_match_brute_force(case):
+    inst = make_instance(*case)
+    vectors = inst.kernel.frontier.vectors
+    eps = choose_epsilon(compute_rho(inst), inst.n, EngineConfig())
+    found = _envelope_vertices(vectors, eps)
+    assert len({w for w, _ in found}) == len(found)
+    assert dict(found) == brute_force_vertices(vectors, eps)
+
+
+def test_envelope_cases_cover_every_player_count():
+    assert len(ENVELOPE_CASES) >= 3 * len(ENVELOPE_CANDIDATES) // 4
+    for n in (2, 3, 4):
+        sizes = [len(make_instance(*case).kernel.frontier) for case in ENVELOPE_CASES if case[0] == n]
+        assert max(sizes) >= 4
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_degenerate_envelope_matches_brute_force(first):
+    # three collinear vectors tie on all of w_1 = w_2, so their rows meet in
+    # a 2-face whose non-adjacent vertices still share n - 1 = 3 rows: only
+    # the combinatorial adjacency test keeps the join of such a pair out
+    collinear = [(1, 3, 2, 2), (2, 2, 2, 2), (3, 1, 2, 2)]
+    cutting = [(1, 1, 4, 1), (1, 1, 1, 4)]
+    order = collinear + cutting if first else cutting + collinear
+    vectors = tuple(tuple(F(x) for x in vec) for vec in order)
+    found = _envelope_vertices(vectors, F(1, 16))
+    assert len({w for w, _ in found}) == len(found)
+    assert dict(found) == brute_force_vertices(vectors, F(1, 16))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_vector_envelope_is_the_corners(n):
+    eps = F(1, 3 * n)
+    vec = tuple(F(i + 1, 2) for i in range(n))
+    corners = {tuple(1 - (n - 1) * eps if c == i else eps for c in range(n)) for i in range(n)}
+    found = _envelope_vertices((vec,), eps)
+    assert {w for w, _ in found} == corners
+    assert all(tight == (0,) for _, tight in found)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_player_vertices_are_tie_breakpoints(seed):
+    # the interval ends and the points where two own vectors tie, as the
+    # earlier two-player fallback enumerated them over every allocation pair
+    inst = make_instance(2, 3, seed % 2 == 1, seed)
+    eps = choose_epsilon(compute_rho(inst), 2, EngineConfig())
+    own = inst.kernel.own
+    points = {eps, 1 - eps}
+    for j, l in combinations(range(len(inst.allocations)), 2):
+        slope = own[0][j] - own[1][j] - own[0][l] + own[1][l]
+        if slope:
+            t = (own[1][l] - own[1][j]) / slope
+            if eps < t < 1 - eps:
+                points.add(t)
+    found = _envelope_vertices(inst.kernel.frontier.vectors, eps)
+    assert {eps, 1 - eps} <= {w[0] for w, _ in found} <= points

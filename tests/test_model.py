@@ -186,6 +186,9 @@ class TestMixedAllocation:
 
     def test_uniform(self):
         assert MixedAllocation.uniform(3).p == (F(1, 3),) * 3
+        for k in (0, -2):
+            with pytest.raises(MalformedInstanceError):
+                MixedAllocation.uniform(k)
 
     def test_from_support(self):
         p = MixedAllocation.from_support(3, {0: F(1, 4), 2: F(3, 4)})
