@@ -36,7 +36,7 @@ for j, q in state.p.pairs:
     print(f"  probability {q}: player 1 gets {bundles[0]:02b}, player 2 gets {bundles[1]:02b}")
 
 print(f"\nweights at the fixed point: {state.w.w}")
-print(f"residual: {state.residual} after {state.iteration} iteration(s)")
+print(f"residual: {state.residual}, at welfare-envelope vertex {state.iteration} of the scan")
 print(f"certificate: envy-free={cert.ef_ok} efficient={cert.pe_ok}")
 
 print("\nexpected utilities (viewer x owner):")

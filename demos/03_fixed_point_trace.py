@@ -1,11 +1,14 @@
-"""Watching the weight iteration — and its safety net.
+"""The paper's weight map, iterated by hand, and the scan that answers instead.
 
-Each round picks a lottery supported on the current weighted-welfare
-argmax, recomputes every player's fair-share update, and projects it back
-onto the truncated simplex.  The residual is the L1 movement of the
-weights.  Sometimes that loop lands on a fixed point immediately;
-sometimes it cycles forever, and the certified answer comes from the
-exhaustive sweep over argmax-changing weights that runs afterwards.
+One step of the map picks a lottery supported on the current
+weighted-welfare argmax (``select_p_in_P``), recomputes every player's
+fair-share update and projects it back onto the truncated simplex
+(``varpi``).  The residual is the L1 movement of the weights, and a weight is
+a fixed point exactly when its lottery is envy-free.  The paper proves that
+a fixed point exists, not that iterating from the uniform weight reaches
+one: on the second instance below the orbit cycles.  The solver therefore
+scans the vertices of the welfare envelope, and the map's residual checks
+the answer it finds.
 """
 
 from fractions import Fraction as F
@@ -13,35 +16,80 @@ from fractions import Fraction as F
 from fairmix import (
     EngineConfig,
     Instance,
+    WeightVector,
     all_partitions_allocation_set,
+    choose_epsilon,
+    compute_rho,
     find_fixed_point,
+    select_p_in_P,
+    varpi,
 )
+
+STEP_LIMIT = 1000
 
 
 def table(values):
     return {mask: F(v) for mask, v in values.items()}
 
 
+def weights(w):
+    return tuple(str(x) for x in w)
+
+
+def iterate_map(inst):
+    """Steps (weight, lottery, residual) from the uniform weight, and the
+    index the orbit returns to, or None if it stopped at a fixed point."""
+    eps = choose_epsilon(compute_rho(inst), inst.n, EngineConfig())
+    w = WeightVector.uniform(inst.n, eps)
+    seen = {}
+    steps = []
+    while len(steps) < STEP_LIMIT:
+        if w.w in seen:
+            return steps, seen[w.w]
+        seen[w.w] = len(steps)
+        p = select_p_in_P(w, inst)
+        w_next = varpi(p, w, inst)
+        residual = sum(abs(a - b) for a, b in zip(w_next.w, w.w))
+        steps.append((w, p, residual))
+        if residual == 0:
+            return steps, None
+        w = w_next
+    raise SystemExit(f"the map neither settled nor repeated in {STEP_LIMIT} steps")
+
+
 def show(label, raw, n):
     inst = Instance.build(raw, all_partitions_allocation_set(n, 2))
-    trace = []
-    state, cert = find_fixed_point(inst, EngineConfig(), trace_sink=trace)
-
     print(f"--- {label} ---")
-    print(f"{'iter':>4}  {'residual':>8}  weights")
-    if len(trace) <= 6:
-        window = trace
-    else:
-        window = trace[:3] + [None] + trace[-2:]
-    for rec in window:
-        if rec is None:
-            print("   ...")
-            continue
-        print(f"{rec.iteration:>4}  {str(rec.residual):>8}  {tuple(str(x) for x in rec.w)}")
 
-    if state.residual == 0 and len(trace) >= state.iteration and len(trace) > 6:
-        print("the loop cycled; the certified point came from the weight sweep")
-    print(f"certified at iteration {state.iteration}, residual {state.residual}")
+    steps, back_to = iterate_map(inst)
+    print("the paper's map from the uniform weight:")
+    print(f"{'step':>5}  {'residual':>8}  weights")
+    window = list(enumerate(steps, 1))
+    if len(window) > 5:
+        window = window[:3] + [None] + window[-2:]
+    for row in window:
+        if row is None:
+            print("    ...")
+            continue
+        step, (w, _, residual) = row
+        print(f"{step:>5}  {str(residual):>8}  {weights(w.w)}")
+    if back_to is None:
+        print(f"fixed point after {len(steps)} step(s): its lottery is envy-free")
+    else:
+        lotteries = {p for _, p, _ in steps}
+        print(
+            f"step {len(steps) + 1} is step {back_to + 1} again: a cycle of "
+            f"{len(steps) - back_to} steps through {len(lotteries)} lotteries;"
+        )
+        print("every residual is positive, so none of them is envy-free")
+
+    trace = []
+    state, cert = find_fixed_point(inst, trace_sink=trace)
+    print("the solver's welfare-envelope scan:")
+    print(f"{'vertex':>6}  {'residual':>8}  weights")
+    for rec in trace:
+        print(f"{rec.iteration:>6}  {str(rec.residual):>8}  {weights(rec.w)}")
+    print(f"answer at vertex {state.iteration}, residual {state.residual}")
     print(f"certificate: envy-free={cert.ef_ok} efficient={cert.pe_ok}")
     print("lottery:")
     for j, q in state.p.pairs:
@@ -50,7 +98,7 @@ def show(label, raw, n):
     # every recorded share update sums to one exactly; that conservation
     # is what keeps the projection from drifting off the simplex
     assert all(sum(rec.nu) == 1 for rec in trace)
-    print("per-iteration share updates all sum to 1 exactly.\n")
+    print("per-vertex share updates all sum to 1 exactly.\n")
 
 
 # identical players: uniform weights are already the fixed point
@@ -60,10 +108,10 @@ show(
     n=2,
 )
 
-# three players with lopsided tastes: the iteration orbits a cycle and the
-# fallback sweep finds the certified weights instead
+# three players with lopsided tastes: the map alternates between two
+# envious point masses and never settles; the scan answers directly
 show(
-    "three lopsided players, rescued by the sweep",
+    "three lopsided players, a cycle",
     [
         table({0: 0, 1: 4, 2: 1, 3: 5}),
         table({0: 0, 1: 1, 2: 4, 3: 5}),

@@ -9,7 +9,6 @@ from .errors import (
     MalformedInstanceError,
     MalformedLpError,
     PreconditionError,
-    SearchFailedError,
 )
 from .model import (
     AllocationSet,

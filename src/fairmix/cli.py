@@ -2,10 +2,10 @@
 
 Exit codes are a stable contract:
   0  success (certified result / checks passed)
-  1  input error (bad flags, unreadable file, schema violation)
-  2  search failure: reserved for SearchFailedError, which the engine raises
-     only with its fallback scan off (EngineConfig(fallback=False)); solve
-     always runs the scan, and exhausting it exits 4
+  1  input error (bad flags, unreadable input or unwritable output file,
+     schema violation)
+  2  retired: once "search failed"; the search is complete, so it is never
+     returned, and it is not reused
   3  verification failure (certificate or dichotomy check did not hold)
   4  internal check failed (an engine invariant broke: a bug, not bad input)
 """
@@ -28,7 +28,6 @@ from .errors import (
     MalformedInstanceError,
     MalformedLpError,
     PreconditionError,
-    SearchFailedError,
 )
 from .hard import DisjointnessInput, build_hard_instance, verify_welfare_dichotomy
 from .serialize import (
@@ -51,8 +50,8 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad flags by default; the exit-code
-    # contract reserves 2 for search failures, so flag errors become CliError.
+    # argparse exits with code 2 on bad flags by default; flag errors are
+    # input errors (exit 1) under the exit-code contract, and 2 stays retired.
     def error(self, message):
         raise CliError(message)
 
@@ -71,6 +70,13 @@ def _read_json(path):
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _open_for_writing(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _bits(text):
     if not text or any(c not in "01" for c in text):
         raise CliError(f"expected a string of 0s and 1s, got {text!r}")
@@ -78,7 +84,7 @@ def _bits(text):
 
 
 class _TraceWriter:
-    """Streams one JSON line per engine iteration."""
+    """Streams one JSON line per scanned welfare-envelope vertex."""
 
     def __init__(self, fh, inst):
         self.fh = fh
@@ -92,8 +98,8 @@ class _TraceWriter:
 def cmd_solve(args):
     inst = load_instance(_read_json(args.instance), strict=args.strict, warn=_warn)
     epsilon = "auto" if args.epsilon == "auto" else parse_rational(args.epsilon)
-    cfg = EngineConfig(max_iterations=args.max_iters, epsilon=epsilon)
-    trace_fh = open(args.trace, "w") if args.trace else None
+    cfg = EngineConfig(epsilon=epsilon)
+    trace_fh = _open_for_writing(args.trace) if args.trace else None
     try:
         sink = _TraceWriter(trace_fh, inst) if trace_fh else None
         start = time.perf_counter()
@@ -125,7 +131,7 @@ def cmd_gen_hard(args):
     inp = DisjointnessInput(args.p, _bits(args.x1), _bits(args.x2))
     payload = dumps(dump_instance(build_hard_instance(inp)))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_for_writing(args.out) as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -153,8 +159,7 @@ def build_parser():
     solve = sub.add_parser("solve", help="find a certified efficient envy-free lottery")
     solve.add_argument("--instance", required=True, metavar="F")
     solve.add_argument("--epsilon", default="auto", metavar="Q", help="weight floor, a rational or 'auto'")
-    solve.add_argument("--max-iters", type=int, default=64, metavar="N")
-    solve.add_argument("--trace", metavar="F", help="write per-iteration JSON lines here")
+    solve.add_argument("--trace", metavar="F", help="write one JSON line per scanned vertex here")
     solve.add_argument("--strict", action="store_true", help="reject allocation lists that need closing")
     solve.set_defaults(func=cmd_solve)
 
@@ -206,15 +211,6 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SearchFailedError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        if exc.best_certificate is not None:
-            best = exc.best_certificate
-            print(
-                f"closest candidate: envy-free={best.ef_ok} efficient={best.pe_ok}",
-                file=sys.stderr,
-            )
-        return 2
     except EngineInvariantError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4

@@ -1,9 +1,9 @@
-"""Fixed-point search for efficient envy-free lotteries.
+"""Welfare-envelope search for certified efficient envy-free lotteries.
 
-The map under iteration sends weights w to the projection of a corrected
-weight vector: players who envy someone gain weight, players sitting on the
-best bundle stream lose it.  A weight vector is a fixed point exactly when
-the chosen lottery in P(w) is envy-free, and any lottery supported on the
+The paper's weight map sends w to the projection of a corrected weight
+vector: players who envy someone gain weight, players sitting on the best
+bundle stream lose it.  A weight vector is a fixed point exactly when the
+chosen lottery in P(w) is envy-free, and any lottery supported on the
 w-welfare argmax with strictly positive w is automatically Pareto efficient,
 so certified fixed points settle both properties at once.
 
@@ -14,15 +14,15 @@ weights are scaled to integers with the same factors and one common
 denominator, so every comparison is an exact int comparison.  The winning
 vectors expand to all their member allocations, in ascending order.
 
-Iteration from the uniform weight is a heuristic with no convergence
-guarantee; the fallback therefore walks weight space directly, the same way
-for every n.  It enumerates, by double description in exact integers, the
-vertices of the welfare envelope {(w, t) : w in W, t >= w.u for every
-frontier vector u}.  The argmax set of any weight is contained in that of
-some vertex, so scanning the vertices with inclusion-maximal argmax sets is
-complete: with ``fallback`` on, exhausting the scan means an invariant
-broke, not that the search gave up.  With it off, a phase-one miss raises
-a search failure, which never claims non-existence.
+The paper does not show that iterating the map converges, so the search
+walks weight space directly, the same way for every n.  It enumerates, by
+double description in exact integers, the vertices of the welfare envelope
+{(w, t) : w in W, t >= w.u for every frontier vector u}.  The argmax set of
+any weight is contained in that of some vertex, so scanning the vertices
+with inclusion-maximal argmax sets is complete: exhausting the scan means
+an invariant broke.  The map stays as a self-check on every candidate that
+passes the envy screen: its residual and the paper's lemmas must agree with
+the certificate.
 """
 
 from __future__ import annotations
@@ -33,30 +33,17 @@ from itertools import chain
 from math import gcd, lcm
 
 from .envy import certify
-from .errors import (
-    ConfigurationError,
-    EngineInvariantError,
-    PreconditionError,
-    SearchFailedError,
-)
+from .errors import ConfigurationError, EngineInvariantError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_swappable
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Search knobs; the defaults suit desk-scale instances."""
+    """The weight floor: "auto" or an explicit positive rational."""
 
-    max_iterations: int = 64
-    residual_tolerance: Fraction = Fraction(1, 10**6)
     epsilon: Fraction | str = "auto"
-    fallback: bool = True
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be at least 1")
-        object.__setattr__(self, "residual_tolerance", as_fraction(self.residual_tolerance))
-        if self.residual_tolerance < 0:
-            raise ConfigurationError("residual_tolerance must be non-negative")
         if self.epsilon != "auto":
             eps = as_fraction(self.epsilon)
             if eps <= 0:
@@ -66,6 +53,8 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class FixedPointState:
+    """An answer; ``iteration`` is the 1-based scan position of its vertex."""
+
     p: MixedAllocation
     w: WeightVector
     residual: Fraction
@@ -74,6 +63,9 @@ class FixedPointState:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One scanned vertex: its scan position, weight, the support of the
+    lottery chosen there, and the paper's map at it (residual, shares)."""
+
     iteration: int
     w: tuple
     support: tuple
@@ -262,86 +254,22 @@ def _validate_for_search(inst):
 def find_fixed_point(inst, cfg=None, trace_sink=None):
     """Search for a certified efficient envy-free lottery.
 
-    Phase one iterates the weight map from the uniform point; phase two
-    scans the welfare-envelope vertices as described in the module
-    docstring.  The returned lottery always carries a fully verified
-    certificate.  With the fallback on, exhausting it raises
-    ``EngineInvariantError``: the scan is complete, so that is a bug.  With
-    it off, a phase-one miss raises a search failure carrying the least-envy
-    candidate seen; it indicates insufficient search effort, not an
-    impossible instance.
+    Scans the welfare-envelope vertices as described in the module
+    docstring and returns ``(FixedPointState, Certificate)``; the state's
+    ``iteration`` is the 1-based scan position of the answer.  The returned
+    lottery always carries a fully verified certificate.  The scan is
+    complete, so running out of vertices raises ``EngineInvariantError``.
+    ``trace_sink``, if given, receives one ``TraceRecord`` per scanned vertex.
     """
     cfg = cfg or EngineConfig()
     _validate_for_search(inst)
-    n = inst.n
-    kernel = inst.kernel
-    rho = compute_rho(inst)
-    eps = choose_epsilon(rho, n, cfg)
-    best = {"envy": None, "state": None}
-
-    def note_best(w, p, iteration, views, residual):
-        envy = _max_envy(views)
-        if best["envy"] is None or envy < best["envy"]:
-            best.update(
-                envy=envy,
-                state=FixedPointState(p=p, w=w, residual=residual, iteration=iteration),
-            )
-
-    def consider(w, p, iteration, views=None):
-        views = views if views is not None else _views(p, inst)
-        nu, _, residual = _share_step(views, w)
-        cert = certify(p, inst, residual=residual)
-        if all(v >= eps for v in nu) and not cert.ef_ok:
-            raise EngineInvariantError("corrected weights lie in the domain yet envy persists")
-        if residual == 0 and not cert.ef_ok:
-            raise EngineInvariantError("exact fixed point without envy-freeness")
-        if not cert.pe_ok:
-            raise EngineInvariantError("argmax-supported lottery failed the efficiency check")
-        state = FixedPointState(p=p, w=w, residual=residual, iteration=iteration)
-        if cert.ok:
-            return state, cert
-        note_best(w, p, iteration, views, residual)
-        return None
-
-    w = WeightVector.uniform(n, eps)
-    visited = {w.w}
-    iterations_done = 0
-    for it in range(1, cfg.max_iterations + 1):
-        iterations_done = it
-        amax = _argmax_of(kernel.frontier, w)
-        p = select_p_in_P(w, inst, amax)
-        views = _views(p, inst)
-        nu, w_next, residual = _share_step(views, w)
-        if trace_sink is not None:
-            trace_sink.append(TraceRecord(it, w.w, p.support(), residual, nu))
-        if residual <= cfg.residual_tolerance:
-            hit = consider(w, p, it, views)
-            if hit:
-                return hit
-        else:
-            note_best(w, p, it, views, residual)
-        if w_next.w in visited:
-            break
-        visited.add(w_next.w)
-        w = w_next
-
-    if cfg.fallback:
-        hit = _fallback_search(inst, kernel, eps, consider, note_best, iterations_done)
-        if hit:
-            return hit
+    eps = choose_epsilon(compute_rho(inst), inst.n, cfg)
+    hit = _fallback_search(inst, eps, trace_sink)
+    if hit is None:
         raise EngineInvariantError(
             "every vertex of the welfare envelope was scanned without an envy-free lottery"
         )
-
-    diagnostic = None
-    if best["state"] is not None:
-        diagnostic = certify(best["state"].p, inst, residual=best["state"].residual)
-    raise SearchFailedError(
-        "no certified envy-free efficient lottery found within the configured effort; "
-        "this is a search failure, not evidence of non-existence",
-        best_state=best["state"],
-        best_certificate=diagnostic,
-    )
+    return hit
 
 
 def _envelope_vertices(vectors, eps):
@@ -423,7 +351,7 @@ def _primitive(ray):
     return tuple(x // g for x in ray) if g > 1 else ray
 
 
-def _fallback_search(inst, kernel, eps, consider, note_best, iteration):
+def _fallback_search(inst, eps, trace_sink=None):
     """Scan the welfare-envelope vertices with inclusion-maximal argmax sets.
 
     Every weight lies in the relative interior of a face of the envelope,
@@ -431,8 +359,10 @@ def _fallback_search(inst, kernel, eps, consider, note_best, iteration):
     own, so P(w) is inside P(vertex) and ``select_p_in_P`` there does at
     least as well on envy.  The scan is therefore complete: by the paper's
     existence theorem some maximal vertex yields an envy-free lottery.
+    Returns ``(state, certificate)`` for the first one, or None.  The scan
+    is the only search; it keeps the name ``bench/tracing.py`` binds.
     """
-    frontier = kernel.frontier
+    frontier = inst.kernel.frontier
     weight_of = {}
     for w, tight in _envelope_vertices(frontier.vectors, eps):
         weight_of.setdefault(sum(1 << f for f in tight), w)
@@ -441,7 +371,7 @@ def _fallback_search(inst, kernel, eps, consider, note_best, iteration):
         if not any(other != mask and other & mask == mask for other in weight_of)
     ]
     maximal.sort(key=lambda item: -bin(item[0]).count("1"))
-    for mask, w in maximal:
+    for position, (mask, w) in enumerate(maximal, 1):
         w = WeightVector(w, eps)
         amax = _argmax_of(frontier, w)
         tight = (frontier.members[f] for f in range(len(frontier)) if mask >> f & 1)
@@ -449,11 +379,22 @@ def _fallback_search(inst, kernel, eps, consider, note_best, iteration):
             raise EngineInvariantError("welfare-envelope vertex disagrees with the argmax")
         p = select_p_in_P(w, inst, amax)
         views = _views(p, inst)
-        if _max_envy(views) > 0:
-            _, _, residual = _share_step(views, w)
-            note_best(w, p, iteration, views, residual)
+        envious = _max_envy(views) > 0
+        if envious and trace_sink is None:
             continue
-        hit = consider(w, p, iteration, views)
-        if hit:
-            return hit
+        nu, _, residual = _share_step(views, w)
+        if trace_sink is not None:
+            trace_sink.append(TraceRecord(position, w.w, p.support(), residual, nu))
+        if envious:
+            continue
+        cert = certify(p, inst, residual=residual)
+        if all(v >= eps for v in nu) and not cert.ef_ok:
+            raise EngineInvariantError("corrected weights lie in the domain yet envy persists")
+        if residual == 0 and not cert.ef_ok:
+            raise EngineInvariantError("exact fixed point without envy-freeness")
+        if not cert.pe_ok:
+            raise EngineInvariantError("argmax-supported lottery failed the efficiency check")
+        # no envy in the views gives nu == w, inside the domain, so the
+        # first check has already made the certificate's EF side hold
+        return FixedPointState(p=p, w=w, residual=residual, iteration=position), cert
     return None

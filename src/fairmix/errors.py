@@ -29,18 +29,5 @@ class ConfigurationError(FairmixError):
     """Engine configuration is invalid (e.g. an explicit floor above its bound)."""
 
 
-class SearchFailedError(FairmixError):
-    """The fixed-point search exhausted both phases without a certified result.
-
-    This signals a search failure, never non-existence.  The best candidate
-    seen (smallest maximum envy) is attached for diagnostics.
-    """
-
-    def __init__(self, message, best_state=None, best_certificate=None):
-        super().__init__(message)
-        self.best_state = best_state
-        self.best_certificate = best_certificate
-
-
 class EngineInvariantError(FairmixError):
     """An internal invariant of the engine failed; indicates a bug, not bad input."""

@@ -170,12 +170,9 @@ def desk_runs(tmp_path_factory):
         result = json.loads(out.getvalue()) if code == 0 else None
         inst = load_instance(data)
         p = load_mixed_allocation(result["p"], inst) if result else None
-        nu_sums = []
-        for line in trace_path.read_text().splitlines():
-            record = json.loads(line)
-            nu_sums.append(sum(F(x) for x in record["nu"]))
+        trace = [json.loads(line) for line in trace_path.read_text().splitlines()]
         runs.append(
-            SimpleNamespace(data=data, inst=inst, p=p, exit_code=code, result=result, nu_sums=nu_sums)
+            SimpleNamespace(data=data, inst=inst, p=p, exit_code=code, result=result, trace=trace)
         )
     elapsed = time.perf_counter() - started
     return SimpleNamespace(runs=runs, elapsed=elapsed)
@@ -422,17 +419,33 @@ def test_weight_gap_blocks_envy():
 
 
 def test_share_conservation(desk_runs):
-    """Raw share updates sum to one exactly on every recorded iteration."""
+    """Raw share updates sum to one exactly on every scanned vertex.
+
+    The trace also accounts for the scan: positions run 1..iterations in
+    order, and the last record is the answer's weight and support.
+    """
     total = 0
     bad = 0
+    incoherent = 0
     for run in desk_runs.runs:
-        for s in run.nu_sums:
+        for record in run.trace:
             total += 1
-            bad += s != 1
+            bad += sum(F(x) for x in record["nu"]) != 1
+        if run.result is None:
+            continue
+        positions = [record["iteration"] for record in run.trace]
+        last = run.trace[-1] if run.trace else {}
+        answer = [entry["bundles"] for entry in run.result["p"]["support"]]
+        incoherent += (
+            positions != list(range(1, run.result["iterations"] + 1))
+            or last.get("w") != run.result["w"]
+            or last.get("support") != answer
+        )
     report(
         "share update conservation",
-        bad == 0 and total > 0,
-        f"{total} trace records across {len(desk_runs.runs)} runs, {bad} off-sum",
+        bad == 0 and incoherent == 0 and total > 0,
+        f"{total} trace records across {len(desk_runs.runs)} runs, {bad} off-sum, "
+        f"{incoherent} traces not ending at the answer",
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import fairmix
 from fairmix.cli import main
-from fairmix.errors import EngineInvariantError, SearchFailedError
+from fairmix.errors import EngineInvariantError
 
 
 def write_json(path, data):
@@ -97,11 +97,21 @@ class TestSolve:
             ["solve", "--instance", symmetric_instance(tmp_path), "--trace", str(trace)]
         )
         assert code == 0
-        lines = trace.read_text().splitlines()
-        assert lines
-        for line in lines:
-            rec = json.loads(line)
+        result = json.loads(capsys.readouterr().out)
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        for rec in records:
             assert set(rec) == {"iteration", "w", "support", "residual", "nu"}
+        assert [rec["iteration"] for rec in records] == list(range(1, result["iterations"] + 1))
+        assert records[-1]["w"] == result["w"]
+        assert records[-1]["support"] == [entry["bundles"] for entry in result["p"]["support"]]
+
+    def test_unwritable_trace_is_input_error(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "trace.jsonl"
+        code = main(
+            ["solve", "--instance", symmetric_instance(tmp_path), "--trace", str(trace)]
+        )
+        assert code == 1
+        assert "error: cannot write" in capsys.readouterr().err
 
     def test_explicit_epsilon_and_budgets(self, tmp_path, capsys):
         code = main(
@@ -111,8 +121,6 @@ class TestSolve:
                 symmetric_instance(tmp_path),
                 "--epsilon",
                 "1/16",
-                "--max-iters",
-                "16",
             ]
         )
         assert code == 0
@@ -149,14 +157,6 @@ class TestSolve:
             },
         )
         assert main(["solve", "--instance", instance, "--strict"]) == 1
-
-    def test_search_failure_maps_to_two(self, tmp_path, capsys, monkeypatch):
-        def boom(inst, cfg, trace_sink=None):
-            raise SearchFailedError("no certified candidate within budget")
-
-        monkeypatch.setattr("fairmix.cli.find_fixed_point", boom)
-        assert main(["solve", "--instance", symmetric_instance(tmp_path)]) == 2
-        assert "search failed" in capsys.readouterr().err
 
     def test_internal_invariant_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
         def boom(inst, cfg, trace_sink=None):
@@ -254,6 +254,11 @@ class TestGenHard:
         result = json.loads(capsys.readouterr().out)
         assert result["certificate"]["ok"] is True
 
+    def test_unwritable_out_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "hard.json"
+        assert main(["gen-hard", "--p", "1", "--x1", "1", "--x2", "1", "--out", str(out)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
     def test_wrong_bit_length(self, capsys):
         assert main(["gen-hard", "--p", "2", "--x1", "1", "--x2", "101"]) == 1
 
@@ -300,6 +305,10 @@ class TestFlagContract:
 
     def test_removed_grid_flag_is_unknown(self, tmp_path, capsys):
         assert main(["solve", "--instance", symmetric_instance(tmp_path), "--grid", "4"]) == 1
+
+    def test_removed_max_iters_flag_is_unknown(self, tmp_path, capsys):
+        instance = symmetric_instance(tmp_path)
+        assert main(["solve", "--instance", instance, "--max-iters", "16"]) == 1
 
     def test_missing_required_flag(self, capsys):
         assert main(["solve"]) == 1

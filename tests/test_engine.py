@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +25,7 @@ from fairmix.engine import (
     varpi,
 )
 from fairmix.envy import build_envy_graph
-from fairmix.errors import (
-    ConfigurationError,
-    EngineInvariantError,
-    PreconditionError,
-    SearchFailedError,
-)
+from fairmix.errors import ConfigurationError, EngineInvariantError, PreconditionError
 from fairmix.lp import project_onto_truncated_simplex
 from fairmix.model import (
     AllocationSet,
@@ -189,10 +185,6 @@ class TestChooseEpsilon:
 class TestEngineConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
-            EngineConfig(max_iterations=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(residual_tolerance=F(-1))
-        with pytest.raises(ConfigurationError):
             EngineConfig(epsilon=F(0))
 
 
@@ -214,36 +206,47 @@ class TestFindFixedPoint:
         assert find_dominating_vertex_or_pair(state.p, inst) is None
 
     def test_envy_free_optimum_converges_immediately(self):
+        # each player gets the item they like more: the welfare optimum is
+        # envy-free, so the first scanned vertex answers and is a one-step
+        # fixed point of the paper's map
         raw = [additive_table([F(2), F(1)]), additive_table([F(1), F(2)])]
         inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
         state, cert = find_fixed_point(inst)
         assert cert.ok
         assert state.iteration == 1
         assert state.residual == 0
+        assert varpi(state.p, state.w, inst) == state.w
 
     def test_fallback_finds_certified_lottery(self):
         inst = opposed_tastes_instance()
-        cfg = EngineConfig(max_iterations=1, residual_tolerance=F(0))
-        state, cert = find_fixed_point(inst, cfg)
+        state, cert = find_fixed_point(inst)
         assert cert.ok
         assert find_dominating_vertex_or_pair(state.p, inst) is None
-
-    def test_search_failure_carries_best_candidate(self):
-        inst = opposed_tastes_instance()
-        cfg = EngineConfig(max_iterations=1, residual_tolerance=F(0), fallback=False)
-        with pytest.raises(SearchFailedError) as info:
-            find_fixed_point(inst, cfg)
-        assert info.value.best_state is not None
-        assert not info.value.best_certificate.ef_ok
 
     def test_exhausted_fallback_is_an_invariant_failure(self, monkeypatch):
         # the vertex scan is complete, so running out of vertices means a
         # check broke; here the envy screen is forced to reject everything
         monkeypatch.setattr(engine, "_max_envy", lambda views: F(1))
         inst = opposed_tastes_instance()
-        cfg = EngineConfig(max_iterations=1, residual_tolerance=F(0))
         with pytest.raises(EngineInvariantError):
-            find_fixed_point(inst, cfg)
+            find_fixed_point(inst)
+
+    @pytest.mark.parametrize("ef_ok, pe_ok", [(False, True), (True, False)])
+    def test_certificate_against_the_lemmas_is_an_invariant_failure(
+        self, monkeypatch, ef_ok, pe_ok
+    ):
+        # a screened candidate has nu == w inside the domain and lies on the
+        # argmax, so the lemmas say its certificate must pass on both sides
+        fake = SimpleNamespace(ef_ok=ef_ok, pe_ok=pe_ok, ok=False)
+        monkeypatch.setattr(engine, "certify", lambda p, inst, residual=None: fake)
+        with pytest.raises(EngineInvariantError):
+            find_fixed_point(opposed_tastes_instance())
+
+    def test_vertex_disagreeing_with_the_argmax_is_an_invariant_failure(self, monkeypatch):
+        argmax_of = engine._argmax_of
+        monkeypatch.setattr(engine, "_argmax_of", lambda frontier, w: argmax_of(frontier, w)[:1])
+        with pytest.raises(EngineInvariantError, match="disagrees with the argmax"):
+            find_fixed_point(opposed_tastes_instance())
 
     def test_rejects_non_swappable_set(self):
         raw = [{0: 1, 1: 2}, {0: 1, 1: 2}]
@@ -252,10 +255,16 @@ class TestFindFixedPoint:
             find_fixed_point(inst)
 
     def test_trace_records_are_coherent(self):
-        inst = opposed_tastes_instance()
+        # the scan's first vertex is envious here, so the trace has two records
+        raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(2)])]
+        inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
         trace = []
-        find_fixed_point(inst, EngineConfig(), trace_sink=trace)
-        assert trace
+        state, _ = find_fixed_point(inst, EngineConfig(), trace_sink=trace)
+        assert state.iteration == 2
+        assert [rec.iteration for rec in trace] == list(range(1, state.iteration + 1))
+        assert trace[-1].w == state.w.w
+        assert trace[-1].support == state.p.support()
+        assert [rec.residual > 0 for rec in trace] == [True, False]
         for rec in trace:
             assert sum(rec.nu) == 1
             assert rec.residual >= 0
@@ -276,6 +285,7 @@ class TestFindFixedPoint:
         inst = random_additive_instance(rng, n=2, m=rng.choice([2, 3]))
         state, cert = find_fixed_point(inst)
         assert cert.ok
+        assert varpi(state.p, state.w, inst) == state.w
         assert build_envy_graph(state.p, inst).edges == ()
         assert find_dominating_vertex_or_pair(state.p, inst) is None
 
@@ -286,18 +296,19 @@ class TestFindFixedPoint:
         inst = random_table_instance(rng, n=3, m=2)
         state, cert = find_fixed_point(inst)
         assert cert.ok
+        assert varpi(state.p, state.w, inst) == state.w
         assert build_envy_graph(state.p, inst).edges == ()
 
 
 def test_fallback_solve_imports_neither_numpy_nor_scipy():
-    """A three-player solve that reaches the fallback stays on the standard
+    """A three-player solve through the vertex scan stays on the standard
     library: a fresh isolated interpreter has neither module loaded after it."""
     src = os.path.dirname(os.path.dirname(engine.__file__))
     script = f"""
 import json, sys
 sys.path.insert(0, {src!r})
 from fractions import Fraction as F
-from fairmix import EngineConfig, Instance, all_partitions_allocation_set, engine
+from fairmix import Instance, all_partitions_allocation_set, engine
 
 calls = []
 search = engine._fallback_search
@@ -308,7 +319,7 @@ raw = [
     {{0: F(0), 1: F(3), 2: F(3), 3: F(6)}},
 ]
 inst = Instance.build(raw, all_partitions_allocation_set(3, 2))
-state, cert = engine.find_fixed_point(inst, EngineConfig(max_iterations=1))
+state, cert = engine.find_fixed_point(inst)
 print(json.dumps([len(calls), cert.ok, "numpy" in sys.modules, "scipy" in sys.modules]))
 """
     proc = subprocess.run(
