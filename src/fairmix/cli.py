@@ -84,30 +84,40 @@ def _bits(text):
 
 
 class _TraceWriter:
-    """Streams one JSON line per scanned welfare-envelope vertex."""
+    """Streams one JSON line per scanned welfare-envelope vertex.
 
-    def __init__(self, fh, inst):
-        self.fh = fh
+    The file is opened on the first record, so a solve rejected before the
+    scan (a bad ``--epsilon``, say) leaves any earlier trace untouched.
+    """
+
+    def __init__(self, path, inst):
+        self.path = path
         self.inst = inst
+        self.fh = None
 
     def append(self, rec):
+        if self.fh is None:
+            self.fh = _open_for_writing(self.path)
         self.fh.write(json.dumps(dump_trace_record(rec, self.inst)) + "\n")
         self.fh.flush()
+
+    def close(self):
+        if self.fh is not None:
+            self.fh.close()
 
 
 def cmd_solve(args):
     inst = load_instance(_read_json(args.instance), strict=args.strict, warn=_warn)
     epsilon = "auto" if args.epsilon == "auto" else parse_rational(args.epsilon)
     cfg = EngineConfig(epsilon=epsilon)
-    trace_fh = _open_for_writing(args.trace) if args.trace else None
+    sink = _TraceWriter(args.trace, inst) if args.trace else None
     try:
-        sink = _TraceWriter(trace_fh, inst) if trace_fh else None
         start = time.perf_counter()
         state, cert = find_fixed_point(inst, cfg, trace_sink=sink)
         wall = time.perf_counter() - start
     finally:
-        if trace_fh:
-            trace_fh.close()
+        if sink:
+            sink.close()
     sys.stdout.write(dumps(dump_solve_result(state, cert, inst, wall)))
     return 0
 

@@ -1,15 +1,36 @@
 """Exact rational linear programming and truncated-simplex projection.
 
-A dense two-phase simplex over fractions.Fraction with Bland's rule, sized
-for desk-scale problems (tens of rows, hundreds of columns).  Correctness is
-the only design goal: every optimal result is re-checked by substitution, and
-status answers carry no tolerance.
+A dense two-phase simplex with Bland's rule, sized for desk-scale problems
+(tens of rows, hundreds of columns), run in Python ints with no float and no
+Fraction inside the pivot loop.
+
+Fraction-free tableau.  Each standard-form row is scaled to integers by the
+lcm of its denominators, and its slack or artificial entry is reset to +-1:
+that rescales a column which appears in this row only.  The phase-1 and
+phase-2 reduced-cost rows ride along as two more integer rows, each scaled
+by a positive constant (the lcm of the artificials' costs 1/L and the lcm
+of the objective's denominators).  The tableau T holds the rational tableau
+times one common denominator D > 0.  A pivot on (r, c) with p = T[r][c]
+replaces every other row by (p * T[i] - T[i][c] * T[r]) // D and then sets
+D = p (Edmonds 1967; Bareiss 1968).  The division is exact because every
+entry is a subdeterminant of the scaled starting matrix.  A pivot that drives
+an artificial out may be negative; the whole tableau and D are then negated.
+
+Same pivots as the rational tableau.  Scaling a row, a single-row column or
+a cost row by a positive factor, and multiplying everything by D > 0, keeps
+the sign of every entry and reduced cost.  It scales all ratios in one
+column alike, so the ratio test (cross-multiplied) keeps its order and its
+ties.  Bland's rule therefore enters and leaves the same columns as on the
+rational tableau, and the basic solution rhs/D is the same rational point.
+Every optimal result is re-checked by substitution, and status answers
+carry no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     EmptyDomainError,
@@ -88,56 +109,57 @@ class LpResult:
     objective_value: Fraction | None = None
 
 
-def _pivot(tab, rhs, basis, r, c):
-    piv = tab[r][c]
-    inv = 1 / piv
-    tab[r] = [a * inv for a in tab[r]]
-    rhs[r] = rhs[r] * inv
-    for i in range(len(tab)):
+def _pivot(rows, r, c, d):
+    """Fraction-free pivot on entry (r, c) of a tableau over denominator d.
+
+    Every other row becomes (p * row - row[c] * rows[r]) // d, where
+    p = rows[r][c]; the division is exact because the results are again
+    subdeterminants.  The pivot row stays as it is, and p is returned as the
+    new common denominator.
+    """
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
         if i == r:
             continue
-        f = tab[i][c]
+        f = row[c]
         if f:
-            row_r = tab[r]
-            row_i = tab[i]
-            tab[i] = [a - f * b for a, b in zip(row_i, row_r)]
-            rhs[i] = rhs[i] - f * rhs[r]
-    basis[r] = c
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+        elif p != d:
+            rows[i] = [p * a // d for a in row]
+    return p
 
 
-def _simplex(tab, rhs, basis, cost):
-    """Minimize cost.x on a tableau in canonical form; Bland's rule.
+def _simplex(rows, basis, d, ncols):
+    """Minimize the cost carried in the last row; Bland's rule.
 
-    Returns ("optimal", value) or ("unbounded", None).  Mutates in place.
+    ``rows[:len(basis)]`` are the constraint rows, each ending in its
+    right-hand side; ``rows[-1]`` holds d times the reduced costs.  Only the
+    first ``ncols`` columns may enter.  Ratios compare by cross-multiplying,
+    ties going to the smaller basic column.  Returns (status, d) with
+    status "optimal" or "unbounded".  Mutates rows and basis in place.
     """
-    m = len(tab)
-    ncols = len(cost)
+    m = len(basis)
     while True:
-        dual = [cost[basis[i]] for i in range(m)]
-        enter = -1
-        for j in range(ncols):
-            r = cost[j]
-            for i in range(m):
-                if dual[i] and tab[i][j]:
-                    r -= dual[i] * tab[i][j]
-            if r < 0:
-                enter = j
-                break
+        cost = rows[-1]
+        enter = next((j for j in range(ncols) if cost[j] < 0), -1)
         if enter < 0:
-            value = sum(dual[i] * rhs[i] for i in range(m))
-            return OPTIMAL, value
+            return OPTIMAL, d
         leave = -1
-        best = None
         for i in range(m):
-            a = tab[i][enter]
+            a = rows[i][enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                b = rows[i][-1]
+                if leave < 0:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, b
         if leave < 0:
-            return UNBOUNDED, None
-        _pivot(tab, rhs, basis, leave, enter)
+            return UNBOUNDED, d
+        d = _pivot(rows, leave, enter, d)
+        basis[leave] = enter
 
 
 def _substitute(bounds):
@@ -172,7 +194,7 @@ def _verify(lp, x):
         if hi is not None and x[i] > hi:
             raise EngineInvariantError(f"solution violates upper bound on x{i}")
     for row, rel, rhs in lp.constraints:
-        lhs = sum(a * v for a, v in zip(row, x))
+        lhs = sum(a * v for a, v in zip(row, x) if a and v)
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
         if not ok:
             raise EngineInvariantError(f"solution violates constraint {rel} {rhs}")
@@ -196,9 +218,11 @@ def solve_lp(lp):
             if not a:
                 continue
             const, terms = exprs[i]
-            shift += a * const
+            if const:
+                shift += a * const
+            # each column belongs to one variable, so nothing accumulates
             for c, sign in terms:
-                acc[c] = acc.get(c, Fraction(0)) + a * sign
+                acc[c] = a if sign > 0 else -a
         std_rows.append((acc, rel, rhs - shift))
     std_rows.extend(extra_rows)
 
@@ -216,70 +240,95 @@ def solve_lp(lp):
     art_start = ncols + n_slack
     total = art_start + n_art
 
-    tab = []
-    rhs_col = []
+    # Each row is scaled to integers by the lcm of its denominators; its
+    # slack and artificial entries are then reset to +-1, which rescales
+    # those columns by a positive factor (each appears in this row only).
+    rows = []
     basis = []
+    art_rows = []
     slack_at = ncols
     art_at = art_start
     for acc, rel, rhs in oriented:
-        row = [Fraction(0)] * total
+        scale = lcm(rhs.denominator, *(a.denominator for a in acc.values()))
+        row = [0] * (total + 1)
         for c, a in acc.items():
-            row[c] = a
+            row[c] = a.numerator * (scale // a.denominator)
+        row[total] = rhs.numerator * (scale // rhs.denominator)
         if rel == "<=":
-            row[slack_at] = Fraction(1)
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
         elif rel == ">=":
-            row[slack_at] = Fraction(-1)
+            row[slack_at] = -1
             slack_at += 1
-            row[art_at] = Fraction(1)
+            row[art_at] = 1
             basis.append(art_at)
+            art_rows.append((row, art_at, scale))
             art_at += 1
         else:
-            row[art_at] = Fraction(1)
+            row[art_at] = 1
             basis.append(art_at)
+            art_rows.append((row, art_at, scale))
             art_at += 1
-        tab.append(row)
-        rhs_col.append(rhs)
+        rows.append(row)
 
-    if n_art:
-        phase1 = [Fraction(0)] * art_start + [Fraction(1)] * n_art
-        status, value = _simplex(tab, rhs_col, basis, phase1)
-        if status != OPTIMAL:
-            raise EngineInvariantError("phase-1 objective is bounded below by zero")
-        if value > 0:
-            return LpResult(INFEASIBLE)
-        drop = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                for j in range(art_start):
-                    if tab[i][j]:
-                        _pivot(tab, rhs_col, basis, i, j)
-                        break
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            tab = [tab[i] for i in keep]
-            rhs_col = [rhs_col[i] for i in keep]
-            basis = [basis[i] for i in keep]
-            m = len(tab)
-        tab = [row[:art_start] for row in tab]
-
+    # Phase-2 costs are 0 on every initial basic column, so the scaled cost
+    # vector is already its own reduced-cost row.
     cost2 = [Fraction(0)] * art_start
     if lp.objective is not None:
         for i, c in enumerate(lp.objective):
             if not c:
                 continue
             for col, sign in exprs[i][1]:
-                cost2[col] -= c * sign
-    status, _ = _simplex(tab, rhs_col, basis, cost2)
+                cost2[col] = -c if sign > 0 else c
+    scale = lcm(*(c.denominator for c in cost2))
+    rows.append([c.numerator * (scale // c.denominator) for c in cost2] + [0] * (n_art + 1))
+    d = 1
+
+    if n_art:
+        # A rescaled artificial costs 1/L for its row's scale L; the lcm of
+        # those L makes the phase-1 costs integers.
+        scale = lcm(*(s for _, _, s in art_rows))
+        cost1 = [0] * (total + 1)
+        for row, col, s in art_rows:
+            w = scale // s
+            for j, a in enumerate(row):
+                if a:
+                    cost1[j] -= w * a
+            cost1[col] += w
+        rows.append(cost1)
+        status, d = _simplex(rows, basis, d, total)
+        if status != OPTIMAL:
+            raise EngineInvariantError("phase-1 objective is bounded below by zero")
+        # the cost row's last entry is -d * scale * (sum of artificials)
+        if rows.pop()[-1] < 0:
+            return LpResult(INFEASIBLE)
+        drop = []
+        for i in range(m):
+            if basis[i] >= art_start:
+                row = rows[i]
+                j = next((j for j in range(art_start) if row[j]), -1)
+                if j < 0:
+                    drop.append(i)
+                    continue
+                d = _pivot(rows, i, j, d)
+                basis[i] = j
+                if d < 0:
+                    rows = [[-a for a in row] for row in rows]
+                    d = -d
+        keep = [i for i in range(m) if i not in drop]
+        basis = [basis[i] for i in keep]
+        rows = [rows[i][:art_start] + rows[i][-1:] for i in keep + [m]]
+        m = len(basis)
+
+    status, d = _simplex(rows, basis, d, art_start)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
-    shifted = [Fraction(0)] * art_start
+    shifted = [Fraction(0)] * ncols
     for i in range(m):
-        shifted[basis[i]] = rhs_col[i]
+        if basis[i] < ncols:
+            shifted[basis[i]] = Fraction(rows[i][-1], d)
     x = []
     for const, terms in exprs:
         v = const
@@ -290,7 +339,7 @@ def solve_lp(lp):
     _verify(lp, x)
     value = Fraction(0)
     if lp.objective is not None:
-        value = sum(c * v for c, v in zip(lp.objective, x))
+        value = sum((c * v for c, v in zip(lp.objective, x) if c and v), Fraction(0))
     return LpResult(OPTIMAL, x, value)
 
 

@@ -2,12 +2,16 @@
 
 Nothing here shares code with the package internals beyond the public data
 types: projections are re-derived by enumerating all clamp patterns, LPs by
-enumerating candidate vertices, and domination by direct 2D geometry.
+enumerating candidate vertices, and domination by direct 2D geometry.  The
+one exception in spirit is ``fraction_simplex``: the two-phase simplex over
+Fraction that the integer simplex in ``fairmix.lp`` replaced, kept here so
+that the two can be required to return equal results, pivot rule and all.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from fairmix.model import expected_utility
 
 
@@ -152,3 +156,186 @@ def find_dominating_vertex_or_pair(p, inst):
                     vec[j2] = 1 - alpha
                     return tuple(vec)
     return None
+
+
+def _fraction_pivot(tab, rhs, basis, r, c):
+    piv = tab[r][c]
+    inv = 1 / piv
+    tab[r] = [a * inv for a in tab[r]]
+    rhs[r] = rhs[r] * inv
+    for i in range(len(tab)):
+        if i == r:
+            continue
+        f = tab[i][c]
+        if f:
+            row_r = tab[r]
+            row_i = tab[i]
+            tab[i] = [a - f * b for a, b in zip(row_i, row_r)]
+            rhs[i] = rhs[i] - f * rhs[r]
+    basis[r] = c
+
+
+def _fraction_phase(tab, rhs, basis, cost):
+    """Minimize cost.x on a tableau in canonical form; Bland's rule.
+
+    Every reduced cost is recomputed from the basis on every pass.
+    Returns ("optimal", value) or ("unbounded", None).  Mutates in place.
+    """
+    m = len(tab)
+    ncols = len(cost)
+    while True:
+        dual = [cost[basis[i]] for i in range(m)]
+        enter = -1
+        for j in range(ncols):
+            r = cost[j]
+            for i in range(m):
+                if dual[i] and tab[i][j]:
+                    r -= dual[i] * tab[i][j]
+            if r < 0:
+                enter = j
+                break
+        if enter < 0:
+            value = sum(dual[i] * rhs[i] for i in range(m))
+            return OPTIMAL, value
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return UNBOUNDED, None
+        _fraction_pivot(tab, rhs, basis, leave, enter)
+
+
+def fraction_simplex(lp):
+    """Reference two-phase simplex over Fraction, with Bland's rule.
+
+    The same standard form, column order and pivot rule as ``fairmix.lp``:
+    bounds shift every variable into the nonnegative orthant (a free one
+    splits in two), rows with a negative right-hand side are negated, and
+    each row gets a slack (<=), a surplus and an artificial (>=) or an
+    artificial (=).  Returns an ``LpResult`` without the substitution check.
+    """
+    for lo, hi in lp.bounds:
+        if lo is not None and hi is not None and hi < lo:
+            return LpResult(INFEASIBLE)
+
+    exprs = []
+    std_rows = []
+    ncols = 0
+    bound_rows = []
+    for lo, hi in lp.bounds:
+        if lo is not None:
+            exprs.append((lo, ((ncols, Fraction(1)),)))
+            if hi is not None:
+                bound_rows.append(({ncols: Fraction(1)}, "<=", hi - lo))
+            ncols += 1
+        elif hi is not None:
+            exprs.append((hi, ((ncols, Fraction(-1)),)))
+            ncols += 1
+        else:
+            exprs.append((Fraction(0), ((ncols, Fraction(1)), (ncols + 1, Fraction(-1)))))
+            ncols += 2
+    for row, rel, rhs in lp.constraints:
+        acc = {}
+        shift = Fraction(0)
+        for i, a in enumerate(row):
+            if not a:
+                continue
+            const, terms = exprs[i]
+            shift += a * const
+            for c, sign in terms:
+                acc[c] = acc.get(c, Fraction(0)) + a * sign
+        std_rows.append((acc, rel, rhs - shift))
+    std_rows.extend(bound_rows)
+
+    oriented = []
+    for acc, rel, rhs in std_rows:
+        if rhs < 0:
+            acc = {c: -a for c, a in acc.items()}
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            rhs = -rhs
+        oriented.append((acc, rel, rhs))
+
+    m = len(oriented)
+    n_slack = sum(1 for _, rel, _ in oriented if rel != "=")
+    n_art = sum(1 for _, rel, _ in oriented if rel != "<=")
+    art_start = ncols + n_slack
+    total = art_start + n_art
+
+    tab = []
+    rhs_col = []
+    basis = []
+    slack_at = ncols
+    art_at = art_start
+    for acc, rel, rhs in oriented:
+        row = [Fraction(0)] * total
+        for c, a in acc.items():
+            row[c] = a
+        if rel == "<=":
+            row[slack_at] = Fraction(1)
+            basis.append(slack_at)
+            slack_at += 1
+        elif rel == ">=":
+            row[slack_at] = Fraction(-1)
+            slack_at += 1
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_at += 1
+        else:
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_at += 1
+        tab.append(row)
+        rhs_col.append(rhs)
+
+    if n_art:
+        phase1 = [Fraction(0)] * art_start + [Fraction(1)] * n_art
+        status, value = _fraction_phase(tab, rhs_col, basis, phase1)
+        assert status == OPTIMAL
+        if value > 0:
+            return LpResult(INFEASIBLE)
+        drop = []
+        for i in range(m):
+            if basis[i] >= art_start:
+                for j in range(art_start):
+                    if tab[i][j]:
+                        _fraction_pivot(tab, rhs_col, basis, i, j)
+                        break
+                else:
+                    drop.append(i)
+        keep = [i for i in range(m) if i not in drop]
+        tab = [tab[i][:art_start] for i in keep]
+        rhs_col = [rhs_col[i] for i in keep]
+        basis = [basis[i] for i in keep]
+        m = len(tab)
+
+    cost2 = [Fraction(0)] * art_start
+    if lp.objective is not None:
+        for i, c in enumerate(lp.objective):
+            if not c:
+                continue
+            for col, sign in exprs[i][1]:
+                cost2[col] -= c * sign
+    status, _ = _fraction_phase(tab, rhs_col, basis, cost2)
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED)
+
+    shifted = [Fraction(0)] * art_start
+    for i in range(m):
+        shifted[basis[i]] = rhs_col[i]
+    x = []
+    for const, terms in exprs:
+        v = const
+        for col, sign in terms:
+            v += sign * shifted[col]
+        x.append(v)
+    x = tuple(x)
+    value = Fraction(0)
+    if lp.objective is not None:
+        value = sum(c * v for c, v in zip(lp.objective, x))
+    return LpResult(OPTIMAL, x, value)

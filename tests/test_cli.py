@@ -113,6 +113,24 @@ class TestSolve:
         assert code == 1
         assert "error: cannot write" in capsys.readouterr().err
 
+    def test_rejected_solve_keeps_earlier_trace(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"earlier": true}\n')
+        code = main(
+            [
+                "solve",
+                "--instance",
+                symmetric_instance(tmp_path),
+                "--epsilon",
+                "1/4",
+                "--trace",
+                str(trace),
+            ]
+        )
+        assert code == 1
+        assert "envy-gap bound" in capsys.readouterr().err
+        assert trace.read_text() == '{"earlier": true}\n'
+
     def test_explicit_epsilon_and_budgets(self, tmp_path, capsys):
         code = main(
             [

@@ -1,14 +1,19 @@
-"""Exact simplex kernel against hand cases and the vertex-enumeration oracle."""
+"""Exact simplex kernel against hand cases, the vertex-enumeration oracle and
+the Fraction simplex it replaced."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seeded_rng
+from fairmix import engine, envy
 from fairmix.errors import MalformedLpError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
-from oracles import brute_force_lp_max, satisfies
+from oracles import brute_force_lp_max, fraction_simplex, satisfies
+from test_kernel import CASES, case_id, lotteries, make_instance, sample_weights, tie_weights
 
 F = Fraction
 
@@ -156,3 +161,142 @@ def test_random_box_lps_match_vertex_oracle(n, rows):
     assert satisfies(lp, res.solution)
     value, _ = brute_force_lp_max(lp)
     assert res.objective_value == value
+
+
+# --- the integer simplex against the Fraction simplex it replaced ---------
+#
+# ``fraction_simplex`` runs the same pivot rule on the rational tableau, so
+# the two must agree on the whole result: status, solution and value, not
+# only on the optimum.
+
+
+def random_lp(rng):
+    """A small LP mixing every row relation, sign of right-hand side and kind
+    of variable bound; a fair share is infeasible or unbounded."""
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
+
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = tuple(rational() if rng.random() < 0.75 else F(0) for _ in range(n))
+        rows.append((coeffs, rng.choice(("<=", "=", ">=")), rational()))
+    if rows and rng.random() < 0.3:
+        coeffs, _, rhs = rng.choice(rows)
+        rows.append((tuple(2 * a for a in coeffs), "=", 2 * rhs))
+    kinds = ((0, None), (None, None), (-2, None), (None, 3), (F(-1, 2), F(5, 3)))
+    bounds = tuple(rng.choice(kinds) for _ in range(n))
+    objective = None if rng.random() < 0.1 else tuple(rational() for _ in range(n))
+    return LinearProgram(objective=objective, constraints=tuple(rows), bounds=bounds)
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_integer_simplex_matches_fraction_simplex(rng):
+    lp = random_lp(rng)
+    assert solve_lp(lp) == fraction_simplex(lp)
+
+
+def test_random_lps_cover_every_status():
+    rng = random.Random(20)
+    statuses = set()
+    for _ in range(200):
+        lp = random_lp(rng)
+        result = solve_lp(lp)
+        assert result == fraction_simplex(lp)
+        statuses.add(result.status)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def assert_each_lp_matches_fraction_simplex(monkeypatch, module):
+    seen = []
+
+    def both(lp):
+        result = solve_lp(lp)
+        assert result == fraction_simplex(lp)
+        seen.append(lp)
+        return result
+
+    monkeypatch.setattr(module, "solve_lp", both)
+    return seen
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_select_lps_match_fraction_simplex(case, monkeypatch):
+    seen = assert_each_lp_matches_fraction_simplex(monkeypatch, engine)
+    inst = make_instance(*case)
+    weights = sample_weights(inst, seeded_rng(7)) + tie_weights(inst, F(1, 4 * inst.n))
+    for w in weights:
+        engine.select_p_in_P(w, inst)
+    if tie_weights(inst, F(1, 4 * inst.n)):
+        assert seen
+
+
+@pytest.mark.parametrize("case", CASES[::2], ids=case_id)
+def test_domination_lps_match_fraction_simplex(case, monkeypatch):
+    seen = assert_each_lp_matches_fraction_simplex(monkeypatch, envy)
+    inst = make_instance(*case)
+    for p in lotteries(inst, seeded_rng(11)):
+        envy.check_pareto_efficient(p, inst)
+    assert seen
+
+
+# --- hand cases for the paths only the integer tableau has ----------------
+
+
+def test_artificial_driven_out_through_negative_pivot():
+    # After phase 1 the >= row reads 0 = 0 with its artificial basic at zero;
+    # the first nonzero entry left in it is its surplus, -1, so the pivot
+    # that drives the artificial out is negative and the tableau and its
+    # denominator are negated.  Phase 2 then still has to bring y in.
+    lp = LinearProgram(objective=(0, 1), constraints=(((1, 1), "=", 1), ((1, 1), ">=", 1)))
+    res = solve_lp(lp)
+    assert res == LpResult(OPTIMAL, (F(0), F(1)), F(1))
+    assert res == fraction_simplex(lp)
+
+
+def test_redundant_integer_equality_dropped_after_phase_one():
+    lp = LinearProgram(
+        objective=(1, 2, 3),
+        constraints=(
+            ((1, 1, 1), "=", 2),
+            ((2, 2, 2), "=", 4),
+            ((1, 0, 0), "<=", 1),
+            ((0, 1, 1), ">=", 1),
+        ),
+    )
+    res = solve_lp(lp)
+    assert res == LpResult(OPTIMAL, (F(0), F(0), F(2)), F(6))
+    assert res == fraction_simplex(lp)
+
+
+def test_coprime_row_denominators_scale_per_row():
+    # Rows scaled by 3, 7 and 11; with no objective the vertex returned is
+    # the one phase 1 ends on, which depends on every phase-1 cost keeping
+    # its weight 1/L relative to the others.
+    lp = LinearProgram(
+        objective=None,
+        constraints=(
+            ((F(-1, 3), 0, 1), ">=", 1),
+            ((0, 1, F(2, 7)), ">=", F(1, 7)),
+            ((F(1, 11), 1, 0), "=", 1),
+        ),
+    )
+    res = solve_lp(lp)
+    assert res == LpResult(OPTIMAL, (F(11), F(0), F(14, 3)), F(0))
+    assert res == fraction_simplex(lp)
+
+
+def test_fractional_objective_keeps_its_proportions():
+    # Numerators alone would make x, y and z equally good and Bland's rule
+    # would stop at x = 1; the scaled costs 10, 15, 6 pick y.
+    lp = LinearProgram(objective=(F(1, 3), F(1, 2), F(1, 5)), constraints=(((1, 1, 1), "<=", 1),))
+    res = solve_lp(lp)
+    assert res == LpResult(OPTIMAL, (F(0), F(1), F(0)), F(1, 2))
+    assert res == fraction_simplex(lp)
+    lp = LinearProgram(
+        objective=(F(1, 3), F(1, 2), F(1, 5)),
+        constraints=(((1, 1, 1), "<=", 1), ((0, 1, 0), "<=", F(1, 2))),
+    )
+    assert solve_lp(lp) == LpResult(OPTIMAL, (F(1, 2), F(1, 2), F(0)), F(5, 12))
