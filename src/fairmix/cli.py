@@ -13,6 +13,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -203,10 +204,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first call rather than at import, then reused: parsing
+    # leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,11 @@ so certified fixed points settle both properties at once.
 
 The argmax scores only the instance's Pareto frontier (``Instance.kernel``):
 with every w_i > 0 a weakly dominated own-utility vector never attains the
-maximum.  The frontier is stored scaled to integers per player, and the
-weights are scaled to integers with the same factors and one common
-denominator, so every comparison is an exact int comparison.  The winning
-vectors expand to all their member allocations, in ascending order.
+maximum.  The frontier points come from the kernel's integer utility table,
+one scale per player, and the weights are scaled to integers with the same
+factors and one common denominator, so every comparison is an exact int
+comparison.  The winning vectors expand to all their member allocations, in
+ascending order.
 
 The paper does not show that iterating the map converges, so the search
 walks weight space directly, the same way for every n.  It enumerates, by
@@ -117,16 +118,17 @@ def select_p_in_P(w, inst, argmax=None):
         return MixedAllocation.point_mass(k, argmax[0])
 
     q = len(argmax)
-    own = inst.kernel.own
+    kernel = inst.kernel
     zero = Fraction(0)
     objective = (zero,) * q + (Fraction(-1),)
     rows = [((Fraction(1),) * q + (zero,), "=", Fraction(1))]
     for i in range(n):
+        values, own, scale = kernel.table[i], kernel.own_num[i], kernel.scales[i]
         for h in range(n):
             if h == i:
                 continue
             coeffs = tuple(
-                inst.value(i, inst.allocations[j].bundles[h]) - own[i][j] for j in argmax
+                Fraction(values[kernel.bundles[j][h]] - own[j], scale) for j in argmax
             )
             rows.append((coeffs + (Fraction(-1),), "<=", zero))
     bounds = ((zero, None),) * q + ((None, None),)
@@ -188,33 +190,14 @@ def varpi(p, w, inst):
 
 
 def compute_rho(inst):
-    """Half the minimum mutual-envy margin ratio; 1 when no triple qualifies.
+    """The instance's envy-gap constant, ``Instance.kernel.rho``.
 
-    A triple (i, h, j) qualifies when, inside allocation j, both i and h
-    strictly prefer h's bundle to i's.  On swappable sets every qualifying
-    ratio appears with its reciprocal, so the result is at most 1/2 whenever
-    any triple qualifies.
+    Half the minimum mutual-envy margin ratio over every allocation and
+    ordered player pair in which both players strictly prefer the second
+    one's bundle; 1 when no such triple exists.  It is computed once per
+    instance, in integers (see ``UtilityKernel.rho``).
     """
-    best = None
-    for a in inst.allocations:
-        for i in range(inst.n):
-            for h in range(inst.n):
-                if h == i:
-                    continue
-                i_own = inst.value(i, a.bundles[i])
-                i_other = inst.value(i, a.bundles[h])
-                if i_own >= i_other:
-                    continue
-                h_own = inst.value(h, a.bundles[h])
-                h_other = inst.value(h, a.bundles[i])
-                if h_other >= h_own:
-                    continue
-                ratio = (i_other - i_own) / (h_own - h_other)
-                if best is None or ratio < best:
-                    best = ratio
-    if best is None:
-        return Fraction(1)
-    rho = best / 2
+    rho = inst.kernel.rho
     if rho <= 0:
         raise EngineInvariantError("gap constant must be positive")
     return rho

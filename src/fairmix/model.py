@@ -1,7 +1,9 @@
 """Domain types for lottery-based fair division of indivisible items.
 
-Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  All utility
-values are exact :class:`fractions.Fraction`; nothing in this module rounds.
+Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Utility
+values enter as exact :class:`fractions.Fraction`, and each instance's
+:class:`UtilityKernel` holds its normalized values once as int numerators
+over one scale per player; nothing in this module rounds.
 Every type is immutable after construction and safe to share between threads.
 """
 
@@ -10,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
-from operator import index
+from operator import ge, index
 
 from .errors import EnumerationLimitError, MalformedInstanceError
 
@@ -224,16 +226,16 @@ class Instance:
 
 @dataclass(frozen=True)
 class Frontier:
-    """The Pareto-maximal own-utility vectors, exact and scaled to integers.
+    """The Pareto-maximal own-utility vectors, as integer points.
 
-    ``vectors[f]`` is a frontier vector, ``members[f]`` the ascending indices
-    of the allocations that give it, and ``points[f][i]`` equals
-    ``vectors[f][i] * scales[i]``, an int: ``scales[i]`` is the lcm of
-    player i's denominators over the frontier.  The frontier reads as the
-    sequence of its integer points.
+    ``points[f][i]`` is player i's value in frontier vector f times
+    ``scales[i]``, the kernel's per-player scale, so every point is ints;
+    ``members[f]`` are the ascending indices of the allocations that give
+    it.  ``vectors[f]`` is the same vector as exact Fractions, derived from
+    the point on first use.  The frontier reads as the sequence of its
+    integer points.
     """
 
-    vectors: tuple
     members: tuple
     scales: tuple
     points: tuple
@@ -244,43 +246,105 @@ class Frontier:
     def __getitem__(self, f):
         return self.points[f]
 
+    @cached_property
+    def vectors(self):
+        return _fraction_view(self.points, self.scales)
+
 
 @dataclass(frozen=True)
 class UtilityKernel:
-    """Own-utility data of an instance, derived once.
+    """Own-utility data of an instance, derived once, in integers.
 
-    ``own[i][j]`` is player i's value for her bundle in allocation j.
-    ``vectors`` are the distinct own-utility vectors (columns of ``own``) in
-    order of first occurrence, ``members[v]`` the ascending indices of the
-    allocations sharing vector v; allocations with equal own vectors stay
+    ``table[i]`` maps each bundle to player i's normalized value times
+    ``scales[i]``, the lcm of the denominators of all her normalized values,
+    so every entry is an int.  ``bundles[j]`` is allocation j's bundle tuple
+    and ``own_num[i][j]`` player i's entry for her bundle in it.  ``points``
+    are the distinct own-utility vectors (columns of ``own_num``) in order
+    of first occurrence, ``members[v]`` the ascending indices of the
+    allocations sharing point v; allocations with equal own vectors stay
     separate, because their envy views differ.  ``frontier`` keeps the
-    vectors that no other vector weakly dominates.
+    points that no other point weakly dominates: scaling a coordinate by a
+    positive constant changes neither dominance nor the skyline's sort
+    order.  ``vectors`` and ``own`` are exact Fraction views of ``points``
+    and ``own_num``, and ``rho`` is the envy-gap constant; each is derived
+    on first use.
     """
 
-    own: tuple
-    vectors: tuple
+    table: tuple
+    scales: tuple
+    bundles: tuple
+    own_num: tuple
+    points: tuple
     members: tuple
     frontier: Frontier
 
     @classmethod
     def of(cls, inst):
-        own = tuple(
-            tuple(inst.value(i, a.bundles[i]) for a in inst.allocations)
-            for i in range(inst.n)
+        profile = inst.utilities.values
+        scales = tuple(lcm(*(v.denominator for v in values.values())) for values in profile)
+        table = tuple(
+            {b: v.numerator * (s // v.denominator) for b, v in values.items()}
+            for values, s in zip(profile, scales)
+        )
+        bundles = tuple(a.bundles for a in inst.allocations)
+        own_num = tuple(
+            tuple(row[bs[i]] for bs in bundles) for i, row in enumerate(table)
         )
         groups = {}
-        for j, vec in enumerate(zip(*own)):
-            groups.setdefault(vec, []).append(j)
-        vectors = tuple(groups)
+        for j, point in enumerate(zip(*own_num)):
+            groups.setdefault(point, []).append(j)
+        points = tuple(groups)
         members = tuple(tuple(js) for js in groups.values())
-        kept = pareto_frontier(vectors)
-        front = tuple(vectors[v] for v in kept)
-        scales = tuple(lcm(*(vec[i].denominator for vec in front)) for i in range(inst.n))
-        points = tuple(
-            tuple(int(x * s) for x, s in zip(vec, scales)) for vec in front
+        kept = pareto_frontier(points)
+        frontier = Frontier(
+            tuple(members[v] for v in kept), scales, tuple(points[v] for v in kept)
         )
-        frontier = Frontier(front, tuple(members[v] for v in kept), scales, points)
-        return cls(own, vectors, members, frontier)
+        return cls(table, scales, bundles, own_num, points, members, frontier)
+
+    @cached_property
+    def vectors(self):
+        return _fraction_view(self.points, self.scales)
+
+    @cached_property
+    def own(self):
+        return tuple(
+            tuple(Fraction(x, s) for x in row) for row, s in zip(self.own_num, self.scales)
+        )
+
+    @cached_property
+    def rho(self):
+        """Half the minimum mutual-envy margin ratio; 1 when no triple qualifies.
+
+        A triple (i, h, j) qualifies when, inside allocation j, both i and h
+        strictly prefer h's bundle to i's.  The ratio of the two margins
+        depends only on the two bundles, so each distinct bundle pair is
+        visited once per ordered player pair, and ratios compare exactly by
+        cross-multiplication: (gain / S_i) / (loss / S_h) is
+        (gain * S_h) / (loss * S_i).  On swappable sets every qualifying
+        ratio appears with its reciprocal, so the result is at most 1/2
+        whenever any triple qualifies.
+        """
+        table, scales = self.table, self.scales
+        best_num = best_den = None
+        for i, h in permutations(range(len(scales)), 2):
+            mine, theirs = table[i], table[h]
+            for b_i, b_h in {(bs[i], bs[h]) for bs in self.bundles}:
+                gain = mine[b_h] - mine[b_i]
+                if gain <= 0:
+                    continue
+                loss = theirs[b_h] - theirs[b_i]
+                if loss <= 0:
+                    continue
+                num, den = gain * scales[h], loss * scales[i]
+                if best_num is None or num * best_den < best_num * den:
+                    best_num, best_den = num, den
+        if best_num is None:
+            return Fraction(1)
+        return Fraction(best_num, 2 * best_den)
+
+
+def _fraction_view(points, scales):
+    return tuple(tuple(Fraction(x, s) for x, s in zip(point, scales)) for point in points)
 
 
 def pareto_frontier(vectors):
@@ -293,7 +357,7 @@ def pareto_frontier(vectors):
     kept = []
     for v in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
         vec = vectors[v]
-        if not any(all(a >= b for a, b in zip(vectors[u], vec)) for u in kept):
+        if not any(all(map(ge, vectors[u], vec)) for u in kept):
             kept.append(v)
     return sorted(kept)
 
@@ -324,11 +388,17 @@ def is_swappable(aset):
     Returns ``(True, None)`` or ``(False, (j, g, h))`` with the first
     allocation index and player pair whose swap is missing.
     """
+    pairs = tuple(combinations(range(aset.n), 2))
     for j, a in enumerate(aset.allocations):
-        for g, h in combinations(range(aset.n), 2):
-            if a.bundles[g] == a.bundles[h]:
+        bundles = a.bundles
+        for g, h in pairs:
+            if bundles[g] == bundles[h]:
                 continue
-            if a.swap(g, h).bundles not in aset.index:
+            # swapping two disjoint bundles keeps them disjoint, so the
+            # swapped tuple needs no validation before the lookup
+            swapped = list(bundles)
+            swapped[g], swapped[h] = bundles[h], bundles[g]
+            if tuple(swapped) not in aset.index:
                 return False, (j, g, h)
     return True, None
 

@@ -3,9 +3,12 @@
 Nothing here shares code with the package internals beyond the public data
 types: projections are re-derived by enumerating all clamp patterns, LPs by
 enumerating candidate vertices, and domination by direct 2D geometry.  The
-one exception in spirit is ``fraction_simplex``: the two-phase simplex over
-Fraction that the integer simplex in ``fairmix.lp`` replaced, kept here so
-that the two can be required to return equal results, pivot rule and all.
+exceptions in spirit are the Fraction code that integer code in the package
+replaced, kept here so that the two can be required to return equal
+results: ``fraction_simplex``, the two-phase simplex that ``fairmix.lp``
+runs in integers, pivot rule and all, and ``fraction_rho`` and
+``fraction_kernel``, the envy-gap constant and own-utility kernel that
+``fairmix.model.UtilityKernel`` derives from its integer utility table.
 """
 
 from fractions import Fraction
@@ -339,3 +342,59 @@ def fraction_simplex(lp):
     if lp.objective is not None:
         value = sum(c * v for c, v in zip(lp.objective, x))
     return LpResult(OPTIMAL, x, value)
+
+
+def fraction_rho(inst):
+    """Half the minimum mutual-envy margin ratio, by a Fraction scan of every
+    allocation and ordered player pair; 1 when no triple qualifies."""
+    best = None
+    for a in inst.allocations:
+        for i in range(inst.n):
+            for h in range(inst.n):
+                if h == i:
+                    continue
+                i_own = inst.value(i, a.bundles[i])
+                i_other = inst.value(i, a.bundles[h])
+                if i_own >= i_other:
+                    continue
+                h_own = inst.value(h, a.bundles[h])
+                h_other = inst.value(h, a.bundles[i])
+                if h_other >= h_own:
+                    continue
+                ratio = (i_other - i_own) / (h_own - h_other)
+                if best is None or ratio < best:
+                    best = ratio
+    return Fraction(1) if best is None else best / 2
+
+
+def fraction_skyline(vectors):
+    """Ascending indices of the ``vectors`` no other one weakly dominates,
+    by a pass in descending lexicographic order."""
+    kept = []
+    for v in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
+        vec = vectors[v]
+        if not any(all(a >= b for a, b in zip(vectors[u], vec)) for u in kept):
+            kept.append(v)
+    return sorted(kept)
+
+
+def fraction_kernel(inst):
+    """The own-utility kernel over Fractions: ``own[i][j]``, the distinct own
+    vectors in order of first occurrence with their member allocations, and
+    the frontier's vectors and members."""
+    own = tuple(
+        tuple(inst.value(i, a.bundles[i]) for a in inst.allocations) for i in range(inst.n)
+    )
+    groups = {}
+    for j, vec in enumerate(zip(*own)):
+        groups.setdefault(vec, []).append(j)
+    vectors = tuple(groups)
+    members = tuple(tuple(js) for js in groups.values())
+    kept = fraction_skyline(vectors)
+    return {
+        "own": own,
+        "vectors": vectors,
+        "members": members,
+        "frontier_vectors": tuple(vectors[v] for v in kept),
+        "frontier_members": tuple(members[v] for v in kept),
+    }

@@ -2,12 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import fairmix
+from fairmix import cli
 from fairmix.cli import main
 from fairmix.errors import EngineInvariantError
 
@@ -347,3 +349,47 @@ class TestFlagContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 2
+
+
+
+class TestRepeatedMain:
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser on the first call and reuses it; every call
+        # must still print what a fresh process prints, wall time aside
+        instance = symmetric_instance(tmp_path)
+        lottery = allocation_file(
+            tmp_path,
+            [
+                {"bundles": [[1], [2]], "probability": "1/2"},
+                {"bundles": [[2], [1]], "probability": "1/2"},
+            ],
+        )
+        runs = [
+            ["solve", "--instance", instance],
+            ["solve", "--instance", instance, "--bogus"],
+            ["verify", "--instance", instance, "--allocation", lottery],
+            ["solve", "--instance", instance],
+        ]
+        src = os.path.dirname(os.path.dirname(fairmix.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def scrub(text):
+            return re.sub(r'"wall_time": [^,}\n]+', '"wall_time": 0', text)
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        codes = []
+        try:
+            for argv in runs:
+                codes.append(main(argv))
+                out, err = capsys.readouterr()
+                fresh = subprocess.run(
+                    [sys.executable, "-m", "fairmix", *argv], capture_output=True, text=True, env=env
+                )
+                assert (codes[-1], scrub(out), err) == (fresh.returncode, scrub(fresh.stdout), fresh.stderr)
+            assert len(builds) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert codes == [0, 1, 0, 0]

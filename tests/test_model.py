@@ -139,6 +139,41 @@ class TestIsSwappable:
         s = AllocationSet([PureAllocation((1, 0)), PureAllocation((0, 1))])
         assert is_swappable(s) == (True, None)
 
+    def test_first_missing_swap_is_the_witness(self):
+        # allocation 0 is closed under every swap; allocation 1 has its
+        # (0, 1) swap (allocation 2) but lacks (0, 2) and (1, 2), and
+        # allocation 2 lacks swaps too: the first gap in (j, g, h) order wins
+        s = AllocationSet(
+            [
+                PureAllocation((0, 0, 0)),
+                PureAllocation((1, 2, 4)),
+                PureAllocation((2, 1, 4)),
+            ]
+        )
+        assert is_swappable(s) == (False, (1, 0, 2))
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0, 0b001, 0b010, 0b100]), min_size=3, max_size=3)
+            .filter(lambda bs: not (bs[0] & bs[1] or bs[0] & bs[2] or bs[1] & bs[2])),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_witness_matches_swapping_validated_allocations(self, bundle_lists):
+        s = AllocationSet([PureAllocation(tuple(b)) for b in bundle_lists])
+        expected = (True, None)
+        for j, a in enumerate(s):
+            gaps = [
+                (j, g, h)
+                for g, h in ((0, 1), (0, 2), (1, 2))
+                if a.bundles[g] != a.bundles[h] and a.swap(g, h).bundles not in s.index
+            ]
+            if gaps:
+                expected = (False, gaps[0])
+                break
+        assert is_swappable(s) == expected
+
 
 class TestSwapClosure:
     def test_three_player_orbit(self):

@@ -1,0 +1,169 @@
+"""The integer utility table against the Fraction references it replaced.
+
+``UtilityKernel`` derives every player's normalized values once, as int
+numerators over a per-player scale, and builds the own-utility vectors,
+their Pareto frontier, the envy-gap constant rho and the tie-breaking LP's
+rows from it.  ``tests/oracles.py`` keeps the Fraction versions; every
+quantity here must come out equal to them.
+"""
+
+from fractions import Fraction
+from math import lcm
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import additive_table
+from fairmix import engine
+from fairmix.engine import argmax_allocations, compute_rho, select_p_in_P
+from fairmix.errors import EngineInvariantError
+from fairmix.hard import DisjointnessInput, build_hard_instance
+from fairmix.model import (
+    AllocationSet,
+    Instance,
+    PureAllocation,
+    UtilityKernel,
+    WeightVector,
+    all_partitions_allocation_set,
+    is_swappable,
+    swap_closure,
+)
+from oracles import fraction_kernel, fraction_rho
+
+F = Fraction
+
+# pairwise coprime, so that the players' scales differ
+DENOMINATORS = (1, 3, 7, 11)
+
+
+def allocation_of(n, owners):
+    bundles = [0] * n
+    for item, owner in enumerate(owners):
+        if owner:
+            bundles[owner - 1] |= 1 << item
+    return PureAllocation(tuple(bundles))
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4 if n <= 2 else 3))
+    value = st.builds(F, st.integers(0, 12), st.sampled_from(DENOMINATORS))
+    raw = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("additive", "table", "constant")))
+        if kind == "additive":
+            raw.append(additive_table(draw(st.lists(value, min_size=m, max_size=m))))
+        elif kind == "table":
+            raw.append({mask: draw(value) for mask in range(1 << m)})
+        else:
+            level = draw(value)
+            raw.append({mask: level for mask in range(1 << m)})
+    if draw(st.booleans()):
+        return Instance.build(raw, all_partitions_allocation_set(n, m))
+    owners = st.lists(st.integers(0, n), min_size=m, max_size=m)
+    listed = draw(st.lists(owners, min_size=1, max_size=5))
+    return Instance.build(raw, swap_closure([allocation_of(n, o) for o in listed]))
+
+
+def weights(n):
+    eps = F(1, 4 * n)
+    out = [WeightVector.uniform(n, eps)]
+    out += [WeightVector(tuple(1 - (n - 1) * eps if t == c else eps for t in range(n)), eps) for c in range(n)]
+    raw = [F(2 * t + 1, t + 3) for t in range(n)]
+    out.append(WeightVector(tuple(eps + (1 - n * eps) * r / sum(raw) for r in raw), eps))
+    return out
+
+
+def dense_argmax(w, own):
+    welfare = [sum(wi * row[j] for wi, row in zip(w.w, own)) for j in range(len(own[0]))]
+    top = max(welfare)
+    return tuple(j for j, v in enumerate(welfare) if v == top)
+
+
+def fraction_select_rows(inst, argmax):
+    rows = []
+    for i in range(inst.n):
+        for h in range(inst.n):
+            if h != i:
+                coeffs = tuple(
+                    inst.value(i, inst.allocations[j].bundles[h]) - inst.value(i, inst.allocations[j].bundles[i])
+                    for j in argmax
+                )
+                rows.append(coeffs + (F(-1),))
+    return rows
+
+
+def assert_matches_fraction_reference(inst):
+    kernel = inst.kernel
+    ref = fraction_kernel(inst)
+    for i, values in enumerate(inst.utilities.values):
+        assert kernel.scales[i] == lcm(*(v.denominator for v in values.values()))
+        assert kernel.table[i] == {b: v * kernel.scales[i] for b, v in values.items()}
+    assert compute_rho(inst) == fraction_rho(inst)
+    assert kernel.own == ref["own"]
+    assert kernel.vectors == ref["vectors"]
+    assert kernel.members == ref["members"]
+    frontier = kernel.frontier
+    assert frontier.vectors == ref["frontier_vectors"]
+    assert frontier.members == ref["frontier_members"]
+    assert frontier.scales == kernel.scales
+    for vec, point in zip(frontier.vectors, frontier.points):
+        assert point == tuple(v * s for v, s in zip(vec, frontier.scales))
+    for w in weights(inst.n):
+        amax = argmax_allocations(w, inst)
+        assert amax == dense_argmax(w, ref["own"])
+        with mock.patch.object(engine, "solve_lp", wraps=engine.solve_lp) as spy:
+            select_p_in_P(w, inst, amax)
+        if spy.call_args is not None:
+            lp = spy.call_args.args[0]
+            assert [row for row, _, _ in lp.constraints[1:]] == fraction_select_rows(inst, amax)
+
+
+@given(instances())
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_fraction_reference(inst):
+    assert_matches_fraction_reference(inst)
+
+
+def test_coprime_denominators():
+    # span 1 and minimum 0, so the normalized denominators are the raw ones
+    raw = [{0: F(0), 1: F(1, d), 2: F(2, d), 3: F(1)} for d in (3, 7, 11)]
+    inst = Instance.build(raw, all_partitions_allocation_set(3, 2))
+    assert inst.kernel.scales == (3, 7, 11)
+    assert_matches_fraction_reference(inst)
+
+
+def test_constant_player_has_scale_one():
+    raw = [{mask: F(5, 7) for mask in range(4)}, additive_table([F(1, 7), F(3, 11)])]
+    inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
+    assert inst.kernel.scales[0] == 1
+    assert set(inst.kernel.table[0].values()) == {1}
+    assert_matches_fraction_reference(inst)
+
+
+def test_list_that_needed_closing():
+    listed = [PureAllocation((0b001, 0b010, 0)), PureAllocation((0b100, 0, 0b011))]
+    assert not is_swappable(AllocationSet(listed))[0]
+    raw = [additive_table([F(1, 3), F(2, 7), F(5, 11)]), additive_table([F(3), F(1), F(1, 7)]), {m: F(m, 3) for m in range(8)}]
+    inst = Instance.build(raw, swap_closure(listed))
+    assert len(inst.allocations) > len(listed)
+    assert_matches_fraction_reference(inst)
+
+
+@pytest.mark.parametrize(
+    "x2", [(1,) + (0,) * 9, (0, 1) + (0,) * 8], ids=["intersecting", "disjoint"]
+)
+def test_p3_hard_instances(x2):
+    inst = build_hard_instance(DisjointnessInput(3, (1,) + (0,) * 9, x2))
+    assert len(inst.allocations) == 729
+    assert_matches_fraction_reference(inst)
+
+
+def test_nonpositive_rho_is_an_invariant_failure(monkeypatch):
+    inst = Instance.build([{0: 1, 1: 2}, {0: 1, 1: 2}], all_partitions_allocation_set(2, 1))
+    monkeypatch.setattr(UtilityKernel, "rho", property(lambda self: F(0)))
+    with pytest.raises(EngineInvariantError, match="gap constant"):
+        compute_rho(inst)
