@@ -255,25 +255,26 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
     return hit
 
 
-def _envelope_vertices(vectors, eps):
-    """Vertices of {(w, t) : w in W, t >= w.u for every u in ``vectors``}, exactly.
+def _envelope_vertices(frontier, eps):
+    """Vertices of {(w, t) : w in W, t >= w.u for every u in ``frontier``}, exactly.
 
     Returns ``(w, tight)`` pairs: a vertex weight and the ascending indices
     of the vectors of maximum w-welfare there.  Double description over
     primitive integer rays in homogeneous coordinates (x0, w_1..w_{n-1}, T),
-    where w_n = x0 - sum of the others and T is t scaled by the lcm of the
-    vectors' denominators.  The start is the simplicial cone of the n floor
-    rows and the first vector's row (independent because eps < 1/n): its
-    rays are the n corners of W and the recession direction (0, .., 0, 1).
-    Each further row splits the rays by sign and joins every adjacent pair
-    across the split, adjacency being the combinatorial test: no third ray
-    is tight on every row the pair shares.  The rays with x0 > 0 at the end
-    are the vertices, and the vector rows a ray is tight on are its argmax.
+    where w_n = x0 - sum of the others and T is t times the lcm L of the
+    frontier's scales (each point times L / scales[i] stays ints).  The
+    start is the simplicial cone of the n floor rows and the first vector's
+    row (independent because eps < 1/n): its rays are the n corners of W
+    and the recession direction (0, .., 0, 1).  Each further row splits the
+    rays by sign and joins every adjacent pair across the split, adjacency
+    being the combinatorial test: no third ray is tight on every row the
+    pair shares.  The rays with x0 > 0 at the end are the vertices, and the
+    vector rows a ray is tight on are its argmax.
     """
-    n = len(vectors[0])
-    scale = lcm(*(x.denominator for vec in vectors for x in vec))
+    n, common = len(frontier.scales), lcm(*frontier.scales)
     num, den = eps.numerator, eps.denominator
-    points = [[int(x * scale) for x in vec] for vec in vectors]
+    factors = [common // s for s in frontier.scales]
+    points = [[x * f for x, f in zip(point, factors)] for point in frontier.points]
     rows = []
     for i in range(n - 1):
         rows.append(tuple(-num if c == 0 else den if c == i + 1 else 0 for c in range(n + 1)))
@@ -325,7 +326,7 @@ def _envelope_vertices(vectors, eps):
             continue
         head = [Fraction(x, ray[0]) for x in ray[1:n]]
         w = tuple(head) + (1 - sum(head),)
-        out.append((w, tuple(f for f in range(len(vectors)) if tight >> (n + f) & 1)))
+        out.append((w, tuple(f for f in range(len(points)) if tight >> (n + f) & 1)))
     return out
 
 
@@ -347,7 +348,7 @@ def _fallback_search(inst, eps, trace_sink=None):
     """
     frontier = inst.kernel.frontier
     weight_of = {}
-    for w, tight in _envelope_vertices(frontier.vectors, eps):
+    for w, tight in _envelope_vertices(frontier, eps):
         weight_of.setdefault(sum(1 << f for f in tight), w)
     maximal = [
         (mask, w) for mask, w in weight_of.items()

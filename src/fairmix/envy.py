@@ -145,7 +145,7 @@ def check_pareto_efficient(p, inst):
     after independent re-verification.
     """
     frontier = inst.kernel.frontier
-    cols = len(frontier.vectors)
+    cols = len(frontier)
     n = inst.n
     current = [expected_utility(p, i, i, inst) for i in range(n)]
 
@@ -153,7 +153,7 @@ def check_pareto_efficient(p, inst):
     objective = (zero,) * cols + (Fraction(1),) * n
     rows = [((Fraction(1),) * cols + (zero,) * n, "=", Fraction(1))]
     for i in range(n):
-        row = tuple(vec[i] for vec in frontier.vectors)
+        row = tuple(Fraction(point[i], frontier.scales[i]) for point in frontier.points)
         row += tuple(Fraction(-1) if t == i else zero for t in range(n))
         rows.append((row, ">=", current[i]))
     result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))

@@ -1,9 +1,10 @@
 """Domain types for lottery-based fair division of indivisible items.
 
 Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Utility
-values enter as exact :class:`fractions.Fraction`, and each instance's
-:class:`UtilityKernel` holds its normalized values once as int numerators
-over one scale per player; nothing in this module rounds.
+values enter as exact :class:`fractions.Fraction`; ``normalize_utilities``
+rescales them once, straight into a :class:`UtilityProfile` of int
+numerators over one scale per player, and everything downstream reads
+those ints.  Nothing in this module rounds.
 Every type is immutable after construction and safe to share between threads.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 from operator import ge, index
 
 from .errors import EnumerationLimitError, MalformedInstanceError
@@ -62,11 +63,16 @@ class PureAllocation:
     def n(self):
         return len(self.bundles)
 
+    @classmethod
+    def _of(cls, bundles):
+        """Wrap a bundle tuple already known to be valid, without re-checking it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "bundles", bundles)
+        return out
+
     def swap(self, g, h):
         """The allocation with players g and h exchanging their bundles."""
-        out = list(self.bundles)
-        out[g], out[h] = out[h], out[g]
-        return PureAllocation(tuple(out))
+        return PureAllocation(_swapped(self.bundles, g, h))
 
     def union_mask(self):
         mask = 0
@@ -123,14 +129,26 @@ class AllocationSet:
 
 @dataclass(frozen=True)
 class UtilityProfile:
-    """Per-player bundle values, rescaled into [1, 2], originals kept alongside."""
+    """Per-player bundle values rescaled into [1, 2], as ints over a scale.
 
-    values: tuple[dict, ...]
+    ``table[i][bundle]`` is player i's rescaled value times ``scales[i]``,
+    the least scale that makes all of player i's values ints.  ``raw_values``
+    keeps the originals; ``values``, the Fraction view, is derived on first use.
+    """
+
+    table: tuple[dict, ...]
+    scales: tuple[int, ...]
     raw_values: tuple[dict, ...]
 
     @property
     def n(self):
-        return len(self.values)
+        return len(self.table)
+
+    @cached_property
+    def values(self):
+        return tuple(
+            {b: Fraction(x, s) for b, x in row.items()} for row, s in zip(self.table, self.scales)
+        )
 
     def value(self, player, bundle):
         return self.values[player][bundle]
@@ -140,30 +158,37 @@ class UtilityProfile:
 
 
 def normalize_utilities(raw):
-    """Rescale each player's values affinely onto [1, 2].
+    """Rescale each player's values affinely onto [1, 2], in integers.
 
-    ``raw`` is a sequence (one entry per player) of mappings from bundle
-    mask to rational value.  A player whose values are all equal maps to the
-    constant 1.  Applying the rescale twice equals applying it once.
+    ``raw`` holds one mapping per player from bundle mask (an int >= 0) to
+    rational value.  Over the player's common denominator x maps to
+    span + x - lo, then the entries and the span divide by their gcd; a
+    constant player gets all 1s over scale 1.  Rescaling twice is a no-op.
     """
-    norm = []
+    tables = []
+    scales = []
     originals = []
-    for i, table in enumerate(raw):
-        if not table:
+    for i, values in enumerate(raw):
+        if not values:
             raise MalformedInstanceError(f"player {i} has no utility values")
         checked = {}
-        for bundle, v in table.items():
-            checked[int(bundle)] = as_fraction(v)
-        lo = min(checked.values())
-        hi = max(checked.values())
-        if hi == lo:
-            scaled = {b: Fraction(1) for b in checked}
+        for bundle, v in values.items():
+            if not isinstance(bundle, int) or isinstance(bundle, bool) or bundle < 0:
+                raise MalformedInstanceError(f"bundle mask {bundle!r} is not an integer >= 0")
+            checked[bundle] = as_fraction(v)
+        den = lcm(*(v.denominator for v in checked.values()))
+        ints = {b: v.numerator * (den // v.denominator) for b, v in checked.items()}
+        lo = min(ints.values())
+        span = max(ints.values()) - lo
+        if span == 0:
+            tables.append(dict.fromkeys(ints, 1))
+            scales.append(1)
         else:
-            span = hi - lo
-            scaled = {b: 1 + (v - lo) / span for b, v in checked.items()}
-        norm.append(scaled)
+            g = gcd(span, *(x - lo for x in ints.values()))
+            tables.append({b: (span + x - lo) // g for b, x in ints.items()})
+            scales.append(span // g)
         originals.append(checked)
-    return UtilityProfile(tuple(norm), tuple(originals))
+    return UtilityProfile(tuple(tables), tuple(scales), tuple(originals))
 
 
 @dataclass(frozen=True)
@@ -196,7 +221,7 @@ class Instance:
             if a.union_mask() & ~full:
                 raise MalformedInstanceError(f"allocation {a.bundles} uses items beyond m={self.m}")
         for i in range(self.n):
-            missing = bundles - self.utilities.values[i].keys()
+            missing = bundles - self.utilities.table[i].keys()
             if missing:
                 raise MalformedInstanceError(
                     f"player {i} lacks a utility for bundle mask {min(missing)}"
@@ -229,11 +254,9 @@ class Frontier:
     """The Pareto-maximal own-utility vectors, as integer points.
 
     ``points[f][i]`` is player i's value in frontier vector f times
-    ``scales[i]``, the kernel's per-player scale, so every point is ints;
+    ``scales[i]``, the profile's per-player scale, so every point is ints;
     ``members[f]`` are the ascending indices of the allocations that give
-    it.  ``vectors[f]`` is the same vector as exact Fractions, derived from
-    the point on first use.  The frontier reads as the sequence of its
-    integer points.
+    it.  The frontier reads as the sequence of its integer points.
     """
 
     members: tuple
@@ -246,28 +269,22 @@ class Frontier:
     def __getitem__(self, f):
         return self.points[f]
 
-    @cached_property
-    def vectors(self):
-        return _fraction_view(self.points, self.scales)
-
 
 @dataclass(frozen=True)
 class UtilityKernel:
     """Own-utility data of an instance, derived once, in integers.
 
-    ``table[i]`` maps each bundle to player i's normalized value times
-    ``scales[i]``, the lcm of the denominators of all her normalized values,
-    so every entry is an int.  ``bundles[j]`` is allocation j's bundle tuple
-    and ``own_num[i][j]`` player i's entry for her bundle in it.  ``points``
-    are the distinct own-utility vectors (columns of ``own_num``) in order
-    of first occurrence, ``members[v]`` the ascending indices of the
-    allocations sharing point v; allocations with equal own vectors stay
-    separate, because their envy views differ.  ``frontier`` keeps the
-    points that no other point weakly dominates: scaling a coordinate by a
-    positive constant changes neither dominance nor the skyline's sort
-    order.  ``vectors`` and ``own`` are exact Fraction views of ``points``
-    and ``own_num``, and ``rho`` is the envy-gap constant; each is derived
-    on first use.
+    ``table`` and ``scales`` are the instance's :class:`UtilityProfile`
+    integer table and per-player scales.  ``bundles[j]`` is allocation j's
+    bundle tuple and ``own_num[i][j]`` player i's entry for her bundle in
+    it.  ``points`` are the distinct own-utility vectors (columns of
+    ``own_num``) in order of first occurrence, ``members[v]`` the ascending
+    indices of the allocations sharing point v; allocations with equal own
+    vectors stay separate, because their envy views differ.  ``frontier``
+    keeps the points that no other point weakly dominates: scaling a
+    coordinate by a positive constant changes neither dominance nor the
+    skyline's sort order.  ``rho``, the envy-gap constant, is derived on
+    first use.
     """
 
     table: tuple
@@ -280,12 +297,7 @@ class UtilityKernel:
 
     @classmethod
     def of(cls, inst):
-        profile = inst.utilities.values
-        scales = tuple(lcm(*(v.denominator for v in values.values())) for values in profile)
-        table = tuple(
-            {b: v.numerator * (s // v.denominator) for b, v in values.items()}
-            for values, s in zip(profile, scales)
-        )
+        table, scales = inst.utilities.table, inst.utilities.scales
         bundles = tuple(a.bundles for a in inst.allocations)
         own_num = tuple(
             tuple(row[bs[i]] for bs in bundles) for i, row in enumerate(table)
@@ -300,16 +312,6 @@ class UtilityKernel:
             tuple(members[v] for v in kept), scales, tuple(points[v] for v in kept)
         )
         return cls(table, scales, bundles, own_num, points, members, frontier)
-
-    @cached_property
-    def vectors(self):
-        return _fraction_view(self.points, self.scales)
-
-    @cached_property
-    def own(self):
-        return tuple(
-            tuple(Fraction(x, s) for x in row) for row, s in zip(self.own_num, self.scales)
-        )
 
     @cached_property
     def rho(self):
@@ -341,10 +343,6 @@ class UtilityKernel:
         if best_num is None:
             return Fraction(1)
         return Fraction(best_num, 2 * best_den)
-
-
-def _fraction_view(points, scales):
-    return tuple(tuple(Fraction(x, s) for x, s in zip(point, scales)) for point in points)
 
 
 def pareto_frontier(vectors):
@@ -392,48 +390,48 @@ def is_swappable(aset):
     for j, a in enumerate(aset.allocations):
         bundles = a.bundles
         for g, h in pairs:
-            if bundles[g] == bundles[h]:
-                continue
-            # swapping two disjoint bundles keeps them disjoint, so the
-            # swapped tuple needs no validation before the lookup
-            swapped = list(bundles)
-            swapped[g], swapped[h] = bundles[h], bundles[g]
-            if tuple(swapped) not in aset.index:
+            if bundles[g] != bundles[h] and _swapped(bundles, g, h) not in aset.index:
                 return False, (j, g, h)
     return True, None
 
 
+def _swapped(bundles, g, h):
+    """``bundles`` with entries g and h exchanged.  Swapping two disjoint
+    bundles keeps them disjoint, so the result needs no validation."""
+    out = list(bundles)
+    out[g], out[h] = bundles[h], bundles[g]
+    return tuple(out)
+
+
 def swap_closure(allocations, budget=DEFAULT_ENUMERATION_BUDGET):
-    """Smallest superset of ``allocations`` closed under pairwise bundle swaps."""
-    start = []
-    for a in allocations:
-        if not isinstance(a, PureAllocation):
-            a = PureAllocation(tuple(a))
-        start.append(a)
+    """Smallest superset of ``allocations`` closed under pairwise bundle swaps.
+
+    Only the listed entries are validated; the swaps run on bundle tuples.
+    """
+    start = [a if isinstance(a, PureAllocation) else PureAllocation(tuple(a)) for a in allocations]
     if not start:
         raise MalformedInstanceError("cannot close an empty allocation list")
     n = start[0].n
     closed = {}
-    frontier = []
     for a in start:
         if a.n != n:
             raise MalformedInstanceError("allocations disagree on player count")
-        if a.bundles not in closed:
-            closed[a.bundles] = a
-            frontier.append(a)
-    while frontier:
-        a = frontier.pop()
-        for g, h in combinations(range(n), 2):
-            if a.bundles[g] == a.bundles[h]:
+        closed.setdefault(a.bundles, a)
+    stack = list(closed)
+    pairs = tuple(combinations(range(n), 2))
+    while stack:
+        bundles = stack.pop()
+        for g, h in pairs:
+            if bundles[g] == bundles[h]:
                 continue
-            b = a.swap(g, h)
-            if b.bundles not in closed:
+            swapped = _swapped(bundles, g, h)
+            if swapped not in closed:
                 if len(closed) >= budget:
                     raise EnumerationLimitError(
                         f"swap closure exceeds the budget of {budget} allocations"
                     )
-                closed[b.bundles] = b
-                frontier.append(b)
+                closed[swapped] = PureAllocation._of(swapped)
+                stack.append(swapped)
     return AllocationSet(closed.values())
 
 
@@ -557,9 +555,7 @@ def expected_utility(p, viewer, owner, inst):
         raise MalformedInstanceError(
             f"lottery over {p.k} allocations, instance has {len(inst.allocations)}"
         )
-    values = inst.utilities.values[viewer]
+    row = inst.utilities.table[viewer]
     allocations = inst.allocations.allocations
-    total = Fraction(0)
-    for j, q in p.pairs:
-        total += q * values[allocations[j].bundles[owner]]
-    return total
+    total = sum(q * row[allocations[j].bundles[owner]] for j, q in p.pairs)
+    return total / inst.utilities.scales[viewer]

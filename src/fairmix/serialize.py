@@ -107,10 +107,11 @@ def load_instance(data, strict=False, warn=None):
             _parse_allocation_entry(entry, n, m, f"allocations[{j}]") for j, entry in enumerate(spec)
         ]
         aset = swap_closure(listed)
-        if len(aset) > len(AllocationSet(listed)):
+        given = len(AllocationSet(listed))
+        if len(aset) > given:
             message = (
                 f"allocation list was not swap-closed; closure grew it from "
-                f"{len(AllocationSet(listed))} to {len(aset)} allocations"
+                f"{given} to {len(aset)} allocations"
             )
             if strict:
                 raise MalformedInstanceError(f"field 'allocations': {message}")

@@ -19,6 +19,11 @@ def additive_table(item_values):
     return table
 
 
+def fraction_points(points, scales):
+    """Integer points over per-player scales, as exact Fraction vectors."""
+    return tuple(tuple(Fraction(x, s) for x, s in zip(point, scales)) for point in points)
+
+
 def random_additive_instance(rng, n=None, m=None, grid=12):
     """Instance with additive utilities from a bounded rational grid."""
     if n is None:

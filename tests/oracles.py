@@ -6,9 +6,12 @@ enumerating candidate vertices, and domination by direct 2D geometry.  The
 exceptions in spirit are the Fraction code that integer code in the package
 replaced, kept here so that the two can be required to return equal
 results: ``fraction_simplex``, the two-phase simplex that ``fairmix.lp``
-runs in integers, pivot rule and all, and ``fraction_rho`` and
-``fraction_kernel``, the envy-gap constant and own-utility kernel that
-``fairmix.model.UtilityKernel`` derives from its integer utility table.
+runs in integers, pivot rule and all; ``fraction_normalize``, the rescale
+that ``fairmix.model.normalize_utilities`` does in integers; and
+``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
+own-utility kernel that ``fairmix.model.UtilityKernel`` derives from the
+integer utility table.  The last two read an instance's raw values through
+``fraction_normalize``, never the package's own rescaled view.
 """
 
 from fractions import Fraction
@@ -344,21 +347,36 @@ def fraction_simplex(lp):
     return LpResult(OPTIMAL, x, value)
 
 
+def fraction_normalize(raw):
+    """Each player's values rescaled affinely onto [1, 2] in Fractions,
+    1 + (v - lo) / (hi - lo), or the constant 1 when they are all equal."""
+    out = []
+    for table in raw:
+        checked = {b: Fraction(v) for b, v in table.items()}
+        lo, hi = min(checked.values()), max(checked.values())
+        if hi == lo:
+            out.append({b: Fraction(1) for b in checked})
+        else:
+            out.append({b: 1 + (v - lo) / (hi - lo) for b, v in checked.items()})
+    return tuple(out)
+
+
 def fraction_rho(inst):
     """Half the minimum mutual-envy margin ratio, by a Fraction scan of every
     allocation and ordered player pair; 1 when no triple qualifies."""
+    values = fraction_normalize(inst.utilities.raw_values)
     best = None
     for a in inst.allocations:
         for i in range(inst.n):
             for h in range(inst.n):
                 if h == i:
                     continue
-                i_own = inst.value(i, a.bundles[i])
-                i_other = inst.value(i, a.bundles[h])
+                i_own = values[i][a.bundles[i]]
+                i_other = values[i][a.bundles[h]]
                 if i_own >= i_other:
                     continue
-                h_own = inst.value(h, a.bundles[h])
-                h_other = inst.value(h, a.bundles[i])
+                h_own = values[h][a.bundles[h]]
+                h_other = values[h][a.bundles[i]]
                 if h_other >= h_own:
                     continue
                 ratio = (i_other - i_own) / (h_own - h_other)
@@ -382,8 +400,9 @@ def fraction_kernel(inst):
     """The own-utility kernel over Fractions: ``own[i][j]``, the distinct own
     vectors in order of first occurrence with their member allocations, and
     the frontier's vectors and members."""
+    values = fraction_normalize(inst.utilities.raw_values)
     own = tuple(
-        tuple(inst.value(i, a.bundles[i]) for a in inst.allocations) for i in range(inst.n)
+        tuple(values[i][a.bundles[i]] for a in inst.allocations) for i in range(inst.n)
     )
     groups = {}
     for j, vec in enumerate(zip(*own)):

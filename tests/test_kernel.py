@@ -12,7 +12,7 @@ from math import lcm
 
 import pytest
 
-from conftest import additive_table, seeded_rng
+from conftest import additive_table, fraction_points, seeded_rng
 from fairmix.engine import (
     EngineConfig,
     _envelope_vertices,
@@ -24,6 +24,7 @@ from fairmix.envy import check_pareto_efficient
 from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.lp import OPTIMAL, LinearProgram, solve_lp
 from fairmix.model import (
+    Frontier,
     Instance,
     MixedAllocation,
     PureAllocation,
@@ -33,6 +34,7 @@ from fairmix.model import (
     pareto_frontier,
     swap_closure,
 )
+from oracles import fraction_kernel
 
 F = Fraction
 
@@ -225,20 +227,22 @@ class TestFrontier:
         raw = [additive_table([F(1), F(0)]), additive_table([F(1), F(0)])]
         inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
         kernel = inst.kernel
-        assert len(kernel.vectors) == 3
+        vectors = fraction_points(kernel.points, kernel.scales)
+        assert len(vectors) == 3
         assert sum(len(m) for m in kernel.members) == len(inst.allocations)
-        for vec, members in zip(kernel.vectors, kernel.members):
+        for vec, members in zip(vectors, kernel.members):
             assert list(members) == sorted(members)
             assert all(own_vector(inst, j) == vec for j in members)
         frontier = kernel.frontier
-        assert sorted(frontier.vectors) == [(F(1), F(2)), (F(2), F(1))]
+        assert sorted(fraction_points(frontier.points, frontier.scales)) == [(F(1), F(2)), (F(2), F(1))]
         assert all(len(m) == 3 for m in frontier.members)
 
     def test_integer_points_scale_exactly(self):
         inst = make_instance(3, 3, False, 0)
         frontier = inst.kernel.frontier
-        assert len(frontier) == len(frontier.vectors)
-        for vec, point in zip(frontier.vectors, frontier.points):
+        vectors = fraction_kernel(inst)["frontier_vectors"]
+        assert len(frontier) == len(vectors)
+        for vec, point in zip(vectors, frontier.points):
             assert all(isinstance(x, int) for x in point)
             assert point == tuple(v * s for v, s in zip(vec, frontier.scales))
 
@@ -250,11 +254,13 @@ class TestFrontier:
         bits = (1,) + (0,) * 9
         inst = build_hard_instance(DisjointnessInput(3, bits, bits))
         assert len(inst.allocations) == 729
-        assert inst.kernel.frontier.vectors == ((F(2), F(2)),)
+        frontier = inst.kernel.frontier
+        assert fraction_points(frontier.points, frontier.scales) == ((F(2), F(2)),)
 
     def test_disjoint_hard_instance_frontier(self):
         inst = build_hard_instance(DisjointnessInput(3, (1,) + (0,) * 9, (0, 1) + (0,) * 8))
-        assert sorted(inst.kernel.frontier.vectors) == [(F(17, 9), F(2)), (F(2), F(17, 9))]
+        frontier = inst.kernel.frontier
+        assert sorted(fraction_points(frontier.points, frontier.scales)) == [(F(17, 9), F(2)), (F(2), F(17, 9))]
 
 
 def solve_exact(rows):
@@ -282,6 +288,13 @@ def solve_exact(rows):
 def integer_row(entries):
     scale = lcm(*(F(x).denominator for x in entries))
     return [int(x * scale) for x in entries]
+
+
+def frontier_of(vectors):
+    """A ``Frontier`` holding exact ``vectors`` as integer points, one member each."""
+    scales = tuple(lcm(*(F(vec[i]).denominator for vec in vectors)) for i in range(len(vectors[0])))
+    points = tuple(tuple(int(x * s) for x, s in zip(vec, scales)) for vec in vectors)
+    return Frontier(tuple((f,) for f in range(len(vectors))), scales, points)
 
 
 def brute_force_vertices(vectors, eps):
@@ -319,9 +332,9 @@ ENVELOPE_CASES = [case for case in ENVELOPE_CANDIDATES if len(make_instance(*cas
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
 def test_envelope_vertices_match_brute_force(case):
     inst = make_instance(*case)
-    vectors = inst.kernel.frontier.vectors
+    vectors = fraction_kernel(inst)["frontier_vectors"]
     eps = choose_epsilon(compute_rho(inst), inst.n, EngineConfig())
-    found = _envelope_vertices(vectors, eps)
+    found = _envelope_vertices(inst.kernel.frontier, eps)
     assert len({w for w, _ in found}) == len(found)
     assert dict(found) == brute_force_vertices(vectors, eps)
 
@@ -342,7 +355,7 @@ def test_degenerate_envelope_matches_brute_force(first):
     cutting = [(1, 1, 4, 1), (1, 1, 1, 4)]
     order = collinear + cutting if first else cutting + collinear
     vectors = tuple(tuple(F(x) for x in vec) for vec in order)
-    found = _envelope_vertices(vectors, F(1, 16))
+    found = _envelope_vertices(frontier_of(vectors), F(1, 16))
     assert len({w for w, _ in found}) == len(found)
     assert dict(found) == brute_force_vertices(vectors, F(1, 16))
 
@@ -352,7 +365,7 @@ def test_one_vector_envelope_is_the_corners(n):
     eps = F(1, 3 * n)
     vec = tuple(F(i + 1, 2) for i in range(n))
     corners = {tuple(1 - (n - 1) * eps if c == i else eps for c in range(n)) for i in range(n)}
-    found = _envelope_vertices((vec,), eps)
+    found = _envelope_vertices(frontier_of((vec,)), eps)
     assert {w for w, _ in found} == corners
     assert all(tight == (0,) for _, tight in found)
 
@@ -363,7 +376,7 @@ def test_two_player_vertices_are_tie_breakpoints(seed):
     # earlier two-player fallback enumerated them over every allocation pair
     inst = make_instance(2, 3, seed % 2 == 1, seed)
     eps = choose_epsilon(compute_rho(inst), 2, EngineConfig())
-    own = inst.kernel.own
+    own = fraction_kernel(inst)["own"]
     points = {eps, 1 - eps}
     for j, l in combinations(range(len(inst.allocations)), 2):
         slope = own[0][j] - own[1][j] - own[0][l] + own[1][l]
@@ -371,5 +384,5 @@ def test_two_player_vertices_are_tie_breakpoints(seed):
             t = (own[1][l] - own[1][j]) / slope
             if eps < t < 1 - eps:
                 points.add(t)
-    found = _envelope_vertices(inst.kernel.frontier.vectors, eps)
+    found = _envelope_vertices(inst.kernel.frontier, eps)
     assert {eps, 1 - eps} <= {w[0] for w, _ in found} <= points

@@ -50,6 +50,17 @@ class TestNormalizeUtilities:
         prof = normalize_utilities([{0: "1/2", 1: "3/2"}])
         assert prof.values[0] == {0: F(1), 1: F(2)}
 
+    @pytest.mark.parametrize(
+        "table",
+        [{1.9: 2, 0: 1}, {True: 2, 0: 1}, {-1: 2, 0: 1, 1: 3}, {"x": 2, 0: 1, 1: 3}],
+        ids=["float", "bool", "negative", "string"],
+    )
+    def test_rejects_bad_bundle_key(self, table):
+        with pytest.raises(MalformedInstanceError, match="bundle mask"):
+            normalize_utilities([table])
+        with pytest.raises(MalformedInstanceError, match="bundle mask"):
+            Instance.build([table], all_partitions_allocation_set(1, 1))
+
     @given(
         st.lists(
             st.fractions(min_value=-50, max_value=50, max_denominator=20),

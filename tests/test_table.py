@@ -1,10 +1,11 @@
 """The integer utility table against the Fraction references it replaced.
 
-``UtilityKernel`` derives every player's normalized values once, as int
-numerators over a per-player scale, and builds the own-utility vectors,
-their Pareto frontier, the envy-gap constant rho and the tie-breaking LP's
-rows from it.  ``tests/oracles.py`` keeps the Fraction versions; every
-quantity here must come out equal to them.
+``normalize_utilities`` rescales every player's raw values once, straight
+into int numerators over a per-player scale, and ``UtilityKernel`` builds
+the own-utility vectors, their Pareto frontier, the envy-gap constant rho
+and the tie-breaking LP's rows from that table.  ``tests/oracles.py`` keeps
+the Fraction versions, which read the raw values, not the table under
+test; every quantity here must come out equal to them.
 """
 
 from fractions import Fraction
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import additive_table
+from conftest import additive_table, fraction_points
 from fairmix import engine
-from fairmix.engine import argmax_allocations, compute_rho, select_p_in_P
+from fairmix.engine import argmax_allocations, compute_rho, find_fixed_point, select_p_in_P
+from fairmix.envy import certify
 from fairmix.errors import EngineInvariantError
 from fairmix.hard import DisjointnessInput, build_hard_instance
+from fairmix.serialize import dump_instance, load_instance
 from fairmix.model import (
     AllocationSet,
     Instance,
@@ -30,7 +33,7 @@ from fairmix.model import (
     is_swappable,
     swap_closure,
 )
-from oracles import fraction_kernel, fraction_rho
+from oracles import fraction_kernel, fraction_normalize, fraction_rho
 
 F = Fraction
 
@@ -84,12 +87,13 @@ def dense_argmax(w, own):
 
 
 def fraction_select_rows(inst, argmax):
+    values = fraction_normalize(inst.utilities.raw_values)
     rows = []
     for i in range(inst.n):
         for h in range(inst.n):
             if h != i:
                 coeffs = tuple(
-                    inst.value(i, inst.allocations[j].bundles[h]) - inst.value(i, inst.allocations[j].bundles[i])
+                    values[i][inst.allocations[j].bundles[h]] - values[i][inst.allocations[j].bundles[i]]
                     for j in argmax
                 )
                 rows.append(coeffs + (F(-1),))
@@ -99,18 +103,21 @@ def fraction_select_rows(inst, argmax):
 def assert_matches_fraction_reference(inst):
     kernel = inst.kernel
     ref = fraction_kernel(inst)
-    for i, values in enumerate(inst.utilities.values):
+    normalized = fraction_normalize(inst.utilities.raw_values)
+    for i, values in enumerate(normalized):
         assert kernel.scales[i] == lcm(*(v.denominator for v in values.values()))
         assert kernel.table[i] == {b: v * kernel.scales[i] for b, v in values.items()}
+    assert inst.utilities.values == normalized
     assert compute_rho(inst) == fraction_rho(inst)
-    assert kernel.own == ref["own"]
-    assert kernel.vectors == ref["vectors"]
+    own = tuple(tuple(F(x, s) for x in row) for row, s in zip(kernel.own_num, kernel.scales))
+    assert own == ref["own"]
+    assert fraction_points(kernel.points, kernel.scales) == ref["vectors"]
     assert kernel.members == ref["members"]
     frontier = kernel.frontier
-    assert frontier.vectors == ref["frontier_vectors"]
+    assert fraction_points(frontier.points, frontier.scales) == ref["frontier_vectors"]
     assert frontier.members == ref["frontier_members"]
     assert frontier.scales == kernel.scales
-    for vec, point in zip(frontier.vectors, frontier.points):
+    for vec, point in zip(ref["frontier_vectors"], frontier.points):
         assert point == tuple(v * s for v, s in zip(vec, frontier.scales))
     for w in weights(inst.n):
         amax = argmax_allocations(w, inst)
@@ -133,6 +140,15 @@ def test_coprime_denominators():
     raw = [{0: F(0), 1: F(1, d), 2: F(2, d), 3: F(1)} for d in (3, 7, 11)]
     inst = Instance.build(raw, all_partitions_allocation_set(3, 2))
     assert inst.kernel.scales == (3, 7, 11)
+    assert_matches_fraction_reference(inst)
+
+
+def test_offset_and_common_factor_are_removed():
+    # 2, 4, 6 rescale to 1, 3/2, 2: over span 4 the entries 4, 6, 8 share 2
+    raw = [{0: F(2), 1: F(4), 2: F(6), 3: F(4)}, {0: F(9, 2), 1: F(3), 2: F(6), 3: F(15, 2)}]
+    inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
+    assert inst.utilities.table[0] == {0: 2, 1: 3, 2: 4, 3: 3}
+    assert inst.utilities.scales == (2, 3)
     assert_matches_fraction_reference(inst)
 
 
@@ -167,3 +183,21 @@ def test_nonpositive_rho_is_an_invariant_failure(monkeypatch):
     monkeypatch.setattr(UtilityKernel, "rho", property(lambda self: F(0)))
     with pytest.raises(EngineInvariantError, match="gap constant"):
         compute_rho(inst)
+
+
+def three_player_instance():
+    raw = [additive_table([F(1, 3), F(2), F(5, 7)]), additive_table([F(3), F(1), F(1, 7)]), {m: F(m, 3) for m in range(8)}]
+    return Instance.build(raw, all_partitions_allocation_set(3, 3))
+
+
+def hard_p2_instance():
+    return build_hard_instance(DisjointnessInput(2, (1, 0, 0), (0, 1, 0)))
+
+
+@pytest.mark.parametrize("build", [three_player_instance, hard_p2_instance])
+def test_solve_and_verify_never_build_the_fraction_view(build):
+    # a freshly loaded instance, so that no earlier call has built the view
+    inst = load_instance(dump_instance(build()))
+    state, _ = find_fixed_point(inst)
+    certify(state.p, inst)
+    assert "values" not in inst.utilities.__dict__
