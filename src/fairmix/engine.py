@@ -10,10 +10,10 @@ so certified fixed points settle both properties at once.
 The argmax scores only the instance's Pareto frontier (``Instance.kernel``):
 with every w_i > 0 a weakly dominated own-utility vector never attains the
 maximum.  The frontier points come from the kernel's integer utility table,
-one scale per player, and the weights are scaled to integers with the same
-factors and one common denominator, so every comparison is an exact int
-comparison.  The winning vectors expand to all their member allocations, in
-ascending order.
+whose entries share one denominator, and dropping that positive constant
+changes no comparison; the weights are put over their own common
+denominator, so every comparison is an exact int comparison.  The winning
+vectors expand to all their member allocations, in ascending order.
 
 The paper does not show that iterating the map converges, so the search
 walks weight space directly, the same way for every n.  It enumerates, by
@@ -77,13 +77,12 @@ class TraceRecord:
 def _argmax_of(frontier, w):
     """Ascending indices of the allocations of maximum w-welfare.
 
-    Frontier point f scores sum_i (w_i / scales[i]) * points[f][i], which is
-    its exact welfare; multiplying every w_i / scales[i] by the lcm of their
-    denominators makes each score an int without changing the order.
+    Frontier point f scores sum_i w_i * points[f][i], its exact welfare
+    times the table's positive scale; multiplying every w_i by the lcm of
+    their denominators makes each score an int without changing the order.
     """
-    ratios = [wi / s for wi, s in zip(w.w, frontier.scales)]
-    common = lcm(*(r.denominator for r in ratios))
-    weights = [r.numerator * (common // r.denominator) for r in ratios]
+    common = lcm(*(wi.denominator for wi in w.w))
+    weights = [wi.numerator * (common // wi.denominator) for wi in w.w]
     best = None
     winners = []
     for f, point in enumerate(frontier.points):
@@ -119,11 +118,12 @@ def select_p_in_P(w, inst, argmax=None):
 
     q = len(argmax)
     kernel = inst.kernel
+    scale = inst.utilities.scale
     zero = Fraction(0)
     objective = (zero,) * q + (Fraction(-1),)
     rows = [((Fraction(1),) * q + (zero,), "=", Fraction(1))]
     for i in range(n):
-        values, own, scale = kernel.table[i], kernel.own_num[i], kernel.scales[i]
+        values, own = kernel.table[i], kernel.own_num[i]
         for h in range(n):
             if h == i:
                 continue
@@ -258,11 +258,11 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
 def _envelope_vertices(frontier, eps):
     """Vertices of {(w, t) : w in W, t >= w.u for every u in ``frontier``}, exactly.
 
-    Returns ``(w, tight)`` pairs: a vertex weight and the ascending indices
-    of the vectors of maximum w-welfare there.  Double description over
-    primitive integer rays in homogeneous coordinates (x0, w_1..w_{n-1}, T),
-    where w_n = x0 - sum of the others and T is t times the lcm L of the
-    frontier's scales (each point times L / scales[i] stays ints).  The
+    Returns ``(w, tight)`` pairs: a vertex weight and the bitmask of the
+    vectors of maximum w-welfare there (bit f for frontier vector f).
+    Double description over primitive integer rays in homogeneous
+    coordinates (x0, w_1..w_{n-1}, T), where w_n = x0 - sum of the others
+    and T is t times the table's scale, over which the points are ints.  The
     start is the simplicial cone of the n floor rows and the first vector's
     row (independent because eps < 1/n): its rays are the n corners of W
     and the recession direction (0, .., 0, 1).  Each further row splits the
@@ -271,10 +271,9 @@ def _envelope_vertices(frontier, eps):
     pair shares.  The rays with x0 > 0 at the end are the vertices, and the
     vector rows a ray is tight on are its argmax.
     """
-    n, common = len(frontier.scales), lcm(*frontier.scales)
+    points = frontier.points
+    n = len(points[0])
     num, den = eps.numerator, eps.denominator
-    factors = [common // s for s in frontier.scales]
-    points = [[x * f for x, f in zip(point, factors)] for point in frontier.points]
     rows = []
     for i in range(n - 1):
         rows.append(tuple(-num if c == 0 else den if c == i + 1 else 0 for c in range(n + 1)))
@@ -326,7 +325,7 @@ def _envelope_vertices(frontier, eps):
             continue
         head = [Fraction(x, ray[0]) for x in ray[1:n]]
         w = tuple(head) + (1 - sum(head),)
-        out.append((w, tuple(f for f in range(len(points)) if tight >> (n + f) & 1)))
+        out.append((w, tight >> n))
     return out
 
 
@@ -349,7 +348,7 @@ def _fallback_search(inst, eps, trace_sink=None):
     frontier = inst.kernel.frontier
     weight_of = {}
     for w, tight in _envelope_vertices(frontier, eps):
-        weight_of.setdefault(sum(1 << f for f in tight), w)
+        weight_of.setdefault(tight, w)
     maximal = [
         (mask, w) for mask, w in weight_of.items()
         if not any(other != mask and other & mask == mask for other in weight_of)

@@ -152,8 +152,9 @@ def check_pareto_efficient(p, inst):
     zero = Fraction(0)
     objective = (zero,) * cols + (Fraction(1),) * n
     rows = [((Fraction(1),) * cols + (zero,) * n, "=", Fraction(1))]
+    scale = inst.utilities.scale
     for i in range(n):
-        row = tuple(Fraction(point[i], frontier.scales[i]) for point in frontier.points)
+        row = tuple(Fraction(point[i], scale) for point in frontier.points)
         row += tuple(Fraction(-1) if t == i else zero for t in range(n))
         rows.append((row, ">=", current[i]))
     result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))

@@ -2,9 +2,9 @@
 
 Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Utility
 values enter as exact :class:`fractions.Fraction`; ``normalize_utilities``
-rescales them once, straight into a :class:`UtilityProfile` of int
-numerators over one scale per player, and everything downstream reads
-those ints.  Nothing in this module rounds.
+normalizes them once, straight into a :class:`UtilityProfile` of int
+numerators over one denominator shared by every player, and everything
+downstream reads those ints.  Nothing in this module rounds.
 Every type is immutable after construction and safe to share between threads.
 """
 
@@ -50,14 +50,15 @@ class PureAllocation:
     bundles: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bundles", tuple(int(b) for b in self.bundles))
+        bundles = tuple(self.bundles)
         seen = 0
-        for b in self.bundles:
-            if b < 0:
-                raise MalformedInstanceError(f"negative bundle mask {b}")
+        for b in bundles:
+            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+                raise MalformedInstanceError(f"bundle mask {b!r} is not an integer >= 0")
             if seen & b:
-                raise MalformedInstanceError(f"overlapping bundles in {self.bundles}")
+                raise MalformedInstanceError(f"overlapping bundles in {bundles}")
             seen |= b
+        object.__setattr__(self, "bundles", bundles)
 
     @property
     def n(self):
@@ -129,15 +130,18 @@ class AllocationSet:
 
 @dataclass(frozen=True)
 class UtilityProfile:
-    """Per-player bundle values rescaled into [1, 2], as ints over a scale.
+    """Per-player bundle values rescaled into [1, 2], as ints over one denominator.
 
-    ``table[i][bundle]`` is player i's rescaled value times ``scales[i]``,
-    the least scale that makes all of player i's values ints.  ``raw_values``
-    keeps the originals; ``values``, the Fraction view, is derived on first use.
+    ``table[i][bundle]`` is player i's rescaled value times ``scale``, the
+    least positive int that makes every player's values ints.  Envy-freeness,
+    Pareto efficiency and every welfare argmax are unchanged by multiplying
+    all values by one positive constant, so consumers may compare the ints
+    directly.  ``raw_values`` keeps the originals; ``values``, the Fraction
+    view, is derived on first use.
     """
 
     table: tuple[dict, ...]
-    scales: tuple[int, ...]
+    scale: int
     raw_values: tuple[dict, ...]
 
     @property
@@ -146,9 +150,7 @@ class UtilityProfile:
 
     @cached_property
     def values(self):
-        return tuple(
-            {b: Fraction(x, s) for b, x in row.items()} for row, s in zip(self.table, self.scales)
-        )
+        return tuple({b: Fraction(x, self.scale) for b, x in row.items()} for row in self.table)
 
     def value(self, player, bundle):
         return self.values[player][bundle]
@@ -162,11 +164,14 @@ def normalize_utilities(raw):
 
     ``raw`` holds one mapping per player from bundle mask (an int >= 0) to
     rational value.  Over the player's common denominator x maps to
-    span + x - lo, then the entries and the span divide by their gcd; a
-    constant player gets all 1s over scale 1.  Rescaling twice is a no-op.
+    span + x - lo, then the entries and the span divide by their gcd, which
+    leaves them over the player's least denominator d_i; a constant player
+    gets all 1s over 1.  Each player's entries are then multiplied by
+    D // d_i, where D, the profile's ``scale``, is the lcm of every d_i.
+    Normalizing twice is a no-op.
     """
     tables = []
-    scales = []
+    least = []
     originals = []
     for i, values in enumerate(raw):
         if not values:
@@ -182,13 +187,15 @@ def normalize_utilities(raw):
         span = max(ints.values()) - lo
         if span == 0:
             tables.append(dict.fromkeys(ints, 1))
-            scales.append(1)
+            least.append(1)
         else:
             g = gcd(span, *(x - lo for x in ints.values()))
             tables.append({b: (span + x - lo) // g for b, x in ints.items()})
-            scales.append(span // g)
+            least.append(span // g)
         originals.append(checked)
-    return UtilityProfile(tuple(tables), tuple(scales), tuple(originals))
+    common = lcm(*least)
+    table = tuple({b: x * (common // d) for b, x in row.items()} for row, d in zip(tables, least))
+    return UtilityProfile(table, common, tuple(originals))
 
 
 @dataclass(frozen=True)
@@ -253,14 +260,13 @@ class Instance:
 class Frontier:
     """The Pareto-maximal own-utility vectors, as integer points.
 
-    ``points[f][i]`` is player i's value in frontier vector f times
-    ``scales[i]``, the profile's per-player scale, so every point is ints;
+    ``points[f][i]`` is player i's entry of the profile's integer table in
+    frontier vector f, its value times the profile's one ``scale``;
     ``members[f]`` are the ascending indices of the allocations that give
     it.  The frontier reads as the sequence of its integer points.
     """
 
     members: tuple
-    scales: tuple
     points: tuple
 
     def __len__(self):
@@ -274,21 +280,18 @@ class Frontier:
 class UtilityKernel:
     """Own-utility data of an instance, derived once, in integers.
 
-    ``table`` and ``scales`` are the instance's :class:`UtilityProfile`
-    integer table and per-player scales.  ``bundles[j]`` is allocation j's
-    bundle tuple and ``own_num[i][j]`` player i's entry for her bundle in
+    ``table`` is the instance's :class:`UtilityProfile` integer table, every
+    entry over the profile's one scale.  ``bundles[j]`` is allocation j's
+    bundle tuple and ``own_num[i][j]`` player i's entry for their bundle in
     it.  ``points`` are the distinct own-utility vectors (columns of
     ``own_num``) in order of first occurrence, ``members[v]`` the ascending
     indices of the allocations sharing point v; allocations with equal own
     vectors stay separate, because their envy views differ.  ``frontier``
-    keeps the points that no other point weakly dominates: scaling a
-    coordinate by a positive constant changes neither dominance nor the
-    skyline's sort order.  ``rho``, the envy-gap constant, is derived on
-    first use.
+    keeps the points that no other point weakly dominates.  ``rho``, the
+    envy-gap constant, is derived on first use.
     """
 
     table: tuple
-    scales: tuple
     bundles: tuple
     own_num: tuple
     points: tuple
@@ -297,7 +300,7 @@ class UtilityKernel:
 
     @classmethod
     def of(cls, inst):
-        table, scales = inst.utilities.table, inst.utilities.scales
+        table = inst.utilities.table
         bundles = tuple(a.bundles for a in inst.allocations)
         own_num = tuple(
             tuple(row[bs[i]] for bs in bundles) for i, row in enumerate(table)
@@ -308,10 +311,8 @@ class UtilityKernel:
         points = tuple(groups)
         members = tuple(tuple(js) for js in groups.values())
         kept = pareto_frontier(points)
-        frontier = Frontier(
-            tuple(members[v] for v in kept), scales, tuple(points[v] for v in kept)
-        )
-        return cls(table, scales, bundles, own_num, points, members, frontier)
+        frontier = Frontier(tuple(members[v] for v in kept), tuple(points[v] for v in kept))
+        return cls(table, bundles, own_num, points, members, frontier)
 
     @cached_property
     def rho(self):
@@ -320,15 +321,15 @@ class UtilityKernel:
         A triple (i, h, j) qualifies when, inside allocation j, both i and h
         strictly prefer h's bundle to i's.  The ratio of the two margins
         depends only on the two bundles, so each distinct bundle pair is
-        visited once per ordered player pair, and ratios compare exactly by
-        cross-multiplication: (gain / S_i) / (loss / S_h) is
-        (gain * S_h) / (loss * S_i).  On swappable sets every qualifying
+        visited once per ordered player pair.  Both margins are over the
+        table's one scale, so their ratio is gain / loss, and ratios compare
+        exactly by cross-multiplication.  On swappable sets every qualifying
         ratio appears with its reciprocal, so the result is at most 1/2
         whenever any triple qualifies.
         """
-        table, scales = self.table, self.scales
+        table = self.table
         best_num = best_den = None
-        for i, h in permutations(range(len(scales)), 2):
+        for i, h in permutations(range(len(table)), 2):
             mine, theirs = table[i], table[h]
             for b_i, b_h in {(bs[i], bs[h]) for bs in self.bundles}:
                 gain = mine[b_h] - mine[b_i]
@@ -337,9 +338,8 @@ class UtilityKernel:
                 loss = theirs[b_h] - theirs[b_i]
                 if loss <= 0:
                     continue
-                num, den = gain * scales[h], loss * scales[i]
-                if best_num is None or num * best_den < best_num * den:
-                    best_num, best_den = num, den
+                if best_num is None or gain * best_den < best_num * loss:
+                    best_num, best_den = gain, loss
         if best_num is None:
             return Fraction(1)
         return Fraction(best_num, 2 * best_den)
@@ -406,19 +406,14 @@ def _swapped(bundles, g, h):
 def swap_closure(allocations, budget=DEFAULT_ENUMERATION_BUDGET):
     """Smallest superset of ``allocations`` closed under pairwise bundle swaps.
 
-    Only the listed entries are validated; the swaps run on bundle tuples.
+    ``allocations`` is an :class:`AllocationSet`, or a list that is
+    validated into one; the swaps then run on bundle tuples.
     """
-    start = [a if isinstance(a, PureAllocation) else PureAllocation(tuple(a)) for a in allocations]
-    if not start:
-        raise MalformedInstanceError("cannot close an empty allocation list")
-    n = start[0].n
-    closed = {}
-    for a in start:
-        if a.n != n:
-            raise MalformedInstanceError("allocations disagree on player count")
-        closed.setdefault(a.bundles, a)
+    if not isinstance(allocations, AllocationSet):
+        allocations = AllocationSet(allocations)
+    closed = {a.bundles: a for a in allocations}
     stack = list(closed)
-    pairs = tuple(combinations(range(n), 2))
+    pairs = tuple(combinations(range(allocations.n), 2))
     while stack:
         bundles = stack.pop()
         for g, h in pairs:
@@ -558,4 +553,4 @@ def expected_utility(p, viewer, owner, inst):
     row = inst.utilities.table[viewer]
     allocations = inst.allocations.allocations
     total = sum(q * row[allocations[j].bundles[owner]] for j, q in p.pairs)
-    return total / inst.utilities.scales[viewer]
+    return total / inst.utilities.scale

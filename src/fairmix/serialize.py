@@ -103,11 +103,11 @@ def load_instance(data, strict=False, warn=None):
         aset = all_partitions_allocation_set(n, m)
     else:
         _require(isinstance(spec, list) and spec, "allocations", "need 'all_partitions' or a non-empty list")
-        listed = [
+        listed = AllocationSet(
             _parse_allocation_entry(entry, n, m, f"allocations[{j}]") for j, entry in enumerate(spec)
-        ]
+        )
         aset = swap_closure(listed)
-        given = len(AllocationSet(listed))
+        given = len(listed)
         if len(aset) > given:
             message = (
                 f"allocation list was not swap-closed; closure grew it from "

@@ -19,9 +19,9 @@ def additive_table(item_values):
     return table
 
 
-def fraction_points(points, scales):
-    """Integer points over per-player scales, as exact Fraction vectors."""
-    return tuple(tuple(Fraction(x, s) for x, s in zip(point, scales)) for point in points)
+def fraction_points(points, scale):
+    """Integer points over one scale, as exact Fraction vectors."""
+    return tuple(tuple(Fraction(x, scale) for x in point) for point in points)
 
 
 def random_additive_instance(rng, n=None, m=None, grid=12):

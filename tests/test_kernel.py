@@ -227,14 +227,15 @@ class TestFrontier:
         raw = [additive_table([F(1), F(0)]), additive_table([F(1), F(0)])]
         inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
         kernel = inst.kernel
-        vectors = fraction_points(kernel.points, kernel.scales)
+        scale = inst.utilities.scale
+        vectors = fraction_points(kernel.points, scale)
         assert len(vectors) == 3
         assert sum(len(m) for m in kernel.members) == len(inst.allocations)
         for vec, members in zip(vectors, kernel.members):
             assert list(members) == sorted(members)
             assert all(own_vector(inst, j) == vec for j in members)
         frontier = kernel.frontier
-        assert sorted(fraction_points(frontier.points, frontier.scales)) == [(F(1), F(2)), (F(2), F(1))]
+        assert sorted(fraction_points(frontier.points, scale)) == [(F(1), F(2)), (F(2), F(1))]
         assert all(len(m) == 3 for m in frontier.members)
 
     def test_integer_points_scale_exactly(self):
@@ -244,7 +245,7 @@ class TestFrontier:
         assert len(frontier) == len(vectors)
         for vec, point in zip(vectors, frontier.points):
             assert all(isinstance(x, int) for x in point)
-            assert point == tuple(v * s for v, s in zip(vec, frontier.scales))
+            assert point == tuple(v * inst.utilities.scale for v in vec)
 
     def test_kernel_is_built_once(self):
         inst = make_instance(2, 2, False, 0)
@@ -255,12 +256,12 @@ class TestFrontier:
         inst = build_hard_instance(DisjointnessInput(3, bits, bits))
         assert len(inst.allocations) == 729
         frontier = inst.kernel.frontier
-        assert fraction_points(frontier.points, frontier.scales) == ((F(2), F(2)),)
+        assert fraction_points(frontier.points, inst.utilities.scale) == ((F(2), F(2)),)
 
     def test_disjoint_hard_instance_frontier(self):
         inst = build_hard_instance(DisjointnessInput(3, (1,) + (0,) * 9, (0, 1) + (0,) * 8))
         frontier = inst.kernel.frontier
-        assert sorted(fraction_points(frontier.points, frontier.scales)) == [(F(17, 9), F(2)), (F(2), F(17, 9))]
+        assert sorted(fraction_points(frontier.points, inst.utilities.scale)) == [(F(17, 9), F(2)), (F(2), F(17, 9))]
 
 
 def solve_exact(rows):
@@ -291,10 +292,17 @@ def integer_row(entries):
 
 
 def frontier_of(vectors):
-    """A ``Frontier`` holding exact ``vectors`` as integer points, one member each."""
-    scales = tuple(lcm(*(F(vec[i]).denominator for vec in vectors)) for i in range(len(vectors[0])))
-    points = tuple(tuple(int(x * s) for x, s in zip(vec, scales)) for vec in vectors)
-    return Frontier(tuple((f,) for f in range(len(vectors))), scales, points)
+    """A ``Frontier`` holding exact ``vectors`` as integer points over one
+    scale, one member each."""
+    scale = lcm(*(F(x).denominator for vec in vectors for x in vec))
+    points = tuple(tuple(int(x * scale) for x in vec) for vec in vectors)
+    return Frontier(tuple((f,) for f in range(len(vectors))), points)
+
+
+def tight_indices(found):
+    """``_envelope_vertices`` output with each tight bitmask as ascending
+    frontier indices, the brute force's format."""
+    return {w: tuple(f for f in range(mask.bit_length()) if mask >> f & 1) for w, mask in found}
 
 
 def brute_force_vertices(vectors, eps):
@@ -336,7 +344,7 @@ def test_envelope_vertices_match_brute_force(case):
     eps = choose_epsilon(compute_rho(inst), inst.n, EngineConfig())
     found = _envelope_vertices(inst.kernel.frontier, eps)
     assert len({w for w, _ in found}) == len(found)
-    assert dict(found) == brute_force_vertices(vectors, eps)
+    assert tight_indices(found) == brute_force_vertices(vectors, eps)
 
 
 def test_envelope_cases_cover_every_player_count():
@@ -357,7 +365,7 @@ def test_degenerate_envelope_matches_brute_force(first):
     vectors = tuple(tuple(F(x) for x in vec) for vec in order)
     found = _envelope_vertices(frontier_of(vectors), F(1, 16))
     assert len({w for w, _ in found}) == len(found)
-    assert dict(found) == brute_force_vertices(vectors, F(1, 16))
+    assert tight_indices(found) == brute_force_vertices(vectors, F(1, 16))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -367,7 +375,7 @@ def test_one_vector_envelope_is_the_corners(n):
     corners = {tuple(1 - (n - 1) * eps if c == i else eps for c in range(n)) for i in range(n)}
     found = _envelope_vertices(frontier_of((vec,)), eps)
     assert {w for w, _ in found} == corners
-    assert all(tight == (0,) for _, tight in found)
+    assert all(tight == 1 for _, tight in found)
 
 
 @pytest.mark.parametrize("seed", range(6))

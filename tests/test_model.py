@@ -100,6 +100,22 @@ class TestPureAllocation:
         a = PureAllocation((0, 0))
         assert a.union_mask() == 0
 
+    @pytest.mark.parametrize("bad", [1.9, True, "x", -1], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            PureAllocation,
+            lambda bundles: AllocationSet([bundles]),
+            lambda bundles: swap_closure([bundles]),
+            lambda bundles: Instance.build([{0: 0, 2: 1}, {0: 0, 2: 1}], [bundles]),
+        ],
+        ids=["PureAllocation", "AllocationSet", "swap_closure", "Instance.build"],
+    )
+    def test_rejects_bundles_that_are_not_masks(self, build, bad):
+        # neither coerced (1.9 and True would become 1) nor a raw ValueError
+        with pytest.raises(MalformedInstanceError, match="not an integer >= 0"):
+            build((bad, 2))
+
 
 class TestAllocationSet:
     def test_collapses_duplicates(self):

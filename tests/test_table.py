@@ -1,9 +1,10 @@
 """The integer utility table against the Fraction references it replaced.
 
 ``normalize_utilities`` rescales every player's raw values once, straight
-into int numerators over a per-player scale, and ``UtilityKernel`` builds
-the own-utility vectors, their Pareto frontier, the envy-gap constant rho
-and the tie-breaking LP's rows from that table.  ``tests/oracles.py`` keeps
+into int numerators over one scale shared by all players, and
+``UtilityKernel`` builds the own-utility vectors, their Pareto frontier and
+the envy-gap constant rho from that table; the tie-breaking and domination
+LPs build their rows from it.  ``tests/oracles.py`` keeps
 the Fraction versions, which read the raw values, not the table under
 test; every quantity here must come out equal to them.
 """
@@ -17,15 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import additive_table, fraction_points
-from fairmix import engine
+from fairmix import engine, envy
 from fairmix.engine import argmax_allocations, compute_rho, find_fixed_point, select_p_in_P
-from fairmix.envy import certify
+from fairmix.envy import certify, check_pareto_efficient
 from fairmix.errors import EngineInvariantError
 from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.serialize import dump_instance, load_instance
 from fairmix.model import (
     AllocationSet,
     Instance,
+    MixedAllocation,
     PureAllocation,
     UtilityKernel,
     WeightVector,
@@ -37,7 +39,7 @@ from oracles import fraction_kernel, fraction_normalize, fraction_rho
 
 F = Fraction
 
-# pairwise coprime, so that the players' scales differ
+# pairwise coprime, so that the players' own least denominators differ
 DENOMINATORS = (1, 3, 7, 11)
 
 
@@ -100,25 +102,43 @@ def fraction_select_rows(inst, argmax):
     return rows
 
 
+def fraction_pe_rows(ref, p):
+    """The domination LP's per-player rows over the reference frontier."""
+    n = len(ref["own"])
+    rows = []
+    for i in range(n):
+        coeffs = tuple(vec[i] for vec in ref["frontier_vectors"])
+        slacks = tuple(F(-1) if t == i else F(0) for t in range(n))
+        current = sum((q * ref["own"][i][j] for j, q in p.pairs), F(0))
+        rows.append((coeffs + slacks, ">=", current))
+    return rows
+
+
 def assert_matches_fraction_reference(inst):
     kernel = inst.kernel
     ref = fraction_kernel(inst)
     normalized = fraction_normalize(inst.utilities.raw_values)
+    scale = inst.utilities.scale
+    assert scale == lcm(*(v.denominator for values in normalized for v in values.values()))
     for i, values in enumerate(normalized):
-        assert kernel.scales[i] == lcm(*(v.denominator for v in values.values()))
-        assert kernel.table[i] == {b: v * kernel.scales[i] for b, v in values.items()}
+        assert kernel.table[i] == {b: v * scale for b, v in values.items()}
     assert inst.utilities.values == normalized
     assert compute_rho(inst) == fraction_rho(inst)
-    own = tuple(tuple(F(x, s) for x in row) for row, s in zip(kernel.own_num, kernel.scales))
+    own = tuple(tuple(F(x, scale) for x in row) for row in kernel.own_num)
     assert own == ref["own"]
-    assert fraction_points(kernel.points, kernel.scales) == ref["vectors"]
+    assert fraction_points(kernel.points, scale) == ref["vectors"]
     assert kernel.members == ref["members"]
     frontier = kernel.frontier
-    assert fraction_points(frontier.points, frontier.scales) == ref["frontier_vectors"]
+    assert fraction_points(frontier.points, scale) == ref["frontier_vectors"]
     assert frontier.members == ref["frontier_members"]
-    assert frontier.scales == kernel.scales
     for vec, point in zip(ref["frontier_vectors"], frontier.points):
-        assert point == tuple(v * s for v, s in zip(vec, frontier.scales))
+        assert point == tuple(v * scale for v in vec)
+    k = len(inst.allocations)
+    for p in (MixedAllocation.uniform(k), MixedAllocation.point_mass(k, k - 1)):
+        with mock.patch.object(envy, "solve_lp", wraps=envy.solve_lp) as spy:
+            check_pareto_efficient(p, inst)
+        lp = spy.call_args.args[0]
+        assert list(lp.constraints[1:]) == fraction_pe_rows(ref, p)
     for w in weights(inst.n):
         amax = argmax_allocations(w, inst)
         assert amax == dense_argmax(w, ref["own"])
@@ -139,24 +159,28 @@ def test_coprime_denominators():
     # span 1 and minimum 0, so the normalized denominators are the raw ones
     raw = [{0: F(0), 1: F(1, d), 2: F(2, d), 3: F(1)} for d in (3, 7, 11)]
     inst = Instance.build(raw, all_partitions_allocation_set(3, 2))
-    assert inst.kernel.scales == (3, 7, 11)
+    assert inst.utilities.scale == 3 * 7 * 11
     assert_matches_fraction_reference(inst)
 
 
 def test_offset_and_common_factor_are_removed():
-    # 2, 4, 6 rescale to 1, 3/2, 2: over span 4 the entries 4, 6, 8 share 2
+    # 2, 4, 6 rescale to 1, 3/2, 2: over span 4 the entries 4, 6, 8 share
+    # 2, leaving player 0 over 2; player 1 lands on 4/3, 1, 5/3, 2, over 3
     raw = [{0: F(2), 1: F(4), 2: F(6), 3: F(4)}, {0: F(9, 2), 1: F(3), 2: F(6), 3: F(15, 2)}]
     inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
-    assert inst.utilities.table[0] == {0: 2, 1: 3, 2: 4, 3: 3}
-    assert inst.utilities.scales == (2, 3)
+    assert inst.utilities.scale == 6
+    assert inst.utilities.table == ({0: 6, 1: 9, 2: 12, 3: 9}, {0: 8, 1: 6, 2: 10, 3: 12})
     assert_matches_fraction_reference(inst)
 
 
 def test_constant_player_has_scale_one():
+    # the constant player's values are all 1, over 1, so the shared scale
+    # is the other player's least denominator alone
     raw = [{mask: F(5, 7) for mask in range(4)}, additive_table([F(1, 7), F(3, 11)])]
     inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
-    assert inst.kernel.scales[0] == 1
-    assert set(inst.kernel.table[0].values()) == {1}
+    other = fraction_normalize(raw)[1]
+    assert inst.utilities.scale == lcm(*(v.denominator for v in other.values()))
+    assert set(inst.kernel.table[0].values()) == {inst.utilities.scale}
     assert_matches_fraction_reference(inst)
 
 
