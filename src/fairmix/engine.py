@@ -107,7 +107,8 @@ def select_p_in_P(w, inst, argmax=None):
 
     Solves: min s over lotteries supported on the argmax set, where s bounds
     every pairwise margin (view of another player's stream minus own).  An
-    optimum s <= 0 means the returned lottery is already envy-free.
+    optimum s <= 0 means the returned lottery is already envy-free.  The LP
+    is canonical, so the free s is the last two columns, s = s+ - s-.
     """
     if argmax is None:
         argmax = argmax_allocations(w, inst)
@@ -120,8 +121,8 @@ def select_p_in_P(w, inst, argmax=None):
     kernel = inst.kernel
     scale = inst.utilities.scale
     zero = Fraction(0)
-    objective = (zero,) * q + (Fraction(-1),)
-    rows = [((Fraction(1),) * q + (zero,), "=", Fraction(1))]
+    objective = (zero,) * q + (Fraction(-1), Fraction(1))
+    rows = [((Fraction(1),) * q + (zero, zero), "=", Fraction(1))]
     for i in range(n):
         values, own = kernel.table[i], kernel.own_num[i]
         for h in range(n):
@@ -130,12 +131,11 @@ def select_p_in_P(w, inst, argmax=None):
             coeffs = tuple(
                 Fraction(values[kernel.bundles[j][h]] - own[j], scale) for j in argmax
             )
-            rows.append((coeffs + (Fraction(-1),), "<=", zero))
-    bounds = ((zero, None),) * q + ((None, None),)
-    result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows), bounds=bounds))
+            rows.append((coeffs + (Fraction(-1), Fraction(1)), "<=", zero))
+    result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
-    # zip stops before the trailing envy-bound variable s
+    # zip stops before the trailing envy-bound columns s+ and s-
     return MixedAllocation.from_support(k, zip(argmax, result.solution))
 
 

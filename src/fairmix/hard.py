@@ -35,7 +35,12 @@ SUBMODULAR_ITEM_CAP = 12
 
 
 def split_count(p):
-    """r = C(2p, p) / 2, the number of halves containing item 1."""
+    """r = C(2p, p) / 2, the number of halves containing item 1.
+
+    The one check of a half-count: p must be an int >= 1, not a bool.
+    """
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise MalformedInstanceError(f"half-count must be an integer >= 1, got {p!r}")
     return math.comb(2 * p, p) // 2
 
 
@@ -65,17 +70,17 @@ class DisjointnessInput:
     x2: tuple
 
     def __post_init__(self):
-        if self.p < 1:
-            raise MalformedInstanceError(f"half-count must be positive, got {self.p}")
         r = split_count(self.p)
         for name, bits in (("x1", self.x1), ("x2", self.x2)):
-            bits = tuple(int(b) for b in bits)
+            bits = tuple(bits)
             if len(bits) != r:
                 raise MalformedInstanceError(
                     f"{name} has {len(bits)} bits, expected r = {r} for p = {self.p}"
                 )
-            if any(b not in (0, 1) for b in bits):
-                raise MalformedInstanceError(f"{name} contains a non-bit entry")
+            # the rule bundle masks follow: an int, not a bool
+            for b in bits:
+                if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
+                    raise MalformedInstanceError(f"{name} contains a non-bit entry {b!r}")
             object.__setattr__(self, name, bits)
 
     @property
@@ -88,8 +93,6 @@ class DisjointnessInput:
 
 def enumerate_splits(p, budget=SPLIT_BUDGET):
     """All p-subsets of {1..2p} containing item 1, lexicographic, with complements."""
-    if p < 1:
-        raise MalformedInstanceError(f"half-count must be positive, got {p}")
     r = split_count(p)
     if r > budget:
         raise EnumerationLimitError(f"{r} splits exceed the budget of {budget}")
@@ -136,6 +139,12 @@ def build_hard_instance(inp, budget=None):
     return Instance.build(hard_utility_tables(inp), allocations)
 
 
+def _require_full_table(values, m):
+    for mask in range(1 << m):
+        if mask not in values:
+            raise MalformedInstanceError(f"table lacks a value for bundle mask {mask}")
+
+
 def check_submodular(values, m, max_items=SUBMODULAR_ITEM_CAP):
     """Exhaustive diminishing-returns check over one player's bundle table.
 
@@ -145,9 +154,7 @@ def check_submodular(values, m, max_items=SUBMODULAR_ITEM_CAP):
     """
     if m > max_items:
         raise EnumerationLimitError(f"m = {m} exceeds the exhaustive-check cap of {max_items}")
-    for mask in range(1 << m):
-        if mask not in values:
-            raise MalformedInstanceError(f"table lacks a value for bundle mask {mask}")
+    _require_full_table(values, m)
     for e in range(m):
         bit = 1 << e
         for y in range(1 << m):
@@ -166,6 +173,7 @@ def check_submodular(values, m, max_items=SUBMODULAR_ITEM_CAP):
 
 def check_monotone(values, m):
     """True when adding any single item never lowers value."""
+    _require_full_table(values, m)
     for e in range(m):
         bit = 1 << e
         for mask in range(1 << m):

@@ -4,6 +4,12 @@ A dense two-phase simplex with Bland's rule, sized for desk-scale problems
 (tens of rows, hundreds of columns), run in Python ints with no float and no
 Fraction inside the pivot loop.
 
+Canonical form.  A program is max c . x over rows (a, rel, b) with every
+x_j >= 0, and nothing else: no per-variable bounds and no change of
+variables.  Column j of the tableau is x_j, and row r is constraint r,
+negated when its right-hand side is negative, followed by one slack (<=),
+one surplus and one artificial (>=) or one artificial (=).
+
 Fraction-free tableau.  Each standard-form row is scaled to integers by the
 lcm of its denominators, and its slack or artificial entry is reset to +-1:
 that rescales a column which appears in this row only.  The phase-1 and
@@ -49,57 +55,36 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x over rows (a, rel, b) and per-variable bounds.
+    """Maximize objective . x subject to rows (a, rel, b) and every x_j >= 0.
 
-    ``objective=None`` asks for feasibility only.  ``bounds`` holds one
-    (lower, upper) pair per variable with None for an absent bound; when the
-    field itself is None every variable defaults to (0, None).
+    The objective has one entry per variable and may not be empty; a
+    feasibility question takes a zero objective.  A free variable is written
+    as two columns x+ - x-.
     """
 
-    objective: tuple | None
+    objective: tuple
     constraints: tuple = ()
-    bounds: tuple | None = None
 
     def __post_init__(self):
-        obj = None
-        if self.objective is not None:
-            obj = tuple(as_fraction(c) for c in self.objective)
+        obj = tuple(as_fraction(c) for c in self.objective or ())
+        if not obj:
+            raise MalformedLpError("the objective needs one entry per variable")
         rows = []
         for row, rel, rhs in self.constraints:
             if rel not in RELATIONS:
                 raise MalformedLpError(f"unknown relation {rel!r}")
-            rows.append((tuple(as_fraction(a) for a in row), rel, as_fraction(rhs)))
-        nv = None
-        if obj is not None:
-            nv = len(obj)
-        elif self.bounds is not None:
-            nv = len(self.bounds)
-        elif rows:
-            nv = len(rows[0][0])
-        if nv is None:
-            raise MalformedLpError("cannot infer the variable count from an empty program")
-        for row, _, _ in rows:
-            if len(row) != nv:
-                raise MalformedLpError(f"constraint row has {len(row)} entries, expected {nv}")
-        if self.bounds is None:
-            bounds = ((Fraction(0), None),) * nv
-        else:
-            if len(self.bounds) != nv:
-                raise MalformedLpError(f"{len(self.bounds)} bound pairs for {nv} variables")
-            bounds = tuple(
-                (
-                    None if lo is None else as_fraction(lo),
-                    None if hi is None else as_fraction(hi),
+            row = tuple(as_fraction(a) for a in row)
+            if len(row) != len(obj):
+                raise MalformedLpError(
+                    f"constraint row has {len(row)} entries, expected {len(obj)}"
                 )
-                for lo, hi in self.bounds
-            )
+            rows.append((row, rel, as_fraction(rhs)))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "bounds", bounds)
 
     @property
     def num_vars(self):
-        return len(self.bounds)
+        return len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -162,37 +147,9 @@ def _simplex(rows, basis, d, ncols):
         basis[leave] = enter
 
 
-def _substitute(bounds):
-    """Shift every variable into the nonnegative orthant.
-
-    Returns (exprs, ncols, extra_rows) where exprs[i] = (const, ((col, sign), ...))
-    reconstructs x_i from the shifted columns, and extra_rows carries upper
-    bounds that survive as explicit constraints.
-    """
-    exprs = []
-    extra_rows = []
-    col = 0
-    for lo, hi in bounds:
-        if lo is not None:
-            exprs.append((lo, ((col, Fraction(1)),)))
-            if hi is not None:
-                extra_rows.append(({col: Fraction(1)}, "<=", hi - lo))
-            col += 1
-        elif hi is not None:
-            exprs.append((hi, ((col, Fraction(-1)),)))
-            col += 1
-        else:
-            exprs.append((Fraction(0), ((col, Fraction(1)), (col + 1, Fraction(-1)))))
-            col += 2
-    return exprs, col, extra_rows
-
-
 def _verify(lp, x):
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and x[i] < lo:
-            raise EngineInvariantError(f"solution violates lower bound on x{i}")
-        if hi is not None and x[i] > hi:
-            raise EngineInvariantError(f"solution violates upper bound on x{i}")
+    if any(v < 0 for v in x):
+        raise EngineInvariantError("solution has a negative variable")
     for row, rel, rhs in lp.constraints:
         lhs = sum(a * v for a, v in zip(row, x) if a and v)
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
@@ -204,35 +161,15 @@ def solve_lp(lp):
     """Exact two-phase simplex; the returned solution re-verifies by substitution."""
     if not isinstance(lp, LinearProgram):
         raise MalformedLpError(f"expected LinearProgram, got {type(lp).__name__}")
-    for lo, hi in lp.bounds:
-        if lo is not None and hi is not None and hi < lo:
-            return LpResult(INFEASIBLE)
 
-    exprs, ncols, extra_rows = _substitute(lp.bounds)
-
-    std_rows = []
-    for row, rel, rhs in lp.constraints:
-        acc = {}
-        shift = Fraction(0)
-        for i, a in enumerate(row):
-            if not a:
-                continue
-            const, terms = exprs[i]
-            if const:
-                shift += a * const
-            # each column belongs to one variable, so nothing accumulates
-            for c, sign in terms:
-                acc[c] = a if sign > 0 else -a
-        std_rows.append((acc, rel, rhs - shift))
-    std_rows.extend(extra_rows)
-
+    ncols = lp.num_vars
     oriented = []
-    for acc, rel, rhs in std_rows:
+    for row, rel, rhs in lp.constraints:
         if rhs < 0:
-            acc = {c: -a for c, a in acc.items()}
+            row = tuple(-a for a in row)
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
             rhs = -rhs
-        oriented.append((acc, rel, rhs))
+        oriented.append((row, rel, rhs))
 
     m = len(oriented)
     n_slack = sum(1 for _, rel, _ in oriented if rel != "=")
@@ -248,12 +185,10 @@ def solve_lp(lp):
     art_rows = []
     slack_at = ncols
     art_at = art_start
-    for acc, rel, rhs in oriented:
-        scale = lcm(rhs.denominator, *(a.denominator for a in acc.values()))
-        row = [0] * (total + 1)
-        for c, a in acc.items():
-            row[c] = a.numerator * (scale // a.denominator)
-        row[total] = rhs.numerator * (scale // rhs.denominator)
+    for coeffs, rel, rhs in oriented:
+        scale = lcm(rhs.denominator, *(a.denominator for a in coeffs))
+        row = [a.numerator * (scale // a.denominator) for a in coeffs]
+        row += [0] * (total - ncols) + [rhs.numerator * (scale // rhs.denominator)]
         if rel == "<=":
             row[slack_at] = 1
             basis.append(slack_at)
@@ -274,15 +209,10 @@ def solve_lp(lp):
 
     # Phase-2 costs are 0 on every initial basic column, so the scaled cost
     # vector is already its own reduced-cost row.
-    cost2 = [Fraction(0)] * art_start
-    if lp.objective is not None:
-        for i, c in enumerate(lp.objective):
-            if not c:
-                continue
-            for col, sign in exprs[i][1]:
-                cost2[col] = -c if sign > 0 else c
-    scale = lcm(*(c.denominator for c in cost2))
-    rows.append([c.numerator * (scale // c.denominator) for c in cost2] + [0] * (n_art + 1))
+    scale = lcm(*(c.denominator for c in lp.objective))
+    rows.append(
+        [-c.numerator * (scale // c.denominator) for c in lp.objective] + [0] * (total - ncols + 1)
+    )
     d = 1
 
     if n_art:
@@ -325,21 +255,13 @@ def solve_lp(lp):
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
-    shifted = [Fraction(0)] * ncols
+    x = [Fraction(0)] * ncols
     for i in range(m):
         if basis[i] < ncols:
-            shifted[basis[i]] = Fraction(rows[i][-1], d)
-    x = []
-    for const, terms in exprs:
-        v = const
-        for col, sign in terms:
-            v += sign * shifted[col]
-        x.append(v)
+            x[basis[i]] = Fraction(rows[i][-1], d)
     x = tuple(x)
     _verify(lp, x)
-    value = Fraction(0)
-    if lp.objective is not None:
-        value = sum((c * v for c, v in zip(lp.objective, x) if c and v), Fraction(0))
+    value = sum((c * v for c, v in zip(lp.objective, x) if c and v), Fraction(0))
     return LpResult(OPTIMAL, x, value)
 
 

@@ -69,11 +69,8 @@ def solve_square(rows, rhs):
 
 
 def satisfies(lp, x):
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and x[i] < lo:
-            return False
-        if hi is not None and x[i] > hi:
-            return False
+    if any(v < 0 for v in x):
+        return False
     for row, rel, rhs in lp.constraints:
         lhs = sum(a * v for a, v in zip(row, x))
         if rel == "<=" and lhs > rhs:
@@ -88,26 +85,21 @@ def satisfies(lp, x):
 def brute_force_lp_max(lp):
     """Maximum of the objective over all vertices of the feasible region.
 
-    Sound for pointed bounded regions (every optimum sits at a vertex, and
-    every vertex solves some square subsystem of active constraints).
-    Returns (value, x) or None when no vertex is feasible.
+    Sound for bounded regions of the nonnegative orthant (every optimum sits
+    at a vertex, and every vertex solves some square subsystem of active
+    constraints, each row tight or some x_i = 0).  Returns (value, x) or
+    None when no vertex is feasible.
     """
     n = lp.num_vars
     eqs = [(tuple(row), rhs) for row, rel, rhs in lp.constraints]
-    for i, (lo, hi) in enumerate(lp.bounds):
-        unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        if lo is not None:
-            eqs.append((unit, lo))
-        if hi is not None:
-            eqs.append((unit, hi))
+    for i in range(n):
+        eqs.append((tuple(Fraction(1 if j == i else 0) for j in range(n)), Fraction(0)))
     best = None
     for combo in combinations(range(len(eqs)), n):
         x = solve_square([eqs[i][0] for i in combo], [eqs[i][1] for i in combo])
         if x is None or not satisfies(lp, x):
             continue
-        val = Fraction(0)
-        if lp.objective is not None:
-            val = sum(c * v for c, v in zip(lp.objective, x))
+        val = sum(c * v for c, v in zip(lp.objective, x))
         if best is None or val > best[0]:
             best = (val, tuple(x))
     return best
@@ -221,43 +213,14 @@ def fraction_simplex(lp):
     """Reference two-phase simplex over Fraction, with Bland's rule.
 
     The same standard form, column order and pivot rule as ``fairmix.lp``:
-    bounds shift every variable into the nonnegative orthant (a free one
-    splits in two), rows with a negative right-hand side are negated, and
-    each row gets a slack (<=), a surplus and an artificial (>=) or an
+    column j is x_j >= 0, rows with a negative right-hand side are negated,
+    and each row gets a slack (<=), a surplus and an artificial (>=) or an
     artificial (=).  Returns an ``LpResult`` without the substitution check.
     """
-    for lo, hi in lp.bounds:
-        if lo is not None and hi is not None and hi < lo:
-            return LpResult(INFEASIBLE)
-
-    exprs = []
-    std_rows = []
-    ncols = 0
-    bound_rows = []
-    for lo, hi in lp.bounds:
-        if lo is not None:
-            exprs.append((lo, ((ncols, Fraction(1)),)))
-            if hi is not None:
-                bound_rows.append(({ncols: Fraction(1)}, "<=", hi - lo))
-            ncols += 1
-        elif hi is not None:
-            exprs.append((hi, ((ncols, Fraction(-1)),)))
-            ncols += 1
-        else:
-            exprs.append((Fraction(0), ((ncols, Fraction(1)), (ncols + 1, Fraction(-1)))))
-            ncols += 2
-    for row, rel, rhs in lp.constraints:
-        acc = {}
-        shift = Fraction(0)
-        for i, a in enumerate(row):
-            if not a:
-                continue
-            const, terms = exprs[i]
-            shift += a * const
-            for c, sign in terms:
-                acc[c] = acc.get(c, Fraction(0)) + a * sign
-        std_rows.append((acc, rel, rhs - shift))
-    std_rows.extend(bound_rows)
+    ncols = lp.num_vars
+    std_rows = [
+        ({c: a for c, a in enumerate(row) if a}, rel, rhs) for row, rel, rhs in lp.constraints
+    ]
 
     oriented = []
     for acc, rel, rhs in std_rows:
@@ -320,30 +283,16 @@ def fraction_simplex(lp):
         basis = [basis[i] for i in keep]
         m = len(tab)
 
-    cost2 = [Fraction(0)] * art_start
-    if lp.objective is not None:
-        for i, c in enumerate(lp.objective):
-            if not c:
-                continue
-            for col, sign in exprs[i][1]:
-                cost2[col] -= c * sign
+    cost2 = [-c for c in lp.objective] + [Fraction(0)] * n_slack
     status, _ = _fraction_phase(tab, rhs_col, basis, cost2)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
-    shifted = [Fraction(0)] * art_start
+    basic = [Fraction(0)] * art_start
     for i in range(m):
-        shifted[basis[i]] = rhs_col[i]
-    x = []
-    for const, terms in exprs:
-        v = const
-        for col, sign in terms:
-            v += sign * shifted[col]
-        x.append(v)
-    x = tuple(x)
-    value = Fraction(0)
-    if lp.objective is not None:
-        value = sum(c * v for c, v in zip(lp.objective, x))
+        basic[basis[i]] = rhs_col[i]
+    x = tuple(basic[:ncols])
+    value = sum(c * v for c, v in zip(lp.objective, x))
     return LpResult(OPTIMAL, x, value)
 
 

@@ -99,6 +99,13 @@ class TestSplits:
         with pytest.raises(MalformedInstanceError):
             enumerate_splits(0)
 
+    @pytest.mark.parametrize("p", [1.5, True, "2"])
+    def test_non_integer_half_count_rejected(self, p):
+        with pytest.raises(MalformedInstanceError):
+            enumerate_splits(p)
+        with pytest.raises(MalformedInstanceError):
+            split_count(p)
+
 
 class TestDisjointnessInput:
     def test_wrong_length_rejected(self):
@@ -108,6 +115,20 @@ class TestDisjointnessInput:
     def test_non_bit_rejected(self):
         with pytest.raises(MalformedInstanceError):
             DisjointnessInput(1, (2,), (0,))
+
+    @pytest.mark.parametrize(
+        "bit", [1.9, "x", True, F(1)], ids=["float", "str", "bool", "fraction"]
+    )
+    def test_bit_must_be_the_int_0_or_1(self, bit):
+        with pytest.raises(MalformedInstanceError):
+            DisjointnessInput(1, (bit,), (0,))
+        with pytest.raises(MalformedInstanceError):
+            DisjointnessInput(1, (0,), (bit,))
+
+    @pytest.mark.parametrize("p", [1.5, True, 0, "1"])
+    def test_half_count_must_be_a_positive_int(self, p):
+        with pytest.raises(MalformedInstanceError):
+            DisjointnessInput(p, (1,), (0,))
 
     def test_shared_index_detection(self):
         assert DisjointnessInput(2, (1, 0, 1), (0, 0, 1)).shares_flagged_index()
@@ -173,6 +194,10 @@ class TestSubmodularity:
     def test_missing_entry_rejected(self):
         with pytest.raises(MalformedInstanceError):
             check_submodular({0: F(0)}, 2)
+
+    def test_monotone_missing_entry_rejected(self):
+        with pytest.raises(MalformedInstanceError, match="bundle mask 1"):
+            check_monotone({0: F(0)}, 1)
 
     @given(st.lists(st.integers(0, 6), min_size=8, max_size=8))
     @settings(deadline=None, max_examples=60)

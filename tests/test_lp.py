@@ -3,6 +3,7 @@ the Fraction simplex it replaced."""
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from conftest import seeded_rng
 from fairmix import engine, envy
 from fairmix.errors import MalformedLpError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
+from fairmix.model import expected_utility
 from oracles import brute_force_lp_max, fraction_simplex, satisfies
 from test_kernel import CASES, case_id, lotteries, make_instance, sample_weights, tie_weights
 
@@ -28,7 +30,7 @@ def test_simplex_vertex():
 
 def test_contradictory_rows_infeasible():
     lp = LinearProgram(
-        objective=None,
+        objective=(0,),
         constraints=(((1,), ">=", 2), ((1,), "<=", 1)),
     )
     assert solve_lp(lp).status == INFEASIBLE
@@ -50,14 +52,14 @@ def test_unbounded():
 
 
 def test_free_variable():
+    # a free x written as x+ - x-, two opposite-sign columns
     lp = LinearProgram(
-        objective=(-1,),
-        constraints=(((1,), ">=", 3),),
-        bounds=((None, None),),
+        objective=(-1, 1),
+        constraints=(((1, -1), ">=", 3),),
     )
     res = solve_lp(lp)
     assert res.status == OPTIMAL
-    assert res.solution == (F(3),)
+    assert res.solution == (F(3), F(0))
     assert res.objective_value == F(-3)
 
 
@@ -69,22 +71,10 @@ def test_negative_rhs_orientation():
 
 
 def test_upper_bound_only():
-    lp = LinearProgram(objective=(1,), bounds=((0, F(5, 2)),))
+    lp = LinearProgram(objective=(1,), constraints=(((1,), "<=", F(5, 2)),))
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert res.objective_value == F(5, 2)
-
-
-def test_negative_lower_bound():
-    lp = LinearProgram(objective=(-1,), bounds=((-3, None),))
-    res = solve_lp(lp)
-    assert res.status == OPTIMAL
-    assert res.solution == (F(-3),)
-
-
-def test_crossed_bounds_infeasible():
-    lp = LinearProgram(objective=(1,), bounds=((2, 1),))
-    assert solve_lp(lp).status == INFEASIBLE
 
 
 def test_redundant_equalities():
@@ -98,15 +88,16 @@ def test_redundant_equalities():
 
 
 def test_degenerate_pivoting_terminates():
-    # Beale's cycling example; value cross-checked against the vertex oracle
+    # Beale's cycling example boxed by x_i <= 10; value cross-checked
+    # against the vertex oracle
     lp = LinearProgram(
         objective=(F(3, 4), -150, F(1, 50), -6),
         constraints=(
             ((F(1, 4), -60, F(-1, 25), 9), "<=", 0),
             ((F(1, 2), -90, F(-1, 50), 3), "<=", 0),
             ((0, 0, 1, 0), "<=", 1),
-        ),
-        bounds=((0, 10), (0, 10), (0, 10), (0, 10)),
+        )
+        + tuple((tuple(int(j == i) for j in range(4)), "<=", 10) for i in range(4)),
     )
     res = solve_lp(lp)
     value, _ = brute_force_lp_max(lp)
@@ -126,7 +117,9 @@ def test_unknown_relation():
 
 def test_empty_program_rejected():
     with pytest.raises(MalformedLpError):
-        LinearProgram(objective=None)
+        LinearProgram(objective=())
+    with pytest.raises(MalformedLpError):
+        LinearProgram(objective=None, constraints=(((1,), "<=", 1),))
 
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -138,7 +131,8 @@ small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
 @settings(max_examples=40, deadline=None)
 def test_random_box_lps_match_vertex_oracle(n, rows):
-    # feasibility anchored at the all-ones point inside the [0,2] box
+    # feasibility anchored at the all-ones point inside the [0,2] box, whose
+    # upper sides are the trailing <= rows
     anchor = (F(1),) * n
     n_le = rows.draw(st.integers(0, 3))
     n_eq = rows.draw(st.integers(0, 1))
@@ -150,12 +144,10 @@ def test_random_box_lps_match_vertex_oracle(n, rows):
     for _ in range(n_eq):
         row = tuple(rows.draw(small_fraction) for _ in range(n))
         constraints.append((row, "=", sum(a * v for a, v in zip(row, anchor))))
+    for i in range(n):
+        constraints.append((tuple(int(j == i) for j in range(n)), "<=", 2))
     objective = tuple(rows.draw(st.integers(-3, 3)) for _ in range(n))
-    lp = LinearProgram(
-        objective=objective,
-        constraints=tuple(constraints),
-        bounds=((0, 2),) * n,
-    )
+    lp = LinearProgram(objective=objective, constraints=tuple(constraints))
     res = solve_lp(lp)
     assert res.status == OPTIMAL
     assert satisfies(lp, res.solution)
@@ -171,8 +163,13 @@ def test_random_box_lps_match_vertex_oracle(n, rows):
 
 
 def random_lp(rng):
-    """A small LP mixing every row relation, sign of right-hand side and kind
-    of variable bound; a fair share is infeasible or unbounded."""
+    """A small LP mixing every row relation and sign of right-hand side; a
+    fair share is infeasible or unbounded.
+
+    Each drawn variable becomes one column, two opposite-sign columns (a
+    free variable, x+ - x-) or one column with a trailing <= row (an upper
+    bound), and one objective in ten is zero.
+    """
 
     def rational():
         return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
@@ -185,10 +182,19 @@ def random_lp(rng):
     if rows and rng.random() < 0.3:
         coeffs, _, rhs = rng.choice(rows)
         rows.append((tuple(2 * a for a in coeffs), "=", 2 * rhs))
-    kinds = ((0, None), (None, None), (-2, None), (None, 3), (F(-1, 2), F(5, 3)))
-    bounds = tuple(rng.choice(kinds) for _ in range(n))
-    objective = None if rng.random() < 0.1 else tuple(rational() for _ in range(n))
-    return LinearProgram(objective=objective, constraints=tuple(rows), bounds=bounds)
+    objective = (F(0),) * n if rng.random() < 0.1 else tuple(rational() for _ in range(n))
+    kinds = [rng.choice(("plain", "free", "capped")) for _ in range(n)]
+
+    def columns(values):
+        pairs = ((v, -v) if kind == "free" else (v,) for kind, v in zip(kinds, values))
+        return tuple(chain.from_iterable(pairs))
+
+    rows = [(columns(coeffs), rel, rhs) for coeffs, rel, rhs in rows]
+    for i, kind in enumerate(kinds):
+        if kind == "capped":
+            unit = columns(tuple(F(int(j == i)) for j in range(n)))
+            rows.append((unit, "<=", rng.choice((F(3), F(13, 6)))))
+    return LinearProgram(objective=columns(objective), constraints=tuple(rows))
 
 
 @given(rng=st.randoms(use_true_random=False))
@@ -233,6 +239,39 @@ def test_select_lps_match_fraction_simplex(case, monkeypatch):
         assert seen
 
 
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_select_lp_split_bound_is_the_largest_envy_margin(case, monkeypatch):
+    # The envy bound s is the pair of columns s+ - s- after the lottery's q
+    # columns; at the optimum it is minus the objective, and it equals the
+    # returned lottery's largest margin, recomputed from expected utilities.
+    results = []
+
+    def keep(lp):
+        results.append(solve_lp(lp))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "solve_lp", keep)
+    inst = make_instance(*case)
+    n = inst.n
+    weights = sample_weights(inst, seeded_rng(7)) + tie_weights(inst, F(1, 4 * n))
+    for w in weights:
+        before = len(results)
+        p = engine.select_p_in_P(w, inst)
+        if len(results) == before:
+            continue
+        result = results[-1]
+        q = len(result.solution) - 2
+        s = result.solution[q] - result.solution[q + 1]
+        assert s == -result.objective_value
+        margins = [
+            expected_utility(p, i, h, inst) - expected_utility(p, i, i, inst)
+            for i in range(n)
+            for h in range(n)
+            if h != i
+        ]
+        assert s == max(margins)
+
+
 @pytest.mark.parametrize("case", CASES[::2], ids=case_id)
 def test_domination_lps_match_fraction_simplex(case, monkeypatch):
     seen = assert_each_lp_matches_fraction_simplex(monkeypatch, envy)
@@ -272,11 +311,11 @@ def test_redundant_integer_equality_dropped_after_phase_one():
 
 
 def test_coprime_row_denominators_scale_per_row():
-    # Rows scaled by 3, 7 and 11; with no objective the vertex returned is
-    # the one phase 1 ends on, which depends on every phase-1 cost keeping
-    # its weight 1/L relative to the others.
+    # Rows scaled by 3, 7 and 11; with a zero objective the vertex returned
+    # is the one phase 1 ends on, which depends on every phase-1 cost
+    # keeping its weight 1/L relative to the others.
     lp = LinearProgram(
-        objective=None,
+        objective=(0, 0, 0),
         constraints=(
             ((F(-1, 3), 0, 1), ">=", 1),
             ((0, 1, F(2, 7)), ">=", F(1, 7)),

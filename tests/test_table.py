@@ -98,7 +98,7 @@ def fraction_select_rows(inst, argmax):
                     values[i][inst.allocations[j].bundles[h]] - values[i][inst.allocations[j].bundles[i]]
                     for j in argmax
                 )
-                rows.append(coeffs + (F(-1),))
+                rows.append(coeffs + (F(-1), F(1)))
     return rows
 
 
