@@ -38,6 +38,9 @@ for j, q in state.p.pairs:
 print(f"\nweights at the fixed point: {state.w.w}")
 print(f"residual: {state.residual}, at welfare-envelope vertex {state.iteration} of the scan")
 print(f"certificate: envy-free={cert.ef_ok} efficient={cert.pe_ok}")
+# the lottery maximizes welfare under this strictly positive weight, so no
+# lottery dominates it; the check is an exact scan over every allocation
+print(f"efficiency witness: weight ({', '.join(map(str, cert.pe.weight))})")
 
 print("\nexpected utilities (viewer x owner):")
 for i in range(2):

@@ -24,6 +24,12 @@ with inclusion-maximal argmax sets is complete: exhausting the scan means
 an invariant broke.  The map stays as a self-check on every candidate that
 passes the envy screen: its residual and the paper's lemmas must agree with
 the certificate.
+
+The certificate's PE side takes the vertex weight as its witness: the
+answer is supported on the w-argmax with every w_i >= eps > 0, so
+``certify`` re-checks that by an integer scan over every own vector of the
+instance instead of solving a domination LP.  A witness that fails the scan
+is an invariant failure, like any other disagreement with the theory.
 """
 
 from __future__ import annotations
@@ -370,7 +376,7 @@ def _fallback_search(inst, eps, trace_sink=None):
             trace_sink.append(TraceRecord(position, w.w, p.support(), residual, nu))
         if envious:
             continue
-        cert = certify(p, inst, residual=residual)
+        cert = certify(p, inst, residual=residual, weight=w.w)
         if all(v >= eps for v in nu) and not cert.ef_ok:
             raise EngineInvariantError("corrected weights lie in the domain yet envy persists")
         if residual == 0 and not cert.ef_ok:

@@ -1,13 +1,20 @@
 """Expected-utility analysis of a lottery: envy graph, EF check, PE check.
 
-Envy edges use strict exact comparison (ties are non-envy).  Pareto
-efficiency is decided by a single exact LP: maximize the total slack by which
-another lottery beats the current one player-by-player; the optimum is zero
-precisely when no dominating lottery exists.  The LP has one column per
-vector of the instance's Pareto frontier (``Instance.kernel``), not one per
-allocation: any lottery can move its mass onto frontier vectors that weakly
-dominate its own, so the optimum is the same.  Every negative answer carries
-a witness, mapped back onto one allocation per frontier vector and
+Envy edges use strict exact comparison (ties are non-envy).
+
+Pareto efficiency is decided one of two ways.  Given a weight witness w with
+every w_i > 0, it is an integer scan: every support allocation of the
+lottery must reach the maximum w-welfare over all of the instance's own
+vectors, and then a dominating lottery would have strictly larger w-welfare
+than the maximum, which is impossible (Geoffrion 1968).  A failed witness
+proves nothing, so that verdict carries no dominator.  With no witness, a
+single exact LP decides: maximize the total slack by which another lottery
+beats the current one player-by-player; the optimum is zero precisely when
+no dominating lottery exists.  The LP has one column per vector of the
+instance's Pareto frontier (``Instance.kernel``), not one per allocation:
+any lottery can move its mass onto frontier vectors that weakly dominate its
+own, so the optimum is the same.  Every negative LP answer carries a
+witness, mapped back onto one allocation per frontier vector and
 re-verified outside the LP.
 """
 
@@ -15,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import EngineInvariantError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .model import MixedAllocation, expected_utility
+from .model import MixedAllocation, as_fraction, expected_utility
 
 
 @dataclass(frozen=True)
@@ -43,9 +51,13 @@ class EfCheck:
 
 @dataclass(frozen=True)
 class PeCheck:
+    """PE verdict: a re-verified ``dominator`` with its ``gains`` when the LP
+    finds one, or the ``weight`` witness that proved efficiency."""
+
     ok: bool
     dominator: MixedAllocation | None = None
     gains: tuple | None = None
+    weight: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -134,16 +146,25 @@ def check_envy_free(p, inst):
     return EfCheck(False, witness=worst)
 
 
-def check_pareto_efficient(p, inst):
-    """Decide PE by maximizing total per-player improvement over all lotteries.
+def check_pareto_efficient(p, inst, weight=None):
+    """Decide PE, by a weight witness when one is given, else by an LP.
 
-    Variables are a lottery p' over the frontier vectors and slacks
-    t_i >= 0 with the constraints sum p' = 1 and
+    With ``weight``, the check needs n entries, each > 0, and scores w . u
+    in integers (w over its common denominator, u from the kernel's table)
+    for every distinct own vector of the instance, not only the frontier.
+    If every support allocation of p attains the maximum, p is efficient
+    and the verdict carries the weight; otherwise it fails with no
+    dominator, since a failed witness proves nothing.
+
+    Without a weight, the LP's variables are a lottery p' over the frontier
+    vectors and slacks t_i >= 0 with the constraints sum p' = 1 and
     (own utility of p')_i >= (own utility of p)_i + t_i.  The optimum is
     exactly 0 iff p is Pareto efficient; otherwise the optimal p', placed on
     the first member allocation of each vector, dominates and is returned
     after independent re-verification.
     """
+    if weight is not None:
+        return _check_weight_witness(p, inst, tuple(as_fraction(x) for x in weight))
     frontier = inst.kernel.frontier
     cols = len(frontier)
     n = inst.n
@@ -175,10 +196,27 @@ def check_pareto_efficient(p, inst):
     return PeCheck(False, dominator=dominator, gains=tuple(b - c for b, c in zip(better, current)))
 
 
-def certify(p, inst, residual=None):
-    """Full certificate: exact EF check plus LP-based PE check."""
+def _check_weight_witness(p, inst, w):
+    if len(w) != inst.n or any(x <= 0 for x in w):
+        return PeCheck(False)
+    common = lcm(*(x.denominator for x in w))
+    ints = [x.numerator * (common // x.denominator) for x in w]
+    best = max(sum(a * b for a, b in zip(ints, point)) for point in inst.kernel.points)
+    own = inst.kernel.own_num
+    for j in p.support():
+        if sum(a * row[j] for a, row in zip(ints, own)) != best:
+            return PeCheck(False)
+    return PeCheck(True, weight=w)
+
+
+def certify(p, inst, residual=None, weight=None):
+    """Full certificate: exact EF check plus PE check.
+
+    PE is checked against ``weight`` when one is given (see
+    ``check_pareto_efficient``), and by the domination LP otherwise.
+    """
     return Certificate(
         ef=check_envy_free(p, inst),
-        pe=check_pareto_efficient(p, inst),
+        pe=check_pareto_efficient(p, inst, weight=weight),
         fixed_point_residual=residual,
     )

@@ -59,20 +59,29 @@ class LinearProgram:
 
     The objective has one entry per variable and may not be empty; a
     feasibility question takes a zero objective.  A free variable is written
-    as two columns x+ - x-.
+    as two columns x+ - x-.  The objective, ``constraints`` and every row a
+    are tuples or lists, and every constraint is a triple (a, rel, b); any
+    other shape is a ``MalformedLpError``.
     """
 
     objective: tuple
     constraints: tuple = ()
 
     def __post_init__(self):
-        obj = tuple(as_fraction(c) for c in self.objective or ())
-        if not obj:
+        if not isinstance(self.objective, (tuple, list)) or not self.objective:
             raise MalformedLpError("the objective needs one entry per variable")
+        obj = tuple(as_fraction(c) for c in self.objective)
+        if not isinstance(self.constraints, (tuple, list)):
+            raise MalformedLpError("the constraints must be a sequence of (a, rel, b) rows")
         rows = []
-        for row, rel, rhs in self.constraints:
+        for constraint in self.constraints:
+            if not isinstance(constraint, (tuple, list)) or len(constraint) != 3:
+                raise MalformedLpError(f"constraint {constraint!r} is not an (a, rel, b) triple")
+            row, rel, rhs = constraint
             if rel not in RELATIONS:
                 raise MalformedLpError(f"unknown relation {rel!r}")
+            if not isinstance(row, (tuple, list)):
+                raise MalformedLpError(f"constraint row {row!r} is not a sequence")
             row = tuple(as_fraction(a) for a in row)
             if len(row) != len(obj):
                 raise MalformedLpError(

@@ -226,13 +226,16 @@ def dump_certificate(cert, inst):
     gains = None
     if cert.pe.gains is not None:
         gains = [format_rational(g) for g in cert.pe.gains]
+    weight = None
+    if cert.pe.weight is not None:
+        weight = [format_rational(x) for x in cert.pe.weight]
     residual = None
     if cert.fixed_point_residual is not None:
         residual = format_rational(cert.fixed_point_residual)
     return {
         "ok": cert.ok,
         "ef": {"ok": cert.ef.ok, "witness": witness},
-        "pe": {"ok": cert.pe.ok, "dominator": dominator, "gains": gains},
+        "pe": {"ok": cert.pe.ok, "dominator": dominator, "gains": gains, "weight": weight},
         "fixed_point_residual": residual,
     }
 

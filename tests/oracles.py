@@ -12,6 +12,8 @@ that ``fairmix.model.normalize_utilities`` does in integers; and
 own-utility kernel that ``fairmix.model.UtilityKernel`` derives from the
 integer utility table.  The last two read an instance's raw values through
 ``fraction_normalize``, never the package's own rescaled view.
+``weight_witness_ok`` re-checks a Pareto-efficiency weight witness in
+Fractions over every allocation, with no integer table and no kernel.
 """
 
 from fractions import Fraction
@@ -154,6 +156,21 @@ def find_dominating_vertex_or_pair(p, inst):
                     vec[j2] = 1 - alpha
                     return tuple(vec)
     return None
+
+
+def weight_witness_ok(p, inst, w):
+    """Whether w proves p Pareto efficient: n entries, each > 0, and every
+    support allocation of p of maximum w-welfare among all k allocations,
+    scored in Fractions from the instance's rescaled values."""
+    w = [Fraction(x) for x in w]
+    if len(w) != inst.n or any(x <= 0 for x in w):
+        return False
+    values = inst.utilities.values
+    welfare = [
+        sum(wi * values[i][a.bundles[i]] for i, wi in enumerate(w)) for a in inst.allocations
+    ]
+    best = max(welfare)
+    return all(welfare[j] == best for j in p.support())
 
 
 def _fraction_pivot(tab, rhs, basis, r, c):

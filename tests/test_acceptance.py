@@ -3,8 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Every expected value here is recomputed by an independent oracle:
 envy margins from raw sums, efficiency via a float LP in scipy plus (for
-two players) an exhaustive geometric search, projections via clamp-pattern
-enumeration.
+two players) an exhaustive geometric search, and every solve's efficiency
+witness by a Fraction welfare scan over all allocations, projections via
+clamp-pattern enumeration.
 """
 
 import io
@@ -38,7 +39,11 @@ from fairmix import (
 )
 from fairmix.cli import main
 
-from oracles import find_dominating_vertex_or_pair, project_by_pattern_enumeration
+from oracles import (
+    find_dominating_vertex_or_pair,
+    project_by_pattern_enumeration,
+    weight_witness_ok,
+)
 
 F = Fraction
 SEED = 20260815
@@ -251,6 +256,11 @@ def test_existence_at_desk_scale(desk_runs):
             continue
         if envy_edges(run.p, run.inst):
             failures.append(f"run {t} fails the envy-margin oracle")
+        weight = run.result["certificate"]["pe"]["weight"]
+        if weight != run.result["w"]:
+            failures.append(f"run {t} certifies PE with weight {weight}, not its vertex")
+        elif not weight_witness_ok(run.p, run.inst, weight):
+            failures.append(f"run {t} fails the weight witness oracle")
         gap = pe_gap_via_scipy(run.p, run.inst)
         if gap > 1e-7:
             failures.append(f"run {t} fails the float LP oracle (gap {gap})")

@@ -37,7 +37,7 @@ from fairmix.model import (
     expected_utility,
     swap_closure,
 )
-from oracles import find_dominating_vertex_or_pair
+from oracles import find_dominating_vertex_or_pair, weight_witness_ok
 
 F = Fraction
 
@@ -238,9 +238,29 @@ class TestFindFixedPoint:
         # a screened candidate has nu == w inside the domain and lies on the
         # argmax, so the lemmas say its certificate must pass on both sides
         fake = SimpleNamespace(ef_ok=ef_ok, pe_ok=pe_ok, ok=False)
-        monkeypatch.setattr(engine, "certify", lambda p, inst, residual=None: fake)
+        monkeypatch.setattr(engine, "certify", lambda p, inst, residual=None, weight=None: fake)
         with pytest.raises(EngineInvariantError):
             find_fixed_point(opposed_tastes_instance())
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda w: (F(0),) + w[1:], lambda w: w[:-1], lambda w: (F(1, 2), F(1, 2))],
+        ids=["zero", "short", "off-argmax"],
+    )
+    def test_corrupted_pe_witness_is_an_invariant_failure(self, monkeypatch, corrupt):
+        inst = opposed_tastes_instance()
+        state, _ = find_fixed_point(inst)
+        assert not weight_witness_ok(state.p, inst, corrupt(state.w.w))
+        certify = engine.certify
+        monkeypatch.setattr(
+            engine,
+            "certify",
+            lambda p, inst, residual=None, weight=None: certify(
+                p, inst, residual=residual, weight=corrupt(weight)
+            ),
+        )
+        with pytest.raises(EngineInvariantError, match="efficiency check"):
+            find_fixed_point(inst)
 
     def test_vertex_disagreeing_with_the_argmax_is_an_invariant_failure(self, monkeypatch):
         argmax_of = engine._argmax_of

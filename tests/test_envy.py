@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import additive_table, random_table_instance, seeded_rng
+from fairmix.engine import find_fixed_point
 from fairmix.envy import (
     Certificate,
     EnvyGraph,
+    PeCheck,
     build_envy_graph,
     certify,
     check_envy_free,
@@ -18,7 +20,7 @@ from fairmix.envy import (
     is_acyclic,
 )
 from fairmix.model import Instance, MixedAllocation, all_partitions_allocation_set
-from oracles import find_dominating_vertex_or_pair
+from oracles import find_dominating_vertex_or_pair, weight_witness_ok
 
 F = Fraction
 
@@ -146,6 +148,84 @@ class TestCheckParetoEfficient:
         lp_says = check_pareto_efficient(p, inst).ok
         search_says = find_dominating_vertex_or_pair(p, inst) is None
         assert lp_says == search_says
+
+
+def envious_first_instance():
+    # the scan's answer here is a two-allocation lottery at w = (8/17, 9/17)
+    raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(2)])]
+    return Instance.build(raw, all_partitions_allocation_set(2, 2))
+
+
+class TestWeightWitness:
+    def test_answer_weight_is_a_witness(self):
+        inst = envious_first_instance()
+        state, _ = find_fixed_point(inst)
+        check = check_pareto_efficient(state.p, inst, weight=state.w.w)
+        assert check.ok and check.weight == state.w.w
+        assert check.dominator is None and check.gains is None
+        assert weight_witness_ok(state.p, inst, state.w.w)
+
+    def test_split_lottery_under_equal_weights(self):
+        inst = symmetric_instance()
+        check = check_pareto_efficient(split_lottery(inst), inst, weight=(1, "1/1"))
+        assert check.ok and check.weight == (F(1), F(1))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda w: (F(0),) + w[1:],
+            lambda w: w[:-1] + (-w[-1],),
+            lambda w: w[:-1],
+            lambda w: w + (F(1, 2),),
+        ],
+        ids=["zero", "negative", "short", "long"],
+    )
+    def test_corrupted_weight_fails(self, corrupt):
+        inst = envious_first_instance()
+        state, _ = find_fixed_point(inst)
+        w = corrupt(state.w.w)
+        check = check_pareto_efficient(state.p, inst, weight=w)
+        assert check == PeCheck(False)
+        assert not weight_witness_ok(state.p, inst, w)
+
+    def test_support_off_the_argmax_fails(self):
+        # an efficient lottery, yet at equal weights only one of its two
+        # allocations is on the argmax
+        inst = envious_first_instance()
+        state, _ = find_fixed_point(inst)
+        assert check_pareto_efficient(state.p, inst).ok
+        w = (F(1, 2), F(1, 2))
+        check = check_pareto_efficient(state.p, inst, weight=w)
+        assert check == PeCheck(False)
+        assert not weight_witness_ok(state.p, inst, w)
+        k = len(inst.allocations)
+        on_argmax = [
+            j for j in state.p.support()
+            if weight_witness_ok(MixedAllocation.point_mass(k, j), inst, w)
+        ]
+        assert len(on_argmax) == 1
+
+    @pytest.mark.parametrize("w", [(F(0), F(1)), (F(-1), F(1))], ids=["zero", "negative"])
+    def test_non_positive_weight_fails_on_its_argmax(self, w):
+        # player 2 values only item 1, so leaving item 2 unallocated is
+        # dominated, yet it maximizes welfare when player 1's weight is <= 0
+        inst = Instance.build(
+            [additive_table([F(1), F(1)]), additive_table([F(1), F(0)])],
+            all_partitions_allocation_set(2, 2),
+        )
+        p = point_mass_on(inst, (0b00, 0b01))
+        welfare = [
+            sum(wi * inst.value(i, a.bundles[i]) for i, wi in enumerate(w))
+            for a in inst.allocations
+        ]
+        assert welfare[p.support()[0]] == max(welfare)
+        assert not check_pareto_efficient(p, inst).ok
+        assert check_pareto_efficient(p, inst, weight=w) == PeCheck(False)
+
+    def test_dominated_point_mass_fails(self):
+        inst = symmetric_instance()
+        check = check_pareto_efficient(point_mass_on(inst, (0, 0)), inst, weight=(F(1, 2), F(1, 2)))
+        assert check == PeCheck(False)
 
 
 class TestCertificate:

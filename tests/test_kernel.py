@@ -1,9 +1,10 @@
 """The per-instance utility kernel against dense references.
 
 The engine scores only Pareto-frontier own-utility vectors in integers, and
-the efficiency check solves its domination LP over frontier columns.  The
-references here do neither: a Fraction argmax over every allocation, and a
-domination LP with one column per allocation.
+the efficiency check solves its domination LP over frontier columns or, given
+a weight witness, scores the kernel's integer own vectors.  The references
+here do none of that: a Fraction argmax over every allocation, a domination
+LP with one column per allocation, and the Fraction witness oracle.
 """
 
 from fractions import Fraction
@@ -34,7 +35,7 @@ from fairmix.model import (
     pareto_frontier,
     swap_closure,
 )
-from oracles import fraction_kernel
+from oracles import find_dominating_vertex_or_pair, fraction_kernel, weight_witness_ok
 
 F = Fraction
 
@@ -210,6 +211,37 @@ def test_efficiency_matches_dense_reference(case):
             assert dominates(check.dominator, p, inst)
             assert set(check.dominator.support()) <= {m[0] for m in inst.kernel.frontier.members}
     assert True in verdicts
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_weight_witness_implies_efficiency(case):
+    # the witness holds exactly when the support is on the dense argmax, and
+    # whenever it holds the LP, the dense LP and (for n = 2) the geometric
+    # search find no dominator
+    inst = make_instance(*case)
+    rng = seeded_rng(13)
+    k = len(inst.allocations)
+    held = 0
+    for w in sample_weights(inst, rng)[:3] + tie_weights(inst, F(1, 4 * inst.n)):
+        top = dense_argmax(w, inst)
+        candidates = [
+            MixedAllocation.point_mass(k, top[-1]),
+            MixedAllocation.from_support(k, {j: F(1, len(top)) for j in top}),
+            lotteries(inst, rng)[-1],
+        ]
+        for p in candidates:
+            check = check_pareto_efficient(p, inst, weight=w.w)
+            on_argmax = set(p.support()) <= set(top)
+            assert check.ok == on_argmax == weight_witness_ok(p, inst, w.w)
+            if not check.ok:
+                continue
+            held += 1
+            assert check.weight == w.w
+            assert check_pareto_efficient(p, inst).ok
+            assert dense_pe_ok(p, inst)
+            if inst.n == 2:
+                assert find_dominating_vertex_or_pair(p, inst) is None
+    assert held
 
 
 class TestFrontier:

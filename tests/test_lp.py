@@ -115,6 +115,30 @@ def test_unknown_relation():
         LinearProgram(objective=(1,), constraints=(((1,), "<", 1),))
 
 
+@pytest.mark.parametrize(
+    "objective, constraints",
+    [
+        ((1,), (((1,), "<="),)),
+        ((1,), (((1,), "<=", 1, 2),)),
+        ((1,), (5,)),
+        ((1,), ((1, "<=", 1),)),
+        ((1,), None),
+        (5, ()),
+    ],
+    ids=[
+        "two-entry-row",
+        "four-entry-row",
+        "non-sequence-constraint",
+        "non-sequence-row",
+        "none",
+        "non-sequence-objective",
+    ],
+)
+def test_malformed_program_shape_rejected(objective, constraints):
+    with pytest.raises(MalformedLpError):
+        LinearProgram(objective, constraints)
+
+
 def test_empty_program_rejected():
     with pytest.raises(MalformedLpError):
         LinearProgram(objective=())

@@ -265,9 +265,20 @@ class TestCertificateJson:
         assert dumped == {
             "ok": True,
             "ef": {"ok": True, "witness": None},
-            "pe": {"ok": True, "dominator": None, "gains": None},
+            "pe": {"ok": True, "dominator": None, "gains": None, "weight": None},
             "fixed_point_residual": "0/1",
         }
+
+    def test_weight_witness_certificate(self):
+        inst = load_instance(symmetric_instance_data())
+        j = inst.allocations.index[(1, 2)]
+        h = inst.allocations.index[(2, 1)]
+        p = MixedAllocation.from_support(len(inst.allocations), {j: F(1, 2), h: F(1, 2)})
+        dumped = dump_certificate(certify(p, inst, residual=F(0), weight=(F(1, 3), F(2, 6))), inst)
+        assert dumped["pe"] == {
+            "ok": True, "dominator": None, "gains": None, "weight": ["1/3", "1/3"]
+        }
+        assert dumped["ok"] is True
 
 
 class TestDot:
