@@ -41,6 +41,7 @@ from math import lcm
 from .errors import (
     EmptyDomainError,
     EngineInvariantError,
+    MalformedInstanceError,
     MalformedLpError,
     PreconditionError,
 )
@@ -53,6 +54,14 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+def _coefficient(value):
+    """``as_fraction`` for program data: a non-rational entry is a ``MalformedLpError``."""
+    try:
+        return as_fraction(value)
+    except MalformedInstanceError as exc:
+        raise MalformedLpError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize objective . x subject to rows (a, rel, b) and every x_j >= 0.
@@ -60,8 +69,9 @@ class LinearProgram:
     The objective has one entry per variable and may not be empty; a
     feasibility question takes a zero objective.  A free variable is written
     as two columns x+ - x-.  The objective, ``constraints`` and every row a
-    are tuples or lists, and every constraint is a triple (a, rel, b); any
-    other shape is a ``MalformedLpError``.
+    are tuples or lists, every constraint is a triple (a, rel, b), and every
+    entry is rational (an int, a Fraction or a 'num/den' string); any other
+    shape or entry is a ``MalformedLpError``.
     """
 
     objective: tuple
@@ -70,7 +80,7 @@ class LinearProgram:
     def __post_init__(self):
         if not isinstance(self.objective, (tuple, list)) or not self.objective:
             raise MalformedLpError("the objective needs one entry per variable")
-        obj = tuple(as_fraction(c) for c in self.objective)
+        obj = tuple(_coefficient(c) for c in self.objective)
         if not isinstance(self.constraints, (tuple, list)):
             raise MalformedLpError("the constraints must be a sequence of (a, rel, b) rows")
         rows = []
@@ -82,12 +92,12 @@ class LinearProgram:
                 raise MalformedLpError(f"unknown relation {rel!r}")
             if not isinstance(row, (tuple, list)):
                 raise MalformedLpError(f"constraint row {row!r} is not a sequence")
-            row = tuple(as_fraction(a) for a in row)
+            row = tuple(_coefficient(a) for a in row)
             if len(row) != len(obj):
                 raise MalformedLpError(
                     f"constraint row has {len(row)} entries, expected {len(obj)}"
                 )
-            rows.append((row, rel, as_fraction(rhs)))
+            rows.append((row, rel, _coefficient(rhs)))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import ge, index
 
@@ -86,7 +86,10 @@ class AllocationSet:
     """An ordered, duplicate-free collection of pure allocations.
 
     Duplicates passed to the constructor are collapsed, keeping first
-    occurrence order.  ``index`` maps a bundle tuple back to its position.
+    occurrence order, and every allocation is validated: bundle types and
+    overlaps, then a common player count.  ``index`` maps a bundle tuple
+    back to its position.  Sets the program builds itself (all partitions,
+    swap closures) are wrapped by ``_of`` and not re-validated.
     """
 
     def __init__(self, allocations):
@@ -95,15 +98,27 @@ class AllocationSet:
             if not isinstance(a, PureAllocation):
                 a = PureAllocation(tuple(a))
             uniq.setdefault(a.bundles, a)
-        self.allocations = tuple(uniq.values())
-        if not self.allocations:
+        allocations = tuple(uniq.values())
+        if not allocations:
             raise MalformedInstanceError("allocation set may not be empty")
-        n = self.allocations[0].n
-        for a in self.allocations:
+        n = allocations[0].n
+        for a in allocations:
             if a.n != n:
                 raise MalformedInstanceError("allocations disagree on player count")
+        self._init(allocations, n)
+
+    @classmethod
+    def _of(cls, allocations, n):
+        """Wrap distinct, valid allocations over n players without re-checking them."""
+        out = object.__new__(cls)
+        out._init(tuple(allocations), n)
+        return out
+
+    def _init(self, allocations, n):
+        self.allocations = allocations
         self.n = n
-        self.index = {a.bundles: j for j, a in enumerate(self.allocations)}
+        self.index = {a.bundles: j for j, a in enumerate(allocations)}
+        self._bundles_seen = None
 
     def __len__(self):
         return len(self.allocations)
@@ -121,11 +136,13 @@ class AllocationSet:
         return f"AllocationSet(k={len(self.allocations)}, n={self.n})"
 
     def bundles_seen(self):
-        """Every bundle mask appearing anywhere in the set."""
-        out = set()
-        for a in self.allocations:
-            out.update(a.bundles)
-        return out
+        """Every bundle mask appearing anywhere in the set, computed once per set."""
+        if self._bundles_seen is None:
+            out = set()
+            for a in self.allocations:
+                out.update(a.bundles)
+            self._bundles_seen = frozenset(out)
+        return self._bundles_seen
 
 
 @dataclass(frozen=True)
@@ -222,11 +239,13 @@ class Instance:
             raise MalformedInstanceError(
                 f"utilities are over {self.utilities.n} players, instance has {self.n}"
             )
-        full = (1 << self.m) - 1
         bundles = self.allocations.bundles_seen()
-        for a in self.allocations:
-            if a.union_mask() & ~full:
-                raise MalformedInstanceError(f"allocation {a.bundles} uses items beyond m={self.m}")
+        # every mask is >= 0, so the largest one has a bit at or above m
+        # exactly when some allocation uses an item beyond m
+        if max(bundles) >> self.m:
+            full = (1 << self.m) - 1
+            culprit = next(a for a in self.allocations if a.union_mask() & ~full)
+            raise MalformedInstanceError(f"allocation {culprit.bundles} uses items beyond m={self.m}")
         for i in range(self.n):
             missing = bundles - self.utilities.table[i].keys()
             if missing:
@@ -363,21 +382,30 @@ def pareto_frontier(vectors):
 def all_partitions_allocation_set(n, m, budget=DEFAULT_ENUMERATION_BUDGET):
     """Every assignment of each item to one of the n players or to nobody.
 
-    Yields (n+1)^m allocations; the result is swappable by construction.
+    Yields (n+1)^m allocations in the order of
+    ``itertools.product(range(n + 1), repeat=m)`` over the items' owners
+    (0 for nobody, item 1 varying slowest).  The tuples are built item by
+    item, each child being its parent with the item's bit OR-ed into one
+    slot, so they are disjoint, distinct and swap-closed by construction and
+    are wrapped without re-validation.
     """
+    if n < 1 or m < 0:
+        raise MalformedInstanceError(f"all-partitions set needs n >= 1 and m >= 0, got n={n}, m={m}")
     k = (n + 1) ** m
     if k > budget:
         raise EnumerationLimitError(
             f"all-partitions set has {(n + 1)}^{m} = {k} allocations, over the budget of {budget}"
         )
-    allocations = []
-    for owners in product(range(n + 1), repeat=m):
-        bundles = [0] * n
-        for item, owner in enumerate(owners):
-            if owner:
-                bundles[owner - 1] |= 1 << item
-        allocations.append(PureAllocation(tuple(bundles)))
-    return AllocationSet(allocations)
+    level = [(0,) * n]
+    for item in range(m):
+        bit = 1 << item
+        grown = []
+        for bundles in level:
+            grown.append(bundles)
+            for s in range(n):
+                grown.append(bundles[:s] + (bundles[s] | bit,) + bundles[s + 1 :])
+        level = grown
+    return AllocationSet._of(map(PureAllocation._of, level), n)
 
 
 def is_swappable(aset):
@@ -407,7 +435,9 @@ def swap_closure(allocations, budget=DEFAULT_ENUMERATION_BUDGET):
     """Smallest superset of ``allocations`` closed under pairwise bundle swaps.
 
     ``allocations`` is an :class:`AllocationSet`, or a list that is
-    validated into one; the swaps then run on bundle tuples.
+    validated into one; the swaps then run on bundle tuples.  The closure
+    holds distinct keys, each a validated tuple or a swap of one, so it is
+    wrapped without re-validation.
     """
     if not isinstance(allocations, AllocationSet):
         allocations = AllocationSet(allocations)
@@ -427,7 +457,7 @@ def swap_closure(allocations, budget=DEFAULT_ENUMERATION_BUDGET):
                     )
                 closed[swapped] = PureAllocation._of(swapped)
                 stack.append(swapped)
-    return AllocationSet(closed.values())
+    return AllocationSet._of(closed.values(), allocations.n)
 
 
 @dataclass(frozen=True, init=False)

@@ -37,7 +37,18 @@ def format_rational(q):
 
 
 def parse_rational(value):
-    """Accept 'num/den' strings (or bare integers); reject floats and 1/0."""
+    """Accept 'num/den' strings (or bare integers); reject floats and 1/0.
+
+    A plain 'digits/digits' string with a non-zero denominator is parsed in
+    ints; every other value goes through ``as_fraction``.
+    """
+    if isinstance(value, str) and value.isascii():
+        num, _, den = value.partition("/")
+        if num.isdigit() and den.isdigit() and den.strip("0"):
+            try:
+                return Fraction(int(num), int(den))
+            except ValueError:  # over the int-from-str digit limit
+                pass
     return as_fraction(value)
 
 
@@ -165,8 +176,8 @@ def dump_instance(inst):
     """Inverse of load_instance; writes the raw (pre-rescale) utility tables."""
     k_full = (inst.n + 1) ** inst.m
     allocations: object
-    if len(inst.allocations) == k_full and set(inst.allocations) == set(
-        all_partitions_allocation_set(inst.n, inst.m)
+    if len(inst.allocations) == k_full and inst.allocations == all_partitions_allocation_set(
+        inst.n, inst.m
     ):
         allocations = "all_partitions"
     else:

@@ -139,6 +139,22 @@ def test_malformed_program_shape_rejected(objective, constraints):
         LinearProgram(objective, constraints)
 
 
+@pytest.mark.parametrize(
+    "objective, constraints",
+    [
+        ((1,), (((1.5,), "<=", 1),)),
+        ((1,), (((1,), "<=", None),)),
+        ((1.5,), ()),
+        ((1,), (((True,), "<=", 1),)),
+        ((1,), ((("x",), "<=", 1),)),
+    ],
+    ids=["float-coefficient", "none-rhs", "float-objective", "bool-coefficient", "bad-string"],
+)
+def test_non_rational_entry_rejected(objective, constraints):
+    with pytest.raises(MalformedLpError):
+        LinearProgram(objective, constraints)
+
+
 def test_empty_program_rejected():
     with pytest.raises(MalformedLpError):
         LinearProgram(objective=())

@@ -1,6 +1,7 @@
 """Domain model: allocations, utility normalization, swap closure, lotteries."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError
 from fairmix.model import (
+    DEFAULT_ENUMERATION_BUDGET,
     AllocationSet,
     Instance,
     MixedAllocation,
@@ -131,7 +133,52 @@ class TestAllocationSet:
             AllocationSet([PureAllocation((1,)), PureAllocation((0, 1))])
 
 
+# (n, m) pairs whose all-partitions sets the program loads or builds: the
+# desk mix (n = 2..3, m = 2..4), the wide mix (n = 4, m = 3), and the
+# gen-hard instances for p = 2 and p = 3 (n = 2, m = 2p)
+WORKLOAD_SIZES = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3), (2, 6)]
+PARTITION_SIZES = [
+    (n, m)
+    for n in range(1, 5)
+    for m in range(7)
+    if (n + 1) ** m <= DEFAULT_ENUMERATION_BUDGET
+]
+
+
+def product_partitions(n, m):
+    """Reference all-partitions bundle tuples, in ``itertools.product`` order."""
+    out = []
+    for owners in product(range(n + 1), repeat=m):
+        bundles = [0] * n
+        for item, owner in enumerate(owners):
+            if owner:
+                bundles[owner - 1] |= 1 << item
+        out.append(tuple(bundles))
+    return out
+
+
+def assert_same_set(trusted, validated):
+    assert trusted == validated
+    assert trusted.n == validated.n
+    assert trusted.index == validated.index
+    assert trusted.bundles_seen() == validated.bundles_seen()
+
+
 class TestAllPartitions:
+    def test_grid_covers_workload_sizes(self):
+        assert set(WORKLOAD_SIZES) <= set(PARTITION_SIZES)
+
+    @pytest.mark.parametrize("n, m", PARTITION_SIZES, ids=[f"n{n}-m{m}" for n, m in PARTITION_SIZES])
+    def test_matches_product_order_and_full_validation(self, n, m):
+        built = all_partitions_allocation_set(n, m)
+        reference = product_partitions(n, m)
+        assert [a.bundles for a in built] == reference
+        assert_same_set(built, AllocationSet([PureAllocation(b) for b in reference]))
+        assert is_swappable(built) == (True, None)
+        raw = [{mask: mask * (i + 1) for mask in range(1 << m)} for i in range(n)]
+        inst = Instance(n=n, m=m, utilities=normalize_utilities(raw), allocations=built)
+        assert inst.allocations is built
+
     def test_n2_m1(self):
         s = all_partitions_allocation_set(2, 1)
         assert len(s) == 3
@@ -148,6 +195,11 @@ class TestAllPartitions:
     def test_budget(self):
         with pytest.raises(EnumerationLimitError):
             all_partitions_allocation_set(3, 9, budget=1000)
+
+    @pytest.mark.parametrize("n, m", [(0, 2), (-1, 0), (2, -1)])
+    def test_rejects_bad_sizes(self, n, m):
+        with pytest.raises(MalformedInstanceError, match="needs n >= 1 and m >= 0"):
+            all_partitions_allocation_set(n, m)
 
     @given(st.integers(1, 3), st.integers(0, 3))
     def test_always_swappable(self, n, m):
@@ -230,6 +282,23 @@ class TestSwapClosure:
     def test_closure_is_swappable(self, bundle_lists):
         s = swap_closure([PureAllocation(b) for b in bundle_lists])
         assert is_swappable(s)[0]
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n), min_size=3, max_size=3).map(
+                    lambda owners: tuple(
+                        sum(1 << g for g, o in enumerate(owners) if o == i + 1) for i in range(n)
+                    )
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_trusted_wrap_equals_validated_set(self, bundle_lists):
+        s = swap_closure([PureAllocation(b) for b in bundle_lists])
+        assert_same_set(s, AllocationSet([PureAllocation(a.bundles) for a in s]))
 
 
 class TestMixedAllocation:
@@ -325,6 +394,12 @@ class TestInstance:
         raw = [{0: 0, 1: 1, 2: 1}, {0: 0, 1: 1, 2: 1, 3: 2}]
         with pytest.raises(MalformedInstanceError):
             Instance.build(raw, all_partitions_allocation_set(2, 2))
+
+    def test_item_beyond_m_names_the_allocation(self):
+        allocations = AllocationSet([PureAllocation((1, 0)), PureAllocation((0, 4)), PureAllocation((2, 1))])
+        raw = [{b: b for b in range(8)}] * 2
+        with pytest.raises(MalformedInstanceError, match=r"allocation \(0, 4\) uses items beyond m=2"):
+            Instance(n=2, m=2, utilities=normalize_utilities(raw), allocations=allocations)
 
     def test_point_mass_own_value(self):
         inst = self.build_symmetric()

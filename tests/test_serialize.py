@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fairmix import (
     Certificate,
@@ -27,6 +29,7 @@ from fairmix import (
 )
 from fairmix.engine import TraceRecord
 from fairmix.hard import DisjointnessInput
+from fairmix.model import as_fraction
 from fairmix.serialize import items_to_mask, mask_to_items
 
 from conftest import additive_table
@@ -58,6 +61,36 @@ class TestRationals:
     def test_float_rejected(self):
         with pytest.raises(MalformedInstanceError):
             parse_rational(0.5)
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except MalformedInstanceError:
+            return MalformedInstanceError
+
+    @given(
+        st.one_of(
+            st.text(alphabet="0123456789/-+ ._e\u0663\u00b3", max_size=12),
+            st.from_regex(r"\A[0-9]{1,6}/[0-9]{1,6}\Z"),
+            st.text(max_size=8),
+        )
+    )
+    @example("007/010")
+    @example("3/0")
+    @example("0/00")
+    @example("-3/4")
+    @example(" 3/4")
+    @example("1.5")
+    @example("1_0/3")
+    @example("/4")
+    @example("3/")
+    @example("1/2/3")
+    @example("\u0663/4")
+    @example("\u00b3/4")
+    @example("1" * 5000 + "/3")
+    def test_agrees_with_as_fraction(self, text):
+        assert self.outcome(parse_rational, text) == self.outcome(as_fraction, text)
 
 
 class TestMasks:
@@ -183,6 +216,21 @@ class TestInstanceRoundTrip:
         assert again.utilities.values == inst.utilities.values
         assert again.utilities.raw_values == inst.utilities.raw_values
         assert [a.bundles for a in again.allocations] == [a.bundles for a in inst.allocations]
+
+    def test_every_partition_in_another_order_round_trips(self):
+        # the set is all of n = 2, m = 1, but not in all-partitions order,
+        # and the order fixes the scan order, so it must not become the marker
+        data = {
+            "n": 2,
+            "m": 1,
+            "utilities": {"type": "additive", "items": [["1/1"], ["2/1"]]},
+            "allocations": [[[], [1]], [[1], []], [[], []]],
+        }
+        inst = load_instance(data)
+        assert [a.bundles for a in inst.allocations] == [(0, 1), (1, 0), (0, 0)]
+        dumped = dump_instance(inst)
+        assert dumped["allocations"] == [[[], [1]], [[1], []], [[], []]]
+        assert load_instance(dumped) == inst
 
     def test_explicit_set_round_trips(self):
         data = {
