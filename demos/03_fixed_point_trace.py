@@ -14,7 +14,6 @@ the answer it finds.
 from fractions import Fraction as F
 
 from fairmix import (
-    EngineConfig,
     Instance,
     WeightVector,
     all_partitions_allocation_set,
@@ -39,7 +38,7 @@ def weights(w):
 def iterate_map(inst):
     """Steps (weight, lottery, residual) from the uniform weight, and the
     index the orbit returns to, or None if it stopped at a fixed point."""
-    eps = choose_epsilon(compute_rho(inst), inst.n, EngineConfig())
+    eps = choose_epsilon(compute_rho(inst), inst.n)
     w = WeightVector.uniform(inst.n, eps)
     seen = {}
     steps = []

@@ -42,7 +42,6 @@ from .envy import (
     is_acyclic,
 )
 from .engine import (
-    EngineConfig,
     FixedPointState,
     TraceRecord,
     argmax_allocations,
@@ -57,7 +56,6 @@ from .hard import (
     CertifiedOutcome,
     DichotomyReport,
     DisjointnessInput,
-    SplitFamily,
     build_hard_instance,
     check_monotone,
     check_submodular,

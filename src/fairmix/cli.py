@@ -17,19 +17,10 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
-from .engine import EngineConfig, find_fixed_point
+from .engine import find_fixed_point
 from .envy import build_envy_graph, certify
-from .errors import (
-    ConfigurationError,
-    EmptyDomainError,
-    EngineInvariantError,
-    EnumerationLimitError,
-    MalformedInstanceError,
-    MalformedLpError,
-    PreconditionError,
-)
+from .errors import EngineInvariantError, FairmixError
 from .hard import DisjointnessInput, build_hard_instance, verify_welfare_dichotomy
 from .serialize import (
     dump_certificate,
@@ -110,11 +101,10 @@ class _TraceWriter:
 def cmd_solve(args):
     inst = load_instance(_read_json(args.instance), strict=args.strict, warn=_warn)
     epsilon = "auto" if args.epsilon == "auto" else parse_rational(args.epsilon)
-    cfg = EngineConfig(epsilon=epsilon)
     sink = _TraceWriter(args.trace, inst) if args.trace else None
     try:
         start = time.perf_counter()
-        state, cert = find_fixed_point(inst, cfg, trace_sink=sink)
+        state, cert = find_fixed_point(inst, epsilon, trace_sink=sink)
         wall = time.perf_counter() - start
     finally:
         if sink:
@@ -218,19 +208,12 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        MalformedInstanceError,
-        MalformedLpError,
-        EnumerationLimitError,
-        PreconditionError,
-        ConfigurationError,
-        EmptyDomainError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EngineInvariantError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
+    except FairmixError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,10 @@ answer is supported on the w-argmax with every w_i >= eps > 0, so
 ``certify`` re-checks that by an integer scan over every own vector of the
 instance instead of solving a domination LP.  A witness that fails the scan
 is an invariant failure, like any other disagreement with the theory.
+
+The weight floor eps is the search's one setting.  It must stay below
+rho^n/n, where rho is the instance's envy-gap constant; "auto" takes half
+that bound, and ``choose_epsilon`` checks an explicit floor.
 """
 
 from __future__ import annotations
@@ -43,19 +47,6 @@ from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_swappable
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """The weight floor: "auto" or an explicit positive rational."""
-
-    epsilon: Fraction | str = "auto"
-
-    def __post_init__(self):
-        if self.epsilon != "auto":
-            eps = as_fraction(self.epsilon)
-            if eps <= 0:
-                raise ConfigurationError("explicit floor must be positive")
-            object.__setattr__(self, "epsilon", eps)
 
 
 @dataclass(frozen=True)
@@ -209,17 +200,22 @@ def compute_rho(inst):
     return rho
 
 
-def choose_epsilon(rho, n, cfg):
-    """Floor for the weight domain: auto takes rho^n/(2n), halving the bound.
+def choose_epsilon(rho, n, epsilon="auto"):
+    """Floor for the weight domain: "auto" takes rho^n/(2n), halving the bound.
 
-    An explicit floor must stay strictly below rho^n/n and at most 1/n.
+    An explicit floor is a rational (see ``as_fraction``) and must be
+    positive, strictly below rho^n/n and at most 1/n; otherwise this raises
+    ``ConfigurationError``.
     """
+    if epsilon != "auto":
+        eps = as_fraction(epsilon)
+        if eps <= 0:
+            raise ConfigurationError("explicit floor must be positive")
     if rho <= 0:
         raise PreconditionError(f"gap constant must be positive, got {rho}")
     bound = rho**n / n
-    if cfg.epsilon == "auto":
+    if epsilon == "auto":
         return rho**n / (2 * n)
-    eps = as_fraction(cfg.epsilon)
     if eps >= bound:
         raise ConfigurationError(f"floor {eps} is not below the envy-gap bound {bound}")
     if eps > Fraction(1, n):
@@ -240,7 +236,7 @@ def _validate_for_search(inst):
         )
 
 
-def find_fixed_point(inst, cfg=None, trace_sink=None):
+def find_fixed_point(inst, epsilon="auto", trace_sink=None):
     """Search for a certified efficient envy-free lottery.
 
     Scans the welfare-envelope vertices as described in the module
@@ -248,11 +244,11 @@ def find_fixed_point(inst, cfg=None, trace_sink=None):
     ``iteration`` is the 1-based scan position of the answer.  The returned
     lottery always carries a fully verified certificate.  The scan is
     complete, so running out of vertices raises ``EngineInvariantError``.
+    ``epsilon`` is the weight floor, checked by ``choose_epsilon``.
     ``trace_sink``, if given, receives one ``TraceRecord`` per scanned vertex.
     """
-    cfg = cfg or EngineConfig()
     _validate_for_search(inst)
-    eps = choose_epsilon(compute_rho(inst), inst.n, cfg)
+    eps = choose_epsilon(compute_rho(inst), inst.n, epsilon)
     hit = _fallback_search(inst, eps, trace_sink)
     if hit is None:
         raise EngineInvariantError(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import lcm
 
 from .errors import EngineInvariantError
@@ -35,9 +36,6 @@ class EnvyGraph:
 
     n: int
     edges: tuple
-
-    def successors(self, i):
-        return tuple(h for g, h, _ in self.edges if g == i)
 
     def has_edge(self, i, h):
         return any(g == i and t == h for g, t, _ in self.edges)
@@ -96,38 +94,19 @@ def build_envy_graph(p, inst):
 
 
 def is_acyclic(graph):
-    """DFS cycle detection; returns (True, None) or (False, players-on-cycle)."""
-    adjacency = {i: [] for i in range(graph.n)}
-    for a, b, _ in graph.edges:
-        adjacency[a].append(b)
-    color = [0] * graph.n  # 0 unseen, 1 on stack, 2 done
-    parent = {}
-    for start in range(graph.n):
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [(start, iter(adjacency[start]))]
-        while stack:
-            node, neighbours = stack[-1]
-            advanced = False
-            for nxt in neighbours:
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == 1:
-                    path = [node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        path.append(cur)
-                    path.reverse()
-                    return False, tuple(path)
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    """Cycle check by ``graphlib``: (True, None) or (False, players-on-cycle).
+
+    Each player on the cycle envies the next and the last envies the first;
+    ``CycleError`` names the cycle that way with its first player repeated,
+    and the repeat is dropped.
+    """
+    sorter = TopologicalSorter()
+    for i, h, _ in graph.edges:
+        sorter.add(h, i)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        return False, tuple(exc.args[1][:-1])
     return True, None
 
 

@@ -10,7 +10,7 @@ class MalformedInstanceError(FairmixError):
 
 
 class EnumerationLimitError(FairmixError):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration would exceed its module's fixed limit."""
 
 
 class MalformedLpError(FairmixError):
@@ -26,7 +26,7 @@ class PreconditionError(FairmixError):
 
 
 class ConfigurationError(FairmixError):
-    """Engine configuration is invalid (e.g. an explicit floor above its bound)."""
+    """An explicit weight floor is invalid (not positive, or not below its bound)."""
 
 
 class EngineInvariantError(FairmixError):

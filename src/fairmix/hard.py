@@ -13,6 +13,11 @@ each player her flagged side of that split is envy-free and efficient with
 full welfare 6p; when they are disjoint, every certified deterministic
 outcome stays at or below 6p - 1.  Deciding between the cases is deciding
 set intersection, which is what makes the family a stress test.
+
+The exhaustive steps stop at fixed limits, read from the module constants
+when called: ``SPLIT_BUDGET`` splits, ``SUBMODULAR_ITEM_CAP`` items for the
+submodularity check and half-count ``DICHOTOMY_P_CAP`` for the dichotomy
+check.  Past a limit they raise ``EnumerationLimitError``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .model import (
 
 SPLIT_BUDGET = 10_000
 SUBMODULAR_ITEM_CAP = 12
+DICHOTOMY_P_CAP = 3
 
 
 def split_count(p):
@@ -42,23 +48,6 @@ def split_count(p):
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise MalformedInstanceError(f"half-count must be an integer >= 1, got {p!r}")
     return math.comb(2 * p, p) // 2
-
-
-@dataclass(frozen=True)
-class SplitFamily:
-    """All equal bipartitions of {1..2p}, first side containing item 1."""
-
-    p: int
-    splits: tuple
-
-    def __len__(self):
-        return len(self.splits)
-
-    def __iter__(self):
-        return iter(self.splits)
-
-    def __getitem__(self, j):
-        return self.splits[j]
 
 
 @dataclass(frozen=True)
@@ -83,19 +72,16 @@ class DisjointnessInput:
                     raise MalformedInstanceError(f"{name} contains a non-bit entry {b!r}")
             object.__setattr__(self, name, bits)
 
-    @property
-    def r(self):
-        return split_count(self.p)
-
     def shares_flagged_index(self):
         return any(a and b for a, b in zip(self.x1, self.x2))
 
 
-def enumerate_splits(p, budget=SPLIT_BUDGET):
-    """All p-subsets of {1..2p} containing item 1, lexicographic, with complements."""
+def enumerate_splits(p):
+    """All p-subsets of {1..2p} containing item 1, lexicographic, as a tuple
+    of ``(first, second)`` bundle masks."""
     r = split_count(p)
-    if r > budget:
-        raise EnumerationLimitError(f"{r} splits exceed the budget of {budget}")
+    if r > SPLIT_BUDGET:
+        raise EnumerationLimitError(f"{r} splits exceed the budget of {SPLIT_BUDGET}")
     full = (1 << (2 * p)) - 1
     splits = []
     for rest in combinations(range(1, 2 * p), p - 1):
@@ -103,12 +89,12 @@ def enumerate_splits(p, budget=SPLIT_BUDGET):
         for item in rest:
             first |= 1 << item
         splits.append((first, full ^ first))
-    return SplitFamily(p, tuple(splits))
+    return tuple(splits)
 
 
-def hard_utility_tables(inp, splits=None):
+def hard_utility_tables(inp):
     """Raw (unnormalized) bundle tables for both players."""
-    splits = splits or enumerate_splits(inp.p)
+    splits = enumerate_splits(inp.p)
     p = inp.p
     m = 2 * p
     tables = []
@@ -128,14 +114,13 @@ def hard_utility_tables(inp, splits=None):
     return tables
 
 
-def build_hard_instance(inp, budget=None):
+def build_hard_instance(inp):
     """Two-player instance over all partitions of the 2p items.
 
     Utilities are stored raw in the profile's original slot; the instance
     itself carries the rescaled values every solver path expects.
     """
-    kwargs = {"budget": budget} if budget is not None else {}
-    allocations = all_partitions_allocation_set(2, 2 * inp.p, **kwargs)
+    allocations = all_partitions_allocation_set(2, 2 * inp.p)
     return Instance.build(hard_utility_tables(inp), allocations)
 
 
@@ -145,15 +130,17 @@ def _require_full_table(values, m):
             raise MalformedInstanceError(f"table lacks a value for bundle mask {mask}")
 
 
-def check_submodular(values, m, max_items=SUBMODULAR_ITEM_CAP):
+def check_submodular(values, m):
     """Exhaustive diminishing-returns check over one player's bundle table.
 
     Tests u(X + e) - u(X) >= u(Y + e) - u(Y) for every X within Y and e
     outside Y.  Scans e ascending, then Y ascending, so the first violation
     is deterministic.  Returns (True, None) or (False, (X, Y, e)).
     """
-    if m > max_items:
-        raise EnumerationLimitError(f"m = {m} exceeds the exhaustive-check cap of {max_items}")
+    if m > SUBMODULAR_ITEM_CAP:
+        raise EnumerationLimitError(
+            f"m = {m} exceeds the exhaustive-check cap of {SUBMODULAR_ITEM_CAP}"
+        )
     _require_full_table(values, m)
     for e in range(m):
         bit = 1 << e
@@ -210,7 +197,7 @@ def _raw_welfare(p, inst):
     return total
 
 
-def verify_welfare_dichotomy(inp, max_p=3):
+def verify_welfare_dichotomy(inp):
     """Certify every full deterministic outcome and split lottery, then compare.
 
     Shared flagged index: some certified outcome must reach welfare 6p and
@@ -219,9 +206,9 @@ def verify_welfare_dichotomy(inp, max_p=3):
     line are reported in ``flagged_mixed`` rather than failing the check,
     since the dichotomy's case analysis is deterministic.
     """
-    if inp.p > max_p:
+    if inp.p > DICHOTOMY_P_CAP:
         raise EnumerationLimitError(
-            f"exhaustive certification is capped at p = {max_p}, got {inp.p}"
+            f"exhaustive certification is capped at p = {DICHOTOMY_P_CAP}, got {inp.p}"
         )
     splits = enumerate_splits(inp.p)
     inst = build_hard_instance(inp)

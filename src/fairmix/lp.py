@@ -289,13 +289,17 @@ def project_onto_truncated_simplex(y, epsilon):
 
     Active-set iteration: clamp violators to the floor, re-center the rest by
     a common shift, repeat.  The clamp set only grows, so at most n rounds.
-    The KKT system is audited exactly before returning.
+    The KKT system is audited exactly before returning.  A non-rational
+    entry or floor raises ``PreconditionError``.
     """
-    y = tuple(as_fraction(v) for v in y)
+    try:
+        y = tuple(as_fraction(v) for v in y)
+        eps = as_fraction(epsilon)
+    except MalformedInstanceError as exc:
+        raise PreconditionError(str(exc)) from exc
     n = len(y)
     if n == 0:
         raise PreconditionError("cannot project an empty vector")
-    eps = as_fraction(epsilon)
     if eps <= 0:
         raise PreconditionError(f"floor must be positive, got {eps}")
     if eps > Fraction(1, n):

@@ -379,7 +379,7 @@ def pareto_frontier(vectors):
     return sorted(kept)
 
 
-def all_partitions_allocation_set(n, m, budget=DEFAULT_ENUMERATION_BUDGET):
+def all_partitions_allocation_set(n, m):
     """Every assignment of each item to one of the n players or to nobody.
 
     Yields (n+1)^m allocations in the order of
@@ -392,9 +392,10 @@ def all_partitions_allocation_set(n, m, budget=DEFAULT_ENUMERATION_BUDGET):
     if n < 1 or m < 0:
         raise MalformedInstanceError(f"all-partitions set needs n >= 1 and m >= 0, got n={n}, m={m}")
     k = (n + 1) ** m
-    if k > budget:
+    if k > DEFAULT_ENUMERATION_BUDGET:
         raise EnumerationLimitError(
-            f"all-partitions set has {(n + 1)}^{m} = {k} allocations, over the budget of {budget}"
+            f"all-partitions set has {(n + 1)}^{m} = {k} allocations,"
+            f" over the budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
     level = [(0,) * n]
     for item in range(m):
@@ -431,7 +432,7 @@ def _swapped(bundles, g, h):
     return tuple(out)
 
 
-def swap_closure(allocations, budget=DEFAULT_ENUMERATION_BUDGET):
+def swap_closure(allocations):
     """Smallest superset of ``allocations`` closed under pairwise bundle swaps.
 
     ``allocations`` is an :class:`AllocationSet`, or a list that is
@@ -451,9 +452,9 @@ def swap_closure(allocations, budget=DEFAULT_ENUMERATION_BUDGET):
                 continue
             swapped = _swapped(bundles, g, h)
             if swapped not in closed:
-                if len(closed) >= budget:
+                if len(closed) >= DEFAULT_ENUMERATION_BUDGET:
                     raise EnumerationLimitError(
-                        f"swap closure exceeds the budget of {budget} allocations"
+                        f"swap closure exceeds the budget of {DEFAULT_ENUMERATION_BUDGET} allocations"
                     )
                 closed[swapped] = PureAllocation._of(swapped)
                 stack.append(swapped)

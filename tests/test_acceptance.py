@@ -23,6 +23,7 @@ from scipy.optimize import linprog
 
 from fairmix import (
     DisjointnessInput,
+    EnvyGraph,
     MixedAllocation,
     WeightVector,
     certify,
@@ -30,6 +31,7 @@ from fairmix import (
     check_submodular,
     compute_rho,
     hard_utility_tables,
+    is_acyclic,
     load_instance,
     load_mixed_allocation,
     project_onto_truncated_simplex,
@@ -51,6 +53,7 @@ DESK_RUNS = 200
 PROJECTION_RUNS = 1000
 WEIGHT_GAP_RUNS = 100
 CROSS_VALIDATION_RUNS = 50
+CYCLE_RUNS = 1500
 LARGE_N_RUNS = 10
 
 
@@ -333,6 +336,30 @@ def test_envy_graph_acyclic_for_efficient_lotteries(desk_runs, efficient_point_m
         "acyclic envy graph under efficiency",
         violations == 0 and envious_cases > 0,
         f"{checked} certified lotteries ({envious_cases} with envy present), {violations} cycles",
+    )
+
+
+def test_cycle_check_matches_oracle():
+    """``is_acyclic`` agrees with the brute-force walk, and every cycle it names is real."""
+    rng = random.Random(SEED)
+    mismatches, bad_cycles, cyclic = [], [], 0
+    for _ in range(CYCLE_RUNS):
+        n = rng.randint(1, 5)
+        density = rng.random()
+        edges = {(i, h) for i in range(n) for h in range(n) if i != h and rng.random() < density}
+        ok, cycle = is_acyclic(EnvyGraph(n, tuple((i, h, F(1)) for i, h in sorted(edges))))
+        if ok == has_cycle(edges, n):
+            mismatches.append((n, sorted(edges)))
+        elif not ok:
+            cyclic += 1
+            closing = zip(cycle, cycle[1:] + cycle[:1])
+            if not 2 <= len(set(cycle)) == len(cycle) or not all(e in edges for e in closing):
+                bad_cycles.append((sorted(edges), cycle))
+    report(
+        "cycle check against the oracle",
+        not mismatches and not bad_cycles and 0 < cyclic < CYCLE_RUNS,
+        f"{CYCLE_RUNS} random graphs, {cyclic} cyclic, {len(mismatches)} verdict mismatches,"
+        f" {len(bad_cycles)} invalid cycles",
     )
 
 

@@ -9,9 +9,9 @@ import sys
 import pytest
 
 import fairmix
-from fairmix import cli
+from fairmix import cli, errors
 from fairmix.cli import main
-from fairmix.errors import EngineInvariantError
+from fairmix.errors import EngineInvariantError, FairmixError
 
 
 def write_json(path, data):
@@ -145,6 +145,20 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_explicit_floor_on_hard_instance(self, tmp_path, capsys):
+        hard = str(tmp_path / "hard.json")
+        assert main(["gen-hard", "--p", "2", "--x1", "100", "--x2", "100", "--out", hard]) == 0
+        assert main(["solve", "--instance", hard, "--epsilon", "1/100"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["w"] == ["99/100", "1/100"]
+        assert result["certificate"]["pe"]["weight"] == result["w"]
+        # rho = 1/3 here, so 1/18 is exactly the bound rho^2/2 and is rejected before the scan
+        trace = tmp_path / "trace.jsonl"
+        code = main(["solve", "--instance", hard, "--epsilon", "1/18", "--trace", str(trace)])
+        assert code == 1
+        assert "floor 1/18 is not below the envy-gap bound 1/18" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_bad_epsilon_values(self, tmp_path, capsys):
         instance = symmetric_instance(tmp_path)
         assert main(["solve", "--instance", instance, "--epsilon", "abc"]) == 1
@@ -179,12 +193,32 @@ class TestSolve:
         assert main(["solve", "--instance", instance, "--strict"]) == 1
 
     def test_internal_invariant_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
-        def boom(inst, cfg, trace_sink=None):
+        def boom(inst, epsilon, trace_sink=None):
             raise EngineInvariantError("residual zero but envy present")
 
         monkeypatch.setattr("fairmix.cli.find_fixed_point", boom)
         assert main(["solve", "--instance", symmetric_instance(tmp_path)]) == 4
         assert "internal check failed" in capsys.readouterr().err
+
+
+FAIRMIX_ERRORS = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, FairmixError)),
+    key=lambda c: c.__name__,
+)
+
+
+@pytest.mark.parametrize("error", FAIRMIX_ERRORS, ids=lambda c: c.__name__)
+def test_every_library_error_has_an_exit_code(error, tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr("fairmix.cli.load_instance", boom)
+    code = main(["closure", "--instance", symmetric_instance(tmp_path)])
+    err = capsys.readouterr().err
+    if error is EngineInvariantError:
+        assert code == 4 and err == "internal check failed: raised on purpose\n"
+    else:
+        assert code == 1 and err == "error: raised on purpose\n"
 
 
 class TestVerify:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from conftest import additive_table, random_additive_instance, random_table_instance, seeded_rng
 from fairmix import engine
 from fairmix.engine import (
-    EngineConfig,
     FixedPointState,
     argmax_allocations,
     choose_epsilon,
@@ -25,7 +24,12 @@ from fairmix.engine import (
     varpi,
 )
 from fairmix.envy import build_envy_graph
-from fairmix.errors import ConfigurationError, EngineInvariantError, PreconditionError
+from fairmix.errors import (
+    ConfigurationError,
+    EngineInvariantError,
+    MalformedInstanceError,
+    PreconditionError,
+)
 from fairmix.lp import project_onto_truncated_simplex
 from fairmix.model import (
     AllocationSet,
@@ -163,29 +167,55 @@ class TestComputeRho:
 
 class TestChooseEpsilon:
     def test_auto_half(self):
-        assert choose_epsilon(F(1, 2), 2, EngineConfig()) == F(1, 16)
+        assert choose_epsilon(F(1, 2), 2) == F(1, 16)
 
     def test_auto_unit_rho(self):
-        assert choose_epsilon(F(1), 3, EngineConfig()) == F(1, 6)
+        assert choose_epsilon(F(1), 3, "auto") == F(1, 6)
 
     def test_explicit_above_bound(self):
-        with pytest.raises(ConfigurationError):
-            choose_epsilon(F(1, 2), 2, EngineConfig(epsilon=F(1, 2)))
+        with pytest.raises(ConfigurationError, match="not below the envy-gap bound 1/8"):
+            choose_epsilon(F(1, 2), 2, F(1, 2))
+        # the bound itself is rejected: the floor must lie strictly below it
+        with pytest.raises(ConfigurationError, match="not below"):
+            choose_epsilon(F(1, 2), 2, F(1, 8))
 
     def test_explicit_valid(self):
-        assert choose_epsilon(F(1, 2), 2, EngineConfig(epsilon=F(1, 20))) == F(1, 20)
+        assert choose_epsilon(F(1, 2), 2, F(1, 20)) == F(1, 20)
+        assert choose_epsilon(F(1, 2), 2, "1/20") == F(1, 20)
+
+    def test_explicit_above_one_over_n(self):
+        # an instance's rho is at most 1, so only a larger one lets the 1/n check decide
+        assert choose_epsilon(F(2), 2, F(1, 2)) == F(1, 2)
+        with pytest.raises(ConfigurationError, match="floor 3/4 exceeds 1/2"):
+            choose_epsilon(F(2), 2, F(3, 4))
 
     @given(st.fractions(min_value="1/100", max_value=1, max_denominator=100), st.integers(1, 4))
     def test_auto_strictly_below_bound(self, rho, n):
-        eps = choose_epsilon(rho, n, EngineConfig())
+        eps = choose_epsilon(rho, n)
         assert 0 < eps < rho**n / n
         assert eps <= F(1, n)
 
+    @pytest.mark.parametrize(
+        "floor", [F(0), F(-1, 4), 0, "-1/3"], ids=["zero", "negative", "int-zero", "negative-string"]
+    )
+    def test_rejects_nonpositive_floor(self, floor):
+        with pytest.raises(ConfigurationError, match="explicit floor must be positive"):
+            choose_epsilon(F(1, 2), 2, floor)
 
-class TestEngineConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(epsilon=F(0))
+    @pytest.mark.parametrize("floor", [0.1, None, "abc", True])
+    def test_rejects_non_rational_floor(self, floor):
+        with pytest.raises(MalformedInstanceError):
+            choose_epsilon(F(1, 2), 2, floor)
+
+    def test_find_fixed_point_checks_the_floor(self):
+        inst = opposed_tastes_instance()
+        with pytest.raises(ConfigurationError, match="explicit floor must be positive"):
+            find_fixed_point(inst, F(0))
+        bound = compute_rho(inst) ** 2 / 2
+        with pytest.raises(ConfigurationError, match="not below the envy-gap bound"):
+            find_fixed_point(inst, bound)
+        state, cert = find_fixed_point(inst, bound / 2)
+        assert cert.ok and state.w.epsilon == bound / 2
 
 
 class TestFindFixedPoint:
@@ -279,7 +309,7 @@ class TestFindFixedPoint:
         raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(2)])]
         inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
         trace = []
-        state, _ = find_fixed_point(inst, EngineConfig(), trace_sink=trace)
+        state, _ = find_fixed_point(inst, trace_sink=trace)
         assert state.iteration == 2
         assert [rec.iteration for rec in trace] == list(range(1, state.iteration + 1))
         assert trace[-1].w == state.w.w

@@ -62,13 +62,11 @@ def submodular_by_frozensets(values, m):
 
 class TestSplits:
     def test_single_pair_family(self):
-        fam = enumerate_splits(1)
-        assert fam.splits == ((0b01, 0b10),)
+        assert enumerate_splits(1) == ((0b01, 0b10),)
 
     def test_three_item_pairs(self):
-        fam = enumerate_splits(2)
         # {1,2}|{3,4}, {1,3}|{2,4}, {1,4}|{2,3} in that order
-        assert fam.splits == (
+        assert enumerate_splits(2) == (
             (0b0011, 0b1100),
             (0b0101, 0b1010),
             (0b1001, 0b0110),
@@ -92,8 +90,10 @@ class TestSplits:
         assert len(seen) == split_count(p)
 
     def test_budget_enforced(self):
-        with pytest.raises(EnumerationLimitError):
-            enumerate_splits(5, budget=10)
+        # r = 6,435 for p = 8 is within SPLIT_BUDGET = 10,000; r = 24,310 for p = 9 is not
+        assert len(enumerate_splits(8)) == 6435
+        with pytest.raises(EnumerationLimitError, match="24310 splits exceed the budget of 10000"):
+            enumerate_splits(9)
 
     def test_nonpositive_half_count_rejected(self):
         with pytest.raises(MalformedInstanceError):
@@ -188,7 +188,10 @@ class TestSubmodularity:
         assert witness == (0b00, 0b10, 0)  # adding item 1 gains more atop {2}
 
     def test_item_cap(self):
-        with pytest.raises(EnumerationLimitError):
+        # SUBMODULAR_ITEM_CAP = 12: m = 12 passes the cap and fails on the empty table
+        with pytest.raises(MalformedInstanceError):
+            check_submodular({}, 12)
+        with pytest.raises(EnumerationLimitError, match="cap of 12"):
             check_submodular({}, 13)
 
     def test_missing_entry_rejected(self):
@@ -279,7 +282,7 @@ class TestDichotomy:
 
     def test_half_count_cap(self):
         bits = (0,) * split_count(4)
-        with pytest.raises(EnumerationLimitError):
+        with pytest.raises(EnumerationLimitError, match="capped at p = 3, got 4"):
             verify_welfare_dichotomy(DisjointnessInput(4, bits, bits))
 
     def test_certified_outcomes_recheck_under_oracles(self):

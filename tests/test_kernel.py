@@ -15,7 +15,6 @@ import pytest
 
 from conftest import additive_table, fraction_points, seeded_rng
 from fairmix.engine import (
-    EngineConfig,
     _envelope_vertices,
     argmax_allocations,
     choose_epsilon,
@@ -373,7 +372,7 @@ ENVELOPE_CASES = [case for case in ENVELOPE_CANDIDATES if len(make_instance(*cas
 def test_envelope_vertices_match_brute_force(case):
     inst = make_instance(*case)
     vectors = fraction_kernel(inst)["frontier_vectors"]
-    eps = choose_epsilon(compute_rho(inst), inst.n, EngineConfig())
+    eps = choose_epsilon(compute_rho(inst), inst.n)
     found = _envelope_vertices(inst.kernel.frontier, eps)
     assert len({w for w, _ in found}) == len(found)
     assert tight_indices(found) == brute_force_vertices(vectors, eps)
@@ -415,7 +414,7 @@ def test_two_player_vertices_are_tie_breakpoints(seed):
     # the interval ends and the points where two own vectors tie, as the
     # earlier two-player fallback enumerated them over every allocation pair
     inst = make_instance(2, 3, seed % 2 == 1, seed)
-    eps = choose_epsilon(compute_rho(inst), 2, EngineConfig())
+    eps = choose_epsilon(compute_rho(inst), 2)
     own = fraction_kernel(inst)["own"]
     points = {eps, 1 - eps}
     for j, l in combinations(range(len(inst.allocations)), 2):

@@ -1,5 +1,6 @@
 """Domain model: allocations, utility normalization, swap closure, lotteries."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -192,9 +193,22 @@ class TestAllPartitions:
         assert len(s) == 1
         assert s[0].bundles == (0,)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # 4^9 = 262,144 > 200,000 is refused before any allocation is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="262144 allocations"):
+                all_partitions_allocation_set(3, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        # the limit is read from the module constant at call time: k = 9 passes at 9, not at 8
+        monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", 9)
+        assert len(all_partitions_allocation_set(2, 2)) == 9
+        monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", 8)
         with pytest.raises(EnumerationLimitError):
-            all_partitions_allocation_set(3, 9, budget=1000)
+            all_partitions_allocation_set(2, 2)
 
     @pytest.mark.parametrize("n, m", [(0, 2), (-1, 0), (2, -1)])
     def test_rejects_bad_sizes(self, n, m):
@@ -268,9 +282,14 @@ class TestSwapClosure:
         s = swap_closure([PureAllocation((1, 0)), PureAllocation((2, 0))])
         assert len(s) == 4
 
-    def test_budget(self):
-        with pytest.raises(EnumerationLimitError):
-            swap_closure([PureAllocation((1, 2, 4, 8))], budget=3)
+    def test_budget(self, monkeypatch):
+        # the orbit of four distinct bundles has 4! = 24 allocations
+        start = [PureAllocation((1, 2, 4, 8))]
+        monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", 24)
+        assert len(swap_closure(start)) == 24
+        monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", 23)
+        with pytest.raises(EnumerationLimitError, match="exceeds the budget of 23 allocations"):
+            swap_closure(start)
 
     @given(
         st.lists(

@@ -55,6 +55,16 @@ def test_nonpositive_floor():
         project((F(1, 2), F(1, 2)), F(0))
 
 
+@pytest.mark.parametrize(
+    "y, epsilon",
+    [((0.5, 0.5), F(1, 4)), ((None, 1), F(1, 4)), ((F(1, 2), F(1, 2)), 0.25)],
+    ids=["float-entry", "none-entry", "float-floor"],
+)
+def test_non_rational_input(y, epsilon):
+    with pytest.raises(PreconditionError, match="non-rational value"):
+        project(y, epsilon)
+
+
 def sum_one_vectors(min_n=1, max_n=5):
     coord = st.fractions(min_value=-2, max_value=2, max_denominator=12)
     return st.integers(min_n, max_n).flatmap(
