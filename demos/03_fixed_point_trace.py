@@ -87,7 +87,7 @@ def show(label, raw, n):
     print("the solver's welfare-envelope scan:")
     print(f"{'vertex':>6}  {'residual':>8}  weights")
     for rec in trace:
-        print(f"{rec.iteration:>6}  {str(rec.residual):>8}  {weights(rec.w)}")
+        print(f"{rec.iteration:>6}  {str(rec.residual):>8}  {weights(rec.w.w)}")
     print(f"answer at vertex {state.iteration}, residual {state.residual}")
     print(f"certificate: envy-free={cert.ef_ok} efficient={cert.pe_ok}")
     print("lottery:")

@@ -43,7 +43,6 @@ from .envy import (
 )
 from .engine import (
     FixedPointState,
-    TraceRecord,
     argmax_allocations,
     choose_epsilon,
     compute_rho,

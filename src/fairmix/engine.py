@@ -32,8 +32,13 @@ instance instead of solving a domination LP.  A witness that fails the scan
 is an invariant failure, like any other disagreement with the theory.
 
 The weight floor eps is the search's one setting.  It must stay below
-rho^n/n, where rho is the instance's envy-gap constant; "auto" takes half
-that bound, and ``choose_epsilon`` checks an explicit floor.
+rho^n/n, where rho in (0, 1] is the instance's envy-gap constant, so it is
+below 1/n; "auto" takes half that bound, and ``choose_epsilon`` checks an
+explicit floor.
+
+Each scanned vertex that reaches the paper's map is described by one
+``FixedPointState``: the trace sink receives those states, and the answer
+is the state of its vertex.
 """
 
 from __future__ import annotations
@@ -51,23 +56,15 @@ from .model import MixedAllocation, WeightVector, as_fraction, expected_utility,
 
 @dataclass(frozen=True)
 class FixedPointState:
-    """An answer; ``iteration`` is the 1-based scan position of its vertex."""
+    """One scanned vertex that reached the share step: the lottery chosen
+    there, the vertex weight, the paper's map at it (residual and corrected
+    weights ``nu``) and ``iteration``, its 1-based scan position.  The
+    answer is the state of its vertex."""
 
     p: MixedAllocation
     w: WeightVector
     residual: Fraction
     iteration: int
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One scanned vertex: its scan position, weight, the support of the
-    lottery chosen there, and the paper's map at it (residual, shares)."""
-
-    iteration: int
-    w: tuple
-    support: tuple
-    residual: Fraction
     nu: tuple
 
 
@@ -203,23 +200,22 @@ def compute_rho(inst):
 def choose_epsilon(rho, n, epsilon="auto"):
     """Floor for the weight domain: "auto" takes rho^n/(2n), halving the bound.
 
-    An explicit floor is a rational (see ``as_fraction``) and must be
-    positive, strictly below rho^n/n and at most 1/n; otherwise this raises
-    ``ConfigurationError``.
+    ``rho`` must lie in (0, 1], as every swap-closed instance's does, or
+    this raises ``PreconditionError``.  An explicit floor is a rational (see
+    ``as_fraction``) and must be positive and strictly below rho^n/n, which
+    is at most 1/n; otherwise this raises ``ConfigurationError``.
     """
     if epsilon != "auto":
         eps = as_fraction(epsilon)
         if eps <= 0:
             raise ConfigurationError("explicit floor must be positive")
-    if rho <= 0:
-        raise PreconditionError(f"gap constant must be positive, got {rho}")
+    if not 0 < rho <= 1:
+        raise PreconditionError(f"gap constant must lie in (0, 1], got {rho}")
     bound = rho**n / n
     if epsilon == "auto":
         return rho**n / (2 * n)
     if eps >= bound:
         raise ConfigurationError(f"floor {eps} is not below the envy-gap bound {bound}")
-    if eps > Fraction(1, n):
-        raise ConfigurationError(f"floor {eps} exceeds 1/{n}")
     return eps
 
 
@@ -245,7 +241,8 @@ def find_fixed_point(inst, epsilon="auto", trace_sink=None):
     lottery always carries a fully verified certificate.  The scan is
     complete, so running out of vertices raises ``EngineInvariantError``.
     ``epsilon`` is the weight floor, checked by ``choose_epsilon``.
-    ``trace_sink``, if given, receives one ``TraceRecord`` per scanned vertex.
+    ``trace_sink``, if given, receives the ``FixedPointState`` of every
+    scanned vertex, in scan order, the answer's last.
     """
     _validate_for_search(inst)
     eps = choose_epsilon(compute_rho(inst), inst.n, epsilon)
@@ -313,7 +310,7 @@ def _envelope_vertices(frontier, eps):
         for rp, zp, sp in pos:
             for rn, zn, sn in neg:
                 common = zp & zn
-                if bin(common).count("1") < n - 1:
+                if common.bit_count() < n - 1:
                     continue
                 if any(z & common == common and z != zp and z != zn for z in masks):
                     continue
@@ -355,7 +352,7 @@ def _fallback_search(inst, eps, trace_sink=None):
         (mask, w) for mask, w in weight_of.items()
         if not any(other != mask and other & mask == mask for other in weight_of)
     ]
-    maximal.sort(key=lambda item: -bin(item[0]).count("1"))
+    maximal.sort(key=lambda item: -item[0].bit_count())
     for position, (mask, w) in enumerate(maximal, 1):
         w = WeightVector(w, eps)
         amax = _argmax_of(frontier, w)
@@ -368,8 +365,9 @@ def _fallback_search(inst, eps, trace_sink=None):
         if envious and trace_sink is None:
             continue
         nu, _, residual = _share_step(views, w)
+        state = FixedPointState(p=p, w=w, residual=residual, iteration=position, nu=nu)
         if trace_sink is not None:
-            trace_sink.append(TraceRecord(position, w.w, p.support(), residual, nu))
+            trace_sink.append(state)
         if envious:
             continue
         cert = certify(p, inst, residual=residual, weight=w.w)
@@ -381,5 +379,5 @@ def _fallback_search(inst, eps, trace_sink=None):
             raise EngineInvariantError("argmax-supported lottery failed the efficiency check")
         # no envy in the views gives nu == w, inside the domain, so the
         # first check has already made the certificate's EF side hold
-        return FixedPointState(p=p, w=w, residual=residual, iteration=position), cert
+        return state, cert
     return None

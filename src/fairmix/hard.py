@@ -102,7 +102,7 @@ def hard_utility_tables(inp):
         flagged = {splits[j][side] for j in range(len(bits)) if bits[j]}
         table = {}
         for mask in range(1 << m):
-            size = bin(mask).count("1")
+            size = mask.bit_count()
             if size < p:
                 value = 3 * size
             elif size > p or mask in flagged:
@@ -190,10 +190,11 @@ class DichotomyReport:
 
 
 def _raw_welfare(p, inst):
+    raw = inst.utilities.raw_values
     total = Fraction(0)
     for i in range(inst.n):
         for j, q in p.pairs:
-            total += q * inst.raw_value(i, inst.allocations[j].bundles[i])
+            total += q * raw[i][inst.allocations[j].bundles[i]]
     return total
 
 

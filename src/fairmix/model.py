@@ -4,8 +4,11 @@ Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Utility
 values enter as exact :class:`fractions.Fraction`; ``normalize_utilities``
 normalizes them once, straight into a :class:`UtilityProfile` of int
 numerators over one denominator shared by every player, and everything
-downstream reads those ints.  Nothing in this module rounds.
-Every type is immutable after construction and safe to share between threads.
+downstream reads those ints; the raw Fractions are kept only to be written
+back out.  A lottery stores only its support, as ascending (index,
+probability) pairs.  Counts, indices and masks are ints, never bools.
+Nothing in this module rounds.  Every type is immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
-from operator import ge, index
+from operator import ge
 
 from .errors import EnumerationLimitError, MalformedInstanceError
 
@@ -37,6 +40,12 @@ def as_fraction(value):
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInstanceError(f"bad rational {value!r}: {exc}") from exc
     raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {value!r}")
+
+
+def _require_int(value, name):
+    """The rule every integer input follows: an int, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInstanceError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +162,8 @@ class UtilityProfile:
     least positive int that makes every player's values ints.  Envy-freeness,
     Pareto efficiency and every welfare argmax are unchanged by multiplying
     all values by one positive constant, so consumers may compare the ints
-    directly.  ``raw_values`` keeps the originals; ``values``, the Fraction
-    view, is derived on first use.
+    directly; player i's rescaled value is ``Fraction(table[i][bundle],
+    scale)``.  ``raw_values`` keeps the originals, as Fractions.
     """
 
     table: tuple[dict, ...]
@@ -164,16 +173,6 @@ class UtilityProfile:
     @property
     def n(self):
         return len(self.table)
-
-    @cached_property
-    def values(self):
-        return tuple({b: Fraction(x, self.scale) for b, x in row.items()} for row in self.table)
-
-    def value(self, player, bundle):
-        return self.values[player][bundle]
-
-    def raw_value(self, player, bundle):
-        return self.raw_values[player][bundle]
 
 
 def normalize_utilities(raw):
@@ -225,6 +224,8 @@ class Instance:
     allocations: AllocationSet
 
     def __post_init__(self):
+        _require_int(self.n, "player count n")
+        _require_int(self.m, "item count m")
         if self.n < 1:
             raise MalformedInstanceError(f"need at least one player, got n={self.n}")
         if self.m < 0:
@@ -262,12 +263,6 @@ class Instance:
         n = allocations.n
         m = max(allocations.bundles_seen(), default=0).bit_length()
         return cls(n=n, m=m, utilities=profile, allocations=allocations)
-
-    def value(self, player, bundle):
-        return self.utilities.value(player, bundle)
-
-    def raw_value(self, player, bundle):
-        return self.utilities.raw_value(player, bundle)
 
     @cached_property
     def kernel(self):
@@ -389,6 +384,8 @@ def all_partitions_allocation_set(n, m):
     slot, so they are disjoint, distinct and swap-closed by construction and
     are wrapped without re-validation.
     """
+    _require_int(n, "player count n")
+    _require_int(m, "item count m")
     if n < 1 or m < 0:
         raise MalformedInstanceError(f"all-partitions set needs n >= 1 and m >= 0, got n={n}, m={m}")
     k = (n + 1) ** m
@@ -461,82 +458,54 @@ def swap_closure(allocations):
     return AllocationSet._of(closed.values(), allocations.n)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MixedAllocation:
     """A lottery over an allocation set of size ``k``: exact probabilities summing to one.
 
     Only the support is stored: ``pairs`` holds the ``(index, probability)``
     pairs with positive probability, in ascending index order, so building a
-    lottery and reading it cost O(|support|) rather than O(k).  Equality and
-    hashing follow ``(k, pairs)``.  ``MixedAllocation(dense)`` takes a
-    length-k sequence of probabilities; ``p`` is that dense tuple, derived
-    on first use.
+    lottery and reading it cost O(|support|) rather than O(k).  The
+    constructor takes any ``(index, probability)`` pairs and checks them:
+    indices in 0..k-1, no negative entry, a sum of exactly one; zero entries
+    drop out and repeated indices add up.  Equality and hashing follow
+    ``(k, pairs)``.
     """
 
     k: int
     pairs: tuple
 
-    def __init__(self, p):
-        probs = tuple(as_fraction(v) for v in p)
-        object.__setattr__(self, "k", len(probs))
-        object.__setattr__(self, "pairs", _checked_pairs(len(probs), enumerate(probs)))
-
-    @classmethod
-    def _of(cls, k, pairs):
-        out = object.__new__(cls)
-        object.__setattr__(out, "k", k)
-        object.__setattr__(out, "pairs", pairs)
-        return out
+    def __post_init__(self):
+        _require_int(self.k, "lottery size k")
+        object.__setattr__(self, "pairs", _checked_pairs(self.k, self.pairs))
 
     @classmethod
     def point_mass(cls, k, j):
-        return cls._of(k, ((_checked_index(j, k), _ONE),))
+        return cls(k, ((j, 1),))
 
     @classmethod
     def uniform(cls, k):
+        _require_int(k, "lottery size k")
         if k < 1:
             raise MalformedInstanceError(f"a uniform lottery needs at least one allocation, got k={k}")
         q = Fraction(1, k)
-        return cls._of(k, tuple((j, q) for j in range(k)))
+        return cls(k, tuple((j, q) for j in range(k)))
 
     @classmethod
     def from_support(cls, k, support):
-        """Build from an {index: probability} mapping or (index, probability) pairs.
-
-        Zero entries drop out; repeated indices add up.
-        """
-        items = support.items() if hasattr(support, "items") else support
-        return cls._of(k, _checked_pairs(k, items))
-
-    @cached_property
-    def p(self):
-        probs = [Fraction(0)] * self.k
-        for j, q in self.pairs:
-            probs[j] = q
-        return tuple(probs)
+        """Build from an {index: probability} mapping or (index, probability) pairs."""
+        return cls(k, support.items() if hasattr(support, "items") else support)
 
     def support(self):
         return tuple(j for j, _ in self.pairs)
-
-
-_ONE = Fraction(1)
-
-
-def _checked_index(j, k):
-    try:
-        i = index(j)
-    except TypeError:
-        i = -1
-    if not 0 <= i < k:
-        raise MalformedInstanceError(f"lottery index {j!r} outside 0..{k - 1}")
-    return i
 
 
 def _checked_pairs(k, items):
     """Ascending positive (index, probability) pairs, validated to sum to one."""
     probs = {}
     for j, q in items:
-        j = _checked_index(j, k)
+        _require_int(j, "lottery index")
+        if not 0 <= j < k:
+            raise MalformedInstanceError(f"lottery index {j!r} outside 0..{k - 1}")
         q = as_fraction(q)
         if q < 0:
             raise MalformedInstanceError("negative probability in mixed allocation")

@@ -264,9 +264,9 @@ def dump_solve_result(state, cert, inst, wall_time):
 def dump_trace_record(rec, inst):
     return {
         "iteration": rec.iteration,
-        "w": [format_rational(x) for x in rec.w],
+        "w": [format_rational(x) for x in rec.w.w],
         "support": [
-            [mask_to_items(b) for b in inst.allocations[j].bundles] for j in rec.support
+            [mask_to_items(b) for b in inst.allocations[j].bundles] for j in rec.p.support()
         ],
         "residual": format_rational(rec.residual),
         "nu": [format_rational(x) for x in rec.nu],

@@ -10,17 +10,18 @@ runs in integers, pivot rule and all; ``fraction_normalize``, the rescale
 that ``fairmix.model.normalize_utilities`` does in integers; and
 ``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
 own-utility kernel that ``fairmix.model.UtilityKernel`` derives from the
-integer utility table.  The last two read an instance's raw values through
-``fraction_normalize``, never the package's own rescaled view.
-``weight_witness_ok`` re-checks a Pareto-efficiency weight witness in
-Fractions over every allocation, with no integer table and no kernel.
+integer utility table.  Every oracle that scores utilities reads an
+instance's raw values through ``fraction_normalize``, never the package's
+own rescaled table: the last two, ``weight_witness_ok``, which re-checks a
+Pareto-efficiency weight witness in Fractions over every allocation with no
+kernel, and ``find_dominating_vertex_or_pair``.  A fault in
+``normalize_utilities`` therefore shows up as a disagreement.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
-from fairmix.model import expected_utility
 
 
 def project_by_pattern_enumeration(y, eps):
@@ -117,8 +118,9 @@ def find_dominating_vertex_or_pair(p, inst):
     """
     n = inst.n
     k = len(inst.allocations)
-    current = [expected_utility(p, i, i, inst) for i in range(n)]
-    own = [[inst.value(i, inst.allocations[j].bundles[i]) for j in range(k)] for i in range(n)]
+    values = fraction_normalize(inst.utilities.raw_values)
+    own = [[values[i][a.bundles[i]] for a in inst.allocations] for i in range(n)]
+    current = [sum(q * own[i][j] for j, q in p.pairs) for i in range(n)]
 
     def dominates(point):
         return all(a >= b for a, b in zip(point, current)) and any(
@@ -161,11 +163,12 @@ def find_dominating_vertex_or_pair(p, inst):
 def weight_witness_ok(p, inst, w):
     """Whether w proves p Pareto efficient: n entries, each > 0, and every
     support allocation of p of maximum w-welfare among all k allocations,
-    scored in Fractions from the instance's rescaled values."""
+    scored in Fractions from the instance's raw values through
+    ``fraction_normalize``."""
     w = [Fraction(x) for x in w]
     if len(w) != inst.n or any(x <= 0 for x in w):
         return False
-    values = inst.utilities.values
+    values = fraction_normalize(inst.utilities.raw_values)
     welfare = [
         sum(wi * values[i][a.bundles[i]] for i, wi in enumerate(w)) for a in inst.allocations
     ]

@@ -5,7 +5,9 @@ lines.  Every expected value here is recomputed by an independent oracle:
 envy margins from raw sums, efficiency via a float LP in scipy plus (for
 two players) an exhaustive geometric search, and every solve's efficiency
 witness by a Fraction welfare scan over all allocations, projections via
-clamp-pattern enumeration.
+clamp-pattern enumeration.  Every utility these oracles score is rescaled
+from the instance's raw values by ``oracles.fraction_normalize``, never read
+from the package's integer table.
 """
 
 import io
@@ -43,6 +45,7 @@ from fairmix.cli import main
 
 from oracles import (
     find_dominating_vertex_or_pair,
+    fraction_normalize,
     project_by_pattern_enumeration,
     weight_witness_ok,
 )
@@ -83,12 +86,18 @@ def random_instance_data(rng, n=None, m=None, additive=None):
 # ---------------------------------------------------------------- oracles
 
 
+def rescaled(inst):
+    """The instance's raw values rescaled in Fractions, by the oracle's own code."""
+    return fraction_normalize(inst.utilities.raw_values)
+
+
 def utility_sums(p, inst):
     """own[i] and view[i][h] expected utilities, recomputed from raw loops."""
-    n, k = inst.n, len(inst.allocations)
+    n = inst.n
+    values = rescaled(inst)
     view = [
         [
-            sum(p.p[j] * inst.value(i, inst.allocations[j].bundles[h]) for j in range(k))
+            sum(q * values[i][inst.allocations[j].bundles[h]] for j, q in p.pairs)
             for h in range(n)
         ]
         for i in range(n)
@@ -124,10 +133,12 @@ def has_cycle(edges, n):
 def pe_gap_via_scipy(p, inst):
     """Optimum of the improvement LP in floats; ~0 means no dominator."""
     n, k = inst.n, len(inst.allocations)
-    own = np.array(
-        [[float(inst.value(i, inst.allocations[j].bundles[i])) for j in range(k)] for i in range(n)]
-    )
-    eu = own @ np.array([float(q) for q in p.p])
+    values = rescaled(inst)
+    own = np.array([[float(values[i][a.bundles[i]]) for a in inst.allocations] for i in range(n)])
+    dense = np.zeros(k)
+    for j, q in p.pairs:
+        dense[j] = float(q)
+    eu = own @ dense
     c = np.concatenate([np.zeros(k), -np.ones(n)])
     a_ub = np.hstack([-own, np.eye(n)])
     a_eq = np.concatenate([np.ones(k), np.zeros(n)])[None, :]
@@ -199,10 +210,8 @@ def efficient_point_masses():
     for _ in range(40):
         inst = load_instance(random_instance_data(rng, m=rng.choice([2, 3])))
         k = len(inst.allocations)
-        welfare = [
-            sum(inst.value(i, inst.allocations[j].bundles[i]) for i in range(inst.n))
-            for j in range(k)
-        ]
+        values = rescaled(inst)
+        welfare = [sum(values[i][a.bundles[i]] for i in range(inst.n)) for a in inst.allocations]
         j_star = max(range(k), key=lambda j: welfare[j])
         p = MixedAllocation.point_mass(k, j_star)
         cert = certify(p, inst)

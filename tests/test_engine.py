@@ -183,11 +183,11 @@ class TestChooseEpsilon:
         assert choose_epsilon(F(1, 2), 2, F(1, 20)) == F(1, 20)
         assert choose_epsilon(F(1, 2), 2, "1/20") == F(1, 20)
 
-    def test_explicit_above_one_over_n(self):
-        # an instance's rho is at most 1, so only a larger one lets the 1/n check decide
-        assert choose_epsilon(F(2), 2, F(1, 2)) == F(1, 2)
-        with pytest.raises(ConfigurationError, match="floor 3/4 exceeds 1/2"):
-            choose_epsilon(F(2), 2, F(3, 4))
+    def test_rejects_rho_above_one(self):
+        # every swap-closed instance has rho <= 1, which keeps every floor below 1/n
+        for floor in ("auto", F(1, 2), F(3, 4)):
+            with pytest.raises(PreconditionError, match=r"gap constant must lie in \(0, 1\], got 2"):
+                choose_epsilon(F(2), 2, floor)
 
     @given(st.fractions(min_value="1/100", max_value=1, max_denominator=100), st.integers(1, 4))
     def test_auto_strictly_below_bound(self, rho, n):
@@ -312,15 +312,14 @@ class TestFindFixedPoint:
         state, _ = find_fixed_point(inst, trace_sink=trace)
         assert state.iteration == 2
         assert [rec.iteration for rec in trace] == list(range(1, state.iteration + 1))
-        assert trace[-1].w == state.w.w
-        assert trace[-1].support == state.p.support()
+        # the answer is the record of its vertex
+        assert trace[-1] is state
         assert [rec.residual > 0 for rec in trace] == [True, False]
         for rec in trace:
+            assert rec.nu == nu_update(rec.p, rec.w, inst)
             assert sum(rec.nu) == 1
             assert rec.residual >= 0
-            # the recorded weight re-enters as its own floor, always valid
-            amax = argmax_allocations(WeightVector(rec.w, min(rec.w)), inst)
-            assert set(rec.support) <= set(amax)
+            assert set(rec.p.support()) <= set(argmax_allocations(rec.w, inst))
 
     def test_deterministic(self):
         inst = opposed_tastes_instance()

@@ -20,7 +20,7 @@ from fairmix.envy import (
     is_acyclic,
 )
 from fairmix.model import Instance, MixedAllocation, all_partitions_allocation_set
-from oracles import find_dominating_vertex_or_pair, weight_witness_ok
+from oracles import find_dominating_vertex_or_pair, fraction_normalize, weight_witness_ok
 
 F = Fraction
 
@@ -214,8 +214,9 @@ class TestWeightWitness:
             all_partitions_allocation_set(2, 2),
         )
         p = point_mass_on(inst, (0b00, 0b01))
+        values = fraction_normalize(inst.utilities.raw_values)
         welfare = [
-            sum(wi * inst.value(i, a.bundles[i]) for i, wi in enumerate(w))
+            sum(wi * values[i][a.bundles[i]] for i, wi in enumerate(w))
             for a in inst.allocations
         ]
         assert welfare[p.support()[0]] == max(welfare)

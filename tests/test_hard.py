@@ -168,9 +168,10 @@ class TestUtilityTables:
     def test_instance_keeps_raw_values(self):
         inp = DisjointnessInput(1, (1,), (1,))
         inst = build_hard_instance(inp)
-        assert inst.raw_value(0, 0b01) == 3
-        assert inst.raw_value(0, 0b10) == 2
-        assert inst.value(0, 0b01) == 2  # rescaled top of player 1's range
+        assert inst.utilities.raw_values[0][0b01] == 3
+        assert inst.utilities.raw_values[0][0b10] == 2
+        # rescaled top of player 1's range
+        assert inst.utilities.table[0][0b01] == 2 * inst.utilities.scale
         assert inst.n == 2 and inst.m == 2
         assert len(inst.allocations) == 9
 
@@ -201,6 +202,10 @@ class TestSubmodularity:
     def test_monotone_missing_entry_rejected(self):
         with pytest.raises(MalformedInstanceError, match="bundle mask 1"):
             check_monotone({0: F(0)}, 1)
+
+    def test_monotone_names_the_first_drop(self):
+        # adding item 1 to the empty bundle lowers the value
+        assert check_monotone({0: 1, 1: 0}, 1) == (False, (0, 0))
 
     @given(st.lists(st.integers(0, 6), min_size=8, max_size=8))
     @settings(deadline=None, max_examples=60)

@@ -4,7 +4,8 @@ The engine scores only Pareto-frontier own-utility vectors in integers, and
 the efficiency check solves its domination LP over frontier columns or, given
 a weight witness, scores the kernel's integer own vectors.  The references
 here do none of that: a Fraction argmax over every allocation, a domination
-LP with one column per allocation, and the Fraction witness oracle.
+LP with one column per allocation, and the Fraction witness oracle, each
+scoring the raw values through the Fraction rescale ``fraction_normalize``.
 """
 
 from fractions import Fraction
@@ -34,17 +35,24 @@ from fairmix.model import (
     pareto_frontier,
     swap_closure,
 )
-from oracles import find_dominating_vertex_or_pair, fraction_kernel, weight_witness_ok
+from oracles import (
+    find_dominating_vertex_or_pair,
+    fraction_kernel,
+    fraction_normalize,
+    weight_witness_ok,
+)
 
 F = Fraction
 
 
-def own_vector(inst, j):
-    return tuple(inst.value(i, inst.allocations[j].bundles[i]) for i in range(inst.n))
+def own_vectors(inst):
+    """Every allocation's own-utility vector, rescaled from the raw values in Fractions."""
+    values = fraction_normalize(inst.utilities.raw_values)
+    return [tuple(values[i][a.bundles[i]] for i in range(inst.n)) for a in inst.allocations]
 
 
 def dense_argmax(w, inst):
-    welfare = [sum(wi * u for wi, u in zip(w.w, own_vector(inst, j))) for j in range(len(inst.allocations))]
+    welfare = [sum(wi * u for wi, u in zip(w.w, vec)) for vec in own_vectors(inst)]
     top = max(welfare)
     return tuple(j for j, v in enumerate(welfare) if v == top)
 
@@ -52,10 +60,11 @@ def dense_argmax(w, inst):
 def dense_pe_ok(p, inst):
     """Domination LP with one column per allocation, as exact as the kernel's."""
     k, n = len(inst.allocations), inst.n
-    current = [expected_utility(p, i, i, inst) for i in range(n)]
+    own = own_vectors(inst)
+    current = [sum(q * own[j][i] for j, q in p.pairs) for i in range(n)]
     rows = [((F(1),) * k + (F(0),) * n, "=", F(1))]
     for i in range(n):
-        coeffs = tuple(own_vector(inst, j)[i] for j in range(k))
+        coeffs = tuple(vec[i] for vec in own)
         rows.append((coeffs + tuple(F(-1) if t == i else F(0) for t in range(n)), ">=", current[i]))
     lp = LinearProgram(objective=(F(0),) * k + (F(1),) * n, constraints=tuple(rows))
     result = solve_lp(lp)
@@ -120,7 +129,7 @@ def tie_weights(inst, eps):
     """
     n = inst.n
     start = WeightVector.uniform(n, eps).w
-    vectors = {own_vector(inst, j) for j in range(len(inst.allocations))}
+    vectors = set(own_vectors(inst))
     out = []
     for corner in range(n):
         end = tuple(1 - (n - 1) * eps if t == corner else eps for t in range(n))
@@ -160,9 +169,10 @@ def test_argmax_matches_dense_reference(case):
     inst = make_instance(*case)
     for w in sample_weights(inst, seeded_rng(7)):
         assert argmax_allocations(w, inst) == dense_argmax(w, inst)
+    own = own_vectors(inst)
     for w in tie_weights(inst, F(1, 4 * inst.n)):
         amax = dense_argmax(w, inst)
-        assert len({own_vector(inst, j) for j in amax}) >= 2
+        assert len({own[j] for j in amax}) >= 2
         assert argmax_allocations(w, inst) == amax
 
 
@@ -260,11 +270,12 @@ class TestFrontier:
         kernel = inst.kernel
         scale = inst.utilities.scale
         vectors = fraction_points(kernel.points, scale)
+        own = own_vectors(inst)
         assert len(vectors) == 3
         assert sum(len(m) for m in kernel.members) == len(inst.allocations)
         for vec, members in zip(vectors, kernel.members):
             assert list(members) == sorted(members)
-            assert all(own_vector(inst, j) == vec for j in members)
+            assert all(own[j] == vec for j in members)
         frontier = kernel.frontier
         assert sorted(fraction_points(frontier.points, scale)) == [(F(1), F(2)), (F(2), F(1))]
         assert all(len(m) == 3 for m in frontier.members)

@@ -158,6 +158,11 @@ def test_non_rational_entry_rejected(objective, constraints):
 def test_empty_program_rejected():
     with pytest.raises(MalformedLpError):
         LinearProgram(objective=())
+
+
+def test_solve_rejects_a_non_program():
+    with pytest.raises(MalformedLpError, match="expected LinearProgram"):
+        solve_lp(1)
     with pytest.raises(MalformedLpError):
         LinearProgram(objective=None, constraints=(((1,), "<=", 1),))
 

@@ -1,6 +1,7 @@
 """Domain model: allocations, utility normalization, swap closure, lotteries."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError
 from fairmix.model import (
     DEFAULT_ENUMERATION_BUDGET,
+    MAX_ITEMS,
     AllocationSet,
     Instance,
     MixedAllocation,
@@ -22,24 +24,30 @@ from fairmix.model import (
     normalize_utilities,
     swap_closure,
 )
+from oracles import fraction_normalize
 
 F = Fraction
+
+
+def rescaled(prof):
+    """The profile's rescaled values: each table entry over the one scale."""
+    return [{b: F(x, prof.scale) for b, x in row.items()} for row in prof.table]
 
 
 class TestNormalizeUtilities:
     def test_affine_rescale_endpoints(self):
         raw = [{0: 0, 1: 5, 2: 10, 3: 15}]
         prof = normalize_utilities(raw)
-        assert prof.values[0] == {0: F(1), 1: F(4, 3), 2: F(5, 3), 3: F(2)}
+        assert rescaled(prof)[0] == {0: F(1), 1: F(4, 3), 2: F(5, 3), 3: F(2)}
         assert prof.raw_values[0] == {0: F(0), 1: F(5), 2: F(10), 3: F(15)}
 
     def test_degenerate_range_maps_to_one(self):
         prof = normalize_utilities([{0: 7, 1: 7, 3: 7}])
-        assert set(prof.values[0].values()) == {F(1)}
+        assert set(rescaled(prof)[0].values()) == {F(1)}
 
     def test_already_in_range_unchanged(self):
         prof = normalize_utilities([{0: 1, 1: 2}])
-        assert prof.values[0] == {0: F(1), 1: F(2)}
+        assert rescaled(prof)[0] == {0: F(1), 1: F(2)}
 
     def test_rejects_float(self):
         with pytest.raises(MalformedInstanceError):
@@ -51,7 +59,7 @@ class TestNormalizeUtilities:
 
     def test_accepts_rational_strings(self):
         prof = normalize_utilities([{0: "1/2", 1: "3/2"}])
-        assert prof.values[0] == {0: F(1), 1: F(2)}
+        assert rescaled(prof)[0] == {0: F(1), 1: F(2)}
 
     @pytest.mark.parametrize(
         "table",
@@ -74,8 +82,8 @@ class TestNormalizeUtilities:
     def test_idempotent(self, vals):
         raw = [{b: v for b, v in enumerate(vals)}]
         once = normalize_utilities(raw)
-        twice = normalize_utilities(once.values)
-        assert once.values == twice.values
+        twice = normalize_utilities(rescaled(once))
+        assert (twice.table, twice.scale) == (once.table, once.scale)
 
     @given(
         st.lists(
@@ -86,7 +94,7 @@ class TestNormalizeUtilities:
     )
     def test_range_bounds(self, vals):
         prof = normalize_utilities([{b: v for b, v in enumerate(vals)}])
-        for v in prof.values[0].values():
+        for v in rescaled(prof)[0].values():
             assert F(1) <= v <= F(2)
 
 
@@ -132,6 +140,10 @@ class TestAllocationSet:
     def test_rejects_mixed_player_counts(self):
         with pytest.raises(MalformedInstanceError):
             AllocationSet([PureAllocation((1,)), PureAllocation((0, 1))])
+
+    def test_rejects_empty(self):
+        with pytest.raises(MalformedInstanceError, match="may not be empty"):
+            AllocationSet([])
 
 
 # (n, m) pairs whose all-partitions sets the program loads or builds: the
@@ -323,26 +335,26 @@ class TestSwapClosure:
 class TestMixedAllocation:
     def test_rejects_bad_sum(self):
         with pytest.raises(MalformedInstanceError):
-            MixedAllocation((F(1, 2), F(1, 3)))
+            MixedAllocation(2, ((0, F(1, 2)), (1, F(1, 3))))
 
     def test_rejects_negative(self):
         with pytest.raises(MalformedInstanceError):
-            MixedAllocation((F(3, 2), F(-1, 2)))
+            MixedAllocation(2, ((0, F(3, 2)), (1, F(-1, 2))))
 
     def test_point_mass_and_support(self):
         p = MixedAllocation.point_mass(4, 2)
         assert p.support() == (2,)
-        assert sum(p.p) == 1
+        assert p.pairs == ((2, F(1)),)
 
     def test_uniform(self):
-        assert MixedAllocation.uniform(3).p == (F(1, 3),) * 3
+        assert MixedAllocation.uniform(3).pairs == ((0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3)))
         for k in (0, -2):
             with pytest.raises(MalformedInstanceError):
                 MixedAllocation.uniform(k)
 
     def test_from_support(self):
         p = MixedAllocation.from_support(3, {0: F(1, 4), 2: F(3, 4)})
-        assert p.p == (F(1, 4), F(0), F(3, 4))
+        assert p.pairs == ((0, F(1, 4)), (2, F(3, 4)))
 
     def test_stores_only_the_support(self):
         p = MixedAllocation.from_support(5, {4: F(1, 3), 1: F(2, 3), 2: F(0)})
@@ -350,21 +362,20 @@ class TestMixedAllocation:
         assert p.pairs == ((1, F(2, 3)), (4, F(1, 3)))
         assert p.support() == (1, 4)
 
-    def test_dense_and_duplicate_support_agree(self):
-        dense = MixedAllocation((0, F(1, 2), 0, F(1, 2)))
+    def test_constructor_and_duplicate_support_agree(self):
+        direct = MixedAllocation(4, ((1, F(1, 2)), (3, F(1, 2))))
         split = MixedAllocation.from_support(
             4, [(3, F(1, 4)), (1, F(1, 2)), (0, 0), (3, F(1, 4))]
         )
-        assert dense == split
-        assert hash(dense) == hash(split)
-        assert dense != MixedAllocation.from_support(5, {1: F(1, 2), 3: F(1, 2)})
+        assert direct == split
+        assert hash(direct) == hash(split)
+        assert direct != MixedAllocation.from_support(5, {1: F(1, 2), 3: F(1, 2)})
 
-    def test_dense_round_trip(self):
-        probs = (F(1, 6), F(0), F(1, 2), F(0), F(1, 3))
-        p = MixedAllocation(probs)
-        assert p.p == probs
-        assert MixedAllocation(p.p) == p
-        assert MixedAllocation.from_support(len(probs), dict(p.pairs)).p == probs
+    def test_pairs_round_trip(self):
+        p = MixedAllocation(5, [(4, F(1, 3)), (0, F(1, 6)), (3, 0), (2, "1/2")])
+        assert p.pairs == ((0, F(1, 6)), (2, F(1, 2)), (4, F(1, 3)))
+        assert MixedAllocation(p.k, p.pairs) == p
+        assert MixedAllocation.from_support(p.k, dict(p.pairs)) == p
 
     def test_rejects_indices_outside_the_set(self):
         with pytest.raises(MalformedInstanceError):
@@ -398,6 +409,10 @@ class TestWeightVector:
         w = WeightVector.uniform(3, F(1, 10))
         assert w.w == (F(1, 3),) * 3
 
+    def test_rejects_empty(self):
+        with pytest.raises(MalformedInstanceError, match="empty weight vector"):
+            WeightVector((), F(1, 2))
+
 
 class TestInstance:
     def build_symmetric(self):
@@ -413,6 +428,21 @@ class TestInstance:
         raw = [{0: 0, 1: 1, 2: 1}, {0: 0, 1: 1, 2: 1, 3: 2}]
         with pytest.raises(MalformedInstanceError):
             Instance.build(raw, all_partitions_allocation_set(2, 2))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n", 0, "at least one player"),
+            ("m", -1, "negative item count"),
+            ("m", MAX_ITEMS + 1, "bitmask cap"),
+            ("allocations", all_partitions_allocation_set(3, 2), "allocations are over 3 players"),
+            ("utilities", normalize_utilities([{0: 0, 1: 1, 2: 1, 3: 2}] * 3), "utilities are over 3 players"),
+        ],
+        ids=["no-player", "negative-m", "m-over-cap", "allocations-of-3", "utilities-of-3"],
+    )
+    def test_rejects_inconsistent_fields(self, field, value, match):
+        with pytest.raises(MalformedInstanceError, match=match):
+            replace(self.build_symmetric(), **{field: value})
 
     def test_item_beyond_m_names_the_allocation(self):
         allocations = AllocationSet([PureAllocation((1, 0)), PureAllocation((0, 4)), PureAllocation((2, 1))])
@@ -449,8 +479,8 @@ class TestInstance:
         rng = seeded_rng(seed + 1)
         pa = MixedAllocation.point_mass(k, rng.randrange(k))
         pb = MixedAllocation.uniform(k)
-        mix = MixedAllocation(
-            tuple(alpha * a + (1 - alpha) * b for a, b in zip(pa.p, pb.p))
+        mix = MixedAllocation.from_support(
+            k, [(j, alpha * q) for j, q in pa.pairs] + [(j, (1 - alpha) * q) for j, q in pb.pairs]
         )
         for viewer in range(2):
             for owner in range(2):
@@ -473,11 +503,13 @@ class TestInstance:
         raw[0] += 1
         p = MixedAllocation.from_support(k, [(j, r / sum(raw)) for j, r in zip(picks, raw)])
         assert list(p.support()) == sorted(set(p.support()))
-        assert MixedAllocation(p.p) == p
+        assert MixedAllocation(k, p.pairs) == p
+        probs = dict(p.pairs)
+        values = fraction_normalize(inst.utilities.raw_values)
         for viewer in range(inst.n):
             for owner in range(inst.n):
                 dense = sum(
-                    p.p[j] * inst.value(viewer, inst.allocations[j].bundles[owner])
+                    probs.get(j, 0) * values[viewer][inst.allocations[j].bundles[owner]]
                     for j in range(k)
                 )
                 assert expected_utility(p, viewer, owner, inst) == dense
@@ -486,3 +518,40 @@ class TestInstance:
         inst = self.build_symmetric()
         with pytest.raises(MalformedInstanceError):
             expected_utility(MixedAllocation.point_mass(4, 0), 0, 0, inst)
+
+
+def one_item_instance():
+    return Instance.build([{0: 0, 1: 1}] * 2, all_partitions_allocation_set(2, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MixedAllocation.point_mass(3, True),
+        lambda: MixedAllocation.from_support(3, {True: 1}),
+        lambda: MixedAllocation(True, ((0, 1),)),
+        lambda: all_partitions_allocation_set(2.0, 2),
+        lambda: all_partitions_allocation_set(2, 2.0),
+        lambda: all_partitions_allocation_set("2", 2),
+        lambda: all_partitions_allocation_set(True, 1),
+        lambda: replace(one_item_instance(), n=2.0),
+        lambda: replace(one_item_instance(), m=1.5),
+        lambda: replace(one_item_instance(), m=True),
+    ],
+    ids=[
+        "point-mass-bool-index",
+        "support-bool-index",
+        "lottery-bool-size",
+        "partitions-float-n",
+        "partitions-float-m",
+        "partitions-string-n",
+        "partitions-bool-n",
+        "instance-float-n",
+        "instance-float-m",
+        "instance-bool-m",
+    ],
+)
+def test_counts_and_indices_are_ints_not_bools(build):
+    # the rule bundle masks already follow: an int, not a bool
+    with pytest.raises(MalformedInstanceError, match="must be an integer"):
+        build()

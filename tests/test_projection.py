@@ -113,3 +113,8 @@ def test_no_feasible_point_is_closer(case, mix):
     dist_x = sum((a - b) ** 2 for a, b in zip(x, y))
     dist_z = sum((a - b) ** 2 for a, b in zip(z, y))
     assert dist_x <= dist_z
+
+
+def test_empty_vector_rejected():
+    with pytest.raises(PreconditionError, match="empty vector"):
+        project((), F(1, 2))

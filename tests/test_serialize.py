@@ -27,9 +27,9 @@ from fairmix import (
     parse_rational,
     verify_welfare_dichotomy,
 )
-from fairmix.engine import TraceRecord
+from fairmix.engine import FixedPointState
 from fairmix.hard import DisjointnessInput
-from fairmix.model import as_fraction
+from fairmix.model import WeightVector, as_fraction
 from fairmix.serialize import items_to_mask, mask_to_items
 
 from conftest import additive_table
@@ -119,9 +119,8 @@ class TestInstanceLoad:
             all_partitions_allocation_set(2, 2),
         )
         assert inst.n == reference.n and inst.m == reference.m
-        for i in range(2):
-            for mask in range(4):
-                assert inst.value(i, mask) == reference.value(i, mask)
+        assert inst.utilities.scale == reference.utilities.scale
+        assert inst.utilities.table == reference.utilities.table
 
     def test_table_utilities(self):
         data = {
@@ -131,8 +130,9 @@ class TestInstanceLoad:
             "allocations": "all_partitions",
         }
         inst = load_instance(data)
-        assert inst.raw_value(0, 1) == F(7, 2)
-        assert inst.value(0, 1) == 2  # top of the rescaled range
+        assert inst.utilities.raw_values[0][1] == F(7, 2)
+        # top of the rescaled range
+        assert inst.utilities.table[0][1] == 2 * inst.utilities.scale
 
     def test_declared_m_is_respected(self):
         data = {
@@ -213,8 +213,7 @@ class TestInstanceRoundTrip:
         assert dumped["allocations"] == "all_partitions"
         again = load_instance(dumped)
         assert again.n == inst.n and again.m == inst.m
-        assert again.utilities.values == inst.utilities.values
-        assert again.utilities.raw_values == inst.utilities.raw_values
+        assert again.utilities == inst.utilities
         assert [a.bundles for a in again.allocations] == [a.bundles for a in inst.allocations]
 
     def test_every_partition_in_another_order_round_trips(self):
@@ -243,7 +242,7 @@ class TestInstanceRoundTrip:
         dumped = dump_instance(inst)
         assert isinstance(dumped["allocations"], list)
         again = load_instance(dumped)
-        assert again.utilities.values == inst.utilities.values
+        assert again.utilities == inst.utilities
         assert [a.bundles for a in again.allocations] == [a.bundles for a in inst.allocations]
 
 
@@ -254,13 +253,13 @@ class TestMixedAllocationFiles:
         h = inst.allocations.index[(2, 1)]
         p = MixedAllocation.from_support(len(inst.allocations), {j: F(1, 2), h: F(1, 2)})
         dumped = dump_mixed_allocation(p, inst)
-        assert load_mixed_allocation(dumped, inst).p == p.p
+        assert load_mixed_allocation(dumped, inst) == p
 
     def test_accepts_whole_solve_result(self):
         inst = load_instance(symmetric_instance_data())
         p = MixedAllocation.point_mass(len(inst.allocations), 0)
         wrapped = {"p": dump_mixed_allocation(p, inst), "certificate": {}}
-        assert load_mixed_allocation(wrapped, inst).p == p.p
+        assert load_mixed_allocation(wrapped, inst) == p
 
     def test_unknown_bundles_rejected(self):
         data = {
@@ -369,11 +368,11 @@ class TestDot:
 class TestTraceAndReports:
     def test_trace_record_shape(self):
         inst = load_instance(symmetric_instance_data())
-        rec = TraceRecord(
-            iteration=1,
-            w=(F(1, 2), F(1, 2)),
-            support=(inst.allocations.index[(1, 2)],),
+        rec = FixedPointState(
+            p=MixedAllocation.point_mass(len(inst.allocations), inst.allocations.index[(1, 2)]),
+            w=WeightVector((F(1, 2), F(1, 2)), F(1, 4)),
             residual=F(0),
+            iteration=1,
             nu=(F(1, 2), F(1, 2)),
         )
         dumped = dump_trace_record(rec, inst)

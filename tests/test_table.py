@@ -23,13 +23,13 @@ from fairmix.engine import argmax_allocations, compute_rho, find_fixed_point, se
 from fairmix.envy import certify, check_pareto_efficient
 from fairmix.errors import EngineInvariantError
 from fairmix.hard import DisjointnessInput, build_hard_instance
-from fairmix.serialize import dump_instance, load_instance
 from fairmix.model import (
     AllocationSet,
     Instance,
     MixedAllocation,
     PureAllocation,
     UtilityKernel,
+    UtilityProfile,
     WeightVector,
     all_partitions_allocation_set,
     is_swappable,
@@ -122,7 +122,6 @@ def assert_matches_fraction_reference(inst):
     assert scale == lcm(*(v.denominator for values in normalized for v in values.values()))
     for i, values in enumerate(normalized):
         assert kernel.table[i] == {b: v * scale for b, v in values.items()}
-    assert inst.utilities.values == normalized
     assert compute_rho(inst) == fraction_rho(inst)
     own = tuple(tuple(F(x, scale) for x in row) for row in kernel.own_num)
     assert own == ref["own"]
@@ -220,8 +219,12 @@ def hard_p2_instance():
 
 @pytest.mark.parametrize("build", [three_player_instance, hard_p2_instance])
 def test_solve_and_verify_never_build_the_fraction_view(build):
-    # a freshly loaded instance, so that no earlier call has built the view
-    inst = load_instance(dump_instance(build()))
-    state, _ = find_fixed_point(inst)
-    certify(state.p, inst)
-    assert "values" not in inst.utilities.__dict__
+    # the raw values are the profile's only Fraction form; with them emptied,
+    # any read of one by solve or verify raises KeyError
+    inst = build()
+    profile = inst.utilities
+    bare = UtilityProfile(profile.table, profile.scale, tuple({} for _ in profile.table))
+    inst = Instance(n=inst.n, m=inst.m, utilities=bare, allocations=inst.allocations)
+    state, cert = find_fixed_point(inst)
+    assert cert.ok
+    assert certify(state.p, inst).ok
