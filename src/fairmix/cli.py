@@ -148,7 +148,7 @@ def cmd_verify_dichotomy(args):
 
 def cmd_closure(args):
     inst = load_instance(_read_json(args.instance))
-    closed = [[mask_to_items(b) for b in a.bundles] for a in inst.allocations]
+    closed = [[mask_to_items(b) for b in bs] for bs in inst.allocations.bundles]
     sys.stdout.write(dumps(closed))
     return 0
 

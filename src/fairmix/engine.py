@@ -49,7 +49,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .envy import certify
-from .errors import ConfigurationError, EngineInvariantError, PreconditionError
+from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_swappable
 
@@ -200,15 +200,20 @@ def compute_rho(inst):
 def choose_epsilon(rho, n, epsilon="auto"):
     """Floor for the weight domain: "auto" takes rho^n/(2n), halving the bound.
 
-    ``rho`` must lie in (0, 1], as every swap-closed instance's does, or
-    this raises ``PreconditionError``.  An explicit floor is a rational (see
-    ``as_fraction``) and must be positive and strictly below rho^n/n, which
-    is at most 1/n; otherwise this raises ``ConfigurationError``.
+    ``rho`` must be a rational (see ``as_fraction``) in (0, 1], as every
+    swap-closed instance's is, or this raises ``PreconditionError``; it is
+    coerced exactly, so the floor is always a Fraction.  An explicit floor
+    is a rational and must be positive and strictly below rho^n/n, which is
+    at most 1/n; otherwise this raises ``ConfigurationError``.
     """
     if epsilon != "auto":
         eps = as_fraction(epsilon)
         if eps <= 0:
             raise ConfigurationError("explicit floor must be positive")
+    try:
+        rho = as_fraction(rho)
+    except MalformedInstanceError as exc:
+        raise PreconditionError(f"gap constant must be rational, got {rho!r}") from exc
     if not 0 < rho <= 1:
         raise PreconditionError(f"gap constant must lie in (0, 1], got {rho}")
     bound = rho**n / n

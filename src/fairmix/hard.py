@@ -33,6 +33,7 @@ from .model import (
     Instance,
     MixedAllocation,
     all_partitions_allocation_set,
+    is_int,
 )
 
 SPLIT_BUDGET = 10_000
@@ -45,7 +46,7 @@ def split_count(p):
 
     The one check of a half-count: p must be an int >= 1, not a bool.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+    if not is_int(p) or p < 1:
         raise MalformedInstanceError(f"half-count must be an integer >= 1, got {p!r}")
     return math.comb(2 * p, p) // 2
 
@@ -66,9 +67,8 @@ class DisjointnessInput:
                 raise MalformedInstanceError(
                     f"{name} has {len(bits)} bits, expected r = {r} for p = {self.p}"
                 )
-            # the rule bundle masks follow: an int, not a bool
             for b in bits:
-                if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
+                if not is_int(b) or b not in (0, 1):
                     raise MalformedInstanceError(f"{name} contains a non-bit entry {b!r}")
             object.__setattr__(self, name, bits)
 
@@ -191,10 +191,11 @@ class DichotomyReport:
 
 def _raw_welfare(p, inst):
     raw = inst.utilities.raw_values
+    bundles = inst.allocations.bundles
     total = Fraction(0)
     for i in range(inst.n):
         for j, q in p.pairs:
-            total += q * raw[i][inst.allocations[j].bundles[i]]
+            total += q * raw[i][bundles[j][i]]
     return total
 
 

@@ -5,8 +5,10 @@ values enter as exact :class:`fractions.Fraction`; ``normalize_utilities``
 normalizes them once, straight into a :class:`UtilityProfile` of int
 numerators over one denominator shared by every player, and everything
 downstream reads those ints; the raw Fractions are kept only to be written
-back out.  A lottery stores only its support, as ascending (index,
-probability) pairs.  Counts, indices and masks are ints, never bools.
+back out.  An allocation set stores only its tuple of bundle tuples; the
+:class:`PureAllocation` objects it hands out are views made on demand.  A
+lottery stores only its support, as ascending (index, probability) pairs.
+Counts, indices and masks are ints, never bools (``is_int``).
 Nothing in this module rounds.  Every type is immutable after construction
 and safe to share between threads.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import gcd, lcm
 from operator import ge
 
@@ -42,9 +44,13 @@ def as_fraction(value):
     raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {value!r}")
 
 
-def _require_int(value, name):
+def is_int(value):
     """The rule every integer input follows: an int, not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, name):
+    if not is_int(value):
         raise MalformedInstanceError(f"{name} must be an integer, got {value!r}")
 
 
@@ -62,7 +68,7 @@ class PureAllocation:
         bundles = tuple(self.bundles)
         seen = 0
         for b in bundles:
-            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+            if not is_int(b) or b < 0:
                 raise MalformedInstanceError(f"bundle mask {b!r} is not an integer >= 0")
             if seen & b:
                 raise MalformedInstanceError(f"overlapping bundles in {bundles}")
@@ -84,73 +90,71 @@ class PureAllocation:
         """The allocation with players g and h exchanging their bundles."""
         return PureAllocation(_swapped(self.bundles, g, h))
 
-    def union_mask(self):
-        mask = 0
-        for b in self.bundles:
-            mask |= b
-        return mask
-
 
 class AllocationSet:
     """An ordered, duplicate-free collection of pure allocations.
 
-    Duplicates passed to the constructor are collapsed, keeping first
-    occurrence order, and every allocation is validated: bundle types and
-    overlaps, then a common player count.  ``index`` maps a bundle tuple
-    back to its position.  Sets the program builds itself (all partitions,
-    swap closures) are wrapped by ``_of`` and not re-validated.
+    The set stores its allocations as one form, ``bundles``: a tuple of
+    bundle tuples, with ``index`` mapping each back to its position.
+    ``aset[j]`` and iteration give :class:`PureAllocation` views, made when
+    asked for and not stored.  Duplicates passed to the constructor are
+    collapsed, keeping first occurrence order, and every allocation is
+    validated: bundle types and overlaps, then a common player count.  Sets
+    the program builds itself (all partitions, swap closures) are wrapped
+    by ``_of`` and not re-validated.
     """
 
     def __init__(self, allocations):
-        uniq = {}
+        index = {}
         for a in allocations:
             if not isinstance(a, PureAllocation):
                 a = PureAllocation(tuple(a))
-            uniq.setdefault(a.bundles, a)
-        allocations = tuple(uniq.values())
-        if not allocations:
+            index.setdefault(a.bundles, len(index))
+        if not index:
             raise MalformedInstanceError("allocation set may not be empty")
-        n = allocations[0].n
-        for a in allocations:
-            if a.n != n:
+        bundles = tuple(index)
+        n = len(bundles[0])
+        for bs in bundles:
+            if len(bs) != n:
                 raise MalformedInstanceError("allocations disagree on player count")
-        self._init(allocations, n)
+        self._init(bundles, n, index, None)
 
     @classmethod
-    def _of(cls, allocations, n):
-        """Wrap distinct, valid allocations over n players without re-checking them."""
+    def _of(cls, bundles, n, seen=None):
+        """Wrap distinct, valid bundle tuples over n players without re-checking
+        them; ``seen``, when given, is their ``bundles_seen()``."""
         out = object.__new__(cls)
-        out._init(tuple(allocations), n)
+        bundles = tuple(bundles)
+        out._init(bundles, n, dict(zip(bundles, range(len(bundles)))), seen)
         return out
 
-    def _init(self, allocations, n):
-        self.allocations = allocations
+    def _init(self, bundles, n, index, seen):
+        self.bundles = bundles
         self.n = n
-        self.index = {a.bundles: j for j, a in enumerate(allocations)}
-        self._bundles_seen = None
+        self.index = index
+        self._bundles_seen = seen
 
     def __len__(self):
-        return len(self.allocations)
+        return len(self.bundles)
 
     def __iter__(self):
-        return iter(self.allocations)
+        return map(PureAllocation._of, self.bundles)
 
     def __getitem__(self, j):
-        return self.allocations[j]
+        if isinstance(j, slice):
+            return tuple(map(PureAllocation._of, self.bundles[j]))
+        return PureAllocation._of(self.bundles[j])
 
     def __eq__(self, other):
-        return isinstance(other, AllocationSet) and self.allocations == other.allocations
+        return isinstance(other, AllocationSet) and self.bundles == other.bundles
 
     def __repr__(self):
-        return f"AllocationSet(k={len(self.allocations)}, n={self.n})"
+        return f"AllocationSet(k={len(self.bundles)}, n={self.n})"
 
     def bundles_seen(self):
         """Every bundle mask appearing anywhere in the set, computed once per set."""
         if self._bundles_seen is None:
-            out = set()
-            for a in self.allocations:
-                out.update(a.bundles)
-            self._bundles_seen = frozenset(out)
+            self._bundles_seen = frozenset(chain.from_iterable(self.bundles))
         return self._bundles_seen
 
 
@@ -194,7 +198,7 @@ def normalize_utilities(raw):
             raise MalformedInstanceError(f"player {i} has no utility values")
         checked = {}
         for bundle, v in values.items():
-            if not isinstance(bundle, int) or isinstance(bundle, bool) or bundle < 0:
+            if not is_int(bundle) or bundle < 0:
                 raise MalformedInstanceError(f"bundle mask {bundle!r} is not an integer >= 0")
             checked[bundle] = as_fraction(v)
         den = lcm(*(v.denominator for v in checked.values()))
@@ -244,9 +248,8 @@ class Instance:
         # every mask is >= 0, so the largest one has a bit at or above m
         # exactly when some allocation uses an item beyond m
         if max(bundles) >> self.m:
-            full = (1 << self.m) - 1
-            culprit = next(a for a in self.allocations if a.union_mask() & ~full)
-            raise MalformedInstanceError(f"allocation {culprit.bundles} uses items beyond m={self.m}")
+            culprit = next(bs for bs in self.allocations.bundles if max(bs) >> self.m)
+            raise MalformedInstanceError(f"allocation {culprit} uses items beyond m={self.m}")
         for i in range(self.n):
             missing = bundles - self.utilities.table[i].keys()
             if missing:
@@ -295,9 +298,10 @@ class UtilityKernel:
     """Own-utility data of an instance, derived once, in integers.
 
     ``table`` is the instance's :class:`UtilityProfile` integer table, every
-    entry over the profile's one scale.  ``bundles[j]`` is allocation j's
-    bundle tuple and ``own_num[i][j]`` player i's entry for their bundle in
-    it.  ``points`` are the distinct own-utility vectors (columns of
+    entry over the profile's one scale.  ``bundles`` is the allocation set's
+    own tuple of bundle tuples, not a copy, and ``own_num[i][j]`` player i's
+    entry for their bundle in allocation j, read down the set's bundle
+    columns.  ``points`` are the distinct own-utility vectors (columns of
     ``own_num``) in order of first occurrence, ``members[v]`` the ascending
     indices of the allocations sharing point v; allocations with equal own
     vectors stay separate, because their envy views differ.  ``frontier``
@@ -315,9 +319,9 @@ class UtilityKernel:
     @classmethod
     def of(cls, inst):
         table = inst.utilities.table
-        bundles = tuple(a.bundles for a in inst.allocations)
+        bundles = inst.allocations.bundles
         own_num = tuple(
-            tuple(row[bs[i]] for bs in bundles) for i, row in enumerate(table)
+            tuple(map(row.__getitem__, column)) for row, column in zip(table, zip(*bundles))
         )
         groups = {}
         for j, point in enumerate(zip(*own_num)):
@@ -379,10 +383,12 @@ def all_partitions_allocation_set(n, m):
 
     Yields (n+1)^m allocations in the order of
     ``itertools.product(range(n + 1), repeat=m)`` over the items' owners
-    (0 for nobody, item 1 varying slowest).  The tuples are built item by
-    item, each child being its parent with the item's bit OR-ed into one
-    slot, so they are disjoint, distinct and swap-closed by construction and
-    are wrapped without re-validation.
+    (0 for nobody, item 1 varying slowest).  The set is built column-wise:
+    one list of masks per player, grown from the last item to the first,
+    then zipped into the bundle tuples.  They are disjoint, distinct
+    and swap-closed by construction and are wrapped without re-validation;
+    every mask over the m items appears in them, so ``bundles_seen()`` is
+    recorded as all of them.
     """
     _require_int(n, "player count n")
     _require_int(m, "item count m")
@@ -394,16 +400,17 @@ def all_partitions_allocation_set(n, m):
             f"all-partitions set has {(n + 1)}^{m} = {k} allocations,"
             f" over the budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
-    level = [(0,) * n]
-    for item in range(m):
+    # the owner of the current item varies slowest among the items so far
+    # built: its owner-0 block comes first, then one block per player, and
+    # only player s's own block (the (s+1)-th) carries the item's bit
+    columns = [[0] for _ in range(n)]
+    for item in reversed(range(m)):
         bit = 1 << item
-        grown = []
-        for bundles in level:
-            grown.append(bundles)
-            for s in range(n):
-                grown.append(bundles[:s] + (bundles[s] | bit,) + bundles[s + 1 :])
-        level = grown
-    return AllocationSet._of(map(PureAllocation._of, level), n)
+        columns = [
+            col * (s + 1) + [b | bit for b in col] + col * (n - 1 - s)
+            for s, col in enumerate(columns)
+        ]
+    return AllocationSet._of(zip(*columns), n, frozenset(range(1 << m)))
 
 
 def is_swappable(aset):
@@ -413,8 +420,7 @@ def is_swappable(aset):
     allocation index and player pair whose swap is missing.
     """
     pairs = tuple(combinations(range(aset.n), 2))
-    for j, a in enumerate(aset.allocations):
-        bundles = a.bundles
+    for j, bundles in enumerate(aset.bundles):
         for g, h in pairs:
             if bundles[g] != bundles[h] and _swapped(bundles, g, h) not in aset.index:
                 return False, (j, g, h)
@@ -435,11 +441,12 @@ def swap_closure(allocations):
     ``allocations`` is an :class:`AllocationSet`, or a list that is
     validated into one; the swaps then run on bundle tuples.  The closure
     holds distinct keys, each a validated tuple or a swap of one, so it is
-    wrapped without re-validation.
+    wrapped without re-validation.  A swap only moves masks between players,
+    so the closure's ``bundles_seen()`` is the given set's.
     """
     if not isinstance(allocations, AllocationSet):
         allocations = AllocationSet(allocations)
-    closed = {a.bundles: a for a in allocations}
+    closed = dict.fromkeys(allocations.bundles)
     stack = list(closed)
     pairs = tuple(combinations(range(allocations.n), 2))
     while stack:
@@ -453,9 +460,9 @@ def swap_closure(allocations):
                     raise EnumerationLimitError(
                         f"swap closure exceeds the budget of {DEFAULT_ENUMERATION_BUDGET} allocations"
                     )
-                closed[swapped] = PureAllocation._of(swapped)
+                closed[swapped] = None
                 stack.append(swapped)
-    return AllocationSet._of(closed.values(), allocations.n)
+    return AllocationSet._of(closed, allocations.n, allocations.bundles_seen())
 
 
 @dataclass(frozen=True)
@@ -551,6 +558,6 @@ def expected_utility(p, viewer, owner, inst):
             f"lottery over {p.k} allocations, instance has {len(inst.allocations)}"
         )
     row = inst.utilities.table[viewer]
-    allocations = inst.allocations.allocations
-    total = sum(q * row[allocations[j].bundles[owner]] for j, q in p.pairs)
+    bundles = inst.allocations.bundles
+    total = sum(q * row[bundles[j][owner]] for j, q in p.pairs)
     return total / inst.utilities.scale

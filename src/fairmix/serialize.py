@@ -26,6 +26,7 @@ from .model import (
     PureAllocation,
     all_partitions_allocation_set,
     as_fraction,
+    is_int,
     normalize_utilities,
     swap_closure,
 )
@@ -67,7 +68,7 @@ def mask_to_items(mask):
 def items_to_mask(items, m):
     mask = 0
     for item in items:
-        if not isinstance(item, int) or isinstance(item, bool) or not 1 <= item <= m:
+        if not is_int(item) or not 1 <= item <= m:
             raise MalformedInstanceError(f"item {item!r} outside 1..{m}")
         bit = 1 << (item - 1)
         if mask & bit:
@@ -102,12 +103,8 @@ def load_instance(data, strict=False, warn=None):
     for key in allowed:
         _require(key in data, key, "missing field")
     n, m = data["n"], data["m"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n", "need an integer >= 1")
-    _require(
-        isinstance(m, int) and not isinstance(m, bool) and 0 <= m <= MAX_ITEMS,
-        "m",
-        f"need an integer in 0..{MAX_ITEMS}",
-    )
+    _require(is_int(n) and n >= 1, "n", "need an integer >= 1")
+    _require(is_int(m) and 0 <= m <= MAX_ITEMS, "m", f"need an integer in 0..{MAX_ITEMS}")
 
     spec = data["allocations"]
     if spec == "all_partitions":
@@ -144,7 +141,7 @@ def load_instance(data, strict=False, warn=None):
                 _require(isinstance(pair, list) and len(pair) == 2, field, "entries are [mask, value] pairs")
                 mask, value = pair
                 _require(
-                    isinstance(mask, int) and not isinstance(mask, bool) and 0 <= mask < (1 << m),
+                    is_int(mask) and 0 <= mask < (1 << m),
                     field,
                     f"bundle mask {mask!r} outside 0..{(1 << m) - 1}",
                 )
@@ -181,9 +178,7 @@ def dump_instance(inst):
     ):
         allocations = "all_partitions"
     else:
-        allocations = [
-            [mask_to_items(b) for b in a.bundles] for a in inst.allocations
-        ]
+        allocations = [[mask_to_items(b) for b in bs] for bs in inst.allocations.bundles]
     values = []
     for i in range(inst.n):
         table = inst.utilities.raw_values[i]
@@ -198,8 +193,9 @@ def dump_instance(inst):
 
 def dump_mixed_allocation(p, inst):
     support = []
+    bundles_of = inst.allocations.bundles
     for j, q in p.pairs:
-        bundles = inst.allocations[j].bundles
+        bundles = bundles_of[j]
         support.append(
             {
                 "bundles": [mask_to_items(b) for b in bundles],
@@ -266,7 +262,7 @@ def dump_trace_record(rec, inst):
         "iteration": rec.iteration,
         "w": [format_rational(x) for x in rec.w.w],
         "support": [
-            [mask_to_items(b) for b in inst.allocations[j].bundles] for j in rec.p.support()
+            [mask_to_items(b) for b in inst.allocations.bundles[j]] for j in rec.p.support()
         ],
         "residual": format_rational(rec.residual),
         "nu": [format_rational(x) for x in rec.nu],

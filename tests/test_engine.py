@@ -189,6 +189,23 @@ class TestChooseEpsilon:
             with pytest.raises(PreconditionError, match=r"gap constant must lie in \(0, 1\], got 2"):
                 choose_epsilon(F(2), 2, floor)
 
+    def test_int_rho_gives_fraction(self):
+        eps = choose_epsilon(1, 2)
+        assert eps == F(1, 4) and type(eps) is F
+        assert WeightVector.uniform(2, eps).epsilon == F(1, 4)
+        assert choose_epsilon(1, 2, F(1, 5)) == F(1, 5)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, None, True], ids=["float", "float-one", "none", "bool"])
+    def test_rejects_non_rational_rho(self, rho):
+        for floor in ("auto", F(1, 100)):
+            with pytest.raises(PreconditionError, match="gap constant must be rational"):
+                choose_epsilon(rho, 2, floor)
+
+    @pytest.mark.parametrize("rho, n, want", [(F(1, 2), 2, F(1, 16)), (F(1, 3), 3, F(1, 162)), (F(1), 1, F(1, 2))])
+    def test_fraction_rho_unchanged(self, rho, n, want):
+        eps = choose_epsilon(rho, n)
+        assert eps == want and type(eps) is F
+
     @given(st.fractions(min_value="1/100", max_value=1, max_denominator=100), st.integers(1, 4))
     def test_auto_strictly_below_bound(self, rho, n):
         eps = choose_epsilon(rho, n)

@@ -3,13 +3,16 @@
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairmix import cli
+from fairmix.envy import certify
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError
+from fairmix.hard import DisjointnessInput, build_hard_instance, split_count
 from fairmix.model import (
     DEFAULT_ENUMERATION_BUDGET,
     MAX_ITEMS,
@@ -23,6 +26,13 @@ from fairmix.model import (
     is_swappable,
     normalize_utilities,
     swap_closure,
+)
+from fairmix.serialize import (
+    dump_certificate,
+    dump_instance,
+    items_to_mask,
+    load_instance,
+    load_mixed_allocation,
 )
 from oracles import fraction_normalize
 
@@ -109,7 +119,7 @@ class TestPureAllocation:
 
     def test_partial_allocation_allowed(self):
         a = PureAllocation((0, 0))
-        assert a.union_mask() == 0
+        assert a.bundles == (0, 0)
 
     @pytest.mark.parametrize("bad", [1.9, True, "x", -1], ids=repr)
     @pytest.mark.parametrize(
@@ -185,7 +195,9 @@ class TestAllPartitions:
     def test_matches_product_order_and_full_validation(self, n, m):
         built = all_partitions_allocation_set(n, m)
         reference = product_partitions(n, m)
-        assert [a.bundles for a in built] == reference
+        assert list(built.bundles) == reference
+        # the recorded bundles_seen() is the set scanned from the tuples
+        assert built.bundles_seen() == frozenset(chain.from_iterable(built.bundles))
         assert_same_set(built, AllocationSet([PureAllocation(b) for b in reference]))
         assert is_swappable(built) == (True, None)
         raw = [{mask: mask * (i + 1) for mask in range(1 << m)} for i in range(n)]
@@ -231,6 +243,64 @@ class TestAllPartitions:
     def test_always_swappable(self, n, m):
         ok, witness = is_swappable(all_partitions_allocation_set(n, m))
         assert ok and witness is None
+
+
+class TestStoredForm:
+    """A set stores its bundle tuples; PureAllocation views are made on demand."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AllocationSet([(0b01, 0b10), (0b10, 0b01), (0, 0b11), (0b01, 0b10)]),
+            lambda: all_partitions_allocation_set(2, 3),
+            lambda: swap_closure([(0b001, 0b010, 0)]),
+        ],
+        ids=["validated", "built", "closure"],
+    )
+    def test_views_agree_with_the_stored_tuples(self, make):
+        aset = make()
+        assert [a.bundles for a in aset] == list(aset.bundles)
+        for j in range(len(aset)):
+            assert isinstance(aset[j], PureAllocation)
+            assert aset[j].bundles == aset.bundles[j]
+            assert aset.index[aset[j].bundles] == j
+        assert aset[-1].bundles == aset.bundles[-1]
+        assert [a.bundles for a in aset[1:3]] == list(aset.bundles[1:3])
+        again = AllocationSet(list(aset))
+        assert_same_set(aset, again)
+        assert aset == make() and len(aset) == len(aset.bundles)
+        assert aset.n == len(aset.bundles[0])
+
+    def test_built_and_validated_sets_are_equal(self):
+        built = all_partitions_allocation_set(2, 2)
+        validated = AllocationSet(product_partitions(2, 2))
+        assert_same_set(built, validated)
+        assert built != AllocationSet(product_partitions(2, 2)[::-1])
+
+    def test_kernel_reads_the_sets_own_tuple(self):
+        inst = Instance.build([{b: b for b in range(8)}] * 2, all_partitions_allocation_set(2, 3))
+        assert inst.kernel.bundles is inst.allocations.bundles
+
+    def test_no_wrapper_on_load_verify_dump_or_solve(self, monkeypatch, tmp_path):
+        hard = dump_instance(build_hard_instance(DisjointnessInput(3, (1, 0) * 5, (0, 1) * 5)))
+        desk = tmp_path / "desk.json"
+        desk.write_text(
+            '{"n": 3, "m": 3, "allocations": "all_partitions", "utilities": {"type": "additive",'
+            ' "items": [["1", "3", "0"], ["2", "1", "1/2"], ["0", "1", "4"]]}}'
+        )
+
+        def refuse(bundles):
+            raise AssertionError(f"a PureAllocation view of {bundles} was built")
+
+        monkeypatch.setattr(PureAllocation, "_of", refuse)
+        inst = load_instance(hard)
+        empty = {"support": [{"bundles": [[], []], "probability": "1/1"}]}
+        cert = certify(load_mixed_allocation(empty, inst), inst)
+        out = dump_certificate(cert, inst)
+        assert not out["ok"] and not out["pe"]["ok"]
+        assert out["pe"]["dominator"] == {"support": [{"bundles": [[1, 2, 3], [4, 5, 6]], "probability": "1/1"}]}
+        assert out["pe"]["gains"] == ["1/1", "8/9"]
+        assert cli.main(["solve", "--instance", str(desk)]) == 0
 
 
 class TestIsSwappable:
@@ -555,3 +625,34 @@ def test_counts_and_indices_are_ints_not_bools(build):
     # the rule bundle masks already follow: an int, not a bool
     with pytest.raises(MalformedInstanceError, match="must be an integer"):
         build()
+
+
+def _instance_json(n=2, m=1, mask=1):
+    return {
+        "n": n,
+        "m": m,
+        "utilities": {"type": "table", "values": [[[0, "0"], [mask, "1"]]] * 2},
+        "allocations": "all_partitions",
+    }
+
+
+# Every site that applies the int-not-bool rule (``model.is_int``), each
+# with the message it raised before the rule was shared.
+INT_SITES = [
+    ("PureAllocation", lambda x: PureAllocation((x, 0)), "bundle mask {x!r} is not an integer >= 0"),
+    ("normalize_utilities", lambda x: normalize_utilities([{x: 1}]), "bundle mask {x!r} is not an integer >= 0"),
+    ("split_count", lambda x: split_count(x), "half-count must be an integer >= 1, got {x!r}"),
+    ("DisjointnessInput", lambda x: DisjointnessInput(1, (x,), (0,)), "x1 contains a non-bit entry {x!r}"),
+    ("items_to_mask", lambda x: items_to_mask([x], 2), "item {x!r} outside 1..2"),
+    ("load_instance-n", lambda x: load_instance(_instance_json(n=x)), "field 'n': need an integer >= 1"),
+    ("load_instance-m", lambda x: load_instance(_instance_json(m=x)), f"field 'm': need an integer in 0..{MAX_ITEMS}"),
+    ("load_instance-mask", lambda x: load_instance(_instance_json(mask=x)), "field 'utilities.values[0]': bundle mask {x!r} outside 0..1"),
+]
+
+
+@pytest.mark.parametrize("x", [True, 2.0], ids=repr)
+@pytest.mark.parametrize("build, message", [s[1:] for s in INT_SITES], ids=[s[0] for s in INT_SITES])
+def test_int_rule_sites_keep_their_messages(build, message, x):
+    with pytest.raises(MalformedInstanceError) as info:
+        build(x)
+    assert str(info.value) == message.format(x=x)
