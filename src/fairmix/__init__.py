@@ -38,7 +38,6 @@ from .envy import (
     certify,
     check_envy_free,
     check_pareto_efficient,
-    envy_free_players,
     is_acyclic,
 )
 from .engine import (

@@ -9,19 +9,20 @@ so certified fixed points settle both properties at once.
 
 The argmax scores only the instance's Pareto frontier (``Instance.kernel``):
 with every w_i > 0 a weakly dominated own-utility vector never attains the
-maximum.  The frontier points come from the kernel's integer utility table,
-whose entries share one denominator, and dropping that positive constant
-changes no comparison; the weights are put over their own common
-denominator, so every comparison is an exact int comparison.  The winning
+maximum.  The frontier points are entries of the kernel's integer utility
+table, over its one scale, and the weights are positive ints, a weight
+vector times a positive constant; dropping both constants changes no
+comparison, so every comparison is an exact int comparison.  The winning
 vectors expand to all their member allocations, in ascending order.
 
 The paper does not show that iterating the map converges, so the search
 walks weight space directly, the same way for every n.  It enumerates, by
 double description in exact integers, the vertices of the welfare envelope
-{(w, t) : w in W, t >= w.u for every frontier vector u}.  The argmax set of
-any weight is contained in that of some vertex, so scanning the vertices
-with inclusion-maximal argmax sets is complete: exhausting the scan means
-an invariant broke.  The map stays as a self-check on every candidate that
+{(w, t) : w in W, t >= w.u for every frontier vector u}, with int weights;
+only scanned vertices get a ``WeightVector``.  The argmax set of any weight
+is contained in that of some vertex, so scanning the vertices with
+inclusion-maximal argmax sets is complete: exhausting the scan means an
+invariant broke.  The map stays as a self-check on every candidate that
 passes the envy screen: its residual and the paper's lemmas must agree with
 the certificate.
 
@@ -46,12 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
-from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_swappable
+from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_swappable, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,14 @@ class FixedPointState:
     nu: tuple
 
 
-def _argmax_of(frontier, w):
-    """Ascending indices of the allocations of maximum w-welfare.
+def _argmax_of(frontier, weights):
+    """Ascending indices of the allocations of maximum welfare under ``weights``.
 
-    Frontier point f scores sum_i w_i * points[f][i], its exact welfare
-    times the table's positive scale; multiplying every w_i by the lcm of
-    their denominators makes each score an int without changing the order.
+    ``weights`` are positive ints, a weight vector times a positive
+    constant.  Frontier point f scores sum_i weights_i * points[f][i], its
+    exact welfare times the table's scale and that constant, so the int
+    scores order the points as the exact welfare does.
     """
-    common = lcm(*(wi.denominator for wi in w.w))
-    weights = [wi.numerator * (common // wi.denominator) for wi in w.w]
     best = None
     winners = []
     for f, point in enumerate(frontier.points):
@@ -93,7 +93,7 @@ def _argmax_of(frontier, w):
 
 def argmax_allocations(w, inst):
     """Indices of the allocations maximizing the w-weighted welfare, exactly."""
-    return _argmax_of(inst.kernel.frontier, w)
+    return _argmax_of(inst.kernel.frontier, over_common_denominator(w.w)[0])
 
 
 def select_p_in_P(w, inst, argmax=None):
@@ -102,7 +102,8 @@ def select_p_in_P(w, inst, argmax=None):
     Solves: min s over lotteries supported on the argmax set, where s bounds
     every pairwise margin (view of another player's stream minus own).  An
     optimum s <= 0 means the returned lottery is already envy-free.  The LP
-    is canonical, so the free s is the last two columns, s = s+ - s-.
+    is canonical, so the free s is the last two columns, s = s+ - s-.  Every
+    row is built times the table's scale, in the table's ints (see ``lp``).
     """
     if argmax is None:
         argmax = argmax_allocations(w, inst)
@@ -114,18 +115,15 @@ def select_p_in_P(w, inst, argmax=None):
     q = len(argmax)
     kernel = inst.kernel
     scale = inst.utilities.scale
-    zero = Fraction(0)
-    objective = (zero,) * q + (Fraction(-1), Fraction(1))
-    rows = [((Fraction(1),) * q + (zero, zero), "=", Fraction(1))]
+    objective = (0,) * q + (-1, 1)
+    rows = [((scale,) * q + (0, 0), "=", scale)]
     for i in range(n):
         values, own = kernel.table[i], kernel.own_num[i]
         for h in range(n):
             if h == i:
                 continue
-            coeffs = tuple(
-                Fraction(values[kernel.bundles[j][h]] - own[j], scale) for j in argmax
-            )
-            rows.append((coeffs + (Fraction(-1), Fraction(1)), "<=", zero))
+            coeffs = tuple(values[kernel.bundles[j][h]] - own[j] for j in argmax)
+            rows.append((coeffs + (-scale, scale), "<=", 0))
     result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
@@ -204,7 +202,8 @@ def choose_epsilon(rho, n, epsilon="auto"):
     swap-closed instance's is, or this raises ``PreconditionError``; it is
     coerced exactly, so the floor is always a Fraction.  An explicit floor
     is a rational and must be positive and strictly below rho^n/n, which is
-    at most 1/n; otherwise this raises ``ConfigurationError``.
+    at most 1/n; otherwise this raises ``ConfigurationError``, or
+    ``MalformedInstanceError`` when it is not a rational at all.
     """
     if epsilon != "auto":
         eps = as_fraction(epsilon)
@@ -262,8 +261,9 @@ def find_fixed_point(inst, epsilon="auto", trace_sink=None):
 def _envelope_vertices(frontier, eps):
     """Vertices of {(w, t) : w in W, t >= w.u for every u in ``frontier``}, exactly.
 
-    Returns ``(w, tight)`` pairs: a vertex weight and the bitmask of the
-    vectors of maximum w-welfare there (bit f for frontier vector f).
+    Returns ``(weights, tight)`` pairs: the vertex weight times x0 (below),
+    as positive ints summing to x0, and the bitmask of the vectors of
+    maximum welfare there (bit f for frontier vector f).
     Double description over primitive integer rays in homogeneous
     coordinates (x0, w_1..w_{n-1}, T), where w_n = x0 - sum of the others
     and T is t times the table's scale, over which the points are ints.  The
@@ -323,14 +323,7 @@ def _envelope_vertices(frontier, eps):
                 kept.append((_primitive(ray), common | bit))
         rays = kept
 
-    out = []
-    for ray, tight in rays:
-        if ray[0] == 0:
-            continue
-        head = [Fraction(x, ray[0]) for x in ray[1:n]]
-        w = tuple(head) + (1 - sum(head),)
-        out.append((w, tight >> n))
-    return out
+    return [((*ray[1:n], ray[0] - sum(ray[1:n])), tight >> n) for ray, tight in rays if ray[0]]
 
 
 def _primitive(ray):
@@ -351,19 +344,20 @@ def _fallback_search(inst, eps, trace_sink=None):
     """
     frontier = inst.kernel.frontier
     weight_of = {}
-    for w, tight in _envelope_vertices(frontier, eps):
-        weight_of.setdefault(tight, w)
+    for weights, tight in _envelope_vertices(frontier, eps):
+        weight_of.setdefault(tight, weights)
     maximal = [
-        (mask, w) for mask, w in weight_of.items()
+        (mask, weights) for mask, weights in weight_of.items()
         if not any(other != mask and other & mask == mask for other in weight_of)
     ]
     maximal.sort(key=lambda item: -item[0].bit_count())
-    for position, (mask, w) in enumerate(maximal, 1):
-        w = WeightVector(w, eps)
-        amax = _argmax_of(frontier, w)
+    for position, (mask, weights) in enumerate(maximal, 1):
+        amax = _argmax_of(frontier, weights)
         tight = (frontier.members[f] for f in range(len(frontier)) if mask >> f & 1)
         if amax != tuple(sorted(chain.from_iterable(tight))):
             raise EngineInvariantError("welfare-envelope vertex disagrees with the argmax")
+        total = sum(weights)
+        w = WeightVector(tuple(Fraction(x, total) for x in weights), eps)
         p = select_p_in_P(w, inst, amax)
         views = _views(p, inst)
         envious = _max_envy(views) > 0

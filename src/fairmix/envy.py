@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from math import lcm
 
 from .errors import EngineInvariantError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .model import MixedAllocation, as_fraction, expected_utility
+from .model import MixedAllocation, as_fraction, expected_utility, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class EnvyGraph:
 
     n: int
     edges: tuple
-
-    def has_edge(self, i, h):
-        return any(g == i and t == h for g, t, _ in self.edges)
 
 
 @dataclass(frozen=True)
@@ -110,13 +106,6 @@ def is_acyclic(graph):
     return True, None
 
 
-def envy_free_players(p, inst):
-    """Players with no outgoing envy edge."""
-    graph = build_envy_graph(p, inst)
-    enviers = {i for i, _, _ in graph.edges}
-    return set(range(inst.n)) - enviers
-
-
 def check_envy_free(p, inst):
     graph = build_envy_graph(p, inst)
     if not graph.edges:
@@ -137,10 +126,11 @@ def check_pareto_efficient(p, inst, weight=None):
 
     Without a weight, the LP's variables are a lottery p' over the frontier
     vectors and slacks t_i >= 0 with the constraints sum p' = 1 and
-    (own utility of p')_i >= (own utility of p)_i + t_i.  The optimum is
-    exactly 0 iff p is Pareto efficient; otherwise the optimal p', placed on
-    the first member allocation of each vector, dominates and is returned
-    after independent re-verification.
+    (own utility of p')_i >= (own utility of p)_i + t_i, every row built
+    times the table's scale, in the table's ints (see ``lp``).  The optimum
+    is exactly 0 iff p is Pareto efficient; otherwise the optimal p', placed
+    on the first member allocation of each vector, dominates and is
+    returned after independent re-verification.
     """
     if weight is not None:
         return _check_weight_witness(p, inst, tuple(as_fraction(x) for x in weight))
@@ -149,14 +139,13 @@ def check_pareto_efficient(p, inst, weight=None):
     n = inst.n
     current = [expected_utility(p, i, i, inst) for i in range(n)]
 
-    zero = Fraction(0)
-    objective = (zero,) * cols + (Fraction(1),) * n
-    rows = [((Fraction(1),) * cols + (zero,) * n, "=", Fraction(1))]
     scale = inst.utilities.scale
+    objective = (0,) * cols + (1,) * n
+    rows = [((scale,) * cols + (0,) * n, "=", scale)]
     for i in range(n):
-        row = tuple(Fraction(point[i], scale) for point in frontier.points)
-        row += tuple(Fraction(-1) if t == i else zero for t in range(n))
-        rows.append((row, ">=", current[i]))
+        row = tuple(point[i] for point in frontier.points)
+        row += tuple(-scale if t == i else 0 for t in range(n))
+        rows.append((row, ">=", current[i] * scale))
     result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"domination program ended {result.status}")
@@ -178,8 +167,7 @@ def check_pareto_efficient(p, inst, weight=None):
 def _check_weight_witness(p, inst, w):
     if len(w) != inst.n or any(x <= 0 for x in w):
         return PeCheck(False)
-    common = lcm(*(x.denominator for x in w))
-    ints = [x.numerator * (common // x.denominator) for x in w]
+    ints = over_common_denominator(w)[0]
     best = max(sum(a * b for a, b in zip(ints, point)) for point in inst.kernel.points)
     own = inst.kernel.own_num
     for j in p.support():

@@ -28,6 +28,10 @@ the sign of every entry and reduced cost.  It scales all ratios in one
 column alike, so the ratio test (cross-multiplied) keeps its order and its
 ties.  Bland's rule therefore enters and leaves the same columns as on the
 rational tableau, and the basic solution rhs/D is the same rational point.
+The same argument covers a caller's scaling: a program whose every row is
+multiplied by one positive constant pivots as the original does and has the
+same solution.  The engine and the verifier therefore build their programs
+with every row times the utility table's scale, in the table's ints.
 Every optimal result is re-checked by substitution, and status answers
 carry no tolerance.
 """
@@ -45,7 +49,7 @@ from .errors import (
     MalformedLpError,
     PreconditionError,
 )
-from .model import as_fraction
+from .model import as_fraction, over_common_denominator
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -205,9 +209,8 @@ def solve_lp(lp):
     slack_at = ncols
     art_at = art_start
     for coeffs, rel, rhs in oriented:
-        scale = lcm(rhs.denominator, *(a.denominator for a in coeffs))
-        row = [a.numerator * (scale // a.denominator) for a in coeffs]
-        row += [0] * (total - ncols) + [rhs.numerator * (scale // rhs.denominator)]
+        nums, scale = over_common_denominator((*coeffs, rhs))
+        row = nums[:ncols] + [0] * (total - ncols) + nums[ncols:]
         if rel == "<=":
             row[slack_at] = 1
             basis.append(slack_at)
@@ -228,10 +231,8 @@ def solve_lp(lp):
 
     # Phase-2 costs are 0 on every initial basic column, so the scaled cost
     # vector is already its own reduced-cost row.
-    scale = lcm(*(c.denominator for c in lp.objective))
-    rows.append(
-        [-c.numerator * (scale // c.denominator) for c in lp.objective] + [0] * (total - ncols + 1)
-    )
+    costs = over_common_denominator(lp.objective)[0]
+    rows.append([-c for c in costs] + [0] * (total - ncols + 1))
     d = 1
 
     if n_art:

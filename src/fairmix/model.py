@@ -49,6 +49,12 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def over_common_denominator(values):
+    """Rationals as int numerators over their lcm, ``(numerators, lcm)``; reads ``values`` twice."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _require_int(value, name):
     if not is_int(value):
         raise MalformedInstanceError(f"{name} must be an integer, got {value!r}")
@@ -85,10 +91,6 @@ class PureAllocation:
         out = object.__new__(cls)
         object.__setattr__(out, "bundles", bundles)
         return out
-
-    def swap(self, g, h):
-        """The allocation with players g and h exchanging their bundles."""
-        return PureAllocation(_swapped(self.bundles, g, h))
 
 
 class AllocationSet:
@@ -201,8 +203,7 @@ def normalize_utilities(raw):
             if not is_int(bundle) or bundle < 0:
                 raise MalformedInstanceError(f"bundle mask {bundle!r} is not an integer >= 0")
             checked[bundle] = as_fraction(v)
-        den = lcm(*(v.denominator for v in checked.values()))
-        ints = {b: v.numerator * (den // v.denominator) for b, v in checked.items()}
+        ints = dict(zip(checked, over_common_denominator(checked.values())[0]))
         lo = min(ints.values())
         span = max(ints.values()) - lo
         if span == 0:

@@ -82,11 +82,19 @@ def _require(condition, field, detail):
         raise MalformedInstanceError(f"field {field!r}: {detail}")
 
 
+def _in_field(field, build, *args):
+    """``build(*args)``, its ``MalformedInstanceError`` prefixed by ``field`` as ``_require`` does."""
+    try:
+        return build(*args)
+    except MalformedInstanceError as exc:
+        raise MalformedInstanceError(f"field {field!r}: {exc}") from exc
+
+
 def _parse_allocation_entry(entry, n, m, field):
     _require(isinstance(entry, list) and len(entry) == n, field, f"expected {n} bundles")
     for bundle in entry:
         _require(isinstance(bundle, list), field, "bundles must be item lists")
-    return PureAllocation(tuple(items_to_mask(bundle, m) for bundle in entry))
+    return _in_field(field, lambda: PureAllocation(tuple(items_to_mask(bundle, m) for bundle in entry)))
 
 
 def load_instance(data, strict=False, warn=None):
@@ -94,7 +102,8 @@ def load_instance(data, strict=False, warn=None):
 
     Explicit allocation lists are closed under pairwise swaps on load;
     ``warn`` (a callable taking a message) fires when the closure added
-    allocations, and ``strict`` turns that situation into an error.
+    allocations, and ``strict`` turns that situation into an error.  Every
+    ``MalformedInstanceError`` names its field, as ``field 'name': detail``.
     """
     _require(isinstance(data, dict), "$", "instance must be a JSON object")
     allowed = {"n", "m", "utilities", "allocations"}
@@ -146,7 +155,7 @@ def load_instance(data, strict=False, warn=None):
                     f"bundle mask {mask!r} outside 0..{(1 << m) - 1}",
                 )
                 _require(mask not in table, field, f"duplicate bundle mask {mask}")
-                table[mask] = parse_rational(value)
+                table[mask] = _in_field(field, parse_rational, value)
             raw.append(table)
     elif kind == "additive":
         rows = util.get("items")
@@ -156,7 +165,7 @@ def load_instance(data, strict=False, warn=None):
         for i, row in enumerate(rows):
             field = f"utilities.items[{i}]"
             _require(isinstance(row, list) and len(row) == m, field, f"need {m} item values")
-            per_item = [parse_rational(v) for v in row]
+            per_item = [_in_field(field, parse_rational, v) for v in row]
             table = {}
             for mask in needed:
                 table[mask] = sum(
@@ -166,7 +175,7 @@ def load_instance(data, strict=False, warn=None):
     else:
         raise MalformedInstanceError(f"field 'utilities.type': expected 'table' or 'additive', got {kind!r}")
 
-    return Instance(n=n, m=m, utilities=normalize_utilities(raw), allocations=aset)
+    return _in_field("utilities", lambda: Instance(n, m, normalize_utilities(raw), aset))
 
 
 def dump_instance(inst):
@@ -218,8 +227,8 @@ def load_mixed_allocation(data, inst):
         j = inst.allocations.index.get(allocation.bundles)
         _require(j is not None, field, f"allocation {entry['bundles']} is not in the instance's set")
         _require(j not in probs, field, "allocation listed twice")
-        probs[j] = parse_rational(entry["probability"])
-    return MixedAllocation.from_support(len(inst.allocations), probs)
+        probs[j] = _in_field(field, parse_rational, entry["probability"])
+    return _in_field("support", MixedAllocation.from_support, len(inst.allocations), probs)
 
 
 def dump_certificate(cert, inst):

@@ -50,5 +50,12 @@ def random_table_instance(rng, n=None, m=None, grid=12):
     return Instance.build(raw, all_partitions_allocation_set(n, m))
 
 
+def swapped(bundles, g, h):
+    """``bundles`` with the entries of players g and h exchanged."""
+    out = list(bundles)
+    out[g], out[h] = bundles[h], bundles[g]
+    return tuple(out)
+
+
 def seeded_rng(seed):
     return random.Random(seed)

@@ -14,7 +14,7 @@ from math import lcm
 
 import pytest
 
-from conftest import additive_table, fraction_points, seeded_rng
+from conftest import additive_table, fraction_points, seeded_rng, swapped
 from fairmix.engine import (
     _envelope_vertices,
     argmax_allocations,
@@ -192,7 +192,7 @@ def lotteries(inst, rng):
         pairs = [(g, h) for g in range(inst.n) for h in range(g + 1, inst.n) if a.bundles[g] != a.bundles[h]]
         if pairs:
             g, h = rng.choice(pairs)
-            other = inst.allocations.index[a.swap(g, h).bundles]
+            other = inst.allocations.index[swapped(a.bundles, g, h)]
             out.append(MixedAllocation.from_support(k, {j: F(1, 2), other: F(1, 2)}))
     for _ in range(2):
         support = rng.sample(range(k), min(3, k))
@@ -341,6 +341,15 @@ def frontier_of(vectors):
     return Frontier(tuple((f,) for f in range(len(vectors))), points)
 
 
+def envelope_vertices(frontier, eps):
+    """``_envelope_vertices`` with each vertex weight as exact Fractions:
+    the int weights over their sum, the vertex's homogeneous coordinate."""
+    return [
+        (tuple(F(x, sum(weights)) for x in weights), tight)
+        for weights, tight in _envelope_vertices(frontier, eps)
+    ]
+
+
 def tight_indices(found):
     """``_envelope_vertices`` output with each tight bitmask as ascending
     frontier indices, the brute force's format."""
@@ -384,9 +393,18 @@ def test_envelope_vertices_match_brute_force(case):
     inst = make_instance(*case)
     vectors = fraction_kernel(inst)["frontier_vectors"]
     eps = choose_epsilon(compute_rho(inst), inst.n)
-    found = _envelope_vertices(inst.kernel.frontier, eps)
+    found = envelope_vertices(inst.kernel.frontier, eps)
     assert len({w for w, _ in found}) == len(found)
     assert tight_indices(found) == brute_force_vertices(vectors, eps)
+
+
+@pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
+def test_envelope_weights_are_positive_ints(case):
+    inst = make_instance(*case)
+    eps = choose_epsilon(compute_rho(inst), inst.n)
+    for weights, _ in _envelope_vertices(inst.kernel.frontier, eps):
+        assert type(weights) is tuple and len(weights) == inst.n
+        assert all(type(x) is int and x > 0 for x in weights)
 
 
 def test_envelope_cases_cover_every_player_count():
@@ -405,7 +423,7 @@ def test_degenerate_envelope_matches_brute_force(first):
     cutting = [(1, 1, 4, 1), (1, 1, 1, 4)]
     order = collinear + cutting if first else cutting + collinear
     vectors = tuple(tuple(F(x) for x in vec) for vec in order)
-    found = _envelope_vertices(frontier_of(vectors), F(1, 16))
+    found = envelope_vertices(frontier_of(vectors), F(1, 16))
     assert len({w for w, _ in found}) == len(found)
     assert tight_indices(found) == brute_force_vertices(vectors, F(1, 16))
 
@@ -415,7 +433,7 @@ def test_one_vector_envelope_is_the_corners(n):
     eps = F(1, 3 * n)
     vec = tuple(F(i + 1, 2) for i in range(n))
     corners = {tuple(1 - (n - 1) * eps if c == i else eps for c in range(n)) for i in range(n)}
-    found = _envelope_vertices(frontier_of((vec,)), eps)
+    found = envelope_vertices(frontier_of((vec,)), eps)
     assert {w for w, _ in found} == corners
     assert all(tight == 1 for _, tight in found)
 
@@ -434,5 +452,5 @@ def test_two_player_vertices_are_tie_breakpoints(seed):
             t = (own[1][l] - own[1][j]) / slope
             if eps < t < 1 - eps:
                 points.add(t)
-    found = _envelope_vertices(inst.kernel.frontier, eps)
+    found = envelope_vertices(inst.kernel.frontier, eps)
     assert {eps, 1 - eps} <= {w[0] for w, _ in found} <= points

@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,10 @@ from fairmix.model import (
     WeightVector,
     all_partitions_allocation_set,
     expected_utility,
+    is_int,
     is_swappable,
     normalize_utilities,
+    over_common_denominator,
     swap_closure,
 )
 from fairmix.serialize import (
@@ -34,6 +37,7 @@ from fairmix.serialize import (
     load_instance,
     load_mixed_allocation,
 )
+from conftest import swapped
 from oracles import fraction_normalize
 
 F = Fraction
@@ -114,8 +118,8 @@ class TestPureAllocation:
             PureAllocation((0b11, 0b10))
 
     def test_swap(self):
-        a = PureAllocation((0b01, 0b10, 0))
-        assert a.swap(0, 2).bundles == (0, 0b10, 0b01)
+        closed = swap_closure([PureAllocation((0b01, 0b10, 0))])
+        assert (0, 0b10, 0b01) in closed.index
 
     def test_partial_allocation_allowed(self):
         a = PureAllocation((0, 0))
@@ -342,7 +346,7 @@ class TestIsSwappable:
             gaps = [
                 (j, g, h)
                 for g, h in ((0, 1), (0, 2), (1, 2))
-                if a.bundles[g] != a.bundles[h] and a.swap(g, h).bundles not in s.index
+                if a.bundles[g] != a.bundles[h] and swapped(a.bundles, g, h) not in s.index
             ]
             if gaps:
                 expected = (False, gaps[0])
@@ -656,3 +660,17 @@ def test_int_rule_sites_keep_their_messages(build, message, x):
     with pytest.raises(MalformedInstanceError) as info:
         build(x)
     assert str(info.value) == message.format(x=x)
+
+
+@given(st.lists(st.one_of(st.integers(-30, 30), st.fractions(max_denominator=60)), min_size=1, max_size=6))
+def test_over_common_denominator_round_trips(values):
+    nums, den = over_common_denominator(values)
+    assert all(is_int(x) for x in nums) and is_int(den) and den >= 1
+    assert [F(x, den) for x in nums] == [F(v) for v in values]
+    assert gcd(den, *nums) == 1
+
+
+def test_over_common_denominator_examples():
+    assert over_common_denominator((F(1, 2), F(1, 3), 2)) == ([3, 2, 12], 6)
+    assert over_common_denominator((F(3, 4),)) == ([3], 4)
+    assert over_common_denominator((0, 5)) == ([0, 5], 1)

@@ -1,5 +1,6 @@
 """Round trips and schema validation for the JSON/DOT formats."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,37 @@ class TestInstanceLoad:
         with pytest.raises(MalformedInstanceError):
             load_instance(data)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(allocations=[[[1], [1]]]), "field 'allocations[0]': overlapping bundles in (1, 1)"),
+            (lambda d: d.update(allocations=[[[1], [2]], [[3], []]]), "field 'allocations[1]': item 3 outside 1..2"),
+            (lambda d: d.update(allocations=[[[1, 1], []]]), "field 'allocations[0]': item 1 listed twice"),
+            (
+                lambda d: d["utilities"]["items"][1].__setitem__(0, 0.5),
+                "field 'utilities.items[1]': non-rational value of type float: 0.5",
+            ),
+            (
+                lambda d: d.update(utilities={"type": "table", "values": [[[0, "1"]], [[0, 0.5]]]}),
+                "field 'utilities.values[1]': non-rational value of type float: 0.5",
+            ),
+            (
+                lambda d: d.update(utilities={"type": "table", "values": [[[0, "1"]], [[0, "1"]]]}),
+                "field 'utilities': player 0 lacks a utility for bundle mask 1",
+            ),
+            (
+                lambda d: d.update(utilities={"type": "table", "values": [[], [[0, "1"]]]}),
+                "field 'utilities': player 0 has no utility values",
+            ),
+        ],
+        ids=["overlap", "item-beyond-m", "item-twice", "float-item-value", "float-table-value", "missing-mask", "empty-table"],
+    )
+    def test_nested_errors_name_their_field(self, mutate, message):
+        data = symmetric_instance_data()
+        mutate(data)
+        with pytest.raises(MalformedInstanceError, match=re.escape(message)):
+            load_instance(data)
+
     def test_duplicate_table_mask_rejected(self):
         data = {
             "n": 1,
@@ -284,6 +316,25 @@ class TestMixedAllocationFiles:
         entry = {"bundles": [[1], [2]], "probability": "1/2"}
         with pytest.raises(MalformedInstanceError):
             load_mixed_allocation({"support": [entry, dict(entry)]}, inst)
+
+
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            ([{"bundles": [[1], [1]], "probability": "1/1"}], "field 'support[0]': overlapping bundles in (1, 1)"),
+            (
+                [{"bundles": [[1], [2]], "probability": "1/2"}, {"bundles": [[2], [1]], "probability": 0.5}],
+                "field 'support[1]': non-rational value of type float: 0.5",
+            ),
+            ([{"bundles": [[3], []], "probability": "1/1"}], "field 'support[0]': item 3 outside 1..2"),
+            ([{"bundles": [[1], [2]], "probability": "1/2"}], "field 'support': probabilities sum to 1/2, not 1"),
+        ],
+        ids=["overlap", "float-probability", "item-beyond-m", "sum"],
+    )
+    def test_nested_errors_name_their_field(self, support, message):
+        inst = load_instance(symmetric_instance_data())
+        with pytest.raises(MalformedInstanceError, match=re.escape(message)):
+            load_mixed_allocation({"support": support}, inst)
 
 
 class TestCertificateJson:

@@ -4,9 +4,10 @@
 into int numerators over one scale shared by all players, and
 ``UtilityKernel`` builds the own-utility vectors, their Pareto frontier and
 the envy-gap constant rho from that table; the tie-breaking and domination
-LPs build their rows from it.  ``tests/oracles.py`` keeps
-the Fraction versions, which read the raw values, not the table under
-test; every quantity here must come out equal to them.
+LPs build their rows from it, as the Fraction rows times the table's scale.
+``tests/oracles.py`` keeps the Fraction versions, which read the raw
+values, not the table under test; every quantity here must come out equal
+to them.
 """
 
 from fractions import Fraction
@@ -114,6 +115,11 @@ def fraction_pe_rows(ref, p):
     return rows
 
 
+def times(row, scale):
+    """A reference row multiplied by the table's scale, as the LPs build theirs."""
+    return tuple(a * scale for a in row)
+
+
 def assert_matches_fraction_reference(inst):
     kernel = inst.kernel
     ref = fraction_kernel(inst)
@@ -137,7 +143,9 @@ def assert_matches_fraction_reference(inst):
         with mock.patch.object(envy, "solve_lp", wraps=envy.solve_lp) as spy:
             check_pareto_efficient(p, inst)
         lp = spy.call_args.args[0]
-        assert list(lp.constraints[1:]) == fraction_pe_rows(ref, p)
+        assert list(lp.constraints[1:]) == [
+            (times(row, scale), rel, rhs * scale) for row, rel, rhs in fraction_pe_rows(ref, p)
+        ]
     for w in weights(inst.n):
         amax = argmax_allocations(w, inst)
         assert amax == dense_argmax(w, ref["own"])
@@ -145,7 +153,9 @@ def assert_matches_fraction_reference(inst):
             select_p_in_P(w, inst, amax)
         if spy.call_args is not None:
             lp = spy.call_args.args[0]
-            assert [row for row, _, _ in lp.constraints[1:]] == fraction_select_rows(inst, amax)
+            assert [row for row, _, _ in lp.constraints[1:]] == [
+                times(row, scale) for row in fraction_select_rows(inst, amax)
+            ]
 
 
 @given(instances())
