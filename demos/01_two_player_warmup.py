@@ -43,8 +43,7 @@ print(f"certificate: envy-free={cert.ef_ok} efficient={cert.pe_ok}")
 print(f"efficiency witness: weight ({', '.join(map(str, cert.pe.weight))})")
 
 print("\nexpected utilities (viewer x owner):")
-for i in range(2):
-    row = [expected_utility(state.p, i, h, inst) for h in range(2)]
+for i, row in enumerate(expected_utility(state.p, inst)):
     print(f"  player {i + 1}: own {row[i]}, other's bundle {row[1 - i]}")
 
 graph = build_envy_graph(state.p, inst)

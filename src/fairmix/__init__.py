@@ -73,7 +73,6 @@ from .serialize import (
     format_rational,
     load_instance,
     load_mixed_allocation,
-    parse_rational,
 )
 
 __version__ = "0.1.0"

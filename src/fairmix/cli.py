@@ -22,6 +22,7 @@ from .engine import find_fixed_point
 from .envy import build_envy_graph, certify
 from .errors import EngineInvariantError, FairmixError
 from .hard import DisjointnessInput, build_hard_instance, verify_welfare_dichotomy
+from .model import as_fraction
 from .serialize import (
     dump_certificate,
     dump_dichotomy_report,
@@ -33,7 +34,6 @@ from .serialize import (
     load_instance,
     load_mixed_allocation,
     mask_to_items,
-    parse_rational,
 )
 
 
@@ -100,7 +100,7 @@ class _TraceWriter:
 
 def cmd_solve(args):
     inst = load_instance(_read_json(args.instance), strict=args.strict, warn=_warn)
-    epsilon = "auto" if args.epsilon == "auto" else parse_rational(args.epsilon)
+    epsilon = "auto" if args.epsilon == "auto" else as_fraction(args.epsilon)
     sink = _TraceWriter(args.trace, inst) if args.trace else None
     try:
         start = time.perf_counter()

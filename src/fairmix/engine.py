@@ -52,7 +52,8 @@ from math import gcd
 from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
-from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_swappable, over_common_denominator
+from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_int, is_swappable
+from .model import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,9 @@ def select_p_in_P(w, inst, argmax=None):
 
 
 def _views(p, inst):
-    """views[i][h] = player i's expected value of player h's bundle stream."""
-    return [
-        [expected_utility(p, i, h, inst) for h in range(inst.n)]
-        for i in range(inst.n)
-    ]
+    """views[i][h] = player i's expected value of player h's bundle stream, by one
+    ``expected_utility`` call, under the name ``bench/tracing.py`` binds."""
+    return expected_utility(p, inst)
 
 
 def _max_envy(views):
@@ -205,6 +204,8 @@ def choose_epsilon(rho, n, epsilon="auto"):
     at most 1/n; otherwise this raises ``ConfigurationError``, or
     ``MalformedInstanceError`` when it is not a rational at all.
     """
+    if not (is_int(n) and n >= 1):
+        raise PreconditionError(f"player count must be an integer >= 1, got {n!r}")
     if epsilon != "auto":
         eps = as_fraction(epsilon)
         if eps <= 0:

@@ -1,6 +1,7 @@
 """Expected-utility analysis of a lottery: envy graph, EF check, PE check.
 
-Envy edges use strict exact comparison (ties are non-envy).
+Each check builds its own view matrix (``expected_utility``, one integer
+pass); envy edges compare it strictly and exactly (ties are non-envy).
 
 Pareto efficiency is decided one of two ways.  Given a weight witness w with
 every w_i > 0, it is an integer scan: every support allocation of the
@@ -78,14 +79,11 @@ class Certificate:
 def build_envy_graph(p, inst):
     """Edge (i, h) whenever i strictly prefers h's bundle stream to her own."""
     edges = []
-    for i in range(inst.n):
-        own = expected_utility(p, i, i, inst)
-        for h in range(inst.n):
-            if h == i:
-                continue
-            margin = expected_utility(p, i, h, inst) - own
-            if margin > 0:
-                edges.append((i, h, margin))
+    for i, views in enumerate(expected_utility(p, inst)):
+        own = views[i]
+        for h, view in enumerate(views):
+            if h != i and view > own:
+                edges.append((i, h, view - own))
     return EnvyGraph(inst.n, tuple(edges))
 
 
@@ -127,17 +125,18 @@ def check_pareto_efficient(p, inst, weight=None):
     Without a weight, the LP's variables are a lottery p' over the frontier
     vectors and slacks t_i >= 0 with the constraints sum p' = 1 and
     (own utility of p')_i >= (own utility of p)_i + t_i, every row built
-    times the table's scale, in the table's ints (see ``lp``).  The optimum
-    is exactly 0 iff p is Pareto efficient; otherwise the optimal p', placed
-    on the first member allocation of each vector, dominates and is
-    returned after independent re-verification.
+    times the table's scale, in the table's ints (see ``lp``); p's own
+    utilities are the diagonal of its view matrix.  The optimum is exactly
+    0 iff p is Pareto efficient; otherwise the optimal p', placed on the
+    first member allocation of each vector, dominates and is returned after
+    re-verification against the diagonal of its own view matrix.
     """
     if weight is not None:
         return _check_weight_witness(p, inst, tuple(as_fraction(x) for x in weight))
     frontier = inst.kernel.frontier
     cols = len(frontier)
     n = inst.n
-    current = [expected_utility(p, i, i, inst) for i in range(n)]
+    current = [views[i] for i, views in enumerate(expected_utility(p, inst))]
 
     scale = inst.utilities.scale
     objective = (0,) * cols + (1,) * n
@@ -156,7 +155,7 @@ def check_pareto_efficient(p, inst, weight=None):
     dominator = MixedAllocation.from_support(
         len(inst.allocations), zip((js[0] for js in frontier.members), result.solution)
     )
-    better = [expected_utility(dominator, i, i, inst) for i in range(n)]
+    better = [views[i] for i, views in enumerate(expected_utility(dominator, inst))]
     weak = all(b >= c for b, c in zip(better, current))
     strict = any(b > c for b, c in zip(better, current))
     if not (weak and strict):

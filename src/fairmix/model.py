@@ -7,8 +7,9 @@ numerators over one denominator shared by every player, and everything
 downstream reads those ints; the raw Fractions are kept only to be written
 back out.  An allocation set stores only its tuple of bundle tuples; the
 :class:`PureAllocation` objects it hands out are views made on demand.  A
-lottery stores only its support, as ascending (index, probability) pairs.
-Counts, indices and masks are ints, never bools (``is_int``).
+lottery stores only its support, as ascending (index, probability) pairs,
+and ``expected_utility`` sums all its views in ints, in one pass.  Counts,
+indices and masks are ints, never bools (``is_int``).
 Nothing in this module rounds.  Every type is immutable after construction
 and safe to share between threads.
 """
@@ -29,18 +30,26 @@ DEFAULT_ENUMERATION_BUDGET = 200_000
 
 
 def as_fraction(value):
-    """Coerce ints, Fractions and 'num/den' strings; reject floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise MalformedInstanceError(f"boolean is not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    """Coerce ints, Fractions and 'num/den' strings; reject floats, bools and x/0.
+    A plain ASCII 'digits/digits' string is parsed in ints, any other through ``Fraction``."""
     if isinstance(value, str):
+        num, _, den = value.partition("/")
+        if value.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
+            try:
+                return Fraction(int(num), int(den))
+            except ValueError:  # over the int-from-str digit limit
+                pass
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInstanceError(f"bad rational {value!r}: {exc}") from exc
+    if isinstance(value, bool):
+        raise MalformedInstanceError(f"boolean is not a rational value: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    # last: an isinstance check against Fraction, an ABC, is slow for other types
+    if isinstance(value, Fraction):
+        return value
     raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {value!r}")
 
 
@@ -552,13 +561,20 @@ class WeightVector:
         return cls((Fraction(1, n),) * n, epsilon)
 
 
-def expected_utility(p, viewer, owner, inst):
-    """Viewer's expected value for the bundle stream handed to ``owner``."""
+def expected_utility(p, inst):
+    """The n x n view matrix: ``views[i][h]`` is player i's expected value of
+    player h's bundle stream.  The support's probabilities go over their
+    common denominator, each view is summed in the table's ints, and each
+    entry is one Fraction, over that denominator times the table's scale.
+    """
     if p.k != len(inst.allocations):
         raise MalformedInstanceError(
             f"lottery over {p.k} allocations, instance has {len(inst.allocations)}"
         )
-    row = inst.utilities.table[viewer]
-    bundles = inst.allocations.bundles
-    total = sum(q * row[bundles[j][owner]] for j, q in p.pairs)
-    return total / inst.utilities.scale
+    weights, den = over_common_denominator([q for _, q in p.pairs])
+    den *= inst.utilities.scale
+    support = [inst.allocations.bundles[j] for j, _ in p.pairs]
+    return [
+        [Fraction(sum(a * row[bs[h]] for a, bs in zip(weights, support)), den) for h in range(inst.n)]
+        for row in inst.utilities.table
+    ]

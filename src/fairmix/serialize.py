@@ -37,22 +37,6 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(value):
-    """Accept 'num/den' strings (or bare integers); reject floats and 1/0.
-
-    A plain 'digits/digits' string with a non-zero denominator is parsed in
-    ints; every other value goes through ``as_fraction``.
-    """
-    if isinstance(value, str) and value.isascii():
-        num, _, den = value.partition("/")
-        if num.isdigit() and den.isdigit() and den.strip("0"):
-            try:
-                return Fraction(int(num), int(den))
-            except ValueError:  # over the int-from-str digit limit
-                pass
-    return as_fraction(value)
-
-
 def mask_to_items(mask):
     """Bitmask to sorted 1-based item list."""
     items = []
@@ -155,7 +139,7 @@ def load_instance(data, strict=False, warn=None):
                     f"bundle mask {mask!r} outside 0..{(1 << m) - 1}",
                 )
                 _require(mask not in table, field, f"duplicate bundle mask {mask}")
-                table[mask] = _in_field(field, parse_rational, value)
+                table[mask] = _in_field(field, as_fraction, value)
             raw.append(table)
     elif kind == "additive":
         rows = util.get("items")
@@ -165,7 +149,7 @@ def load_instance(data, strict=False, warn=None):
         for i, row in enumerate(rows):
             field = f"utilities.items[{i}]"
             _require(isinstance(row, list) and len(row) == m, field, f"need {m} item values")
-            per_item = [_in_field(field, parse_rational, v) for v in row]
+            per_item = [_in_field(field, as_fraction, v) for v in row]
             table = {}
             for mask in needed:
                 table[mask] = sum(
@@ -227,7 +211,7 @@ def load_mixed_allocation(data, inst):
         j = inst.allocations.index.get(allocation.bundles)
         _require(j is not None, field, f"allocation {entry['bundles']} is not in the instance's set")
         _require(j not in probs, field, "allocation listed twice")
-        probs[j] = _in_field(field, parse_rational, entry["probability"])
+        probs[j] = _in_field(field, as_fraction, entry["probability"])
     return _in_field("support", MixedAllocation.from_support, len(inst.allocations), probs)
 
 

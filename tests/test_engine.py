@@ -224,6 +224,12 @@ class TestChooseEpsilon:
         with pytest.raises(MalformedInstanceError):
             choose_epsilon(F(1, 2), 2, floor)
 
+    @pytest.mark.parametrize("n", [0, 2.0, True, -1, "2"], ids=["zero", "float", "bool", "negative", "string"])
+    def test_rejects_bad_player_count(self, n):
+        for floor in ("auto", F(1, 100)):
+            with pytest.raises(PreconditionError, match="player count must be an integer >= 1"):
+                choose_epsilon(F(1, 2), n, floor)
+
     def test_find_fixed_point_checks_the_floor(self):
         inst = opposed_tastes_instance()
         with pytest.raises(ConfigurationError, match="explicit floor must be positive"):
@@ -243,7 +249,7 @@ class TestFindFixedPoint:
         assert cert.ok
         assert state.w.w == (F(1),)
         assert state.residual == 0
-        assert expected_utility(state.p, 0, 0, inst) == F(2)
+        assert expected_utility(state.p, inst)[0][0] == F(2)
 
     def test_symmetric_instance(self):
         inst = identical_players_instance()

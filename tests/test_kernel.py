@@ -202,8 +202,8 @@ def lotteries(inst, rng):
 
 
 def dominates(p, q, inst):
-    better = [expected_utility(p, i, i, inst) for i in range(inst.n)]
-    current = [expected_utility(q, i, i, inst) for i in range(inst.n)]
+    better = [expected_utility(p, inst)[i][i] for i in range(inst.n)]
+    current = [expected_utility(q, inst)[i][i] for i in range(inst.n)]
     return all(b >= c for b, c in zip(better, current)) and any(b > c for b, c in zip(better, current))
 
 

@@ -308,12 +308,8 @@ def test_select_lp_split_bound_is_the_largest_envy_margin(case, monkeypatch):
         q = len(result.solution) - 2
         s = result.solution[q] - result.solution[q + 1]
         assert s == -result.objective_value
-        margins = [
-            expected_utility(p, i, h, inst) - expected_utility(p, i, i, inst)
-            for i in range(n)
-            for h in range(n)
-            if h != i
-        ]
+        views = expected_utility(p, inst)
+        margins = [views[i][h] - views[i][i] for i in range(n) for h in range(n) if h != i]
         assert s == max(margins)
 
 

@@ -528,8 +528,8 @@ class TestInstance:
         inst = self.build_symmetric()
         j = inst.allocations.index[(0b11, 0)]
         p = MixedAllocation.point_mass(len(inst.allocations), j)
-        assert expected_utility(p, 0, 0, inst) == F(2)
-        assert expected_utility(p, 1, 1, inst) == F(1)
+        assert expected_utility(p, inst)[0][0] == F(2)
+        assert expected_utility(p, inst)[1][1] == F(1)
 
     def test_uniform_average(self):
         inst = self.build_symmetric()
@@ -541,7 +541,7 @@ class TestInstance:
         # each single item normalizes to 3/2 here, so the mean is 3/2
         for viewer in range(2):
             for owner in range(2):
-                assert expected_utility(p, viewer, owner, inst) == F(3, 2)
+                assert expected_utility(p, inst)[viewer][owner] == F(3, 2)
 
     @given(st.integers(0, 2**30 - 1), st.fractions(min_value=0, max_value=1, max_denominator=16))
     @settings(max_examples=40)
@@ -558,16 +558,29 @@ class TestInstance:
         )
         for viewer in range(2):
             for owner in range(2):
-                lhs = expected_utility(mix, viewer, owner, inst)
-                rhs = alpha * expected_utility(pa, viewer, owner, inst) + (
+                lhs = expected_utility(mix, inst)[viewer][owner]
+                rhs = alpha * expected_utility(pa, inst)[viewer][owner] + (
                     1 - alpha
-                ) * expected_utility(pb, viewer, owner, inst)
+                ) * expected_utility(pb, inst)[viewer][owner]
                 assert lhs == rhs
 
     @given(st.integers(0, 2**30 - 1))
     @settings(max_examples=40)
     def test_expected_utility_matches_dense_sum(self, seed):
         from conftest import random_table_instance, seeded_rng
+
+        def check(p, inst):
+            views = expected_utility(p, inst)
+            assert len(views) == inst.n and all(len(row) == inst.n for row in views)
+            probs = dict(p.pairs)
+            values = fraction_normalize(inst.utilities.raw_values)
+            for viewer in range(inst.n):
+                for owner in range(inst.n):
+                    dense = sum(
+                        probs.get(j, 0) * values[viewer][inst.allocations[j].bundles[owner]]
+                        for j in range(len(inst.allocations))
+                    )
+                    assert type(views[viewer][owner]) is F and views[viewer][owner] == dense
 
         rng = seeded_rng(seed)
         inst = random_table_instance(rng)
@@ -578,20 +591,21 @@ class TestInstance:
         p = MixedAllocation.from_support(k, [(j, r / sum(raw)) for j, r in zip(picks, raw)])
         assert list(p.support()) == sorted(set(p.support()))
         assert MixedAllocation(k, p.pairs) == p
-        probs = dict(p.pairs)
-        values = fraction_normalize(inst.utilities.raw_values)
-        for viewer in range(inst.n):
-            for owner in range(inst.n):
-                dense = sum(
-                    probs.get(j, 0) * values[viewer][inst.allocations[j].bundles[owner]]
-                    for j in range(k)
-                )
-                assert expected_utility(p, viewer, owner, inst) == dense
+        check(p, inst)
+        # n = 2..5 with one to three allocations in the support; the single
+        # allocation is a point mass, where every view sums to an int
+        for n in range(2, 6):
+            inst = random_table_instance(rng, n=n, m=2)
+            k = len(inst.allocations)
+            for size in (1, 2, 3):
+                support = rng.sample(range(k), size)
+                raw = [F(rng.randint(1, 5)) for _ in support]
+                check(MixedAllocation.from_support(k, {j: r / sum(raw) for j, r in zip(support, raw)}), inst)
 
     def test_expected_utility_rejects_foreign_lottery(self):
         inst = self.build_symmetric()
         with pytest.raises(MalformedInstanceError):
-            expected_utility(MixedAllocation.point_mass(4, 0), 0, 0, inst)
+            expected_utility(MixedAllocation.point_mass(4, 0), inst)
 
 
 def one_item_instance():
