@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import mul, sub
 
 from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
@@ -104,7 +105,8 @@ def select_p_in_P(w, inst, argmax=None):
     every pairwise margin (view of another player's stream minus own).  An
     optimum s <= 0 means the returned lottery is already envy-free.  The LP
     is canonical, so the free s is the last two columns, s = s+ - s-.  Every
-    row is built times the table's scale, in the table's ints (see ``lp``).
+    row is built times the table's scale, in the table's ints, and enters
+    the solver unchecked through ``LinearProgram._of`` (see ``lp``).
     """
     if argmax is None:
         argmax = argmax_allocations(w, inst)
@@ -125,7 +127,7 @@ def select_p_in_P(w, inst, argmax=None):
                 continue
             coeffs = tuple(values[kernel.bundles[j][h]] - own[j] for j in argmax)
             rows.append((coeffs + (-scale, scale), "<=", 0))
-    result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))
+    result = solve_lp(LinearProgram._of(objective, tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
     # zip stops before the trailing envy-bound columns s+ and s-
@@ -301,7 +303,7 @@ def _envelope_vertices(frontier, eps):
         bit = 1 << r
         pos, neg, kept = [], [], []
         for ray, tight in rays:
-            s = sum(a * b for a, b in zip(row, ray))
+            s = sum(map(mul, row, ray))
             if s > 0:
                 pos.append((ray, tight, s))
                 kept.append((ray, tight))
@@ -318,10 +320,12 @@ def _envelope_vertices(frontier, eps):
                 common = zp & zn
                 if common.bit_count() < n - 1:
                     continue
-                if any(z & common == common and z != zp and z != zn for z in masks):
-                    continue
-                ray = tuple(sp * b - sn * a for a, b in zip(rp, rn))
-                kept.append((_primitive(ray), common | bit))
+                for z in masks:
+                    if z & common == common and z != zp and z != zn:
+                        break
+                else:
+                    ray = tuple(map(sub, map(sp.__mul__, rn), map(sn.__mul__, rp)))
+                    kept.append((_primitive(ray), common | bit))
         rays = kept
 
     return [((*ray[1:n], ray[0] - sum(ray[1:n])), tight >> n) for ray, tight in rays if ray[0]]
@@ -329,7 +333,7 @@ def _envelope_vertices(frontier, eps):
 
 def _primitive(ray):
     g = gcd(*ray)
-    return tuple(x // g for x in ray) if g > 1 else ray
+    return tuple(map(g.__rfloordiv__, ray)) if g > 1 else ray
 
 
 def _fallback_search(inst, eps, trace_sink=None):

@@ -125,10 +125,11 @@ def check_pareto_efficient(p, inst, weight=None):
     Without a weight, the LP's variables are a lottery p' over the frontier
     vectors and slacks t_i >= 0 with the constraints sum p' = 1 and
     (own utility of p')_i >= (own utility of p)_i + t_i, every row built
-    times the table's scale, in the table's ints (see ``lp``); p's own
-    utilities are the diagonal of its view matrix.  The optimum is exactly
-    0 iff p is Pareto efficient; otherwise the optimal p', placed on the
-    first member allocation of each vector, dominates and is returned after
+    times the table's scale, in the table's ints, and wrapped unchecked by
+    ``LinearProgram._of`` (see ``lp``); p's own utilities are the diagonal
+    of its view matrix.  The optimum is exactly 0 iff p is Pareto
+    efficient; otherwise the optimal p', placed on the first member
+    allocation of each vector, dominates and is returned after
     re-verification against the diagonal of its own view matrix.
     """
     if weight is not None:
@@ -145,7 +146,7 @@ def check_pareto_efficient(p, inst, weight=None):
         row = tuple(point[i] for point in frontier.points)
         row += tuple(-scale if t == i else 0 for t in range(n))
         rows.append((row, ">=", current[i] * scale))
-    result = solve_lp(LinearProgram(objective=objective, constraints=tuple(rows)))
+    result = solve_lp(LinearProgram._of(objective, tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"domination program ended {result.status}")
     if result.objective_value == 0:

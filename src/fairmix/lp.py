@@ -34,6 +34,16 @@ same solution.  The engine and the verifier therefore build their programs
 with every row times the utility table's scale, in the table's ints.
 Every optimal result is re-checked by substitution, and status answers
 carry no tolerance.
+
+Trusted programs and the integer check.  ``LinearProgram(...)`` checks the
+shape of a caller's program and coerces every entry to a Fraction.  The
+engine and the verifier build their rows themselves, as table ints, and
+wrap them with ``LinearProgram._of``, which skips both.  The optimum leaves
+the tableau as int numerators over its final D > 0, and ``_verify``
+substitutes those: every x_num_j >= 0 and every row a . x_num rel b * D,
+exactly the check x_j >= 0 and a . x rel b on x = x_num / D, in ints for
+an int program.  Only then are the Fractions of ``LpResult`` built, the
+objective value as one ``Fraction(c . x_num, D)``.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     EmptyDomainError,
@@ -75,7 +86,8 @@ class LinearProgram:
     as two columns x+ - x-.  The objective, ``constraints`` and every row a
     are tuples or lists, every constraint is a triple (a, rel, b), and every
     entry is rational (an int, a Fraction or a 'num/den' string); any other
-    shape or entry is a ``MalformedLpError``.
+    shape or entry is a ``MalformedLpError``.  Rows the program builds
+    itself enter through ``_of`` unchecked.
     """
 
     objective: tuple
@@ -104,6 +116,16 @@ class LinearProgram:
             rows.append((row, rel, _coefficient(rhs)))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
+
+    @classmethod
+    def _of(cls, objective, constraints):
+        """Wrap a program already in canonical shape, without re-checking it:
+        an objective tuple of ints or Fractions and a tuple of (row, rel, rhs)
+        triples, each row as long as the objective."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "objective", objective)
+        object.__setattr__(out, "constraints", constraints)
+        return out
 
     @property
     def num_vars(self):
@@ -170,12 +192,17 @@ def _simplex(rows, basis, d, ncols):
         basis[leave] = enter
 
 
-def _verify(lp, x):
-    if any(v < 0 for v in x):
+def _verify(lp, x_num, d):
+    """Substitute the solution x_num / d, d > 0, into ``lp``: every x_num_j >= 0
+    and every row a . x_num rel b * d, or ``EngineInvariantError``."""
+    if d <= 0:
+        raise EngineInvariantError("solution denominator is not positive")
+    if any(v < 0 for v in x_num):
         raise EngineInvariantError("solution has a negative variable")
     for row, rel, rhs in lp.constraints:
-        lhs = sum(a * v for a, v in zip(row, x) if a and v)
-        ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+        lhs = sum(map(mul, row, x_num))
+        bound = rhs * d
+        ok = lhs <= bound if rel == "<=" else lhs >= bound if rel == ">=" else lhs == bound
         if not ok:
             raise EngineInvariantError(f"solution violates constraint {rel} {rhs}")
 
@@ -275,14 +302,14 @@ def solve_lp(lp):
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
-    x = [Fraction(0)] * ncols
+    x_num = [0] * ncols
     for i in range(m):
         if basis[i] < ncols:
-            x[basis[i]] = Fraction(rows[i][-1], d)
-    x = tuple(x)
-    _verify(lp, x)
-    value = sum((c * v for c, v in zip(lp.objective, x) if c and v), Fraction(0))
-    return LpResult(OPTIMAL, x, value)
+            x_num[basis[i]] = rows[i][-1]
+    _verify(lp, x_num, d)
+    zero = Fraction(0)
+    x = tuple(Fraction(v, d) if v else zero for v in x_num)
+    return LpResult(OPTIMAL, x, Fraction(sum(map(mul, lp.objective, x_num)), d))
 
 
 def project_onto_truncated_simplex(y, epsilon):

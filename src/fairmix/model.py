@@ -202,17 +202,26 @@ def normalize_utilities(raw):
     Normalizing twice is a no-op.
     """
     tables = []
-    least = []
-    originals = []
-    for i, values in enumerate(raw):
-        if not values:
-            raise MalformedInstanceError(f"player {i} has no utility values")
+    for values in raw:
         checked = {}
         for bundle, v in values.items():
             if not is_int(bundle) or bundle < 0:
                 raise MalformedInstanceError(f"bundle mask {bundle!r} is not an integer >= 0")
             checked[bundle] = as_fraction(v)
-        ints = dict(zip(checked, over_common_denominator(checked.values())[0]))
+        tables.append(checked)
+    return _normalize_checked(tables)
+
+
+def _normalize_checked(checked):
+    """``normalize_utilities`` on a list of tables already checked: every key
+    an int mask >= 0 and every value a Fraction.  The dicts are kept as the
+    profile's ``raw_values``."""
+    tables = []
+    least = []
+    for i, values in enumerate(checked):
+        if not values:
+            raise MalformedInstanceError(f"player {i} has no utility values")
+        ints = dict(zip(values, over_common_denominator(values.values())[0]))
         lo = min(ints.values())
         span = max(ints.values()) - lo
         if span == 0:
@@ -222,10 +231,9 @@ def normalize_utilities(raw):
             g = gcd(span, *(x - lo for x in ints.values()))
             tables.append({b: (span + x - lo) // g for b, x in ints.items()})
             least.append(span // g)
-        originals.append(checked)
     common = lcm(*least)
     table = tuple({b: x * (common // d) for b, x in row.items()} for row, d in zip(tables, least))
-    return UtilityProfile(table, common, tuple(originals))
+    return UtilityProfile(table, common, tuple(checked))
 
 
 @dataclass(frozen=True)

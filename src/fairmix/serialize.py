@@ -24,10 +24,10 @@ from .model import (
     Instance,
     MixedAllocation,
     PureAllocation,
+    _normalize_checked,
     all_partitions_allocation_set,
     as_fraction,
     is_int,
-    normalize_utilities,
     swap_closure,
 )
 
@@ -63,7 +63,11 @@ def items_to_mask(items, m):
 
 def _require(condition, field, detail):
     if not condition:
-        raise MalformedInstanceError(f"field {field!r}: {detail}")
+        _fail(field, detail)
+
+
+def _fail(field, detail):
+    raise MalformedInstanceError(f"field {field!r}: {detail}")
 
 
 def _in_field(field, build, *args):
@@ -126,19 +130,19 @@ def load_instance(data, strict=False, warn=None):
         rows = util.get("values")
         _require(isinstance(rows, list) and len(rows) == n, "utilities.values", f"need one table per player ({n})")
         raw = []
+        top = 1 << m
         for i, row in enumerate(rows):
             field = f"utilities.values[{i}]"
             _require(isinstance(row, list), field, "need a list of [mask, value] pairs")
             table = {}
+            # each message is formatted only when its check fails
             for pair in row:
                 _require(isinstance(pair, list) and len(pair) == 2, field, "entries are [mask, value] pairs")
                 mask, value = pair
-                _require(
-                    is_int(mask) and 0 <= mask < (1 << m),
-                    field,
-                    f"bundle mask {mask!r} outside 0..{(1 << m) - 1}",
-                )
-                _require(mask not in table, field, f"duplicate bundle mask {mask}")
+                if not (is_int(mask) and 0 <= mask < top):
+                    _fail(field, f"bundle mask {mask!r} outside 0..{top - 1}")
+                if mask in table:
+                    _fail(field, f"duplicate bundle mask {mask}")
                 table[mask] = _in_field(field, as_fraction, value)
             raw.append(table)
     elif kind == "additive":
@@ -159,7 +163,8 @@ def load_instance(data, strict=False, warn=None):
     else:
         raise MalformedInstanceError(f"field 'utilities.type': expected 'table' or 'additive', got {kind!r}")
 
-    return _in_field("utilities", lambda: Instance(n, m, normalize_utilities(raw), aset))
+    # every key is a checked mask and every value a Fraction: skip the re-check
+    return _in_field("utilities", lambda: Instance(n, m, _normalize_checked(raw), aset))
 
 
 def dump_instance(inst):

@@ -10,9 +10,13 @@ runs in integers, pivot rule and all; ``fraction_normalize``, the rescale
 that ``fairmix.model.normalize_utilities`` does in integers; and
 ``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
 own-utility kernel that ``fairmix.model.UtilityKernel`` derives from the
-integer utility table.  Every oracle that scores utilities reads an
-instance's raw values through ``fraction_normalize``, never the package's
-own rescaled table: the last two, ``weight_witness_ok``, which re-checks a
+integer utility table.  ``reference_envelope_vertices`` is of a third
+kind: the double description ``fairmix.engine._envelope_vertices`` runs,
+written with generator expressions as it was before its loops were tuned,
+so that the tuned kernel can be required to return the same list, order
+included.  Every oracle that scores utilities reads an instance's raw
+values through ``fraction_normalize``, never the package's own rescaled
+table: the last two, ``weight_witness_ok``, which re-checks a
 Pareto-efficiency weight witness in Fractions over every allocation with no
 kernel, and ``find_dominating_vertex_or_pair``.  A fault in
 ``normalize_utilities`` therefore shows up as a disagreement.
@@ -20,6 +24,7 @@ kernel, and ``find_dominating_vertex_or_pair``.  A fault in
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 
@@ -235,11 +240,15 @@ def fraction_simplex(lp):
     The same standard form, column order and pivot rule as ``fairmix.lp``:
     column j is x_j >= 0, rows with a negative right-hand side are negated,
     and each row gets a slack (<=), a surplus and an artificial (>=) or an
-    artificial (=).  Returns an ``LpResult`` without the substitution check.
+    artificial (=).  Every entry is read through ``Fraction``, since a
+    program the package builds itself holds plain ints.  Returns an
+    ``LpResult`` without the substitution check.
     """
     ncols = lp.num_vars
+    objective = [Fraction(c) for c in lp.objective]
     std_rows = [
-        ({c: a for c, a in enumerate(row) if a}, rel, rhs) for row, rel, rhs in lp.constraints
+        ({c: Fraction(a) for c, a in enumerate(row) if a}, rel, Fraction(rhs))
+        for row, rel, rhs in lp.constraints
     ]
 
     oriented = []
@@ -303,7 +312,7 @@ def fraction_simplex(lp):
         basis = [basis[i] for i in keep]
         m = len(tab)
 
-    cost2 = [-c for c in lp.objective] + [Fraction(0)] * n_slack
+    cost2 = [-c for c in objective] + [Fraction(0)] * n_slack
     status, _ = _fraction_phase(tab, rhs_col, basis, cost2)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
@@ -312,7 +321,7 @@ def fraction_simplex(lp):
     for i in range(m):
         basic[basis[i]] = rhs_col[i]
     x = tuple(basic[:ncols])
-    value = sum(c * v for c, v in zip(lp.objective, x))
+    value = sum(c * v for c, v in zip(objective, x))
     return LpResult(OPTIMAL, x, value)
 
 
@@ -386,3 +395,63 @@ def fraction_kernel(inst):
         "frontier_vectors": tuple(vectors[v] for v in kept),
         "frontier_members": tuple(members[v] for v in kept),
     }
+
+
+def reference_envelope_vertices(frontier, eps):
+    """``fairmix.engine._envelope_vertices`` as it was written with generator
+    expressions, kept to pin the optimized kernel's output: the same rows,
+    rays, masks and order, so the two must return equal lists."""
+    points = frontier.points
+    n = len(points[0])
+    num, den = eps.numerator, eps.denominator
+    rows = []
+    for i in range(n - 1):
+        rows.append(tuple(-num if c == 0 else den if c == i + 1 else 0 for c in range(n + 1)))
+    rows.append((den - num,) + (-den,) * (n - 1) + (0,))
+    for u in points:
+        rows.append((-u[-1],) + tuple(u[-1] - x for x in u[:-1]) + (1,))
+
+    # corner i scaled by den: x0 = den, w_i = den - (n-1)*num, the others num
+    corner = den - (n - 1) * num
+    rays = []
+    for i in range(n):
+        w = [corner if c == i else num for c in range(n)]
+        t = sum(a * b for a, b in zip(w, points[0]))
+        tight = sum(1 << r for r in range(n) if r != i) | (1 << n)
+        rays.append((_primitive((den, *w[:-1], t)), tight))
+    rays.append(((0,) * n + (1,), (1 << n) - 1))
+
+    for r in range(n + 1, len(rows)):
+        row = rows[r]
+        bit = 1 << r
+        pos, neg, kept = [], [], []
+        for ray, tight in rays:
+            s = sum(a * b for a, b in zip(row, ray))
+            if s > 0:
+                pos.append((ray, tight, s))
+                kept.append((ray, tight))
+            elif s < 0:
+                neg.append((ray, tight, s))
+            else:
+                kept.append((ray, tight | bit))
+        if not neg:
+            rays = kept
+            continue
+        masks = [tight for _, tight in rays]
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < n - 1:
+                    continue
+                if any(z & common == common and z != zp and z != zn for z in masks):
+                    continue
+                ray = tuple(sp * b - sn * a for a, b in zip(rp, rn))
+                kept.append((_primitive(ray), common | bit))
+        rays = kept
+
+    return [((*ray[1:n], ray[0] - sum(ray[1:n])), tight >> n) for ray, tight in rays if ray[0]]
+
+
+def _primitive(ray):
+    g = gcd(*ray)
+    return tuple(x // g for x in ray) if g > 1 else ray

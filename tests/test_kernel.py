@@ -8,6 +8,8 @@ LP with one column per allocation, and the Fraction witness oracle, each
 scoring the raw values through the Fraction rescale ``fraction_normalize``.
 """
 
+import json
+import os
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -35,14 +37,17 @@ from fairmix.model import (
     pareto_frontier,
     swap_closure,
 )
+from fairmix.serialize import load_instance
 from oracles import (
     find_dominating_vertex_or_pair,
     fraction_kernel,
     fraction_normalize,
+    reference_envelope_vertices,
     weight_witness_ok,
 )
 
 F = Fraction
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def own_vectors(inst):
@@ -388,6 +393,15 @@ ENVELOPE_CANDIDATES = [
 ENVELOPE_CASES = [case for case in ENVELOPE_CANDIDATES if len(make_instance(*case).kernel.frontier) <= 14]
 
 
+# The scan keeps the first weight per mask and walks the masks in output
+# order, so the order decides the answers: besides the vertex set, each
+# envelope must equal the reference double description's list, order included.
+
+
+def assert_envelope_matches_reference(frontier, eps):
+    assert _envelope_vertices(frontier, eps) == reference_envelope_vertices(frontier, eps)
+
+
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
 def test_envelope_vertices_match_brute_force(case):
     inst = make_instance(*case)
@@ -396,6 +410,7 @@ def test_envelope_vertices_match_brute_force(case):
     found = envelope_vertices(inst.kernel.frontier, eps)
     assert len({w for w, _ in found}) == len(found)
     assert tight_indices(found) == brute_force_vertices(vectors, eps)
+    assert_envelope_matches_reference(inst.kernel.frontier, eps)
 
 
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
@@ -426,6 +441,7 @@ def test_degenerate_envelope_matches_brute_force(first):
     found = envelope_vertices(frontier_of(vectors), F(1, 16))
     assert len({w for w, _ in found}) == len(found)
     assert tight_indices(found) == brute_force_vertices(vectors, F(1, 16))
+    assert_envelope_matches_reference(frontier_of(vectors), F(1, 16))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -436,6 +452,16 @@ def test_one_vector_envelope_is_the_corners(n):
     found = envelope_vertices(frontier_of((vec,)), eps)
     assert {w for w, _ in found} == corners
     assert all(tight == 1 for _, tight in found)
+    assert_envelope_matches_reference(frontier_of((vec,)), eps)
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide"])
+def test_benchmark_set_envelopes_match_reference(workload):
+    with open(os.path.join(DATA, f"{workload}.json")) as fh:
+        data = json.load(fh)
+    for entry in data:
+        inst = load_instance(entry)
+        assert_envelope_matches_reference(inst.kernel.frontier, choose_epsilon(compute_rho(inst), inst.n))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import seeded_rng
 from fairmix import engine, envy
-from fairmix.errors import MalformedLpError
+from fairmix import lp as lp_module
+from fairmix.errors import EngineInvariantError, MalformedLpError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
 from fairmix.model import expected_utility
 from oracles import brute_force_lp_max, fraction_simplex, satisfies
@@ -266,6 +267,8 @@ def assert_each_lp_matches_fraction_simplex(monkeypatch, module):
     def both(lp):
         result = solve_lp(lp)
         assert result == fraction_simplex(lp)
+        # the program's rows enter unchecked; the checked constructor agrees
+        assert result == solve_lp(LinearProgram(lp.objective, lp.constraints))
         seen.append(lp)
         return result
 
@@ -311,6 +314,37 @@ def test_select_lp_split_bound_is_the_largest_envy_margin(case, monkeypatch):
         views = expected_utility(p, inst)
         margins = [views[i][h] - views[i][i] for i in range(n) for h in range(n) if h != i]
         assert s == max(margins)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_verify_rejects_a_corrupted_solution(case, monkeypatch):
+    # Each select LP's first row is sum p = 1 times the scale, so raising one
+    # lottery numerator or changing D breaks it, and a negated numerator is
+    # a negative variable; the untouched optimum passes.
+    verify = lp_module._verify
+    optima = []
+
+    def keep(lp, x_num, d):
+        verify(lp, x_num, d)
+        optima.append((lp, list(x_num), d))
+
+    monkeypatch.setattr(lp_module, "_verify", keep)
+    inst = make_instance(*case)
+    weights = sample_weights(inst, seeded_rng(7)) + tie_weights(inst, F(1, 4 * inst.n))
+    for w in weights:
+        engine.select_p_in_P(w, inst)
+    if tie_weights(inst, F(1, 4 * inst.n)):
+        assert optima
+    for lp, x_num, d in optima:
+        verify(lp, x_num, d)
+        j = next(j for j, v in enumerate(x_num[:-2]) if v)
+        raised, negated = list(x_num), list(x_num)
+        raised[j] += 1
+        negated[j] = -negated[j]
+        corruptions = [(raised, d, "violates"), (negated, d, "negative"), (x_num, d + 1, "violates")]
+        for bad_num, bad_d, message in corruptions:
+            with pytest.raises(EngineInvariantError, match=message):
+                verify(lp, bad_num, bad_d)
 
 
 @pytest.mark.parametrize("case", CASES[::2], ids=case_id)

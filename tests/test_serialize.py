@@ -1,5 +1,7 @@
 """Round trips and schema validation for the JSON/DOT formats."""
 
+import json
+import os
 import re
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from fairmix import (
     format_rational,
     load_instance,
     load_mixed_allocation,
+    normalize_utilities,
     verify_welfare_dichotomy,
 )
 from fairmix.engine import FixedPointState
@@ -219,8 +222,31 @@ class TestInstanceLoad:
                 lambda d: d.update(utilities={"type": "table", "values": [[], [[0, "1"]]]}),
                 "field 'utilities': player 0 has no utility values",
             ),
+            (
+                lambda d: d.update(utilities={"type": "table", "values": [[[0, "1"]], [[1, "1"], [1, "2"]]]}),
+                "field 'utilities.values[1]': duplicate bundle mask 1",
+            ),
+            (
+                lambda d: d.update(utilities={"type": "table", "values": [[[0, "1"], [4, "2"]], [[0, "1"]]]}),
+                "field 'utilities.values[0]': bundle mask 4 outside 0..3",
+            ),
+            (
+                lambda d: d.update(utilities={"type": "table", "values": [[[-1, "1"]], [[0, "1"]]]}),
+                "field 'utilities.values[0]': bundle mask -1 outside 0..3",
+            ),
         ],
-        ids=["overlap", "item-beyond-m", "item-twice", "float-item-value", "float-table-value", "missing-mask", "empty-table"],
+        ids=[
+            "overlap",
+            "item-beyond-m",
+            "item-twice",
+            "float-item-value",
+            "float-table-value",
+            "missing-mask",
+            "empty-table",
+            "duplicate-mask",
+            "mask-beyond-m",
+            "negative-mask",
+        ],
     )
     def test_nested_errors_name_their_field(self, mutate, message):
         data = symmetric_instance_data()
@@ -237,6 +263,16 @@ class TestInstanceLoad:
         }
         with pytest.raises(MalformedInstanceError):
             load_instance(data)
+
+    @pytest.mark.parametrize("workload", ["desk", "wide"])
+    def test_loaded_profile_matches_normalize_utilities(self, workload):
+        # load_instance normalizes the tables it has checked without checking
+        # them again; normalize_utilities, with every check, agrees
+        with open(os.path.join(os.path.dirname(__file__), "data", f"{workload}.json")) as fh:
+            data = json.load(fh)
+        for entry in data:
+            profile = load_instance(entry).utilities
+            assert normalize_utilities(profile.raw_values) == profile
 
 
 class TestInstanceRoundTrip:
