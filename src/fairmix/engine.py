@@ -93,8 +93,14 @@ def _argmax_of(frontier, weights):
     return tuple(sorted(chain.from_iterable(frontier.members[f] for f in winners)))
 
 
+def _require_weight_for(w, inst):
+    if len(w.w) != inst.n:
+        raise PreconditionError(f"weight vector has {len(w.w)} entries, instance has {inst.n} players")
+
+
 def argmax_allocations(w, inst):
     """Indices of the allocations maximizing the w-weighted welfare, exactly."""
+    _require_weight_for(w, inst)
     return _argmax_of(inst.kernel.frontier, over_common_denominator(w.w)[0])
 
 
@@ -140,14 +146,9 @@ def _views(p, inst):
     return expected_utility(p, inst)
 
 
-def _max_envy(views):
-    n = len(views)
-    worst = Fraction(-2)
-    for i in range(n):
-        for h in range(n):
-            if h != i:
-                worst = max(worst, views[i][h] - views[i][i])
-    return worst
+def _envious(views):
+    """Whether some player values another's bundle stream above their own."""
+    return any(max(row) > row[i] for i, row in enumerate(views))
 
 
 def _nu_from_views(views, w):
@@ -174,11 +175,13 @@ def nu_update(p, w, inst):
 
     Both shares sum to one over the players, so the result sums to one.
     """
+    _require_weight_for(w, inst)
     return _nu_from_views(_views(p, inst), w)
 
 
 def varpi(p, w, inst):
     """Projection of the corrected weights back onto the truncated simplex."""
+    _require_weight_for(w, inst)
     return _share_step(_views(p, inst), w)[1]
 
 
@@ -230,15 +233,6 @@ def _l1(a, b):
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
-def _validate_for_search(inst):
-    ok, witness = is_swappable(inst.allocations)
-    if not ok:
-        j, g, h = witness
-        raise PreconditionError(
-            f"allocation set is not swappable: allocation {j} lacks the ({g},{h}) swap"
-        )
-
-
 def find_fixed_point(inst, epsilon="auto", trace_sink=None):
     """Search for a certified efficient envy-free lottery.
 
@@ -251,7 +245,14 @@ def find_fixed_point(inst, epsilon="auto", trace_sink=None):
     ``trace_sink``, if given, receives the ``FixedPointState`` of every
     scanned vertex, in scan order, the answer's last.
     """
-    _validate_for_search(inst)
+    # the theorem needs swap closure; sets the program built closed record it
+    if not inst.allocations.built_closed:
+        ok, witness = is_swappable(inst.allocations)
+        if not ok:
+            j, g, h = witness
+            raise PreconditionError(
+                f"allocation set is not swappable: allocation {j} lacks the ({g},{h}) swap"
+            )
     eps = choose_epsilon(compute_rho(inst), inst.n, epsilon)
     hit = _fallback_search(inst, eps, trace_sink)
     if hit is None:
@@ -351,11 +352,12 @@ def _fallback_search(inst, eps, trace_sink=None):
     weight_of = {}
     for weights, tight in _envelope_vertices(frontier, eps):
         weight_of.setdefault(tight, weights)
-    maximal = [
-        (mask, weights) for mask, weights in weight_of.items()
-        if not any(other != mask and other & mask == mask for other in weight_of)
-    ]
-    maximal.sort(key=lambda item: -item[0].bit_count())
+    # larger first, stably: a strict superset comes first, and containment
+    # is transitive, so a mask no kept mask contains is maximal
+    maximal = []
+    for mask, weights in sorted(weight_of.items(), key=lambda item: -item[0].bit_count()):
+        if all(kept & mask != mask for kept, _ in maximal):
+            maximal.append((mask, weights))
     for position, (mask, weights) in enumerate(maximal, 1):
         amax = _argmax_of(frontier, weights)
         tight = (frontier.members[f] for f in range(len(frontier)) if mask >> f & 1)
@@ -365,7 +367,7 @@ def _fallback_search(inst, eps, trace_sink=None):
         w = WeightVector(tuple(Fraction(x, total) for x in weights), eps)
         p = select_p_in_P(w, inst, amax)
         views = _views(p, inst)
-        envious = _max_envy(views) > 0
+        envious = _envious(views)
         if envious and trace_sink is None:
             continue
         nu, _, residual = _share_step(views, w)

@@ -94,13 +94,6 @@ class PureAllocation:
     def n(self):
         return len(self.bundles)
 
-    @classmethod
-    def _of(cls, bundles):
-        """Wrap a bundle tuple already known to be valid, without re-checking it."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "bundles", bundles)
-        return out
-
 
 class AllocationSet:
     """An ordered, duplicate-free collection of pure allocations.
@@ -112,7 +105,8 @@ class AllocationSet:
     collapsed, keeping first occurrence order, and every allocation is
     validated: bundle types and overlaps, then a common player count.  Sets
     the program builds itself (all partitions, swap closures) are wrapped
-    by ``_of`` and not re-validated.
+    by ``_of``, not re-validated, and recorded ``built_closed`` (swap-closed);
+    a caller's list is not recorded, even when it is closed.
     """
 
     def __init__(self, allocations):
@@ -128,33 +122,35 @@ class AllocationSet:
         for bs in bundles:
             if len(bs) != n:
                 raise MalformedInstanceError("allocations disagree on player count")
-        self._init(bundles, n, index, None)
+        self._init(bundles, n, index, None, False)
 
     @classmethod
     def _of(cls, bundles, n, seen=None):
         """Wrap distinct, valid bundle tuples over n players without re-checking
-        them; ``seen``, when given, is their ``bundles_seen()``."""
+        them, recorded ``built_closed``: both callers, all partitions and swap
+        closure, build swap-closed sets.  ``seen``, if given, is ``bundles_seen()``."""
         out = object.__new__(cls)
         bundles = tuple(bundles)
-        out._init(bundles, n, dict(zip(bundles, range(len(bundles)))), seen)
+        out._init(bundles, n, dict(zip(bundles, range(len(bundles)))), seen, True)
         return out
 
-    def _init(self, bundles, n, index, seen):
+    def _init(self, bundles, n, index, seen, built_closed):
         self.bundles = bundles
         self.n = n
         self.index = index
         self._bundles_seen = seen
+        self.built_closed = built_closed
 
     def __len__(self):
         return len(self.bundles)
 
     def __iter__(self):
-        return map(PureAllocation._of, self.bundles)
+        return map(PureAllocation, self.bundles)
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            return tuple(map(PureAllocation._of, self.bundles[j]))
-        return PureAllocation._of(self.bundles[j])
+            return tuple(map(PureAllocation, self.bundles[j]))
+        return PureAllocation(self.bundles[j])
 
     def __eq__(self, other):
         return isinstance(other, AllocationSet) and self.bundles == other.bundles

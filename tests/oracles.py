@@ -14,11 +14,12 @@ integer utility table.  ``reference_envelope_vertices`` is of a third
 kind: the double description ``fairmix.engine._envelope_vertices`` runs,
 written with generator expressions as it was before its loops were tuned,
 so that the tuned kernel can be required to return the same list, order
-included.  Every oracle that scores utilities reads an instance's raw
-values through ``fraction_normalize``, never the package's own rescaled
-table: the last two, ``weight_witness_ok``, which re-checks a
-Pareto-efficiency weight witness in Fractions over every allocation with no
-kernel, and ``find_dominating_vertex_or_pair``.  A fault in
+included; ``reference_scan_weights`` likewise keeps the scan's first
+filter-then-sort of the maximal masks.  Every oracle that scores utilities
+reads an instance's raw values through ``fraction_normalize``, never the
+package's own rescaled table: ``weight_witness_ok``, which re-checks a
+Pareto-efficiency weight witness in Fractions over every allocation with
+no kernel, and ``find_dominating_vertex_or_pair``.  A fault in
 ``normalize_utilities`` therefore shows up as a disagreement.
 """
 
@@ -455,3 +456,18 @@ def reference_envelope_vertices(frontier, eps):
 def _primitive(ray):
     g = gcd(*ray)
     return tuple(x // g for x in ray) if g > 1 else ray
+
+
+def reference_scan_weights(frontier, eps):
+    """The scan order of ``fairmix.engine._fallback_search`` as it was first
+    written: the first weight of each argmax mask, the masks no other mask
+    strictly contains, then a stable sort by descending mask size."""
+    weight_of = {}
+    for weights, tight in reference_envelope_vertices(frontier, eps):
+        weight_of.setdefault(tight, weights)
+    maximal = [
+        (mask, weights) for mask, weights in weight_of.items()
+        if not any(other != mask and other & mask == mask for other in weight_of)
+    ]
+    maximal.sort(key=lambda item: -item[0].bit_count())
+    return [weights for _, weights in maximal]

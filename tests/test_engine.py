@@ -41,9 +41,11 @@ from fairmix.model import (
     expected_utility,
     swap_closure,
 )
-from oracles import find_dominating_vertex_or_pair, weight_witness_ok
+from fairmix.serialize import load_instance
+from oracles import find_dominating_vertex_or_pair, reference_scan_weights, weight_witness_ok
 
 F = Fraction
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def identical_players_instance(m=2):
@@ -279,7 +281,7 @@ class TestFindFixedPoint:
     def test_exhausted_fallback_is_an_invariant_failure(self, monkeypatch):
         # the vertex scan is complete, so running out of vertices means a
         # check broke; here the envy screen is forced to reject everything
-        monkeypatch.setattr(engine, "_max_envy", lambda views: F(1))
+        monkeypatch.setattr(engine, "_envious", lambda views: True)
         inst = opposed_tastes_instance()
         with pytest.raises(EngineInvariantError):
             find_fixed_point(inst)
@@ -327,6 +329,19 @@ class TestFindFixedPoint:
         with pytest.raises(PreconditionError):
             find_fixed_point(inst)
 
+    def test_closure_is_proved_only_for_an_unrecorded_set(self, monkeypatch):
+        calls = []
+        proof = engine.is_swappable
+        monkeypatch.setattr(engine, "is_swappable", lambda aset: calls.append(aset) or proof(aset))
+        raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(2)])]
+        built = all_partitions_allocation_set(2, 2)
+        copy = AllocationSet(built.bundles)
+        from_builder = find_fixed_point(Instance.build(raw, built))
+        assert calls == []
+        from_copy = find_fixed_point(Instance.build(raw, copy))
+        assert calls == [copy]
+        assert from_copy == from_builder
+
     def test_trace_records_are_coherent(self):
         # the scan's first vertex is envious here, so the trace has two records
         raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(2)])]
@@ -370,6 +385,47 @@ class TestFindFixedPoint:
         assert cert.ok
         assert varpi(state.p, state.w, inst) == state.w
         assert build_envy_graph(state.p, inst).edges == ()
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, inst: argmax_allocations(w, inst),
+        lambda w, inst: select_p_in_P(w, inst),
+        lambda w, inst: nu_update(MixedAllocation.point_mass(len(inst.allocations), 0), w, inst),
+        lambda w, inst: varpi(MixedAllocation.point_mass(len(inst.allocations), 0), w, inst),
+    ],
+    ids=["argmax_allocations", "select_p_in_P", "nu_update", "varpi"],
+)
+def test_weight_of_the_wrong_length_is_a_precondition_error(call, length):
+    raw = [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3}, {0: 0, 1: 3, 2: 3, 3: 1}]
+    inst = Instance.build(raw, all_partitions_allocation_set(3, 2))
+    w = WeightVector.uniform(length, F(1, 10))
+    with pytest.raises(PreconditionError, match=f"{length} entries, instance has 3 players"):
+        call(w, inst)
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide"])
+def test_scan_visits_maximal_masks_larger_first(workload):
+    """The scan's vertices, in order, are the reference filter-then-sort's:
+    every scanned state's weight is the reference's weight at its position."""
+    with open(os.path.join(DATA, f"{workload}.json")) as fh:
+        data = json.load(fh)
+    longest = 0
+    for j, entry in enumerate(data):
+        inst = load_instance(entry)
+        trace = []
+        find_fixed_point(inst, trace_sink=trace)
+        eps = choose_epsilon(compute_rho(inst), inst.n)
+        want = [
+            tuple(F(x, sum(weights)) for x in weights)
+            for weights in reference_scan_weights(inst.kernel.frontier, eps)[: len(trace)]
+        ]
+        assert [state.w.w for state in trace] == want, f"{workload}[{j}]"
+        longest = max(longest, len(trace))
+    # some solve scans past its first vertex, so the order is exercised
+    assert longest > 1
 
 
 def test_fallback_solve_imports_neither_numpy_nor_scipy():

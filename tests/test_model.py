@@ -1,5 +1,7 @@
 """Domain model: allocations, utility normalization, swap closure, lotteries."""
 
+import json
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -41,6 +43,7 @@ from conftest import swapped
 from oracles import fraction_normalize
 
 F = Fraction
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def rescaled(prof):
@@ -249,6 +252,47 @@ class TestAllPartitions:
         assert ok and witness is None
 
 
+def builder_outputs():
+    """Every allocation set the benchmark traffic builds, by name: all
+    partitions for the desk and wide sizes, gen-hard's sets for p = 1..3,
+    and the closure of each explicit list in the wide set."""
+    sizes = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3)]
+    sets = [(f"all-n{n}-m{m}", all_partitions_allocation_set(n, m)) for n, m in sizes]
+    for p in (1, 2, 3):
+        r = split_count(p)
+        inst = build_hard_instance(DisjointnessInput(p, (1,) * r, (0,) * r))
+        sets.append((f"hard-p{p}", inst.allocations))
+    with open(os.path.join(DATA, "wide.json")) as fh:
+        wide = json.load(fh)
+    for j, entry in enumerate(wide):
+        if isinstance(entry["allocations"], list):
+            sets.append((f"wide-{j}", load_instance(entry).allocations))
+    return sets
+
+
+class TestBuiltClosed:
+    """The solver trusts ``built_closed``; the full proof runs here instead."""
+
+    def test_builders_cover_the_traffic(self):
+        names = [name for name, _ in builder_outputs()]
+        assert {"hard-p1", "hard-p2", "hard-p3"} <= set(names)
+        assert sum(name.startswith("wide-") for name in names) == 12
+
+    def test_builder_outputs_are_recorded_and_swap_closed(self):
+        for name, built in builder_outputs():
+            assert built.built_closed, name
+            # an unrecorded copy of the same tuples goes through the full proof
+            copy = AllocationSet(built.bundles)
+            assert not copy.built_closed, name
+            assert is_swappable(copy) == (True, None), name
+
+    def test_a_callers_list_is_not_recorded_even_when_closed(self):
+        closed = AllocationSet([(0b01, 0b10), (0b10, 0b01)])
+        assert is_swappable(closed) == (True, None)
+        assert not closed.built_closed
+        assert swap_closure(closed).built_closed
+
+
 class TestStoredForm:
     """A set stores its bundle tuples; PureAllocation views are made on demand."""
 
@@ -293,10 +337,12 @@ class TestStoredForm:
             ' "items": [["1", "3", "0"], ["2", "1", "1/2"], ["0", "1", "4"]]}}'
         )
 
-        def refuse(bundles):
-            raise AssertionError(f"a PureAllocation view of {bundles} was built")
+        def refuse(aset, *index):
+            raise AssertionError(f"a PureAllocation view of {aset!r} was built")
 
-        monkeypatch.setattr(PureAllocation, "_of", refuse)
+        # iteration and indexing are the only ways a set makes views
+        monkeypatch.setattr(AllocationSet, "__iter__", refuse)
+        monkeypatch.setattr(AllocationSet, "__getitem__", refuse)
         inst = load_instance(hard)
         empty = {"support": [{"bundles": [[], []], "probability": "1/1"}]}
         cert = certify(load_mixed_allocation(empty, inst), inst)
