@@ -42,9 +42,11 @@ print(f"certificate: envy-free={cert.ef_ok} efficient={cert.pe_ok}")
 # lottery dominates it; the check is an exact scan over every allocation
 print(f"efficiency witness: weight ({', '.join(map(str, cert.pe.weight))})")
 
+# the views are ints over one denominator, like the utility table
+views, den = expected_utility(state.p, inst)
 print("\nexpected utilities (viewer x owner):")
-for i, row in enumerate(expected_utility(state.p, inst)):
-    print(f"  player {i + 1}: own {row[i]}, other's bundle {row[1 - i]}")
+for i, row in enumerate(views):
+    print(f"  player {i + 1}: own {F(row[i], den)}, other's bundle {F(row[1 - i], den)}")
 
 graph = build_envy_graph(state.p, inst)
 print(f"\nenvy edges: {graph.edges or 'none'}")

@@ -141,9 +141,10 @@ def select_p_in_P(w, inst, argmax=None):
 
 
 def _views(p, inst):
-    """views[i][h] = player i's expected value of player h's bundle stream, by one
+    """views[i][h] = player i's expected value of player h's bundle stream, in table
+    ints over a dropped denominator (the screen reads order, the map ratios), by one
     ``expected_utility`` call, under the name ``bench/tracing.py`` binds."""
-    return expected_utility(p, inst)
+    return expected_utility(p, inst)[0]
 
 
 def _envious(views):
@@ -152,22 +153,21 @@ def _envious(views):
 
 
 def _nu_from_views(views, w):
-    n = len(views)
-    best = [max(views[i]) for i in range(n)]
-    own = [views[i][i] for i in range(n)]
+    best = [max(row) for row in views]
+    own = [row[i] for i, row in enumerate(views)]
     total_best = sum(best)
     total_own = sum(own)
-    nu = tuple(w.w[i] + best[i] / total_best - own[i] / total_own for i in range(n))
+    nu = tuple(x + Fraction(b, total_best) - Fraction(o, total_own) for x, b, o in zip(w.w, best, own))
     if sum(nu) != 1:
         raise EngineInvariantError("correction terms must conserve total weight")
     return nu
 
 
 def _share_step(views, w):
-    """Corrected weights, their projection onto W, and the L1 step between w and it."""
+    """Corrected weights, their projection onto W (a tuple), and the L1 step from w to it."""
     nu = _nu_from_views(views, w)
-    w_next = WeightVector(project_onto_truncated_simplex(nu, w.epsilon), w.epsilon)
-    return nu, w_next, _l1(w_next.w, w.w)
+    x = project_onto_truncated_simplex(nu, w.epsilon)
+    return nu, x, sum(abs(a - b) for a, b in zip(x, w.w))
 
 
 def nu_update(p, w, inst):
@@ -182,7 +182,7 @@ def nu_update(p, w, inst):
 def varpi(p, w, inst):
     """Projection of the corrected weights back onto the truncated simplex."""
     _require_weight_for(w, inst)
-    return _share_step(_views(p, inst), w)[1]
+    return WeightVector(_share_step(_views(p, inst), w)[1], w.epsilon)
 
 
 def compute_rho(inst):
@@ -227,10 +227,6 @@ def choose_epsilon(rho, n, epsilon="auto"):
     if eps >= bound:
         raise ConfigurationError(f"floor {eps} is not below the envy-gap bound {bound}")
     return eps
-
-
-def _l1(a, b):
-    return sum(abs(x - y) for x, y in zip(a, b))
 
 
 def find_fixed_point(inst, epsilon="auto", trace_sink=None):

@@ -1,7 +1,7 @@
 """Expected-utility analysis of a lottery: envy graph, EF check, PE check.
 
-Each check builds its own view matrix (``expected_utility``, one integer
-pass); envy edges compare it strictly and exactly (ties are non-envy).
+Each check builds its own view matrix (``expected_utility``, ints over one
+denominator); envy edges compare those ints strictly (ties are non-envy).
 
 Pareto efficiency is decided one of two ways.  Given a weight witness w with
 every w_i > 0, it is an integer scan: every support allocation of the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 
-from .errors import EngineInvariantError
+from .errors import EngineInvariantError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .model import MixedAllocation, as_fraction, expected_utility, over_common_denominator
 
@@ -78,12 +78,13 @@ class Certificate:
 
 def build_envy_graph(p, inst):
     """Edge (i, h) whenever i strictly prefers h's bundle stream to her own."""
+    views, den = expected_utility(p, inst)
     edges = []
-    for i, views in enumerate(expected_utility(p, inst)):
-        own = views[i]
-        for h, view in enumerate(views):
+    for i, row in enumerate(views):
+        own = row[i]
+        for h, view in enumerate(row):
             if h != i and view > own:
-                edges.append((i, h, view - own))
+                edges.append((i, h, Fraction(view - own, den)))
     return EnvyGraph(inst.n, tuple(edges))
 
 
@@ -115,37 +116,37 @@ def check_envy_free(p, inst):
 def check_pareto_efficient(p, inst, weight=None):
     """Decide PE, by a weight witness when one is given, else by an LP.
 
-    With ``weight``, the check needs n entries, each > 0, and scores w . u
-    in integers (w over its common denominator, u from the kernel's table)
-    for every distinct own vector of the instance, not only the frontier.
-    If every support allocation of p attains the maximum, p is efficient
-    and the verdict carries the weight; otherwise it fails with no
-    dominator, since a failed witness proves nothing.
+    With ``weight``, which needs n entries (else ``PreconditionError``),
+    each > 0, the check scores w . u in integers (w over its common
+    denominator, u from the kernel's table) for every distinct own vector of
+    the instance, not only the frontier.  If every support allocation of p
+    attains the maximum, p is efficient and the verdict carries the weight;
+    otherwise it fails with no dominator: a failed witness proves nothing.
 
     Without a weight, the LP's variables are a lottery p' over the frontier
     vectors and slacks t_i >= 0 with the constraints sum p' = 1 and
     (own utility of p')_i >= (own utility of p)_i + t_i, every row built
-    times the table's scale, in the table's ints, and wrapped unchecked by
-    ``LinearProgram._of`` (see ``lp``); p's own utilities are the diagonal
-    of its view matrix.  The optimum is exactly 0 iff p is Pareto
-    efficient; otherwise the optimal p', placed on the first member
-    allocation of each vector, dominates and is returned after
-    re-verification against the diagonal of its own view matrix.
+    times the denominator of p's view matrix: all ints, the right-hand
+    sides that matrix's diagonal, wrapped unchecked by ``LinearProgram._of``
+    (see ``lp``).  The optimum is exactly 0 iff p is Pareto efficient;
+    otherwise the optimal p', placed on the first member allocation of each
+    vector, dominates and is returned after re-verification against the
+    diagonal of its own view matrix.
     """
     if weight is not None:
         return _check_weight_witness(p, inst, tuple(as_fraction(x) for x in weight))
     frontier = inst.kernel.frontier
     cols = len(frontier)
     n = inst.n
-    current = [views[i] for i, views in enumerate(expected_utility(p, inst))]
+    views, den = expected_utility(p, inst)
+    p_den = den // inst.utilities.scale  # frontier points are over the scale, views over den
 
-    scale = inst.utilities.scale
     objective = (0,) * cols + (1,) * n
-    rows = [((scale,) * cols + (0,) * n, "=", scale)]
+    rows = [((den,) * cols + (0,) * n, "=", den)]
     for i in range(n):
-        row = tuple(point[i] for point in frontier.points)
-        row += tuple(-scale if t == i else 0 for t in range(n))
-        rows.append((row, ">=", current[i] * scale))
+        row = tuple(point[i] * p_den for point in frontier.points)
+        row += tuple(-den if t == i else 0 for t in range(n))
+        rows.append((row, ">=", views[i][i]))
     result = solve_lp(LinearProgram._of(objective, tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"domination program ended {result.status}")
@@ -156,16 +157,17 @@ def check_pareto_efficient(p, inst, weight=None):
     dominator = MixedAllocation.from_support(
         len(inst.allocations), zip((js[0] for js in frontier.members), result.solution)
     )
-    better = [views[i] for i, views in enumerate(expected_utility(dominator, inst))]
-    weak = all(b >= c for b, c in zip(better, current))
-    strict = any(b > c for b, c in zip(better, current))
-    if not (weak and strict):
+    better, den_b = expected_utility(dominator, inst)
+    gains = tuple(Fraction(better[i][i] * den - views[i][i] * den_b, den * den_b) for i in range(n))
+    if not (all(g >= 0 for g in gains) and any(gains)):
         raise EngineInvariantError("dominating witness failed re-verification")
-    return PeCheck(False, dominator=dominator, gains=tuple(b - c for b, c in zip(better, current)))
+    return PeCheck(False, dominator=dominator, gains=gains)
 
 
 def _check_weight_witness(p, inst, w):
-    if len(w) != inst.n or any(x <= 0 for x in w):
+    if len(w) != inst.n:
+        raise PreconditionError(f"weight witness has {len(w)} entries, instance has {inst.n} players")
+    if any(x <= 0 for x in w):
         return PeCheck(False)
     ints = over_common_denominator(w)[0]
     best = max(sum(a * b for a, b in zip(ints, point)) for point in inst.kernel.points)

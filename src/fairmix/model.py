@@ -8,8 +8,8 @@ downstream reads those ints; the raw Fractions are kept only to be written
 back out.  An allocation set stores only its tuple of bundle tuples; the
 :class:`PureAllocation` objects it hands out are views made on demand.  A
 lottery stores only its support, as ascending (index, probability) pairs,
-and ``expected_utility`` sums all its views in ints, in one pass.  Counts,
-indices and masks are ints, never bools (``is_int``).
+and ``expected_utility`` gives all its views as ints over one denominator,
+in one pass.  Counts, indices and masks are ints, never bools (``is_int``).
 Nothing in this module rounds.  Every type is immutable after construction
 and safe to share between threads.
 """
@@ -69,6 +69,14 @@ def _require_int(value, name):
         raise MalformedInstanceError(f"{name} must be an integer, got {value!r}")
 
 
+def _entries(values, name):
+    """``iter(values)``, or ``MalformedInstanceError`` naming ``values`` if it is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise MalformedInstanceError(f"{name} {values!r} is not a sequence") from None
+
+
 @dataclass(frozen=True)
 class PureAllocation:
     """One deterministic allocation: bundle ``bundles[i]`` goes to player ``i``.
@@ -80,7 +88,7 @@ class PureAllocation:
     bundles: tuple[int, ...]
 
     def __post_init__(self):
-        bundles = tuple(self.bundles)
+        bundles = tuple(_entries(self.bundles, "bundle list"))
         seen = 0
         for b in bundles:
             if not is_int(b) or b < 0:
@@ -111,9 +119,9 @@ class AllocationSet:
 
     def __init__(self, allocations):
         index = {}
-        for a in allocations:
+        for a in _entries(allocations, "allocation list"):
             if not isinstance(a, PureAllocation):
-                a = PureAllocation(tuple(a))
+                a = PureAllocation(a)
             index.setdefault(a.bundles, len(index))
         if not index:
             raise MalformedInstanceError("allocation set may not be empty")
@@ -316,10 +324,10 @@ class UtilityKernel:
     own tuple of bundle tuples, not a copy, and ``own_num[i][j]`` player i's
     entry for their bundle in allocation j, read down the set's bundle
     columns.  ``points`` are the distinct own-utility vectors (columns of
-    ``own_num``) in order of first occurrence, ``members[v]`` the ascending
-    indices of the allocations sharing point v; allocations with equal own
-    vectors stay separate, because their envy views differ.  ``frontier``
-    keeps the points that no other point weakly dominates.  ``rho``, the
+    ``own_num``) in order of first occurrence.  ``frontier`` keeps the
+    points that no other point weakly dominates, each with the ascending
+    indices of the allocations sharing it; allocations with equal own
+    vectors stay separate, because their envy views differ.  ``rho``, the
     envy-gap constant, is derived on first use.
     """
 
@@ -327,7 +335,6 @@ class UtilityKernel:
     bundles: tuple
     own_num: tuple
     points: tuple
-    members: tuple
     frontier: Frontier
 
     @classmethod
@@ -341,10 +348,10 @@ class UtilityKernel:
         for j, point in enumerate(zip(*own_num)):
             groups.setdefault(point, []).append(j)
         points = tuple(groups)
-        members = tuple(tuple(js) for js in groups.values())
+        members = tuple(groups.values())
         kept = pareto_frontier(points)
-        frontier = Frontier(tuple(members[v] for v in kept), tuple(points[v] for v in kept))
-        return cls(table, bundles, own_num, points, members, frontier)
+        frontier = Frontier(tuple(tuple(members[v]) for v in kept), tuple(points[v] for v in kept))
+        return cls(table, bundles, own_num, points, frontier)
 
     @cached_property
     def rho(self):
@@ -523,7 +530,12 @@ class MixedAllocation:
 def _checked_pairs(k, items):
     """Ascending positive (index, probability) pairs, validated to sum to one."""
     probs = {}
-    for j, q in items:
+    for pair in _entries(items, "lottery support"):
+        try:
+            j, q = pair
+        except (TypeError, ValueError):
+            msg = f"lottery entry {pair!r} is not an (index, probability) pair"
+            raise MalformedInstanceError(msg) from None
         _require_int(j, "lottery index")
         if not 0 <= j < k:
             raise MalformedInstanceError(f"lottery index {j!r} outside 0..{k - 1}")
@@ -546,7 +558,7 @@ class WeightVector:
     epsilon: Fraction
 
     def __post_init__(self):
-        w = tuple(as_fraction(v) for v in self.w)
+        w = tuple(as_fraction(v) for v in _entries(self.w, "weight vector"))
         eps = as_fraction(self.epsilon)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "epsilon", eps)
@@ -566,19 +578,19 @@ class WeightVector:
 
 
 def expected_utility(p, inst):
-    """The n x n view matrix: ``views[i][h]`` is player i's expected value of
-    player h's bundle stream.  The support's probabilities go over their
-    common denominator, each view is summed in the table's ints, and each
-    entry is one Fraction, over that denominator times the table's scale.
+    """The lottery's views in the table's form, ``(views, den)``: an n x n int
+    matrix whose ``Fraction(views[i][h], den)`` is player i's expected value of
+    player h's bundle stream.  The support's probabilities go over their common
+    denominator, and ``den`` is that denominator times the table's scale.
     """
     if p.k != len(inst.allocations):
         raise MalformedInstanceError(
             f"lottery over {p.k} allocations, instance has {len(inst.allocations)}"
         )
     weights, den = over_common_denominator([q for _, q in p.pairs])
-    den *= inst.utilities.scale
     support = [inst.allocations.bundles[j] for j, _ in p.pairs]
-    return [
-        [Fraction(sum(a * row[bs[h]] for a, bs in zip(weights, support)), den) for h in range(inst.n)]
+    views = [
+        [sum(a * row[bs[h]] for a, bs in zip(weights, support)) for h in range(inst.n)]
         for row in inst.utilities.table
     ]
+    return views, den * inst.utilities.scale

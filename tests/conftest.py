@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from fairmix.model import Instance, all_partitions_allocation_set
+from fairmix.model import Instance, all_partitions_allocation_set, expected_utility
 
 
 def additive_table(item_values):
@@ -22,6 +22,12 @@ def additive_table(item_values):
 def fraction_points(points, scale):
     """Integer points over one scale, as exact Fraction vectors."""
     return tuple(tuple(Fraction(x, scale) for x in point) for point in points)
+
+
+def fraction_views(p, inst):
+    """A lottery's views as exact Fractions, ``Fraction(views[i][h], den)``."""
+    views, den = expected_utility(p, inst)
+    return [[Fraction(v, den) for v in row] for row in views]
 
 
 def random_additive_instance(rng, n=None, m=None, grid=12):

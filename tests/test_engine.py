@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import additive_table, random_additive_instance, random_table_instance, seeded_rng
+from conftest import (
+    additive_table,
+    fraction_views,
+    random_additive_instance,
+    random_table_instance,
+    seeded_rng,
+)
 from fairmix import engine
 from fairmix.engine import (
     FixedPointState,
@@ -38,7 +44,6 @@ from fairmix.model import (
     PureAllocation,
     WeightVector,
     all_partitions_allocation_set,
-    expected_utility,
     swap_closure,
 )
 from fairmix.serialize import load_instance
@@ -251,7 +256,7 @@ class TestFindFixedPoint:
         assert cert.ok
         assert state.w.w == (F(1),)
         assert state.residual == 0
-        assert expected_utility(state.p, inst)[0][0] == F(2)
+        assert fraction_views(state.p, inst)[0][0] == F(2)
 
     def test_symmetric_instance(self):
         inst = identical_players_instance()
@@ -299,8 +304,8 @@ class TestFindFixedPoint:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [lambda w: (F(0),) + w[1:], lambda w: w[:-1], lambda w: (F(1, 2), F(1, 2))],
-        ids=["zero", "short", "off-argmax"],
+        [lambda w: (F(0),) + w[1:], lambda w: (F(1, 2), F(1, 2))],
+        ids=["zero", "off-argmax"],
     )
     def test_corrupted_pe_witness_is_an_invariant_failure(self, monkeypatch, corrupt):
         inst = opposed_tastes_instance()
@@ -316,6 +321,20 @@ class TestFindFixedPoint:
         )
         with pytest.raises(EngineInvariantError, match="efficiency check"):
             find_fixed_point(inst)
+
+    def test_short_pe_witness_is_a_precondition_error(self, monkeypatch):
+        # certify refuses a witness of the wrong length outright, naming both
+        # counts, instead of reading it as "not efficient"
+        certify = engine.certify
+        monkeypatch.setattr(
+            engine,
+            "certify",
+            lambda p, inst, residual=None, weight=None: certify(
+                p, inst, residual=residual, weight=weight[:-1]
+            ),
+        )
+        with pytest.raises(PreconditionError, match="has 1 entries, instance has 2 players"):
+            find_fixed_point(opposed_tastes_instance())
 
     def test_vertex_disagreeing_with_the_argmax_is_an_invariant_failure(self, monkeypatch):
         argmax_of = engine._argmax_of

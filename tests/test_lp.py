@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_rng
+from conftest import fraction_views, seeded_rng
 from fairmix import engine, envy
 from fairmix import lp as lp_module
 from fairmix.errors import EngineInvariantError, MalformedLpError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
-from fairmix.model import expected_utility
 from oracles import brute_force_lp_max, fraction_simplex, satisfies
 from test_kernel import CASES, case_id, lotteries, make_instance, sample_weights, tie_weights
 
@@ -311,7 +310,7 @@ def test_select_lp_split_bound_is_the_largest_envy_margin(case, monkeypatch):
         q = len(result.solution) - 2
         s = result.solution[q] - result.solution[q + 1]
         assert s == -result.objective_value
-        views = expected_utility(p, inst)
+        views = fraction_views(p, inst)
         margins = [views[i][h] - views[i][i] for i in range(n) for h in range(n) if h != i]
         assert s == max(margins)
 

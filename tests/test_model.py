@@ -6,7 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -512,6 +512,28 @@ class TestMixedAllocation:
             MixedAllocation.from_support(3, [(0, F(3, 2)), (0, F(-1, 2))])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MixedAllocation(2, ((0,),)), r"lottery entry \(0,\) is not an \(index, probability\) pair"),
+        (lambda: MixedAllocation.from_support(2, "ab"), "lottery entry 'a' is not an"),
+        (lambda: MixedAllocation(2, 5), "lottery support 5 is not a sequence"),
+        (lambda: PureAllocation(5), "bundle list 5 is not a sequence"),
+        (lambda: AllocationSet([[1, 2], 3]), "bundle list 3 is not a sequence"),
+        (lambda: AllocationSet(5), "allocation list 5 is not a sequence"),
+        (lambda: WeightVector(5, F(1, 4)), "weight vector 5 is not a sequence"),
+    ],
+    ids=[
+        "short-pair", "string-support", "int-support", "int-bundles", "int-allocation", "int-set",
+        "int-weights",
+    ],
+)
+def test_constructors_name_the_malformed_entry(build, message):
+    # the same class of input fault as a bad mask: never a raw TypeError or ValueError
+    with pytest.raises(MalformedInstanceError, match=message):
+        build()
+
+
 class TestWeightVector:
     def test_rejects_floor_violation(self):
         with pytest.raises(MalformedInstanceError):
@@ -574,8 +596,9 @@ class TestInstance:
         inst = self.build_symmetric()
         j = inst.allocations.index[(0b11, 0)]
         p = MixedAllocation.point_mass(len(inst.allocations), j)
-        assert expected_utility(p, inst)[0][0] == F(2)
-        assert expected_utility(p, inst)[1][1] == F(1)
+        views, den = expected_utility(p, inst)
+        assert F(views[0][0], den) == F(2)
+        assert F(views[1][1], den) == F(1)
 
     def test_uniform_average(self):
         inst = self.build_symmetric()
@@ -585,14 +608,15 @@ class TestInstance:
             len(inst.allocations), {ja: F(1, 2), jb: F(1, 2)}
         )
         # each single item normalizes to 3/2 here, so the mean is 3/2
+        views, den = expected_utility(p, inst)
         for viewer in range(2):
             for owner in range(2):
-                assert expected_utility(p, inst)[viewer][owner] == F(3, 2)
+                assert F(views[viewer][owner], den) == F(3, 2)
 
     @given(st.integers(0, 2**30 - 1), st.fractions(min_value=0, max_value=1, max_denominator=16))
     @settings(max_examples=40)
     def test_expected_utility_linear_in_p(self, seed, alpha):
-        from conftest import random_table_instance, seeded_rng
+        from conftest import fraction_views, random_table_instance, seeded_rng
 
         inst = random_table_instance(seeded_rng(seed), n=2, m=2)
         k = len(inst.allocations)
@@ -602,12 +626,11 @@ class TestInstance:
         mix = MixedAllocation.from_support(
             k, [(j, alpha * q) for j, q in pa.pairs] + [(j, (1 - alpha) * q) for j, q in pb.pairs]
         )
+        views_mix, views_a, views_b = (fraction_views(q, inst) for q in (mix, pa, pb))
         for viewer in range(2):
             for owner in range(2):
-                lhs = expected_utility(mix, inst)[viewer][owner]
-                rhs = alpha * expected_utility(pa, inst)[viewer][owner] + (
-                    1 - alpha
-                ) * expected_utility(pb, inst)[viewer][owner]
+                lhs = views_mix[viewer][owner]
+                rhs = alpha * views_a[viewer][owner] + (1 - alpha) * views_b[viewer][owner]
                 assert lhs == rhs
 
     @given(st.integers(0, 2**30 - 1))
@@ -616,7 +639,8 @@ class TestInstance:
         from conftest import random_table_instance, seeded_rng
 
         def check(p, inst):
-            views = expected_utility(p, inst)
+            views, den = expected_utility(p, inst)
+            assert den == lcm(*(q.denominator for _, q in p.pairs)) * inst.utilities.scale
             assert len(views) == inst.n and all(len(row) == inst.n for row in views)
             probs = dict(p.pairs)
             values = fraction_normalize(inst.utilities.raw_values)
@@ -626,7 +650,7 @@ class TestInstance:
                         probs.get(j, 0) * values[viewer][inst.allocations[j].bundles[owner]]
                         for j in range(len(inst.allocations))
                     )
-                    assert type(views[viewer][owner]) is F and views[viewer][owner] == dense
+                    assert type(views[viewer][owner]) is int and F(views[viewer][owner], den) == dense
 
         rng = seeded_rng(seed)
         inst = random_table_instance(rng)
