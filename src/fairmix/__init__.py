@@ -46,7 +46,6 @@ from .engine import (
     choose_epsilon,
     compute_rho,
     find_fixed_point,
-    nu_update,
     select_p_in_P,
     varpi,
 )
@@ -55,7 +54,6 @@ from .hard import (
     DichotomyReport,
     DisjointnessInput,
     build_hard_instance,
-    check_monotone,
     check_submodular,
     enumerate_splits,
     hard_utility_tables,

@@ -112,11 +112,15 @@ def select_p_in_P(w, inst, argmax=None):
     optimum s <= 0 means the returned lottery is already envy-free.  The LP
     is canonical, so the free s is the last two columns, s = s+ - s-.  Every
     row is built times the table's scale, in the table's ints, and enters
-    the solver unchecked through ``LinearProgram._of`` (see ``lp``).
+    the solver unchecked through ``LinearProgram._of`` (see ``lp``).  A given
+    ``argmax`` must be a non-empty tuple or list of indices in 0..k-1, or
+    this raises ``PreconditionError``.
     """
+    k = len(inst.allocations)
     if argmax is None:
         argmax = argmax_allocations(w, inst)
-    k = len(inst.allocations)
+    elif not (isinstance(argmax, (tuple, list)) and argmax and all(is_int(j) and 0 <= j < k for j in argmax)):
+        raise PreconditionError(f"argmax {argmax!r} is not a non-empty list of indices in 0..{k - 1}")
     n = inst.n
     if n == 1 or len(argmax) == 1:
         return MixedAllocation.point_mass(k, argmax[0])
@@ -153,6 +157,8 @@ def _envious(views):
 
 
 def _nu_from_views(views, w):
+    """Corrected weights: w_i plus best-view share minus own-view share.
+    Both shares sum to one over the players, so the result sums to one."""
     best = [max(row) for row in views]
     own = [row[i] for i, row in enumerate(views)]
     total_best = sum(best)
@@ -168,15 +174,6 @@ def _share_step(views, w):
     nu = _nu_from_views(views, w)
     x = project_onto_truncated_simplex(nu, w.epsilon)
     return nu, x, sum(abs(a - b) for a, b in zip(x, w.w))
-
-
-def nu_update(p, w, inst):
-    """Corrected weights: w_i plus best-view share minus own-view share.
-
-    Both shares sum to one over the players, so the result sums to one.
-    """
-    _require_weight_for(w, inst)
-    return _nu_from_views(_views(p, inst), w)
 
 
 def varpi(p, w, inst):

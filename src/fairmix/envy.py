@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 
-from .errors import EngineInvariantError, PreconditionError
+from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .model import MixedAllocation, as_fraction, expected_utility, over_common_denominator
+from .model import MixedAllocation, _entries, as_fraction, expected_utility, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def check_envy_free(p, inst):
 def check_pareto_efficient(p, inst, weight=None):
     """Decide PE, by a weight witness when one is given, else by an LP.
 
-    With ``weight``, which needs n entries (else ``PreconditionError``),
+    With ``weight``, a sequence of n rationals (else ``PreconditionError``),
     each > 0, the check scores w . u in integers (w over its common
     denominator, u from the kernel's table) for every distinct own vector of
     the instance, not only the frontier.  If every support allocation of p
@@ -134,7 +134,11 @@ def check_pareto_efficient(p, inst, weight=None):
     diagonal of its own view matrix.
     """
     if weight is not None:
-        return _check_weight_witness(p, inst, tuple(as_fraction(x) for x in weight))
+        try:
+            w = tuple(as_fraction(x) for x in _entries(weight, "weight witness"))
+        except MalformedInstanceError as exc:
+            raise PreconditionError(str(exc)) from exc
+        return _check_weight_witness(p, inst, w)
     frontier = inst.kernel.frontier
     cols = len(frontier)
     n = inst.n

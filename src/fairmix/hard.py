@@ -32,6 +32,8 @@ from .errors import EnumerationLimitError, MalformedInstanceError
 from .model import (
     Instance,
     MixedAllocation,
+    _entries,
+    _require_int,
     all_partitions_allocation_set,
     is_int,
 )
@@ -62,7 +64,7 @@ class DisjointnessInput:
     def __post_init__(self):
         r = split_count(self.p)
         for name, bits in (("x1", self.x1), ("x2", self.x2)):
-            bits = tuple(bits)
+            bits = tuple(_entries(bits, name))
             if len(bits) != r:
                 raise MalformedInstanceError(
                     f"{name} has {len(bits)} bits, expected r = {r} for p = {self.p}"
@@ -124,24 +126,26 @@ def build_hard_instance(inp):
     return Instance.build(hard_utility_tables(inp), allocations)
 
 
-def _require_full_table(values, m):
-    for mask in range(1 << m):
-        if mask not in values:
-            raise MalformedInstanceError(f"table lacks a value for bundle mask {mask}")
-
-
 def check_submodular(values, m):
     """Exhaustive diminishing-returns check over one player's bundle table.
 
     Tests u(X + e) - u(X) >= u(Y + e) - u(Y) for every X within Y and e
     outside Y.  Scans e ascending, then Y ascending, so the first violation
-    is deterministic.  Returns (True, None) or (False, (X, Y, e)).
+    is deterministic.  Returns (True, None) or (False, (X, Y, e)).  ``m``
+    must be an int >= 0 and ``values`` a table with every mask over the m
+    items, or this raises ``MalformedInstanceError``.
     """
+    _require_int(m, "item count m")
+    if m < 0:
+        raise MalformedInstanceError(f"negative item count m={m}")
     if m > SUBMODULAR_ITEM_CAP:
         raise EnumerationLimitError(
             f"m = {m} exceeds the exhaustive-check cap of {SUBMODULAR_ITEM_CAP}"
         )
-    _require_full_table(values, m)
+    _entries(values, "bundle table")
+    for mask in range(1 << m):
+        if mask not in values:
+            raise MalformedInstanceError(f"table lacks a value for bundle mask {mask}")
     for e in range(m):
         bit = 1 << e
         for y in range(1 << m):
@@ -155,17 +159,6 @@ def check_submodular(values, m):
                 if x == 0:
                     break
                 x = (x - 1) & y
-    return True, None
-
-
-def check_monotone(values, m):
-    """True when adding any single item never lowers value."""
-    _require_full_table(values, m)
-    for e in range(m):
-        bit = 1 << e
-        for mask in range(1 << m):
-            if not mask & bit and values[mask | bit] < values[mask]:
-                return False, (mask, e)
     return True, None
 
 

@@ -60,7 +60,7 @@ from .errors import (
     MalformedLpError,
     PreconditionError,
 )
-from .model import as_fraction, over_common_denominator
+from .model import _entries, as_fraction, over_common_denominator
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -317,11 +317,11 @@ def project_onto_truncated_simplex(y, epsilon):
 
     Active-set iteration: clamp violators to the floor, re-center the rest by
     a common shift, repeat.  The clamp set only grows, so at most n rounds.
-    The KKT system is audited exactly before returning.  A non-rational
-    entry or floor raises ``PreconditionError``.
+    The KKT system is audited exactly before returning.  A ``y`` that is not
+    a sequence, or a non-rational entry or floor, raises ``PreconditionError``.
     """
     try:
-        y = tuple(as_fraction(v) for v in y)
+        y = tuple(as_fraction(v) for v in _entries(y, "projection input"))
         eps = as_fraction(epsilon)
     except MalformedInstanceError as exc:
         raise PreconditionError(str(exc)) from exc

@@ -98,10 +98,6 @@ class PureAllocation:
             seen |= b
         object.__setattr__(self, "bundles", bundles)
 
-    @property
-    def n(self):
-        return len(self.bundles)
-
 
 class AllocationSet:
     """An ordered, duplicate-free collection of pure allocations.
@@ -156,8 +152,6 @@ class AllocationSet:
         return map(PureAllocation, self.bundles)
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(map(PureAllocation, self.bundles[j]))
         return PureAllocation(self.bundles[j])
 
     def __eq__(self, other):
@@ -203,10 +197,13 @@ def normalize_utilities(raw):
     leaves them over the player's least denominator d_i; a constant player
     gets all 1s over 1.  Each player's entries are then multiplied by
     D // d_i, where D, the profile's ``scale``, is the lcm of every d_i.
-    Normalizing twice is a no-op.
+    Normalizing twice is a no-op.  A ``raw`` that is not a sequence, or a
+    table that is not a mapping, raises ``MalformedInstanceError`` naming it.
     """
     tables = []
-    for values in raw:
+    for i, values in enumerate(_entries(raw, "utility list")):
+        if not hasattr(values, "items"):
+            raise MalformedInstanceError(f"utility table {values!r} of player {i} is not a mapping")
         checked = {}
         for bundle, v in values.items():
             if not is_int(bundle) or bundle < 0:
@@ -509,14 +506,6 @@ class MixedAllocation:
     @classmethod
     def point_mass(cls, k, j):
         return cls(k, ((j, 1),))
-
-    @classmethod
-    def uniform(cls, k):
-        _require_int(k, "lottery size k")
-        if k < 1:
-            raise MalformedInstanceError(f"a uniform lottery needs at least one allocation, got k={k}")
-        q = Fraction(1, k)
-        return cls(k, tuple((j, q) for j in range(k)))
 
     @classmethod
     def from_support(cls, k, support):

@@ -19,14 +19,18 @@ filter-then-sort of the maximal masks.  Every oracle that scores utilities
 reads an instance's raw values through ``fraction_normalize``, never the
 package's own rescaled table: ``weight_witness_ok``, which re-checks a
 Pareto-efficiency weight witness in Fractions over every allocation with
-no kernel, and ``find_dominating_vertex_or_pair``.  A fault in
+no kernel, ``find_dominating_vertex_or_pair`` and ``reference_nu``, the
+paper's corrected weights from Fraction views.  A fault in
 ``normalize_utilities`` therefore shows up as a disagreement.
+``check_monotone`` is a check on the hard-instance tables that the package
+does not need.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from fairmix.errors import MalformedInstanceError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 
 
@@ -180,6 +184,37 @@ def weight_witness_ok(p, inst, w):
     ]
     best = max(welfare)
     return all(welfare[j] == best for j in p.support())
+
+
+def reference_nu(p, w, inst):
+    """The paper's corrected weights at the ``WeightVector`` w: w_i plus
+    player i's share of the summed best views minus their share of the
+    summed own views, each view an expectation in Fractions over the
+    instance's raw values through ``fraction_normalize``."""
+    values = fraction_normalize(inst.utilities.raw_values)
+    views = [
+        [sum(q * values[i][inst.allocations[j].bundles[h]] for j, q in p.pairs) for h in range(inst.n)]
+        for i in range(inst.n)
+    ]
+    best = [max(row) for row in views]
+    own = [row[i] for i, row in enumerate(views)]
+    return tuple(x + b / sum(best) - o / sum(own) for x, b, o in zip(w.w, best, own))
+
+
+def check_monotone(values, m):
+    """(True, None) when adding any single item never lowers a bundle's
+    value, else (False, (mask, e)) for the first drop, scanning e, then the
+    mask, ascending.  A table without a value for every mask over the m
+    items raises ``MalformedInstanceError``."""
+    for mask in range(1 << m):
+        if mask not in values:
+            raise MalformedInstanceError(f"table lacks a value for bundle mask {mask}")
+    for e in range(m):
+        bit = 1 << e
+        for mask in range(1 << m):
+            if not mask & bit and values[mask | bit] < values[mask]:
+                return False, (mask, e)
+    return True, None
 
 
 def _fraction_pivot(tab, rhs, basis, r, c):

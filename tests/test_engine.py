@@ -25,7 +25,6 @@ from fairmix.engine import (
     choose_epsilon,
     compute_rho,
     find_fixed_point,
-    nu_update,
     select_p_in_P,
     varpi,
 )
@@ -47,7 +46,12 @@ from fairmix.model import (
     swap_closure,
 )
 from fairmix.serialize import load_instance
-from oracles import find_dominating_vertex_or_pair, reference_scan_weights, weight_witness_ok
+from oracles import (
+    find_dominating_vertex_or_pair,
+    reference_nu,
+    reference_scan_weights,
+    weight_witness_ok,
+)
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -114,26 +118,34 @@ class TestSelectP:
         assert len(p.support()) == 1
 
 
+def engine_nu(p, w, inst):
+    """The engine's corrected weights, ``_nu_from_views`` on the engine's
+    views, required equal to the Fraction oracle's."""
+    nu = engine._nu_from_views(engine._views(p, inst), w)
+    assert nu == reference_nu(p, w, inst)
+    return nu
+
+
 class TestNuUpdate:
     def test_symmetric_mutual_envy_cancels(self):
         inst = mutual_envy_point_instance()
         j = inst.allocations.index[(0, 1)]
         p = MixedAllocation.point_mass(3, j)
         w = WeightVector((F(1, 2), F(1, 2)), F(1, 10))
-        assert nu_update(p, w, inst) == (F(1, 2), F(1, 2))
+        assert engine_nu(p, w, inst) == (F(1, 2), F(1, 2))
 
     def test_envy_free_gives_back_w(self):
         inst = identical_players_instance()
         w = WeightVector((F(2, 5), F(3, 5)), F(1, 16))
         p = select_p_in_P(w, inst, argmax_allocations(WeightVector.uniform(2, F(1, 16)), inst))
         assert build_envy_graph(p, inst).edges == ()
-        assert nu_update(p, w, inst) == w.w
+        assert engine_nu(p, w, inst) == w.w
 
     def test_single_player(self):
         raw = [{0: 0, 1: 3}]
         inst = Instance.build(raw, all_partitions_allocation_set(1, 1))
         p = MixedAllocation.point_mass(len(inst.allocations), 0)
-        assert nu_update(p, WeightVector((F(1),), F(1, 2)), inst) == (F(1),)
+        assert engine_nu(p, WeightVector((F(1),), F(1, 2)), inst) == (F(1),)
 
 
 class TestVarpi:
@@ -148,7 +160,7 @@ class TestVarpi:
         j = inst.allocations.index[(1, 0)]
         p = MixedAllocation.point_mass(3, j)
         w = WeightVector((F(7, 10), F(3, 10)), F(1, 10))
-        nu = nu_update(p, w, inst)
+        nu = reference_nu(p, w, inst)
         assert varpi(p, w, inst).w == project_onto_truncated_simplex(nu, F(1, 10))
 
 
@@ -373,7 +385,7 @@ class TestFindFixedPoint:
         assert trace[-1] is state
         assert [rec.residual > 0 for rec in trace] == [True, False]
         for rec in trace:
-            assert rec.nu == nu_update(rec.p, rec.w, inst)
+            assert rec.nu == reference_nu(rec.p, rec.w, inst)
             assert sum(rec.nu) == 1
             assert rec.residual >= 0
             assert set(rec.p.support()) <= set(argmax_allocations(rec.w, inst))
@@ -412,10 +424,9 @@ class TestFindFixedPoint:
     [
         lambda w, inst: argmax_allocations(w, inst),
         lambda w, inst: select_p_in_P(w, inst),
-        lambda w, inst: nu_update(MixedAllocation.point_mass(len(inst.allocations), 0), w, inst),
         lambda w, inst: varpi(MixedAllocation.point_mass(len(inst.allocations), 0), w, inst),
     ],
-    ids=["argmax_allocations", "select_p_in_P", "nu_update", "varpi"],
+    ids=["argmax_allocations", "select_p_in_P", "varpi"],
 )
 def test_weight_of_the_wrong_length_is_a_precondition_error(call, length):
     raw = [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3}, {0: 0, 1: 3, 2: 3, 3: 1}]

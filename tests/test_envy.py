@@ -208,6 +208,24 @@ class TestWeightWitness:
         with pytest.raises(PreconditionError, match=message):
             certify(state.p, inst, weight=w)
 
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (5, "weight witness 5 is not a sequence"),
+            (("x", 1), "bad rational 'x'"),
+            ((F(1, 2), 0.5), "non-rational value of type float"),
+        ],
+        ids=["int", "string-entry", "float-entry"],
+    )
+    def test_malformed_weight_is_a_precondition_error(self, weight, message):
+        # the same class of caller's mistake as a witness of the wrong length
+        inst = symmetric_instance()
+        p = split_lottery(inst)
+        with pytest.raises(PreconditionError, match=message):
+            check_pareto_efficient(p, inst, weight=weight)
+        with pytest.raises(PreconditionError, match=message):
+            certify(p, inst, weight=weight)
+
     def test_support_off_the_argmax_fails(self):
         # an efficient lottery, yet at equal weights only one of its two
         # allocations is on the argmax

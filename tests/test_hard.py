@@ -18,7 +18,6 @@ from fairmix import (
     MalformedInstanceError,
     build_hard_instance,
     check_envy_free,
-    check_monotone,
     check_pareto_efficient,
     check_submodular,
     enumerate_splits,
@@ -26,6 +25,8 @@ from fairmix import (
     split_count,
     verify_welfare_dichotomy,
 )
+
+from oracles import check_monotone
 
 F = Fraction
 

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from fairmix import cli
 from fairmix.envy import certify
-from fairmix.errors import EnumerationLimitError, MalformedInstanceError
-from fairmix.hard import DisjointnessInput, build_hard_instance, split_count
+from fairmix.engine import select_p_in_P
+from fairmix.errors import EnumerationLimitError, MalformedInstanceError, PreconditionError
+from fairmix.hard import DisjointnessInput, build_hard_instance, check_submodular, split_count
+from fairmix.lp import project_onto_truncated_simplex
 from fairmix.model import (
     DEFAULT_ENUMERATION_BUDGET,
     MAX_ITEMS,
@@ -313,7 +315,6 @@ class TestStoredForm:
             assert aset[j].bundles == aset.bundles[j]
             assert aset.index[aset[j].bundles] == j
         assert aset[-1].bundles == aset.bundles[-1]
-        assert [a.bundles for a in aset[1:3]] == list(aset.bundles[1:3])
         again = AllocationSet(list(aset))
         assert_same_set(aset, again)
         assert aset == make() and len(aset) == len(aset.bundles)
@@ -467,10 +468,8 @@ class TestMixedAllocation:
         assert p.pairs == ((2, F(1)),)
 
     def test_uniform(self):
-        assert MixedAllocation.uniform(3).pairs == ((0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3)))
-        for k in (0, -2):
-            with pytest.raises(MalformedInstanceError):
-                MixedAllocation.uniform(k)
+        p = MixedAllocation(3, [(j, F(1, 3)) for j in range(3)])
+        assert p.pairs == ((0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3)))
 
     def test_from_support(self):
         p = MixedAllocation.from_support(3, {0: F(1, 4), 2: F(3, 4)})
@@ -532,6 +531,58 @@ def test_constructors_name_the_malformed_entry(build, message):
     # the same class of input fault as a bad mask: never a raw TypeError or ValueError
     with pytest.raises(MalformedInstanceError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: normalize_utilities(5), "utility list 5 is not a sequence"),
+        (lambda: normalize_utilities([5]), "utility table 5 of player 0 is not a mapping"),
+        (lambda: normalize_utilities([None]), "utility table None of player 0 is not a mapping"),
+        (lambda: normalize_utilities([{0: 1}, (0, 1)]), r"utility table \(0, 1\) of player 1 is not a mapping"),
+        (lambda: Instance.build(5, all_partitions_allocation_set(1, 1)), "utility list 5 is not a sequence"),
+        (lambda: Instance.build([5], all_partitions_allocation_set(1, 1)), "utility table 5 of player 0"),
+    ],
+    ids=["int-list", "int-table", "none-table", "tuple-table", "build-int-list", "build-int-table"],
+)
+def test_utilities_of_the_wrong_shape_are_malformed(build, message):
+    with pytest.raises(MalformedInstanceError, match=message):
+        build()
+
+
+def _select_on(argmax):
+    inst = Instance.build(
+        [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3}], all_partitions_allocation_set(2, 2)
+    )
+    return select_p_in_P(WeightVector.uniform(2, F(1, 4)), inst, argmax)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: project_onto_truncated_simplex(5, F(1, 4)), PreconditionError, "projection input 5 is not a sequence"),
+        (lambda: DisjointnessInput(1, 5, (1,)), MalformedInstanceError, "x1 5 is not a sequence"),
+        (lambda: DisjointnessInput(1, None, (1,)), MalformedInstanceError, "x1 None is not a sequence"),
+        (lambda: check_submodular(5, 1), MalformedInstanceError, "bundle table 5 is not a sequence"),
+        (lambda: check_submodular({0: 0, 1: 1}, 1.5), MalformedInstanceError, "item count m must be an integer, got 1.5"),
+        (lambda: check_submodular({0: 0, 1: 1}, True), MalformedInstanceError, "item count m must be an integer, got True"),
+        (lambda: check_submodular({0: 0, 1: 1}, -1), MalformedInstanceError, "negative item count m=-1"),
+        (lambda: _select_on(()), PreconditionError, r"argmax \(\) is not a non-empty list of indices in 0..8"),
+        (lambda: _select_on((0, 99)), PreconditionError, r"argmax \(0, 99\) is not a non-empty list"),
+        (lambda: _select_on((0, True)), PreconditionError, r"argmax \(0, True\) is not a non-empty list"),
+        (lambda: _select_on(4), PreconditionError, "argmax 4 is not a non-empty list"),
+    ],
+    ids=[
+        "projection-int", "disjointness-int", "disjointness-none", "submodular-int-table",
+        "submodular-float-m", "submodular-bool-m", "submodular-negative-m", "select-empty-argmax",
+        "select-argmax-out-of-range", "select-bool-index", "select-int-argmax",
+    ],
+)
+def test_entry_points_reject_a_malformed_argument_with_a_typed_error(call, error, message):
+    # a caller's bad input, never a raw TypeError, ValueError or IndexError,
+    # nor an engine invariant failure
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestWeightVector:
@@ -622,7 +673,7 @@ class TestInstance:
         k = len(inst.allocations)
         rng = seeded_rng(seed + 1)
         pa = MixedAllocation.point_mass(k, rng.randrange(k))
-        pb = MixedAllocation.uniform(k)
+        pb = MixedAllocation(k, [(j, F(1, k)) for j in range(k)])
         mix = MixedAllocation.from_support(
             k, [(j, alpha * q) for j, q in pa.pairs] + [(j, (1 - alpha) * q) for j, q in pb.pairs]
         )

@@ -139,7 +139,8 @@ def assert_matches_fraction_reference(inst):
     for vec, point in zip(ref["frontier_vectors"], frontier.points):
         assert point == tuple(v * scale for v in vec)
     k = len(inst.allocations)
-    for p in (MixedAllocation.uniform(k), MixedAllocation.point_mass(k, k - 1)):
+    uniform = MixedAllocation(k, [(j, F(1, k)) for j in range(k)])
+    for p in (uniform, MixedAllocation.point_mass(k, k - 1)):
         with mock.patch.object(envy, "solve_lp", wraps=envy.solve_lp) as spy:
             check_pareto_efficient(p, inst)
         lp = spy.call_args.args[0]
