@@ -112,10 +112,12 @@ def select_p_in_P(w, inst, argmax=None):
     optimum s <= 0 means the returned lottery is already envy-free.  The LP
     is canonical, so the free s is the last two columns, s = s+ - s-.  Every
     row is built times the table's scale, in the table's ints, and enters
-    the solver unchecked through ``LinearProgram._of`` (see ``lp``).  A given
-    ``argmax`` must be a non-empty tuple or list of indices in 0..k-1, or
-    this raises ``PreconditionError``.
+    the solver unchecked through ``LinearProgram._of`` (see ``lp``).  ``w``
+    must have one entry per player, and a given ``argmax`` must be a
+    non-empty tuple or list of indices in 0..k-1, or this raises
+    ``PreconditionError``.
     """
+    _require_weight_for(w, inst)
     k = len(inst.allocations)
     if argmax is None:
         argmax = argmax_allocations(w, inst)

@@ -1,12 +1,15 @@
 """Domain types for lottery-based fair division of indivisible items.
 
 Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Utility
-values enter as exact :class:`fractions.Fraction`; ``normalize_utilities``
-normalizes them once, straight into a :class:`UtilityProfile` of int
-numerators over one denominator shared by every player, and everything
-downstream reads those ints; the raw Fractions are kept only to be written
-back out.  An allocation set stores only its tuple of bundle tuples; the
-:class:`PureAllocation` objects it hands out are views made on demand.  A
+values are exact rationals, read as int (numerator, denominator) pairs;
+``normalize_utilities`` normalizes them once, in ints, straight into a
+:class:`UtilityProfile` of int numerators over one denominator shared by
+every player, and everything downstream reads those ints.  The raw values
+are kept as ints over each player's least denominator; their Fraction form
+is built only when asked for, to be written back out.  An allocation set
+stores only its tuple of bundle tuples; the :class:`PureAllocation` objects
+it hands out are views made on demand.  The kernel reads its own vectors
+and distinct points in C-level passes over the set's per-player columns.  A
 lottery stores only its support, as ascending (index, probability) pairs,
 and ``expected_utility`` gives all its views as ints over one denominator,
 in one pass.  Counts, indices and masks are ints, never bools (``is_int``).
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, permutations
 from math import gcd, lcm
 from operator import ge
 
@@ -33,12 +36,9 @@ def as_fraction(value):
     """Coerce ints, Fractions and 'num/den' strings; reject floats, bools and x/0.
     A plain ASCII 'digits/digits' string is parsed in ints, any other through ``Fraction``."""
     if isinstance(value, str):
-        num, _, den = value.partition("/")
-        if value.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
-            try:
-                return Fraction(int(num), int(den))
-            except ValueError:  # over the int-from-str digit limit
-                pass
+        pair = _plain_ratio(value)
+        if pair is not None:
+            return Fraction(*pair)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -53,6 +53,29 @@ def as_fraction(value):
     raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {value!r}")
 
 
+def _plain_ratio(text):
+    """A plain ASCII 'digits/digits' string as an int pair, not reduced; None
+    for any other string, or one over the int-from-str digit limit."""
+    num, _, den = text.partition("/")
+    if text.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
+        try:
+            return int(num), int(den)
+        except ValueError:
+            pass
+    return None
+
+
+def _num_den(value):
+    """``value`` as an int pair ``(numerator, denominator)``, the denominator > 0.
+    Reads exactly what ``as_fraction`` accepts, with its errors; a plain string
+    is split in ints, with no Fraction built."""
+    pair = _plain_ratio(value) if isinstance(value, str) else None
+    if pair is None:
+        q = as_fraction(value)
+        pair = q.numerator, q.denominator
+    return pair
+
+
 def is_int(value):
     """The rule every integer input follows: an int, not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -62,6 +85,12 @@ def over_common_denominator(values):
     """Rationals as int numerators over their lcm, ``(numerators, lcm)``; reads ``values`` twice."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _pairs_over_common_denominator(pairs):
+    """``over_common_denominator`` on int pairs ``(numerator, denominator > 0)``; reads ``pairs`` twice."""
+    den = lcm(*(d for _, d in pairs))
+    return [x * (den // d) for x, d in pairs], den
 
 
 def _require_int(value, name):
@@ -110,7 +139,8 @@ class AllocationSet:
     validated: bundle types and overlaps, then a common player count.  Sets
     the program builds itself (all partitions, swap closures) are wrapped
     by ``_of``, not re-validated, and recorded ``built_closed`` (swap-closed);
-    a caller's list is not recorded, even when it is closed.
+    a caller's list is not recorded, even when it is closed.  ``columns()``
+    gives the per-player bundle columns, once per set.
     """
 
     def __init__(self, allocations):
@@ -126,23 +156,25 @@ class AllocationSet:
         for bs in bundles:
             if len(bs) != n:
                 raise MalformedInstanceError("allocations disagree on player count")
-        self._init(bundles, n, index, None, False)
+        self._init(bundles, n, index, None, None, False)
 
     @classmethod
-    def _of(cls, bundles, n, seen=None):
+    def _of(cls, bundles, n, seen=None, columns=None):
         """Wrap distinct, valid bundle tuples over n players without re-checking
         them, recorded ``built_closed``: both callers, all partitions and swap
-        closure, build swap-closed sets.  ``seen``, if given, is ``bundles_seen()``."""
+        closure, build swap-closed sets.  ``seen`` and ``columns``, if given,
+        are ``bundles_seen()`` and ``columns()``."""
         out = object.__new__(cls)
         bundles = tuple(bundles)
-        out._init(bundles, n, dict(zip(bundles, range(len(bundles)))), seen, True)
+        out._init(bundles, n, dict(zip(bundles, range(len(bundles)))), seen, columns, True)
         return out
 
-    def _init(self, bundles, n, index, seen, built_closed):
+    def _init(self, bundles, n, index, seen, columns, built_closed):
         self.bundles = bundles
         self.n = n
         self.index = index
         self._bundles_seen = seen
+        self._columns = columns
         self.built_closed = built_closed
 
     def __len__(self):
@@ -166,6 +198,13 @@ class AllocationSet:
             self._bundles_seen = frozenset(chain.from_iterable(self.bundles))
         return self._bundles_seen
 
+    def columns(self):
+        """The bundles read down by player, ``tuple(zip(*bundles))``: ``columns()[i][j]``
+        is player i's bundle in allocation j.  Computed once per set."""
+        if self._columns is None:
+            self._columns = tuple(zip(*self.bundles))
+        return self._columns
+
 
 @dataclass(frozen=True)
 class UtilityProfile:
@@ -176,29 +215,41 @@ class UtilityProfile:
     Pareto efficiency and every welfare argmax are unchanged by multiplying
     all values by one positive constant, so consumers may compare the ints
     directly; player i's rescaled value is ``Fraction(table[i][bundle],
-    scale)``.  ``raw_values`` keeps the originals, as Fractions.
+    scale)``.  The raw values are kept as ints too: ``raw_num[i][bundle]``
+    over ``raw_den[i]``, player i's least denominator, a canonical form.
+    ``raw_values`` gives them as Fractions, built on first use.
     """
 
     table: tuple[dict, ...]
     scale: int
-    raw_values: tuple[dict, ...]
+    raw_num: tuple[dict, ...]
+    raw_den: tuple[int, ...]
 
     @property
     def n(self):
         return len(self.table)
+
+    @cached_property
+    def raw_values(self):
+        """The raw values as Fractions, one {bundle: value} dict per player."""
+        return tuple(
+            {b: Fraction(x, den) for b, x in nums.items()}
+            for nums, den in zip(self.raw_num, self.raw_den)
+        )
 
 
 def normalize_utilities(raw):
     """Rescale each player's values affinely onto [1, 2], in integers.
 
     ``raw`` holds one mapping per player from bundle mask (an int >= 0) to
-    rational value.  Over the player's common denominator x maps to
-    span + x - lo, then the entries and the span divide by their gcd, which
-    leaves them over the player's least denominator d_i; a constant player
-    gets all 1s over 1.  Each player's entries are then multiplied by
-    D // d_i, where D, the profile's ``scale``, is the lcm of every d_i.
-    Normalizing twice is a no-op.  A ``raw`` that is not a sequence, or a
-    table that is not a mapping, raises ``MalformedInstanceError`` naming it.
+    rational value (see ``as_fraction``).  Over the player's common
+    denominator x maps to span + x - lo, then the entries and the span
+    divide by their gcd, which leaves them over the player's least
+    denominator d_i; a constant player gets all 1s over 1.  Each player's
+    entries are then multiplied by D // d_i, where D, the profile's
+    ``scale``, is the lcm of every d_i.  Normalizing twice is a no-op.  A
+    ``raw`` that is not a sequence, or a table that is not a mapping, raises
+    ``MalformedInstanceError`` naming it.
     """
     tables = []
     for i, values in enumerate(_entries(raw, "utility list")):
@@ -208,33 +259,44 @@ def normalize_utilities(raw):
         for bundle, v in values.items():
             if not is_int(bundle) or bundle < 0:
                 raise MalformedInstanceError(f"bundle mask {bundle!r} is not an integer >= 0")
-            checked[bundle] = as_fraction(v)
+            checked[bundle] = _num_den(v)
         tables.append(checked)
     return _normalize_checked(tables)
 
 
 def _normalize_checked(checked):
-    """``normalize_utilities`` on a list of tables already checked: every key
-    an int mask >= 0 and every value a Fraction.  The dicts are kept as the
-    profile's ``raw_values``."""
+    """The int normalizer behind ``normalize_utilities``, on tables already
+    checked: every key an int mask >= 0 and every value an int pair
+    ``(numerator, denominator > 0)``.  A player's values go over their lcm,
+    and one gcd brings them to their least denominator, the canonical form
+    kept as the profile's raw values."""
     tables = []
     least = []
+    raw_num = []
+    raw_den = []
     for i, values in enumerate(checked):
         if not values:
             raise MalformedInstanceError(f"player {i} has no utility values")
-        ints = dict(zip(values, over_common_denominator(values.values())[0]))
-        lo = min(ints.values())
-        span = max(ints.values()) - lo
+        over, den = _pairs_over_common_denominator(values.values())
+        nums = dict(zip(values, over))
+        g = gcd(den, *over)
+        if g != 1:
+            nums = {b: x // g for b, x in nums.items()}
+            den //= g
+        raw_num.append(nums)
+        raw_den.append(den)
+        lo = min(nums.values())
+        span = max(nums.values()) - lo
         if span == 0:
-            tables.append(dict.fromkeys(ints, 1))
+            tables.append(dict.fromkeys(nums, 1))
             least.append(1)
         else:
-            g = gcd(span, *(x - lo for x in ints.values()))
-            tables.append({b: (span + x - lo) // g for b, x in ints.items()})
+            g = gcd(span, *(x - lo for x in nums.values()))
+            tables.append({b: (span + x - lo) // g for b, x in nums.items()})
             least.append(span // g)
     common = lcm(*least)
     table = tuple({b: x * (common // d) for b, x in row.items()} for row, d in zip(tables, least))
-    return UtilityProfile(table, common, tuple(checked))
+    return UtilityProfile(table, common, tuple(raw_num), tuple(raw_den))
 
 
 @dataclass(frozen=True)
@@ -337,18 +399,16 @@ class UtilityKernel:
     @classmethod
     def of(cls, inst):
         table = inst.utilities.table
-        bundles = inst.allocations.bundles
-        own_num = tuple(
-            tuple(map(row.__getitem__, column)) for row, column in zip(table, zip(*bundles))
-        )
-        groups = {}
-        for j, point in enumerate(zip(*own_num)):
-            groups.setdefault(point, []).append(j)
-        points = tuple(groups)
-        members = tuple(groups.values())
-        kept = pareto_frontier(points)
-        frontier = Frontier(tuple(tuple(members[v]) for v in kept), tuple(points[v] for v in kept))
-        return cls(table, bundles, own_num, points, frontier)
+        columns = inst.allocations.columns()
+        own_num = tuple(tuple(map(row.__getitem__, column)) for row, column in zip(table, columns))
+        vectors = tuple(zip(*own_num))
+        points = tuple(dict.fromkeys(vectors))
+        # members are collected for the frontier points only, in one pass
+        members = {points[v]: [] for v in pareto_frontier(points)}
+        for j, point in compress(enumerate(vectors), map(members.__contains__, vectors)):
+            members[point].append(j)
+        frontier = Frontier(tuple(map(tuple, members.values())), tuple(members))
+        return cls(table, inst.allocations.bundles, own_num, points, frontier)
 
     @cached_property
     def rho(self):
@@ -406,7 +466,7 @@ def all_partitions_allocation_set(n, m):
     then zipped into the bundle tuples.  They are disjoint, distinct
     and swap-closed by construction and are wrapped without re-validation;
     every mask over the m items appears in them, so ``bundles_seen()`` is
-    recorded as all of them.
+    recorded as all of them, and the columns as ``columns()``.
     """
     _require_int(n, "player count n")
     _require_int(m, "item count m")
@@ -428,15 +488,19 @@ def all_partitions_allocation_set(n, m):
             col * (s + 1) + [b | bit for b in col] + col * (n - 1 - s)
             for s, col in enumerate(columns)
         ]
-    return AllocationSet._of(zip(*columns), n, frozenset(range(1 << m)))
+    columns = tuple(map(tuple, columns))
+    return AllocationSet._of(zip(*columns), n, frozenset(range(1 << m)), columns)
 
 
 def is_swappable(aset):
     """Check closure under pairwise bundle swaps.
 
-    Returns ``(True, None)`` or ``(False, (j, g, h))`` with the first
+    ``aset`` is an :class:`AllocationSet`, or a list that is validated into
+    one.  Returns ``(True, None)`` or ``(False, (j, g, h))`` with the first
     allocation index and player pair whose swap is missing.
     """
+    if not isinstance(aset, AllocationSet):
+        aset = AllocationSet(aset)
     pairs = tuple(combinations(range(aset.n), 2))
     for j, bundles in enumerate(aset.bundles):
         for g, h in pairs:

@@ -14,7 +14,6 @@ readable next to worked examples:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .envy import is_acyclic
 from .errors import MalformedInstanceError
@@ -25,6 +24,8 @@ from .model import (
     MixedAllocation,
     PureAllocation,
     _normalize_checked,
+    _num_den,
+    _pairs_over_common_denominator,
     all_partitions_allocation_set,
     as_fraction,
     is_int,
@@ -33,7 +34,8 @@ from .model import (
 
 
 def format_rational(q):
-    q = Fraction(q)
+    """A rational (see ``as_fraction``) as ``"num/den"`` in lowest terms."""
+    q = as_fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -143,7 +145,7 @@ def load_instance(data, strict=False, warn=None):
                     _fail(field, f"bundle mask {mask!r} outside 0..{top - 1}")
                 if mask in table:
                     _fail(field, f"duplicate bundle mask {mask}")
-                table[mask] = _in_field(field, as_fraction, value)
+                table[mask] = _in_field(field, _num_den, value)
             raw.append(table)
     elif kind == "additive":
         rows = util.get("items")
@@ -153,17 +155,12 @@ def load_instance(data, strict=False, warn=None):
         for i, row in enumerate(rows):
             field = f"utilities.items[{i}]"
             _require(isinstance(row, list) and len(row) == m, field, f"need {m} item values")
-            per_item = [_in_field(field, as_fraction, v) for v in row]
-            table = {}
-            for mask in needed:
-                table[mask] = sum(
-                    (per_item[g] for g in range(m) if mask >> g & 1), Fraction(0)
-                )
-            raw.append(table)
+            per_item, den = _pairs_over_common_denominator(_in_field(field, list, map(_num_den, row)))
+            raw.append({mask: (sum(per_item[g] for g in range(m) if mask >> g & 1), den) for mask in needed})
     else:
         raise MalformedInstanceError(f"field 'utilities.type': expected 'table' or 'additive', got {kind!r}")
 
-    # every key is a checked mask and every value a Fraction: skip the re-check
+    # every key is a checked mask and every value an int pair: skip the re-check
     return _in_field("utilities", lambda: Instance(n, m, _normalize_checked(raw), aset))
 
 

@@ -15,7 +15,8 @@ kind: the double description ``fairmix.engine._envelope_vertices`` runs,
 written with generator expressions as it was before its loops were tuned,
 so that the tuned kernel can be required to return the same list, order
 included; ``reference_scan_weights`` likewise keeps the scan's first
-filter-then-sort of the maximal masks.  Every oracle that scores utilities
+filter-then-sort of the maximal masks, and ``reference_kernel`` the
+integer kernel's grouping loop and sort-based skyline.  Every oracle that scores utilities
 reads an instance's raw values through ``fraction_normalize``, never the
 package's own rescaled table: ``weight_witness_ok``, which re-checks a
 Pareto-efficiency weight witness in Fractions over every allocation with
@@ -29,6 +30,7 @@ does not need.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import ge
 
 from fairmix.errors import MalformedInstanceError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
@@ -430,6 +432,35 @@ def fraction_kernel(inst):
         "members": members,
         "frontier_vectors": tuple(vectors[v] for v in kept),
         "frontier_members": tuple(members[v] for v in kept),
+    }
+
+
+def reference_kernel(inst):
+    """``fairmix.model.UtilityKernel.of`` and ``pareto_frontier`` as they were
+    written with a Python grouping loop over every allocation, kept to pin
+    the kernel's C-level grouping: the same ``own_num``, distinct ``points``
+    and frontier ``points`` and ``members``, order included."""
+    table = inst.utilities.table
+    bundles = inst.allocations.bundles
+    own_num = tuple(
+        tuple(map(row.__getitem__, column)) for row, column in zip(table, zip(*bundles))
+    )
+    groups = {}
+    for j, point in enumerate(zip(*own_num)):
+        groups.setdefault(point, []).append(j)
+    points = tuple(groups)
+    members = tuple(groups.values())
+    kept = []
+    for v in sorted(range(len(points)), key=points.__getitem__, reverse=True):
+        vec = points[v]
+        if not any(all(map(ge, points[u], vec)) for u in kept):
+            kept.append(v)
+    kept.sort()
+    return {
+        "own_num": own_num,
+        "points": points,
+        "frontier_points": tuple(points[v] for v in kept),
+        "frontier_members": tuple(tuple(members[v]) for v in kept),
     }
 
 

@@ -301,6 +301,13 @@ class TestGenHard:
             [3, "3/1"],
         ]
 
+    def test_p3_output_is_pinned(self, capsys):
+        # dump_instance writes the raw values from their int form, as Fractions
+        # built on demand; tests/data/gen_hard_p3.json pins every byte
+        assert main(["gen-hard", "--p", "3", "--x1", "1010101010", "--x2", "0110011001"]) == 0
+        with open(os.path.join(os.path.dirname(__file__), "data", "gen_hard_p3.json")) as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_out_file_then_solve(self, tmp_path, capsys):
         out = tmp_path / "hard.json"
         assert main(["gen-hard", "--p", "1", "--x1", "1", "--x2", "1", "--out", str(out)]) == 0

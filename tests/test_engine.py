@@ -424,9 +424,10 @@ class TestFindFixedPoint:
     [
         lambda w, inst: argmax_allocations(w, inst),
         lambda w, inst: select_p_in_P(w, inst),
+        lambda w, inst: select_p_in_P(w, inst, argmax=(0, 1)),
         lambda w, inst: varpi(MixedAllocation.point_mass(len(inst.allocations), 0), w, inst),
     ],
-    ids=["argmax_allocations", "select_p_in_P", "varpi"],
+    ids=["argmax_allocations", "select_p_in_P", "select_p_in_P-argmax", "varpi"],
 )
 def test_weight_of_the_wrong_length_is_a_precondition_error(call, length):
     raw = [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3}, {0: 0, 1: 3, 2: 3, 3: 1}]

@@ -10,6 +10,7 @@ scoring the raw values through the Fraction rescale ``fraction_normalize``.
 
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -36,12 +37,13 @@ from fairmix.model import (
     pareto_frontier,
     swap_closure,
 )
-from fairmix.serialize import load_instance
+from fairmix.serialize import dump_instance, load_instance
 from oracles import (
     find_dominating_vertex_or_pair,
     fraction_kernel,
     fraction_normalize,
     reference_envelope_vertices,
+    reference_kernel,
     weight_witness_ok,
 )
 
@@ -257,6 +259,39 @@ def test_weight_witness_implies_efficiency(case):
     assert held
 
 
+def pinned_instances(workload):
+    """The instances of one pinned set in ``tests/data``, loaded as the CLI
+    loads them; certify's are its ``gen-hard`` instances, written and read back."""
+    with open(os.path.join(DATA, f"{workload}.json")) as fh:
+        data = json.load(fh)
+    if workload == "certify":
+        data = [
+            dump_instance(build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2)))))
+            for p, x1, x2 in data["hard"]
+        ]
+    return [load_instance(entry) for entry in data]
+
+
+def assert_kernel_matches_reference(inst, name):
+    kernel = inst.kernel
+    want = reference_kernel(inst)
+    assert kernel.own_num == want["own_num"], name
+    assert kernel.points == want["points"], name
+    assert kernel.frontier.points == want["frontier_points"], name
+    assert kernel.frontier.members == want["frontier_members"], name
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide", "certify"])
+def test_kernel_matches_reference_on_pinned_sets(workload):
+    for j, inst in enumerate(pinned_instances(workload)):
+        assert_kernel_matches_reference(inst, f"{workload}[{j}]")
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_kernel_matches_reference_on_seeded_cases(case):
+    assert_kernel_matches_reference(make_instance(*case), case_id(case))
+
+
 class TestFrontier:
     def test_skyline_drops_weakly_dominated(self):
         vectors = ((F(1), F(2)), (F(1), F(3)), (F(2), F(1)), (F(0), F(0)), (F(2), F(1, 2)))
@@ -265,6 +300,37 @@ class TestFrontier:
     def test_skyline_keeps_incomparable(self):
         vectors = ((F(3), F(1), F(1)), (F(1), F(3), F(1)), (F(1), F(1), F(3)), (F(2), F(2), F(2)))
         assert pareto_frontier(vectors) == [0, 1, 2, 3]
+
+    def test_skyline_ties_in_a_coordinate(self):
+        # equal entries count as "at least as large" both ways
+        points = ((2, 1), (2, 3), (1, 3), (3, 0), (3, 1), (0, 5))
+        assert pareto_frontier(points) == [1, 4, 5]
+        assert pareto_frontier(((4,), (7,), (5,))) == [1]
+        assert pareto_frontier(()) == []
+
+    def test_many_distinct_points_take_little_memory(self):
+        # one player, 14 items worth 1, 2, 4, ...: all 2^14 allocations have
+        # distinct own values and only the whole bundle is maximal; a pass
+        # that holds a mask as wide as the point count per distinct value
+        # would peak near 16 MB here, and at gigabytes on the largest sets
+        m = 14
+        inst = load_instance(
+            {
+                "n": 1,
+                "m": m,
+                "utilities": {"type": "additive", "items": [[1 << g for g in range(m)]]},
+                "allocations": "all_partitions",
+            }
+        )
+        tracemalloc.start()
+        try:
+            kernel = inst.kernel
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kernel.points) == 1 << m
+        assert kernel.frontier.members == (((1 << m) - 1,),)
+        assert peak < 8 << 20
 
     def test_duplicate_vectors_stay_members(self):
         # both players value only item 1; giving it to nobody, or item 2 to

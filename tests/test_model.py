@@ -60,6 +60,21 @@ class TestNormalizeUtilities:
         assert rescaled(prof)[0] == {0: F(1), 1: F(4, 3), 2: F(5, 3), 3: F(2)}
         assert prof.raw_values[0] == {0: F(0), 1: F(5), 2: F(10), 3: F(15)}
 
+    def test_raw_values_are_the_given_rationals(self):
+        # kept as ints over the least denominator, 2, and built as Fractions on demand
+        values = ["6/4", "0/7", "3", "-1/2", 5]
+        data = {
+            "n": 1,
+            "m": 3,
+            "utilities": {"type": "table", "values": [[[mask, v] for mask, v in enumerate(values)]]},
+            "allocations": [[[]], [[1]], [[2]], [[1, 2]], [[3]]],
+        }
+        loaded = load_instance(data).utilities
+        assert loaded == normalize_utilities([dict(enumerate(values))])
+        assert loaded.raw_num == ({0: 3, 1: 0, 2: 6, 3: -1, 4: 10},) and loaded.raw_den == (2,)
+        assert loaded.raw_values == ({mask: F(v) for mask, v in enumerate(values)},)
+        assert normalize_utilities(loaded.raw_values) == loaded
+
     def test_degenerate_range_maps_to_one(self):
         prof = normalize_utilities([{0: 7, 1: 7, 3: 7}])
         assert set(rescaled(prof)[0].values()) == {F(1)}
@@ -253,6 +268,22 @@ class TestAllPartitions:
         ok, witness = is_swappable(all_partitions_allocation_set(n, m))
         assert ok and witness is None
 
+    @pytest.mark.parametrize(
+        "n, m, error",
+        [(True, 1, MalformedInstanceError), ([2], 1, MalformedInstanceError), (3, 9, EnumerationLimitError)],
+        ids=["bool-n", "list-n", "over-budget"],
+    )
+    def test_bad_shapes_raise_typed_errors(self, n, m, error):
+        with pytest.raises(error):
+            all_partitions_allocation_set(n, m)
+
+    def test_columns_read_the_bundles_by_player(self):
+        built = all_partitions_allocation_set(3, 2)
+        listed = AllocationSet([(1, 2, 0), (2, 1, 0), (0, 0, 3)])
+        for aset in (built, listed):
+            assert aset.columns() == tuple(zip(*aset.bundles))
+            assert aset.columns() is aset.columns()
+
 
 def builder_outputs():
     """Every allocation set the benchmark traffic builds, by name: all
@@ -364,6 +395,14 @@ class TestIsSwappable:
     def test_swap_pair_present(self):
         s = AllocationSet([PureAllocation((1, 0)), PureAllocation((0, 1))])
         assert is_swappable(s) == (True, None)
+
+    def test_a_list_is_validated_into_a_set(self):
+        assert is_swappable([(1, 2), (2, 1)]) == (True, None)
+        assert is_swappable([(1, 2)]) == (False, (0, 0, 1))
+        with pytest.raises(MalformedInstanceError, match="overlapping bundles"):
+            is_swappable([(1, 3)])
+        with pytest.raises(MalformedInstanceError, match="is not a sequence"):
+            is_swappable(5)
 
     def test_first_missing_swap_is_the_witness(self):
         # allocation 0 is closed under every swap; allocation 1 has its

@@ -57,6 +57,11 @@ class TestRationals:
     def test_always_slash_form(self):
         assert format_rational(F(3)) == "3/1"
 
+    @pytest.mark.parametrize("q", [0.1, True, "x"])
+    def test_format_rejects_what_as_fraction_rejects(self, q):
+        with pytest.raises(MalformedInstanceError):
+            format_rational(q)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(MalformedInstanceError):
             as_fraction("1/0")

@@ -35,8 +35,10 @@ from fairmix.model import (
     WeightVector,
     all_partitions_allocation_set,
     is_swappable,
+    normalize_utilities,
     swap_closure,
 )
+from fairmix.serialize import dump_instance, load_instance
 from oracles import fraction_kernel, fraction_normalize, fraction_rho
 
 F = Fraction
@@ -231,12 +233,25 @@ def hard_p2_instance():
 
 @pytest.mark.parametrize("build", [three_player_instance, hard_p2_instance])
 def test_solve_and_verify_never_build_the_fraction_view(build):
-    # the raw values are the profile's only Fraction form; with them emptied,
-    # any read of one by solve or verify raises KeyError
+    # the raw values are the only Fraction form, built from the raw ints on
+    # demand; with those emptied, any read of one by solve or verify raises KeyError
     inst = build()
     profile = inst.utilities
-    bare = UtilityProfile(profile.table, profile.scale, tuple({} for _ in profile.table))
+    bare = UtilityProfile(profile.table, profile.scale, tuple({} for _ in profile.table), profile.raw_den)
     inst = Instance(n=inst.n, m=inst.m, utilities=bare, allocations=inst.allocations)
     state, cert = find_fixed_point(inst)
     assert cert.ok
     assert certify(state.p, inst).ok
+
+
+@pytest.mark.parametrize("build", [three_player_instance, hard_p2_instance])
+def test_load_solve_and_verify_leave_raw_values_unbuilt(build):
+    # the raw values' Fraction form is a cached property: only a read builds it
+    inst = load_instance(dump_instance(build()))
+    profile = inst.utilities
+    assert "raw_values" not in profile.__dict__
+    state, cert = find_fixed_point(inst)
+    assert cert.ok and certify(state.p, inst).ok
+    assert "raw_values" not in profile.__dict__
+    assert normalize_utilities(profile.raw_values) == profile
+    assert "raw_values" in profile.__dict__
