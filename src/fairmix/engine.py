@@ -40,6 +40,14 @@ explicit floor.
 Each scanned vertex that reaches the paper's map is described by one
 ``FixedPointState``: the trace sink receives those states, and the answer
 is the state of its vertex.
+
+The map itself runs in ints: the corrected weights are int numerators over
+sum(w) * Σbest * Σown for the vertex's int weights and int views, the
+projection clamps in ints (see ``lp``), and the L1 step is one Fraction of
+one int sum.  Values the scan builds are wrapped without re-checking: the
+vertex weight by ``WeightVector._of`` once one int comparison per entry has
+put it at or above the floor, and the tie-breaking LP's verified optimum by
+``MixedAllocation._of``.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import mul, sub
+from operator import lt, mul, sub
 
 from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
@@ -116,6 +124,12 @@ def select_p_in_P(w, inst, argmax=None):
     must have one entry per player, and a given ``argmax`` must be a
     non-empty tuple or list of indices in 0..k-1, or this raises
     ``PreconditionError``.
+
+    The LP's solution is verified by substitution, so on a strictly
+    ascending argmax (one computed here, or the scan's) its positive entries
+    are already a lottery's canonical pairs and are wrapped unchecked by
+    ``MixedAllocation._of``; any other argmax, unsorted or with repeats,
+    goes through ``from_support``.
     """
     _require_weight_for(w, inst)
     k = len(inst.allocations)
@@ -143,6 +157,8 @@ def select_p_in_P(w, inst, argmax=None):
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
     # zip stops before the trailing envy-bound columns s+ and s-
+    if all(map(lt, argmax, argmax[1:])):
+        return MixedAllocation._of(k, tuple((j, q) for j, q in zip(argmax, result.solution) if q))
     return MixedAllocation.from_support(k, zip(argmax, result.solution))
 
 
@@ -158,30 +174,46 @@ def _envious(views):
     return any(max(row) > row[i] for i, row in enumerate(views))
 
 
-def _nu_from_views(views, w):
-    """Corrected weights: w_i plus best-view share minus own-view share.
-    Both shares sum to one over the players, so the result sums to one."""
+def _nu_from_views(views, weights):
+    """Corrected weights in ints, ``(numerators, den)``: w_i plus best-view
+    share minus own-view share, for the weight ``weights`` / sum(weights).
+
+    ``weights`` are positive ints and ``den`` is sum(weights) * Σbest * Σown.
+    Every table value is at least 1, so both view sums are positive.  Both
+    shares sum to one over the players, so the numerators sum to ``den``.
+    """
     best = [max(row) for row in views]
     own = [row[i] for i, row in enumerate(views)]
+    total = sum(weights)
     total_best = sum(best)
     total_own = sum(own)
-    nu = tuple(x + Fraction(b, total_best) - Fraction(o, total_own) for x, b, o in zip(w.w, best, own))
-    if sum(nu) != 1:
+    over_w = total_best * total_own
+    over_best = total * total_own
+    over_own = total * total_best
+    nums = [x * over_w + b * over_best - o * over_own for x, b, o in zip(weights, best, own)]
+    den = total * over_w
+    if sum(nums) != den:
         raise EngineInvariantError("correction terms must conserve total weight")
-    return nu
+    return nums, den
 
 
-def _share_step(views, w):
-    """Corrected weights, their projection onto W (a tuple), and the L1 step from w to it."""
-    nu = _nu_from_views(views, w)
-    x = project_onto_truncated_simplex(nu, w.epsilon)
-    return nu, x, sum(abs(a - b) for a, b in zip(x, w.w))
+def _share_step(views, weights, eps):
+    """Corrected weights and their projection onto W (tuples of Fractions), and
+    the L1 step to the projection from the weight ``weights`` / sum(weights)."""
+    nums, den = _nu_from_views(views, weights)
+    nu = tuple(Fraction(x, den) for x in nums)
+    x = project_onto_truncated_simplex(nu, eps)
+    x_num, x_den = over_common_denominator(x)
+    total = sum(weights)
+    step = sum(abs(a * total - b * x_den) for a, b in zip(x_num, weights))
+    return nu, x, Fraction(step, x_den * total)
 
 
 def varpi(p, w, inst):
     """Projection of the corrected weights back onto the truncated simplex."""
     _require_weight_for(w, inst)
-    return WeightVector(_share_step(_views(p, inst), w)[1], w.epsilon)
+    weights = over_common_denominator(w.w)[0]
+    return WeightVector(_share_step(_views(p, inst), weights, w.epsilon)[1], w.epsilon)
 
 
 def compute_rho(inst):
@@ -344,6 +376,7 @@ def _fallback_search(inst, eps, trace_sink=None):
     is the only search; it keeps the name ``bench/tracing.py`` binds.
     """
     frontier = inst.kernel.frontier
+    floor_num, floor_den = eps.numerator, eps.denominator
     weight_of = {}
     for weights, tight in _envelope_vertices(frontier, eps):
         weight_of.setdefault(tight, weights)
@@ -359,13 +392,15 @@ def _fallback_search(inst, eps, trace_sink=None):
         if amax != tuple(sorted(chain.from_iterable(tight))):
             raise EngineInvariantError("welfare-envelope vertex disagrees with the argmax")
         total = sum(weights)
-        w = WeightVector(tuple(Fraction(x, total) for x in weights), eps)
+        if any(x * floor_den < floor_num * total for x in weights):
+            raise EngineInvariantError("welfare-envelope vertex lies below the weight floor")
+        w = WeightVector._of(tuple(Fraction(x, total) for x in weights), eps)
         p = select_p_in_P(w, inst, amax)
         views = _views(p, inst)
         envious = _envious(views)
         if envious and trace_sink is None:
             continue
-        nu, _, residual = _share_step(views, w)
+        nu, _, residual = _share_step(views, weights, eps)
         state = FixedPointState(p=p, w=w, residual=residual, iteration=position, nu=nu)
         if trace_sink is not None:
             trace_sink.append(state)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
+from operator import mul
 
 from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, solve_lp
@@ -174,10 +175,10 @@ def _check_weight_witness(p, inst, w):
     if any(x <= 0 for x in w):
         return PeCheck(False)
     ints = over_common_denominator(w)[0]
-    best = max(sum(a * b for a, b in zip(ints, point)) for point in inst.kernel.points)
+    best = max([sum(map(mul, ints, point)) for point in inst.kernel.points])
     own = inst.kernel.own_num
     for j in p.support():
-        if sum(a * row[j] for a, row in zip(ints, own)) != best:
+        if sum([a * row[j] for a, row in zip(ints, own)]) != best:
             return PeCheck(False)
     return PeCheck(True, weight=w)
 

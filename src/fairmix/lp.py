@@ -44,6 +44,13 @@ substitutes those: every x_num_j >= 0 and every row a . x_num rel b * D,
 exactly the check x_j >= 0 and a . x rel b on x = x_num / D, in ints for
 an int program.  Only then are the Fractions of ``LpResult`` built, the
 objective value as one ``Fraction(c . x_num, D)``.
+
+Projection in integers.  ``project_onto_truncated_simplex`` checks and
+coerces its input as rationals, then puts y and the floor over one
+denominator L and runs Michelot's clamp loop (1986) on int numerators: with
+f free coordinates every value is kept times f * L, so the common shift is
+one int and every clamp test, the KKT audit and the sum check are int
+comparisons.  Only the result is built as Fractions.
 """
 
 from __future__ import annotations
@@ -319,6 +326,7 @@ def project_onto_truncated_simplex(y, epsilon):
     a common shift, repeat.  The clamp set only grows, so at most n rounds.
     The KKT system is audited exactly before returning.  A ``y`` that is not
     a sequence, or a non-rational entry or floor, raises ``PreconditionError``.
+    The iteration runs in ints (see the module docstring).
     """
     try:
         y = tuple(as_fraction(v) for v in _entries(y, "projection input"))
@@ -330,32 +338,37 @@ def project_onto_truncated_simplex(y, epsilon):
         raise PreconditionError("cannot project an empty vector")
     if eps <= 0:
         raise PreconditionError(f"floor must be positive, got {eps}")
-    if eps > Fraction(1, n):
+    if eps.numerator * n > eps.denominator:
         raise EmptyDomainError(f"floor {eps} exceeds 1/{n}; the truncated simplex is empty")
-    total = sum(y)
-    if total != 1:
-        raise PreconditionError(f"input sums to {total}, expected exactly 1")
+    # y_i = a[i] / den and eps = e / den
+    (*a, e), den = over_common_denominator(y + (eps,))
+    total = sum(a)
+    if total != den:
+        raise PreconditionError(f"input sums to {Fraction(total, den)}, expected exactly 1")
 
     clamped = set()
     while True:
         free = [i for i in range(n) if i not in clamped]
         if not free:
             raise EngineInvariantError("clamp set swallowed every coordinate")
-        lam = (1 - eps * len(clamped) - sum(y[i] for i in free)) / len(free)
-        violators = [i for i in free if y[i] + lam < eps]
+        # over f * den: y_i is a[i] * f, the floor e * f, the shift lam one int
+        f = len(free)
+        floor = e * f
+        shift = den - e * (n - f) - sum(a[i] for i in free)
+        violators = [i for i in free if a[i] * f + shift < floor]
         if not violators:
             break
         clamped.update(violators)
 
-    x = tuple(eps if i in clamped else y[i] + lam for i in range(n))
+    x = [floor if i in clamped else a[i] * f + shift for i in range(n)]
     for i in range(n):
         if i in clamped:
-            if y[i] + lam > eps:
+            if a[i] * f + shift > floor:
                 raise EngineInvariantError("negative multiplier on a clamped coordinate")
-        elif x[i] < eps:
+        elif x[i] < floor:
             raise EngineInvariantError("free coordinate fell below the floor")
-        if x[i] > max(y[i], eps):
+        if x[i] > max(a[i], e) * f:
             raise EngineInvariantError("projection exceeded the max{y_i, eps} bound")
-    if sum(x) != 1:
+    if sum(x) != den * f:
         raise EngineInvariantError("projection does not sum to one")
-    return x
+    return tuple(eps if i in clamped else Fraction(v, den * f) for i, v in enumerate(x))

@@ -386,8 +386,9 @@ class UtilityKernel:
     ``own_num``) in order of first occurrence.  ``frontier`` keeps the
     points that no other point weakly dominates, each with the ascending
     indices of the allocations sharing it; allocations with equal own
-    vectors stay separate, because their envy views differ.  ``rho``, the
-    envy-gap constant, is derived on first use.
+    vectors stay separate, because their envy views differ.  ``built_closed``
+    is the allocation set's record of being swap-closed by construction.
+    ``rho``, the envy-gap constant, is derived on first use.
     """
 
     table: tuple
@@ -395,6 +396,7 @@ class UtilityKernel:
     own_num: tuple
     points: tuple
     frontier: Frontier
+    built_closed: bool
 
     @classmethod
     def of(cls, inst):
@@ -408,7 +410,8 @@ class UtilityKernel:
         for j, point in compress(enumerate(vectors), map(members.__contains__, vectors)):
             members[point].append(j)
         frontier = Frontier(tuple(map(tuple, members.values())), tuple(members))
-        return cls(table, inst.allocations.bundles, own_num, points, frontier)
+        aset = inst.allocations
+        return cls(table, aset.bundles, own_num, points, frontier, aset.built_closed)
 
     @cached_property
     def rho(self):
@@ -422,12 +425,22 @@ class UtilityKernel:
         exactly by cross-multiplication.  On swappable sets every qualifying
         ratio appears with its reciprocal, so the result is at most 1/2
         whenever any triple qualifies.
+
+        Swap closure makes a set closed under every permutation of its
+        players, so on a set recorded ``built_closed`` every ordered player
+        pair has the same bundle pairs as players 0 and 1; that one set is
+        built once.  An unrecorded set gets a pair set per player pair.
         """
         table = self.table
+        n = len(table)
+        shared = None
+        if self.built_closed and n >= 2:
+            shared = {(bs[0], bs[1]) for bs in self.bundles}
         best_num = best_den = None
-        for i, h in permutations(range(len(table)), 2):
+        for i, h in permutations(range(n), 2):
             mine, theirs = table[i], table[h]
-            for b_i, b_h in {(bs[i], bs[h]) for bs in self.bundles}:
+            pairs = shared if shared is not None else {(bs[i], bs[h]) for bs in self.bundles}
+            for b_i, b_h in pairs:
                 gain = mine[b_h] - mine[b_i]
                 if gain <= 0:
                     continue
@@ -446,12 +459,22 @@ def pareto_frontier(vectors):
 
     Sort-based skyline: in descending lexicographic order a vector can only
     be dominated by one that came before it, so one pass that keeps each
-    vector no kept vector dominates finds the maximal set.
+    vector no kept vector dominates finds the maximal set.  Neighbours in
+    that order tend to share a dominator, so the last dominator found is
+    tested first, a move-to-front of one entry (Börzsönyi, Kossmann and
+    Stocker 2001); it costs one reference of extra memory.
     """
     kept = []
+    last = None
     for v in sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True):
         vec = vectors[v]
-        if not any(all(map(ge, vectors[u], vec)) for u in kept):
+        if last is not None and all(map(ge, last, vec)):
+            continue
+        for u in kept:
+            if all(map(ge, vectors[u], vec)):
+                last = vectors[u]
+                break
+        else:
             kept.append(v)
     return sorted(kept)
 
@@ -557,7 +580,8 @@ class MixedAllocation:
     constructor takes any ``(index, probability)`` pairs and checks them:
     indices in 0..k-1, no negative entry, a sum of exactly one; zero entries
     drop out and repeated indices add up.  Equality and hashing follow
-    ``(k, pairs)``.
+    ``(k, pairs)``.  Pairs the program built already in that form (a
+    verified LP optimum) are wrapped by ``_of`` unchecked.
     """
 
     k: int
@@ -566,6 +590,17 @@ class MixedAllocation:
     def __post_init__(self):
         _require_int(self.k, "lottery size k")
         object.__setattr__(self, "pairs", _checked_pairs(self.k, self.pairs))
+
+    @classmethod
+    def _of(cls, k, pairs):
+        """Wrap pairs the program built already in canonical form, without
+        re-checking them: a tuple of ascending (index, probability) pairs,
+        each index in 0..k-1 and each probability a positive Fraction, that
+        sum to exactly one."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "k", k)
+        object.__setattr__(out, "pairs", pairs)
+        return out
 
     @classmethod
     def point_mass(cls, k, j):
@@ -605,7 +640,10 @@ def _checked_pairs(k, items):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A point of the truncated simplex: sums to one, every coordinate >= epsilon."""
+    """A point of the truncated simplex: sums to one, every coordinate >= epsilon.
+
+    The constructor checks and coerces; a weight the program built on the
+    simplex (a scanned vertex) is wrapped by ``_of`` unchecked."""
 
     w: tuple[Fraction, ...]
     epsilon: Fraction
@@ -624,6 +662,16 @@ class WeightVector:
             raise MalformedInstanceError(f"weights sum to {sum(w)}, not 1")
         if any(v < eps for v in w):
             raise MalformedInstanceError("weight below the floor")
+
+    @classmethod
+    def _of(cls, w, epsilon):
+        """Wrap a weight the program built already on the truncated simplex,
+        without re-checking it: a tuple of Fractions summing to one, each at
+        least the Fraction ``epsilon``, which lies in (0, 1/n]."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "w", w)
+        object.__setattr__(out, "epsilon", epsilon)
+        return out
 
     @classmethod
     def uniform(cls, n, epsilon):

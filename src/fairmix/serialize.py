@@ -23,6 +23,7 @@ from .model import (
     Instance,
     MixedAllocation,
     PureAllocation,
+    _entries,
     _normalize_checked,
     _num_den,
     _pairs_over_common_denominator,
@@ -40,7 +41,10 @@ def format_rational(q):
 
 
 def mask_to_items(mask):
-    """Bitmask to sorted 1-based item list."""
+    """Bitmask to sorted 1-based item list.  A mask that is not an int >= 0
+    (a bool is not an int here) raises ``MalformedInstanceError``."""
+    if not is_int(mask) or mask < 0:
+        raise MalformedInstanceError(f"bundle mask {mask!r} is not an integer >= 0")
     items = []
     g = 0
     while mask:
@@ -52,8 +56,10 @@ def mask_to_items(mask):
 
 
 def items_to_mask(items, m):
+    """1-based item list to bitmask.  ``items`` must be a sequence
+    of distinct ints in 1..m, or this raises ``MalformedInstanceError``."""
     mask = 0
-    for item in items:
+    for item in _entries(items, "item list"):
         if not is_int(item) or not 1 <= item <= m:
             raise MalformedInstanceError(f"item {item!r} outside 1..{m}")
         bit = 1 << (item - 1)

@@ -16,7 +16,10 @@ written with generator expressions as it was before its loops were tuned,
 so that the tuned kernel can be required to return the same list, order
 included; ``reference_scan_weights`` likewise keeps the scan's first
 filter-then-sort of the maximal masks, and ``reference_kernel`` the
-integer kernel's grouping loop and sort-based skyline.  Every oracle that scores utilities
+integer kernel's grouping loop and sort-based skyline, ``reference_share_step``
+the Fraction share step and projection that the engine now runs in integers,
+and ``reference_rho`` the envy-gap pass with one bundle-pair set per player
+pair.  Every oracle that scores utilities
 reads an instance's raw values through ``fraction_normalize``, never the
 package's own rescaled table: ``weight_witness_ok``, which re-checks a
 Pareto-efficiency weight witness in Fractions over every allocation with
@@ -537,3 +540,62 @@ def reference_scan_weights(frontier, eps):
     ]
     maximal.sort(key=lambda item: -item[0].bit_count())
     return [weights for _, weights in maximal]
+
+
+def reference_share_step(views, w):
+    """``fairmix.engine._share_step`` as it was written in Fractions, with its
+    ``_nu_from_views`` and the Fraction projection: the corrected weights
+    ``nu`` at the ``WeightVector`` w from the engine's int views, their
+    projection onto W and the L1 step from w to it.  The integer share step
+    must return the same three values."""
+    best = [max(row) for row in views]
+    own = [row[i] for i, row in enumerate(views)]
+    total_best = sum(best)
+    total_own = sum(own)
+    nu = tuple(x + Fraction(b, total_best) - Fraction(o, total_own) for x, b, o in zip(w.w, best, own))
+    if sum(nu) != 1:
+        raise AssertionError("correction terms must conserve total weight")
+    x = reference_projection(nu, w.epsilon)
+    return nu, x, sum(abs(a - b) for a, b in zip(x, w.w))
+
+
+def reference_projection(y, eps):
+    """``fairmix.lp.project_onto_truncated_simplex`` as it was written in
+    Fractions: clamp the coordinates that fall below the floor, re-center the
+    rest by one common shift, repeat."""
+    y = tuple(Fraction(v) for v in y)
+    eps = Fraction(eps)
+    n = len(y)
+    clamped = set()
+    while True:
+        free = [i for i in range(n) if i not in clamped]
+        lam = (1 - eps * len(clamped) - sum(y[i] for i in free)) / len(free)
+        violators = [i for i in free if y[i] + lam < eps]
+        if not violators:
+            break
+        clamped.update(violators)
+    return tuple(eps if i in clamped else y[i] + lam for i in range(n))
+
+
+def reference_rho(kernel):
+    """``fairmix.model.UtilityKernel.rho`` as it was written with one set of
+    bundle pairs per ordered player pair, on the kernel's integer table."""
+    table = kernel.table
+    best_num = best_den = None
+    for i in range(len(table)):
+        for h in range(len(table)):
+            if h == i:
+                continue
+            mine, theirs = table[i], table[h]
+            for b_i, b_h in {(bs[i], bs[h]) for bs in kernel.bundles}:
+                gain = mine[b_h] - mine[b_i]
+                if gain <= 0:
+                    continue
+                loss = theirs[b_h] - theirs[b_i]
+                if loss <= 0:
+                    continue
+                if best_num is None or gain * best_den < best_num * loss:
+                    best_num, best_den = gain, loss
+    if best_num is None:
+        return Fraction(1)
+    return Fraction(best_num, 2 * best_den)

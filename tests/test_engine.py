@@ -43,6 +43,7 @@ from fairmix.model import (
     PureAllocation,
     WeightVector,
     all_partitions_allocation_set,
+    over_common_denominator,
     swap_closure,
 )
 from fairmix.serialize import load_instance
@@ -120,8 +121,16 @@ class TestSelectP:
 
 def engine_nu(p, w, inst):
     """The engine's corrected weights, ``_nu_from_views`` on the engine's
-    views, required equal to the Fraction oracle's."""
-    nu = engine._nu_from_views(engine._views(p, inst), w)
+    views and w's int numerators, required to be int numerators over
+    sum(w) * Σbest * Σown that sum to it and, as Fractions, equal to the
+    Fraction oracle's."""
+    weights = over_common_denominator(w.w)[0]
+    views = engine._views(p, inst)
+    nums, den = engine._nu_from_views(views, weights)
+    assert all(type(x) is int for x in nums)
+    assert den == sum(weights) * sum(max(row) for row in views) * sum(row[i] for i, row in enumerate(views))
+    assert sum(nums) == den
+    nu = tuple(F(x, den) for x in nums)
     assert nu == reference_nu(p, w, inst)
     return nu
 

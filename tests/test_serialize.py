@@ -120,6 +120,19 @@ class TestMasks:
         with pytest.raises(MalformedInstanceError):
             items_to_mask([2, 2], 3)
 
+    @pytest.mark.parametrize("mask", [-1, -6, True, False, None, 2.0, "3", F(1)], ids=repr)
+    def test_bad_mask_is_rejected(self, mask):
+        # a negative mask used to shift forever (-1 >> 1 == -1)
+        with pytest.raises(MalformedInstanceError) as info:
+            mask_to_items(mask)
+        assert str(info.value) == f"bundle mask {mask!r} is not an integer >= 0"
+
+    @pytest.mark.parametrize("items", [5, None, 2.0], ids=repr)
+    def test_non_sequence_items_are_rejected(self, items):
+        with pytest.raises(MalformedInstanceError) as info:
+            items_to_mask(items, 2)
+        assert str(info.value) == f"item list {items!r} is not a sequence"
+
 
 class TestInstanceLoad:
     def test_additive_matches_table_built_instance(self):
