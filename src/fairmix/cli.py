@@ -53,18 +53,20 @@ def _warn(message):
 
 
 def _read_json(path):
+    """The file's JSON, read as UTF-8; a decode error, a syntax error or an
+    int over Python's digit limit (all ``ValueError``) is not valid JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _open_for_writing(path):
     try:
-        return open(path, "w")
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 

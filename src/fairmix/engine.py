@@ -9,7 +9,7 @@ so certified fixed points settle both properties at once.
 
 The argmax scores only the instance's Pareto frontier (``Instance.kernel``):
 with every w_i > 0 a weakly dominated own-utility vector never attains the
-maximum.  The frontier points are entries of the kernel's integer utility
+maximum.  The frontier points are entries of the instance's integer utility
 table, over its one scale, and the weights are positive ints, a weight
 vector times a positive constant; dropping both constants changes no
 comparison, so every comparison is an exact int comparison.  The winning
@@ -79,17 +79,18 @@ class FixedPointState:
     nu: tuple
 
 
-def _argmax_of(frontier, weights):
+def _argmax_of(points, members, weights):
     """Ascending indices of the allocations of maximum welfare under ``weights``.
 
-    ``weights`` are positive ints, a weight vector times a positive
-    constant.  Frontier point f scores sum_i weights_i * points[f][i], its
-    exact welfare times the table's scale and that constant, so the int
-    scores order the points as the exact welfare does.
+    ``points`` are the kernel's frontier points and ``members[f]`` the
+    allocations giving point f.  ``weights`` are positive ints, a weight
+    vector times a positive constant.  Point f scores sum_i weights_i *
+    points[f][i], its exact welfare times the table's scale and that
+    constant, so the int scores order the points as the exact welfare does.
     """
     best = None
     winners = []
-    for f, point in enumerate(frontier.points):
+    for f, point in enumerate(points):
         val = sum(a * b for a, b in zip(weights, point))
         if best is None or val > best:
             best = val
@@ -97,8 +98,8 @@ def _argmax_of(frontier, weights):
         elif val == best:
             winners.append(f)
     if len(winners) == 1:
-        return frontier.members[winners[0]]
-    return tuple(sorted(chain.from_iterable(frontier.members[f] for f in winners)))
+        return members[winners[0]]
+    return tuple(sorted(chain.from_iterable(members[f] for f in winners)))
 
 
 def _require_weight_for(w, inst):
@@ -109,7 +110,8 @@ def _require_weight_for(w, inst):
 def argmax_allocations(w, inst):
     """Indices of the allocations maximizing the w-weighted welfare, exactly."""
     _require_weight_for(w, inst)
-    return _argmax_of(inst.kernel.frontier, over_common_denominator(w.w)[0])
+    kernel = inst.kernel
+    return _argmax_of(kernel.frontier, kernel.members, over_common_denominator(w.w)[0])
 
 
 def select_p_in_P(w, inst, argmax=None):
@@ -142,16 +144,17 @@ def select_p_in_P(w, inst, argmax=None):
         return MixedAllocation.point_mass(k, argmax[0])
 
     q = len(argmax)
-    kernel = inst.kernel
-    scale = inst.utilities.scale
+    own_num = inst.kernel.own_num
+    table, scale = inst.utilities.table, inst.utilities.scale
+    bundles = inst.allocations.bundles
     objective = (0,) * q + (-1, 1)
     rows = [((scale,) * q + (0, 0), "=", scale)]
     for i in range(n):
-        values, own = kernel.table[i], kernel.own_num[i]
+        values, own = table[i], own_num[i]
         for h in range(n):
             if h == i:
                 continue
-            coeffs = tuple(values[kernel.bundles[j][h]] - own[j] for j in argmax)
+            coeffs = tuple(values[bundles[j][h]] - own[j] for j in argmax)
             rows.append((coeffs + (-scale, scale), "<=", 0))
     result = solve_lp(LinearProgram._of(objective, tuple(rows)))
     if result.status != OPTIMAL:
@@ -217,14 +220,14 @@ def varpi(p, w, inst):
 
 
 def compute_rho(inst):
-    """The instance's envy-gap constant, ``Instance.kernel.rho``.
+    """The instance's envy-gap constant ``Instance.rho``, checked positive.
 
     Half the minimum mutual-envy margin ratio over every allocation and
     ordered player pair in which both players strictly prefer the second
     one's bundle; 1 when no such triple exists.  It is computed once per
-    instance, in integers (see ``UtilityKernel.rho``).
+    instance, in integers.
     """
-    rho = inst.kernel.rho
+    rho = inst.rho
     if rho <= 0:
         raise EngineInvariantError("gap constant must be positive")
     return rho
@@ -289,12 +292,12 @@ def find_fixed_point(inst, epsilon="auto", trace_sink=None):
     return hit
 
 
-def _envelope_vertices(frontier, eps):
-    """Vertices of {(w, t) : w in W, t >= w.u for every u in ``frontier``}, exactly.
+def _envelope_vertices(points, eps):
+    """Vertices of {(w, t) : w in W, t >= w.u for every u in ``points``}, exactly.
 
     Returns ``(weights, tight)`` pairs: the vertex weight times x0 (below),
     as positive ints summing to x0, and the bitmask of the vectors of
-    maximum welfare there (bit f for frontier vector f).
+    maximum welfare there (bit f for point f).
     Double description over primitive integer rays in homogeneous
     coordinates (x0, w_1..w_{n-1}, T), where w_n = x0 - sum of the others
     and T is t times the table's scale, over which the points are ints.  The
@@ -306,7 +309,6 @@ def _envelope_vertices(frontier, eps):
     pair shares.  The rays with x0 > 0 at the end are the vertices, and the
     vector rows a ray is tight on are its argmax.
     """
-    points = frontier.points
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
     rows = []
@@ -375,20 +377,21 @@ def _fallback_search(inst, eps, trace_sink=None):
     Returns ``(state, certificate)`` for the first one, or None.  The scan
     is the only search; it keeps the name ``bench/tracing.py`` binds.
     """
-    frontier = inst.kernel.frontier
+    kernel = inst.kernel
+    points, members = kernel.frontier, kernel.members
     floor_num, floor_den = eps.numerator, eps.denominator
     weight_of = {}
-    for weights, tight in _envelope_vertices(frontier, eps):
+    for weights, tight in _envelope_vertices(points, eps):
         weight_of.setdefault(tight, weights)
     # larger first, stably: a strict superset comes first, and containment
-    # is transitive, so a mask no kept mask contains is maximal
-    maximal = []
+    # is transitive, so a mask no scanned mask contains is maximal
+    scanned = []
     for mask, weights in sorted(weight_of.items(), key=lambda item: -item[0].bit_count()):
-        if all(kept & mask != mask for kept, _ in maximal):
-            maximal.append((mask, weights))
-    for position, (mask, weights) in enumerate(maximal, 1):
-        amax = _argmax_of(frontier, weights)
-        tight = (frontier.members[f] for f in range(len(frontier)) if mask >> f & 1)
+        if any(kept & mask == mask for kept in scanned):
+            continue
+        scanned.append(mask)
+        amax = _argmax_of(points, members, weights)
+        tight = (members[f] for f in range(len(members)) if mask >> f & 1)
         if amax != tuple(sorted(chain.from_iterable(tight))):
             raise EngineInvariantError("welfare-envelope vertex disagrees with the argmax")
         total = sum(weights)
@@ -401,7 +404,7 @@ def _fallback_search(inst, eps, trace_sink=None):
         if envious and trace_sink is None:
             continue
         nu, _, residual = _share_step(views, weights, eps)
-        state = FixedPointState(p=p, w=w, residual=residual, iteration=position, nu=nu)
+        state = FixedPointState(p=p, w=w, residual=residual, iteration=len(scanned), nu=nu)
         if trace_sink is not None:
             trace_sink.append(state)
         if envious:

@@ -28,7 +28,8 @@ from operator import mul
 
 from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .model import MixedAllocation, _entries, as_fraction, expected_utility, over_common_denominator
+from .model import MixedAllocation, _entries, _require_lottery_for, as_fraction, expected_utility
+from .model import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,12 @@ def check_pareto_efficient(p, inst, weight=None):
 
     With ``weight``, a sequence of n rationals (else ``PreconditionError``),
     each > 0, the check scores w . u in integers (w over its common
-    denominator, u from the kernel's table) for every distinct own vector of
+    denominator, u the kernel's int points) for every distinct own vector of
     the instance, not only the frontier.  If every support allocation of p
     attains the maximum, p is efficient and the verdict carries the weight;
     otherwise it fails with no dominator: a failed witness proves nothing.
+    On either path a lottery over another number of allocations than the
+    instance has raises ``MalformedInstanceError``.
 
     Without a weight, the LP's variables are a lottery p' over the frontier
     vectors and slacks t_i >= 0 with the constraints sum p' = 1 and
@@ -140,8 +143,8 @@ def check_pareto_efficient(p, inst, weight=None):
         except MalformedInstanceError as exc:
             raise PreconditionError(str(exc)) from exc
         return _check_weight_witness(p, inst, w)
-    frontier = inst.kernel.frontier
-    cols = len(frontier)
+    kernel = inst.kernel
+    cols = len(kernel.frontier)
     n = inst.n
     views, den = expected_utility(p, inst)
     p_den = den // inst.utilities.scale  # frontier points are over the scale, views over den
@@ -149,7 +152,7 @@ def check_pareto_efficient(p, inst, weight=None):
     objective = (0,) * cols + (1,) * n
     rows = [((den,) * cols + (0,) * n, "=", den)]
     for i in range(n):
-        row = tuple(point[i] * p_den for point in frontier.points)
+        row = tuple(point[i] * p_den for point in kernel.frontier)
         row += tuple(-den if t == i else 0 for t in range(n))
         rows.append((row, ">=", views[i][i]))
     result = solve_lp(LinearProgram._of(objective, tuple(rows)))
@@ -160,7 +163,7 @@ def check_pareto_efficient(p, inst, weight=None):
 
     # zip stops before the slack variables t
     dominator = MixedAllocation.from_support(
-        len(inst.allocations), zip((js[0] for js in frontier.members), result.solution)
+        len(inst.allocations), zip((js[0] for js in kernel.members), result.solution)
     )
     better, den_b = expected_utility(dominator, inst)
     gains = tuple(Fraction(better[i][i] * den - views[i][i] * den_b, den * den_b) for i in range(n))
@@ -172,6 +175,7 @@ def check_pareto_efficient(p, inst, weight=None):
 def _check_weight_witness(p, inst, w):
     if len(w) != inst.n:
         raise PreconditionError(f"weight witness has {len(w)} entries, instance has {inst.n} players")
+    _require_lottery_for(p, inst)
     if any(x <= 0 for x in w):
         return PeCheck(False)
     ints = over_common_denominator(w)[0]

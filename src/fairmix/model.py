@@ -9,7 +9,9 @@ are kept as ints over each player's least denominator; their Fraction form
 is built only when asked for, to be written back out.  An allocation set
 stores only its tuple of bundle tuples; the :class:`PureAllocation` objects
 it hands out are views made on demand.  The kernel reads its own vectors
-and distinct points in C-level passes over the set's per-player columns.  A
+and distinct points in C-level passes over the set's per-player columns,
+and ``Instance.rho``, the envy-gap constant, reads the table and the set's
+bundle pairs; each is derived once per instance.  A
 lottery stores only its support, as ascending (index, probability) pairs,
 and ``expected_utility`` gives all its views as ints over one denominator,
 in one pass.  Counts, indices and masks are ints, never bools (``is_int``).
@@ -353,66 +355,6 @@ class Instance:
         """The instance's :class:`UtilityKernel`, built on first use."""
         return UtilityKernel.of(self)
 
-
-@dataclass(frozen=True)
-class Frontier:
-    """The Pareto-maximal own-utility vectors, as integer points.
-
-    ``points[f][i]`` is player i's entry of the profile's integer table in
-    frontier vector f, its value times the profile's one ``scale``;
-    ``members[f]`` are the ascending indices of the allocations that give
-    it.  The frontier reads as the sequence of its integer points.
-    """
-
-    members: tuple
-    points: tuple
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, f):
-        return self.points[f]
-
-
-@dataclass(frozen=True)
-class UtilityKernel:
-    """Own-utility data of an instance, derived once, in integers.
-
-    ``table`` is the instance's :class:`UtilityProfile` integer table, every
-    entry over the profile's one scale.  ``bundles`` is the allocation set's
-    own tuple of bundle tuples, not a copy, and ``own_num[i][j]`` player i's
-    entry for their bundle in allocation j, read down the set's bundle
-    columns.  ``points`` are the distinct own-utility vectors (columns of
-    ``own_num``) in order of first occurrence.  ``frontier`` keeps the
-    points that no other point weakly dominates, each with the ascending
-    indices of the allocations sharing it; allocations with equal own
-    vectors stay separate, because their envy views differ.  ``built_closed``
-    is the allocation set's record of being swap-closed by construction.
-    ``rho``, the envy-gap constant, is derived on first use.
-    """
-
-    table: tuple
-    bundles: tuple
-    own_num: tuple
-    points: tuple
-    frontier: Frontier
-    built_closed: bool
-
-    @classmethod
-    def of(cls, inst):
-        table = inst.utilities.table
-        columns = inst.allocations.columns()
-        own_num = tuple(tuple(map(row.__getitem__, column)) for row, column in zip(table, columns))
-        vectors = tuple(zip(*own_num))
-        points = tuple(dict.fromkeys(vectors))
-        # members are collected for the frontier points only, in one pass
-        members = {points[v]: [] for v in pareto_frontier(points)}
-        for j, point in compress(enumerate(vectors), map(members.__contains__, vectors)):
-            members[point].append(j)
-        frontier = Frontier(tuple(map(tuple, members.values())), tuple(members))
-        aset = inst.allocations
-        return cls(table, aset.bundles, own_num, points, frontier, aset.built_closed)
-
     @cached_property
     def rho(self):
         """Half the minimum mutual-envy margin ratio; 1 when no triple qualifies.
@@ -431,15 +373,15 @@ class UtilityKernel:
         pair has the same bundle pairs as players 0 and 1; that one set is
         built once.  An unrecorded set gets a pair set per player pair.
         """
-        table = self.table
-        n = len(table)
+        table = self.utilities.table
+        bundles = self.allocations.bundles
         shared = None
-        if self.built_closed and n >= 2:
-            shared = {(bs[0], bs[1]) for bs in self.bundles}
+        if self.allocations.built_closed and self.n >= 2:
+            shared = {(bs[0], bs[1]) for bs in bundles}
         best_num = best_den = None
-        for i, h in permutations(range(n), 2):
+        for i, h in permutations(range(self.n), 2):
             mine, theirs = table[i], table[h]
-            pairs = shared if shared is not None else {(bs[i], bs[h]) for bs in self.bundles}
+            pairs = shared if shared is not None else {(bs[i], bs[h]) for bs in bundles}
             for b_i, b_h in pairs:
                 gain = mine[b_h] - mine[b_i]
                 if gain <= 0:
@@ -452,6 +394,39 @@ class UtilityKernel:
         if best_num is None:
             return Fraction(1)
         return Fraction(best_num, 2 * best_den)
+
+
+@dataclass(frozen=True)
+class UtilityKernel:
+    """Own-utility data of an instance, derived once, in integers.
+
+    ``own_num[i][j]`` is player i's entry of the profile's integer table
+    for their bundle in allocation j, read down the set's bundle columns.
+    ``points`` are the distinct own-utility vectors (columns of
+    ``own_num``) in order of first occurrence.  ``frontier`` keeps the
+    points that no other point weakly dominates, and ``members[f]`` the
+    ascending indices of the allocations that give frontier point f;
+    allocations with equal own vectors stay separate, because their envy
+    views differ.
+    """
+
+    own_num: tuple
+    points: tuple
+    frontier: tuple
+    members: tuple
+
+    @classmethod
+    def of(cls, inst):
+        table = inst.utilities.table
+        columns = inst.allocations.columns()
+        own_num = tuple(tuple(map(row.__getitem__, column)) for row, column in zip(table, columns))
+        vectors = tuple(zip(*own_num))
+        points = tuple(dict.fromkeys(vectors))
+        # members are collected for the frontier points only, in one pass
+        members = {points[v]: [] for v in pareto_frontier(points)}
+        for j, point in compress(enumerate(vectors), map(members.__contains__, vectors)):
+            members[point].append(j)
+        return cls(own_num, points, tuple(members), tuple(map(tuple, members.values())))
 
 
 def pareto_frontier(vectors):
@@ -678,16 +653,20 @@ class WeightVector:
         return cls((Fraction(1, n),) * n, epsilon)
 
 
+def _require_lottery_for(p, inst):
+    if p.k != len(inst.allocations):
+        raise MalformedInstanceError(
+            f"lottery over {p.k} allocations, instance has {len(inst.allocations)}"
+        )
+
+
 def expected_utility(p, inst):
     """The lottery's views in the table's form, ``(views, den)``: an n x n int
     matrix whose ``Fraction(views[i][h], den)`` is player i's expected value of
     player h's bundle stream.  The support's probabilities go over their common
     denominator, and ``den`` is that denominator times the table's scale.
     """
-    if p.k != len(inst.allocations):
-        raise MalformedInstanceError(
-            f"lottery over {p.k} allocations, instance has {len(inst.allocations)}"
-        )
+    _require_lottery_for(p, inst)
     weights, den = over_common_denominator([q for _, q in p.pairs])
     support = [inst.allocations.bundles[j] for j, _ in p.pairs]
     views = [

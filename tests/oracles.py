@@ -9,9 +9,9 @@ results: ``fraction_simplex``, the two-phase simplex that ``fairmix.lp``
 runs in integers, pivot rule and all; ``fraction_normalize``, the rescale
 that ``fairmix.model.normalize_utilities`` does in integers; and
 ``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
-own-utility kernel that ``fairmix.model.UtilityKernel`` derives from the
-integer utility table.  ``reference_envelope_vertices`` is of a third
-kind: the double description ``fairmix.engine._envelope_vertices`` runs,
+own-utility kernel that ``fairmix.model.Instance.rho`` and
+``fairmix.model.UtilityKernel`` derive from the integer utility table.
+``reference_envelope_vertices`` is of a third kind: the double description ``fairmix.engine._envelope_vertices`` runs,
 written with generator expressions as it was before its loops were tuned,
 so that the tuned kernel can be required to return the same list, order
 included; ``reference_scan_weights`` likewise keeps the scan's first
@@ -467,11 +467,10 @@ def reference_kernel(inst):
     }
 
 
-def reference_envelope_vertices(frontier, eps):
+def reference_envelope_vertices(points, eps):
     """``fairmix.engine._envelope_vertices`` as it was written with generator
     expressions, kept to pin the optimized kernel's output: the same rows,
     rays, masks and order, so the two must return equal lists."""
-    points = frontier.points
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
     rows = []
@@ -527,12 +526,12 @@ def _primitive(ray):
     return tuple(x // g for x in ray) if g > 1 else ray
 
 
-def reference_scan_weights(frontier, eps):
+def reference_scan_weights(points, eps):
     """The scan order of ``fairmix.engine._fallback_search`` as it was first
     written: the first weight of each argmax mask, the masks no other mask
     strictly contains, then a stable sort by descending mask size."""
     weight_of = {}
-    for weights, tight in reference_envelope_vertices(frontier, eps):
+    for weights, tight in reference_envelope_vertices(points, eps):
         weight_of.setdefault(tight, weights)
     maximal = [
         (mask, weights) for mask, weights in weight_of.items()
@@ -577,17 +576,17 @@ def reference_projection(y, eps):
     return tuple(eps if i in clamped else y[i] + lam for i in range(n))
 
 
-def reference_rho(kernel):
-    """``fairmix.model.UtilityKernel.rho`` as it was written with one set of
-    bundle pairs per ordered player pair, on the kernel's integer table."""
-    table = kernel.table
+def reference_rho(inst):
+    """``fairmix.model.Instance.rho`` as it was written with one set of
+    bundle pairs per ordered player pair, on the instance's integer table."""
+    table = inst.utilities.table
     best_num = best_den = None
     for i in range(len(table)):
         for h in range(len(table)):
             if h == i:
                 continue
             mine, theirs = table[i], table[h]
-            for b_i, b_h in {(bs[i], bs[h]) for bs in kernel.bundles}:
+            for b_i, b_h in {(bs[i], bs[h]) for bs in inst.allocations.bundles}:
                 gain = mine[b_h] - mine[b_i]
                 if gain <= 0:
                     continue

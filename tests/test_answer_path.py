@@ -97,14 +97,14 @@ def test_rho_matches_the_per_pair_pass_and_the_fraction_scan(workload):
     for j, inst in enumerate(pinned(workload)):
         assert inst.allocations.built_closed
         rho = compute_rho(inst)
-        assert rho == reference_rho(inst.kernel) == fraction_rho(inst), f"{workload}[{j}]"
+        assert rho == reference_rho(inst) == fraction_rho(inst), f"{workload}[{j}]"
 
 
 def test_rho_on_an_unrecorded_closed_copy():
     for j, built in enumerate(pinned("desk")[:40]):
         copy = Instance.build(built.utilities.raw_values, AllocationSet(built.allocations.bundles))
         assert not copy.allocations.built_closed
-        assert compute_rho(copy) == compute_rho(built) == reference_rho(copy.kernel), f"desk[{j}]"
+        assert compute_rho(copy) == compute_rho(built) == reference_rho(copy), f"desk[{j}]"
 
 
 def test_rho_on_a_list_that_is_not_closed():
@@ -114,13 +114,13 @@ def test_rho_on_a_list_that_is_not_closed():
     raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(1)]), additive_table([F(1), F(2)])]
     inst = Instance.build(raw, AllocationSet([PureAllocation((1, 0, 2))]))
     assert not inst.allocations.built_closed
-    assert inst.kernel.rho == reference_rho(inst.kernel) == fraction_rho(inst) < 1
+    assert inst.rho == reference_rho(inst) == fraction_rho(inst) < 1
 
 
 def test_rho_with_one_player():
     inst = Instance.build([{0: 0, 1: 3}], all_partitions_allocation_set(1, 1))
     assert inst.allocations.built_closed
-    assert inst.kernel.rho == reference_rho(inst.kernel) == fraction_rho(inst) == 1
+    assert inst.rho == reference_rho(inst) == fraction_rho(inst) == 1
 
 
 def test_frontier_matches_the_fraction_skyline_on_an_antichain():
@@ -194,6 +194,6 @@ def test_a_vertex_below_the_floor_is_an_invariant_failure(monkeypatch):
     broken[low] -= drop
     broken[high] += drop
     assert F(broken[low], sum(broken)) < eps
-    monkeypatch.setattr(engine, "_envelope_vertices", lambda frontier, eps: [(tuple(broken), tight)])
+    monkeypatch.setattr(engine, "_envelope_vertices", lambda points, eps: [(tuple(broken), tight)])
     with pytest.raises(EngineInvariantError, match="below the weight floor"):
         find_fixed_point(inst)

@@ -93,6 +93,19 @@ class TestSolve:
         path.write_text("{not json")
         assert main(["solve", "--instance", str(path)]) == 1
 
+    def test_integer_over_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        # json parses ints through int(), which refuses strings over its digit limit
+        path = tmp_path / "long.json"
+        path.write_text('{"n": 1, "m": ' + "1" * 5000 + "}")
+        assert main(["solve", "--instance", str(path)]) == 1
+        assert f"error: {path} is not valid JSON" in capsys.readouterr().err
+
+    def test_bytes_that_are_not_utf8_are_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        assert main(["solve", "--instance", str(path)]) == 1
+        assert f"error: {path} is not valid JSON" in capsys.readouterr().err
+
     def test_trace_file_written(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         code = main(
@@ -391,6 +404,25 @@ class TestFlagContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 2
 
+
+
+def test_session_without_default_encodings(tmp_path):
+    # every file the CLI reads or writes names its encoding, so a session
+    # run with default-encoding warnings raised as errors still succeeds
+    src = os.path.dirname(os.path.dirname(fairmix.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "fairmix"]
+
+    def run(*argv):
+        proc = subprocess.run([*strict, *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return proc.stdout
+
+    run("gen-hard", "--p", "2", "--x1", "100", "--x2", "100", "--out", "hard.json")
+    result = json.loads(run("solve", "--instance", "hard.json", "--trace", "trace.jsonl"))
+    assert (tmp_path / "trace.jsonl").read_text(encoding="utf-8").count("\n") == result["iterations"]
+    write_json(tmp_path / "lottery.json", result["p"])
+    assert json.loads(run("verify", "--instance", "hard.json", "--allocation", "lottery.json"))["ok"]
 
 
 class TestRepeatedMain:

@@ -359,7 +359,7 @@ class TestFindFixedPoint:
 
     def test_vertex_disagreeing_with_the_argmax_is_an_invariant_failure(self, monkeypatch):
         argmax_of = engine._argmax_of
-        monkeypatch.setattr(engine, "_argmax_of", lambda frontier, w: argmax_of(frontier, w)[:1])
+        monkeypatch.setattr(engine, "_argmax_of", lambda points, members, w: argmax_of(points, members, w)[:1])
         with pytest.raises(EngineInvariantError, match="disagrees with the argmax"):
             find_fixed_point(opposed_tastes_instance())
 

@@ -18,7 +18,7 @@ from fairmix.envy import (
     check_pareto_efficient,
     is_acyclic,
 )
-from fairmix.errors import PreconditionError
+from fairmix.errors import MalformedInstanceError, PreconditionError
 from fairmix.model import Instance, MixedAllocation, all_partitions_allocation_set
 from oracles import find_dominating_vertex_or_pair, fraction_normalize, weight_witness_ok
 
@@ -265,6 +265,20 @@ class TestWeightWitness:
         inst = symmetric_instance()
         check = check_pareto_efficient(point_mass_on(inst, (0, 0)), inst, weight=(F(1, 2), F(1, 2)))
         assert check == PeCheck(False)
+
+    @pytest.mark.parametrize("k, j", [(8, 7), (20, 15)], ids=["shorter", "longer"])
+    def test_lottery_of_another_size_is_malformed(self, k, j):
+        # the instance has 9 allocations: index 7 lies inside it, index 15
+        # beyond it, and both lotteries are rejected as the LP path rejects them
+        inst = Instance.build(
+            [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3}],
+            all_partitions_allocation_set(2, 2),
+        )
+        p = MixedAllocation(k, ((j, 1),))
+        message = f"lottery over {k} allocations, instance has 9"
+        for weight in ((F(2, 3), F(1, 3)), None):
+            with pytest.raises(MalformedInstanceError, match=message):
+                check_pareto_efficient(p, inst, weight=weight)
 
 
 class TestCertificate:

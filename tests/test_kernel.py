@@ -28,7 +28,6 @@ from fairmix.envy import check_pareto_efficient
 from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.lp import OPTIMAL, LinearProgram, solve_lp
 from fairmix.model import (
-    Frontier,
     Instance,
     MixedAllocation,
     PureAllocation,
@@ -224,7 +223,7 @@ def test_efficiency_matches_dense_reference(case):
         verdicts.add(check.ok)
         if not check.ok:
             assert dominates(check.dominator, p, inst)
-            assert set(check.dominator.support()) <= {m[0] for m in inst.kernel.frontier.members}
+            assert set(check.dominator.support()) <= {m[0] for m in inst.kernel.members}
     assert True in verdicts
 
 
@@ -277,8 +276,8 @@ def assert_kernel_matches_reference(inst, name):
     want = reference_kernel(inst)
     assert kernel.own_num == want["own_num"], name
     assert kernel.points == want["points"], name
-    assert kernel.frontier.points == want["frontier_points"], name
-    assert kernel.frontier.members == want["frontier_members"], name
+    assert kernel.frontier == want["frontier_points"], name
+    assert kernel.members == want["frontier_members"], name
 
 
 @pytest.mark.parametrize("workload", ["desk", "wide", "certify"])
@@ -329,7 +328,7 @@ class TestFrontier:
         finally:
             tracemalloc.stop()
         assert len(kernel.points) == 1 << m
-        assert kernel.frontier.members == (((1 << m) - 1,),)
+        assert kernel.members == (((1 << m) - 1,),)
         assert peak < 8 << 20
 
     def test_duplicate_vectors_stay_members(self):
@@ -342,18 +341,17 @@ class TestFrontier:
         vectors = fraction_points(kernel.points, scale)
         own = own_vectors(inst)
         assert len(vectors) == 3 and set(own) == set(vectors)
-        frontier = kernel.frontier
-        assert sorted(fraction_points(frontier.points, scale)) == [(F(1), F(2)), (F(2), F(1))]
-        for vec, members in zip(fraction_points(frontier.points, scale), frontier.members):
+        assert sorted(fraction_points(kernel.frontier, scale)) == [(F(1), F(2)), (F(2), F(1))]
+        for vec, members in zip(fraction_points(kernel.frontier, scale), kernel.members):
             assert list(members) == [j for j, v in enumerate(own) if v == vec]
-        assert all(len(m) == 3 for m in frontier.members)
+        assert all(len(m) == 3 for m in kernel.members)
 
     def test_integer_points_scale_exactly(self):
         inst = make_instance(3, 3, False, 0)
         frontier = inst.kernel.frontier
         vectors = fraction_kernel(inst)["frontier_vectors"]
         assert len(frontier) == len(vectors)
-        for vec, point in zip(vectors, frontier.points):
+        for vec, point in zip(vectors, frontier):
             assert all(isinstance(x, int) for x in point)
             assert point == tuple(v * inst.utilities.scale for v in vec)
 
@@ -365,13 +363,11 @@ class TestFrontier:
         bits = (1,) + (0,) * 9
         inst = build_hard_instance(DisjointnessInput(3, bits, bits))
         assert len(inst.allocations) == 729
-        frontier = inst.kernel.frontier
-        assert fraction_points(frontier.points, inst.utilities.scale) == ((F(2), F(2)),)
+        assert fraction_points(inst.kernel.frontier, inst.utilities.scale) == ((F(2), F(2)),)
 
     def test_disjoint_hard_instance_frontier(self):
         inst = build_hard_instance(DisjointnessInput(3, (1,) + (0,) * 9, (0, 1) + (0,) * 8))
-        frontier = inst.kernel.frontier
-        assert sorted(fraction_points(frontier.points, inst.utilities.scale)) == [(F(17, 9), F(2)), (F(2), F(17, 9))]
+        assert sorted(fraction_points(inst.kernel.frontier, inst.utilities.scale)) == [(F(17, 9), F(2)), (F(2), F(17, 9))]
 
 
 def solve_exact(rows):
@@ -402,19 +398,17 @@ def integer_row(entries):
 
 
 def frontier_of(vectors):
-    """A ``Frontier`` holding exact ``vectors`` as integer points over one
-    scale, one member each."""
+    """Exact ``vectors`` as integer frontier points over one scale."""
     scale = lcm(*(F(x).denominator for vec in vectors for x in vec))
-    points = tuple(tuple(int(x * scale) for x in vec) for vec in vectors)
-    return Frontier(tuple((f,) for f in range(len(vectors))), points)
+    return tuple(tuple(int(x * scale) for x in vec) for vec in vectors)
 
 
-def envelope_vertices(frontier, eps):
+def envelope_vertices(points, eps):
     """``_envelope_vertices`` with each vertex weight as exact Fractions:
     the int weights over their sum, the vertex's homogeneous coordinate."""
     return [
         (tuple(F(x, sum(weights)) for x in weights), tight)
-        for weights, tight in _envelope_vertices(frontier, eps)
+        for weights, tight in _envelope_vertices(points, eps)
     ]
 
 
@@ -461,8 +455,8 @@ ENVELOPE_CASES = [case for case in ENVELOPE_CANDIDATES if len(make_instance(*cas
 # envelope must equal the reference double description's list, order included.
 
 
-def assert_envelope_matches_reference(frontier, eps):
-    assert _envelope_vertices(frontier, eps) == reference_envelope_vertices(frontier, eps)
+def assert_envelope_matches_reference(points, eps):
+    assert _envelope_vertices(points, eps) == reference_envelope_vertices(points, eps)
 
 
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)

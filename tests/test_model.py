@@ -357,10 +357,6 @@ class TestStoredForm:
         assert_same_set(built, validated)
         assert built != AllocationSet(product_partitions(2, 2)[::-1])
 
-    def test_kernel_reads_the_sets_own_tuple(self):
-        inst = Instance.build([{b: b for b in range(8)}] * 2, all_partitions_allocation_set(2, 3))
-        assert inst.kernel.bundles is inst.allocations.bundles
-
     def test_no_wrapper_on_load_verify_dump_or_solve(self, monkeypatch, tmp_path):
         hard = dump_instance(build_hard_instance(DisjointnessInput(3, (1, 0) * 5, (0, 1) * 5)))
         desk = tmp_path / "desk.json"

@@ -1,11 +1,12 @@
 """The integer utility table against the Fraction references it replaced.
 
 ``normalize_utilities`` rescales every player's raw values once, straight
-into int numerators over one scale shared by all players, and
-``UtilityKernel`` builds the own-utility vectors, their Pareto frontier and
-the envy-gap constant rho from that table; the tie-breaking and domination
-LPs build their rows from it, as the Fraction rows times the table's scale
-(the domination LP's also times the lottery's common denominator).
+into int numerators over one scale shared by all players;
+``UtilityKernel`` builds the own-utility vectors and their Pareto frontier
+from that table, and ``Instance.rho`` the envy-gap constant; the
+tie-breaking and domination LPs build their rows from it, as the Fraction
+rows times the table's scale (the domination LP's also times the lottery's
+common denominator).
 ``tests/oracles.py`` keeps the Fraction versions, which read the raw
 values, not the table under test; every quantity here must come out equal
 to them.
@@ -30,7 +31,6 @@ from fairmix.model import (
     Instance,
     MixedAllocation,
     PureAllocation,
-    UtilityKernel,
     UtilityProfile,
     WeightVector,
     all_partitions_allocation_set,
@@ -130,15 +130,14 @@ def assert_matches_fraction_reference(inst):
     scale = inst.utilities.scale
     assert scale == lcm(*(v.denominator for values in normalized for v in values.values()))
     for i, values in enumerate(normalized):
-        assert kernel.table[i] == {b: v * scale for b, v in values.items()}
+        assert inst.utilities.table[i] == {b: v * scale for b, v in values.items()}
     assert compute_rho(inst) == fraction_rho(inst)
     own = tuple(tuple(F(x, scale) for x in row) for row in kernel.own_num)
     assert own == ref["own"]
     assert fraction_points(kernel.points, scale) == ref["vectors"]
-    frontier = kernel.frontier
-    assert fraction_points(frontier.points, scale) == ref["frontier_vectors"]
-    assert frontier.members == ref["frontier_members"]
-    for vec, point in zip(ref["frontier_vectors"], frontier.points):
+    assert fraction_points(kernel.frontier, scale) == ref["frontier_vectors"]
+    assert kernel.members == ref["frontier_members"]
+    for vec, point in zip(ref["frontier_vectors"], kernel.frontier):
         assert point == tuple(v * scale for v in vec)
     k = len(inst.allocations)
     uniform = MixedAllocation(k, [(j, F(1, k)) for j in range(k)])
@@ -193,7 +192,7 @@ def test_constant_player_has_scale_one():
     inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
     other = fraction_normalize(raw)[1]
     assert inst.utilities.scale == lcm(*(v.denominator for v in other.values()))
-    assert set(inst.kernel.table[0].values()) == {inst.utilities.scale}
+    assert set(inst.utilities.table[0].values()) == {inst.utilities.scale}
     assert_matches_fraction_reference(inst)
 
 
@@ -217,7 +216,7 @@ def test_p3_hard_instances(x2):
 
 def test_nonpositive_rho_is_an_invariant_failure(monkeypatch):
     inst = Instance.build([{0: 1, 1: 2}, {0: 1, 1: 2}], all_partitions_allocation_set(2, 1))
-    monkeypatch.setattr(UtilityKernel, "rho", property(lambda self: F(0)))
+    monkeypatch.setattr(Instance, "rho", property(lambda self: F(0)))
     with pytest.raises(EngineInvariantError, match="gap constant"):
         compute_rho(inst)
 
