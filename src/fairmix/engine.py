@@ -21,10 +21,13 @@ double description in exact integers, the vertices of the welfare envelope
 {(w, t) : w in W, t >= w.u for every frontier vector u}, with int weights;
 only scanned vertices get a ``WeightVector``.  The argmax set of any weight
 is contained in that of some vertex, so scanning the vertices with
-inclusion-maximal argmax sets is complete: exhausting the scan means an
-invariant broke.  The map stays as a self-check on every candidate that
-passes the envy screen: its residual and the paper's lemmas must agree with
-the certificate.
+inclusion-maximal argmax sets is complete, in any order: exhausting the
+scan means an invariant broke.  The order is a function of the vertex set
+alone, never of the order the enumeration lists it in: each argmax set is
+scanned at its vertex farthest from the floor, and the sets larger first,
+then farther from the floor first (see ``_fallback_search``).  The map
+stays as a self-check on every candidate that passes the envy screen: its
+residual and the paper's lemmas must agree with the certificate.
 
 The certificate's PE side takes the vertex weight as its witness: the
 answer is supported on the w-argmax with every w_i >= eps > 0, so
@@ -303,11 +306,17 @@ def _envelope_vertices(points, eps):
     and T is t times the table's scale, over which the points are ints.  The
     start is the simplicial cone of the n floor rows and the first vector's
     row (independent because eps < 1/n): its rays are the n corners of W
-    and the recession direction (0, .., 0, 1).  Each further row splits the
-    rays by sign and joins every adjacent pair across the split, adjacency
-    being the combinatorial test: no third ray is tight on every row the
-    pair shares.  The rays with x0 > 0 at the end are the vertices, and the
-    vector rows a ray is tight on are its argmax.
+    and the recession direction (0, .., 0, 1).  The other vectors' rows are
+    added in descending uniform welfare (the sum of the vector), ties by
+    index.  The row order sets how much work the method does (Fukuda and
+    Prodon 1996); this one tests about half the ray pairs of index order
+    on the n = 4 instances in ``tests/data``.  Each row splits the rays by
+    sign and joins every adjacent pair across the split, adjacency being
+    the combinatorial test: no third ray is tight on every row the pair
+    shares.  The rays with x0 > 0 at the end are the vertices, and the
+    vector rows a ray is tight on are its argmax.  The vertex set does not
+    depend on the row order; the order of the returned list does, and no
+    caller may rely on it.
     """
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
@@ -328,7 +337,9 @@ def _envelope_vertices(points, eps):
         rays.append((_primitive((den, *w[:-1], t)), tight))
     rays.append(((0,) * n + (1,), (1 << n) - 1))
 
-    for r in range(n + 1, len(rows)):
+    # point f keeps row and bit n + f whatever its turn, so no mask is remapped
+    for f in sorted(range(1, len(points)), key=lambda f: -sum(points[f])):
+        r = n + f
         row = rows[r]
         bit = 1 << r
         pos, neg, kept = [], [], []
@@ -366,6 +377,31 @@ def _primitive(ray):
     return tuple(map(g.__rfloordiv__, ray)) if g > 1 else ray
 
 
+def _least_share(weights):
+    """min(w)/sum(w) for a vertex's int weights: how far the vertex is from the floor."""
+    return Fraction(min(weights), sum(weights))
+
+
+def _farther_from_floor(a, b):
+    """Whether vertex weights ``a`` come before ``b``: a larger least share,
+    then the lexicographically greater normalized weight, compared in ints."""
+    total_a, total_b = sum(a), sum(b)
+    least_a, least_b = min(a) * total_b, min(b) * total_a
+    if least_a != least_b:
+        return least_a > least_b
+    return [x * total_b for x in a] > [x * total_a for x in b]
+
+
+def _scan_order(weight_of):
+    """The masks of ``weight_of`` larger first, then by the larger least share
+    of their weight, then ascending; each size is sorted only when reached."""
+    by_size = {}
+    for mask in weight_of:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    for size in sorted(by_size, reverse=True):
+        yield from sorted(by_size[size], key=lambda mask: (-_least_share(weight_of[mask]), mask))
+
+
 def _fallback_search(inst, eps, trace_sink=None):
     """Scan the welfare-envelope vertices with inclusion-maximal argmax sets.
 
@@ -374,22 +410,31 @@ def _fallback_search(inst, eps, trace_sink=None):
     own, so P(w) is inside P(vertex) and ``select_p_in_P`` there does at
     least as well on envy.  The scan is therefore complete: by the paper's
     existence theorem some maximal vertex yields an envy-free lottery.
-    Returns ``(state, certificate)`` for the first one, or None.  The scan
-    is the only search; it keeps the name ``bench/tracing.py`` binds.
+
+    The order depends on the vertex set alone.  Each argmax mask keeps the
+    vertex with the largest least share min(w)/sum(w), ties to the
+    lexicographically greatest normalized weight; the masks are scanned
+    larger first, then by the larger least share, then by ascending mask
+    value.  Returns ``(state, certificate)`` for the first vertex that
+    yields an envy-free lottery, or None.  The scan is the only search; it
+    keeps the name ``bench/tracing.py`` binds.
     """
     kernel = inst.kernel
     points, members = kernel.frontier, kernel.members
     floor_num, floor_den = eps.numerator, eps.denominator
     weight_of = {}
     for weights, tight in _envelope_vertices(points, eps):
-        weight_of.setdefault(tight, weights)
-    # larger first, stably: a strict superset comes first, and containment
-    # is transitive, so a mask no scanned mask contains is maximal
+        kept = weight_of.get(tight)
+        if kept is None or _farther_from_floor(weights, kept):
+            weight_of[tight] = weights
+    # larger first: a strict superset comes first, and containment is
+    # transitive, so a mask no scanned mask contains is maximal
     scanned = []
-    for mask, weights in sorted(weight_of.items(), key=lambda item: -item[0].bit_count()):
+    for mask in _scan_order(weight_of):
         if any(kept & mask == mask for kept in scanned):
             continue
         scanned.append(mask)
+        weights = weight_of[mask]
         amax = _argmax_of(points, members, weights)
         tight = (members[f] for f in range(len(members)) if mask >> f & 1)
         if amax != tuple(sorted(chain.from_iterable(tight))):

@@ -43,14 +43,28 @@ SUBMODULAR_ITEM_CAP = 12
 DICHOTOMY_P_CAP = 3
 
 
-def split_count(p):
-    """r = C(2p, p) / 2, the number of halves containing item 1.
-
-    The one check of a half-count: p must be an int >= 1, not a bool.
-    """
+def _require_half_count(p):
+    """The one check of a half-count: p must be an int >= 1, not a bool."""
     if not is_int(p) or p < 1:
         raise MalformedInstanceError(f"half-count must be an integer >= 1, got {p!r}")
+
+
+def split_count(p):
+    """r = C(2p, p) / 2, the number of halves containing item 1."""
+    _require_half_count(p)
     return math.comb(2 * p, p) // 2
+
+
+def _split_count_text(p):
+    """r for a message: in full where it can be printed, else its lower bound."""
+    # past this half-count r takes seconds to build; below it, str(r) may
+    # still exceed Python's int-to-str digit limit
+    if p <= 10_000:
+        try:
+            return str(split_count(p))
+        except ValueError:
+            pass
+    return f"C({2 * p}, {p})/2 >= 2^{p - 1}"
 
 
 @dataclass(frozen=True)
@@ -62,12 +76,13 @@ class DisjointnessInput:
     x2: tuple
 
     def __post_init__(self):
-        r = split_count(self.p)
+        _require_half_count(self.p)
         for name, bits in (("x1", self.x1), ("x2", self.x2)):
             bits = tuple(_entries(bits, name))
-            if len(bits) != r:
+            # r >= 2^(p-1): a shorter string is rejected before r is built
+            if len(bits).bit_length() < self.p or len(bits) != split_count(self.p):
                 raise MalformedInstanceError(
-                    f"{name} has {len(bits)} bits, expected r = {r} for p = {self.p}"
+                    f"{name} has {len(bits)} bits, expected r = {_split_count_text(self.p)} for p = {self.p}"
                 )
             for b in bits:
                 if not is_int(b) or b not in (0, 1):
@@ -81,9 +96,10 @@ class DisjointnessInput:
 def enumerate_splits(p):
     """All p-subsets of {1..2p} containing item 1, lexicographic, as a tuple
     of ``(first, second)`` bundle masks."""
-    r = split_count(p)
-    if r > SPLIT_BUDGET:
-        raise EnumerationLimitError(f"{r} splits exceed the budget of {SPLIT_BUDGET}")
+    _require_half_count(p)
+    # r >= 2^(p-1): past the budget's bit length r is not built at all
+    if p > SPLIT_BUDGET.bit_length() or split_count(p) > SPLIT_BUDGET:
+        raise EnumerationLimitError(f"{_split_count_text(p)} splits exceed the budget of {SPLIT_BUDGET}")
     full = (1 << (2 * p)) - 1
     splits = []
     for rest in combinations(range(1, 2 * p), p - 1):

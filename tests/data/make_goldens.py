@@ -1,11 +1,12 @@
 """Rewrite the pinned instance sets and answers that tests/test_golden.py checks.
 
-    python3 tests/data/make_goldens.py inputs   # desk.json, wide.json, certify.json
+    python3 tests/data/make_goldens.py inputs   # desk.json, wide.json, certify.json, many.json
     python3 tests/data/make_goldens.py golden   # golden.json, from the current src
 
 Run from the repository root.  ``inputs`` takes the benchmark's fixed sets
-from ``bench/workloads.py`` (its constant-seed pools); ``golden`` solves and
-verifies them with the code under ``src`` and records every answer.
+from ``bench/workloads.py`` (its constant-seed pools) and draws the n = 5-7
+set ``many`` from a constant seed; ``golden`` solves and verifies them with
+the code under ``src`` and records every answer.
 """
 
 import json
@@ -25,9 +26,29 @@ def save(name, data):
         fh.write("\n")
 
 
+# (n, m) of each ``many`` instance: additive all-partitions instances with
+# item values 1-20, small enough for each to solve well under a second
+MANY_SHAPES = ((5, 3), (5, 4), (6, 2), (6, 3), (7, 2), (7, 2))
+
+
+def many():
+    rng = random.Random("many")
+    return [
+        {
+            "n": n,
+            "m": m,
+            "utilities": {"type": "additive", "items": [[str(rng.randint(1, 20)) for _ in range(m)] for _ in range(n)]},
+            "allocations": "all_partitions",
+        }
+        for n, m in MANY_SHAPES
+    ]
+
+
 def inputs():
     import workloads
     from fairmix.cli import main
+
+    save("many", many())
 
     save("desk", workloads._pool("desk", workloads.DESK_STRATA, workloads.DESK_PER_STRATUM, workloads._desk_instance))
     save("wide", workloads._pool("wide", workloads.WIDE_STRATA, workloads.WIDE_PER_STRATUM, workloads._wide_instance))

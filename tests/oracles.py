@@ -11,17 +11,19 @@ that ``fairmix.model.normalize_utilities`` does in integers; and
 ``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
 own-utility kernel that ``fairmix.model.Instance.rho`` and
 ``fairmix.model.UtilityKernel`` derive from the integer utility table.
-``reference_envelope_vertices`` is of a third kind: the double description ``fairmix.engine._envelope_vertices`` runs,
-written with generator expressions as it was before its loops were tuned,
-so that the tuned kernel can be required to return the same list, order
-included; ``reference_scan_weights`` likewise keeps the scan's first
-filter-then-sort of the maximal masks, and ``reference_kernel`` the
-integer kernel's grouping loop and sort-based skyline, ``reference_share_step``
-the Fraction share step and projection that the engine now runs in integers,
-and ``reference_rho`` the envy-gap pass with one bundle-pair set per player
-pair.  Every oracle that scores utilities
-reads an instance's raw values through ``fraction_normalize``, never the
-package's own rescaled table: ``weight_witness_ok``, which re-checks a
+``reference_envelope_vertices`` is of a third kind: the double description
+``fairmix.engine._envelope_vertices`` runs, written with generator
+expressions as it was before its loops were tuned and adding the rows in
+index order, not the engine's welfare order, so that the engine can be
+required to return the same vertex set (the list order differs, and the
+scan reads none of it).  ``reference_scan_weights`` derives the scan
+order from that set alone, in Fractions, with its own maximal-mask filter.
+``reference_kernel`` keeps the integer kernel's grouping loop and
+sort-based skyline, ``reference_share_step`` the Fraction share step and
+projection that the engine now runs in integers, and ``reference_rho`` the
+envy-gap pass with one bundle-pair set per player pair.  Every oracle that
+scores utilities reads an instance's raw values through
+``fraction_normalize``, never the package's own rescaled table: ``weight_witness_ok``, which re-checks a
 Pareto-efficiency weight witness in Fractions over every allocation with
 no kernel, ``find_dominating_vertex_or_pair`` and ``reference_nu``, the
 paper's corrected weights from Fraction views.  A fault in
@@ -469,8 +471,8 @@ def reference_kernel(inst):
 
 def reference_envelope_vertices(points, eps):
     """``fairmix.engine._envelope_vertices`` as it was written with generator
-    expressions, kept to pin the optimized kernel's output: the same rows,
-    rays, masks and order, so the two must return equal lists."""
+    expressions, adding the rows in index order: the engine adds them in
+    another order, so the two must return equal sets of (weight, mask)."""
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
     rows = []
@@ -527,18 +529,21 @@ def _primitive(ray):
 
 
 def reference_scan_weights(points, eps):
-    """The scan order of ``fairmix.engine._fallback_search`` as it was first
-    written: the first weight of each argmax mask, the masks no other mask
-    strictly contains, then a stable sort by descending mask size."""
-    weight_of = {}
-    for weights, tight in reference_envelope_vertices(points, eps):
-        weight_of.setdefault(tight, weights)
+    """The scan order of ``fairmix.engine._fallback_search``, from the vertex
+    set alone, in Fractions: each argmax mask's weight is its vertex of the
+    largest least share min(w), ties to the lexicographically greatest
+    weight; the masks no other mask strictly contains are then sorted larger
+    first, then by the larger least share, then by ascending mask value."""
+    best = {}
+    for weights, mask in set(reference_envelope_vertices(points, eps)):
+        w = tuple(Fraction(x, sum(weights)) for x in weights)
+        best[mask] = max(best.get(mask, w), w, key=lambda v: (min(v), v))
     maximal = [
-        (mask, weights) for mask, weights in weight_of.items()
-        if not any(other != mask and other & mask == mask for other in weight_of)
+        (mask, w) for mask, w in best.items()
+        if not any(other != mask and other & mask == mask for other in best)
     ]
-    maximal.sort(key=lambda item: -item[0].bit_count())
-    return [weights for _, weights in maximal]
+    maximal.sort(key=lambda item: (-item[0].bit_count(), -min(item[1]), item[0]))
+    return [w for _, w in maximal]
 
 
 def reference_share_step(views, w):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -338,6 +339,22 @@ class TestGenHard:
 
     def test_non_binary_bits(self, capsys):
         assert main(["gen-hard", "--p", "1", "--x1", "2", "--x2", "0"]) == 1
+
+    @pytest.mark.parametrize("command", ["gen-hard", "verify-dichotomy"])
+    @pytest.mark.parametrize("p", [100_000, 1_000_000])
+    def test_short_bits_with_a_huge_half_count(self, command, p, capsys):
+        # r = C(2p, p)/2 has over 60,000 digits here: the short strings are
+        # rejected without building it, and without a raw int-to-str error
+        start = time.perf_counter()
+        assert main([command, "--p", str(p), "--x1", "1", "--x2", "1"]) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: x1 has 1 bits, expected r = C({2 * p}, {p})/2 >= 2^{p - 1} for p = {p}")
+        assert "Traceback" not in err
+
+    def test_wrong_bit_length_names_r(self, capsys):
+        assert main(["gen-hard", "--p", "3", "--x1", "1", "--x2", "1"]) == 1
+        assert capsys.readouterr().err == "error: x1 has 1 bits, expected r = 10 for p = 3\n"
 
 
 class TestVerifyDichotomy:

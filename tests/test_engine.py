@@ -384,8 +384,8 @@ class TestFindFixedPoint:
 
     def test_trace_records_are_coherent(self):
         # the scan's first vertex is envious here, so the trace has two records
-        raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(2)])]
-        inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
+        raw = [additive_table([F(1), F(7, 2), F(2), F(10, 3)]), additive_table([F(1, 2), F(9, 2), F(1), F(5)])]
+        inst = Instance.build(raw, all_partitions_allocation_set(2, 4))
         trace = []
         state, _ = find_fixed_point(inst, trace_sink=trace)
         assert state.iteration == 2
@@ -448,8 +448,9 @@ def test_weight_of_the_wrong_length_is_a_precondition_error(call, length):
 
 @pytest.mark.parametrize("workload", ["desk", "wide"])
 def test_scan_visits_maximal_masks_larger_first(workload):
-    """The scan's vertices, in order, are the reference filter-then-sort's:
-    every scanned state's weight is the reference's weight at its position."""
+    """The scan's vertices, in order, are the reference's, which it derives
+    from the reference vertex set alone: every scanned state's weight is the
+    reference's weight at its position."""
     with open(os.path.join(DATA, f"{workload}.json")) as fh:
         data = json.load(fh)
     longest = 0
@@ -458,14 +459,33 @@ def test_scan_visits_maximal_masks_larger_first(workload):
         trace = []
         find_fixed_point(inst, trace_sink=trace)
         eps = choose_epsilon(compute_rho(inst), inst.n)
-        want = [
-            tuple(F(x, sum(weights)) for x in weights)
-            for weights in reference_scan_weights(inst.kernel.frontier, eps)[: len(trace)]
-        ]
+        want = reference_scan_weights(inst.kernel.frontier, eps)[: len(trace)]
         assert [state.w.w for state in trace] == want, f"{workload}[{j}]"
         longest = max(longest, len(trace))
     # some solve scans past its first vertex, so the order is exercised
     assert longest > 1
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide"])
+def test_answers_do_not_depend_on_the_vertex_order(workload, monkeypatch):
+    """The scan reads the envelope as a set: the same answers, scan positions
+    included, whatever order ``_envelope_vertices`` lists the vertices in."""
+    with open(os.path.join(DATA, f"{workload}.json")) as fh:
+        insts = [load_instance(entry) for entry in json.load(fh)]
+    want = [find_fixed_point(inst)[0] for inst in insts]
+    enumerate_vertices = engine._envelope_vertices
+    rng = seeded_rng(f"vertex-order:{workload}")
+
+    def shuffled(points, eps):
+        vertices = enumerate_vertices(points, eps)
+        rng.shuffle(vertices)
+        return vertices
+
+    for reorder in (lambda points, eps: enumerate_vertices(points, eps)[::-1], shuffled):
+        monkeypatch.setattr(engine, "_envelope_vertices", reorder)
+        for j, inst in enumerate(insts):
+            state = find_fixed_point(inst)[0]
+            assert (state.p, state.w, state.iteration) == (want[j].p, want[j].w, want[j].iteration), f"{workload}[{j}]"
 
 
 def test_fallback_solve_imports_neither_numpy_nor_scipy():

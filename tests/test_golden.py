@@ -1,8 +1,9 @@
 """Pinned answers: the benchmark's instance sets, solved and verified in process.
 
-``tests/data`` holds the desk (120) and wide (24) solve instances and the
-certify set (12 ``gen-hard`` strings plus 48 lotteries), and ``golden.json``
-the answer the CLI gave for each: its exit code, its stdout JSON without
+``tests/data`` holds the desk (120) and wide (24) solve instances, the
+certify set (12 ``gen-hard`` strings plus 48 lotteries) and six n = 5-7
+solve instances (``many``, not a benchmark set), and ``golden.json`` the
+answer the CLI gave for each: its exit code, its stdout JSON without
 ``wall_time``, and its stderr.  Any change of answer fails here, naming the
 first instance and field that differ.  ``tests/data/make_goldens.py``
 rewrites the files.
@@ -12,13 +13,16 @@ import io
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from fairmix.cli import main
+from fairmix.serialize import load_instance, load_mixed_allocation
+from oracles import weight_witness_ok
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-WORKLOADS = ("desk", "certify", "wide")
+WORKLOADS = ("desk", "certify", "wide", "many")
 
 
 def read(name):
@@ -102,6 +106,7 @@ def test_sets_have_the_benchmark_sizes():
     assert len(read("wide")) == 24
     certify = read("certify")
     assert len(certify["hard"]) == 12 and len(certify["lotteries"]) == 48
+    assert sorted(inst["n"] for inst in read("many")) == [5, 5, 6, 6, 7, 7]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -112,3 +117,16 @@ def test_answers_match_golden(workload, tmp_path):
     for j, (a, b) in enumerate(zip(got, want)):
         diff = first_difference(a, b)
         assert diff is None, f"{workload}[{j}]{diff}"
+
+
+def test_many_answers_pass_the_fraction_oracles():
+    """Each pinned n = 5-7 answer is efficient by its weight witness and
+    envy-free, both scored in Fractions from the instance's raw values."""
+    for j, (entry, answer) in enumerate(zip(read("many"), read("golden")["many"])):
+        inst = load_instance(entry)
+        p = load_mixed_allocation(answer["out"]["p"], inst)
+        assert weight_witness_ok(p, inst, [Fraction(x) for x in answer["out"]["w"]]), f"many[{j}]"
+        raw = inst.utilities.raw_values
+        for i in range(inst.n):
+            views = [sum(q * raw[i][inst.allocations[a].bundles[h]] for a, q in p.pairs) for h in range(inst.n)]
+            assert max(views) == views[i], f"many[{j}] player {i}"

@@ -5,6 +5,7 @@ the assertions were written; the submodularity comparison uses a separate
 subset-triple enumeration built on frozensets rather than bitmasks.
 """
 
+import time
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -96,6 +97,15 @@ class TestSplits:
         with pytest.raises(EnumerationLimitError, match="24310 splits exceed the budget of 10000"):
             enumerate_splits(9)
 
+    @pytest.mark.parametrize("p", [7_147, 100_000, 1_000_000])
+    def test_budget_refuses_a_huge_half_count_quickly(self, p):
+        # r has 4,300 digits or more: it is printed as its bound, and past
+        # p = 10,000 it is not built at all
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError, match=rf"^C\({2 * p}, {p}\)/2 >= 2\^{p - 1} splits exceed"):
+            enumerate_splits(p)
+        assert time.perf_counter() - start < 1
+
     def test_nonpositive_half_count_rejected(self):
         with pytest.raises(MalformedInstanceError):
             enumerate_splits(0)
@@ -112,6 +122,15 @@ class TestDisjointnessInput:
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedInstanceError):
             DisjointnessInput(2, (1, 0), (0, 1, 0))
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_only_r_bits_pass_near_the_bound(self, p):
+        # r >= 2^(p-1) decides short strings without building r
+        r = split_count(p)
+        for count in {1, 2 ** (p - 1) - 1, 2 ** (p - 1), r - 1, r + 1} - {0, r}:
+            with pytest.raises(MalformedInstanceError, match=f"^x1 has {count} bits, expected r = {r} for p = {p}$"):
+                DisjointnessInput(p, (0,) * count, (0,) * r)
+        assert DisjointnessInput(p, (0,) * r, (1,) * r).x2 == (1,) * r
 
     def test_non_bit_rejected(self):
         with pytest.raises(MalformedInstanceError):

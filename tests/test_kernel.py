@@ -450,13 +450,15 @@ ENVELOPE_CANDIDATES = [
 ENVELOPE_CASES = [case for case in ENVELOPE_CANDIDATES if len(make_instance(*case).kernel.frontier) <= 14]
 
 
-# The scan keeps the first weight per mask and walks the masks in output
-# order, so the order decides the answers: besides the vertex set, each
-# envelope must equal the reference double description's list, order included.
+# The scan reads the vertex set alone, so only the set is pinned: each
+# envelope must hold exactly the (weight, mask) pairs of the reference double
+# description, which adds the rows in index order, each vertex once.
 
 
 def assert_envelope_matches_reference(points, eps):
-    assert _envelope_vertices(points, eps) == reference_envelope_vertices(points, eps)
+    found = _envelope_vertices(points, eps)
+    assert len(set(found)) == len(found)
+    assert set(found) == set(reference_envelope_vertices(points, eps))
 
 
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
@@ -468,6 +470,30 @@ def test_envelope_vertices_match_brute_force(case):
     assert len({w for w, _ in found}) == len(found)
     assert tight_indices(found) == brute_force_vertices(vectors, eps)
     assert_envelope_matches_reference(inst.kernel.frontier, eps)
+
+
+def mask_back(mask, order):
+    """A tight bitmask over the points ``order`` lists, as one over their indices."""
+    return sum(1 << order[f] for f in range(len(order)) if mask >> f & 1)
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide"])
+def test_envelope_is_the_same_set_for_any_point_order(workload):
+    # a permutation changes the start row and every later row's turn
+    with open(os.path.join(DATA, f"{workload}.json")) as fh:
+        data = json.load(fh)
+    rng = seeded_rng(f"permute:{workload}")
+    for j in range(0, len(data), 4):
+        inst = load_instance(data[j])
+        points = inst.kernel.frontier
+        eps = choose_epsilon(compute_rho(inst), inst.n)
+        want = set(_envelope_vertices(points, eps))
+        for _ in range(3):
+            order = list(range(len(points)))
+            rng.shuffle(order)
+            found = _envelope_vertices(tuple(points[f] for f in order), eps)
+            assert {(w, mask_back(mask, order)) for w, mask in found} == want, f"{workload}[{j}]"
+            assert len(found) == len(want)
 
 
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
