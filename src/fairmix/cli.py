@@ -54,13 +54,14 @@ def _warn(message):
 
 def _read_json(path):
     """The file's JSON, read as UTF-8; a decode error, a syntax error or an
-    int over Python's digit limit (all ``ValueError``) is not valid JSON."""
+    int over Python's digit limit (all ``ValueError``), or nesting past the
+    parser's recursion limit (``RecursionError``), is not valid JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 

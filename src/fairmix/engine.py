@@ -25,9 +25,14 @@ inclusion-maximal argmax sets is complete, in any order: exhausting the
 scan means an invariant broke.  The order is a function of the vertex set
 alone, never of the order the enumeration lists it in: each argmax set is
 scanned at its vertex farthest from the floor, and the sets larger first,
-then farther from the floor first (see ``_fallback_search``).  The map
-stays as a self-check on every candidate that passes the envy screen: its
-residual and the paper's lemmas must agree with the certificate.
+then farther from the floor first (see ``_fallback_search``).
+
+The map is kept where its lemma can fail.  At a vertex whose lottery has
+envy the map runs, and its residual must be positive, since a fixed point
+is envy-free.  At a vertex with no envy each player's best view is their
+own, so the map is the identity there: the answer's state takes nu = w
+and residual 0 without running it, and its checks are the certificate's
+two sides.
 
 The certificate's PE side takes the vertex weight as its witness: the
 answer is supported on the w-argmax with every w_i >= eps > 0, so
@@ -40,9 +45,9 @@ rho^n/n, where rho in (0, 1] is the instance's envy-gap constant, so it is
 below 1/n; "auto" takes half that bound, and ``choose_epsilon`` checks an
 explicit floor.
 
-Each scanned vertex that reaches the paper's map is described by one
-``FixedPointState``: the trace sink receives those states, and the answer
-is the state of its vertex.
+Each scanned vertex is described by one ``FixedPointState``: the trace
+sink receives those states, and the answer is the state of its vertex.
+The scan takes the same path with or without a sink.
 
 The map itself runs in ints: the corrected weights are int numerators over
 sum(w) * Σbest * Σown for the vertex's int weights and int views, the
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from operator import lt, mul, sub
+from operator import mul, sub
 
 from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
@@ -70,10 +75,10 @@ from .model import over_common_denominator
 
 @dataclass(frozen=True)
 class FixedPointState:
-    """One scanned vertex that reached the share step: the lottery chosen
-    there, the vertex weight, the paper's map at it (residual and corrected
-    weights ``nu``) and ``iteration``, its 1-based scan position.  The
-    answer is the state of its vertex."""
+    """One scanned vertex: the lottery chosen there, the vertex weight, the
+    paper's map at it (residual and corrected weights ``nu``) and
+    ``iteration``, its 1-based scan position.  The answer is the state of
+    its vertex, where the map is the identity."""
 
     p: MixedAllocation
     w: WeightVector
@@ -130,11 +135,10 @@ def select_p_in_P(w, inst, argmax=None):
     non-empty tuple or list of indices in 0..k-1, or this raises
     ``PreconditionError``.
 
-    The LP's solution is verified by substitution, so on a strictly
-    ascending argmax (one computed here, or the scan's) its positive entries
-    are already a lottery's canonical pairs and are wrapped unchecked by
-    ``MixedAllocation._of``; any other argmax, unsorted or with repeats,
-    goes through ``from_support``.
+    A given ``argmax`` is read as its set, ascending, so its order and
+    repeats change nothing.  The LP's solution is verified by substitution,
+    so its positive entries are already a lottery's canonical pairs and are
+    wrapped unchecked by ``MixedAllocation._of``.
     """
     _require_weight_for(w, inst)
     k = len(inst.allocations)
@@ -142,6 +146,8 @@ def select_p_in_P(w, inst, argmax=None):
         argmax = argmax_allocations(w, inst)
     elif not (isinstance(argmax, (tuple, list)) and argmax and all(is_int(j) and 0 <= j < k for j in argmax)):
         raise PreconditionError(f"argmax {argmax!r} is not a non-empty list of indices in 0..{k - 1}")
+    else:
+        argmax = tuple(sorted(set(argmax)))
     n = inst.n
     if n == 1 or len(argmax) == 1:
         return MixedAllocation.point_mass(k, argmax[0])
@@ -163,9 +169,7 @@ def select_p_in_P(w, inst, argmax=None):
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
     # zip stops before the trailing envy-bound columns s+ and s-
-    if all(map(lt, argmax, argmax[1:])):
-        return MixedAllocation._of(k, tuple((j, q) for j, q in zip(argmax, result.solution) if q))
-    return MixedAllocation.from_support(k, zip(argmax, result.solution))
+    return MixedAllocation._of(k, tuple((j, q) for j, q in zip(argmax, result.solution) if q))
 
 
 def _views(p, inst):
@@ -304,10 +308,11 @@ def _envelope_vertices(points, eps):
     Double description over primitive integer rays in homogeneous
     coordinates (x0, w_1..w_{n-1}, T), where w_n = x0 - sum of the others
     and T is t times the table's scale, over which the points are ints.  The
-    start is the simplicial cone of the n floor rows and the first vector's
-    row (independent because eps < 1/n): its rays are the n corners of W
-    and the recession direction (0, .., 0, 1).  The other vectors' rows are
-    added in descending uniform welfare (the sum of the vector), ties by
+    start is the simplicial cone of the n floor rows (bits 0..n-1) and the
+    first vector's row (bit n), independent because eps < 1/n; its rays,
+    the n corners of W and the recession direction (0, .., 0, 1), are
+    written down directly, so only the other vectors' rows are built.  They
+    are added in descending uniform welfare (the sum of the vector), ties by
     index.  The row order sets how much work the method does (Fukuda and
     Prodon 1996); this one tests about half the ray pairs of index order
     on the n = 4 instances in ``tests/data``.  Each row splits the rays by
@@ -320,12 +325,6 @@ def _envelope_vertices(points, eps):
     """
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
-    rows = []
-    for i in range(n - 1):
-        rows.append(tuple(-num if c == 0 else den if c == i + 1 else 0 for c in range(n + 1)))
-    rows.append((den - num,) + (-den,) * (n - 1) + (0,))
-    for u in points:
-        rows.append((-u[-1],) + tuple(u[-1] - x for x in u[:-1]) + (1,))
 
     # corner i scaled by den: x0 = den, w_i = den - (n-1)*num, the others num
     corner = den - (n - 1) * num
@@ -337,11 +336,11 @@ def _envelope_vertices(points, eps):
         rays.append((_primitive((den, *w[:-1], t)), tight))
     rays.append(((0,) * n + (1,), (1 << n) - 1))
 
-    # point f keeps row and bit n + f whatever its turn, so no mask is remapped
+    # point f keeps bit n + f whatever its turn, so no mask is remapped
     for f in sorted(range(1, len(points)), key=lambda f: -sum(points[f])):
-        r = n + f
-        row = rows[r]
-        bit = 1 << r
+        u = points[f]
+        row = (-u[-1], *(u[-1] - x for x in u[:-1]), 1)
+        bit = 1 << (n + f)
         pos, neg, kept = [], [], []
         for ray, tight in rays:
             s = sum(map(mul, row, ray))
@@ -382,14 +381,11 @@ def _least_share(weights):
     return Fraction(min(weights), sum(weights))
 
 
-def _farther_from_floor(a, b):
-    """Whether vertex weights ``a`` come before ``b``: a larger least share,
-    then the lexicographically greater normalized weight, compared in ints."""
-    total_a, total_b = sum(a), sum(b)
-    least_a, least_b = min(a) * total_b, min(b) * total_a
-    if least_a != least_b:
-        return least_a > least_b
-    return [x * total_b for x in a] > [x * total_a for x in b]
+def _rank(weights):
+    """The order in which a repeated argmax mask keeps its largest vertex:
+    the least share, then the normalized weight, lexicographically."""
+    total = sum(weights)
+    return _least_share(weights), [Fraction(x, total) for x in weights]
 
 
 def _scan_order(weight_of):
@@ -425,7 +421,7 @@ def _fallback_search(inst, eps, trace_sink=None):
     weight_of = {}
     for weights, tight in _envelope_vertices(points, eps):
         kept = weight_of.get(tight)
-        if kept is None or _farther_from_floor(weights, kept):
+        if kept is None or _rank(weights) > _rank(kept):
             weight_of[tight] = weights
     # larger first: a strict superset comes first, and containment is
     # transitive, so a mask no scanned mask contains is maximal
@@ -445,23 +441,22 @@ def _fallback_search(inst, eps, trace_sink=None):
         w = WeightVector._of(tuple(Fraction(x, total) for x in weights), eps)
         p = select_p_in_P(w, inst, amax)
         views = _views(p, inst)
-        envious = _envious(views)
-        if envious and trace_sink is None:
+        if _envious(views):
+            # the paper's lemma: a fixed point of the map is envy-free
+            nu, _, residual = _share_step(views, weights, eps)
+            if residual == 0:
+                raise EngineInvariantError("exact fixed point without envy-freeness")
+            if trace_sink is not None:
+                trace_sink.append(FixedPointState(p=p, w=w, residual=residual, iteration=len(scanned), nu=nu))
             continue
-        nu, _, residual = _share_step(views, weights, eps)
-        state = FixedPointState(p=p, w=w, residual=residual, iteration=len(scanned), nu=nu)
+        # with no envy every best view is the own view, so the map is the identity at w
+        state = FixedPointState(p=p, w=w, residual=Fraction(0), iteration=len(scanned), nu=w.w)
         if trace_sink is not None:
             trace_sink.append(state)
-        if envious:
-            continue
-        cert = certify(p, inst, residual=residual, weight=w.w)
-        if all(v >= eps for v in nu) and not cert.ef_ok:
-            raise EngineInvariantError("corrected weights lie in the domain yet envy persists")
-        if residual == 0 and not cert.ef_ok:
+        cert = certify(p, inst, residual=state.residual, weight=w.w)
+        if not cert.ef_ok:
             raise EngineInvariantError("exact fixed point without envy-freeness")
         if not cert.pe_ok:
             raise EngineInvariantError("argmax-supported lottery failed the efficiency check")
-        # no envy in the views gives nu == w, inside the domain, so the
-        # first check has already made the certificate's EF side hold
         return state, cert
     return None

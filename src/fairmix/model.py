@@ -15,8 +15,12 @@ bundle pairs; each is derived once per instance.  A
 lottery stores only its support, as ascending (index, probability) pairs,
 and ``expected_utility`` gives all its views as ints over one denominator,
 in one pass.  Counts, indices and masks are ints, never bools (``is_int``).
-Nothing in this module rounds.  Every type is immutable after construction
-and safe to share between threads.
+Nothing in this module rounds.  No type changes a value it holds after
+construction, but some derive values on first read and keep them: an
+``AllocationSet``'s ``bundles_seen()`` and ``columns()``, and the cached
+properties ``UtilityProfile.raw_values``, ``Instance.kernel`` and
+``Instance.rho``.  Each such cache is idempotent: concurrent first reads
+may each compute it, and they compute the same value.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ the frontier tests its last dominator first, and the scan and the
 tie-breaking LP wrap the weights and lotteries they build without
 re-checking them.  Each must give exactly what the Fraction oracles in
 ``oracles`` give: on every scanned state of the pinned desk and wide sets,
-envious ones included, and on the sets' instances.
+envious ones included, and on the sets' instances.  The map runs at the
+envious vertices only, traced or not, where a zero residual is an invariant
+failure, and the tie-breaking LP reads any argmax as its ascending set.
 """
 
 import json
@@ -197,3 +199,53 @@ def test_a_vertex_below_the_floor_is_an_invariant_failure(monkeypatch):
     monkeypatch.setattr(engine, "_envelope_vertices", lambda points, eps: [(tuple(broken), tight)])
     with pytest.raises(EngineInvariantError, match="below the weight floor"):
         find_fixed_point(inst)
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide"])
+def test_the_map_runs_on_envious_vertices_only(workload, monkeypatch):
+    # the answer's map is the identity, so neither a traced nor an untraced
+    # solve projects there: one projection per envious vertex, the same work
+    calls = []
+    project = engine.project_onto_truncated_simplex
+    monkeypatch.setattr(engine, "project_onto_truncated_simplex", lambda y, eps: calls.append(1) or project(y, eps))
+    for j, inst in enumerate(pinned(workload)):
+        calls.clear()
+        trace = []
+        find_fixed_point(inst, trace_sink=trace)
+        traced = len(calls)
+        calls.clear()
+        find_fixed_point(inst)
+        assert len(calls) == traced == len(trace) - 1, f"{workload}[{j}]"
+
+
+def test_a_zero_residual_at_an_envious_vertex_raises_untraced(monkeypatch):
+    # the first scanned vertex of this instance has envy (residual
+    # 2448028/18997947); a fixed point there would break the paper's lemma
+    raw = [
+        additive_table([F(2, 2), F(7, 2), F(6, 3), F(10, 3)]),
+        additive_table([F(1, 2), F(9, 2), F(3, 3), F(5, 1)]),
+    ]
+    inst = Instance.build(raw, all_partitions_allocation_set(2, 4))
+    trace = []
+    find_fixed_point(inst, trace_sink=trace)
+    assert trace[0].residual == F(2448028, 18997947)
+    share_step = engine._share_step
+    monkeypatch.setattr(engine, "_share_step", lambda *args: (*share_step(*args)[:2], F(0)))
+    with pytest.raises(EngineInvariantError, match="exact fixed point without envy-freeness"):
+        find_fixed_point(inst)
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide"])
+def test_select_reads_an_argmax_as_its_ascending_set(workload):
+    seen = 0
+    for j, (inst, trace, _) in enumerate(traced_solves(workload)):
+        for rec in trace:
+            amax = engine.argmax_allocations(rec.w, inst)
+            if len(amax) < 2:
+                continue
+            seen += 1
+            want = select_p_in_P(rec.w, inst, amax)
+            back = tuple(reversed(amax))
+            for argmax in (back, list(back), amax + amax, amax[-1:] + amax, back + amax[:1]):
+                assert select_p_in_P(rec.w, inst, argmax) == want, f"{workload}[{j}] {argmax}"
+    assert seen > 0

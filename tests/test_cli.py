@@ -101,6 +101,19 @@ class TestSolve:
         assert main(["solve", "--instance", str(path)]) == 1
         assert f"error: {path} is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--instance", "--allocation"])
+    def test_nesting_past_the_recursion_limit_is_invalid_json(self, flag, tmp_path, capsys):
+        # the parser recurses once per open bracket, so deep nesting raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        if flag == "--instance":
+            argv = ["solve", "--instance", str(path)]
+        else:
+            argv = ["verify", "--instance", symmetric_instance(tmp_path), "--allocation", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON") and "Traceback" not in err
+
     def test_bytes_that_are_not_utf8_are_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))

@@ -316,8 +316,8 @@ class TestFindFixedPoint:
     def test_certificate_against_the_lemmas_is_an_invariant_failure(
         self, monkeypatch, ef_ok, pe_ok
     ):
-        # a screened candidate has nu == w inside the domain and lies on the
-        # argmax, so the lemmas say its certificate must pass on both sides
+        # a screened candidate is a fixed point of the map (nu == w) and lies
+        # on the argmax, so the lemmas say its certificate must pass on both sides
         fake = SimpleNamespace(ef_ok=ef_ok, pe_ok=pe_ok, ok=False)
         monkeypatch.setattr(engine, "certify", lambda p, inst, residual=None, weight=None: fake)
         with pytest.raises(EngineInvariantError):
