@@ -22,7 +22,7 @@ from .engine import find_fixed_point
 from .envy import build_envy_graph, certify
 from .errors import EngineInvariantError, FairmixError
 from .hard import DisjointnessInput, build_hard_instance, verify_welfare_dichotomy
-from .model import as_fraction
+from .model import _shown, as_fraction
 from .serialize import (
     dump_certificate,
     dump_dichotomy_report,
@@ -74,7 +74,7 @@ def _open_for_writing(path):
 
 def _bits(text):
     if not text or any(c not in "01" for c in text):
-        raise CliError(f"expected a string of 0s and 1s, got {text!r}")
+        raise CliError(f"expected a string of 0s and 1s, got {_shown(text)}")
     return tuple(int(c) for c in text)
 
 

@@ -60,7 +60,6 @@ put it at or above the floor, and the tie-breaking LP's verified optimum by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -69,22 +68,18 @@ from operator import mul, sub
 from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
-from .model import MixedAllocation, WeightVector, as_fraction, expected_utility, is_int, is_swappable
+from .model import MixedAllocation, Value, WeightVector, as_fraction, expected_utility, is_int, is_swappable
 from .model import over_common_denominator
 
 
-@dataclass(frozen=True)
-class FixedPointState:
+class FixedPointState(Value):
     """One scanned vertex: the lottery chosen there, the vertex weight, the
     paper's map at it (residual and corrected weights ``nu``) and
     ``iteration``, its 1-based scan position.  The answer is the state of
     its vertex, where the map is the identity."""
 
-    p: MixedAllocation
-    w: WeightVector
-    residual: Fraction
-    iteration: int
-    nu: tuple
+    def __init__(self, p, w, residual, iteration, nu):
+        self.__dict__.update(p=p, w=w, residual=residual, iteration=iteration, nu=nu)
 
 
 def _argmax_of(points, members, weights):

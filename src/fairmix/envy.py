@@ -21,49 +21,41 @@ re-verified outside the LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from operator import mul
 
 from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, solve_lp
-from .model import MixedAllocation, _entries, _require_lottery_for, as_fraction, expected_utility
+from .model import MixedAllocation, Value, _entries, _require_lottery_for, as_fraction, expected_utility
 from .model import over_common_denominator
 
 
-@dataclass(frozen=True)
-class EnvyGraph:
+class EnvyGraph(Value):
     """Directed envy relation; each edge (envier, envied, margin) has margin > 0."""
 
-    n: int
-    edges: tuple
+    def __init__(self, n, edges):
+        self.__dict__.update(n=n, edges=edges)
 
 
-@dataclass(frozen=True)
-class EfCheck:
-    ok: bool
-    witness: tuple | None = None
+class EfCheck(Value):
+    def __init__(self, ok, witness=None):
+        self.__dict__.update(ok=ok, witness=witness)
 
 
-@dataclass(frozen=True)
-class PeCheck:
+class PeCheck(Value):
     """PE verdict: a re-verified ``dominator`` with its ``gains`` when the LP
     finds one, or the ``weight`` witness that proved efficiency."""
 
-    ok: bool
-    dominator: MixedAllocation | None = None
-    gains: tuple | None = None
-    weight: tuple | None = None
+    def __init__(self, ok, dominator=None, gains=None, weight=None):
+        self.__dict__.update(ok=ok, dominator=dominator, gains=gains, weight=weight)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Joint EF and PE verdict, with witnesses for whichever side fails."""
 
-    ef: EfCheck
-    pe: PeCheck
-    fixed_point_residual: Fraction | None = None
+    def __init__(self, ef, pe, fixed_point_residual=None):
+        self.__dict__.update(ef=ef, pe=pe, fixed_point_residual=fixed_point_residual)
 
     @property
     def ef_ok(self):

@@ -23,7 +23,6 @@ check.  Past a limit they raise ``EnumerationLimitError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,8 +31,10 @@ from .errors import EnumerationLimitError, MalformedInstanceError
 from .model import (
     Instance,
     MixedAllocation,
+    Value,
     _entries,
     _require_int,
+    _shown,
     all_partitions_allocation_set,
     is_int,
 )
@@ -67,27 +68,24 @@ def _split_count_text(p):
     return f"C({2 * p}, {p})/2 >= 2^{p - 1}"
 
 
-@dataclass(frozen=True)
-class DisjointnessInput:
+class DisjointnessInput(Value):
     """Half-count p plus one r-bit string per player."""
 
-    p: int
-    x1: tuple
-    x2: tuple
-
-    def __post_init__(self):
-        _require_half_count(self.p)
-        for name, bits in (("x1", self.x1), ("x2", self.x2)):
+    def __init__(self, p, x1, x2):
+        _require_half_count(p)
+        strings = {}
+        for name, bits in (("x1", x1), ("x2", x2)):
             bits = tuple(_entries(bits, name))
             # r >= 2^(p-1): a shorter string is rejected before r is built
-            if len(bits).bit_length() < self.p or len(bits) != split_count(self.p):
+            if len(bits).bit_length() < p or len(bits) != split_count(p):
                 raise MalformedInstanceError(
-                    f"{name} has {len(bits)} bits, expected r = {_split_count_text(self.p)} for p = {self.p}"
+                    f"{name} has {len(bits)} bits, expected r = {_split_count_text(p)} for p = {p}"
                 )
             for b in bits:
                 if not is_int(b) or b not in (0, 1):
-                    raise MalformedInstanceError(f"{name} contains a non-bit entry {b!r}")
-            object.__setattr__(self, name, bits)
+                    raise MalformedInstanceError(f"{name} contains a non-bit entry {_shown(b)}")
+            strings[name] = bits
+        self.__dict__.update(p=p, **strings)
 
     def shares_flagged_index(self):
         return any(a and b for a, b in zip(self.x1, self.x2))
@@ -178,24 +176,25 @@ def check_submodular(values, m):
     return True, None
 
 
-@dataclass(frozen=True)
-class CertifiedOutcome:
-    kind: str  # "deterministic" | "split_lottery"
-    bundles: tuple | None
-    split_index: int | None
-    welfare: Fraction
+class CertifiedOutcome(Value):
+    """One certified outcome; ``kind`` is "deterministic" or "split_lottery"."""
+
+    def __init__(self, kind, bundles, split_index, welfare):
+        self.__dict__.update(kind=kind, bundles=bundles, split_index=split_index, welfare=welfare)
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
-    p: int
-    x1: tuple
-    x2: tuple
-    intersecting: bool
-    target_welfare: Fraction
-    certified: tuple
-    dichotomy_holds: bool
-    flagged_mixed: tuple
+class DichotomyReport(Value):
+    def __init__(self, p, x1, x2, intersecting, target_welfare, certified, dichotomy_holds, flagged_mixed):
+        self.__dict__.update(
+            p=p,
+            x1=x1,
+            x2=x2,
+            intersecting=intersecting,
+            target_welfare=target_welfare,
+            certified=certified,
+            dichotomy_holds=dichotomy_holds,
+            flagged_mixed=flagged_mixed,
+        )
 
 
 def _raw_welfare(p, inst):

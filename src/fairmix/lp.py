@@ -55,7 +55,6 @@ comparisons.  Only the result is built as Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -67,7 +66,7 @@ from .errors import (
     MalformedLpError,
     PreconditionError,
 )
-from .model import _entries, as_fraction, over_common_denominator
+from .model import Value, _entries, as_fraction, over_common_denominator
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -84,8 +83,7 @@ def _coefficient(value):
         raise MalformedLpError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Value):
     """Maximize objective . x subject to rows (a, rel, b) and every x_j >= 0.
 
     The objective has one entry per variable and may not be empty; a
@@ -97,17 +95,14 @@ class LinearProgram:
     itself enter through ``_of`` unchecked.
     """
 
-    objective: tuple
-    constraints: tuple = ()
-
-    def __post_init__(self):
-        if not isinstance(self.objective, (tuple, list)) or not self.objective:
+    def __init__(self, objective, constraints=()):
+        if not isinstance(objective, (tuple, list)) or not objective:
             raise MalformedLpError("the objective needs one entry per variable")
-        obj = tuple(_coefficient(c) for c in self.objective)
-        if not isinstance(self.constraints, (tuple, list)):
+        obj = tuple(_coefficient(c) for c in objective)
+        if not isinstance(constraints, (tuple, list)):
             raise MalformedLpError("the constraints must be a sequence of (a, rel, b) rows")
         rows = []
-        for constraint in self.constraints:
+        for constraint in constraints:
             if not isinstance(constraint, (tuple, list)) or len(constraint) != 3:
                 raise MalformedLpError(f"constraint {constraint!r} is not an (a, rel, b) triple")
             row, rel, rhs = constraint
@@ -121,8 +116,7 @@ class LinearProgram:
                     f"constraint row has {len(row)} entries, expected {len(obj)}"
                 )
             rows.append((row, rel, _coefficient(rhs)))
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(rows))
+        self.__dict__.update(objective=obj, constraints=tuple(rows))
 
     @classmethod
     def _of(cls, objective, constraints):
@@ -139,11 +133,9 @@ class LinearProgram:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str
-    solution: tuple | None = None
-    objective_value: Fraction | None = None
+class LpResult(Value):
+    def __init__(self, status, solution=None, objective_value=None):
+        self.__dict__.update(status=status, solution=solution, objective_value=objective_value)
 
 
 def _pivot(rows, r, c, d):

@@ -25,7 +25,6 @@ may each compute it, and they compute the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress, permutations
@@ -36,6 +35,16 @@ from .errors import EnumerationLimitError, MalformedInstanceError
 
 MAX_ITEMS = 24
 DEFAULT_ENUMERATION_BUDGET = 200_000
+SHOWN_CHARS = 60
+
+
+def _shown(value):
+    """``repr(value)`` for an error message: whole up to ``SHOWN_CHARS``
+    characters, else its first ``SHOWN_CHARS`` and its length."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def as_fraction(value):
@@ -48,7 +57,9 @@ def as_fraction(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInstanceError(f"bad rational {value!r}: {exc}") from exc
+            # Fraction's own message may echo the string whole
+            shown = _shown(value)
+            raise MalformedInstanceError(f"bad rational {shown}: {str(exc).replace(repr(value), shown)}") from exc
     if isinstance(value, bool):
         raise MalformedInstanceError(f"boolean is not a rational value: {value!r}")
     if isinstance(value, int):
@@ -56,7 +67,7 @@ def as_fraction(value):
     # last: an isinstance check against Fraction, an ABC, is slow for other types
     if isinstance(value, Fraction):
         return value
-    raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {value!r}")
+    raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {_shown(value)}")
 
 
 def _plain_ratio(text):
@@ -101,7 +112,7 @@ def _pairs_over_common_denominator(pairs):
 
 def _require_int(value, name):
     if not is_int(value):
-        raise MalformedInstanceError(f"{name} must be an integer, got {value!r}")
+        raise MalformedInstanceError(f"{name} must be an integer, got {_shown(value)}")
 
 
 def _entries(values, name):
@@ -109,29 +120,64 @@ def _entries(values, name):
     try:
         return iter(values)
     except TypeError:
-        raise MalformedInstanceError(f"{name} {values!r} is not a sequence") from None
+        raise MalformedInstanceError(f"{name} {_shown(values)} is not a sequence") from None
 
 
-@dataclass(frozen=True)
-class PureAllocation:
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass's fields are the parameters of its ``__init__``, in order;
+    the ``__init__`` runs the class's checks and stores the fields in the
+    instance dict.  Objects of one class are equal, with equal hashes, when
+    their fields are; ``repr`` shows ``Name(field=value, ...)``; assigning
+    or deleting an attribute raises ``AttributeError``.  Cached properties
+    write to the instance dict themselves, so they still work.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _key(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PureAllocation(Value):
     """One deterministic allocation: bundle ``bundles[i]`` goes to player ``i``.
 
     Bundles must be pairwise disjoint.  They need not cover all items;
     partially allocated outcomes are legal.
     """
 
-    bundles: tuple[int, ...]
-
-    def __post_init__(self):
-        bundles = tuple(_entries(self.bundles, "bundle list"))
+    def __init__(self, bundles):
+        bundles = tuple(_entries(bundles, "bundle list"))
         seen = 0
         for b in bundles:
             if not is_int(b) or b < 0:
-                raise MalformedInstanceError(f"bundle mask {b!r} is not an integer >= 0")
+                raise MalformedInstanceError(f"bundle mask {_shown(b)} is not an integer >= 0")
             if seen & b:
                 raise MalformedInstanceError(f"overlapping bundles in {bundles}")
             seen |= b
-        object.__setattr__(self, "bundles", bundles)
+        self.__dict__.update(bundles=bundles)
 
 
 class AllocationSet:
@@ -212,8 +258,7 @@ class AllocationSet:
         return self._columns
 
 
-@dataclass(frozen=True)
-class UtilityProfile:
+class UtilityProfile(Value):
     """Per-player bundle values rescaled into [1, 2], as ints over one denominator.
 
     ``table[i][bundle]`` is player i's rescaled value times ``scale``, the
@@ -226,10 +271,8 @@ class UtilityProfile:
     ``raw_values`` gives them as Fractions, built on first use.
     """
 
-    table: tuple[dict, ...]
-    scale: int
-    raw_num: tuple[dict, ...]
-    raw_den: tuple[int, ...]
+    def __init__(self, table, scale, raw_num, raw_den):
+        self.__dict__.update(table=table, scale=scale, raw_num=raw_num, raw_den=raw_den)
 
     @property
     def n(self):
@@ -260,11 +303,11 @@ def normalize_utilities(raw):
     tables = []
     for i, values in enumerate(_entries(raw, "utility list")):
         if not hasattr(values, "items"):
-            raise MalformedInstanceError(f"utility table {values!r} of player {i} is not a mapping")
+            raise MalformedInstanceError(f"utility table {_shown(values)} of player {i} is not a mapping")
         checked = {}
         for bundle, v in values.items():
             if not is_int(bundle) or bundle < 0:
-                raise MalformedInstanceError(f"bundle mask {bundle!r} is not an integer >= 0")
+                raise MalformedInstanceError(f"bundle mask {_shown(bundle)} is not an integer >= 0")
             checked[bundle] = _num_den(v)
         tables.append(checked)
     return _normalize_checked(tables)
@@ -305,16 +348,11 @@ def _normalize_checked(checked):
     return UtilityProfile(table, common, tuple(raw_num), tuple(raw_den))
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Value):
     """A fair-division instance: players, items, utilities, legal allocations."""
 
-    n: int
-    m: int
-    utilities: UtilityProfile
-    allocations: AllocationSet
-
-    def __post_init__(self):
+    def __init__(self, n, m, utilities, allocations):
+        self.__dict__.update(n=n, m=m, utilities=utilities, allocations=allocations)
         _require_int(self.n, "player count n")
         _require_int(self.m, "item count m")
         if self.n < 1:
@@ -400,8 +438,7 @@ class Instance:
         return Fraction(best_num, 2 * best_den)
 
 
-@dataclass(frozen=True)
-class UtilityKernel:
+class UtilityKernel(Value):
     """Own-utility data of an instance, derived once, in integers.
 
     ``own_num[i][j]`` is player i's entry of the profile's integer table
@@ -414,10 +451,8 @@ class UtilityKernel:
     views differ.
     """
 
-    own_num: tuple
-    points: tuple
-    frontier: tuple
-    members: tuple
+    def __init__(self, own_num, points, frontier, members):
+        self.__dict__.update(own_num=own_num, points=points, frontier=frontier, members=members)
 
     @classmethod
     def of(cls, inst):
@@ -549,8 +584,7 @@ def swap_closure(allocations):
     return AllocationSet._of(closed, allocations.n, allocations.bundles_seen())
 
 
-@dataclass(frozen=True)
-class MixedAllocation:
+class MixedAllocation(Value):
     """A lottery over an allocation set of size ``k``: exact probabilities summing to one.
 
     Only the support is stored: ``pairs`` holds the ``(index, probability)``
@@ -563,12 +597,9 @@ class MixedAllocation:
     verified LP optimum) are wrapped by ``_of`` unchecked.
     """
 
-    k: int
-    pairs: tuple
-
-    def __post_init__(self):
-        _require_int(self.k, "lottery size k")
-        object.__setattr__(self, "pairs", _checked_pairs(self.k, self.pairs))
+    def __init__(self, k, pairs):
+        _require_int(k, "lottery size k")
+        self.__dict__.update(k=k, pairs=_checked_pairs(k, pairs))
 
     @classmethod
     def _of(cls, k, pairs):
@@ -601,7 +632,7 @@ def _checked_pairs(k, items):
         try:
             j, q = pair
         except (TypeError, ValueError):
-            msg = f"lottery entry {pair!r} is not an (index, probability) pair"
+            msg = f"lottery entry {_shown(pair)} is not an (index, probability) pair"
             raise MalformedInstanceError(msg) from None
         _require_int(j, "lottery index")
         if not 0 <= j < k:
@@ -617,21 +648,16 @@ def _checked_pairs(k, items):
     return tuple(sorted(probs.items()))
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Value):
     """A point of the truncated simplex: sums to one, every coordinate >= epsilon.
 
     The constructor checks and coerces; a weight the program built on the
     simplex (a scanned vertex) is wrapped by ``_of`` unchecked."""
 
-    w: tuple[Fraction, ...]
-    epsilon: Fraction
-
-    def __post_init__(self):
-        w = tuple(as_fraction(v) for v in _entries(self.w, "weight vector"))
-        eps = as_fraction(self.epsilon)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "epsilon", eps)
+    def __init__(self, w, epsilon):
+        w = tuple(as_fraction(v) for v in _entries(w, "weight vector"))
+        eps = as_fraction(epsilon)
+        self.__dict__.update(w=w, epsilon=eps)
         n = len(w)
         if n == 0:
             raise MalformedInstanceError("empty weight vector")

@@ -27,6 +27,7 @@ from .model import (
     _normalize_checked,
     _num_den,
     _pairs_over_common_denominator,
+    _shown,
     all_partitions_allocation_set,
     as_fraction,
     is_int,
@@ -44,7 +45,7 @@ def mask_to_items(mask):
     """Bitmask to sorted 1-based item list.  A mask that is not an int >= 0
     (a bool is not an int here) raises ``MalformedInstanceError``."""
     if not is_int(mask) or mask < 0:
-        raise MalformedInstanceError(f"bundle mask {mask!r} is not an integer >= 0")
+        raise MalformedInstanceError(f"bundle mask {_shown(mask)} is not an integer >= 0")
     items = []
     g = 0
     while mask:
@@ -61,7 +62,7 @@ def items_to_mask(items, m):
     mask = 0
     for item in _entries(items, "item list"):
         if not is_int(item) or not 1 <= item <= m:
-            raise MalformedInstanceError(f"item {item!r} outside 1..{m}")
+            raise MalformedInstanceError(f"item {_shown(item)} outside 1..{m}")
         bit = 1 << (item - 1)
         if mask & bit:
             raise MalformedInstanceError(f"item {item} listed twice in one bundle")
@@ -110,6 +111,18 @@ def load_instance(data, strict=False, warn=None):
     n, m = data["n"], data["m"]
     _require(is_int(n) and n >= 1, "n", "need an integer >= 1")
     _require(is_int(m) and 0 <= m <= MAX_ITEMS, "m", f"need an integer in 0..{MAX_ITEMS}")
+    util = data["utilities"]
+    _require(isinstance(util, dict), "utilities", "must be an object with a 'type' tag")
+    kind = util.get("type")
+    if kind == "table":
+        key, noun = "values", "table"
+    elif kind == "additive":
+        key, noun = "items", "item list"
+    else:
+        raise MalformedInstanceError(f"field 'utilities.type': expected 'table' or 'additive', got {_shown(kind)}")
+    # checked before the allocation set is built: all partitions cost one column per player
+    rows = util.get(key)
+    _require(isinstance(rows, list) and len(rows) == n, f"utilities.{key}", f"need one {noun} per player ({n})")
 
     spec = data["allocations"]
     if spec == "all_partitions":
@@ -131,12 +144,7 @@ def load_instance(data, strict=False, warn=None):
             if warn is not None:
                 warn(message)
 
-    util = data["utilities"]
-    _require(isinstance(util, dict), "utilities", "must be an object with a 'type' tag")
-    kind = util.get("type")
     if kind == "table":
-        rows = util.get("values")
-        _require(isinstance(rows, list) and len(rows) == n, "utilities.values", f"need one table per player ({n})")
         raw = []
         top = 1 << m
         for i, row in enumerate(rows):
@@ -148,14 +156,12 @@ def load_instance(data, strict=False, warn=None):
                 _require(isinstance(pair, list) and len(pair) == 2, field, "entries are [mask, value] pairs")
                 mask, value = pair
                 if not (is_int(mask) and 0 <= mask < top):
-                    _fail(field, f"bundle mask {mask!r} outside 0..{top - 1}")
+                    _fail(field, f"bundle mask {_shown(mask)} outside 0..{top - 1}")
                 if mask in table:
                     _fail(field, f"duplicate bundle mask {mask}")
                 table[mask] = _in_field(field, _num_den, value)
             raw.append(table)
-    elif kind == "additive":
-        rows = util.get("items")
-        _require(isinstance(rows, list) and len(rows) == n, "utilities.items", f"need one item list per player ({n})")
+    else:
         raw = []
         needed = aset.bundles_seen() | {0}
         for i, row in enumerate(rows):
@@ -163,8 +169,6 @@ def load_instance(data, strict=False, warn=None):
             _require(isinstance(row, list) and len(row) == m, field, f"need {m} item values")
             per_item, den = _pairs_over_common_denominator(_in_field(field, list, map(_num_den, row)))
             raw.append({mask: (sum(per_item[g] for g in range(m) if mask >> g & 1), den) for mask in needed})
-    else:
-        raise MalformedInstanceError(f"field 'utilities.type': expected 'table' or 'additive', got {kind!r}")
 
     # every key is a checked mask and every value an int pair: skip the re-check
     return _in_field("utilities", lambda: Instance(n, m, _normalize_checked(raw), aset))
@@ -217,7 +221,7 @@ def load_mixed_allocation(data, inst):
         _require("bundles" in entry and "probability" in entry, field, "need bundles and probability")
         allocation = _parse_allocation_entry(entry["bundles"], inst.n, inst.m, field)
         j = inst.allocations.index.get(allocation.bundles)
-        _require(j is not None, field, f"allocation {entry['bundles']} is not in the instance's set")
+        _require(j is not None, field, f"allocation {_shown(entry['bundles'])} is not in the instance's set")
         _require(j not in probs, field, "allocation listed twice")
         probs[j] = _in_field(field, as_fraction, entry["probability"])
     return _in_field("support", MixedAllocation.from_support, len(inst.allocations), probs)

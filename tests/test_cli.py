@@ -186,6 +186,12 @@ class TestSolve:
         assert "floor 1/18 is not below the envy-gap bound 1/18" in capsys.readouterr().err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("epsilon", ["1/" + "9" * 5000, "x" * 5000], ids=["digits", "letters"])
+    def test_over_long_epsilon_is_clipped_in_the_error(self, tmp_path, capsys, epsilon):
+        assert main(["solve", "--instance", symmetric_instance(tmp_path), "--epsilon", epsilon]) == 1
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and f"... ({len(repr(epsilon))} characters)" in err
+
     def test_bad_epsilon_values(self, tmp_path, capsys):
         instance = symmetric_instance(tmp_path)
         assert main(["solve", "--instance", instance, "--epsilon", "abc"]) == 1
@@ -433,6 +439,18 @@ class TestFlagContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 2
+
+    def test_import_loads_no_code_generation_modules(self):
+        # a fresh process pays for every module the CLI imports; these pull
+        # in source parsing and disassembly that no operation needs
+        src = os.path.dirname(os.path.dirname(fairmix.__file__))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import fairmix.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 

@@ -3,7 +3,6 @@
 import json
 import os
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
@@ -642,6 +641,12 @@ class TestWeightVector:
             WeightVector((), F(1, 2))
 
 
+def instance_with(inst, **changes):
+    """``Instance(...)`` over ``inst``'s fields, with ``changes`` in place of some."""
+    fields = {"n": inst.n, "m": inst.m, "utilities": inst.utilities, "allocations": inst.allocations}
+    return Instance(**{**fields, **changes})
+
+
 class TestInstance:
     def build_symmetric(self):
         raw = [{0: 0, 1: 1, 2: 1, 3: 2}] * 2
@@ -670,7 +675,7 @@ class TestInstance:
     )
     def test_rejects_inconsistent_fields(self, field, value, match):
         with pytest.raises(MalformedInstanceError, match=match):
-            replace(self.build_symmetric(), **{field: value})
+            instance_with(self.build_symmetric(), **{field: value})
 
     def test_item_beyond_m_names_the_allocation(self):
         allocations = AllocationSet([PureAllocation((1, 0)), PureAllocation((0, 4)), PureAllocation((2, 1))])
@@ -778,9 +783,9 @@ def one_item_instance():
         lambda: all_partitions_allocation_set(2, 2.0),
         lambda: all_partitions_allocation_set("2", 2),
         lambda: all_partitions_allocation_set(True, 1),
-        lambda: replace(one_item_instance(), n=2.0),
-        lambda: replace(one_item_instance(), m=1.5),
-        lambda: replace(one_item_instance(), m=True),
+        lambda: instance_with(one_item_instance(), n=2.0),
+        lambda: instance_with(one_item_instance(), m=1.5),
+        lambda: instance_with(one_item_instance(), m=True),
     ],
     ids=[
         "point-mass-bool-index",

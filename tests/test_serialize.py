@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from fairmix import (
 )
 from fairmix.engine import FixedPointState
 from fairmix.hard import DisjointnessInput
-from fairmix.model import WeightVector, as_fraction
+from fairmix.model import SHOWN_CHARS, WeightVector, as_fraction
 from fairmix.serialize import items_to_mask, mask_to_items
 
 from conftest import additive_table
@@ -69,6 +70,38 @@ class TestRationals:
     def test_float_rejected(self):
         with pytest.raises(MalformedInstanceError):
             as_fraction(0.5)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "bad rational 'abc': Invalid literal for Fraction: 'abc'"),
+            ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+            ([1, "2"], "non-rational value of type list: [1, '2']"),
+            # a string of SHOWN_CHARS - 2 characters has a repr of exactly SHOWN_CHARS
+            (
+                "x" * (SHOWN_CHARS - 2),
+                "bad rational {0!r}: Invalid literal for Fraction: {0!r}".format("x" * (SHOWN_CHARS - 2)),
+            ),
+        ],
+        ids=["letters", "zero-denominator", "list", "at-the-limit"],
+    )
+    def test_short_values_are_echoed_whole(self, value, message):
+        with pytest.raises(MalformedInstanceError) as info:
+            as_fraction(value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1/" + "9" * 5000, "x" * (SHOWN_CHARS - 1), "x" * 5000, ["1"] * 5000],
+        ids=["digits", "just-over", "letters", "list"],
+    )
+    def test_long_values_are_clipped_to_a_prefix_and_their_length(self, value):
+        # the digit-limit case: Python's own message follows the clipped value
+        with pytest.raises(MalformedInstanceError) as info:
+            as_fraction(value)
+        message = str(info.value)
+        shown = f"{repr(value)[:SHOWN_CHARS]}... ({len(repr(value))} characters)"
+        assert len(message) < 300 and message.count(shown) >= 1
 
     @staticmethod
     def outcome(parse, text, errors):
@@ -281,6 +314,27 @@ class TestInstanceLoad:
         }
         with pytest.raises(MalformedInstanceError):
             load_instance(data)
+
+    @pytest.mark.parametrize("kind, key, noun", [("additive", "items", "item list"), ("table", "values", "table")])
+    def test_row_count_is_checked_before_the_allocation_set(self, kind, key, noun):
+        # all partitions of no items over n players are n columns of one
+        # mask: at this n, building them first would exhaust memory
+        n = 10**12
+        data = {"n": n, "m": 0, "utilities": {"type": kind, key: [[]]}, "allocations": "all_partitions"}
+        start = time.perf_counter()
+        with pytest.raises(MalformedInstanceError) as info:
+            load_instance(data)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == f"field 'utilities.{key}': need one {noun} per player ({n})"
+
+    def test_unknown_utility_type_is_clipped(self):
+        data = symmetric_instance_data()
+        data["utilities"] = {"type": "t" * 1000}
+        with pytest.raises(MalformedInstanceError) as info:
+            load_instance(data)
+        assert str(info.value) == (
+            f"field 'utilities.type': expected 'table' or 'additive', got {'t' * 1000!r:.60}... (1002 characters)"
+        )
 
     @pytest.mark.parametrize("workload", ["desk", "wide"])
     def test_loaded_profile_matches_normalize_utilities(self, workload):
