@@ -22,7 +22,7 @@ from .engine import find_fixed_point
 from .envy import build_envy_graph, certify
 from .errors import EngineInvariantError, FairmixError
 from .hard import DisjointnessInput, build_hard_instance, verify_welfare_dichotomy
-from .model import _shown, as_fraction
+from .model import SHOWN_CHARS, _clipped, _shown, as_fraction
 from .serialize import (
     dump_certificate,
     dump_dichotomy_report,
@@ -37,6 +37,11 @@ from .serialize import (
 )
 
 
+# argparse's own words and real file paths run longer than the values
+# ``_shown`` echoes, so a message or path is clipped at four times as much
+_ECHO_CHARS = 4 * SHOWN_CHARS
+
+
 class CliError(Exception):
     """Flag or file problem surfaced before any computation ran."""
 
@@ -44,8 +49,9 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags by default; flag errors are
     # input errors (exit 1) under the exit-code contract, and 2 stays retired.
+    # Its message echoes what was typed: a value, a flag or every extra word.
     def error(self, message):
-        raise CliError(message)
+        raise CliError(_clipped(message, _ECHO_CHARS))
 
 
 def _warn(message):
@@ -60,16 +66,17 @@ def _read_json(path):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {_clipped(path, _ECHO_CHARS)}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+        raise CliError(f"{_clipped(path, _ECHO_CHARS)} is not valid JSON: {exc}") from exc
 
 
 def _open_for_writing(path):
+    # the OS error's own text repeats the path, so only its reason is shown
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+        raise CliError(f"cannot write {_clipped(path, _ECHO_CHARS)}: {exc.strerror or exc}") from exc
 
 
 def _bits(text):

@@ -23,9 +23,11 @@ only scanned vertices get a ``WeightVector``.  The argmax set of any weight
 is contained in that of some vertex, so scanning the vertices with
 inclusion-maximal argmax sets is complete, in any order: exhausting the
 scan means an invariant broke.  The order is a function of the vertex set
-alone, never of the order the enumeration lists it in: each argmax set is
-scanned at its vertex farthest from the floor, and the sets larger first,
-then farther from the floor first (see ``_fallback_search``).
+alone, never of the order the enumeration lists it in: one sort of the
+vertices, larger argmax sets first, then farther from the floor first,
+and a vertex whose argmax set lies in a scanned one is skipped, so each
+maximal set is scanned at its vertex farthest from the floor (see
+``_fallback_search``).
 
 The map is kept where its lemma can fail.  At a vertex whose lottery has
 envy the map runs, and its residual must be positive, since a fixed point
@@ -52,10 +54,9 @@ The scan takes the same path with or without a sink.
 The map itself runs in ints: the corrected weights are int numerators over
 sum(w) * Σbest * Σown for the vertex's int weights and int views, the
 projection clamps in ints (see ``lp``), and the L1 step is one Fraction of
-one int sum.  Values the scan builds are wrapped without re-checking: the
-vertex weight by ``WeightVector._of`` once one int comparison per entry has
-put it at or above the floor, and the tie-breaking LP's verified optimum by
-``MixedAllocation._of``.
+one int sum.  Values the scan builds are wrapped without re-checking, by
+``Value._of``: the vertex weight once one int comparison per entry has put
+it at or above the floor, and the tie-breaking LP's verified optimum.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, Value, WeightVector, as_fraction, expected_utility, is_int, is_swappable
-from .model import over_common_denominator
+from .model import _shown, over_common_denominator
 
 
 class FixedPointState(Value):
@@ -246,7 +247,7 @@ def choose_epsilon(rho, n, epsilon="auto"):
     ``MalformedInstanceError`` when it is not a rational at all.
     """
     if not (is_int(n) and n >= 1):
-        raise PreconditionError(f"player count must be an integer >= 1, got {n!r}")
+        raise PreconditionError(f"player count must be an integer >= 1, got {_shown(n)}")
     if epsilon != "auto":
         eps = as_fraction(epsilon)
         if eps <= 0:
@@ -371,26 +372,22 @@ def _primitive(ray):
     return tuple(map(g.__rfloordiv__, ray)) if g > 1 else ray
 
 
-def _least_share(weights):
-    """min(w)/sum(w) for a vertex's int weights: how far the vertex is from the floor."""
-    return Fraction(min(weights), sum(weights))
+def _scan_order(vertices):
+    """The ``(weights, mask)`` vertices in scan order, by one key: the larger
+    mask first, then the larger least share min(w)/sum(w), then the
+    ascending mask, then the lexicographically greater normalized weight.
+    Each mask size is sorted only when reached."""
 
+    def key(vertex):
+        weights, mask = vertex
+        total = sum(weights)
+        return Fraction(-min(weights), total), mask, [Fraction(-x, total) for x in weights]
 
-def _rank(weights):
-    """The order in which a repeated argmax mask keeps its largest vertex:
-    the least share, then the normalized weight, lexicographically."""
-    total = sum(weights)
-    return _least_share(weights), [Fraction(x, total) for x in weights]
-
-
-def _scan_order(weight_of):
-    """The masks of ``weight_of`` larger first, then by the larger least share
-    of their weight, then ascending; each size is sorted only when reached."""
     by_size = {}
-    for mask in weight_of:
-        by_size.setdefault(mask.bit_count(), []).append(mask)
+    for vertex in vertices:
+        by_size.setdefault(vertex[1].bit_count(), []).append(vertex)
     for size in sorted(by_size, reverse=True):
-        yield from sorted(by_size[size], key=lambda mask: (-_least_share(weight_of[mask]), mask))
+        yield from sorted(by_size[size], key=key)
 
 
 def _fallback_search(inst, eps, trace_sink=None):
@@ -402,30 +399,26 @@ def _fallback_search(inst, eps, trace_sink=None):
     least as well on envy.  The scan is therefore complete: by the paper's
     existence theorem some maximal vertex yields an envy-free lottery.
 
-    The order depends on the vertex set alone.  Each argmax mask keeps the
-    vertex with the largest least share min(w)/sum(w), ties to the
-    lexicographically greatest normalized weight; the masks are scanned
-    larger first, then by the larger least share, then by ascending mask
-    value.  Returns ``(state, certificate)`` for the first vertex that
-    yields an envy-free lottery, or None.  The scan is the only search; it
-    keeps the name ``bench/tracing.py`` binds.
+    The order depends on the vertex set alone: the vertices are sorted by
+    one key (``_scan_order``), and a vertex is skipped when its mask lies
+    in a scanned one, its own included.  So each maximal mask is scanned at
+    its vertex of the largest least share min(w)/sum(w), ties to the
+    lexicographically greatest normalized weight.  Returns ``(state,
+    certificate)`` for the first vertex that yields an envy-free lottery,
+    or None.  The scan is the only search; it keeps the name
+    ``bench/tracing.py`` binds.
     """
     kernel = inst.kernel
     points, members = kernel.frontier, kernel.members
     floor_num, floor_den = eps.numerator, eps.denominator
-    weight_of = {}
-    for weights, tight in _envelope_vertices(points, eps):
-        kept = weight_of.get(tight)
-        if kept is None or _rank(weights) > _rank(kept):
-            weight_of[tight] = weights
     # larger first: a strict superset comes first, and containment is
-    # transitive, so a mask no scanned mask contains is maximal
+    # transitive, so a mask no scanned mask contains is maximal; a repeated
+    # mask contains itself, so it is scanned at its first vertex only
     scanned = []
-    for mask in _scan_order(weight_of):
+    for weights, mask in _scan_order(_envelope_vertices(points, eps)):
         if any(kept & mask == mask for kept in scanned):
             continue
         scanned.append(mask)
-        weights = weight_of[mask]
         amax = _argmax_of(points, members, weights)
         tight = (members[f] for f in range(len(members)) if mask >> f & 1)
         if amax != tuple(sorted(chain.from_iterable(tight))):

@@ -47,7 +47,7 @@ DICHOTOMY_P_CAP = 3
 def _require_half_count(p):
     """The one check of a half-count: p must be an int >= 1, not a bool."""
     if not is_int(p) or p < 1:
-        raise MalformedInstanceError(f"half-count must be an integer >= 1, got {p!r}")
+        raise MalformedInstanceError(f"half-count must be an integer >= 1, got {_shown(p)}")
 
 
 def split_count(p):
@@ -57,7 +57,8 @@ def split_count(p):
 
 
 def _split_count_text(p):
-    """r for a message: in full where it can be printed, else its lower bound."""
+    """r for a message: in full where it can be printed, else its lower bound,
+    in numbers where ``_shown`` shows p whole."""
     # past this half-count r takes seconds to build; below it, str(r) may
     # still exceed Python's int-to-str digit limit
     if p <= 10_000:
@@ -65,7 +66,9 @@ def _split_count_text(p):
             return str(split_count(p))
         except ValueError:
             pass
-    return f"C({2 * p}, {p})/2 >= 2^{p - 1}"
+    if _shown(p).isdigit():
+        return f"C({2 * p}, {p})/2 >= 2^{p - 1}"
+    return "C(2p, p)/2 >= 2^(p - 1)"
 
 
 class DisjointnessInput(Value):
@@ -79,7 +82,7 @@ class DisjointnessInput(Value):
             # r >= 2^(p-1): a shorter string is rejected before r is built
             if len(bits).bit_length() < p or len(bits) != split_count(p):
                 raise MalformedInstanceError(
-                    f"{name} has {len(bits)} bits, expected r = {_split_count_text(p)} for p = {p}"
+                    f"{name} has {len(bits)} bits, expected r = {_split_count_text(p)} for p = {_shown(p)}"
                 )
             for b in bits:
                 if not is_int(b) or b not in (0, 1):
@@ -151,10 +154,10 @@ def check_submodular(values, m):
     """
     _require_int(m, "item count m")
     if m < 0:
-        raise MalformedInstanceError(f"negative item count m={m}")
+        raise MalformedInstanceError(f"negative item count m={_shown(m)}")
     if m > SUBMODULAR_ITEM_CAP:
         raise EnumerationLimitError(
-            f"m = {m} exceeds the exhaustive-check cap of {SUBMODULAR_ITEM_CAP}"
+            f"m = {_shown(m)} exceeds the exhaustive-check cap of {SUBMODULAR_ITEM_CAP}"
         )
     _entries(values, "bundle table")
     for mask in range(1 << m):

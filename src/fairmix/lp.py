@@ -92,7 +92,7 @@ class LinearProgram(Value):
     are tuples or lists, every constraint is a triple (a, rel, b), and every
     entry is rational (an int, a Fraction or a 'num/den' string); any other
     shape or entry is a ``MalformedLpError``.  Rows the program builds
-    itself enter through ``_of`` unchecked.
+    itself, as tuples in that canonical shape, enter through ``_of`` unchecked.
     """
 
     def __init__(self, objective, constraints=()):
@@ -117,16 +117,6 @@ class LinearProgram(Value):
                 )
             rows.append((row, rel, _coefficient(rhs)))
         self.__dict__.update(objective=obj, constraints=tuple(rows))
-
-    @classmethod
-    def _of(cls, objective, constraints):
-        """Wrap a program already in canonical shape, without re-checking it:
-        an objective tuple of ints or Fractions and a tuple of (row, rel, rhs)
-        triples, each row as long as the objective."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "objective", objective)
-        object.__setattr__(out, "constraints", constraints)
-        return out
 
     @property
     def num_vars(self):

@@ -16,11 +16,12 @@ lottery stores only its support, as ascending (index, probability) pairs,
 and ``expected_utility`` gives all its views as ints over one denominator,
 in one pass.  Counts, indices and masks are ints, never bools (``is_int``).
 Nothing in this module rounds.  No type changes a value it holds after
-construction, but some derive values on first read and keep them: an
-``AllocationSet``'s ``bundles_seen()`` and ``columns()``, and the cached
-properties ``UtilityProfile.raw_values``, ``Instance.kernel`` and
-``Instance.rho``.  Each such cache is idempotent: concurrent first reads
-may each compute it, and they compute the same value.
+construction, but some derive values on first read and keep them, each
+as a ``functools.cached_property``: ``AllocationSet.bundles_seen`` and
+``AllocationSet.columns``, ``UtilityProfile.raw_values``,
+``Instance.kernel`` and ``Instance.rho``.  Each such cache is idempotent:
+concurrent first reads may each compute it, and they compute the same
+value.
 """
 
 from __future__ import annotations
@@ -39,12 +40,24 @@ SHOWN_CHARS = 60
 
 
 def _shown(value):
-    """``repr(value)`` for an error message: whole up to ``SHOWN_CHARS``
-    characters, else its first ``SHOWN_CHARS`` and its length."""
-    text = repr(value)
-    if len(text) <= SHOWN_CHARS:
+    """``repr(value)`` for an error message, clipped by ``_clipped``.  An int
+    past Python's int-to-str digit limit, whose ``repr`` raises, is described
+    by its size instead, and a container whose ``repr`` raises (it holds such
+    an int, or nests past the recursion limit) by its type."""
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):
+        if is_int(value):
+            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} that cannot be shown>"
+    return _clipped(text)
+
+
+def _clipped(text, limit=SHOWN_CHARS):
+    """``text`` whole up to ``limit`` characters, else its first ``limit`` and its length."""
+    if len(text) <= limit:
         return text
-    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+    return f"{text[:limit]}... ({len(text)} characters)"
 
 
 def as_fraction(value):
@@ -128,16 +141,25 @@ class Value:
 
     A subclass's fields are the parameters of its ``__init__``, in order;
     the ``__init__`` runs the class's checks and stores the fields in the
-    instance dict.  Objects of one class are equal, with equal hashes, when
-    their fields are; ``repr`` shows ``Name(field=value, ...)``; assigning
-    or deleting an attribute raises ``AttributeError``.  Cached properties
-    write to the instance dict themselves, so they still work.
+    instance dict.  Values the program built itself skip the checks
+    through ``_of``.  Objects of one class are equal, with equal hashes,
+    when their fields are; ``repr`` shows ``Name(field=value, ...)``;
+    assigning or deleting an attribute raises ``AttributeError``.  Cached
+    properties write to the instance dict themselves, so they still work.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    @classmethod
+    def _of(cls, *fields):
+        """Wrap field values the program built, one per field, without running
+        ``__init__``: they must be exactly what ``__init__`` would store."""
+        out = object.__new__(cls)
+        out.__dict__.update(zip(cls._fields, fields))
+        return out
 
     def _key(self):
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -175,7 +197,7 @@ class PureAllocation(Value):
             if not is_int(b) or b < 0:
                 raise MalformedInstanceError(f"bundle mask {_shown(b)} is not an integer >= 0")
             if seen & b:
-                raise MalformedInstanceError(f"overlapping bundles in {bundles}")
+                raise MalformedInstanceError(f"overlapping bundles in {_shown(bundles)}")
             seen |= b
         self.__dict__.update(bundles=bundles)
 
@@ -191,8 +213,9 @@ class AllocationSet:
     validated: bundle types and overlaps, then a common player count.  Sets
     the program builds itself (all partitions, swap closures) are wrapped
     by ``_of``, not re-validated, and recorded ``built_closed`` (swap-closed);
-    a caller's list is not recorded, even when it is closed.  ``columns()``
-    gives the per-player bundle columns, once per set.
+    a caller's list is not recorded, even when it is closed.  The cached
+    properties ``bundles_seen`` and ``columns`` give every mask in the set
+    and the per-player bundle columns, once per set.
     """
 
     def __init__(self, allocations):
@@ -208,26 +231,22 @@ class AllocationSet:
         for bs in bundles:
             if len(bs) != n:
                 raise MalformedInstanceError("allocations disagree on player count")
-        self._init(bundles, n, index, None, None, False)
+        self.bundles, self.n, self.index, self.built_closed = bundles, n, index, False
 
     @classmethod
     def _of(cls, bundles, n, seen=None, columns=None):
         """Wrap distinct, valid bundle tuples over n players without re-checking
         them, recorded ``built_closed``: both callers, all partitions and swap
         closure, build swap-closed sets.  ``seen`` and ``columns``, if given,
-        are ``bundles_seen()`` and ``columns()``."""
+        pre-fill ``bundles_seen`` and ``columns``."""
         out = object.__new__(cls)
-        bundles = tuple(bundles)
-        out._init(bundles, n, dict(zip(bundles, range(len(bundles)))), seen, columns, True)
+        out.bundles = bundles = tuple(bundles)
+        out.n, out.index, out.built_closed = n, dict(zip(bundles, range(len(bundles)))), True
+        if seen is not None:
+            out.bundles_seen = seen
+        if columns is not None:
+            out.columns = columns
         return out
-
-    def _init(self, bundles, n, index, seen, columns, built_closed):
-        self.bundles = bundles
-        self.n = n
-        self.index = index
-        self._bundles_seen = seen
-        self._columns = columns
-        self.built_closed = built_closed
 
     def __len__(self):
         return len(self.bundles)
@@ -244,18 +263,16 @@ class AllocationSet:
     def __repr__(self):
         return f"AllocationSet(k={len(self.bundles)}, n={self.n})"
 
+    @cached_property
     def bundles_seen(self):
-        """Every bundle mask appearing anywhere in the set, computed once per set."""
-        if self._bundles_seen is None:
-            self._bundles_seen = frozenset(chain.from_iterable(self.bundles))
-        return self._bundles_seen
+        """Every bundle mask appearing anywhere in the set."""
+        return frozenset(chain.from_iterable(self.bundles))
 
+    @cached_property
     def columns(self):
-        """The bundles read down by player, ``tuple(zip(*bundles))``: ``columns()[i][j]``
-        is player i's bundle in allocation j.  Computed once per set."""
-        if self._columns is None:
-            self._columns = tuple(zip(*self.bundles))
-        return self._columns
+        """The bundles read down by player, ``tuple(zip(*bundles))``: ``columns[i][j]``
+        is player i's bundle in allocation j."""
+        return tuple(zip(*self.bundles))
 
 
 class UtilityProfile(Value):
@@ -349,18 +366,28 @@ def _normalize_checked(checked):
 
 
 class Instance(Value):
-    """A fair-division instance: players, items, utilities, legal allocations."""
+    """A fair-division instance: players, items, utilities, legal allocations.
+
+    ``utilities`` is a :class:`UtilityProfile` and ``allocations`` an
+    :class:`AllocationSet`; ``build`` makes both from raw input."""
 
     def __init__(self, n, m, utilities, allocations):
         self.__dict__.update(n=n, m=m, utilities=utilities, allocations=allocations)
         _require_int(self.n, "player count n")
         _require_int(self.m, "item count m")
         if self.n < 1:
-            raise MalformedInstanceError(f"need at least one player, got n={self.n}")
+            raise MalformedInstanceError(f"need at least one player, got n={_shown(self.n)}")
         if self.m < 0:
-            raise MalformedInstanceError(f"negative item count m={self.m}")
+            raise MalformedInstanceError(f"negative item count m={_shown(self.m)}")
         if self.m > MAX_ITEMS:
-            raise MalformedInstanceError(f"m={self.m} exceeds the bitmask cap of {MAX_ITEMS}")
+            raise MalformedInstanceError(f"m={_shown(self.m)} exceeds the bitmask cap of {MAX_ITEMS}")
+        for name, kind in (("allocations", AllocationSet), ("utilities", UtilityProfile)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise MalformedInstanceError(
+                    f"{name} must be of type {kind.__name__}, got {type(value).__name__};"
+                    " use Instance.build for raw input"
+                )
         if self.allocations.n != self.n:
             raise MalformedInstanceError(
                 f"allocations are over {self.allocations.n} players, instance has {self.n}"
@@ -369,7 +396,7 @@ class Instance(Value):
             raise MalformedInstanceError(
                 f"utilities are over {self.utilities.n} players, instance has {self.n}"
             )
-        bundles = self.allocations.bundles_seen()
+        bundles = self.allocations.bundles_seen
         # every mask is >= 0, so the largest one has a bit at or above m
         # exactly when some allocation uses an item beyond m
         if max(bundles) >> self.m:
@@ -389,7 +416,7 @@ class Instance(Value):
             allocations = AllocationSet(allocations)
         profile = normalize_utilities(raw_utilities)
         n = allocations.n
-        m = max(allocations.bundles_seen(), default=0).bit_length()
+        m = max(allocations.bundles_seen, default=0).bit_length()
         return cls(n=n, m=m, utilities=profile, allocations=allocations)
 
     @cached_property
@@ -457,7 +484,7 @@ class UtilityKernel(Value):
     @classmethod
     def of(cls, inst):
         table = inst.utilities.table
-        columns = inst.allocations.columns()
+        columns = inst.allocations.columns
         own_num = tuple(tuple(map(row.__getitem__, column)) for row, column in zip(table, columns))
         vectors = tuple(zip(*own_num))
         points = tuple(dict.fromkeys(vectors))
@@ -502,17 +529,19 @@ def all_partitions_allocation_set(n, m):
     one list of masks per player, grown from the last item to the first,
     then zipped into the bundle tuples.  They are disjoint, distinct
     and swap-closed by construction and are wrapped without re-validation;
-    every mask over the m items appears in them, so ``bundles_seen()`` is
-    recorded as all of them, and the columns as ``columns()``.
+    every mask over the m items appears in them, so ``bundles_seen`` is
+    recorded as all of them, and the columns as ``columns``.
     """
     _require_int(n, "player count n")
     _require_int(m, "item count m")
     if n < 1 or m < 0:
-        raise MalformedInstanceError(f"all-partitions set needs n >= 1 and m >= 0, got n={n}, m={m}")
+        raise MalformedInstanceError(
+            f"all-partitions set needs n >= 1 and m >= 0, got n={_shown(n)}, m={_shown(m)}"
+        )
     k = (n + 1) ** m
     if k > DEFAULT_ENUMERATION_BUDGET:
         raise EnumerationLimitError(
-            f"all-partitions set has {(n + 1)}^{m} = {k} allocations,"
+            f"all-partitions set has {_shown(n + 1)}^{_shown(m)} = {_shown(k)} allocations,"
             f" over the budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
     # the owner of the current item varies slowest among the items so far
@@ -561,7 +590,7 @@ def swap_closure(allocations):
     validated into one; the swaps then run on bundle tuples.  The closure
     holds distinct keys, each a validated tuple or a swap of one, so it is
     wrapped without re-validation.  A swap only moves masks between players,
-    so the closure's ``bundles_seen()`` is the given set's.
+    so the closure's ``bundles_seen`` is the given set's.
     """
     if not isinstance(allocations, AllocationSet):
         allocations = AllocationSet(allocations)
@@ -581,7 +610,7 @@ def swap_closure(allocations):
                     )
                 closed[swapped] = None
                 stack.append(swapped)
-    return AllocationSet._of(closed, allocations.n, allocations.bundles_seen())
+    return AllocationSet._of(closed, allocations.n, allocations.bundles_seen)
 
 
 class MixedAllocation(Value):
@@ -594,23 +623,13 @@ class MixedAllocation(Value):
     indices in 0..k-1, no negative entry, a sum of exactly one; zero entries
     drop out and repeated indices add up.  Equality and hashing follow
     ``(k, pairs)``.  Pairs the program built already in that form (a
-    verified LP optimum) are wrapped by ``_of`` unchecked.
+    verified LP optimum: ascending indices in 0..k-1, each with a positive
+    Fraction, summing to one) are wrapped by ``_of`` unchecked.
     """
 
     def __init__(self, k, pairs):
         _require_int(k, "lottery size k")
         self.__dict__.update(k=k, pairs=_checked_pairs(k, pairs))
-
-    @classmethod
-    def _of(cls, k, pairs):
-        """Wrap pairs the program built already in canonical form, without
-        re-checking them: a tuple of ascending (index, probability) pairs,
-        each index in 0..k-1 and each probability a positive Fraction, that
-        sum to exactly one."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "k", k)
-        object.__setattr__(out, "pairs", pairs)
-        return out
 
     @classmethod
     def point_mass(cls, k, j):
@@ -636,7 +655,7 @@ def _checked_pairs(k, items):
             raise MalformedInstanceError(msg) from None
         _require_int(j, "lottery index")
         if not 0 <= j < k:
-            raise MalformedInstanceError(f"lottery index {j!r} outside 0..{k - 1}")
+            raise MalformedInstanceError(f"lottery index {_shown(j)} outside 0..{_shown(k - 1)}")
         q = as_fraction(q)
         if q < 0:
             raise MalformedInstanceError("negative probability in mixed allocation")
@@ -652,7 +671,8 @@ class WeightVector(Value):
     """A point of the truncated simplex: sums to one, every coordinate >= epsilon.
 
     The constructor checks and coerces; a weight the program built on the
-    simplex (a scanned vertex) is wrapped by ``_of`` unchecked."""
+    simplex (a scanned vertex: Fractions summing to one, each at least the
+    Fraction ``epsilon``) is wrapped by ``_of`` unchecked."""
 
     def __init__(self, w, epsilon):
         w = tuple(as_fraction(v) for v in _entries(w, "weight vector"))
@@ -667,16 +687,6 @@ class WeightVector(Value):
             raise MalformedInstanceError(f"weights sum to {sum(w)}, not 1")
         if any(v < eps for v in w):
             raise MalformedInstanceError("weight below the floor")
-
-    @classmethod
-    def _of(cls, w, epsilon):
-        """Wrap a weight the program built already on the truncated simplex,
-        without re-checking it: a tuple of Fractions summing to one, each at
-        least the Fraction ``epsilon``, which lies in (0, 1/n]."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "w", w)
-        object.__setattr__(out, "epsilon", epsilon)
-        return out
 
     @classmethod
     def uniform(cls, n, epsilon):

@@ -163,7 +163,7 @@ def load_instance(data, strict=False, warn=None):
             raw.append(table)
     else:
         raw = []
-        needed = aset.bundles_seen() | {0}
+        needed = aset.bundles_seen | {0}
         for i, row in enumerate(rows):
             field = f"utilities.items[{i}]"
             _require(isinstance(row, list) and len(row) == m, field, f"need {m} item values")

@@ -192,6 +192,23 @@ class TestSolve:
         err = capsys.readouterr().err
         assert len(err.encode()) < 300 and f"... ({len(repr(epsilon))} characters)" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp_path: ["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "1"],
+            lambda tmp_path: ["solve", "--instance", "a" * 5000],
+            lambda tmp_path: ["solve", "--instance", symmetric_instance(tmp_path), "--" + "a" * 5000],
+        ],
+        ids=["long-int-flag", "long-instance-name", "long-unknown-flag"],
+    )
+    def test_over_long_arguments_are_clipped_in_the_error(self, tmp_path, capsys, argv):
+        # argparse's message or the path is clipped, and the OS error's own
+        # text, which repeats the path, is not shown
+        assert main(argv(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.encode()) < 400 and "... (50" in err
+
     def test_bad_epsilon_values(self, tmp_path, capsys):
         instance = symmetric_instance(tmp_path)
         assert main(["solve", "--instance", instance, "--epsilon", "abc"]) == 1

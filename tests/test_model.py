@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, product
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from fairmix import cli
 from fairmix.envy import certify
-from fairmix.engine import select_p_in_P
+from fairmix.engine import choose_epsilon, select_p_in_P
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError, PreconditionError
 from fairmix.hard import DisjointnessInput, build_hard_instance, check_submodular, split_count
 from fairmix.lp import project_onto_truncated_simplex
@@ -207,7 +208,7 @@ def assert_same_set(trusted, validated):
     assert trusted == validated
     assert trusted.n == validated.n
     assert trusted.index == validated.index
-    assert trusted.bundles_seen() == validated.bundles_seen()
+    assert trusted.bundles_seen == validated.bundles_seen
 
 
 class TestAllPartitions:
@@ -219,8 +220,8 @@ class TestAllPartitions:
         built = all_partitions_allocation_set(n, m)
         reference = product_partitions(n, m)
         assert list(built.bundles) == reference
-        # the recorded bundles_seen() is the set scanned from the tuples
-        assert built.bundles_seen() == frozenset(chain.from_iterable(built.bundles))
+        # the recorded bundles_seen is the set scanned from the tuples
+        assert built.bundles_seen == frozenset(chain.from_iterable(built.bundles))
         assert_same_set(built, AllocationSet([PureAllocation(b) for b in reference]))
         assert is_swappable(built) == (True, None)
         raw = [{mask: mask * (i + 1) for mask in range(1 << m)} for i in range(n)]
@@ -280,8 +281,8 @@ class TestAllPartitions:
         built = all_partitions_allocation_set(3, 2)
         listed = AllocationSet([(1, 2, 0), (2, 1, 0), (0, 0, 3)])
         for aset in (built, listed):
-            assert aset.columns() == tuple(zip(*aset.bundles))
-            assert aset.columns() is aset.columns()
+            assert aset.columns == tuple(zip(*aset.bundles))
+            assert aset.columns is aset.columns
 
 
 def builder_outputs():
@@ -619,6 +620,33 @@ def test_entry_points_reject_a_malformed_argument_with_a_typed_error(call, error
         call()
 
 
+HUGE = 10**5000  # its repr passes Python's default int-to-str limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: PureAllocation((-HUGE,)), MalformedInstanceError),
+        (lambda: MixedAllocation(2, ((HUGE, 1),)), MalformedInstanceError),
+        (lambda: DisjointnessInput(HUGE, (1,), (0,)), MalformedInstanceError),
+        (lambda: split_count(-HUGE), MalformedInstanceError),
+        (lambda: choose_epsilon(1, -HUGE), PreconditionError),
+        (lambda: all_partitions_allocation_set(-HUGE, 1), MalformedInstanceError),
+        (lambda: instance_with(TestInstance().build_symmetric(), n=-HUGE), MalformedInstanceError),
+    ],
+    ids=["bundle-mask", "lottery-index", "half-count", "split-count", "player-count", "partitions-n", "instance-n"],
+)
+def test_an_int_too_long_to_print_is_named_by_its_size(call, error):
+    # the message describes the int instead of raising a raw ValueError
+    with pytest.raises(error) as info:
+        call()
+    message = str(info.value)
+    assert len(message) < 200
+    # where the interpreter has a digit limit below HUGE's 5,001 digits
+    if 0 < getattr(sys, "get_int_max_str_digits", int)() < 5001:
+        assert "int of 16610 bits>" in message
+
+
 class TestWeightVector:
     def test_rejects_floor_violation(self):
         with pytest.raises(MalformedInstanceError):
@@ -675,6 +703,16 @@ class TestInstance:
     )
     def test_rejects_inconsistent_fields(self, field, value, match):
         with pytest.raises(MalformedInstanceError, match=match):
+            instance_with(self.build_symmetric(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("allocations", [(1, 0), (0, 1)]), ("utilities", [{0: 0, 1: 1}, {0: 0, 1: 1}])],
+        ids=["allocations-list", "utilities-dicts"],
+    )
+    def test_a_field_of_the_wrong_type_points_to_build(self, field, value):
+        # raw input belongs to Instance.build; the constructor takes built fields
+        with pytest.raises(MalformedInstanceError, match=f"^{field} must be of type .*, got list; use Instance.build"):
             instance_with(self.build_symmetric(), **{field: value})
 
     def test_item_beyond_m_names_the_allocation(self):
