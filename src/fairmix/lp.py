@@ -1,8 +1,8 @@
 """Exact rational linear programming and truncated-simplex projection.
 
-A dense two-phase simplex with Bland's rule, sized for desk-scale problems
-(tens of rows, hundreds of columns), run in Python ints with no float and no
-Fraction inside the pivot loop.
+A two-phase simplex with Bland's rule on a condensed tableau, sized for
+desk-scale problems (tens of rows, hundreds of columns), run in Python ints
+with no float and no Fraction inside the pivot loop.
 
 Canonical form.  A program is max c . x over rows (a, rel, b) with every
 x_j >= 0, and nothing else: no per-variable bounds and no change of
@@ -21,6 +21,16 @@ replaces every other row by (p * T[i] - T[i][c] * T[r]) // D and then sets
 D = p (Edmonds 1967; Bareiss 1968).  The division is exact because every
 entry is a subdeterminant of the scaled starting matrix.  A pivot that drives
 an artificial out may be negative; the whole tableau and D are then negated.
+
+Condensed columns.  A basic column is D times a unit vector, so the tableau
+stores only the right-hand side and the nonbasic columns, each with its
+original index (as lrs does; Avis 2000).  The start stores the program's
+columns and the surpluses; the slacks of <= rows and the artificials are
+basic.  A pivot on (r, c) updates the stored cells by the rule above, and
+column c then becomes the leaving variable's: -T[i][c] off the pivot row
+and the old D on it.  Bland's rule reads the original index, never the
+stored position, so the pivots, the final D and the solution are the dense
+tableau's; ``tests/oracles.py`` keeps the dense code to require that.
 
 Same pivots as the rational tableau.  Scaling a row, a single-row column or
 a cost row by a positive factor, and multiplying everything by D > 0, keeps
@@ -128,40 +138,52 @@ class LpResult(Value):
         self.__dict__.update(status=status, solution=solution, objective_value=objective_value)
 
 
-def _pivot(rows, r, c, d):
-    """Fraction-free pivot on entry (r, c) of a tableau over denominator d.
+def _pivot(rows, basis, cols, r, s, d):
+    """Fraction-free pivot of a condensed tableau on row r and the nonbasic
+    column at position s, over denominator d.
 
-    Every other row becomes (p * row - row[c] * rows[r]) // d, where
-    p = rows[r][c]; the division is exact because the results are again
-    subdeterminants.  The pivot row stays as it is, and p is returned as the
-    new common denominator.
+    Every other row becomes (p * row - row[s] * rows[r]) // d, where
+    p = rows[r][s]; the division is exact because the results are again
+    subdeterminants.  Position s then holds the leaving variable's column,
+    which the dense tableau kept as d times a unit vector: -row[s] off the
+    pivot row and d on it.  ``basis[r]`` and ``cols[s]`` swap, and p is
+    returned as the new common denominator.
     """
     top = rows[r]
-    p = top[c]
+    p = top[s]
     for i, row in enumerate(rows):
         if i == r:
             continue
-        f = row[c]
+        f = row[s]
         if f:
-            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+            row = [(p * a - f * b) // d for a, b in zip(row, top)]
+            row[s] = -f
+            rows[i] = row
         elif p != d:
             rows[i] = [p * a // d for a in row]
+    top[s] = d
+    basis[r], cols[s] = cols[s], basis[r]
     return p
 
 
-def _simplex(rows, basis, d, ncols):
+def _simplex(rows, basis, cols, d):
     """Minimize the cost carried in the last row; Bland's rule.
 
     ``rows[:len(basis)]`` are the constraint rows, each ending in its
-    right-hand side; ``rows[-1]`` holds d times the reduced costs.  Only the
-    first ``ncols`` columns may enter.  Ratios compare by cross-multiplying,
-    ties going to the smaller basic column.  Returns (status, d) with
-    status "optimal" or "unbounded".  Mutates rows and basis in place.
+    right-hand side; ``rows[-1]`` holds d times the nonbasic columns'
+    reduced costs.  The entering column is the one of smallest original
+    index ``cols[j]`` with a negative reduced cost.  Ratios compare by
+    cross-multiplying, ties going to the smaller basic column.  Returns
+    (status, d) with status "optimal" or "unbounded".  Mutates rows, basis
+    and cols in place.
     """
     m = len(basis)
     while True:
         cost = rows[-1]
-        enter = next((j for j in range(ncols) if cost[j] < 0), -1)
+        enter = -1
+        for j, c in enumerate(cols):
+            if cost[j] < 0 and (enter < 0 or c < cols[enter]):
+                enter = j
         if enter < 0:
             return OPTIMAL, d
         leave = -1
@@ -177,8 +199,7 @@ def _simplex(rows, basis, d, ncols):
                     leave, best_a, best_b = i, a, b
         if leave < 0:
             return UNBOUNDED, d
-        d = _pivot(rows, leave, enter, d)
-        basis[leave] = enter
+        d = _pivot(rows, basis, cols, leave, enter, d)
 
 
 def _verify(lp, x_num, d):
@@ -212,13 +233,15 @@ def solve_lp(lp):
 
     m = len(oriented)
     n_slack = sum(1 for _, rel, _ in oriented if rel != "=")
-    n_art = sum(1 for _, rel, _ in oriented if rel != "<=")
+    surplus = [i for i, (_, rel, _) in enumerate(oriented) if rel == ">="]
     art_start = ncols + n_slack
-    total = art_start + n_art
 
     # Each row is scaled to integers by the lcm of its denominators; its
     # slack and artificial entries are then reset to +-1, which rescales
     # those columns by a positive factor (each appears in this row only).
+    # The slacks of <= rows and the artificials start basic, so only the
+    # program's columns and the surpluses of >= rows are stored.
+    cols = list(range(ncols))
     rows = []
     basis = []
     art_rows = []
@@ -226,44 +249,39 @@ def solve_lp(lp):
     art_at = art_start
     for coeffs, rel, rhs in oriented:
         nums, scale = over_common_denominator((*coeffs, rhs))
-        row = nums[:ncols] + [0] * (total - ncols) + nums[ncols:]
+        row = nums[:ncols] + [0] * len(surplus) + nums[ncols:]
         if rel == "<=":
-            row[slack_at] = 1
             basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = -1
-            slack_at += 1
-            row[art_at] = 1
-            basis.append(art_at)
-            art_rows.append((row, art_at, scale))
-            art_at += 1
         else:
-            row[art_at] = 1
+            if rel == ">=":
+                row[len(cols)] = -1
+                cols.append(slack_at)
             basis.append(art_at)
-            art_rows.append((row, art_at, scale))
+            art_rows.append((row, scale))
             art_at += 1
+        if rel != "=":
+            slack_at += 1
         rows.append(row)
 
     # Phase-2 costs are 0 on every initial basic column, so the scaled cost
     # vector is already its own reduced-cost row.
     costs = over_common_denominator(lp.objective)[0]
-    rows.append([-c for c in costs] + [0] * (total - ncols + 1))
+    rows.append([-c for c in costs] + [0] * (len(surplus) + 1))
     d = 1
 
-    if n_art:
+    if art_rows:
         # A rescaled artificial costs 1/L for its row's scale L; the lcm of
-        # those L makes the phase-1 costs integers.
-        scale = lcm(*(s for _, _, s in art_rows))
-        cost1 = [0] * (total + 1)
-        for row, col, s in art_rows:
+        # those L makes the phase-1 costs integers, and pricing out the
+        # basic artificials leaves minus the weighted sum of their rows.
+        scale = lcm(*(s for _, s in art_rows))
+        cost1 = [0] * len(rows[0])
+        for row, s in art_rows:
             w = scale // s
             for j, a in enumerate(row):
                 if a:
                     cost1[j] -= w * a
-            cost1[col] += w
         rows.append(cost1)
-        status, d = _simplex(rows, basis, d, total)
+        status, d = _simplex(rows, basis, cols, d)
         if status != OPTIMAL:
             raise EngineInvariantError("phase-1 objective is bounded below by zero")
         # the cost row's last entry is -d * scale * (sum of artificials)
@@ -273,21 +291,22 @@ def solve_lp(lp):
         for i in range(m):
             if basis[i] >= art_start:
                 row = rows[i]
-                j = next((j for j in range(art_start) if row[j]), -1)
-                if j < 0:
+                live = [j for j, c in enumerate(cols) if c < art_start and row[j]]
+                if not live:
                     drop.append(i)
                     continue
-                d = _pivot(rows, i, j, d)
-                basis[i] = j
+                d = _pivot(rows, basis, cols, i, min(live, key=cols.__getitem__), d)
                 if d < 0:
                     rows = [[-a for a in row] for row in rows]
                     d = -d
         keep = [i for i in range(m) if i not in drop]
+        live = [j for j, c in enumerate(cols) if c < art_start] + [-1]
         basis = [basis[i] for i in keep]
-        rows = [rows[i][:art_start] + rows[i][-1:] for i in keep + [m]]
+        cols = [cols[j] for j in live[:-1]]
+        rows = [[rows[i][j] for j in live] for i in keep + [m]]
         m = len(basis)
 
-    status, d = _simplex(rows, basis, d, art_start)
+    status, d = _simplex(rows, basis, cols, d)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 

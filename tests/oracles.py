@@ -6,7 +6,9 @@ enumerating candidate vertices, and domination by direct 2D geometry.  The
 exceptions in spirit are the Fraction code that integer code in the package
 replaced, kept here so that the two can be required to return equal
 results: ``fraction_simplex``, the two-phase simplex that ``fairmix.lp``
-runs in integers, pivot rule and all; ``fraction_normalize``, the rescale
+runs in integers, pivot rule and all; ``dense_simplex``, the fraction-free
+tableau that stored every column before ``fairmix.lp`` condensed it to the
+nonbasic ones, with its pivot sequence; ``fraction_normalize``, the rescale
 that ``fairmix.model.normalize_utilities`` does in integers; and
 ``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
 own-utility kernel that ``fairmix.model.Instance.rho`` and
@@ -34,7 +36,7 @@ does not need.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import ge
 
 from fairmix.errors import MalformedInstanceError
@@ -603,3 +605,152 @@ def reference_rho(inst):
     if best_num is None:
         return Fraction(1)
     return Fraction(best_num, 2 * best_den)
+
+
+def _dense_pivot(rows, r, c, d):
+    """Fraction-free pivot on entry (r, c) of a dense tableau over
+    denominator d: every other row becomes (p * row - row[c] * rows[r]) // d
+    with p = rows[r][c], the pivot row stays, and p is returned."""
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+        elif p != d:
+            rows[i] = [p * a // d for a in row]
+    return p
+
+
+def _dense_phase(rows, basis, d, ncols, pivots):
+    """Minimize the cost in the last row of a dense tableau; Bland's rule on
+    the first ``ncols`` columns, ratio ties to the smaller basic column.
+    Appends (leaving column, entering column, new d) to ``pivots``."""
+    m = len(basis)
+    while True:
+        cost = rows[-1]
+        enter = next((j for j in range(ncols) if cost[j] < 0), -1)
+        if enter < 0:
+            return OPTIMAL, d
+        leave = -1
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                b = rows[i][-1]
+                if leave < 0:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, b
+        if leave < 0:
+            return UNBOUNDED, d
+        d = _dense_pivot(rows, leave, enter, d)
+        pivots.append((basis[leave], enter, d))
+        basis[leave] = enter
+
+
+def dense_simplex(lp):
+    """``fairmix.lp.solve_lp`` as it was written on the dense fraction-free
+    tableau, which stores every column, basic ones included: the same
+    standard form, scaling, phases and Bland's rule on the column index.
+    Returns ``(result, pivots, d)``: the ``LpResult`` without the
+    substitution check, every pivot as (leaving column, entering column,
+    the pivot element that becomes the new d), and the final d > 0."""
+    ncols = lp.num_vars
+    oriented = []
+    for row, rel, rhs in lp.constraints:
+        row = tuple(Fraction(a) for a in row)
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            row = tuple(-a for a in row)
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            rhs = -rhs
+        oriented.append((row, rel, rhs))
+
+    m = len(oriented)
+    n_slack = sum(1 for _, rel, _ in oriented if rel != "=")
+    n_art = sum(1 for _, rel, _ in oriented if rel != "<=")
+    art_start = ncols + n_slack
+    total = art_start + n_art
+
+    def over_lcm(values):
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    rows = []
+    basis = []
+    art_rows = []
+    slack_at = ncols
+    art_at = art_start
+    for coeffs, rel, rhs in oriented:
+        nums, scale = over_lcm((*coeffs, rhs))
+        row = nums[:ncols] + [0] * (total - ncols) + nums[ncols:]
+        if rel == "<=":
+            row[slack_at] = 1
+            basis.append(slack_at)
+            slack_at += 1
+        elif rel == ">=":
+            row[slack_at] = -1
+            slack_at += 1
+            row[art_at] = 1
+            basis.append(art_at)
+            art_rows.append((row, art_at, scale))
+            art_at += 1
+        else:
+            row[art_at] = 1
+            basis.append(art_at)
+            art_rows.append((row, art_at, scale))
+            art_at += 1
+        rows.append(row)
+
+    costs = over_lcm([Fraction(c) for c in lp.objective])[0]
+    rows.append([-c for c in costs] + [0] * (total - ncols + 1))
+    d = 1
+    pivots = []
+
+    if n_art:
+        scale = lcm(*(s for _, _, s in art_rows))
+        cost1 = [0] * (total + 1)
+        for row, col, s in art_rows:
+            w = scale // s
+            for j, a in enumerate(row):
+                if a:
+                    cost1[j] -= w * a
+            cost1[col] += w
+        rows.append(cost1)
+        status, d = _dense_phase(rows, basis, d, total, pivots)
+        assert status == OPTIMAL
+        if rows.pop()[-1] < 0:
+            return LpResult(INFEASIBLE), pivots, d
+        drop = []
+        for i in range(m):
+            if basis[i] >= art_start:
+                row = rows[i]
+                j = next((j for j in range(art_start) if row[j]), -1)
+                if j < 0:
+                    drop.append(i)
+                    continue
+                d = _dense_pivot(rows, i, j, d)
+                pivots.append((basis[i], j, d))
+                basis[i] = j
+                if d < 0:
+                    rows = [[-a for a in row] for row in rows]
+                    d = -d
+        keep = [i for i in range(m) if i not in drop]
+        basis = [basis[i] for i in keep]
+        rows = [rows[i][:art_start] + rows[i][-1:] for i in keep + [m]]
+        m = len(basis)
+
+    status, d = _dense_phase(rows, basis, d, art_start, pivots)
+    if status == UNBOUNDED:
+        return LpResult(UNBOUNDED), pivots, d
+    x_num = [0] * ncols
+    for i in range(m):
+        if basis[i] < ncols:
+            x_num[basis[i]] = rows[i][-1]
+    x = tuple(Fraction(v, d) for v in x_num)
+    value = sum(Fraction(c) * v for c, v in zip(lp.objective, x))
+    return LpResult(OPTIMAL, x, value), pivots, d

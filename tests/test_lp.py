@@ -14,7 +14,8 @@ from fairmix import engine, envy
 from fairmix import lp as lp_module
 from fairmix.errors import EngineInvariantError, MalformedLpError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
-from oracles import brute_force_lp_max, fraction_simplex, satisfies
+from oracles import brute_force_lp_max, dense_simplex, fraction_simplex, satisfies
+from test_golden import WORKLOADS, answers
 from test_kernel import CASES, case_id, lotteries, make_instance, sample_weights, tie_weights
 
 F = Fraction
@@ -353,6 +354,68 @@ def test_domination_lps_match_fraction_simplex(case, monkeypatch):
     for p in lotteries(inst, seeded_rng(11)):
         envy.check_pareto_efficient(p, inst)
     assert seen
+
+
+# --- the condensed tableau against the dense one it replaced --------------
+#
+# ``dense_simplex`` keeps every column of the tableau, basic ones included.
+# The condensed tableau must make the same pivots, leaving and entering
+# column by column, through the same pivot elements, to the same final d.
+
+
+def solve_logged(patch, lp):
+    """``solve_lp(lp)`` with its pivots as (leaving column, entering column,
+    new d), and the d of its verified optimum (None if it has none)."""
+    pivots, verified = [], []
+    pivot, verify = lp_module._pivot, lp_module._verify
+
+    def logged_pivot(rows, basis, cols, r, s, d):
+        leaving, entering = basis[r], cols[s]
+        p = pivot(rows, basis, cols, r, s, d)
+        pivots.append((leaving, entering, p))
+        return p
+
+    def logged_verify(lp, x_num, d):
+        verify(lp, x_num, d)
+        verified.append(d)
+
+    patch.setattr(lp_module, "_pivot", logged_pivot)
+    patch.setattr(lp_module, "_verify", logged_verify)
+    result = solve_lp(lp)
+    return result, pivots, verified[0] if verified else None
+
+
+def assert_pivots_like_dense(lp):
+    with pytest.MonkeyPatch.context() as patch:
+        result, pivots, d = solve_logged(patch, lp)
+    want, want_pivots, want_d = dense_simplex(lp)
+    assert result == want
+    assert pivots == want_pivots
+    if result.status == OPTIMAL:
+        assert d == want_d
+    return pivots
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_condensed_tableau_pivots_as_the_dense_one(rng):
+    assert_pivots_like_dense(random_lp(rng))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_pinned_set_lps_pivot_as_the_dense_tableau(workload, tmp_path, monkeypatch):
+    """Every LP that solving or verifying a pinned set runs, select,
+    domination and lowest-vertex programs alike, pivots as the dense one."""
+    seen = []
+    for module in (engine, envy):
+        monkeypatch.setattr(module, "solve_lp", lambda lp: seen.append(lp) or solve_lp(lp))
+    answers(workload, str(tmp_path))
+    monkeypatch.undo()
+    assert seen
+    pivoted = 0
+    for lp in seen:
+        pivoted += bool(assert_pivots_like_dense(lp))
+    assert pivoted > 0
 
 
 # --- hand cases for the paths only the integer tableau has ----------------
