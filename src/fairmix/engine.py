@@ -16,18 +16,24 @@ comparison, so every comparison is an exact int comparison.  The winning
 vectors expand to all their member allocations, in ascending order.
 
 The paper does not show that iterating the map converges, so the search
-walks weight space directly, the same way for every n.  It enumerates, by
-double description in exact integers, the vertices of the welfare envelope
-{(w, t) : w in W, t >= w.u for every frontier vector u}, with int weights;
-only scanned vertices get a ``WeightVector``.  The argmax set of any weight
-is contained in that of some vertex, so scanning the vertices with
-inclusion-maximal argmax sets is complete, in any order: exhausting the
-scan means an invariant broke.  The order is a function of the vertex set
-alone, never of the order the enumeration lists it in: one sort of the
-vertices, larger argmax sets first, then farther from the floor first,
-and a vertex whose argmax set lies in a scanned one is skipped, so each
-maximal set is scanned at its vertex farthest from the floor (see
-``_fallback_search``).
+walks weight space directly, the same way for every n.  It scans vertices
+of the welfare envelope {(w, t) : w in W, t >= w.u for every frontier
+vector u}, with int weights; only scanned vertices get a ``WeightVector``.
+The argmax set of any weight is contained in that of some vertex, so
+scanning the vertices with inclusion-maximal argmax sets is complete, in
+any order: exhausting the scan means an invariant broke.
+
+The scan starts at the envelope's lowest vertex, the one of least t,
+found by one LP (``_lowest_vertex``), as reverse search and lrs start at
+the vertex one LP finds (Avis and Fukuda 1992; Avis 2000).  Its lottery is
+usually envy-free, and only when it has envy does the scan enumerate the
+whole envelope, by double description in exact integers; that
+enumeration must hold the lowest vertex.  The rest of the order is a
+function of the vertex set alone, never of the order the enumeration lists
+it in: one sort of the vertices, larger argmax sets first, then farther
+from the floor first, and a vertex whose argmax set lies in a scanned one,
+the lowest vertex's included, is skipped, so each other maximal set is
+scanned at its vertex farthest from the floor (see ``_fallback_search``).
 
 The map is kept where its lemma can fail.  At a vertex whose lottery has
 envy the map runs, and its residual must be positive, since a fixed point
@@ -372,6 +378,59 @@ def _primitive(ray):
     return tuple(map(g.__rfloordiv__, ray)) if g > 1 else ray
 
 
+def _lowest_vertex(points, eps):
+    """The welfare-envelope vertex of least t, as a ``(weights, mask)`` pair of
+    ``_envelope_vertices``, with primitive weights, found by one LP.
+
+    With eps = num/den and X = den - n*num, the weight is
+    w_i = (num + x_i)/den for i < n and w_n = (num + X - sum x)/den, so
+    x >= 0 and sum x <= X is W.  Point u's welfare is then
+    (v_u + sum_{i<n} (u_i - u_n) x_i)/den with v_u = num*sum(u) + X*u_n, and
+    with c the largest v_u the LP maximizes sigma subject to sum x <= X and
+    sum_{i<n} (u_i - u_n) x_i + sigma <= c - v_u for every point, so
+    t = (c - sigma)/den.  Every right-hand side is at least 0, so the slack
+    basis is feasible and no artificial column is built.  An optimal basic
+    solution is a vertex of the envelope: at sigma > 0 no constraint but the
+    envelope's is tight, and at sigma = 0 the feasible x are the minimizers
+    of t, a face of the envelope.  Its mask is the set of the LP's tight
+    point rows.  The LP's dual is the lottery over points maximizing
+    (1 - n*eps) min_i U_i + eps sum_i U_i, a nearly egalitarian choice.
+    """
+    n = len(points[0])
+    num, den = eps.numerator, eps.denominator
+    room = den - n * num
+    base = [num * sum(u) + room * u[-1] for u in points]
+    top = max(base)
+    rows = [((1,) * (n - 1) + (0,), "<=", room)]
+    rows.extend(((*(x - u[-1] for x in u[:-1]), 1), "<=", top - v) for u, v in zip(points, base))
+    result = solve_lp(LinearProgram._of((0,) * (n - 1) + (1,), tuple(rows)))
+    if result.status != OPTIMAL:
+        raise EngineInvariantError(f"lowest-vertex program ended {result.status}")
+    (*x, sigma), scale = over_common_denominator(result.solution)
+    mask = 0
+    for f, (u, v) in enumerate(zip(points, base)):
+        last = u[-1]
+        if sum((a - last) * b for a, b in zip(u, x)) + sigma == (top - v) * scale:
+            mask |= 1 << f
+    weights = [num * scale + a for a in x]
+    weights.append((num + room) * scale - sum(x))
+    return _primitive(tuple(weights)), mask
+
+
+def _scan_vertices(points, eps):
+    """The vertices the scan may visit, in order: the lowest vertex, then,
+    only when the scan asks for more, every envelope vertex in
+    ``_scan_order``.  The lowest vertex must be one of those, or this raises
+    ``EngineInvariantError``."""
+    lowest = _lowest_vertex(points, eps)
+    yield lowest
+    vertices = _envelope_vertices(points, eps)
+    weights, mask = lowest
+    if not any(tight == mask and _primitive(w) == weights for w, tight in vertices):
+        raise EngineInvariantError("the lowest vertex is not a vertex of the welfare envelope")
+    yield from _scan_order(vertices)
+
+
 def _scan_order(vertices):
     """The ``(weights, mask)`` vertices in scan order, by one key: the larger
     mask first, then the larger least share min(w)/sum(w), then the
@@ -391,7 +450,8 @@ def _scan_order(vertices):
 
 
 def _fallback_search(inst, eps, trace_sink=None):
-    """Scan the welfare-envelope vertices with inclusion-maximal argmax sets.
+    """Scan the lowest welfare-envelope vertex, then the vertices with
+    inclusion-maximal argmax sets.
 
     Every weight lies in the relative interior of a face of the envelope,
     and every vertex of that face has an argmax set containing the weight's
@@ -399,9 +459,11 @@ def _fallback_search(inst, eps, trace_sink=None):
     least as well on envy.  The scan is therefore complete: by the paper's
     existence theorem some maximal vertex yields an envy-free lottery.
 
-    The order depends on the vertex set alone: the vertices are sorted by
-    one key (``_scan_order``), and a vertex is skipped when its mask lies
-    in a scanned one, its own included.  So each maximal mask is scanned at
+    The lowest vertex comes first (``_scan_vertices``), and the enumerated
+    envelope is read only if it has envy.  Its vertices are sorted by one
+    key (``_scan_order``), and a vertex is skipped when its mask lies in a
+    scanned one, its own and the lowest vertex's included.  So every
+    maximal mask is still scanned, each other than the lowest vertex's at
     its vertex of the largest least share min(w)/sum(w), ties to the
     lexicographically greatest normalized weight.  Returns ``(state,
     certificate)`` for the first vertex that yields an envy-free lottery,
@@ -415,7 +477,7 @@ def _fallback_search(inst, eps, trace_sink=None):
     # transitive, so a mask no scanned mask contains is maximal; a repeated
     # mask contains itself, so it is scanned at its first vertex only
     scanned = []
-    for weights, mask in _scan_order(_envelope_vertices(points, eps)):
+    for weights, mask in _scan_vertices(points, eps):
         if any(kept & mask == mask for kept in scanned):
             continue
         scanned.append(mask)

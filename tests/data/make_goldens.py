@@ -1,12 +1,14 @@
 """Rewrite the pinned instance sets and answers that tests/test_golden.py checks.
 
-    python3 tests/data/make_goldens.py inputs   # desk.json, wide.json, certify.json, many.json
+    python3 tests/data/make_goldens.py inputs   # desk.json, wide.json, certify.json, many.json, envious.json
     python3 tests/data/make_goldens.py golden   # golden.json, from the current src
 
 Run from the repository root.  ``inputs`` takes the benchmark's fixed sets
 from ``bench/workloads.py`` (its constant-seed pools) and draws the n = 5-7
-set ``many`` from a constant seed; ``golden`` solves and verifies them with
-the code under ``src`` and records every answer.
+set ``many`` from a constant seed; ``envious`` holds, for each of a few shapes, the first
+constant-seed draw whose first scanned vertex has envy, as the code under
+``src`` scans it; ``golden`` solves and verifies them with the code under
+``src`` and records every answer.
 """
 
 import json
@@ -44,11 +46,46 @@ def many():
     ]
 
 
+# (n, m, utility type) of each ``envious`` instance, item or bundle values
+# 1-9: the scan starts at the envelope's lowest vertex, and answers there on
+# every benchmark instance but one, so these keep its enumerated envelope,
+# and the share step at an envious vertex, covered at every n from 2 to 6
+ENVIOUS_SHAPES = ((2, 2, "table"), (3, 2, "table"), (3, 3, "additive"), (4, 3, "additive"), (5, 2, "table"), (6, 2, "table"))
+
+
+def draw(rng, n, m, kind):
+    if kind == "additive":
+        utilities = {"type": "additive", "items": [[str(rng.randint(1, 9)) for _ in range(m)] for _ in range(n)]}
+    else:
+        utilities = {"type": "table", "values": [[[b, str(rng.randint(1, 9))] for b in range(1 << m)] for _ in range(n)]}
+    return {"n": n, "m": m, "utilities": utilities, "allocations": "all_partitions"}
+
+
+def envious():
+    from fairmix.engine import find_fixed_point
+    from fairmix.serialize import load_instance
+
+    out = []
+    for n, m, kind in ENVIOUS_SHAPES:
+        rng = random.Random(f"envious:{n}:{m}:{kind}")
+        for _ in range(10_000):
+            entry = draw(rng, n, m, kind)
+            trace = []
+            find_fixed_point(load_instance(entry), trace_sink=trace)
+            if trace[0].residual:
+                out.append(entry)
+                break
+        else:
+            raise SystemExit(f"no envious draw of shape {(n, m, kind)}")
+    return out
+
+
 def inputs():
     import workloads
     from fairmix.cli import main
 
     save("many", many())
+    save("envious", envious())
 
     save("desk", workloads._pool("desk", workloads.DESK_STRATA, workloads.DESK_PER_STRATUM, workloads._desk_instance))
     save("wide", workloads._pool("wide", workloads.WIDE_STRATA, workloads.WIDE_PER_STRATUM, workloads._wide_instance))

@@ -19,7 +19,8 @@ expressions as it was before its loops were tuned and adding the rows in
 index order, not the engine's welfare order, so that the engine can be
 required to return the same vertex set (the list order differs, and the
 scan reads none of it).  ``reference_scan_weights`` derives the scan
-order from that set alone, in Fractions, with its own maximal-mask filter.
+order after its first vertex from that set alone, in Fractions, with its
+own maximal-mask filter.
 ``reference_kernel`` keeps the integer kernel's grouping loop and
 sort-based skyline, ``reference_share_step`` the Fraction share step and
 projection that the engine now runs in integers, and ``reference_rho`` the
@@ -530,12 +531,16 @@ def _primitive(ray):
     return tuple(x // g for x in ray) if g > 1 else ray
 
 
-def reference_scan_weights(points, eps):
-    """The scan order of ``fairmix.engine._fallback_search``, from the vertex
-    set alone, in Fractions: each argmax mask's weight is its vertex of the
-    largest least share min(w), ties to the lexicographically greatest
-    weight; the masks no other mask strictly contains are then sorted larger
-    first, then by the larger least share, then by ascending mask value."""
+def reference_scan_weights(points, eps, first):
+    """The scan order of ``fairmix.engine._fallback_search`` after its first
+    vertex ``first``, a (normalized weight, mask) pair that the caller checks
+    to be a reference vertex of least t, derived from the vertex set alone,
+    in Fractions: each argmax mask's weight is its vertex of the largest
+    least share min(w), ties to the lexicographically greatest weight; the
+    masks no other mask strictly contains and ``first``'s mask does not
+    contain are then sorted larger first, then by the larger least share,
+    then by ascending mask value, and follow ``first``'s weight."""
+    first_w, first_mask = first
     best = {}
     for weights, mask in set(reference_envelope_vertices(points, eps)):
         w = tuple(Fraction(x, sum(weights)) for x in weights)
@@ -543,9 +548,10 @@ def reference_scan_weights(points, eps):
     maximal = [
         (mask, w) for mask, w in best.items()
         if not any(other != mask and other & mask == mask for other in best)
+        and first_mask & mask != mask
     ]
     maximal.sort(key=lambda item: (-item[0].bit_count(), -min(item[1]), item[0]))
-    return [w for _, w in maximal]
+    return [first_w] + [w for _, w in maximal]
 
 
 def reference_share_step(views, w):

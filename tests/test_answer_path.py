@@ -5,8 +5,8 @@ envy-gap constant reads one bundle-pair set on a set recorded swap-closed,
 the frontier tests its last dominator first, and the scan and the
 tie-breaking LP wrap the weights and lotteries they build without
 re-checking them.  Each must give exactly what the Fraction oracles in
-``oracles`` give: on every scanned state of the pinned desk and wide sets,
-envious ones included, and on the sets' instances.  The map runs at the
+``oracles`` give: on every scanned state of the pinned desk, wide and
+envious sets, envious states included, and on the sets' instances.  The map runs at the
 envious vertices only, traced or not, where a zero residual is an invariant
 failure, and the tie-breaking LP reads any argmax as its ascending set.
 """
@@ -66,7 +66,7 @@ def traced_solves(workload):
     return out
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide"])
+@pytest.mark.parametrize("workload", ["desk", "wide", "envious"])
 def test_share_step_matches_the_fraction_step_on_every_traced_state(workload):
     envious = 0
     for j, (inst, trace, _) in enumerate(traced_solves(workload)):
@@ -77,8 +77,9 @@ def test_share_step_matches_the_fraction_step_on_every_traced_state(workload):
             assert engine._share_step(views, weights, state.w.epsilon) == want, f"{workload}[{j}]"
             assert (state.nu, state.residual) == (want[0], want[2]), f"{workload}[{j}]"
             envious += engine._envious(views)
-    # the sets reach the share step of envious vertices, not only answers
-    assert envious > 0
+    # the sets reach the share step of envious vertices, not only answers;
+    # every desk solve answers at its lowest vertex, so desk has none
+    assert (envious > 0) == (workload != "desk")
 
 
 def test_share_step_is_scale_free_in_the_weights():
@@ -181,22 +182,41 @@ def test_select_matches_the_checked_path_on_any_argmax(monkeypatch):
     assert seen > 0
 
 
-def test_a_vertex_below_the_floor_is_an_invariant_failure(monkeypatch):
-    inst = pinned("desk")[0]
-    eps = choose_epsilon(compute_rho(inst), inst.n)
-    vertices = engine._envelope_vertices(inst.kernel.frontier, eps)
-    # move one unit of the first vertex's weight from its smallest entry to
-    # its largest: the argmax set stays a mask, the weight drops below eps
-    weights, tight = vertices[0]
+def below_the_floor(weights, points, eps):
+    """``weights`` with one unit, over eps's denominator, moved from the
+    smallest entry to the largest past what puts the smallest below eps,
+    and the mask of the ``points`` of maximum welfare there, so that only
+    the floor check can object."""
     low = min(range(len(weights)), key=weights.__getitem__)
     high = max(range(len(weights)), key=weights.__getitem__)
-    scale = eps.denominator
-    broken = [x * scale for x in weights]
+    broken = [x * eps.denominator for x in weights]
     drop = broken[low] - eps * sum(broken) + 1
     broken[low] -= drop
     broken[high] += drop
     assert F(broken[low], sum(broken)) < eps
-    monkeypatch.setattr(engine, "_envelope_vertices", lambda points, eps: [(tuple(broken), tight)])
+    welfare = [sum(a * b for a, b in zip(broken, u)) for u in points]
+    return tuple(broken), sum(1 << f for f, v in enumerate(welfare) if v == max(welfare))
+
+
+def test_a_vertex_below_the_floor_is_an_invariant_failure(monkeypatch):
+    # the floor check covers the lowest vertex, scanned first, and every
+    # enumerated vertex, reached when the lowest vertex has envy
+    inst = pinned("desk")[0]
+    eps = choose_epsilon(compute_rho(inst), inst.n)
+    lowest = engine._lowest_vertex(inst.kernel.frontier, eps)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_lowest_vertex", lambda points, eps: below_the_floor(lowest[0], points, eps))
+        with pytest.raises(EngineInvariantError, match="below the weight floor"):
+            find_fixed_point(inst)
+
+    inst = pinned("envious")[0]
+    eps = choose_epsilon(compute_rho(inst), inst.n)
+    weights, mask = engine._lowest_vertex(inst.kernel.frontier, eps)
+    vertices = engine._envelope_vertices(inst.kernel.frontier, eps)
+    (start,) = [v for v in vertices if v[1] == mask and engine._primitive(v[0]) == weights]
+    other = next(v for v in vertices if mask & v[1] != v[1])
+    broken = [start, below_the_floor(other[0], inst.kernel.frontier, eps)]
+    monkeypatch.setattr(engine, "_envelope_vertices", lambda points, eps: broken)
     with pytest.raises(EngineInvariantError, match="below the weight floor"):
         find_fixed_point(inst)
 
@@ -219,16 +239,13 @@ def test_the_map_runs_on_envious_vertices_only(workload, monkeypatch):
 
 
 def test_a_zero_residual_at_an_envious_vertex_raises_untraced(monkeypatch):
-    # the first scanned vertex of this instance has envy (residual
-    # 2448028/18997947); a fixed point there would break the paper's lemma
-    raw = [
-        additive_table([F(2, 2), F(7, 2), F(6, 3), F(10, 3)]),
-        additive_table([F(1, 2), F(9, 2), F(3, 3), F(5, 1)]),
-    ]
-    inst = Instance.build(raw, all_partitions_allocation_set(2, 4))
+    # the first scanned vertex of this instance, its lowest, has envy
+    # (residual 28/645); a fixed point there would break the paper's lemma
+    raw = [{0: F(2), 1: F(8), 2: F(7), 3: F(8)}, {0: F(2), 1: F(4), 2: F(1), 3: F(5)}]
+    inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
     trace = []
     find_fixed_point(inst, trace_sink=trace)
-    assert trace[0].residual == F(2448028, 18997947)
+    assert trace[0].residual == F(28, 645)
     share_step = engine._share_step
     monkeypatch.setattr(engine, "_share_step", lambda *args: (*share_step(*args)[:2], F(0)))
     with pytest.raises(EngineInvariantError, match="exact fixed point without envy-freeness"):

@@ -177,7 +177,7 @@ class TestSolve:
         assert main(["gen-hard", "--p", "2", "--x1", "100", "--x2", "100", "--out", hard]) == 0
         assert main(["solve", "--instance", hard, "--epsilon", "1/100"]) == 0
         result = json.loads(capsys.readouterr().out)
-        assert result["w"] == ["99/100", "1/100"]
+        assert result["w"] == ["1/100", "99/100"]
         assert result["certificate"]["pe"]["weight"] == result["w"]
         # rho = 1/3 here, so 1/18 is exactly the bound rho^2/2 and is rejected before the scan
         trace = tmp_path / "trace.jsonl"

@@ -19,6 +19,7 @@ from conftest import (
     seeded_rng,
 )
 from fairmix import engine
+from fairmix import lp as lp_module
 from fairmix.engine import (
     FixedPointState,
     argmax_allocations,
@@ -49,10 +50,12 @@ from fairmix.model import (
 from fairmix.serialize import load_instance
 from oracles import (
     find_dominating_vertex_or_pair,
+    reference_envelope_vertices,
     reference_nu,
     reference_scan_weights,
     weight_witness_ok,
 )
+from test_answer_path import pinned
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -383,9 +386,10 @@ class TestFindFixedPoint:
         assert from_copy == from_builder
 
     def test_trace_records_are_coherent(self):
-        # the scan's first vertex is envious here, so the trace has two records
-        raw = [additive_table([F(1), F(7, 2), F(2), F(10, 3)]), additive_table([F(1, 2), F(9, 2), F(1), F(5)])]
-        inst = Instance.build(raw, all_partitions_allocation_set(2, 4))
+        # the scan's first vertex, the envelope's lowest, is envious here, so
+        # the trace has two records
+        raw = [{0: F(2), 1: F(8), 2: F(7), 3: F(8)}, {0: F(2), 1: F(4), 2: F(1), 3: F(5)}]
+        inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
         trace = []
         state, _ = find_fixed_point(inst, trace_sink=trace)
         assert state.iteration == 2
@@ -446,32 +450,60 @@ def test_weight_of_the_wrong_length_is_a_precondition_error(call, length):
         call(w, inst)
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide"])
-def test_scan_visits_maximal_masks_larger_first(workload):
-    """The scan's vertices, in order, are the reference's, which it derives
-    from the reference vertex set alone: every scanned state's weight is the
-    reference's weight at its position."""
+def pinned_entries(workload):
     with open(os.path.join(DATA, f"{workload}.json")) as fh:
-        data = json.load(fh)
-    longest = 0
-    for j, entry in enumerate(data):
-        inst = load_instance(entry)
+        return json.load(fh)
+
+
+def lowest_reference_vertices(points, eps):
+    """The reference envelope's vertices of least t, as normalized weight: mask."""
+    vertices = {
+        tuple(F(x, sum(weights)) for x in weights): mask
+        for weights, mask in reference_envelope_vertices(points, eps)
+    }
+    height = {w: max(sum(a * b for a, b in zip(w, u)) for u in points) for w in vertices}
+    least = min(height.values())
+    return {w: mask for w, mask in vertices.items() if height[w] == least}
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide", "envious"])
+def test_scan_visits_maximal_masks_larger_first(workload, monkeypatch):
+    """The scan starts at the lowest vertex, a reference vertex of least t,
+    and then visits the reference's order, which it derives from the
+    reference vertex set alone: every scanned state's weight is the
+    reference's weight at its position.  That holds for the scan as it
+    stops at its answer and for the whole order, seen by a scan whose envy
+    screen rejects every vertex and so runs out of vertices."""
+    insts = [load_instance(entry) for entry in pinned_entries(workload)]
+    orders = []
+    for j, inst in enumerate(insts):
+        eps = choose_epsilon(compute_rho(inst), inst.n)
         trace = []
         find_fixed_point(inst, trace_sink=trace)
-        eps = choose_epsilon(compute_rho(inst), inst.n)
-        want = reference_scan_weights(inst.kernel.frontier, eps)[: len(trace)]
+        first = trace[0].w.w
+        lowest = lowest_reference_vertices(inst.kernel.frontier, eps)
+        assert first in lowest, f"{workload}[{j}]"
+        orders.append(reference_scan_weights(inst.kernel.frontier, eps, (first, lowest[first])))
+        assert [state.w.w for state in trace] == orders[-1][: len(trace)], f"{workload}[{j}]"
+
+    monkeypatch.setattr(engine, "_envious", lambda views: True)
+    monkeypatch.setattr(engine, "_share_step", lambda views, weights, eps: ((), (), F(1)))
+    longest = 0
+    for j, (inst, want) in enumerate(zip(insts, orders)):
+        trace = []
+        with pytest.raises(EngineInvariantError, match="without an envy-free lottery"):
+            find_fixed_point(inst, trace_sink=trace)
         assert [state.w.w for state in trace] == want, f"{workload}[{j}]"
         longest = max(longest, len(trace))
-    # some solve scans past its first vertex, so the order is exercised
+    # some envelope has a maximal mask besides the lowest vertex's
     assert longest > 1
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide"])
+@pytest.mark.parametrize("workload", ["desk", "wide", "envious"])
 def test_answers_do_not_depend_on_the_vertex_order(workload, monkeypatch):
     """The scan reads the envelope as a set: the same answers, scan positions
     included, whatever order ``_envelope_vertices`` lists the vertices in."""
-    with open(os.path.join(DATA, f"{workload}.json")) as fh:
-        insts = [load_instance(entry) for entry in json.load(fh)]
+    insts = [load_instance(entry) for entry in pinned_entries(workload)]
     want = [find_fixed_point(inst)[0] for inst in insts]
     enumerate_vertices = engine._envelope_vertices
     rng = seeded_rng(f"vertex-order:{workload}")
@@ -486,6 +518,85 @@ def test_answers_do_not_depend_on_the_vertex_order(workload, monkeypatch):
         for j, inst in enumerate(insts):
             state = find_fixed_point(inst)[0]
             assert (state.p, state.w, state.iteration) == (want[j].p, want[j].w, want[j].iteration), f"{workload}[{j}]"
+
+
+def test_envious_set_scans_past_the_lowest_vertex():
+    # each instance's lowest vertex has envy, so its answer comes from the
+    # enumerated envelope, at every player count from 2 to 6
+    insts = [load_instance(entry) for entry in pinned_entries("envious")]
+    assert sorted(inst.n for inst in insts) == [2, 3, 3, 4, 5, 6]
+    for j, inst in enumerate(insts):
+        trace = []
+        state, cert = find_fixed_point(inst, trace_sink=trace)
+        assert cert.ok and state.iteration >= 2, f"envious[{j}]"
+        assert trace[0].residual > 0, f"envious[{j}]"
+
+
+def small_instances():
+    """Instances at n = 1 and n = 2, the smallest envelopes."""
+    one = Instance.build([{0: F(0), 1: F(5)}], all_partitions_allocation_set(1, 1))
+    two = [identical_players_instance(), opposed_tastes_instance(), mutual_envy_point_instance()]
+    rng = seeded_rng("lowest:2")
+    two += [random_table_instance(rng, n=2, m=2) for _ in range(6)]
+    return [one] + two
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide", "certify", "many", "envious", "small"])
+def test_lowest_vertex_is_a_reference_vertex_of_least_t(workload):
+    if workload == "small":
+        insts = small_instances()
+    elif workload == "certify":
+        insts = pinned("certify")
+    else:
+        insts = [load_instance(entry) for entry in pinned_entries(workload)]
+    for j, inst in enumerate(insts):
+        points = inst.kernel.frontier
+        eps = choose_epsilon(compute_rho(inst), inst.n)
+        weights, mask = engine._lowest_vertex(points, eps)
+        assert type(weights) is tuple and all(type(x) is int and x > 0 for x in weights)
+        w = tuple(F(x, sum(weights)) for x in weights)
+        assert lowest_reference_vertices(points, eps).get(w) == mask, f"{workload}[{j}]"
+
+
+def test_lowest_vertex_lp_needs_no_phase_one(monkeypatch):
+    # every row is <= with a right-hand side >= 0: the slack basis is
+    # feasible, the solver builds no artificial column, and only phase 2 runs
+    programs, phases = [], []
+    solve, simplex = engine.solve_lp, lp_module._simplex
+    monkeypatch.setattr(lp_module, "_simplex", lambda *args: phases.append(1) or simplex(*args))
+    monkeypatch.setattr(engine, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+    for inst in [load_instance(entry) for entry in pinned_entries("wide")] + small_instances():
+        programs.clear()
+        phases.clear()
+        eps = choose_epsilon(compute_rho(inst), inst.n)
+        engine._lowest_vertex(inst.kernel.frontier, eps)
+        (lp,) = programs
+        assert all(rel == "<=" and rhs >= 0 for _, rel, rhs in lp.constraints)
+        assert len(lp.constraints) == len(inst.kernel.frontier) + 1
+        assert phases == [1]
+
+
+def test_a_lowest_vertex_the_enumeration_lacks_is_an_invariant_failure(monkeypatch):
+    # the lowest vertex is envious here, so the scan enumerates the envelope,
+    # which must hold the same vertex with the same argmax mask
+    inst = load_instance(pinned_entries("envious")[0])
+    eps = choose_epsilon(compute_rho(inst), inst.n)
+    weights, mask = engine._lowest_vertex(inst.kernel.frontier, eps)
+    enumerate_vertices = engine._envelope_vertices
+
+    def same(vertex):
+        return vertex[1] == mask and engine._primitive(vertex[0]) == weights
+
+    corruptions = [
+        lambda vertices: [v for v in vertices if not same(v)],
+        lambda vertices: [(v[0], v[1] | 1 << len(inst.kernel.frontier)) if same(v) else v for v in vertices],
+    ]
+    for corrupt in corruptions:
+        monkeypatch.setattr(engine, "_envelope_vertices", lambda points, eps: corrupt(enumerate_vertices(points, eps)))
+        with pytest.raises(EngineInvariantError, match="lowest vertex is not a vertex"):
+            find_fixed_point(inst)
+    monkeypatch.setattr(engine, "_envelope_vertices", enumerate_vertices)
+    assert find_fixed_point(inst)[0].iteration >= 2
 
 
 def test_fallback_solve_imports_neither_numpy_nor_scipy():

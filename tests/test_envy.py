@@ -156,7 +156,7 @@ class TestCheckParetoEfficient:
         assert lp_says == search_says
 
 
-def envious_first_instance():
+def two_allocation_answer_instance():
     # the scan's answer here is a two-allocation lottery at w = (8/17, 9/17)
     raw = [additive_table([F(1), F(3)]), additive_table([F(1), F(2)])]
     return Instance.build(raw, all_partitions_allocation_set(2, 2))
@@ -164,7 +164,7 @@ def envious_first_instance():
 
 class TestWeightWitness:
     def test_answer_weight_is_a_witness(self):
-        inst = envious_first_instance()
+        inst = two_allocation_answer_instance()
         state, _ = find_fixed_point(inst)
         check = check_pareto_efficient(state.p, inst, weight=state.w.w)
         assert check.ok and check.weight == state.w.w
@@ -182,7 +182,7 @@ class TestWeightWitness:
         ids=["zero", "negative"],
     )
     def test_corrupted_weight_fails(self, corrupt):
-        inst = envious_first_instance()
+        inst = two_allocation_answer_instance()
         state, _ = find_fixed_point(inst)
         w = corrupt(state.w.w)
         check = check_pareto_efficient(state.p, inst, weight=w)
@@ -194,13 +194,13 @@ class TestWeightWitness:
     )
     def test_wrong_length_weight_is_a_precondition_error(self, corrupt):
         # a caller's mistake, not a verdict: the answer here is certified by
-        # w = (2/3, 1/3), and n - 1 or n + 1 entries name both counts
+        # w = (1/3, 2/3), and n - 1 or n + 1 entries name both counts
         inst = Instance.build(
             [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 0, 1: 2, 2: 1, 3: 3}],
             all_partitions_allocation_set(2, 2),
         )
         state, cert = find_fixed_point(inst)
-        assert cert.ok and state.w.w == (F(2, 3), F(1, 3))
+        assert cert.ok and state.w.w == (F(1, 3), F(2, 3))
         w = corrupt(state.w.w)
         message = f"weight witness has {len(w)} entries, instance has 2 players"
         with pytest.raises(PreconditionError, match=message):
@@ -229,7 +229,7 @@ class TestWeightWitness:
     def test_support_off_the_argmax_fails(self):
         # an efficient lottery, yet at equal weights only one of its two
         # allocations is on the argmax
-        inst = envious_first_instance()
+        inst = two_allocation_answer_instance()
         state, _ = find_fixed_point(inst)
         assert check_pareto_efficient(state.p, inst).ok
         w = (F(1, 2), F(1, 2))

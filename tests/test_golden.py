@@ -1,10 +1,11 @@
 """Pinned answers: the benchmark's instance sets, solved and verified in process.
 
 ``tests/data`` holds the desk (120) and wide (24) solve instances, the
-certify set (12 ``gen-hard`` strings plus 48 lotteries) and six n = 5-7
-solve instances (``many``, not a benchmark set), and ``golden.json`` the
-answer the CLI gave for each: its exit code, its stdout JSON without
-``wall_time``, and its stderr.  Any change of answer fails here, naming the
+certify set (12 ``gen-hard`` strings plus 48 lotteries), two sets that are
+not benchmark sets: six n = 5-7 solve instances (``many``) and six n = 2-6
+solve instances whose lowest envelope vertex has envy (``envious``), and
+``golden.json`` the answer the CLI gave for each: its exit code, its
+stdout JSON without ``wall_time``, and its stderr.  Any change of answer fails here, naming the
 first instance and field that differ.  ``tests/data/make_goldens.py``
 rewrites the files.
 """
@@ -22,7 +23,7 @@ from fairmix.serialize import load_instance, load_mixed_allocation
 from oracles import weight_witness_ok
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-WORKLOADS = ("desk", "certify", "wide", "many")
+WORKLOADS = ("desk", "certify", "wide", "many", "envious")
 
 
 def read(name):
@@ -107,6 +108,7 @@ def test_sets_have_the_benchmark_sizes():
     certify = read("certify")
     assert len(certify["hard"]) == 12 and len(certify["lotteries"]) == 48
     assert sorted(inst["n"] for inst in read("many")) == [5, 5, 6, 6, 7, 7]
+    assert sorted(inst["n"] for inst in read("envious")) == [2, 3, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -119,14 +121,24 @@ def test_answers_match_golden(workload, tmp_path):
         assert diff is None, f"{workload}[{j}]{diff}"
 
 
-def test_many_answers_pass_the_fraction_oracles():
-    """Each pinned n = 5-7 answer is efficient by its weight witness and
-    envy-free, both scored in Fractions from the instance's raw values."""
-    for j, (entry, answer) in enumerate(zip(read("many"), read("golden")["many"])):
+def assert_answers_pass_the_fraction_oracles(name):
+    for j, (entry, answer) in enumerate(zip(read(name), read("golden")[name])):
         inst = load_instance(entry)
         p = load_mixed_allocation(answer["out"]["p"], inst)
-        assert weight_witness_ok(p, inst, [Fraction(x) for x in answer["out"]["w"]]), f"many[{j}]"
+        assert weight_witness_ok(p, inst, [Fraction(x) for x in answer["out"]["w"]]), f"{name}[{j}]"
         raw = inst.utilities.raw_values
         for i in range(inst.n):
             views = [sum(q * raw[i][inst.allocations[a].bundles[h]] for a, q in p.pairs) for h in range(inst.n)]
-            assert max(views) == views[i], f"many[{j}] player {i}"
+            assert max(views) == views[i], f"{name}[{j}] player {i}"
+
+
+def test_many_answers_pass_the_fraction_oracles():
+    """Each pinned n = 5-7 answer is efficient by its weight witness and
+    envy-free, both scored in Fractions from the instance's raw values."""
+    assert_answers_pass_the_fraction_oracles("many")
+
+
+def test_envious_answers_pass_the_fraction_oracles():
+    """So is each answer the scan reaches past an envious lowest vertex."""
+    assert all(answer["out"]["iterations"] >= 2 for answer in read("golden")["envious"])
+    assert_answers_pass_the_fraction_oracles("envious")

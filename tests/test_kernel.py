@@ -538,7 +538,7 @@ def test_one_vector_envelope_is_the_corners(n):
     assert_envelope_matches_reference(frontier_of((vec,)), eps)
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide"])
+@pytest.mark.parametrize("workload", ["desk", "wide", "envious"])
 def test_benchmark_set_envelopes_match_reference(workload):
     with open(os.path.join(DATA, f"{workload}.json")) as fh:
         data = json.load(fh)
