@@ -76,7 +76,7 @@ from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, Value, WeightVector, as_fraction, expected_utility, is_int, is_swappable
-from .model import _shown, over_common_denominator
+from .model import _shown, _shown_rational, over_common_denominator
 
 
 class FixedPointState(Value):
@@ -263,12 +263,14 @@ def choose_epsilon(rho, n, epsilon="auto"):
     except MalformedInstanceError as exc:
         raise PreconditionError(f"gap constant must be rational, got {rho!r}") from exc
     if not 0 < rho <= 1:
-        raise PreconditionError(f"gap constant must lie in (0, 1], got {rho}")
+        raise PreconditionError(f"gap constant must lie in (0, 1], got {_shown_rational(rho)}")
     bound = rho**n / n
     if epsilon == "auto":
         return rho**n / (2 * n)
     if eps >= bound:
-        raise ConfigurationError(f"floor {eps} is not below the envy-gap bound {bound}")
+        raise ConfigurationError(
+            f"floor {_shown_rational(eps)} is not below the envy-gap bound {_shown_rational(bound)}"
+        )
     return eps
 
 

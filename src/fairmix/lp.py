@@ -76,7 +76,7 @@ from .errors import (
     MalformedLpError,
     PreconditionError,
 )
-from .model import Value, _entries, as_fraction, over_common_denominator
+from .model import Value, _entries, _shown_rational, as_fraction, over_common_denominator
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -338,14 +338,14 @@ def project_onto_truncated_simplex(y, epsilon):
     if n == 0:
         raise PreconditionError("cannot project an empty vector")
     if eps <= 0:
-        raise PreconditionError(f"floor must be positive, got {eps}")
+        raise PreconditionError(f"floor must be positive, got {_shown_rational(eps)}")
     if eps.numerator * n > eps.denominator:
-        raise EmptyDomainError(f"floor {eps} exceeds 1/{n}; the truncated simplex is empty")
+        raise EmptyDomainError(f"floor {_shown_rational(eps)} exceeds 1/{n}; the truncated simplex is empty")
     # y_i = a[i] / den and eps = e / den
     (*a, e), den = over_common_denominator(y + (eps,))
     total = sum(a)
     if total != den:
-        raise PreconditionError(f"input sums to {Fraction(total, den)}, expected exactly 1")
+        raise PreconditionError(f"input sums to {_shown_rational(Fraction(total, den))}, expected exactly 1")
 
     clamped = set()
     while True:

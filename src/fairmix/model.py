@@ -40,17 +40,37 @@ SHOWN_CHARS = 60
 
 
 def _shown(value):
-    """``repr(value)`` for an error message, clipped by ``_clipped``.  An int
-    past Python's int-to-str digit limit, whose ``repr`` raises, is described
-    by its size instead, and a container whose ``repr`` raises (it holds such
-    an int, or nests past the recursion limit) by its type."""
+    """``repr(value)`` for an error message, clipped by ``_clipped``.  A value
+    whose ``repr`` raises is described by ``_sized`` instead."""
     try:
         text = repr(value)
     except (ValueError, RecursionError):
-        if is_int(value):
-            return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
-        return f"<{type(value).__name__} that cannot be shown>"
+        return _sized(value)
     return _clipped(text)
+
+
+def _shown_rational(value):
+    """``str`` of a Fraction for an error message ('1/3'), as ``_shown``
+    shows a ``repr``: clipped, or described by ``_sized`` when it raises."""
+    try:
+        text = str(value)
+    except ValueError:
+        return _sized(value)
+    return _clipped(text)
+
+
+def _sized(value):
+    """An int past Python's int-to-str digit limit described by its size, a
+    Fraction with such a numerator or denominator by their sizes, and a
+    container whose ``repr`` raises (it holds such a number, or nests past
+    the recursion limit) by its type."""
+    if is_int(value):
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+    if isinstance(value, Fraction):
+        sign = "negative " if value < 0 else ""
+        bits = value.numerator.bit_length(), value.denominator.bit_length()
+        return f"<{sign}rational with a {bits[0]}-bit numerator and a {bits[1]}-bit denominator>"
+    return f"<{type(value).__name__} that cannot be shown>"
 
 
 def _clipped(text, limit=SHOWN_CHARS):
@@ -538,12 +558,15 @@ def all_partitions_allocation_set(n, m):
         raise MalformedInstanceError(
             f"all-partitions set needs n >= 1 and m >= 0, got n={_shown(n)}, m={_shown(m)}"
         )
+    # (n+1)^m >= 2^m, which exceeds the budget once m passes its bit
+    # length, so a large m is refused before (n+1)^m is built
+    over = f"over the budget of {DEFAULT_ENUMERATION_BUDGET}"
+    if m > DEFAULT_ENUMERATION_BUDGET.bit_length():
+        raise EnumerationLimitError(f"all-partitions set has {_shown(n + 1)}^{_shown(m)} allocations, {over}")
     k = (n + 1) ** m
     if k > DEFAULT_ENUMERATION_BUDGET:
-        raise EnumerationLimitError(
-            f"all-partitions set has {_shown(n + 1)}^{_shown(m)} = {_shown(k)} allocations,"
-            f" over the budget of {DEFAULT_ENUMERATION_BUDGET}"
-        )
+        shown = f"{_shown(n + 1)}^{_shown(m)} = {_shown(k)}"
+        raise EnumerationLimitError(f"all-partitions set has {shown} allocations, {over}")
     # the owner of the current item varies slowest among the items so far
     # built: its owner-0 block comes first, then one block per player, and
     # only player s's own block (the (s+1)-th) carries the item's bit
@@ -663,7 +686,7 @@ def _checked_pairs(k, items):
             probs[j] = probs.get(j, 0) + q
     total = sum(probs.values())
     if total != 1:
-        raise MalformedInstanceError(f"probabilities sum to {total}, not 1")
+        raise MalformedInstanceError(f"probabilities sum to {_shown_rational(total)}, not 1")
     return tuple(sorted(probs.items()))
 
 
@@ -682,9 +705,9 @@ class WeightVector(Value):
         if n == 0:
             raise MalformedInstanceError("empty weight vector")
         if not 0 < eps <= Fraction(1, n):
-            raise MalformedInstanceError(f"floor {eps} outside (0, 1/{n}]")
+            raise MalformedInstanceError(f"floor {_shown_rational(eps)} outside (0, 1/{n}]")
         if sum(w) != 1:
-            raise MalformedInstanceError(f"weights sum to {sum(w)}, not 1")
+            raise MalformedInstanceError(f"weights sum to {_shown_rational(sum(w))}, not 1")
         if any(v < eps for v in w):
             raise MalformedInstanceError("weight below the floor")
 

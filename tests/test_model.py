@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, product
@@ -257,6 +258,18 @@ class TestAllPartitions:
         monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", 8)
         with pytest.raises(EnumerationLimitError):
             all_partitions_allocation_set(2, 2)
+
+    def test_a_large_item_count_is_refused_before_the_set_size_is_built(self):
+        # (n+1)^m >= 2^m passes the budget once m passes its bit length, 18,
+        # so 3^(10^7), a 15.8-million-bit int, is never built
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError, match=r"has 3\^10000000 allocations, over the budget of 200000"):
+            all_partitions_allocation_set(2, 10**7)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(EnumerationLimitError, match=r"has 2\^19 allocations"):
+            all_partitions_allocation_set(1, 19)
+        with pytest.raises(EnumerationLimitError, match=r"has 2\^18 = 262144 allocations"):
+            all_partitions_allocation_set(1, 18)
 
     @pytest.mark.parametrize("n, m", [(0, 2), (-1, 0), (2, -1)])
     def test_rejects_bad_sizes(self, n, m):
@@ -645,6 +658,26 @@ def test_an_int_too_long_to_print_is_named_by_its_size(call, error):
     # where the interpreter has a digit limit below HUGE's 5,001 digits
     if 0 < getattr(sys, "get_int_max_str_digits", int)() < 5001:
         assert "int of 16610 bits>" in message
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: choose_epsilon(F(HUGE), 1), PreconditionError),
+        (lambda: project_onto_truncated_simplex((1,), -HUGE), PreconditionError),
+        (lambda: WeightVector((F(HUGE),), F(1, 2)), MalformedInstanceError),
+        (lambda: MixedAllocation(1, ((0, HUGE),)), MalformedInstanceError),
+    ],
+    ids=["gap-constant", "projection-floor", "weight-sum", "probability-sum"],
+)
+def test_a_rational_too_long_to_print_is_named_by_its_size(call, error):
+    # the message describes the rational instead of raising a raw ValueError
+    with pytest.raises(error) as info:
+        call()
+    message = str(info.value)
+    assert len(message) < 200
+    if 0 < getattr(sys, "get_int_max_str_digits", int)() < 5001:
+        assert "rational with a 16610-bit numerator and a 1-bit denominator>" in message
 
 
 class TestWeightVector:
