@@ -233,7 +233,7 @@ def solve_lp(lp):
 
     m = len(oriented)
     n_slack = sum(1 for _, rel, _ in oriented if rel != "=")
-    surplus = [i for i, (_, rel, _) in enumerate(oriented) if rel == ">="]
+    n_surplus = sum(1 for _, rel, _ in oriented if rel == ">=")
     art_start = ncols + n_slack
 
     # Each row is scaled to integers by the lcm of its denominators; its
@@ -249,7 +249,7 @@ def solve_lp(lp):
     art_at = art_start
     for coeffs, rel, rhs in oriented:
         nums, scale = over_common_denominator((*coeffs, rhs))
-        row = nums[:ncols] + [0] * len(surplus) + nums[ncols:]
+        row = nums[:ncols] + [0] * n_surplus + nums[ncols:]
         if rel == "<=":
             basis.append(slack_at)
         else:
@@ -266,7 +266,7 @@ def solve_lp(lp):
     # Phase-2 costs are 0 on every initial basic column, so the scaled cost
     # vector is already its own reduced-cost row.
     costs = over_common_denominator(lp.objective)[0]
-    rows.append([-c for c in costs] + [0] * (len(surplus) + 1))
+    rows.append([-c for c in costs] + [0] * (n_surplus + 1))
     d = 1
 
     if art_rows:
@@ -291,19 +291,19 @@ def solve_lp(lp):
         for i in range(m):
             if basis[i] >= art_start:
                 row = rows[i]
-                live = [j for j, c in enumerate(cols) if c < art_start and row[j]]
-                if not live:
+                nonzero = [j for j, c in enumerate(cols) if c < art_start and row[j]]
+                if not nonzero:
                     drop.append(i)
                     continue
-                d = _pivot(rows, basis, cols, i, min(live, key=cols.__getitem__), d)
+                d = _pivot(rows, basis, cols, i, min(nonzero, key=cols.__getitem__), d)
                 if d < 0:
                     rows = [[-a for a in row] for row in rows]
                     d = -d
         keep = [i for i in range(m) if i not in drop]
-        live = [j for j, c in enumerate(cols) if c < art_start] + [-1]
+        live = [j for j, c in enumerate(cols) if c < art_start]
         basis = [basis[i] for i in keep]
-        cols = [cols[j] for j in live[:-1]]
-        rows = [[rows[i][j] for j in live] for i in keep + [m]]
+        cols = [cols[j] for j in live]
+        rows = [[rows[i][j] for j in live] + rows[i][-1:] for i in keep + [m]]
         m = len(basis)
 
     status, d = _simplex(rows, basis, cols, d)
