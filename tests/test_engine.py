@@ -457,11 +457,11 @@ def pinned_entries(workload):
 
 def lowest_reference_vertices(points, eps):
     """The reference envelope's vertices of least t, as normalized weight: mask."""
-    vertices = {
-        tuple(F(x, sum(weights)) for x in weights): mask
-        for weights, mask in reference_envelope_vertices(points, eps)
-    }
-    height = {w: max(sum(a * b for a, b in zip(w, u)) for u in points) for w in vertices}
+    vertices, height = {}, {}
+    for weights, mask in reference_envelope_vertices(points, eps):
+        w = tuple(F(x, sum(weights)) for x in weights)
+        vertices[w] = mask
+        height[w] = F(max(sum(a * b for a, b in zip(weights, u)) for u in points), sum(weights))
     least = min(height.values())
     return {w: mask for w, mask in vertices.items() if height[w] == least}
 
