@@ -139,8 +139,10 @@ def select_p_in_P(w, inst, argmax=None):
 
     A given ``argmax`` is read as its set, ascending, so its order and
     repeats change nothing.  The LP's solution is verified by substitution,
-    so its positive entries are already a lottery's canonical pairs and are
-    wrapped unchecked by ``MixedAllocation._of``.
+    so its positive entries are already a lottery's canonical pairs: the
+    only Fractions built are the support's probabilities, each numerator
+    over the optimum's denominator, wrapped unchecked by
+    ``MixedAllocation._of``.
     """
     _require_weight_for(w, inst)
     k = len(inst.allocations)
@@ -171,7 +173,8 @@ def select_p_in_P(w, inst, argmax=None):
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
     # zip stops before the trailing envy-bound columns s+ and s-
-    return MixedAllocation._of(k, tuple((j, q) for j, q in zip(argmax, result.solution) if q))
+    d = result.d
+    return MixedAllocation._of(k, tuple((j, Fraction(v, d)) for j, v in zip(argmax, result.x_num) if v))
 
 
 def _views(p, inst):
@@ -397,6 +400,9 @@ def _lowest_vertex(points, eps):
     of t, a face of the envelope.  Its mask is the set of the LP's tight
     point rows.  The LP's dual is the lottery over points maximizing
     (1 - n*eps) min_i U_i + eps sum_i U_i, a nearly egalitarian choice.
+    Everything after the LP stays in ints: the optimum's numerators x_num
+    over its denominator d give the weights times den * d, and a row is
+    tight when a . x_num equals b * d.
     """
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
@@ -408,14 +414,15 @@ def _lowest_vertex(points, eps):
     result = solve_lp(LinearProgram._of((0,) * (n - 1) + (1,), tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"lowest-vertex program ended {result.status}")
-    (*x, sigma), scale = over_common_denominator(result.solution)
+    # the solution is x_num / d, so a point's row is tight when a . x_num = b * d
+    x_num, d = result.x_num, result.d
     mask = 0
-    for f, (u, v) in enumerate(zip(points, base)):
-        last = u[-1]
-        if sum((a - last) * b for a, b in zip(u, x)) + sigma == (top - v) * scale:
+    for f, (row, _, rhs) in enumerate(rows[1:]):
+        if sum(map(mul, row, x_num)) == rhs * d:
             mask |= 1 << f
-    weights = [num * scale + a for a in x]
-    weights.append((num + room) * scale - sum(x))
+    x = x_num[:-1]
+    weights = [num * d + a for a in x]
+    weights.append((num + room) * d - sum(x))
     return _primitive(tuple(weights)), mask
 
 

@@ -124,10 +124,11 @@ def check_pareto_efficient(p, inst, weight=None):
     (own utility of p')_i >= (own utility of p)_i + t_i, every row built
     times the denominator of p's view matrix: all ints, the right-hand
     sides that matrix's diagonal, wrapped unchecked by ``LinearProgram._of``
-    (see ``lp``).  The optimum is exactly 0 iff p is Pareto efficient;
-    otherwise the optimal p', placed on the first member allocation of each
-    vector, dominates and is returned after re-verification against the
-    diagonal of its own view matrix.
+    (see ``lp``).  The optimum, the sum of the t_i, is exactly 0 iff p is
+    Pareto efficient, read as every t_i's int numerator in the verified
+    optimum being 0; otherwise the optimal p', placed on the first member
+    allocation of each vector, dominates and is returned after
+    re-verification against the diagonal of its own view matrix.
     """
     if weight is not None:
         try:
@@ -150,7 +151,7 @@ def check_pareto_efficient(p, inst, weight=None):
     result = solve_lp(LinearProgram._of(objective, tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"domination program ended {result.status}")
-    if result.objective_value == 0:
+    if not any(result.x_num[cols:]):
         return PeCheck(True)
 
     # zip stops before the slack variables t

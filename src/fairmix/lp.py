@@ -10,50 +10,47 @@ variables.  Column j of the tableau is x_j, and row r is constraint r,
 negated when its right-hand side is negative, followed by one slack (<=),
 one surplus and one artificial (>=) or one artificial (=).
 
-Fraction-free tableau.  Each standard-form row is scaled to integers by the
-lcm of its denominators, and its slack or artificial entry is reset to +-1:
-that rescales a column which appears in this row only.  The phase-1 and
-phase-2 reduced-cost rows ride along as two more integer rows, each scaled
-by a positive constant (the lcm of the artificials' costs 1/L and the lcm
-of the objective's denominators).  The tableau T holds the rational tableau
-times one common denominator D > 0.  A pivot on (r, c) with p = T[r][c]
-replaces every other row by (p * T[i] - T[i][c] * T[r]) // D and then sets
-D = p (Edmonds 1967; Bareiss 1968).  The division is exact because every
-entry is a subdeterminant of the scaled starting matrix.  A pivot that drives
-an artificial out may be negative; the whole tableau and D are then negated.
+Int programs in.  The solver reads a program's integer form: each row times
+the lcm L of its denominators, its artificial's phase-1 cost 1/L times the
+lcm of every L, and the objective times its own lcm.  ``LinearProgram(...)``
+checks a caller's program, coerces it to Fractions and builds that form
+once, on its first solve.  The engine and the verifier build their rows in
+the utility table's ints and wrap them with ``LinearProgram._of``, which
+skips the checks: the rows are their own integer form, every weight 1.
+
+Fraction-free tableau.  The tableau T, its two cost rows included, holds
+the rational tableau times one common denominator D > 0.  A pivot on (r, c)
+with p = T[r][c] replaces every other row by (p * T[i] - T[i][c] * T[r]) // D
+and sets D = p (Edmonds 1967; Bareiss 1968), exactly, since every entry is
+a subdeterminant of the starting matrix.  A pivot that drives an artificial
+out may be negative; the whole tableau and D are then negated.
 
 Condensed columns.  A basic column is D times a unit vector, so the tableau
-stores only the right-hand side and the nonbasic columns, each with its
-original index (as lrs does; Avis 2000).  The start stores the program's
-columns and the surpluses; the slacks of <= rows and the artificials are
-basic.  A pivot on (r, c) updates the stored cells by the rule above, and
-column c then becomes the leaving variable's: -T[i][c] off the pivot row
-and the old D on it.  Bland's rule reads the original index, never the
-stored position, so the pivots, the final D and the solution are the dense
-tableau's; ``tests/oracles.py`` keeps the dense code to require that.
+stores only the nonbasic columns, each with its original index (as lrs
+does; Avis 2000), and the right-hand side, each as one int list over every
+row: a pivot is one list comprehension per stored column, and the ratio
+test reads two lists.  The start stores the program's columns and the
+surpluses.  After a pivot on (r, c) column c is the leaving variable's:
+-T[i][c] off row r and the old D in it.  Bland's rule reads the original
+index, never the stored position, so the pivots, the final D and the
+solution are the dense tableau's; ``tests/oracles.py`` keeps the dense code
+to require that.
 
-Same pivots as the rational tableau.  Scaling a row, a single-row column or
-a cost row by a positive factor, and multiplying everything by D > 0, keeps
-the sign of every entry and reduced cost.  It scales all ratios in one
-column alike, so the ratio test (cross-multiplied) keeps its order and its
-ties.  Bland's rule therefore enters and leaves the same columns as on the
-rational tableau, and the basic solution rhs/D is the same rational point.
-The same argument covers a caller's scaling: a program whose every row is
-multiplied by one positive constant pivots as the original does and has the
-same solution.  The engine and the verifier therefore build their programs
-with every row times the utility table's scale, in the table's ints.
-Every optimal result is re-checked by substitution, and status answers
-carry no tolerance.
+Same pivots as the rational tableau.  Scaling a row, a single-row column
+(a slack, surplus or artificial is +-1) or a cost row by a positive factor,
+and multiplying everything by D > 0, keeps the sign of every entry and
+reduced cost and scales all ratios in one column alike, so Bland's rule and
+the cross-multiplied ratio test enter and leave the same columns as on the
+rational tableau, and rhs/D is the same point.  So a program whose rows are
+all times one positive constant, as the engine's are times the table's
+scale, pivots as the original and has the same solution.
 
-Trusted programs and the integer check.  ``LinearProgram(...)`` checks the
-shape of a caller's program and coerces every entry to a Fraction.  The
-engine and the verifier build their rows themselves, as table ints, and
-wrap them with ``LinearProgram._of``, which skips both.  The optimum leaves
-the tableau as int numerators over its final D > 0, and ``_verify``
-substitutes those: every x_num_j >= 0 and every row a . x_num rel b * D,
-exactly the check x_j >= 0 and a . x rel b on x = x_num / D, in ints for
-an int program.  Only then are the Fractions of ``LpResult`` built, the
-objective value as one ``Fraction(c . x_num, D)``.
+Int results out.  The optimum leaves the tableau as int numerators x_num
+over its final D > 0, and ``_verify`` substitutes them into the int rows:
+every x_num_j >= 0 and every row a . x_num rel b * D, exactly the check
+x_j >= 0 and a . x rel b on x = x_num / D; no answer carries a tolerance.
+The ``LpResult`` keeps ``x_num`` and ``d``, which the engine and the
+verifier read, and builds its Fractions only when they are read.
 
 Projection in integers.  ``project_onto_truncated_simplex`` checks and
 coerces its input as rationals, then puts y and the floor over one
@@ -66,6 +63,7 @@ comparisons.  Only the result is built as Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -79,6 +77,7 @@ from .errors import (
 from .model import Value, _entries, _shown_rational, as_fraction, over_common_denominator
 
 RELATIONS = ("<=", "=", ">=")
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -101,7 +100,7 @@ class LinearProgram(Value):
     as two columns x+ - x-.  The objective, ``constraints`` and every row a
     are tuples or lists, every constraint is a triple (a, rel, b), and every
     entry is rational (an int, a Fraction or a 'num/den' string); any other
-    shape or entry is a ``MalformedLpError``.  Rows the program builds
+    shape or entry is a ``MalformedLpError``.  Int rows the program builds
     itself, as tuples in that canonical shape, enter through ``_of`` unchecked.
     """
 
@@ -122,11 +121,27 @@ class LinearProgram(Value):
                 raise MalformedLpError(f"constraint row {row!r} is not a sequence")
             row = tuple(_coefficient(a) for a in row)
             if len(row) != len(obj):
-                raise MalformedLpError(
-                    f"constraint row has {len(row)} entries, expected {len(obj)}"
-                )
+                raise MalformedLpError(f"constraint row has {len(row)} entries, expected {len(obj)}")
             rows.append((row, rel, _coefficient(rhs)))
         self.__dict__.update(objective=obj, constraints=tuple(rows))
+
+    @classmethod
+    def _of(cls, objective, constraints):
+        out = super()._of(objective, constraints)
+        out.__dict__["_ints"] = objective, 1, constraints, (1,) * len(constraints)
+        return out
+
+    @cached_property
+    def _ints(self):
+        """The integer form: the objective's numerators and their lcm, the int
+        rows and their phase-1 weights."""
+        rows, dens = [], []
+        for row, rel, rhs in self.constraints:
+            (*nums, b), den = over_common_denominator((*row, rhs))
+            rows.append((nums, rel, b))
+            dens.append(den)
+        top = lcm(*dens)
+        return (*over_common_denominator(self.objective), rows, [top // den for den in dens])
 
     @property
     def num_vars(self):
@@ -134,190 +149,175 @@ class LinearProgram(Value):
 
 
 class LpResult(Value):
+    """A status and, at an optimum, the solution and objective value as
+    Fractions.  An optimum ``solve_lp`` returns builds them on first read
+    from ``x_num``, int numerators over the tableau's final ``d`` > 0."""
+
     def __init__(self, status, solution=None, objective_value=None):
         self.__dict__.update(status=status, solution=solution, objective_value=objective_value)
 
+    @cached_property
+    def solution(self):
+        return tuple(Fraction(v, self.d) for v in self.x_num)
 
-def _pivot(rows, basis, cols, r, s, d):
+    @cached_property
+    def objective_value(self):
+        cost, scale = self._lp._ints[:2]
+        return Fraction(sum(map(mul, cost, self.x_num)), scale * self.d)
+
+    def _key(self):
+        return self.status, self.solution, self.objective_value
+
+
+def _pivot(tab, basis, cols, r, s, d):
     """Fraction-free pivot of a condensed tableau on row r and the nonbasic
     column at position s, over denominator d.
 
-    Every other row becomes (p * row - row[s] * rows[r]) // d, where
-    p = rows[r][s]; the division is exact because the results are again
-    subdeterminants.  Position s then holds the leaving variable's column,
-    which the dense tableau kept as d times a unit vector: -row[s] off the
-    pivot row and d on it.  ``basis[r]`` and ``cols[s]`` swap, and p is
-    returned as the new common denominator.
+    ``tab[j]`` is stored column j over every row and ``tab[-1]`` the
+    right-hand side.  With p = tab[s][r], each other column, f its entry in
+    row r, becomes (p * col - f * tab[s]) // d off row r, exactly, and keeps
+    f in it.  Position s then holds the leaving variable's column, d times
+    a unit vector before: -tab[s] off row r and d in it.  ``basis[r]`` and
+    ``cols[s]`` swap, and p is returned as the new common denominator.
     """
-    top = rows[r]
-    p = top[s]
-    for i, row in enumerate(rows):
-        if i == r:
+    piv = tab[s]
+    p = piv[r]
+    for j, col in enumerate(tab):
+        if j == s:
             continue
-        f = row[s]
+        f = col[r]
         if f:
-            row = [(p * a - f * b) // d for a, b in zip(row, top)]
-            row[s] = -f
-            rows[i] = row
+            col = [(p * a - f * b) // d for a, b in zip(col, piv)]
+            col[r] = f
+            tab[j] = col
         elif p != d:
-            rows[i] = [p * a // d for a in row]
-    top[s] = d
+            tab[j] = [p * a // d for a in col]
+    tab[s] = col = [-a for a in piv]
+    col[r] = d
     basis[r], cols[s] = cols[s], basis[r]
     return p
 
 
-def _simplex(rows, basis, cols, d):
-    """Minimize the cost carried in the last row; Bland's rule.
+def _simplex(tab, basis, cols, d):
+    """Minimize the cost in the last row of ``tab``'s columns; Bland's rule.
 
-    ``rows[:len(basis)]`` are the constraint rows, each ending in its
-    right-hand side; ``rows[-1]`` holds d times the nonbasic columns'
-    reduced costs.  The entering column is the one of smallest original
-    index ``cols[j]`` with a negative reduced cost.  Ratios compare by
-    cross-multiplying, ties going to the smaller basic column.  Returns
-    (status, d) with status "optimal" or "unbounded".  Mutates rows, basis
-    and cols in place.
+    The entering column is the one of smallest original index ``cols[j]``
+    with a negative cost.  Ratios over the constraint rows, the first
+    ``len(basis)``, compare by cross-multiplying, ties going to the smaller
+    basic column.  Returns (status, d) with status "optimal" or "unbounded".
+    Mutates tab, basis and cols in place.
     """
     m = len(basis)
     while True:
-        cost = rows[-1]
         enter = -1
         for j, c in enumerate(cols):
-            if cost[j] < 0 and (enter < 0 or c < cols[enter]):
+            if tab[j][-1] < 0 and (enter < 0 or c < cols[enter]):
                 enter = j
         if enter < 0:
             return OPTIMAL, d
+        col, rhs = tab[enter], tab[-1]
         leave = -1
         for i in range(m):
-            a = rows[i][enter]
+            a = col[i]
             if a > 0:
-                b = rows[i][-1]
-                if leave < 0:
-                    leave, best_a, best_b = i, a, b
-                    continue
-                lhs, rhs = b * best_a, best_b * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                b = rhs[i]
+                if leave < 0 or b * best_a < best_b * a or (b * best_a == best_b * a and basis[i] < basis[leave]):
                     leave, best_a, best_b = i, a, b
         if leave < 0:
             return UNBOUNDED, d
-        d = _pivot(rows, basis, cols, leave, enter, d)
+        d = _pivot(tab, basis, cols, leave, enter, d)
 
 
 def _verify(lp, x_num, d):
-    """Substitute the solution x_num / d, d > 0, into ``lp``: every x_num_j >= 0
-    and every row a . x_num rel b * d, or ``EngineInvariantError``."""
+    """Substitute the solution x_num / d, d > 0, into ``lp``'s int rows: every
+    x_num_j >= 0 and every row a . x_num rel b * d, or ``EngineInvariantError``."""
     if d <= 0:
         raise EngineInvariantError("solution denominator is not positive")
     if any(v < 0 for v in x_num):
         raise EngineInvariantError("solution has a negative variable")
-    for row, rel, rhs in lp.constraints:
-        lhs = sum(map(mul, row, x_num))
-        bound = rhs * d
+    for row, rel, rhs in lp._ints[2]:
+        lhs, bound = sum(map(mul, row, x_num)), rhs * d
         ok = lhs <= bound if rel == "<=" else lhs >= bound if rel == ">=" else lhs == bound
         if not ok:
-            raise EngineInvariantError(f"solution violates constraint {rel} {rhs}")
+            raise EngineInvariantError(f"solution violates constraint {rel} {_shown_rational(rhs)}")
 
 
 def solve_lp(lp):
-    """Exact two-phase simplex; the returned solution re-verifies by substitution."""
+    """Exact two-phase simplex on ``lp``'s integer form; the returned optimum
+    re-verifies by substitution and holds its solution as ints (``LpResult``)."""
     if not isinstance(lp, LinearProgram):
         raise MalformedLpError(f"expected LinearProgram, got {type(lp).__name__}")
 
     ncols = lp.num_vars
-    oriented = []
-    for row, rel, rhs in lp.constraints:
-        if rhs < 0:
-            row = tuple(-a for a in row)
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            rhs = -rhs
-        oriented.append((row, rel, rhs))
-
-    m = len(oriented)
-    n_slack = sum(1 for _, rel, _ in oriented if rel != "=")
-    n_surplus = sum(1 for _, rel, _ in oriented if rel == ">=")
-    art_start = ncols + n_slack
-
-    # Each row is scaled to integers by the lcm of its denominators; its
-    # slack and artificial entries are then reset to +-1, which rescales
-    # those columns by a positive factor (each appears in this row only).
-    # The slacks of <= rows and the artificials start basic, so only the
-    # program's columns and the surpluses of >= rows are stored.
+    objective, _, rows, weights = lp._ints
+    art_start = ncols + sum(rel != "=" for _, rel, _ in rows)
+    # The slacks of <= rows and the artificials start basic, so the stored
+    # columns are the program's and the surpluses; an artificial costs its
+    # row's weight in phase 1.
+    m = len(rows)
+    coeffs, rhs, basis, art_weights, surpluses = [], [], [], [], []
     cols = list(range(ncols))
-    rows = []
-    basis = []
-    art_rows = []
-    slack_at = ncols
-    art_at = art_start
-    for coeffs, rel, rhs in oriented:
-        nums, scale = over_common_denominator((*coeffs, rhs))
-        row = nums[:ncols] + [0] * n_surplus + nums[ncols:]
-        if rel == "<=":
-            basis.append(slack_at)
-        else:
-            if rel == ">=":
-                row[len(cols)] = -1
-                cols.append(slack_at)
-            basis.append(art_at)
-            art_rows.append((row, scale))
-            art_at += 1
-        if rel != "=":
-            slack_at += 1
-        rows.append(row)
-
-    # Phase-2 costs are 0 on every initial basic column, so the scaled cost
-    # vector is already its own reduced-cost row.
-    costs = over_common_denominator(lp.objective)[0]
-    rows.append([-c for c in costs] + [0] * (n_surplus + 1))
+    slack_at, art_at = ncols, art_start
+    for r, ((row, rel, b), w) in enumerate(zip(rows, weights)):
+        if b < 0:
+            row, rel, b = [-a for a in row], _FLIPPED[rel], -b
+        coeffs.append(row)
+        rhs.append(b)
+        art_weights.append(0 if rel == "<=" else w)
+        basis.append(slack_at if rel == "<=" else art_at)
+        if rel == ">=":
+            surpluses.append([-(i == r) for i in range(m)])
+            cols.append(slack_at)
+        art_at += rel != "<="
+        slack_at += rel != "="
+    tab = [list(col) for col in zip(*coeffs)] if m else [[] for _ in range(ncols)]
+    tab += surpluses
+    tab.append(rhs)
+    # phase-2 costs are 0 on the basic columns, so they are reduced costs
+    for j, col in enumerate(tab):
+        col.append(-objective[j] if j < ncols else 0)
     d = 1
 
-    if art_rows:
-        # A rescaled artificial costs 1/L for its row's scale L; the lcm of
-        # those L makes the phase-1 costs integers, and pricing out the
-        # basic artificials leaves minus the weighted sum of their rows.
-        scale = lcm(*(s for _, s in art_rows))
-        cost1 = [0] * len(rows[0])
-        for row, s in art_rows:
-            w = scale // s
-            for j, a in enumerate(row):
-                if a:
-                    cost1[j] -= w * a
-        rows.append(cost1)
-        status, d = _simplex(rows, basis, cols, d)
+    if art_at > art_start:
+        # pricing out the basic artificials leaves minus the weighted row sum
+        for col in tab:
+            col.append(-sum(map(mul, art_weights, col)))
+        status, d = _simplex(tab, basis, cols, d)
         if status != OPTIMAL:
             raise EngineInvariantError("phase-1 objective is bounded below by zero")
-        # the cost row's last entry is -d * scale * (sum of artificials)
-        if rows.pop()[-1] < 0:
+        # the cost row's right-hand side is -d times the weighted sum of the artificials
+        if tab[-1][-1] < 0:
             return LpResult(INFEASIBLE)
         drop = []
         for i in range(m):
             if basis[i] >= art_start:
-                row = rows[i]
-                nonzero = [j for j, c in enumerate(cols) if c < art_start and row[j]]
+                nonzero = [j for j, c in enumerate(cols) if c < art_start and tab[j][i]]
                 if not nonzero:
                     drop.append(i)
                     continue
-                d = _pivot(rows, basis, cols, i, min(nonzero, key=cols.__getitem__), d)
+                d = _pivot(tab, basis, cols, i, min(nonzero, key=cols.__getitem__), d)
                 if d < 0:
-                    rows = [[-a for a in row] for row in rows]
+                    tab = [[-a for a in col] for col in tab]
                     d = -d
-        keep = [i for i in range(m) if i not in drop]
+        # row m holds the phase-2 costs; the phase-1 row, m + 1, goes
+        keep = [i for i in range(m + 1) if i not in drop]
         live = [j for j, c in enumerate(cols) if c < art_start]
-        basis = [basis[i] for i in keep]
+        basis = [basis[i] for i in keep[:-1]]
         cols = [cols[j] for j in live]
-        rows = [[rows[i][j] for j in live] + rows[i][-1:] for i in keep + [m]]
-        m = len(basis)
+        tab = [[tab[j][i] for i in keep] for j in live + [len(tab) - 1]]
 
-    status, d = _simplex(rows, basis, cols, d)
+    status, d = _simplex(tab, basis, cols, d)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
     x_num = [0] * ncols
-    for i in range(m):
-        if basis[i] < ncols:
-            x_num[basis[i]] = rows[i][-1]
+    for b, c in zip(tab[-1], basis):
+        if c < ncols:
+            x_num[c] = b
     _verify(lp, x_num, d)
-    zero = Fraction(0)
-    x = tuple(Fraction(v, d) if v else zero for v in x_num)
-    return LpResult(OPTIMAL, x, Fraction(sum(map(mul, lp.objective, x_num)), d))
+    result = object.__new__(LpResult)
+    result.__dict__.update(status=OPTIMAL, x_num=x_num, d=d, _lp=lp)
+    return result
 
 
 def project_onto_truncated_simplex(y, epsilon):
