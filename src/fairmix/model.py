@@ -26,6 +26,8 @@ value.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress, permutations
@@ -37,6 +39,11 @@ from .errors import EnumerationLimitError, MalformedInstanceError
 MAX_ITEMS = 24
 DEFAULT_ENUMERATION_BUDGET = 200_000
 SHOWN_CHARS = 60
+# a decimal string with an exponent, in the syntax ``Fraction`` reads:
+# integer digits, fraction digits and the exponent, each with underscores
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE
+)
 
 
 def _shown(value):
@@ -82,11 +89,13 @@ def _clipped(text, limit=SHOWN_CHARS):
 
 def as_fraction(value):
     """Coerce ints, Fractions and 'num/den' strings; reject floats, bools and x/0.
-    A plain ASCII 'digits/digits' string is parsed in ints, any other through ``Fraction``."""
+    A plain ASCII 'digits/digits' string is parsed in ints, any other through
+    ``Fraction``, once ``_refuse_huge_exponent`` has passed it."""
     if isinstance(value, str):
         pair = _plain_ratio(value)
         if pair is not None:
             return Fraction(*pair)
+        _refuse_huge_exponent(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -101,6 +110,27 @@ def as_fraction(value):
     if isinstance(value, Fraction):
         return value
     raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {_shown(value)}")
+
+
+def _refuse_huge_exponent(text):
+    """``MalformedInstanceError`` for a decimal string whose exponent would make
+    ``Fraction`` build an int past Python's int-to-str digit limit (4300 by
+    default), the limit that refuses the same value written out in digits.
+    Expanding the exponent costs time that grows with it: '1e20000000'
+    builds a 66-million-bit int."""
+    if "e" not in text and "E" not in text:
+        return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    match = _EXPONENT_FORM.fullmatch(text) if limit else None
+    if match is None:
+        return
+    whole, part, exp = (group.replace("_", "") for group in match.groups(""))
+    if len(exp.lstrip("+-")) > limit:
+        return  # ``Fraction`` refuses the exponent itself, as an int past the limit
+    shift = int(exp) - len(part)
+    digits = (len((whole + part).lstrip("0")) or 1) + shift if shift >= 0 else 1 - shift
+    if digits > limit:
+        raise MalformedInstanceError(f"bad rational {_shown(text)}: its exponent makes an int of more than {limit} digits")
 
 
 def _plain_ratio(text):

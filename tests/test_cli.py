@@ -186,6 +186,21 @@ class TestSolve:
         assert "floor 1/18 is not below the envy-gap bound 1/18" in capsys.readouterr().err
         assert not trace.exists()
 
+    # A decimal exponent is refused before ``Fraction`` expands it into an int
+    # past the 4300-digit limit; '1e20000000' once built a 66-million-bit int.
+    @pytest.mark.parametrize("value", ["1e20000000", "1e5000", "1.5E+4300"])
+    def test_utility_with_a_huge_exponent_is_refused(self, tmp_path, capsys, value):
+        data = {"n": 2, "m": 1, "utilities": {"type": "additive", "items": [[value], ["1"]]}}
+        instance = write_json(tmp_path / "huge.json", {**data, "allocations": "all_partitions"})
+        assert main(["solve", "--instance", instance]) == 1
+        err = capsys.readouterr().err
+        assert f"field 'utilities.items[0]': bad rational {value!r}: its exponent makes an int of more than" in err
+
+    @pytest.mark.parametrize("epsilon", ["1e-20000000", "1e-5000", "0.5e-4300"])
+    def test_epsilon_with_a_huge_exponent_is_refused(self, tmp_path, capsys, epsilon):
+        assert main(["solve", "--instance", symmetric_instance(tmp_path), "--epsilon", epsilon]) == 1
+        assert f"bad rational {epsilon!r}: its exponent makes an int of more than" in capsys.readouterr().err
+
     @pytest.mark.parametrize("epsilon", ["1/" + "9" * 5000, "x" * 5000], ids=["digits", "letters"])
     def test_over_long_epsilon_is_clipped_in_the_error(self, tmp_path, capsys, epsilon):
         assert main(["solve", "--instance", symmetric_instance(tmp_path), "--epsilon", epsilon]) == 1
@@ -306,6 +321,14 @@ class TestVerify:
         instance = symmetric_instance(tmp_path)
         allocation = allocation_file(tmp_path, [{"bundles": [[1], [2]], "probability": "1/2"}])
         assert main(["verify", "--instance", instance, "--allocation", allocation]) == 1
+
+    @pytest.mark.parametrize("probability", ["1e-20000000", "1e5000"])
+    def test_probability_with_a_huge_exponent_is_refused(self, tmp_path, capsys, probability):
+        instance = symmetric_instance(tmp_path)
+        allocation = allocation_file(tmp_path, [{"bundles": [[1], [2]], "probability": probability}])
+        assert main(["verify", "--instance", instance, "--allocation", allocation]) == 1
+        err = capsys.readouterr().err
+        assert f"field 'support[0]': bad rational {probability!r}: its exponent makes an int of more than" in err
 
 
 class TestEnvyGraph:

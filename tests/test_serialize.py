@@ -3,7 +3,9 @@
 import json
 import os
 import re
+import sys
 import time
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import pytest
@@ -130,10 +132,34 @@ class TestRationals:
     @example("\u0663/4")
     @example("\u00b3/4")
     @example("1" * 5000 + "/3")
+    @example("1e4299")
+    @example("1e4300")
+    @example("0.5e-4299")
+    @example("1_0e4_298")
+    @example("0e99999")
     def test_agrees_with_as_fraction(self, text):
-        # the reference is Fraction itself, with its two parse errors mapped
-        reference = self.outcome(Fraction, text, (ValueError, ZeroDivisionError))
+        # the reference is Fraction itself, with its two parse errors mapped,
+        # except that a decimal whose exponent makes an int past the digit
+        # limit (its unreduced numerator or denominator, as Decimal reads the
+        # coefficient and exponent) is refused before Fraction expands it
+        if "e" in text.lower() and self.expands_past_the_limit(text):
+            reference = MalformedInstanceError
+        else:
+            reference = self.outcome(Fraction, text, (ValueError, ZeroDivisionError))
         assert self.outcome(as_fraction, text, MalformedInstanceError) == reference
+
+    @staticmethod
+    def expands_past_the_limit(text):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        try:
+            number = Decimal(text)
+        except (InvalidOperation, ValueError):
+            return False
+        if not limit or not number.is_finite():
+            return False
+        _, digits, exponent = number.as_tuple()
+        coefficient = len("".join(map(str, digits)).lstrip("0")) or 1
+        return (coefficient + exponent if exponent >= 0 else 1 - exponent) > limit
 
 
 class TestMasks:
