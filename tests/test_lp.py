@@ -4,6 +4,7 @@ the Fraction simplex it replaced."""
 import random
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,17 @@ def test_malformed_program_shape_rejected(objective, constraints):
 )
 def test_non_rational_entry_rejected(objective, constraints):
     with pytest.raises(MalformedLpError):
+        LinearProgram(objective, constraints)
+
+
+@pytest.mark.parametrize(
+    "objective, constraints",
+    [((1,), ((("1e20000000",), "<=", 1),)), ((1,), (((1,), "<=", "1e-5000"),)), (("2.5e4300",), ())],
+    ids=["coefficient", "rhs", "objective"],
+)
+def test_entry_with_a_huge_exponent_rejected(objective, constraints):
+    # refused before ``Fraction`` expands the exponent into an int past the digit limit
+    with pytest.raises(MalformedLpError, match="its exponent makes an int of more than"):
         LinearProgram(objective, constraints)
 
 
@@ -400,6 +412,43 @@ def assert_pivots_like_dense(lp):
 @settings(max_examples=300, deadline=None)
 def test_condensed_tableau_pivots_as_the_dense_one(rng):
     assert_pivots_like_dense(random_lp(rng))
+
+
+def int_program(lp, rng):
+    """``lp`` with each row and the objective times a positive int that clears
+    their denominators, as int rows through ``LinearProgram._of``, the path
+    the engine's and the verifier's programs take; and the objective's factor."""
+    rows = []
+    for row, rel, rhs in lp.constraints:
+        factor = lcm(*(a.denominator for a in (*row, rhs))) * rng.randint(1, 3)
+        rows.append((tuple(int(a * factor) for a in row), rel, int(rhs * factor)))
+    factor = lcm(*(c.denominator for c in lp.objective)) * rng.randint(1, 3)
+    return LinearProgram._of(tuple(int(c * factor) for c in lp.objective), tuple(rows)), factor
+
+
+def test_int_programs_pivot_as_the_dense_one():
+    # A row dropped as redundant after phase 1, and the tableau negated after
+    # a negative pivot drives an artificial out, are where an indexing slip in
+    # the stored columns would hide, so each path must run at least once.
+    rng = random.Random(32)
+    dropped = negated = 0
+    for _ in range(300):
+        rational = random_lp(rng)
+        lp, factor = int_program(rational, rng)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            simplex = lp_module._simplex
+            patch.setattr(lp_module, "_simplex", lambda *args: calls.append(len(args[1])) or simplex(*args))
+            pivots = assert_pivots_like_dense(lp)
+        # phase 2 starts with fewer rows than phase 1 only after a drop
+        dropped += len(calls) == 2 and calls[1] < calls[0]
+        negated += any(p < 0 for _, _, p in pivots)
+        # scaling rows moves no optimum: the status and the optimal value agree
+        result, want = solve_lp(lp), fraction_simplex(rational)
+        assert result.status == want.status
+        if want.status == OPTIMAL:
+            assert result.objective_value == want.objective_value * factor
+    assert dropped and negated, (dropped, negated)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

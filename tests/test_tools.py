@@ -1,0 +1,30 @@
+"""``tools/lp_stage.py``, the LP stage harness, in its smallest mode: one
+pinned set, one timed pass."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_lp_stage_appends_one_entry_with_every_key(tmp_path):
+    out = tmp_path / "BENCH_lp.json"
+    out.write_text(json.dumps([{"earlier": "entry"}]))
+    script = os.path.join(ROOT, "tools", "lp_stage.py")
+    argv = [sys.executable, script, "--sets", "envious", "--repeats", "1", "--out", str(out)]
+    subprocess.run(argv, check=True, capture_output=True, timeout=120)
+    entries = json.loads(out.read_text())
+    assert len(entries) == 2 and entries[0] == {"earlier": "entry"}
+    entry = entries[1]
+    assert set(entry) == {"commit", "src_dirty", "python", "sets", "repeats", "kinds"}
+    assert entry["sets"] == ["envious"] and entry["repeats"] == 1
+    assert set(entry["kinds"]) == {"select", "lowest", "domination"}
+    for stats in entry["kinds"].values():
+        assert set(stats) == {"lps", "cells", "pivots", "best_s"}
+        assert stats["best_s"] >= 0 and (stats["lps"] > 0) == (stats["cells"] > 0)
+    # each of the six envious solves runs one lowest-vertex program, and
+    # solving verifies by weight witness, with no domination program
+    assert entry["kinds"]["lowest"]["lps"] == 6 and entry["kinds"]["select"]["lps"] > 0
+    assert entry["kinds"]["domination"]["lps"] == 0
