@@ -414,7 +414,6 @@ def _lowest_vertex(points, eps):
     result = solve_lp(LinearProgram._of((0,) * (n - 1) + (1,), tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"lowest-vertex program ended {result.status}")
-    # the solution is x_num / d, so a point's row is tight when a . x_num = b * d
     x_num, d = result.x_num, result.d
     mask = 0
     for f, (row, _, rhs) in enumerate(rows[1:]):

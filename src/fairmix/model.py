@@ -40,10 +40,9 @@ MAX_ITEMS = 24
 DEFAULT_ENUMERATION_BUDGET = 200_000
 SHOWN_CHARS = 60
 # a decimal string with an exponent, in the syntax ``Fraction`` reads:
-# integer digits, fraction digits and the exponent, each with underscores
-_EXPONENT_FORM = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE
-)
+# integer digits, fraction digits and the exponent, each with underscores;
+# compiled on first use, by ``re``'s cache, to keep it out of the import
+_EXPONENT_FORM = r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
 
 
 def _shown(value):
@@ -121,7 +120,7 @@ def _refuse_huge_exponent(text):
     if "e" not in text and "E" not in text:
         return
     limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    match = _EXPONENT_FORM.fullmatch(text) if limit else None
+    match = re.fullmatch(_EXPONENT_FORM, text) if limit else None
     if match is None:
         return
     whole, part, exp = (group.replace("_", "") for group in match.groups(""))
@@ -130,7 +129,8 @@ def _refuse_huge_exponent(text):
     shift = int(exp) - len(part)
     digits = (len((whole + part).lstrip("0")) or 1) + shift if shift >= 0 else 1 - shift
     if digits > limit:
-        raise MalformedInstanceError(f"bad rational {_shown(text)}: its exponent makes an int of more than {limit} digits")
+        message = f"its exponent makes an int of more than {limit} digits"
+        raise MalformedInstanceError(f"bad rational {_shown(text)}: {message}")
 
 
 def _plain_ratio(text):
