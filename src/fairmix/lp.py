@@ -13,10 +13,9 @@ one surplus and one artificial (>=) or one artificial (=).
 Int programs in.  The solver reads a program's integer form: each row times
 the lcm L of its denominators, its artificial's phase-1 cost 1/L times the
 lcm of every L, and the objective times its own lcm.  ``LinearProgram(...)``
-checks a caller's program, coerces it to Fractions and builds that form
-once, on its first solve.  The engine and the verifier build their rows in
-the utility table's ints and wrap them with ``LinearProgram._of``, which
-skips the checks: the rows are their own integer form, every weight 1.
+checks and coerces a caller's program and builds that form on its first
+solve.  The engine and the verifier wrap their rows, in the utility table's
+ints, with ``LinearProgram._of``: no checks, every weight 1.
 
 Fraction-free tableau.  The tableau T, its two cost rows included, holds
 the rational tableau times one common denominator D > 0.  A pivot on (r, c)
@@ -127,14 +126,15 @@ class LinearProgram(Value):
 
     @classmethod
     def _of(cls, objective, constraints):
+        """A program of int rows the package built: its own integer form."""
         out = super()._of(objective, constraints)
         out.__dict__["_ints"] = objective, 1, constraints, (1,) * len(constraints)
         return out
 
     @cached_property
     def _ints(self):
-        """The integer form: the objective's numerators and their lcm, the int
-        rows and their phase-1 weights."""
+        """The integer form, built on first read: the objective's numerators
+        and their lcm, the int rows and their phase-1 weights."""
         rows, dens = [], []
         for row, rel, rhs in self.constraints:
             (*nums, b), den = over_common_denominator((*row, rhs))

@@ -39,7 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from fairmix import engine, envy  # noqa: E402
 from fairmix import lp as lp_module  # noqa: E402
-from fairmix.cli import main  # noqa: E402
+from fairmix.cli import main as fairmix_main  # noqa: E402
 
 
 def _write(path, data):
@@ -66,7 +66,7 @@ def _run_set(name, directory):
             calls.append(["verify", "--instance", hard[entry["hard"]], "--allocation", lottery])
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         for argv in calls:
-            if main(argv) not in (0, 3):
+            if fairmix_main(argv) not in (0, 3):
                 raise SystemExit(f"lp_stage: {' '.join(argv)} failed")
 
 
@@ -126,7 +126,7 @@ def _git(*args):
     return out.stdout.strip()
 
 
-def main_cli(argv=None):
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sets", default=",".join(SETS), help="comma-separated pinned sets")
     parser.add_argument("--repeats", type=int, default=7, help="timed passes per kind; the best is kept")
@@ -167,4 +167,4 @@ def main_cli(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main_cli())
+    sys.exit(main())
