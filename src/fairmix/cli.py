@@ -22,7 +22,7 @@ from .engine import find_fixed_point
 from .envy import build_envy_graph, certify
 from .errors import EngineInvariantError, FairmixError
 from .hard import DisjointnessInput, build_hard_instance, verify_welfare_dichotomy
-from .model import SHOWN_CHARS, _clipped, _shown, as_fraction
+from .model import SHOWN_CHARS, _clipped, _shown
 from .serialize import (
     dump_certificate,
     dump_dichotomy_report,
@@ -110,11 +110,10 @@ class _TraceWriter:
 
 def cmd_solve(args):
     inst = load_instance(_read_json(args.instance), strict=args.strict, warn=_warn)
-    epsilon = "auto" if args.epsilon == "auto" else as_fraction(args.epsilon)
     sink = _TraceWriter(args.trace, inst) if args.trace else None
     try:
         start = time.perf_counter()
-        state, cert = find_fixed_point(inst, epsilon, trace_sink=sink)
+        state, cert = find_fixed_point(inst, args.epsilon, trace_sink=sink)
         wall = time.perf_counter() - start
     finally:
         if sink:

@@ -1,12 +1,15 @@
 """Domain types for lottery-based fair division of indivisible items.
 
-Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Utility
-values are exact rationals, read as int (numerator, denominator) pairs;
-``normalize_utilities`` normalizes them once, in ints, straight into a
-:class:`UtilityProfile` of int numerators over one denominator shared by
-every player, and everything downstream reads those ints.  The raw values
-are kept as ints over each player's least denominator; their Fraction form
-is built only when asked for, to be written back out.  An allocation set
+Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Rationals
+are read in one place: ``_num_den`` turns an accepted value (an int, a
+Fraction or a 'num/den' string) into an int (numerator, denominator) pair,
+or refuses it, and ``as_fraction`` builds its Fraction from that pair.
+Utility values are read as such pairs; ``normalize_utilities`` normalizes
+them once, in ints, straight into a :class:`UtilityProfile` of int
+numerators over one denominator shared by every player, and everything
+downstream reads those ints.  The raw values are kept as ints over each
+player's least denominator; their Fraction form is built only when asked
+for, to be written back out.  An allocation set
 stores only its tuple of bundle tuples; the :class:`PureAllocation` objects
 it hands out are views made on demand.  The kernel reads its own vectors
 and distinct points in C-level passes over the set's per-player columns,
@@ -45,24 +48,15 @@ SHOWN_CHARS = 60
 _EXPONENT_FORM = r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
 
 
-def _shown(value):
-    """``repr(value)`` for an error message, clipped by ``_clipped``.  A value
-    whose ``repr`` raises is described by ``_sized`` instead."""
+def _shown(value, text=repr):
+    """``text(value)`` for an error message, clipped by ``_clipped``: the
+    ``repr`` by default, or ``str`` for a Fraction ('1/3').  A value whose
+    text raises is described by ``_sized`` instead."""
     try:
-        text = repr(value)
+        shown = text(value)
     except (ValueError, RecursionError):
         return _sized(value)
-    return _clipped(text)
-
-
-def _shown_rational(value):
-    """``str`` of a Fraction for an error message ('1/3'), as ``_shown``
-    shows a ``repr``: clipped, or described by ``_sized`` when it raises."""
-    try:
-        text = str(value)
-    except ValueError:
-        return _sized(value)
-    return _clipped(text)
+    return _clipped(shown)
 
 
 def _sized(value):
@@ -87,28 +81,12 @@ def _clipped(text, limit=SHOWN_CHARS):
 
 
 def as_fraction(value):
-    """Coerce ints, Fractions and 'num/den' strings; reject floats, bools and x/0.
-    A plain ASCII 'digits/digits' string is parsed in ints, any other through
-    ``Fraction``, once ``_refuse_huge_exponent`` has passed it."""
-    if isinstance(value, str):
-        pair = _plain_ratio(value)
-        if pair is not None:
-            return Fraction(*pair)
-        _refuse_huge_exponent(value)
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            # Fraction's own message may echo the string whole
-            shown = _shown(value)
-            raise MalformedInstanceError(f"bad rational {shown}: {str(exc).replace(repr(value), shown)}") from exc
-    if isinstance(value, bool):
-        raise MalformedInstanceError(f"boolean is not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    # last: an isinstance check against Fraction, an ABC, is slow for other types
-    if isinstance(value, Fraction):
+    """Coerce ints, Fractions and 'num/den' strings to a Fraction; reject
+    floats, bools and x/0.  A value of type Fraction is returned as it is;
+    any other is read by ``_num_den``, with its errors."""
+    if type(value) is Fraction:
         return value
-    raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {_shown(value)}")
+    return Fraction(*_num_den(value))
 
 
 def _refuse_huge_exponent(text):
@@ -146,14 +124,32 @@ def _plain_ratio(text):
 
 
 def _num_den(value):
-    """``value`` as an int pair ``(numerator, denominator)``, the denominator > 0.
-    Reads exactly what ``as_fraction`` accepts, with its errors; a plain string
-    is split in ints, with no Fraction built."""
-    pair = _plain_ratio(value) if isinstance(value, str) else None
-    if pair is None:
-        q = as_fraction(value)
-        pair = q.numerator, q.denominator
-    return pair
+    """``value`` as an int pair ``(numerator, denominator)``, the denominator > 0;
+    the package's one reader of rationals.  A plain ASCII 'digits/digits'
+    string is split in ints, not reduced, with no Fraction built; any other
+    string is read by ``Fraction`` once ``_refuse_huge_exponent`` has passed
+    it.  An int, or a Fraction, gives its own numerator and denominator;
+    floats, bools and anything else are a ``MalformedInstanceError``."""
+    if isinstance(value, str):
+        pair = _plain_ratio(value)
+        if pair is not None:
+            return pair
+        _refuse_huge_exponent(value)
+        try:
+            q = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            # Fraction's own message may echo the string whole
+            shown = _shown(value)
+            raise MalformedInstanceError(f"bad rational {shown}: {str(exc).replace(repr(value), shown)}") from exc
+        return q.numerator, q.denominator
+    if isinstance(value, bool):
+        raise MalformedInstanceError(f"boolean is not a rational value: {value!r}")
+    if isinstance(value, int):
+        return value.numerator, 1
+    # last: an isinstance check against Fraction, an ABC, is slow for other types
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise MalformedInstanceError(f"non-rational value of type {type(value).__name__}: {_shown(value)}")
 
 
 def is_int(value):
@@ -716,7 +712,7 @@ def _checked_pairs(k, items):
             probs[j] = probs.get(j, 0) + q
     total = sum(probs.values())
     if total != 1:
-        raise MalformedInstanceError(f"probabilities sum to {_shown_rational(total)}, not 1")
+        raise MalformedInstanceError(f"probabilities sum to {_shown(total, str)}, not 1")
     return tuple(sorted(probs.items()))
 
 
@@ -735,9 +731,9 @@ class WeightVector(Value):
         if n == 0:
             raise MalformedInstanceError("empty weight vector")
         if not 0 < eps <= Fraction(1, n):
-            raise MalformedInstanceError(f"floor {_shown_rational(eps)} outside (0, 1/{n}]")
+            raise MalformedInstanceError(f"floor {_shown(eps, str)} outside (0, 1/{n}]")
         if sum(w) != 1:
-            raise MalformedInstanceError(f"weights sum to {_shown_rational(sum(w))}, not 1")
+            raise MalformedInstanceError(f"weights sum to {_shown(sum(w), str)}, not 1")
         if any(v < eps for v in w):
             raise MalformedInstanceError("weight below the floor")
 

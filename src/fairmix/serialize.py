@@ -41,19 +41,17 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+def _rationals(values):
+    """``format_rational`` of each of ``values``, as a list; None for None."""
+    return None if values is None else [format_rational(q) for q in values]
+
+
 def mask_to_items(mask):
     """Bitmask to sorted 1-based item list.  A mask that is not an int >= 0
     (a bool is not an int here) raises ``MalformedInstanceError``."""
     if not is_int(mask) or mask < 0:
         raise MalformedInstanceError(f"bundle mask {_shown(mask)} is not an integer >= 0")
-    items = []
-    g = 0
-    while mask:
-        if mask & 1:
-            items.append(g + 1)
-        mask >>= 1
-        g += 1
-    return items
+    return [g + 1 for g in range(mask.bit_length()) if mask >> g & 1]
 
 
 def items_to_mask(items, m):
@@ -235,19 +233,18 @@ def dump_certificate(cert, inst):
     dominator = None
     if cert.pe.dominator is not None:
         dominator = dump_mixed_allocation(cert.pe.dominator, inst)
-    gains = None
-    if cert.pe.gains is not None:
-        gains = [format_rational(g) for g in cert.pe.gains]
-    weight = None
-    if cert.pe.weight is not None:
-        weight = [format_rational(x) for x in cert.pe.weight]
     residual = None
     if cert.fixed_point_residual is not None:
         residual = format_rational(cert.fixed_point_residual)
     return {
         "ok": cert.ok,
         "ef": {"ok": cert.ef.ok, "witness": witness},
-        "pe": {"ok": cert.pe.ok, "dominator": dominator, "gains": gains, "weight": weight},
+        "pe": {
+            "ok": cert.pe.ok,
+            "dominator": dominator,
+            "gains": _rationals(cert.pe.gains),
+            "weight": _rationals(cert.pe.weight),
+        },
         "fixed_point_residual": residual,
     }
 
@@ -255,7 +252,7 @@ def dump_certificate(cert, inst):
 def dump_solve_result(state, cert, inst, wall_time):
     return {
         "p": dump_mixed_allocation(state.p, inst),
-        "w": [format_rational(x) for x in state.w.w],
+        "w": _rationals(state.w.w),
         "certificate": dump_certificate(cert, inst),
         "iterations": state.iteration,
         "wall_time": wall_time,
@@ -265,12 +262,12 @@ def dump_solve_result(state, cert, inst, wall_time):
 def dump_trace_record(rec, inst):
     return {
         "iteration": rec.iteration,
-        "w": [format_rational(x) for x in rec.w.w],
+        "w": _rationals(rec.w.w),
         "support": [
             [mask_to_items(b) for b in inst.allocations.bundles[j]] for j in rec.p.support()
         ],
         "residual": format_rational(rec.residual),
-        "nu": [format_rational(x) for x in rec.nu],
+        "nu": _rationals(rec.nu),
     }
 
 

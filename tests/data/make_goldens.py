@@ -23,7 +23,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench"), os.path.
 
 
 def save(name, data):
-    with open(os.path.join(HERE, f"{name}.json"), "w") as fh:
+    with open(os.path.join(HERE, f"{name}.json"), "w", encoding="utf-8") as fh:
         json.dump(data, fh, separators=(",", ":"))
         fh.write("\n")
 
@@ -105,7 +105,7 @@ def inputs():
         lotteries = []
         for op in ops:
             path = op.argv[op.argv.index("--instance") + 1]
-            with open(op.argv[op.argv.index("--allocation") + 1]) as fh:
+            with open(op.argv[op.argv.index("--allocation") + 1], encoding="utf-8") as fh:
                 lotteries.append({"hard": [h[0] for h in hard].index(path), **json.load(fh)})
     strings = [[int(argv[2]), argv[4], argv[6]] for argv in calls]
     save("certify", {"hard": strings, "lotteries": lotteries})

@@ -180,7 +180,7 @@ def desk_runs(tmp_path_factory):
         data = random_instance_data(rng)
         instance_path = base / f"instance_{t}.json"
         trace_path = base / f"trace_{t}.jsonl"
-        instance_path.write_text(json.dumps(data))
+        instance_path.write_text(json.dumps(data), encoding="utf-8")
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(
@@ -189,7 +189,7 @@ def desk_runs(tmp_path_factory):
         result = json.loads(out.getvalue()) if code == 0 else None
         inst = load_instance(data)
         p = load_mixed_allocation(result["p"], inst) if result else None
-        trace = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        trace = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
         runs.append(
             SimpleNamespace(data=data, inst=inst, p=p, exit_code=code, result=result, trace=trace)
         )
@@ -299,7 +299,7 @@ def test_existence_beyond_three_players(tmp_path):
             data = random_instance_data(rng, n=n, m=m)
             label = f"n={n} m={m} run {t}"
             path = tmp_path / f"instance_{n}_{m}_{t}.json"
-            path.write_text(json.dumps(data))
+            path.write_text(json.dumps(data), encoding="utf-8")
             out = io.StringIO()
             started = time.perf_counter()
             with redirect_stdout(out):

@@ -46,7 +46,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def pinned(workload):
     """The instances of one pinned set, loaded as the CLI loads them."""
-    with open(os.path.join(DATA, f"{workload}.json")) as fh:
+    with open(os.path.join(DATA, f"{workload}.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     if workload == "certify":
         data = [

@@ -16,7 +16,7 @@ from fairmix.errors import EngineInvariantError, FairmixError
 
 
 def write_json(path, data):
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
 
 
@@ -91,13 +91,13 @@ class TestSolve:
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         assert main(["solve", "--instance", str(path)]) == 1
 
     def test_integer_over_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
         # json parses ints through int(), which refuses strings over its digit limit
         path = tmp_path / "long.json"
-        path.write_text('{"n": 1, "m": ' + "1" * 5000 + "}")
+        path.write_text('{"n": 1, "m": ' + "1" * 5000 + "}", encoding="utf-8")
         assert main(["solve", "--instance", str(path)]) == 1
         assert f"error: {path} is not valid JSON" in capsys.readouterr().err
 
@@ -105,7 +105,7 @@ class TestSolve:
     def test_nesting_past_the_recursion_limit_is_invalid_json(self, flag, tmp_path, capsys):
         # the parser recurses once per open bracket, so deep nesting raises RecursionError
         path = tmp_path / "deep.json"
-        path.write_text("[" * 100000 + "]" * 100000)
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
         if flag == "--instance":
             argv = ["solve", "--instance", str(path)]
         else:
@@ -127,7 +127,7 @@ class TestSolve:
         )
         assert code == 0
         result = json.loads(capsys.readouterr().out)
-        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
         for rec in records:
             assert set(rec) == {"iteration", "w", "support", "residual", "nu"}
         assert [rec["iteration"] for rec in records] == list(range(1, result["iterations"] + 1))
@@ -144,7 +144,7 @@ class TestSolve:
 
     def test_rejected_solve_keeps_earlier_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        trace.write_text('{"earlier": true}\n')
+        trace.write_text('{"earlier": true}\n', encoding="utf-8")
         code = main(
             [
                 "solve",
@@ -158,7 +158,7 @@ class TestSolve:
         )
         assert code == 1
         assert "envy-gap bound" in capsys.readouterr().err
-        assert trace.read_text() == '{"earlier": true}\n'
+        assert trace.read_text(encoding="utf-8") == '{"earlier": true}\n'
 
     def test_explicit_epsilon_and_budgets(self, tmp_path, capsys):
         code = main(
@@ -378,7 +378,7 @@ class TestGenHard:
         # dump_instance writes the raw values from their int form, as Fractions
         # built on demand; tests/data/gen_hard_p3.json pins every byte
         assert main(["gen-hard", "--p", "3", "--x1", "1010101010", "--x2", "0110011001"]) == 0
-        with open(os.path.join(os.path.dirname(__file__), "data", "gen_hard_p3.json")) as fh:
+        with open(os.path.join(os.path.dirname(__file__), "data", "gen_hard_p3.json"), encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
 
     def test_out_file_then_solve(self, tmp_path, capsys):
@@ -474,7 +474,7 @@ class TestFlagContract:
         proc = subprocess.run(
             [sys.executable, "-m", "fairmix", "gen-hard", "--p", "1", "--x1", "1", "--x2", "0"],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
@@ -488,7 +488,7 @@ class TestFlagContract:
             "import sys; sys.path.insert(0, sys.argv[1]); import fairmix.cli; "
             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
         )
-        proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, encoding="utf-8")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
@@ -502,7 +502,7 @@ def test_session_without_default_encodings(tmp_path):
     strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "fairmix"]
 
     def run(*argv):
-        proc = subprocess.run([*strict, *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+        proc = subprocess.run([*strict, *argv], capture_output=True, encoding="utf-8", env=env, cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
         return proc.stdout
 
@@ -547,7 +547,7 @@ class TestRepeatedMain:
                 codes.append(main(argv))
                 out, err = capsys.readouterr()
                 fresh = subprocess.run(
-                    [sys.executable, "-m", "fairmix", *argv], capture_output=True, text=True, env=env
+                    [sys.executable, "-m", "fairmix", *argv], capture_output=True, encoding="utf-8", env=env
                 )
                 assert (codes[-1], scrub(out), err) == (fresh.returncode, scrub(fresh.stdout), fresh.stderr)
             assert len(builds) == 1

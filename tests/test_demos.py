@@ -28,8 +28,8 @@ def test_demo_output_is_unchanged(demo):
     name = os.path.splitext(os.path.basename(demo))[0]
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, demo], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, demo], capture_output=True, encoding="utf-8", env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    with open(os.path.join(PINNED, f"{name}.txt")) as fh:
+    with open(os.path.join(PINNED, f"{name}.txt"), encoding="utf-8") as fh:
         assert proc.stdout == fh.read()

@@ -451,7 +451,7 @@ def test_weight_of_the_wrong_length_is_a_precondition_error(call, length):
 
 
 def pinned_entries(workload):
-    with open(os.path.join(DATA, f"{workload}.json")) as fh:
+    with open(os.path.join(DATA, f"{workload}.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -622,7 +622,7 @@ state, cert = engine.find_fixed_point(inst)
 print(json.dumps([len(calls), cert.ok, "numpy" in sys.modules, "scipy" in sys.modules]))
 """
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, "-I", "-c", script], capture_output=True, encoding="utf-8", timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [1, True, False, False]

@@ -27,12 +27,12 @@ WORKLOADS = ("desk", "certify", "wide", "many", "envious")
 
 
 def read(name):
-    with open(os.path.join(DATA, f"{name}.json")) as fh:
+    with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def write(path, data):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
     return path
 

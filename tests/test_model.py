@@ -308,7 +308,7 @@ def builder_outputs():
         r = split_count(p)
         inst = build_hard_instance(DisjointnessInput(p, (1,) * r, (0,) * r))
         sets.append((f"hard-p{p}", inst.allocations))
-    with open(os.path.join(DATA, "wide.json")) as fh:
+    with open(os.path.join(DATA, "wide.json"), encoding="utf-8") as fh:
         wide = json.load(fh)
     for j, entry in enumerate(wide):
         if isinstance(entry["allocations"], list):
@@ -375,7 +375,8 @@ class TestStoredForm:
         desk = tmp_path / "desk.json"
         desk.write_text(
             '{"n": 3, "m": 3, "allocations": "all_partitions", "utilities": {"type": "additive",'
-            ' "items": [["1", "3", "0"], ["2", "1", "1/2"], ["0", "1", "4"]]}}'
+            ' "items": [["1", "3", "0"], ["2", "1", "1/2"], ["0", "1", "4"]]}}',
+            encoding="utf-8",
         )
 
         def refuse(aset, *index):

@@ -35,7 +35,7 @@ from fairmix import (
 )
 from fairmix.engine import FixedPointState
 from fairmix.hard import DisjointnessInput
-from fairmix.model import SHOWN_CHARS, WeightVector, as_fraction
+from fairmix.model import SHOWN_CHARS, WeightVector, _num_den, as_fraction
 from fairmix.serialize import items_to_mask, mask_to_items
 
 from conftest import additive_table
@@ -147,6 +147,11 @@ class TestRationals:
         else:
             reference = self.outcome(Fraction, text, (ValueError, ZeroDivisionError))
         assert self.outcome(as_fraction, text, MalformedInstanceError) == reference
+        # as_fraction reads through _num_den, the one reader, and hands a
+        # Fraction back as the same object
+        assert self.outcome(lambda t: Fraction(*_num_den(t)), text, MalformedInstanceError) == reference
+        if reference is not MalformedInstanceError:
+            assert as_fraction(reference) is reference
 
     @staticmethod
     def expands_past_the_limit(text):
@@ -366,7 +371,7 @@ class TestInstanceLoad:
     def test_loaded_profile_matches_normalize_utilities(self, workload):
         # load_instance normalizes the tables it has checked without checking
         # them again; normalize_utilities, with every check, agrees
-        with open(os.path.join(os.path.dirname(__file__), "data", f"{workload}.json")) as fh:
+        with open(os.path.join(os.path.dirname(__file__), "data", f"{workload}.json"), encoding="utf-8") as fh:
             data = json.load(fh)
         for entry in data:
             profile = load_instance(entry).utilities

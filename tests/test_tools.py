@@ -11,11 +11,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_lp_stage_appends_one_entry_with_every_key(tmp_path):
     out = tmp_path / "BENCH_lp.json"
-    out.write_text(json.dumps([{"earlier": "entry"}]))
+    out.write_text(json.dumps([{"earlier": "entry"}]), encoding="utf-8")
     script = os.path.join(ROOT, "tools", "lp_stage.py")
     argv = [sys.executable, script, "--sets", "envious", "--repeats", "1", "--out", str(out)]
     subprocess.run(argv, check=True, capture_output=True, timeout=120)
-    entries = json.loads(out.read_text())
+    entries = json.loads(out.read_text(encoding="utf-8"))
     assert len(entries) == 2 and entries[0] == {"earlier": "entry"}
     entry = entries[1]
     assert set(entry) == {"commit", "src_dirty", "python", "sets", "repeats", "kinds"}

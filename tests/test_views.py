@@ -90,7 +90,7 @@ def test_lotteries_over_d_match_the_fraction_oracle(d):
 
 def certify_cases():
     """The certify set: (instance, lottery) for each of its 48 verify calls."""
-    with open(os.path.join(DATA, "certify.json")) as fh:
+    with open(os.path.join(DATA, "certify.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     hard = [
         build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2))))

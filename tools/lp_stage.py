@@ -120,7 +120,7 @@ def best_pass(programs, repeats):
 
 def _git(*args):
     try:
-        out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True, check=True)
+        out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, encoding="utf-8", check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
