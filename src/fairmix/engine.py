@@ -127,22 +127,31 @@ def argmax_allocations(w, inst):
 def select_p_in_P(w, inst, argmax=None):
     """Deterministic choice in P(w): minimize the maximum envy margin.
 
-    Solves: min s over lotteries supported on the argmax set, where s bounds
-    every pairwise margin (view of another player's stream minus own).  An
-    optimum s <= 0 means the returned lottery is already envy-free.  The LP
-    is canonical, so the free s is the last two columns, s = s+ - s-.  Every
-    row is built times the table's scale, in the table's ints, and enters
-    the solver unchecked through ``LinearProgram._of`` (see ``lp``).  ``w``
+    The least largest margin is the value of a zero-sum matrix game: the
+    lottery over the argmax set mixes its columns, and each ordered pair
+    (i, h), i != h, is a row whose entry at allocation j is i's view of h's
+    bundle minus i's own utility, in the table's ints over the ascending
+    argmax.  Every entry is raised by ``shift = 1 - (least entry)``, so
+    each is at least 1 and the game's value V is positive, and x = p / V
+    solves max sum x subject to C'x <= 1 and x >= 0 (Dantzig 1951).  Its
+    right-hand sides are all 1, so the slack basis is feasible: the solver
+    builds no artificial column and runs no phase 1.  The rows enter the
+    solver unchecked through ``LinearProgram._of`` (see ``lp``).  ``w``
     must have one entry per player, and a given ``argmax`` must be a
     non-empty tuple or list of indices in 0..k-1, or this raises
     ``PreconditionError``.
 
+    At the optimum, x_num over d, the lottery is x_num_j / sum x_num,
+    exact and summing to 1, and its largest margin times the table's
+    scale is d / sum x_num - shift, the least over P(w): at most 0 exactly
+    when P(w) holds an envy-free lottery.  Where that optimum is not
+    unique, the lottery is the one Bland's rule reaches from the slack
+    basis.
+
     A given ``argmax`` is read as its set, ascending, so its order and
     repeats change nothing.  The LP's solution is verified by substitution,
-    so its positive entries are already a lottery's canonical pairs: the
-    only Fractions built are the support's probabilities, each numerator
-    over the optimum's denominator, wrapped unchecked by
-    ``MixedAllocation._of``.
+    so the only Fractions built are the support's probabilities, each
+    numerator over sum x_num, wrapped unchecked by ``MixedAllocation._of``.
     """
     _require_weight_for(w, inst)
     k = len(inst.allocations)
@@ -156,26 +165,22 @@ def select_p_in_P(w, inst, argmax=None):
     if n == 1 or len(argmax) == 1:
         return MixedAllocation.point_mass(k, argmax[0])
 
-    q = len(argmax)
     own_num = inst.kernel.own_num
-    table, scale = inst.utilities.table, inst.utilities.scale
+    table = inst.utilities.table
     bundles = inst.allocations.bundles
-    objective = (0,) * q + (-1, 1)
-    rows = [((scale,) * q + (0, 0), "=", scale)]
+    margins = []
     for i in range(n):
         values, own = table[i], own_num[i]
         for h in range(n):
-            if h == i:
-                continue
-            coeffs = tuple(values[bundles[j][h]] - own[j] for j in argmax)
-            rows.append((coeffs + (-scale, scale), "<=", 0))
-    result = solve_lp(LinearProgram._of(objective, tuple(rows)))
+            if h != i:
+                margins.append([values[bundles[j][h]] - own[j] for j in argmax])
+    shift = 1 - min(map(min, margins))
+    rows = tuple((tuple(a + shift for a in row), "<=", 1) for row in margins)
+    result = solve_lp(LinearProgram._of((1,) * len(argmax), rows))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
-    # zip stops before the trailing envy-bound columns s+ and s-
-    d = result.d
-    return MixedAllocation._of(k, tuple((j, Fraction(v, d)) for j, v in zip(argmax, result.x_num) if v))
-
+    total = sum(result.x_num)
+    return MixedAllocation._of(k, tuple((j, Fraction(v, total)) for j, v in zip(argmax, result.x_num) if v))
 
 def _views(p, inst):
     """views[i][h] = player i's expected value of player h's bundle stream, in table

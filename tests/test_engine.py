@@ -576,6 +576,35 @@ def test_lowest_vertex_lp_needs_no_phase_one(monkeypatch):
         assert phases == [1]
 
 
+def test_select_lp_needs_no_phase_one(monkeypatch):
+    # the margin game's rows are all <= 1 over entries >= 1: the slack basis
+    # is feasible, the solver builds no artificial column, and only phase 2
+    # runs, over the program's columns and one slack per row; each _simplex
+    # call records the largest original column index it sees
+    programs, calls, selects = [], [], []
+    solve, simplex, select = engine.solve_lp, lp_module._simplex, engine.select_p_in_P
+    monkeypatch.setattr(lp_module, "_simplex", lambda *args: calls.append(max(args[1] + args[2])) or simplex(*args))
+    monkeypatch.setattr(engine, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+
+    def recording(w, inst, argmax=None):
+        programs.clear()
+        calls.clear()
+        p = select(w, inst, argmax)
+        if programs:
+            selects.append((inst.n, *programs, list(calls)))
+        return p
+
+    monkeypatch.setattr(engine, "select_p_in_P", recording)
+    for workload in ("desk", "wide", "many", "envious"):
+        for entry in pinned_entries(workload):
+            find_fixed_point(load_instance(entry))
+    assert selects
+    for n, lp, largest in selects:
+        assert len(lp.constraints) == n * (n - 1)
+        assert all(rel == "<=" and rhs == 1 and min(row) >= 1 for row, rel, rhs in lp.constraints)
+        assert len(largest) == 1 and largest[0] < lp.num_vars + len(lp.constraints)
+
+
 def test_a_lowest_vertex_the_enumeration_lacks_is_an_invariant_failure(monkeypatch):
     # the lowest vertex is envious here, so the scan enumerates the envelope,
     # which must hold the same vertex with the same argmax mask

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_views, seeded_rng
+from conftest import additive_table, fraction_views, seeded_rng
 from fairmix import engine, envy
 from fairmix import lp as lp_module
 from fairmix.errors import EngineInvariantError, MalformedLpError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
+from fairmix.model import Instance, MixedAllocation, WeightVector, all_partitions_allocation_set
 from oracles import brute_force_lp_max, dense_simplex, fraction_simplex, satisfies
 from test_golden import WORKLOADS, answers
 from test_kernel import CASES, case_id, lotteries, make_instance, sample_weights, tie_weights
+from test_table import fraction_select_rows, game_rows
 
 F = Fraction
 
@@ -299,40 +301,82 @@ def test_select_lps_match_fraction_simplex(case, monkeypatch):
         assert seen
 
 
+def recorded_selects(monkeypatch):
+    """Each tie-breaking program ``select_p_in_P`` solves, as (instance,
+    ascending argmax, program, result, returned lottery)."""
+    seen, solved = [], []
+    solve, select = engine.solve_lp, engine.select_p_in_P
+
+    def keep_lp(lp):
+        solved.append((lp, solve(lp)))
+        return solved[-1][1]
+
+    def keep(w, inst, argmax=None):
+        before = len(solved)
+        p = select(w, inst, argmax)
+        if len(solved) > before:
+            amax = engine.argmax_allocations(w, inst) if argmax is None else tuple(sorted(set(argmax)))
+            seen.append((inst, amax, *solved[-1], p))
+        return p
+
+    monkeypatch.setattr(engine, "solve_lp", keep_lp)
+    monkeypatch.setattr(engine, "select_p_in_P", keep)
+    return seen
+
+
+def assert_game_value_is_the_least_largest_margin(inst, argmax, lp, result, p):
+    # The program is the margin game: the reference margin rows times the
+    # scale, shifted so that their least entry is 1, with x >= 0, C'x <= 1
+    # and max sum x.  Its value 1/sum x* is the game's, so 1/sum x* - shift
+    # is the least largest margin times the scale: it equals the returned
+    # lottery's largest margin, recomputed from expected utilities, and the
+    # optimum of the min-s program the engine solved before, sum p = 1 and
+    # every margin <= s for a free s = s+ - s-.
+    n, scale, q = inst.n, inst.utilities.scale, len(argmax)
+    margins = fraction_select_rows(inst, argmax)
+    rows, shift = game_rows(margins, scale)
+    assert lp.objective == (1,) * q and lp.constraints == rows
+    bound = 1 / result.objective_value - shift
+    views = fraction_views(p, inst)
+    assert bound == scale * max(views[i][h] - views[i][i] for i in range(n) for h in range(n) if h != i)
+    min_s = LinearProgram(
+        (0,) * q + (-1, 1),
+        (((1,) * q + (0, 0), "=", 1), *((row + (-1, 1), "<=", 0) for row in margins)),
+    )
+    assert bound == -scale * fraction_simplex(min_s).objective_value
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_select_lp_split_bound_is_the_largest_envy_margin(case, monkeypatch):
-    # The envy bound s is the pair of columns s+ - s- after the lottery's q
-    # columns; at the optimum it is minus the objective, and it equals the
-    # returned lottery's largest margin, recomputed from expected utilities.
-    results = []
-
-    def keep(lp):
-        results.append(solve_lp(lp))
-        return results[-1]
-
-    monkeypatch.setattr(engine, "solve_lp", keep)
+    seen = recorded_selects(monkeypatch)
     inst = make_instance(*case)
-    n = inst.n
-    weights = sample_weights(inst, seeded_rng(7)) + tie_weights(inst, F(1, 4 * n))
+    weights = sample_weights(inst, seeded_rng(7)) + tie_weights(inst, F(1, 4 * inst.n))
     for w in weights:
-        before = len(results)
-        p = engine.select_p_in_P(w, inst)
-        if len(results) == before:
-            continue
-        result = results[-1]
-        q = len(result.solution) - 2
-        s = result.solution[q] - result.solution[q + 1]
-        assert s == -result.objective_value
-        views = fraction_views(p, inst)
-        margins = [views[i][h] - views[i][i] for i in range(n) for h in range(n) if h != i]
-        assert s == max(margins)
+        engine.select_p_in_P(w, inst)
+    if tie_weights(inst, F(1, 4 * inst.n)):
+        assert seen
+    for record in seen:
+        assert_game_value_is_the_least_largest_margin(*record)
+
+
+@pytest.mark.parametrize("workload", ("desk", "wide", "many", "envious"))
+def test_pinned_select_lps_keep_the_min_max_margin(workload, tmp_path, monkeypatch):
+    # every vertex the pinned sets scan gets the least largest margin it got
+    # from the min-s program, so its verdict, envy-free or not, is unchanged
+    seen = recorded_selects(monkeypatch)
+    answers(workload, str(tmp_path))
+    assert seen
+    for record in seen:
+        assert_game_value_is_the_least_largest_margin(*record)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_verify_rejects_a_corrupted_solution(case, monkeypatch):
-    # Each select LP's first row is sum p = 1 times the scale, so raising one
-    # lottery numerator or changing D breaks it, and a negated numerator is
-    # a negative variable; the untouched optimum passes.
+    # Each select LP maximizes sum x under rows C'x <= 1 whose entries are
+    # all >= 1, so some row is tight at the optimum: raising one numerator
+    # breaks it, and so does a smaller D, while a larger D would still pass;
+    # a D of 0 is not positive, and a negated numerator is a negative
+    # variable.  The untouched optimum passes.
     verify = lp_module._verify
     optima = []
 
@@ -347,16 +391,42 @@ def test_verify_rejects_a_corrupted_solution(case, monkeypatch):
         engine.select_p_in_P(w, inst)
     if tie_weights(inst, F(1, 4 * inst.n)):
         assert optima
-    for lp, x_num, d in optima:
-        verify(lp, x_num, d)
-        j = next(j for j, v in enumerate(x_num[:-2]) if v)
-        raised, negated = list(x_num), list(x_num)
-        raised[j] += 1
-        negated[j] = -negated[j]
-        corruptions = [(raised, d, "violates"), (negated, d, "negative"), (x_num, d + 1, "violates")]
-        for bad_num, bad_d, message in corruptions:
-            with pytest.raises(EngineInvariantError, match=message):
-                verify(lp, bad_num, bad_d)
+    for optimum in optima:
+        assert_corruptions_fail(verify, *optimum)
+
+
+def assert_corruptions_fail(verify, lp, x_num, d):
+    verify(lp, x_num, d)
+    j = next(j for j, v in enumerate(x_num) if v)
+    raised, negated = list(x_num), list(x_num)
+    raised[j] += 1
+    negated[j] = -negated[j]
+    smaller = "not positive" if d == 1 else "violates"
+    corruptions = [(raised, d, "violates"), (negated, d, "negative"), (x_num, d - 1, smaller)]
+    for bad_num, bad_d, message in corruptions:
+        with pytest.raises(EngineInvariantError, match=message):
+            verify(lp, bad_num, bad_d)
+
+
+def test_verify_rejects_a_zero_denominator(monkeypatch):
+    # Each player values only their own item, so allocation a, which gives
+    # them their own, has both margins at the least entry, and b, which
+    # swaps the items, the largest.  Column a enters first, its every
+    # shifted entry is 1, and that one pivot is optimal with D = 1: D - 1
+    # is 0, which is not positive.
+    verify = lp_module._verify
+    optima = []
+    monkeypatch.setattr(lp_module, "_verify", lambda *args: verify(*args) or optima.append(args))
+    raw = [additive_table([F(1), F(0)]), additive_table([F(0), F(1)])]
+    inst = Instance.build(raw, all_partitions_allocation_set(2, 2))
+    a = inst.allocations.bundles.index((0b01, 0b10))
+    b = inst.allocations.bundles.index((0b10, 0b01))
+    assert a < b
+    p = engine.select_p_in_P(WeightVector.uniform(2, F(1, 4)), inst, (a, b))
+    assert p == MixedAllocation.point_mass(len(inst.allocations), a)
+    ((lp, x_num, d),) = optima
+    assert d == 1
+    assert_corruptions_fail(verify, lp, x_num, d)
 
 
 @pytest.mark.parametrize("case", CASES[::2], ids=case_id)

@@ -5,7 +5,8 @@ into int numerators over one scale shared by all players;
 ``UtilityKernel`` builds the own-utility vectors and their Pareto frontier
 from that table, and ``Instance.rho`` the envy-gap constant; the
 tie-breaking and domination LPs build their rows from it, as the Fraction
-rows times the table's scale (the domination LP's also times the lottery's
+rows times the table's scale (the tie-breaking LP's then shifted so that
+their least entry is 1, the domination LP's also times the lottery's
 common denominator).
 ``tests/oracles.py`` keeps the Fraction versions, which read the raw
 values, not the table under test; every quantity here must come out equal
@@ -102,7 +103,7 @@ def fraction_select_rows(inst, argmax):
                     values[i][inst.allocations[j].bundles[h]] - values[i][inst.allocations[j].bundles[i]]
                     for j in argmax
                 )
-                rows.append(coeffs + (F(-1), F(1)))
+                rows.append(coeffs)
     return rows
 
 
@@ -121,6 +122,14 @@ def fraction_pe_rows(ref, p):
 def times(row, scale):
     """A reference row multiplied by a positive int, as the LPs build theirs."""
     return tuple(a * scale for a in row)
+
+
+def game_rows(margins, scale):
+    """The tie-breaking program's rows from the reference margin rows: times
+    the scale, then each entry raised by one shift, so the least is 1."""
+    scaled = [times(row, scale) for row in margins]
+    shift = 1 - min(map(min, scaled))
+    return tuple((tuple(a + shift for a in row), "<=", 1) for row in scaled), shift
 
 
 def assert_matches_fraction_reference(inst):
@@ -156,9 +165,8 @@ def assert_matches_fraction_reference(inst):
             select_p_in_P(w, inst, amax)
         if spy.call_args is not None:
             lp = spy.call_args.args[0]
-            assert [row for row, _, _ in lp.constraints[1:]] == [
-                times(row, scale) for row in fraction_select_rows(inst, amax)
-            ]
+            assert lp.objective == (1,) * len(amax)
+            assert lp.constraints == game_rows(fraction_select_rows(inst, amax), scale)[0]
 
 
 @given(instances())
