@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -28,3 +30,18 @@ def test_lp_stage_appends_one_entry_with_every_key(tmp_path):
     # solving verifies by weight witness, with no domination program
     assert entry["kinds"]["lowest"]["lps"] == 6 and entry["kinds"]["select"]["lps"] > 0
     assert entry["kinds"]["domination"]["lps"] == 0
+
+
+@pytest.mark.parametrize("content", ["", "not json", '{"earlier": "entry"}'], ids=["empty", "not-json", "object"])
+def test_lp_stage_refuses_an_out_file_that_holds_no_list(tmp_path, content):
+    # the file is read before any program is captured or timed, and the run
+    # ends with one line naming it, not a traceback, and leaves it as it was
+    out = tmp_path / "BENCH_lp.json"
+    out.write_text(content, encoding="utf-8")
+    script = os.path.join(ROOT, "tools", "lp_stage.py")
+    argv = [sys.executable, script, "--sets", "envious", "--repeats", "1", "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("lp_stage: ") and proc.stderr.count("\n") == 1
+    assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+    assert out.read_text(encoding="utf-8") == content

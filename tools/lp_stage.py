@@ -14,7 +14,9 @@ of ``--repeats`` is kept; one more pass counts the pivots.  One entry is
 appended to the JSON list in ``--out``: the commit and whether ``src``
 differs from it, the Python version, the sets, the repeats, and per kind
 the program count, their constraint-by-variable cells, the pivots and the
-best pass in seconds.  The ``fairmix`` imported is this checkout's ``src``.
+best pass in seconds.  ``--out`` is read before the capture, and a file
+there that holds no JSON list ends the run at once with a one-line error.
+The ``fairmix`` imported is this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -126,6 +128,21 @@ def _git(*args):
     return out.stdout.strip()
 
 
+def read_entries(path):
+    """The JSON list of entries already in ``path``, or [] if there is no
+    such file.  Any other content ends the run with a one-line error."""
+    if not os.path.exists(path):
+        return []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"lp_stage: cannot read {path} as a JSON list: {exc}") from None
+    if not isinstance(entries, list):
+        raise SystemExit(f"lp_stage: {path} holds JSON that is not a list of entries")
+    return entries
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sets", default=",".join(SETS), help="comma-separated pinned sets")
@@ -136,6 +153,7 @@ def main(argv=None):
     if not set(sets) <= set(SETS) or args.repeats < 1:
         parser.error(f"--sets takes names from {','.join(SETS)} and --repeats at least 1")
 
+    entries = read_entries(args.out)
     programs = capture(sets)
     status = _git("status", "--porcelain", "--", "src")
     entry = {
@@ -154,10 +172,6 @@ def main(argv=None):
             for kind, lps in programs.items()
         },
     }
-    entries = []
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            entries = json.load(fh)
     entries.append(entry)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1)
