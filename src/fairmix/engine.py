@@ -57,6 +57,12 @@ Each scanned vertex is described by one ``FixedPointState``: the trace
 sink receives those states, and the answer is the state of its vertex.
 The scan takes the same path with or without a sink.
 
+The lottery chosen in P(w) is one that minimizes the largest envy
+margin, an optimal strategy of a zero-sum matrix game over the argmax,
+found by the game's packing LP from its slack basis, with no phase 1 (see
+``select_p_in_P``).  The lottery is envy-free exactly when that least
+largest margin is at most 0.
+
 The map itself runs in ints: the corrected weights are int numerators over
 sum(w) * Σbest * Σown for the vertex's int weights and int views, the
 projection clamps in ints (see ``lp``), and the L1 step is one Fraction of
@@ -181,6 +187,7 @@ def select_p_in_P(w, inst, argmax=None):
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
     total = sum(result.x_num)
     return MixedAllocation._of(k, tuple((j, Fraction(v, total)) for j, v in zip(argmax, result.x_num) if v))
+
 
 def _views(p, inst):
     """views[i][h] = player i's expected value of player h's bundle stream, in table

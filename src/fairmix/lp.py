@@ -15,7 +15,10 @@ the lcm L of its denominators, its artificial's phase-1 cost 1/L times the
 lcm of every L, and the objective times its own lcm.  ``LinearProgram(...)``
 checks and coerces a caller's program and builds that form on its first
 solve.  The engine and the verifier wrap their rows, in the utility table's
-ints, with ``LinearProgram._of``: no checks, every weight 1.
+ints, with ``LinearProgram._of``: no checks, every weight 1.  The engine's
+two programs, the tie-breaking game and the lowest-vertex program, have
+only <= rows over right-hand sides >= 0, so the slack basis is feasible:
+they build no artificial and run no phase 1.
 
 Fraction-free tableau.  The tableau T, its two cost rows included, holds
 the rational tableau times one common denominator D > 0.  A pivot on (r, c)
@@ -41,8 +44,10 @@ and multiplying everything by D > 0, keeps the sign of every entry and
 reduced cost and scales all ratios in one column alike, so Bland's rule and
 the cross-multiplied ratio test enter and leave the same columns as on the
 rational tableau, and rhs/D is the same point.  So a program whose rows are
-all times one positive constant, as the engine's are times the table's
-scale, pivots as the original and has the same solution.
+all times one positive constant pivots as the original and has the same
+solution.  The tie-breaking game's int rows are its rational rows, each
+margin plus shift/scale over a right-hand side of 1/scale, times the
+table's scale.
 
 Int results out.  The optimum leaves the tableau as int numerators x_num
 over its final D > 0, and ``_verify`` substitutes them into the int rows:
