@@ -34,8 +34,8 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress, permutations
-from math import gcd, lcm
-from operator import ge
+from math import gcd, lcm, perm
+from operator import ge, itemgetter
 
 from .errors import EnumerationLimitError, MalformedInstanceError
 
@@ -477,16 +477,20 @@ class Instance(Value):
         A triple (i, h, j) qualifies when, inside allocation j, both i and h
         strictly prefer h's bundle to i's.  The ratio of the two margins
         depends only on the two bundles, so each distinct bundle pair is
-        visited once per ordered player pair.  Both margins are over the
-        table's one scale, so their ratio is gain / loss, and ratios compare
-        exactly by cross-multiplication.  On swappable sets every qualifying
-        ratio appears with its reciprocal, so the result is at most 1/2
-        whenever any triple qualifies.
+        visited once per unordered player pair i < h.  For the pair
+        (b_i, b_h), let g = t_i[b_h] - t_i[b_i] and l = t_h[b_h] - t_h[b_i]:
+        both > 0 is the triple (i, h) with ratio g / l, and both < 0 is the
+        triple (h, i), which reads the same pair reversed, with ratio
+        (-l) / (-g); any other signs qualify neither.  Both margins are over
+        the table's one scale, so each ratio is a quotient of table ints,
+        and ratios compare exactly by cross-multiplication.  On swappable
+        sets every qualifying ratio appears with its reciprocal, so the
+        result is at most 1/2 whenever any triple qualifies.
 
         Swap closure makes a set closed under every permutation of its
-        players, so on a set recorded ``built_closed`` every ordered player
-        pair has the same bundle pairs as players 0 and 1; that one set is
-        built once.  An unrecorded set gets a pair set per player pair.
+        players, so on a set recorded ``built_closed`` every player pair has
+        the same bundle pairs as players 0 and 1; that one set is built
+        once.  An unrecorded set gets a pair set per player pair.
         """
         table = self.utilities.table
         bundles = self.allocations.bundles
@@ -494,18 +498,20 @@ class Instance(Value):
         if self.allocations.built_closed and self.n >= 2:
             shared = {(bs[0], bs[1]) for bs in bundles}
         best_num = best_den = None
-        for i, h in permutations(range(self.n), 2):
+        for i, h in combinations(range(self.n), 2):
             mine, theirs = table[i], table[h]
             pairs = shared if shared is not None else {(bs[i], bs[h]) for bs in bundles}
             for b_i, b_h in pairs:
                 gain = mine[b_h] - mine[b_i]
-                if gain <= 0:
-                    continue
                 loss = theirs[b_h] - theirs[b_i]
-                if loss <= 0:
+                if gain > 0 and loss > 0:
+                    num, den = gain, loss
+                elif gain < 0 and loss < 0:
+                    num, den = -loss, -gain
+                else:
                     continue
-                if best_num is None or gain * best_den < best_num * loss:
-                    best_num, best_den = gain, loss
+                if best_num is None or num * best_den < best_num * den:
+                    best_num, best_den = num, den
         if best_num is None:
             return Fraction(1)
         return Fraction(best_num, 2 * best_den)
@@ -636,30 +642,57 @@ def swap_closure(allocations):
     """Smallest superset of ``allocations`` closed under pairwise bundle swaps.
 
     ``allocations`` is an :class:`AllocationSet`, or a list that is
-    validated into one; the swaps then run on bundle tuples.  The closure
-    holds distinct keys, each a validated tuple or a swap of one, so it is
-    wrapped without re-validation.  A swap only moves masks between players,
-    so the closure's ``bundles_seen`` is the given set's.
+    validated into one.  Pairwise swaps generate every permutation of the
+    players, so the closure is the union of the listed allocations'
+    player-permutation orbits.  An allocation's non-empty bundles are
+    disjoint, so only the empty bundle can repeat: its orbit is fixed by
+    the set of its non-empty masks, and with r of them it has exactly
+    perm(n, r) members, one per placement of those r masks on r distinct
+    players.  The closure's size, the sum of perm(n, r) over the distinct
+    orbits, is checked against ``DEFAULT_ENUMERATION_BUDGET`` before any
+    allocation is built.
+
+    The result holds the listed allocations first, in listed order, then
+    each orbit's other members, the orbits in the order of their first
+    listed member.  Within an orbit the members run over each choice of
+    holding players in ``combinations`` order, then each arrangement of the
+    first listed member's non-empty bundles, in player order, in
+    ``permutations`` order.  The members are distinct keys, each a
+    validated tuple or a rearrangement of one, so the closure is wrapped
+    without re-validation, and its ``bundles_seen`` is the given set's.
     """
     if not isinstance(allocations, AllocationSet):
         allocations = AllocationSet(allocations)
-    closed = dict.fromkeys(allocations.bundles)
-    stack = list(closed)
-    pairs = tuple(combinations(range(allocations.n), 2))
-    while stack:
-        bundles = stack.pop()
-        for g, h in pairs:
-            if bundles[g] == bundles[h]:
-                continue
-            swapped = _swapped(bundles, g, h)
-            if swapped not in closed:
-                if len(closed) >= DEFAULT_ENUMERATION_BUDGET:
-                    raise EnumerationLimitError(
-                        f"swap closure exceeds the budget of {DEFAULT_ENUMERATION_BUDGET} allocations"
-                    )
-                closed[swapped] = None
-                stack.append(swapped)
-    return AllocationSet._of(closed, allocations.n, allocations.bundles_seen)
+    n = allocations.n
+    listed = allocations.bundles
+    # each orbit's non-empty masks, as its first listed member holds them
+    orbits = {}
+    for bundles in listed:
+        masks = tuple(filter(None, bundles))
+        orbits.setdefault(frozenset(masks), masks)
+    total = sum(perm(n, len(masks)) for masks in orbits.values())
+    # a list already closed is never refused: only adding past the budget is
+    if total > max(len(listed), DEFAULT_ENUMERATION_BUDGET):
+        raise EnumerationLimitError(
+            f"swap closure exceeds the budget of {DEFAULT_ENUMERATION_BUDGET} allocations"
+        )
+    closed = dict.fromkeys(listed)
+    # a closed list adds nothing; every list over one player is closed
+    if total > len(listed):
+        # getters[r] places an arrangement of r masks, padded with one empty
+        # bundle, on each choice of r holding players
+        getters = {}
+        for masks in orbits.values():
+            r = len(masks)
+            if r not in getters:
+                getters[r] = [
+                    itemgetter(*(held.index(g) if g in held else r for g in range(n)))
+                    for held in combinations(range(n), r)
+                ]
+            padded = [(*arrangement, 0) for arrangement in permutations(masks)]
+            for get in getters[r]:
+                closed.update(dict.fromkeys(map(get, padded)))
+    return AllocationSet._of(closed, n, allocations.bundles_seen)
 
 
 class MixedAllocation(Value):

@@ -63,5 +63,19 @@ def swapped(bundles, g, h):
     return tuple(out)
 
 
+def random_allocation_list(rng, n, m, count):
+    """``count`` bundle tuples over n players, each of the m items given to a
+    random player or to nobody; repeats and empty bundles are kept."""
+    out = []
+    for _ in range(count):
+        bundles = [0] * n
+        for item in range(m):
+            owner = rng.randint(0, n)
+            if owner:
+                bundles[owner - 1] |= 1 << item
+        out.append(tuple(bundles))
+    return out
+
+
 def seeded_rng(seed):
     return random.Random(seed)

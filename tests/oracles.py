@@ -23,8 +23,11 @@ order after its first vertex from that set alone, in Fractions, with its
 own maximal-mask filter.
 ``reference_kernel`` keeps the integer kernel's grouping loop and
 sort-based skyline, ``reference_share_step`` the Fraction share step and
-projection that the engine now runs in integers, and ``reference_rho`` the
-envy-gap pass with one bundle-pair set per player pair.  Every oracle that
+projection that the engine now runs in integers, ``reference_rho`` the
+envy-gap pass with one bundle-pair set per ordered player pair, and
+``reference_swap_closure`` the closure by one transposition at a time,
+a search over swaps that ``fairmix.model.swap_closure`` replaced with
+whole permutation orbits.  Every oracle that
 scores utilities reads an instance's raw values through
 ``fraction_normalize``, never the package's own rescaled table: ``weight_witness_ok``, which re-checks a
 Pareto-efficiency weight witness in Fractions over every allocation with
@@ -40,7 +43,8 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import ge
 
-from fairmix.errors import MalformedInstanceError
+from fairmix import model
+from fairmix.errors import EnumerationLimitError, MalformedInstanceError
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 
 
@@ -611,6 +615,31 @@ def reference_rho(inst):
     if best_num is None:
         return Fraction(1)
     return Fraction(best_num, 2 * best_den)
+
+
+def reference_swap_closure(aset):
+    """The bundle tuples of ``fairmix.model.swap_closure(aset)`` as it was
+    written, a depth-first search over single swaps of two players'
+    different bundles: ``aset``'s tuples first, then each new swap in the
+    order found.  It refuses, with the package's message, to add an
+    allocation once it holds ``fairmix.model.DEFAULT_ENUMERATION_BUDGET``."""
+    budget = model.DEFAULT_ENUMERATION_BUDGET
+    closed = dict.fromkeys(aset.bundles)
+    stack = list(closed)
+    while stack:
+        bundles = stack.pop()
+        for g, h in combinations(range(aset.n), 2):
+            if bundles[g] == bundles[h]:
+                continue
+            out = list(bundles)
+            out[g], out[h] = bundles[h], bundles[g]
+            swapped = tuple(out)
+            if swapped not in closed:
+                if len(closed) >= budget:
+                    raise EnumerationLimitError(f"swap closure exceeds the budget of {budget} allocations")
+                closed[swapped] = None
+                stack.append(swapped)
+    return tuple(closed)
 
 
 def _dense_pivot(rows, r, c, d):

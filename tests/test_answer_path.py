@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import additive_table
+from conftest import additive_table, random_allocation_list, seeded_rng
 from fairmix import engine
 from fairmix.engine import choose_epsilon, compute_rho, find_fixed_point, select_p_in_P
 from fairmix.errors import EngineInvariantError
@@ -29,6 +29,7 @@ from fairmix.model import (
     PureAllocation,
     WeightVector,
     all_partitions_allocation_set,
+    is_swappable,
     over_common_denominator,
     pareto_frontier,
 )
@@ -118,6 +119,21 @@ def test_rho_on_a_list_that_is_not_closed():
     inst = Instance.build(raw, AllocationSet([PureAllocation((1, 0, 2))]))
     assert not inst.allocations.built_closed
     assert inst.rho == reference_rho(inst) == fraction_rho(inst) < 1
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rho_on_seeded_lists_that_are_not_closed(seed):
+    # n = 2..5 players over 1..3 items, table utilities, a list drawn again
+    # until some swap is missing from it
+    rng = seeded_rng(f"open-rho:{seed}")
+    n, m = 2 + seed % 4, rng.randint(1, 3)
+    raw = [{mask: F(rng.randint(0, 12)) for mask in range(1 << m)} for _ in range(n)]
+    listed = AllocationSet(random_allocation_list(rng, n, m, rng.randint(1, 4)))
+    while is_swappable(listed)[0]:
+        listed = AllocationSet(random_allocation_list(rng, n, m, rng.randint(1, 4)))
+    inst = Instance.build(raw, listed)
+    assert not inst.allocations.built_closed
+    assert inst.rho == reference_rho(inst) == fraction_rho(inst)
 
 
 def test_rho_with_one_player():

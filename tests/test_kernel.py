@@ -17,7 +17,7 @@ from math import lcm
 
 import pytest
 
-from conftest import additive_table, fraction_points, fraction_views, seeded_rng, swapped
+from conftest import additive_table, fraction_points, fraction_views, random_allocation_list, seeded_rng, swapped
 from fairmix.engine import (
     _envelope_vertices,
     argmax_allocations,
@@ -30,7 +30,6 @@ from fairmix.lp import OPTIMAL, LinearProgram, solve_lp
 from fairmix.model import (
     Instance,
     MixedAllocation,
-    PureAllocation,
     WeightVector,
     all_partitions_allocation_set,
     pareto_frontier,
@@ -86,24 +85,12 @@ def random_utilities(rng, n, m, additive):
     return [{mask: coin() for mask in range(1 << m)} for _ in range(n)]
 
 
-def random_allocation_list(rng, n, m, count):
-    out = []
-    for _ in range(count):
-        bundles = [0] * n
-        for item in range(m):
-            owner = rng.randint(0, n)
-            if owner:
-                bundles[owner - 1] |= 1 << item
-        out.append(PureAllocation(tuple(bundles)))
-    return swap_closure(out)
-
-
 def make_instance(n, m, listed, seed):
     rng = seeded_rng(1000 * n + 100 * m + 10 * listed + seed)
     additive = (n + m + seed) % 2 == 0
     raw = random_utilities(rng, n, m, additive)
     if listed:
-        return Instance.build(raw, random_allocation_list(rng, n, m, 5))
+        return Instance.build(raw, swap_closure(random_allocation_list(rng, n, m, 5)))
     return Instance.build(raw, all_partitions_allocation_set(n, m))
 
 

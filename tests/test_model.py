@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd, lcm
+from math import gcd, lcm, perm
 
 import pytest
 from hypothesis import given, settings
@@ -42,8 +42,8 @@ from fairmix.serialize import (
     load_instance,
     load_mixed_allocation,
 )
-from conftest import swapped
-from oracles import fraction_normalize
+from conftest import random_allocation_list, seeded_rng, swapped
+from oracles import fraction_normalize, reference_swap_closure
 
 F = Fraction
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -472,6 +472,56 @@ class TestSwapClosure:
         monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", 23)
         with pytest.raises(EnumerationLimitError, match="exceeds the budget of 23 allocations"):
             swap_closure(start)
+
+    def test_order_is_listed_then_each_orbit_by_holders_then_arrangements(self):
+        # the orbit of {1, 2}, read off its first listed member (0, 2, 1):
+        # holders (0, 1), (0, 2), (1, 2), each with the masks as (2, 1) then
+        # (1, 2); then the orbit of {4}, by its holder
+        s = swap_closure([PureAllocation((0, 2, 1)), PureAllocation((0, 0, 4)), PureAllocation((1, 2, 0))])
+        assert s.bundles == (
+            (0, 2, 1), (0, 0, 4), (1, 2, 0),
+            (2, 1, 0), (2, 0, 1), (1, 0, 2), (0, 1, 2),
+            (4, 0, 0), (0, 4, 0),
+        )
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_swap_search(self, n, seed, monkeypatch):
+        # up to four items among up to seven players: most allocations hold
+        # several empty bundles, the one mask an allocation can repeat
+        rng = seeded_rng(f"closure:{n}:{seed}")
+        listed = AllocationSet(random_allocation_list(rng, n, rng.randint(0, 4), rng.randint(1, 6)))
+        want = reference_swap_closure(listed)
+        got = swap_closure(listed)
+        assert set(got.bundles) == set(want)
+        assert got.bundles[: len(listed)] == listed.bundles
+        orbits = {frozenset(bundles) - {0} for bundles in listed.bundles}
+        assert len(got) == sum(perm(n, len(orbit)) for orbit in orbits)
+        # refused under the same condition, with the same message: a list
+        # already closed passes a budget below its own size
+        for budget in (len(listed) - 1, len(want) - 1, len(want)):
+            monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", budget)
+            outcomes = []
+            for close in (lambda: swap_closure(listed).bundles, lambda: reference_swap_closure(listed)):
+                try:
+                    outcomes.append(set(close()))
+                except EnumerationLimitError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], budget
+
+    def test_an_orbit_over_the_budget_is_refused_before_it_is_built(self):
+        # nine single-item bundles over nine players: 9! = 362,880 > 200,000,
+        # a size known before any allocation is built; a search over swaps
+        # builds 200,000 tuples before it refuses
+        start = [PureAllocation(tuple(1 << g for g in range(9)))]
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="^swap closure exceeds the budget of 200000 allocations$"):
+                swap_closure(start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @given(
         st.lists(
