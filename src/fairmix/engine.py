@@ -173,13 +173,13 @@ def select_p_in_P(w, inst, argmax=None):
 
     own_num = inst.kernel.own_num
     table = inst.utilities.table
-    bundles = inst.allocations.bundles
+    columns = inst.allocations.columns
     margins = []
     for i in range(n):
         values, own = table[i], own_num[i]
-        for h in range(n):
+        for h, column in enumerate(columns):
             if h != i:
-                margins.append([values[bundles[j][h]] - own[j] for j in argmax])
+                margins.append([values[column[j]] - own[j] for j in argmax])
     shift = 1 - min(map(min, margins))
     rows = tuple((tuple(a + shift for a in row), "<=", 1) for row in margins)
     result = solve_lp(LinearProgram._of((1,) * len(argmax), rows))

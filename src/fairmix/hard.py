@@ -202,11 +202,11 @@ class DichotomyReport(Value):
 
 def _raw_welfare(p, inst):
     raw = inst.utilities.raw_values
-    bundles = inst.allocations.bundles
+    columns = inst.allocations.columns
     total = Fraction(0)
     for i in range(inst.n):
         for j, q in p.pairs:
-            total += q * raw[i][bundles[j][i]]
+            total += q * raw[i][columns[i][j]]
     return total
 
 
@@ -232,12 +232,12 @@ def verify_welfare_dichotomy(inp):
     candidates = []
     for s1 in range(1 << m):
         bundles = (s1, full ^ s1)
-        j = inst.allocations.index[bundles]
+        j = inst.allocations.position(bundles)
         candidates.append(("deterministic", bundles, None, MixedAllocation.point_mass(k, j)))
     half = Fraction(1, 2)
     for idx, (t1, t2) in enumerate(splits):
-        ja = inst.allocations.index[(t1, t2)]
-        jb = inst.allocations.index[(t2, t1)]
+        ja = inst.allocations.position((t1, t2))
+        jb = inst.allocations.position((t2, t1))
         candidates.append(
             ("split_lottery", None, idx, MixedAllocation.from_support(k, {ja: half, jb: half}))
         )

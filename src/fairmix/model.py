@@ -10,18 +10,19 @@ numerators over one denominator shared by every player, and everything
 downstream reads those ints.  The raw values are kept as ints over each
 player's least denominator; their Fraction form is built only when asked
 for, to be written back out.  An allocation set
-stores only its tuple of bundle tuples; the :class:`PureAllocation` objects
-it hands out are views made on demand.  The kernel reads its own vectors
-and distinct points in C-level passes over the set's per-player columns,
-and ``Instance.rho``, the envy-gap constant, reads the table and the set's
-bundle pairs; each is derived once per instance.  A
+stores its allocations as bundle tuples or, when it is all partitions, as
+per-player columns only; the :class:`PureAllocation` objects it hands out
+are views made on demand.  The kernel reads its own vectors and distinct
+points in C-level passes over the set's columns, and ``Instance.rho``, the
+envy-gap constant, reads the table and the bundle pairs the columns hold;
+each is derived once per instance.  A
 lottery stores only its support, as ascending (index, probability) pairs,
 and ``expected_utility`` gives all its views as ints over one denominator,
 in one pass.  Counts, indices and masks are ints, never bools (``is_int``).
 Nothing in this module rounds.  No type changes a value it holds after
 construction, but some derive values on first read and keep them, each
-as a ``functools.cached_property``: ``AllocationSet.bundles_seen`` and
-``AllocationSet.columns``, ``UtilityProfile.raw_values``,
+as a ``functools.cached_property``: ``AllocationSet.bundles_seen``,
+``bundles``, ``columns`` and ``index``, ``UtilityProfile.raw_values``,
 ``Instance.kernel`` and ``Instance.rho``.  Each such cache is idempotent:
 concurrent first reads may each compute it, and they compute the same
 value.
@@ -251,17 +252,24 @@ class PureAllocation(Value):
 class AllocationSet:
     """An ordered, duplicate-free collection of pure allocations.
 
-    The set stores its allocations as one form, ``bundles``: a tuple of
-    bundle tuples, with ``index`` mapping each back to its position.
-    ``aset[j]`` and iteration give :class:`PureAllocation` views, made when
-    asked for and not stored.  Duplicates passed to the constructor are
-    collapsed, keeping first occurrence order, and every allocation is
-    validated: bundle types and overlaps, then a common player count.  Sets
-    the program builds itself (all partitions, swap closures) are wrapped
-    by ``_of``, not re-validated, and recorded ``built_closed`` (swap-closed);
-    a caller's list is not recorded, even when it is closed.  The cached
-    properties ``bundles_seen`` and ``columns`` give every mask in the set
-    and the per-player bundle columns, once per set.
+    The set holds its allocations in two forms, each built on first read
+    from the other when it was not given: ``bundles``, a tuple of bundle
+    tuples, and ``columns``, the same bundles read down by player.
+    ``index`` maps each bundle tuple back to its position, and ``k`` is the
+    number of allocations.  ``aset[j]`` and iteration give
+    :class:`PureAllocation` views, made when asked for and not stored.
+    Duplicates passed to the constructor are collapsed, keeping first
+    occurrence order, and every allocation is validated: bundle types and
+    overlaps, then a common player count; such a set stores ``bundles`` and
+    ``index``.  Sets the program builds itself (all partitions, swap
+    closures) are wrapped by ``_of``, not re-validated, and recorded
+    ``built_closed`` (swap-closed); a caller's list is not recorded, even
+    when it is closed.  All partitions store only their ``columns`` and
+    record their item count as ``partitions_of`` (None on every other
+    set), so ``position`` finds an allocation by arithmetic, and neither
+    ``bundles`` nor ``index`` is built unless something reads it.  The
+    cached properties ``bundles_seen``, ``bundles``, ``columns`` and
+    ``index`` are each built once per set.
     """
 
     def __init__(self, allocations):
@@ -277,25 +285,29 @@ class AllocationSet:
         for bs in bundles:
             if len(bs) != n:
                 raise MalformedInstanceError("allocations disagree on player count")
-        self.bundles, self.n, self.index, self.built_closed = bundles, n, index, False
+        self.bundles, self.n, self.index, self.k = bundles, n, index, len(bundles)
+        self.built_closed, self.partitions_of = False, None
 
     @classmethod
-    def _of(cls, bundles, n, seen=None, columns=None):
-        """Wrap distinct, valid bundle tuples over n players without re-checking
+    def _of(cls, n, seen, bundles=None, columns=None, partitions_of=None):
+        """Wrap distinct, valid allocations over n players without re-checking
         them, recorded ``built_closed``: both callers, all partitions and swap
-        closure, build swap-closed sets.  ``seen`` and ``columns``, if given,
-        pre-fill ``bundles_seen`` and ``columns``."""
+        closure, build swap-closed sets.  The allocations come as their
+        bundle tuples ``bundles`` or, for n >= 1, as the per-player
+        ``columns``; ``seen`` is every mask in them, and ``partitions_of`` the
+        item count of an all-partitions set in ``itertools.product`` order."""
         out = object.__new__(cls)
-        out.bundles = bundles = tuple(bundles)
-        out.n, out.index, out.built_closed = n, dict(zip(bundles, range(len(bundles)))), True
-        if seen is not None:
-            out.bundles_seen = seen
-        if columns is not None:
+        out.n, out.bundles_seen, out.built_closed, out.partitions_of = n, seen, True, partitions_of
+        if columns is None:
+            out.bundles = bundles = tuple(bundles)
+            out.k = len(bundles)
+        else:
             out.columns = columns
+            out.k = len(columns[0])
         return out
 
     def __len__(self):
-        return len(self.bundles)
+        return self.k
 
     def __iter__(self):
         return map(PureAllocation, self.bundles)
@@ -307,7 +319,36 @@ class AllocationSet:
         return isinstance(other, AllocationSet) and self.bundles == other.bundles
 
     def __repr__(self):
-        return f"AllocationSet(k={len(self.bundles)}, n={self.n})"
+        return f"AllocationSet(k={self.k}, n={self.n})"
+
+    def position(self, bundles):
+        """The position in the set of the allocation whose bundle tuple is
+        ``bundles``, int masks one per player, or None when the set does not
+        hold it.  On all partitions of m items it is arithmetic: each item's
+        owner (0 for nobody, else the player's number from 1), read as a
+        base-(n+1) numeral with item 1 most significant, is the allocation's
+        ``itertools.product`` rank; a wrong player count, a mask past m or
+        two overlapping masks give None.  On any other set it is
+        ``index.get``."""
+        m = self.partitions_of
+        if m is None:
+            return self.index.get(bundles)
+        if len(bundles) != self.n:
+            return None
+        owners = [0] * m
+        taken = 0
+        for owner, mask in enumerate(bundles, 1):
+            if mask >> m or taken & mask:
+                return None
+            taken |= mask
+            for g in range(mask.bit_length()):
+                if mask >> g & 1:
+                    owners[g] = owner
+        j = 0
+        base = self.n + 1
+        for owner in owners:
+            j = j * base + owner
+        return j
 
     @cached_property
     def bundles_seen(self):
@@ -315,10 +356,21 @@ class AllocationSet:
         return frozenset(chain.from_iterable(self.bundles))
 
     @cached_property
+    def bundles(self):
+        """The allocations' bundle tuples, ``tuple(zip(*columns))``: ``bundles[j][i]``
+        is player i's bundle in allocation j."""
+        return tuple(zip(*self.columns))
+
+    @cached_property
     def columns(self):
         """The bundles read down by player, ``tuple(zip(*bundles))``: ``columns[i][j]``
         is player i's bundle in allocation j."""
         return tuple(zip(*self.bundles))
+
+    @cached_property
+    def index(self):
+        """Each bundle tuple mapped to its position."""
+        return dict(zip(self.bundles, range(self.k)))
 
 
 class UtilityProfile(Value):
@@ -477,30 +529,35 @@ class Instance(Value):
         A triple (i, h, j) qualifies when, inside allocation j, both i and h
         strictly prefer h's bundle to i's.  The ratio of the two margins
         depends only on the two bundles, so each distinct bundle pair is
-        visited once per unordered player pair i < h.  For the pair
-        (b_i, b_h), let g = t_i[b_h] - t_i[b_i] and l = t_h[b_h] - t_h[b_i]:
-        both > 0 is the triple (i, h) with ratio g / l, and both < 0 is the
-        triple (h, i), which reads the same pair reversed, with ratio
-        (-l) / (-g); any other signs qualify neither.  Both margins are over
-        the table's one scale, so each ratio is a quotient of table ints,
-        and ratios compare exactly by cross-multiplication.  On swappable
-        sets every qualifying ratio appears with its reciprocal, so the
-        result is at most 1/2 whenever any triple qualifies.
+        visited once per unordered player pair i < h, read from the set's
+        columns.  For the pair (b_i, b_h), let g = t_i[b_h] - t_i[b_i] and
+        l = t_h[b_h] - t_h[b_i]: both > 0 is the triple (i, h) with ratio
+        g / l, and both < 0 is the triple (h, i), which reads the same pair
+        reversed, with ratio (-l) / (-g); any other signs qualify neither.
+        Both margins are over the table's one scale, so each ratio is a
+        quotient of table ints, and ratios compare exactly by
+        cross-multiplication.  On swappable sets every qualifying ratio
+        appears with its reciprocal, so the result is at most 1/2 whenever
+        any triple qualifies.
 
         Swap closure makes a set closed under every permutation of its
         players, so on a set recorded ``built_closed`` every player pair has
-        the same bundle pairs as players 0 and 1; that one set is built
-        once.  An unrecorded set gets a pair set per player pair.
+        the same bundle pairs as players 0 and 1, and each pair (a, b) comes
+        with its reversal (b, a), whose ratio is the reciprocal.  That one
+        set is built once, with each pair in one orientation, a < b (a pair
+        a = b qualifies nothing), and a qualifying pair gives the smaller of
+        its two ratios, min(|g|, |l|) / max(|g|, |l|).  An unrecorded set
+        gets a pair set per player pair, in both orientations.
         """
         table = self.utilities.table
-        bundles = self.allocations.bundles
-        shared = None
-        if self.allocations.built_closed and self.n >= 2:
-            shared = {(bs[0], bs[1]) for bs in bundles}
+        columns = self.allocations.columns
+        closed = self.allocations.built_closed
+        if closed and self.n >= 2:
+            shared = {(a, b) for a, b in zip(columns[0], columns[1]) if a < b}
         best_num = best_den = None
         for i, h in combinations(range(self.n), 2):
             mine, theirs = table[i], table[h]
-            pairs = shared if shared is not None else {(bs[i], bs[h]) for bs in bundles}
+            pairs = shared if closed else set(zip(columns[i], columns[h]))
             for b_i, b_h in pairs:
                 gain = mine[b_h] - mine[b_i]
                 loss = theirs[b_h] - theirs[b_i]
@@ -510,6 +567,8 @@ class Instance(Value):
                     num, den = -loss, -gain
                 else:
                     continue
+                if closed and num > den:
+                    num, den = den, num
                 if best_num is None or num * best_den < best_num * den:
                     best_num, best_den = num, den
         if best_num is None:
@@ -579,10 +638,12 @@ def all_partitions_allocation_set(n, m):
     ``itertools.product(range(n + 1), repeat=m)`` over the items' owners
     (0 for nobody, item 1 varying slowest).  The set is built column-wise:
     one list of masks per player, grown from the last item to the first,
-    then zipped into the bundle tuples.  They are disjoint, distinct
+    and only these columns are stored: the bundle tuples and ``index`` are
+    built if something reads them, and ``AllocationSet.position`` finds an
+    allocation without either.  The allocations are disjoint, distinct
     and swap-closed by construction and are wrapped without re-validation;
     every mask over the m items appears in them, so ``bundles_seen`` is
-    recorded as all of them, and the columns as ``columns``.
+    recorded as all of them.
     """
     _require_int(n, "player count n")
     _require_int(m, "item count m")
@@ -609,8 +670,7 @@ def all_partitions_allocation_set(n, m):
             col * (s + 1) + [b | bit for b in col] + col * (n - 1 - s)
             for s, col in enumerate(columns)
         ]
-    columns = tuple(map(tuple, columns))
-    return AllocationSet._of(zip(*columns), n, frozenset(range(1 << m)), columns)
+    return AllocationSet._of(n, frozenset(range(1 << m)), columns=tuple(map(tuple, columns)), partitions_of=m)
 
 
 def is_swappable(aset):
@@ -692,7 +752,7 @@ def swap_closure(allocations):
             padded = [(*arrangement, 0) for arrangement in permutations(masks)]
             for get in getters[r]:
                 closed.update(dict.fromkeys(map(get, padded)))
-    return AllocationSet._of(closed, n, allocations.bundles_seen)
+    return AllocationSet._of(n, allocations.bundles_seen, bundles=closed)
 
 
 class MixedAllocation(Value):
@@ -790,9 +850,10 @@ def expected_utility(p, inst):
     """
     _require_lottery_for(p, inst)
     weights, den = over_common_denominator([q for _, q in p.pairs])
-    support = [inst.allocations.bundles[j] for j, _ in p.pairs]
+    support = [j for j, _ in p.pairs]
+    columns = inst.allocations.columns
     views = [
-        [sum(a * row[bs[h]] for a, bs in zip(weights, support)) for h in range(inst.n)]
+        [sum(a * row[column[j]] for a, j in zip(weights, support)) for column in columns]
         for row in inst.utilities.table
     ]
     return views, den * inst.utilities.scale

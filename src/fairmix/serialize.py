@@ -174,14 +174,15 @@ def load_instance(data, strict=False, warn=None):
 
 def dump_instance(inst):
     """Inverse of load_instance; writes the raw (pre-rescale) utility tables."""
-    k_full = (inst.n + 1) ** inst.m
+    aset = inst.allocations
     allocations: object
-    if len(inst.allocations) == k_full and inst.allocations == all_partitions_allocation_set(
-        inst.n, inst.m
+    # a caller's list may hold all partitions in their order too
+    if aset.partitions_of == inst.m or (
+        len(aset) == (inst.n + 1) ** inst.m and aset == all_partitions_allocation_set(inst.n, inst.m)
     ):
         allocations = "all_partitions"
     else:
-        allocations = [[mask_to_items(b) for b in bs] for bs in inst.allocations.bundles]
+        allocations = [[mask_to_items(b) for b in bs] for bs in aset.bundles]
     values = []
     for i in range(inst.n):
         table = inst.utilities.raw_values[i]
@@ -195,16 +196,14 @@ def dump_instance(inst):
 
 
 def dump_mixed_allocation(p, inst):
-    support = []
-    bundles_of = inst.allocations.bundles
-    for j, q in p.pairs:
-        bundles = bundles_of[j]
-        support.append(
-            {
-                "bundles": [mask_to_items(b) for b in bundles],
-                "probability": format_rational(q),
-            }
-        )
+    columns = inst.allocations.columns
+    support = [
+        {
+            "bundles": [mask_to_items(column[j]) for column in columns],
+            "probability": format_rational(q),
+        }
+        for j, q in p.pairs
+    ]
     return {"support": support}
 
 
@@ -218,7 +217,7 @@ def load_mixed_allocation(data, inst):
         _require(isinstance(entry, dict), field, "entries are objects")
         _require("bundles" in entry and "probability" in entry, field, "need bundles and probability")
         allocation = _parse_allocation_entry(entry["bundles"], inst.n, inst.m, field)
-        j = inst.allocations.index.get(allocation.bundles)
+        j = inst.allocations.position(allocation.bundles)
         _require(j is not None, field, f"allocation {_shown(entry['bundles'])} is not in the instance's set")
         _require(j not in probs, field, "allocation listed twice")
         probs[j] = _in_field(field, as_fraction, entry["probability"])
@@ -260,12 +259,11 @@ def dump_solve_result(state, cert, inst, wall_time):
 
 
 def dump_trace_record(rec, inst):
+    columns = inst.allocations.columns
     return {
         "iteration": rec.iteration,
         "w": _rationals(rec.w.w),
-        "support": [
-            [mask_to_items(b) for b in inst.allocations.bundles[j]] for j in rec.p.support()
-        ],
+        "support": [[mask_to_items(column[j]) for column in columns] for j in rec.p.support()],
         "residual": format_rational(rec.residual),
         "nu": _rationals(rec.nu),
     }

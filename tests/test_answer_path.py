@@ -96,7 +96,7 @@ def test_share_step_is_scale_free_in_the_weights():
         )
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide", "certify"])
+@pytest.mark.parametrize("workload", ["desk", "wide", "certify", "many", "envious"])
 def test_rho_matches_the_per_pair_pass_and_the_fraction_scan(workload):
     for j, inst in enumerate(pinned(workload)):
         assert inst.allocations.built_closed

@@ -322,6 +322,23 @@ class TestVerify:
         allocation = allocation_file(tmp_path, [{"bundles": [[1], [2]], "probability": "1/2"}])
         assert main(["verify", "--instance", instance, "--allocation", allocation]) == 1
 
+    def test_allocation_outside_the_set_is_refused(self, tmp_path, capsys):
+        # a listed set holds only its closure: one bundle of both items is not in it
+        instance = write_json(
+            tmp_path / "listed.json",
+            {
+                "n": 2,
+                "m": 2,
+                "utilities": {"type": "additive", "items": [["1", "3"], ["1", "2"]]},
+                "allocations": [[[1], [2]], [[2], [1]]],
+            },
+        )
+        allocation = allocation_file(tmp_path, [{"bundles": [[1, 2], []], "probability": "1/1"}])
+        assert main(["verify", "--instance", instance, "--allocation", allocation]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'support[0]': allocation [[1, 2], []] is not in the instance's set\n"
+
     @pytest.mark.parametrize("probability", ["1e-20000000", "1e5000"])
     def test_probability_with_a_huge_exponent_is_refused(self, tmp_path, capsys, probability):
         instance = symmetric_instance(tmp_path)

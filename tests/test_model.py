@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fairmix import cli
 from fairmix.envy import certify
-from fairmix.engine import choose_epsilon, select_p_in_P
+from fairmix.engine import choose_epsilon, find_fixed_point, select_p_in_P
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError, PreconditionError
 from fairmix.hard import DisjointnessInput, build_hard_instance, check_submodular, split_count
 from fairmix.lp import project_onto_truncated_simplex
@@ -38,6 +38,8 @@ from fairmix.model import (
 from fairmix.serialize import (
     dump_certificate,
     dump_instance,
+    dump_solve_result,
+    dump_trace_record,
     items_to_mask,
     load_instance,
     load_mixed_allocation,
@@ -297,6 +299,38 @@ class TestAllPartitions:
             assert aset.columns == tuple(zip(*aset.bundles))
             assert aset.columns is aset.columns
 
+    def test_only_the_columns_are_built(self):
+        # the bundle tuples and the index are built on first read, from the
+        # columns, and are the reference's
+        built = all_partitions_allocation_set(3, 3)
+        assert "bundles" not in built.__dict__ and "index" not in built.__dict__
+        assert built.partitions_of == 3 and len(built) == 64
+        reference = product_partitions(3, 3)
+        assert list(built.bundles) == reference
+        assert built.index == {bundles: j for j, bundles in enumerate(reference)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_position_is_the_index_lookup(self, n):
+        for m in range(5):
+            built = all_partitions_allocation_set(n, m)
+            found = [built.position(bundles) for bundles in product_partitions(n, m)]
+            assert "index" not in built.__dict__
+            assert found == [built.index[bundles] for bundles in built.bundles] == list(range(len(built)))
+
+    def test_position_gives_none_off_the_set(self):
+        built = all_partitions_allocation_set(2, 3)
+        assert built.position((0b1000, 0)) is None  # item 4, past m = 3
+        assert built.position((0b001, 0b1000)) is None
+        assert built.position((0b001, 0b010, 0)) is None  # three players, not two
+        assert built.position((0b001,)) is None
+        assert built.position((0b011, 0b010)) is None  # item 2 held twice
+        assert built.position((-1, 0)) is None
+        assert "index" not in built.__dict__
+        # every other set looks the allocation up in its index
+        for aset in (AllocationSet([(1, 2), (2, 1)]), swap_closure([(1, 2)])):
+            assert aset.partitions_of is None
+            assert [aset.position(b) for b in ((1, 2), (2, 1), (1, 0), (4, 0), (1, 2, 0))] == [0, 1, None, None, None]
+
 
 def builder_outputs():
     """Every allocation set the benchmark traffic builds, by name: all
@@ -393,6 +427,30 @@ class TestStoredForm:
         assert out["pe"]["dominator"] == {"support": [{"bundles": [[1, 2, 3], [4, 5, 6]], "probability": "1/1"}]}
         assert out["pe"]["gains"] == ["1/1", "8/9"]
         assert cli.main(["solve", "--instance", str(desk)]) == 0
+
+    def test_verify_and_solve_build_no_bundle_tuples_or_index(self):
+        # an all-partitions set stores its columns only, and loading, verify
+        # (a dominated lottery, so a dominator is dumped too) and a traced
+        # solve read nothing else of it
+        hard = dump_instance(build_hard_instance(DisjointnessInput(3, (1, 0) * 5, (0, 1) * 5)))
+        lotteries = [
+            {"support": [{"bundles": [[1, 2, 3], [4, 5, 6]], "probability": "1/1"}]},
+            {"support": [{"bundles": [[], []], "probability": "1/1"}]},
+        ]
+        for data in lotteries:
+            inst = load_instance(hard)
+            dump_certificate(certify(load_mixed_allocation(data, inst), inst), inst)
+            assert not {"bundles", "index"} & set(inst.allocations.__dict__)
+        with open(os.path.join(DATA, "desk.json"), encoding="utf-8") as fh:
+            desk = json.load(fh)
+        for entry in desk[:: len(desk) // 8]:
+            inst = load_instance(entry)
+            trace = []
+            state, cert = find_fixed_point(inst, trace_sink=trace)
+            dump_solve_result(state, cert, inst, 0.0)
+            for rec in trace:
+                dump_trace_record(rec, inst)
+            assert not {"bundles", "index"} & set(inst.allocations.__dict__)
 
 
 class TestIsSwappable:

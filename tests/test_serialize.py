@@ -445,6 +445,19 @@ class TestMixedAllocationFiles:
         with pytest.raises(MalformedInstanceError):
             load_mixed_allocation(bad, inst)
 
+    def test_mask_past_an_all_partitions_set_is_rejected(self):
+        # all partitions of items 1-2 in an instance over 3 items: item 3 is
+        # a valid item but lies past the set, and the set's arithmetic lookup
+        # refuses it as the index did
+        raw = [{mask: mask + i for mask in range(4)} for i in range(2)]
+        inst = Instance(n=2, m=3, utilities=normalize_utilities(raw), allocations=all_partitions_allocation_set(2, 2))
+        bad = {"support": [{"bundles": [[1], [3]], "probability": "1/1"}]}
+        message = "field 'support[0]': allocation [[1], [3]] is not in the instance's set"
+        with pytest.raises(MalformedInstanceError, match=re.escape(message)):
+            load_mixed_allocation(bad, inst)
+        good = {"support": [{"bundles": [[1], [2]], "probability": "1/1"}]}
+        assert load_mixed_allocation(good, inst).pairs == ((inst.allocations.index[(1, 2)], 1),)
+
     def test_probabilities_must_sum_to_one(self):
         inst = load_instance(symmetric_instance_data())
         bad = {"support": [{"bundles": [[1], [2]], "probability": "1/2"}]}

@@ -1,5 +1,6 @@
-"""``tools/lp_stage.py``, the LP stage harness, in its smallest mode: one
-pinned set, one timed pass."""
+"""The stage harnesses in their smallest mode, one pinned set and one timed
+pass: ``tools/lp_stage.py`` (the LP kernel) and ``tools/stage_times.py``
+(loading and checking an answer)."""
 
 import json
 import os
@@ -43,5 +44,38 @@ def test_lp_stage_refuses_an_out_file_that_holds_no_list(tmp_path, content):
     proc = subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("lp_stage: ") and proc.stderr.count("\n") == 1
+    assert str(out) in proc.stderr and "Traceback" not in proc.stderr
+    assert out.read_text(encoding="utf-8") == content
+
+
+def test_stage_times_appends_one_entry_with_every_key(tmp_path):
+    out = tmp_path / "BENCH_stages.json"
+    out.write_text(json.dumps([{"earlier": "entry"}]), encoding="utf-8")
+    script = os.path.join(ROOT, "tools", "stage_times.py")
+    argv = [sys.executable, script, "--sets", "certify", "--repeats", "1", "--out", str(out)]
+    subprocess.run(argv, check=True, capture_output=True, timeout=120)
+    entries = json.loads(out.read_text(encoding="utf-8"))
+    assert len(entries) == 2 and entries[0] == {"earlier": "entry"}
+    entry = entries[1]
+    assert set(entry) == {"commit", "src_dirty", "python", "sets", "repeats", "stages"}
+    assert entry["sets"] == ["certify"] and entry["repeats"] == 1
+    assert list(entry["stages"]) == ["certify"]
+    stages = entry["stages"]["certify"]
+    assert list(stages) == ["load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify"]
+    for stats in stages.values():
+        assert set(stats) == {"calls", "best_s"} and stats["best_s"] >= 0
+    # the certify set is 12 gen-hard instances and 48 lotteries over them
+    assert [stats["calls"] for stats in stages.values()] == [12, 12, 12, 12, 48, 48]
+
+
+@pytest.mark.parametrize("content", ["", '{"earlier": "entry"}'], ids=["empty", "object"])
+def test_stage_times_refuses_an_out_file_that_holds_no_list(tmp_path, content):
+    out = tmp_path / "BENCH_stages.json"
+    out.write_text(content, encoding="utf-8")
+    script = os.path.join(ROOT, "tools", "stage_times.py")
+    argv = [sys.executable, script, "--sets", "certify", "--repeats", "1", "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("stage_times: ") and proc.stderr.count("\n") == 1
     assert str(out) in proc.stderr and "Traceback" not in proc.stderr
     assert out.read_text(encoding="utf-8") == content

@@ -1,0 +1,181 @@
+"""Time the stages that prepare and check an answer, on the pinned sets.
+
+    python3 tools/stage_times.py [--sets desk,wide,certify] [--repeats 7]
+                                 [--out BENCH_stages.json]
+
+Each chosen ``tests/data`` set is read once.  Its instances are the solve
+sets' instance files, or the certify set's ``gen-hard`` instances, and its
+lotteries are the certify set's listed lotteries, or each solve instance's
+answer, found once by ``find_fixed_point`` outside the timed passes.  Six
+stages are then timed, each as one pass over the whole set, and the best
+pass of ``--repeats`` is kept:
+
+- ``load``: ``serialize.load_instance`` of every instance file;
+- ``allocations``: the allocation-set build inside it, by
+  ``all_partitions_allocation_set``, or by ``swap_closure`` of the listed
+  set, parsed outside the pass;
+- ``kernel``: ``UtilityKernel.of`` on every loaded instance;
+- ``rho``: the ``Instance.rho`` computation on every loaded instance;
+- ``load_mixed_allocation``: every lottery read against its instance;
+- ``certify``: ``envy.certify`` of every lottery.
+
+The stages after ``load`` run on instances loaded once, so caches an
+instance or its set keeps (the set's columns, the kernel) are warm there,
+and each stage's time is its own.  One entry is appended to the JSON list
+in ``--out``: the commit and whether ``src`` differs from it, the Python
+version, the sets, the repeats, and per set and stage the calls of one
+pass and the best pass in seconds.  ``--out`` is read first, and a file
+there that holds no JSON list ends the run at once with a one-line error.
+The ``fairmix`` imported is this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+SETS = ("desk", "wide", "certify")
+STAGES = ("load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify")
+
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from fairmix.engine import find_fixed_point  # noqa: E402
+from fairmix.envy import certify  # noqa: E402
+from fairmix.hard import DisjointnessInput, build_hard_instance  # noqa: E402
+from fairmix.model import (  # noqa: E402
+    AllocationSet,
+    Instance,
+    UtilityKernel,
+    all_partitions_allocation_set,
+    swap_closure,
+)
+from fairmix.serialize import (  # noqa: E402
+    dump_instance,
+    dump_mixed_allocation,
+    items_to_mask,
+    load_instance,
+    load_mixed_allocation,
+)
+
+
+def read_set(name):
+    """The set's instance files and its lotteries, as (instance position, support file) pairs."""
+    with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    if name == "certify":
+        files = [
+            dump_instance(build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2)))))
+            for p, x1, x2 in data["hard"]
+        ]
+        return files, [(entry["hard"], {"support": entry["support"]}) for entry in data["lotteries"]]
+    lotteries = []
+    for j, entry in enumerate(data):
+        inst = load_instance(entry)
+        lotteries.append((j, dump_mixed_allocation(find_fixed_point(inst)[0].p, inst)))
+    return data, lotteries
+
+
+def _build(entry):
+    """The argument-free allocation-set build for one instance file."""
+    n, m, spec = entry["n"], entry["m"], entry["allocations"]
+    if spec == "all_partitions":
+        return lambda: all_partitions_allocation_set(n, m)
+    listed = AllocationSet(tuple(items_to_mask(bundle, m) for bundle in allocation) for allocation in spec)
+    return lambda: swap_closure(listed)
+
+
+def stage_calls(files, lotteries):
+    """Each stage's calls of one pass, as argument-free functions."""
+    insts = [load_instance(entry) for entry in files]
+    rho = Instance.__dict__["rho"].func
+    pairs = [(load_mixed_allocation(data, insts[j]), insts[j]) for j, data in lotteries]
+    return {
+        "load": [lambda entry=entry: load_instance(entry) for entry in files],
+        "allocations": [_build(entry) for entry in files],
+        "kernel": [lambda inst=inst: UtilityKernel.of(inst) for inst in insts],
+        "rho": [lambda inst=inst: rho(inst) for inst in insts],
+        "load_mixed_allocation": [
+            lambda data=data, inst=insts[j]: load_mixed_allocation(data, inst) for j, data in lotteries
+        ],
+        "certify": [lambda p=p, inst=inst: certify(p, inst) for p, inst in pairs],
+    }
+
+
+def best_pass(calls, repeats):
+    clock = time.perf_counter
+    best = float("inf")
+    for _ in range(repeats):
+        start = clock()
+        for call in calls:
+            call()
+        best = min(best, clock() - start)
+    return best if calls else 0.0
+
+
+def _git(*args):
+    try:
+        out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, encoding="utf-8", check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def read_entries(path):
+    """The JSON list of entries already in ``path``, or [] if there is no
+    such file.  Any other content ends the run with a one-line error."""
+    if not os.path.exists(path):
+        return []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"stage_times: cannot read {path} as a JSON list: {exc}") from None
+    if not isinstance(entries, list):
+        raise SystemExit(f"stage_times: {path} holds JSON that is not a list of entries")
+    return entries
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sets", default=",".join(SETS), help="comma-separated pinned sets")
+    parser.add_argument("--repeats", type=int, default=7, help="timed passes per stage; the best is kept")
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_stages.json"))
+    args = parser.parse_args(argv)
+    sets = args.sets.split(",")
+    if not set(sets) <= set(SETS) or args.repeats < 1:
+        parser.error(f"--sets takes names from {','.join(SETS)} and --repeats at least 1")
+
+    entries = read_entries(args.out)
+    times = {}
+    for name in sets:
+        calls = stage_calls(*read_set(name))
+        times[name] = {
+            stage: {"calls": len(calls[stage]), "best_s": round(best_pass(calls[stage], args.repeats), 6)}
+            for stage in STAGES
+        }
+    status = _git("status", "--porcelain", "--", "src")
+    entry = {
+        "commit": _git("rev-parse", "--short", "HEAD"),
+        "src_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "sets": sets,
+        "repeats": args.repeats,
+        "stages": times,
+    }
+    entries.append(entry)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")
+    print(json.dumps(entry))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
