@@ -164,10 +164,14 @@ def over_common_denominator(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _pairs_over_common_denominator(pairs):
-    """``over_common_denominator`` on int pairs ``(numerator, denominator > 0)``; reads ``pairs`` twice."""
-    den = lcm(*(d for _, d in pairs))
-    return [x * (den // d) for x, d in pairs], den
+def _over_lcm(nums, dens):
+    """The rationals ``nums[j] / dens[j]`` (ints, each denominator > 0) as
+    int numerators over the lcm of ``dens``, ``(numerators, lcm)``; the
+    numerators are ``nums`` itself when that lcm is 1."""
+    den = lcm(*dens)
+    if den == 1:
+        return nums, 1
+    return [x * (den // d) for x, d in zip(nums, dens)], den
 
 
 def _require_int(value, name):
@@ -415,51 +419,58 @@ def normalize_utilities(raw):
     ``raw`` that is not a sequence, or a table that is not a mapping, raises
     ``MalformedInstanceError`` naming it.
     """
-    tables = []
+    rows = []
     for i, values in enumerate(_entries(raw, "utility list")):
         if not hasattr(values, "items"):
             raise MalformedInstanceError(f"utility table {_shown(values)} of player {i} is not a mapping")
-        checked = {}
+        masks, nums, dens = [], [], []
         for bundle, v in values.items():
             if not is_int(bundle) or bundle < 0:
                 raise MalformedInstanceError(f"bundle mask {_shown(bundle)} is not an integer >= 0")
-            checked[bundle] = _num_den(v)
-        tables.append(checked)
-    return _normalize_checked(tables)
+            x, d = _num_den(v)
+            masks.append(bundle)
+            nums.append(x)
+            dens.append(d)
+        rows.append((masks, nums, dens))
+    return _normalize_rows(rows)
 
 
-def _normalize_checked(checked):
-    """The int normalizer behind ``normalize_utilities``, on tables already
-    checked: every key an int mask >= 0 and every value an int pair
-    ``(numerator, denominator > 0)``.  A player's values go over their lcm,
-    and one gcd brings them to their least denominator, the canonical form
-    kept as the profile's raw values."""
+def _normalize_rows(rows):
+    """The int normalizer behind ``normalize_utilities``, on rows already
+    checked: each row is three parallel sequences, its bundle masks
+    (distinct ints >= 0), their values' int numerators and their
+    denominators (ints > 0).  A player's values go over their lcm, and one
+    gcd brings them to their least denominator, the canonical form kept as
+    the profile's raw values; each mapping keeps the row's mask order."""
     tables = []
     least = []
     raw_num = []
     raw_den = []
-    for i, values in enumerate(checked):
-        if not values:
+    for i, (masks, nums, dens) in enumerate(rows):
+        if not masks:
             raise MalformedInstanceError(f"player {i} has no utility values")
-        over, den = _pairs_over_common_denominator(values.values())
-        nums = dict(zip(values, over))
-        g = gcd(den, *over)
+        nums, den = _over_lcm(nums, dens)
+        g = gcd(den, *nums)
         if g != 1:
-            nums = {b: x // g for b, x in nums.items()}
+            nums = [x // g for x in nums]
             den //= g
-        raw_num.append(nums)
+        raw_num.append(dict(zip(masks, nums)))
         raw_den.append(den)
-        lo = min(nums.values())
-        span = max(nums.values()) - lo
+        lo = min(nums)
+        span = max(nums) - lo
         if span == 0:
-            tables.append(dict.fromkeys(nums, 1))
+            tables.append((masks, [1] * len(masks)))
             least.append(1)
         else:
-            g = gcd(span, *(x - lo for x in nums.values()))
-            tables.append({b: (span + x - lo) // g for b, x in nums.items()})
+            shifted = [x - lo for x in nums]
+            g = gcd(span, *shifted)
+            tables.append((masks, [(span + x) // g for x in shifted]))
             least.append(span // g)
     common = lcm(*least)
-    table = tuple({b: x * (common // d) for b, x in row.items()} for row, d in zip(tables, least))
+    table = tuple(
+        dict(zip(masks, values if d == common else [x * (common // d) for x in values]))
+        for (masks, values), d in zip(tables, least)
+    )
     return UtilityProfile(table, common, tuple(raw_num), tuple(raw_den))
 
 

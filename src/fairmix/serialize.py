@@ -24,9 +24,10 @@ from .model import (
     MixedAllocation,
     PureAllocation,
     _entries,
-    _normalize_checked,
+    _normalize_rows,
     _num_den,
-    _pairs_over_common_denominator,
+    _over_lcm,
+    _plain_ratio,
     _shown,
     all_partitions_allocation_set,
     as_fraction,
@@ -99,6 +100,14 @@ def load_instance(data, strict=False, warn=None):
     ``warn`` (a callable taking a message) fires when the closure added
     allocations, and ``strict`` turns that situation into an error.  Every
     ``MalformedInstanceError`` names its field, as ``field 'name': detail``.
+
+    A table row is read whole (``_plain_row``) when every entry is an
+    ``[int mask, 'digits/digits']`` pair and the masks are distinct and in
+    range, the form ``dump_instance`` writes; any other row, and every
+    error, goes through the per-entry reader (``_checked_row``), which
+    reports a row's first bad entry.  The rows then go, as int lists, to
+    the one normalizer behind ``normalize_utilities``, so no value is
+    checked or coerced twice.
     """
     _require(isinstance(data, dict), "$", "instance must be a JSON object")
     allowed = {"n", "m", "utilities", "allocations"}
@@ -142,34 +151,64 @@ def load_instance(data, strict=False, warn=None):
             if warn is not None:
                 warn(message)
 
+    raw = []
     if kind == "table":
-        raw = []
         top = 1 << m
         for i, row in enumerate(rows):
             field = f"utilities.values[{i}]"
             _require(isinstance(row, list), field, "need a list of [mask, value] pairs")
-            table = {}
-            # each message is formatted only when its check fails
-            for pair in row:
-                _require(isinstance(pair, list) and len(pair) == 2, field, "entries are [mask, value] pairs")
-                mask, value = pair
-                if not (is_int(mask) and 0 <= mask < top):
-                    _fail(field, f"bundle mask {_shown(mask)} outside 0..{top - 1}")
-                if mask in table:
-                    _fail(field, f"duplicate bundle mask {mask}")
-                table[mask] = _in_field(field, _num_den, value)
-            raw.append(table)
+            raw.append(_plain_row(row, top) or _checked_row(row, top, field))
     else:
-        raw = []
-        needed = aset.bundles_seen | {0}
+        needed = list(aset.bundles_seen | {0})
         for i, row in enumerate(rows):
             field = f"utilities.items[{i}]"
             _require(isinstance(row, list) and len(row) == m, field, f"need {m} item values")
-            per_item, den = _pairs_over_common_denominator(_in_field(field, list, map(_num_den, row)))
-            raw.append({mask: (sum(per_item[g] for g in range(m) if mask >> g & 1), den) for mask in needed})
+            pairs = _in_field(field, list, map(_num_den, row))
+            per_item, den = _over_lcm([x for x, _ in pairs], [d for _, d in pairs])
+            sums = [sum(per_item[g] for g in range(m) if mask >> g & 1) for mask in needed]
+            raw.append((needed, sums, [den] * len(needed)))
 
-    # every key is a checked mask and every value an int pair: skip the re-check
-    return _in_field("utilities", lambda: Instance(n, m, _normalize_checked(raw), aset))
+    # every mask is checked and every value an int pair: skip the re-check
+    return _in_field("utilities", lambda: Instance(n, m, _normalize_rows(raw), aset))
+
+
+def _plain_row(row, top):
+    """A table row whose entries are all ``[mask, 'digits/digits']`` lists,
+    with distinct int masks in 0..top-1 and values that ``_plain_ratio``
+    reads, as parallel (masks, numerators, denominators) tuples; None for any
+    other row.  Every check is a C-level pass over the row, and each
+    distinct value string is read once, so this returns only what
+    ``_checked_row`` would, and leaves every other row, and every error,
+    to it."""
+    if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
+        return None
+    masks, values = zip(*row)
+    if set(map(type, masks)) != {int} or min(masks) < 0 or max(masks) >= top or len(set(masks)) != len(masks):
+        return None
+    if set(map(type, values)) != {str}:
+        return None
+    read = {text: _plain_ratio(text) for text in set(values)}
+    if None in read.values():
+        return None
+    nums, dens = zip(*map(read.__getitem__, values))
+    return masks, nums, dens
+
+
+def _checked_row(row, top, field):
+    """A table row read entry by entry, as parallel (masks, numerators,
+    denominators) lists; the first bad entry, in row order, raises its
+    ``MalformedInstanceError``, prefixed by ``field``."""
+    table = {}
+    # each message is formatted only when its check fails
+    for pair in row:
+        _require(isinstance(pair, list) and len(pair) == 2, field, "entries are [mask, value] pairs")
+        mask, value = pair
+        if not (is_int(mask) and 0 <= mask < top):
+            _fail(field, f"bundle mask {_shown(mask)} outside 0..{top - 1}")
+        if mask in table:
+            _fail(field, f"duplicate bundle mask {mask}")
+        table[mask] = _in_field(field, _num_den, value)
+    return list(table), [x for x, _ in table.values()], [d for _, d in table.values()]
 
 
 def dump_instance(inst):
@@ -308,5 +347,64 @@ def envy_graph_to_dot(graph):
 
 
 def dumps(obj):
-    """Stable pretty JSON used by every CLI command."""
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """Stable pretty JSON used by every CLI command: exactly
+    ``json.dumps(obj, indent=2) + "\n"``, written by a direct recursive
+    printer.  ``indent=2`` makes ``json`` run its pure-Python encoder,
+    whose closures leave a reference cycle behind on every call; this
+    printer builds one list of parts and leaves none.  A dict, list or
+    tuple is laid out by ``indent=2``'s rules, a str is written by
+    ``json``'s own ASCII string encoder and an int by ``int.__repr__``;
+    every other value (a float, a bool, None, a subclass of str or int) is
+    written by ``json.dumps`` itself, which raises ``TypeError`` for a type
+    JSON cannot hold.  A container that holds itself raises
+    ``RecursionError``, where ``json`` raises ``ValueError``."""
+    parts = []
+    _print(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _print(obj, newline, parts):
+    """Append ``obj``'s ``indent=2`` JSON to ``parts``; ``newline`` is a line
+    break and the indent of the line ``obj`` starts on."""
+    kind = type(obj)
+    if kind is str:
+        parts.append(json.encoder.encode_basestring_ascii(obj))
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        parts.append("[")
+        for value in obj:
+            parts.append(inner)
+            _print(value, inner, parts)
+            parts.append(",")
+        parts[-1] = newline + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        parts.append("{")
+        for key, value in obj.items():
+            parts.append(inner)
+            parts.append(json.encoder.encode_basestring_ascii(key if type(key) is str else _key(key)))
+            parts.append(": ")
+            _print(value, inner, parts)
+            parts.append(",")
+        parts[-1] = newline + "}"
+    else:
+        # a float, a bool, None, or a subclass of str or int
+        parts.append(json.dumps(obj))
+
+
+def _key(key):
+    """A dict key as the str ``json`` writes for it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

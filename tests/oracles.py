@@ -27,7 +27,9 @@ projection that the engine now runs in integers, ``reference_rho`` the
 envy-gap pass with one bundle-pair set per ordered player pair, and
 ``reference_swap_closure`` the closure by one transposition at a time,
 a search over swaps that ``fairmix.model.swap_closure`` replaced with
-whole permutation orbits.  Every oracle that
+whole permutation orbits, and ``reference_table_rows`` the per-entry
+reader of utility table rows that ``fairmix.serialize.load_instance``
+ran on every row before it read plain rows whole.  Every oracle that
 scores utilities reads an instance's raw values through
 ``fraction_normalize``, never the package's own rescaled table: ``weight_witness_ok``, which re-checks a
 Pareto-efficiency weight witness in Fractions over every allocation with
@@ -789,3 +791,35 @@ def dense_simplex(lp):
     x = tuple(Fraction(v, d) for v in x_num)
     value = sum(Fraction(c) * v for c, v in zip(lp.objective, x))
     return LpResult(OPTIMAL, x, value), pivots, d
+
+
+def _field_error(field, detail):
+    return MalformedInstanceError(f"field {field!r}: {detail}")
+
+
+def reference_table_rows(rows, m):
+    """Utility table rows read entry by entry, as ``load_instance`` read
+    them: one {mask: (numerator, denominator)} dict per row, each value read
+    by ``model._num_den``, or the ``MalformedInstanceError`` of the first bad
+    entry in row order, with the message ``load_instance`` gives."""
+    top = 1 << m
+    tables = []
+    for i, row in enumerate(rows):
+        field = f"utilities.values[{i}]"
+        if not isinstance(row, list):
+            raise _field_error(field, "need a list of [mask, value] pairs")
+        table = {}
+        for pair in row:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise _field_error(field, "entries are [mask, value] pairs")
+            mask, value = pair
+            if not (model.is_int(mask) and 0 <= mask < top):
+                raise _field_error(field, f"bundle mask {model._shown(mask)} outside 0..{top - 1}")
+            if mask in table:
+                raise _field_error(field, f"duplicate bundle mask {mask}")
+            try:
+                table[mask] = model._num_den(value)
+            except MalformedInstanceError as exc:
+                raise _field_error(field, exc) from exc
+        tables.append(table)
+    return tables

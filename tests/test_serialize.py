@@ -1,11 +1,14 @@
 """Round trips and schema validation for the JSON/DOT formats."""
 
+import gc
 import json
 import os
+import random
 import re
 import sys
 import time
 from decimal import Decimal, InvalidOperation
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -33,12 +36,15 @@ from fairmix import (
     normalize_utilities,
     verify_welfare_dichotomy,
 )
-from fairmix.engine import FixedPointState
-from fairmix.hard import DisjointnessInput
+from fairmix.engine import FixedPointState, find_fixed_point
+from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.model import SHOWN_CHARS, WeightVector, _num_den, as_fraction
-from fairmix.serialize import items_to_mask, mask_to_items
+from fairmix.serialize import dump_solve_result, dumps, items_to_mask, mask_to_items
 
 from conftest import additive_table
+from oracles import reference_table_rows
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 F = Fraction
 
@@ -378,6 +384,113 @@ class TestInstanceLoad:
             assert normalize_utilities(profile.raw_values) == profile
 
 
+def table_instance_data(rows, m):
+    return {"n": len(rows), "m": m, "utilities": {"type": "table", "values": rows}, "allocations": "all_partitions"}
+
+
+def assert_rows_read_as_reference(rows, m):
+    """``load_instance`` reads ``rows`` as the per-entry reference does: the
+    same raw values, in row order, and the profile ``normalize_utilities``
+    makes of them, or an error of the same type with the same message (an
+    error of the instance built from the rows names the field 'utilities')."""
+    data = table_instance_data(rows, m)
+    try:
+        tables = reference_table_rows(rows, m)
+        raw = tuple({mask: F(x, d) for mask, (x, d) in table.items()} for table in tables)
+        try:
+            Instance(len(rows), m, normalize_utilities(raw), all_partitions_allocation_set(len(rows), m))
+        except MalformedInstanceError as exc:
+            raise MalformedInstanceError(f"field 'utilities': {exc}") from exc
+    except MalformedInstanceError as exc:
+        with pytest.raises(MalformedInstanceError) as info:
+            load_instance(data)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    profile = load_instance(data).utilities
+    assert profile.raw_values == raw
+    assert [list(values) for values in profile.raw_values] == [list(table) for table in tables]
+    assert profile == normalize_utilities(raw)
+
+
+class TestTableRows:
+    """The whole-row reader of plain table rows agrees with the per-entry
+    reader in ``oracles.reference_table_rows`` on every row, and leaves each
+    error, and which entry reports first, to it."""
+
+    @pytest.mark.parametrize(
+        "row, m, message",
+        [
+            ([[0, "x"], [0, "1/1"]], 7, "bad rational 'x'"),
+            ([[0, "x"], [99, "1/1"]], 7, "bad rational 'x'"),
+            ([[0, "x"], [99, "1/1"]], 1, "bad rational 'x'"),
+            ([[1, "1/0"], [1, "2/1"]], 1, "bad rational '1/0'"),
+            ([[0, "1/1"], [0, "x"]], 1, "duplicate bundle mask 0"),
+            ([[2, "1/1"], [0, "x"]], 1, "bundle mask 2 outside 0..1"),
+        ],
+    )
+    def test_a_row_reports_its_first_bad_entry(self, row, m, message):
+        with pytest.raises(MalformedInstanceError) as info:
+            load_instance(table_instance_data([row], m))
+        assert str(info.value).startswith(f"field 'utilities.values[0]': {message}")
+        assert_rows_read_as_reference([row], m)
+
+    @pytest.mark.parametrize(
+        "value",
+        [5, 0, -3, "0.5", "1e2", "-1/2", " 1/2", "\u0661/\u0662", "1_0/3", "00/01", "7/00", "+1/2", "1/2/3", "",
+         "1" + "0" * 4300 + "/1", "1/" + "1" * 4301, True, None, 1.5, [1, 2]],
+        ids=lambda value: repr(value)[:20],
+    )
+    def test_each_value_form_reads_as_reference(self, value):
+        assert_rows_read_as_reference([[[0, value], [1, "1/1"]]], 1)
+        assert_rows_read_as_reference([[[1, "1/1"], [0, value]]], 1)
+        assert_rows_read_as_reference([[[0, "1/1"], [1, "2/1"]], [[1, value], [0, "3/1"]]], 1)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [[True, "1/1"], [1, "2/1"]],
+            [[0, "1/1"], [False, "2/1"]],
+            [(0, "1/1"), [1, "2/1"]],
+            [[0, "1/1"], "1"],
+            [[0, "1/1"], [1, "2/1", 3]],
+            [[0, "1/1"], [1]],
+            [[0.0, "1/1"], [1, "2/1"]],
+            [[-1, "1/1"], [1, "2/1"]],
+            [],
+            [[1, "1/1"]],
+        ],
+        ids=repr,
+    )
+    def test_other_entries_read_as_reference(self, row):
+        assert_rows_read_as_reference([row], 1)
+        assert_rows_read_as_reference([[[0, "1/1"], [1, "2/1"]], row], 1)
+
+    def test_an_earlier_row_reports_first(self):
+        rows = [[[0, "1/1"], [0, "1/1"]], [[0, "x"]]]
+        with pytest.raises(MalformedInstanceError) as info:
+            load_instance(table_instance_data(rows, 1))
+        assert str(info.value) == "field 'utilities.values[0]': duplicate bundle mask 0"
+        assert_rows_read_as_reference(rows, 1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_rows_read_as_reference(self, seed):
+        rng = random.Random(seed)
+        m = rng.randrange(1, 5)
+        rows = []
+        for _ in range(rng.randrange(1, 3)):
+            masks = rng.sample(range(1 << m), 1 << m)
+            if seed % 8 == 5:
+                # a bundle left out: the instance build refuses the rows
+                masks.pop()
+            zeros = "0" * rng.randrange(2)
+            rows.append([[mask, f"{zeros}{rng.randrange(40)}/{rng.randrange(1, 13)}"] for mask in masks])
+        if seed % 4 == 3:
+            # one entry in another form: the row goes to the per-entry reader
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))][1] = rng.choice([7, "1/0", "x", "0.25", "3", "-2/5"])
+        assert_rows_read_as_reference(rows, m)
+
+
 class TestInstanceRoundTrip:
     def test_full_partition_set_keeps_marker(self):
         inst = load_instance(symmetric_instance_data())
@@ -598,3 +711,141 @@ class TestTraceAndReports:
             {"kind": "deterministic", "bundles": [[1], [2]], "split_index": None, "welfare": "6/1"}
         ]
         assert dumped["flagged_mixed"] == []
+
+
+def documents():
+    """One of each document the CLI writes, as built in process."""
+    hard = build_hard_instance(DisjointnessInput(3, (1, 0, 1, 0, 1, 0, 1, 0, 1, 0), (0, 1, 1, 0, 0, 1, 1, 0, 0, 1)))
+    listed = load_instance(
+        {
+            "n": 3,
+            "m": 3,
+            "utilities": {"type": "additive", "items": [["3", "1", "2"], ["1", "3", "2"], ["2", "2", "1"]]},
+            "allocations": [[[1], [2], [3]], [[1, 2], [], [3]], [[], [], [1, 2, 3]]],
+        },
+        warn=lambda message: None,
+    )
+    return [
+        dump_instance(hard),
+        dump_dichotomy_report(verify_welfare_dichotomy(DisjointnessInput(2, (1, 0, 0), (0, 1, 0)))),
+        [[mask_to_items(b) for b in bs] for bs in listed.allocations.bundles],
+    ]
+
+
+def certify_certificates():
+    """``dump_certificate`` of every lottery in the pinned certify set."""
+    with open(os.path.join(DATA, "certify.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    insts = [
+        build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2))))
+        for p, x1, x2 in data["hard"]
+    ]
+    certificates = []
+    for entry in data["lotteries"]:
+        inst = insts[entry["hard"]]
+        p = load_mixed_allocation({"support": entry["support"]}, inst)
+        certificates.append(dump_certificate(certify(p, inst), inst))
+    return certificates
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Mapping(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+Small = IntEnum("Small", "ONE TWO")
+
+
+EDGE_VALUES = [
+    "",
+    "caf\u00e9 \u65e5\u672c \U0001f600",
+    "\x00\x01\x1f\x7f\n\t\r\b\f",
+    "\ud800",
+    '"\\/',
+    {},
+    [],
+    (),
+    [[]],
+    [{}],
+    {"a": [], "b": {}, "c": ()},
+    [[], {}, (), [[{}]]],
+    (1, (2, ()), [3]),
+    1e-07,
+    1e16,
+    -0.0,
+    0.1,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    True,
+    False,
+    None,
+    0,
+    -7,
+    10**40,
+    {"t": True, "f": False, "n": None, "x": [1.5, "1/2", -2]},
+    {1: "int", 2.5: "float", True: "bool", None: "none", float("nan"): "nan"},
+    # subclasses, which json writes as their base type
+    Text("s\u00e9"),
+    Small.TWO,
+    Real(0.5),
+    Mapping({Text("k"): Items([Small.TWO, Text("v")])}),
+]
+
+
+class TestDumps:
+    """``dumps`` writes exactly what ``json.dumps(obj, indent=2)`` writes."""
+
+    @staticmethod
+    def assert_as_json(obj):
+        assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_every_golden_answer(self):
+        with open(os.path.join(DATA, "golden.json"), encoding="utf-8") as fh:
+            golden = json.load(fh)
+        answers = [entry["out"] for entries in golden.values() for entry in entries]
+        assert len(answers) == 204
+        for answer in answers:
+            self.assert_as_json(answer)
+
+    def test_every_certify_certificate_and_each_cli_document(self):
+        for obj in certify_certificates() + documents():
+            self.assert_as_json(obj)
+
+    @pytest.mark.parametrize("obj", EDGE_VALUES, ids=lambda obj: repr(obj)[:30])
+    def test_edge_values(self, obj):
+        self.assert_as_json(obj)
+        self.assert_as_json([obj, {"k": obj}])
+
+    @pytest.mark.parametrize("obj", [object(), {(1,): 2}, [1, {"k": {1j}}]], ids=["object", "tuple-key", "nested-set"])
+    def test_what_json_refuses_is_refused_alike(self, obj):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            dumps(obj)
+        assert str(got.value) == str(want.value)
+
+    def test_an_answer_leaves_no_reference_cycle(self):
+        inst = load_instance(symmetric_instance_data())
+        state, cert = find_fixed_point(inst)
+        answer = dump_solve_result(state, cert, inst, 0.0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            dumps(answer)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

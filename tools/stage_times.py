@@ -6,9 +6,9 @@
 Each chosen ``tests/data`` set is read once.  Its instances are the solve
 sets' instance files, or the certify set's ``gen-hard`` instances, and its
 lotteries are the certify set's listed lotteries, or each solve instance's
-answer, found once by ``find_fixed_point`` outside the timed passes.  Six
-stages are then timed, each as one pass over the whole set, and the best
-pass of ``--repeats`` is kept:
+answer, found once by ``find_fixed_point`` outside the timed passes.  Seven
+stages are then timed, each as one pass over the whole set, ``--repeats``
+times:
 
 - ``load``: ``serialize.load_instance`` of every instance file;
 - ``allocations``: the allocation-set build inside it, by
@@ -17,15 +17,21 @@ pass of ``--repeats`` is kept:
 - ``kernel``: ``UtilityKernel.of`` on every loaded instance;
 - ``rho``: the ``Instance.rho`` computation on every loaded instance;
 - ``load_mixed_allocation``: every lottery read against its instance;
-- ``certify``: ``envy.certify`` of every lottery.
+- ``certify``: ``envy.certify`` of every lottery;
+- ``dumps``: ``serialize.dumps`` of the document the CLI prints for each,
+  a solve instance's answer (with a wall time of 0.0) or a certify
+  lottery's certificate, built outside the timed passes.
 
 The stages after ``load`` run on instances loaded once, so caches an
 instance or its set keeps (the set's columns, the kernel) are warm there,
 and each stage's time is its own.  One entry is appended to the JSON list
 in ``--out``: the commit and whether ``src`` differs from it, the Python
 version, the sets, the repeats, and per set and stage the calls of one
-pass and the best pass in seconds.  ``--out`` is read first, and a file
-there that holds no JSON list ends the run at once with a one-line error.
+pass and, in seconds, the best pass, the median pass and the lower and
+upper quartiles of the passes (``statistics.quantiles``, inclusive), so
+that a difference between two entries can be weighed against the spread
+of each.  ``--out`` is read first, and a file there that holds no JSON
+list ends the run at once with a one-line error.
 The ``fairmix`` imported is this checkout's ``src``.
 """
 
@@ -35,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -42,7 +49,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 SETS = ("desk", "wide", "certify")
-STAGES = ("load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify")
+STAGES = ("load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -57,8 +64,11 @@ from fairmix.model import (  # noqa: E402
     swap_closure,
 )
 from fairmix.serialize import (  # noqa: E402
+    dump_certificate,
     dump_instance,
     dump_mixed_allocation,
+    dump_solve_result,
+    dumps,
     items_to_mask,
     load_instance,
     load_mixed_allocation,
@@ -66,7 +76,9 @@ from fairmix.serialize import (  # noqa: E402
 
 
 def read_set(name):
-    """The set's instance files and its lotteries, as (instance position, support file) pairs."""
+    """The set's instance files, its lotteries, as (instance position,
+    support file) pairs, and the documents the CLI prints for them: each
+    solve instance's answer, or each certify lottery's certificate."""
     with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     if name == "certify":
@@ -74,12 +86,21 @@ def read_set(name):
             dump_instance(build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2)))))
             for p, x1, x2 in data["hard"]
         ]
-        return files, [(entry["hard"], {"support": entry["support"]}) for entry in data["lotteries"]]
+        lotteries = [(entry["hard"], {"support": entry["support"]}) for entry in data["lotteries"]]
+        insts = [load_instance(entry) for entry in files]
+        documents = []
+        for j, support in lotteries:
+            p = load_mixed_allocation(support, insts[j])
+            documents.append(dump_certificate(certify(p, insts[j]), insts[j]))
+        return files, lotteries, documents
     lotteries = []
+    documents = []
     for j, entry in enumerate(data):
         inst = load_instance(entry)
-        lotteries.append((j, dump_mixed_allocation(find_fixed_point(inst)[0].p, inst)))
-    return data, lotteries
+        state, cert = find_fixed_point(inst)
+        lotteries.append((j, dump_mixed_allocation(state.p, inst)))
+        documents.append(dump_solve_result(state, cert, inst, 0.0))
+    return data, lotteries, documents
 
 
 def _build(entry):
@@ -91,7 +112,7 @@ def _build(entry):
     return lambda: swap_closure(listed)
 
 
-def stage_calls(files, lotteries):
+def stage_calls(files, lotteries, documents):
     """Each stage's calls of one pass, as argument-free functions."""
     insts = [load_instance(entry) for entry in files]
     rho = Instance.__dict__["rho"].func
@@ -105,18 +126,23 @@ def stage_calls(files, lotteries):
             lambda data=data, inst=insts[j]: load_mixed_allocation(data, inst) for j, data in lotteries
         ],
         "certify": [lambda p=p, inst=inst: certify(p, inst) for p, inst in pairs],
+        "dumps": [lambda doc=doc: dumps(doc) for doc in documents],
     }
 
 
-def best_pass(calls, repeats):
+def pass_stats(calls, repeats):
+    """The calls of one pass, and the best, median and quartile seconds of
+    ``repeats`` passes over them (each 0.0 when there are no calls)."""
     clock = time.perf_counter
-    best = float("inf")
+    times = []
     for _ in range(repeats):
         start = clock()
         for call in calls:
             call()
-        best = min(best, clock() - start)
-    return best if calls else 0.0
+        times.append(clock() - start if calls else 0.0)
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive") if repeats > 1 else times * 3
+    stats = {"best_s": min(times), "median_s": statistics.median(times), "q1_s": q1, "q3_s": q3}
+    return {"calls": len(calls), **{key: round(value, 6) for key, value in stats.items()}}
 
 
 def _git(*args):
@@ -145,7 +171,7 @@ def read_entries(path):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sets", default=",".join(SETS), help="comma-separated pinned sets")
-    parser.add_argument("--repeats", type=int, default=7, help="timed passes per stage; the best is kept")
+    parser.add_argument("--repeats", type=int, default=7, help="timed passes per stage")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_stages.json"))
     args = parser.parse_args(argv)
     sets = args.sets.split(",")
@@ -156,10 +182,7 @@ def main(argv=None):
     times = {}
     for name in sets:
         calls = stage_calls(*read_set(name))
-        times[name] = {
-            stage: {"calls": len(calls[stage]), "best_s": round(best_pass(calls[stage], args.repeats), 6)}
-            for stage in STAGES
-        }
+        times[name] = {stage: pass_stats(calls[stage], args.repeats) for stage in STAGES}
     status = _git("status", "--porcelain", "--", "src")
     entry = {
         "commit": _git("rev-parse", "--short", "HEAD"),
