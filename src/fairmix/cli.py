@@ -8,15 +8,22 @@ Exit codes are a stable contract:
      returned, and it is not reused
   3  verification failure (certificate or dichotomy check did not hold)
   4  internal check failed (an engine invariant broke: a bug, not bad input)
+
+Each command's flags are declared once, in ``_COMMANDS``.  A plain command
+line (exact flag spellings, each at most once, the required ones present,
+no value starting with ``-``, an int value in ASCII digits) is read from
+that table directly; anything else, help and every error included, goes
+to the argparse parser built from the same table.  argparse is imported
+only then, so a process that runs a plain command never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .engine import find_fixed_point
 from .envy import build_envy_graph, certify
@@ -44,14 +51,6 @@ _ECHO_CHARS = 4 * SHOWN_CHARS
 
 class CliError(Exception):
     """Flag or file problem surfaced before any computation ran."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad flags by default; flag errors are
-    # input errors (exit 1) under the exit-code contract, and 2 stays retired.
-    # Its message echoes what was typed: a value, a flag or every extra word.
-    def error(self, message):
-        raise CliError(_clipped(message, _ECHO_CHARS))
 
 
 def _warn(message):
@@ -162,44 +161,84 @@ def cmd_closure(args):
     return 0
 
 
+def _flag(spelling, metavar=None, *, required=False, default=None, kind=str, help=None):
+    """One flag's row: (spelling, dest, default, required, kind, metavar,
+    help); ``kind`` is ``str`` or ``int`` for a flag that takes a value and
+    None for a switch that stores True."""
+    return spelling, spelling[2:].replace("-", "_"), default, required, kind, metavar, help
+
+
+# Every command and its flags, declared once: ``build_parser`` builds the
+# argparse parser from this table, and ``_read_argv`` reads a plain argv
+# by it directly.
+_COMMANDS = {
+    "solve": (cmd_solve, "find a certified efficient envy-free lottery", (
+        _flag("--instance", "F", required=True),
+        _flag("--epsilon", "Q", default="auto", help="weight floor, a rational or 'auto'"),
+        _flag("--trace", "F", help="write one JSON line per scanned vertex here"),
+        _flag("--strict", default=False, kind=None, help="reject allocation lists that need closing"),
+    )),
+    "verify": (cmd_verify, "certify a given lottery", (
+        _flag("--instance", "F", required=True),
+        _flag("--allocation", "F", required=True),
+    )),
+    "envy-graph": (cmd_envy_graph, "emit the envy graph in DOT form", (
+        _flag("--instance", "F", required=True),
+        _flag("--allocation", "F", required=True),
+    )),
+    "gen-hard": (cmd_gen_hard, "generate a two-player intersection-hard instance", (
+        _flag("--p", "N", required=True, kind=int, help="half-count; m = 2p items"),
+        _flag("--x1", "BITS", required=True),
+        _flag("--x2", "BITS", required=True),
+        _flag("--out", "F"),
+    )),
+    "verify-dichotomy": (cmd_verify_dichotomy, "certify the welfare gap between string cases", (
+        _flag("--p", "N", required=True, kind=int),
+        _flag("--x1", "BITS", required=True),
+        _flag("--x2", "BITS", required=True),
+    )),
+    "closure": (cmd_closure, "emit the swap-closed allocation set", (
+        _flag("--instance", "F", required=True),
+    )),
+}
+
+# per command: each flag's spelling mapped to its (dest, kind), the
+# namespace's starting values (the command, its function and every
+# default), and the spellings that must be given
+_PLAIN = {
+    name: (
+        {spelling: (dest, kind) for spelling, dest, _, _, kind, _, _ in flags},
+        {"command": name, "func": func, **{dest: default for _, dest, default, _, _, _, _ in flags}},
+        frozenset(spelling for spelling, _, _, required, _, _, _ in flags if required),
+    )
+    for name, (func, _, flags) in _COMMANDS.items()
+}
+
+
 def build_parser():
+    # argparse (with the gettext it imports) loads only when a parser is
+    # built: for help, an error or any argv _read_argv leaves to it
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with code 2 on bad flags by default; flag errors are
+        # input errors (exit 1) under the exit-code contract, and 2 stays retired.
+        # Its message echoes what was typed: a value, a flag or every extra word.
+        def error(self, message):
+            raise CliError(_clipped(message, _ECHO_CHARS))
+
     parser = _Parser(prog="fairmix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="find a certified efficient envy-free lottery")
-    solve.add_argument("--instance", required=True, metavar="F")
-    solve.add_argument("--epsilon", default="auto", metavar="Q", help="weight floor, a rational or 'auto'")
-    solve.add_argument("--trace", metavar="F", help="write one JSON line per scanned vertex here")
-    solve.add_argument("--strict", action="store_true", help="reject allocation lists that need closing")
-    solve.set_defaults(func=cmd_solve)
-
-    verify = sub.add_parser("verify", help="certify a given lottery")
-    verify.add_argument("--instance", required=True, metavar="F")
-    verify.add_argument("--allocation", required=True, metavar="F")
-    verify.set_defaults(func=cmd_verify)
-
-    graph = sub.add_parser("envy-graph", help="emit the envy graph in DOT form")
-    graph.add_argument("--instance", required=True, metavar="F")
-    graph.add_argument("--allocation", required=True, metavar="F")
-    graph.set_defaults(func=cmd_envy_graph)
-
-    gen = sub.add_parser("gen-hard", help="generate a two-player intersection-hard instance")
-    gen.add_argument("--p", type=int, required=True, metavar="N", help="half-count; m = 2p items")
-    gen.add_argument("--x1", required=True, metavar="BITS")
-    gen.add_argument("--x2", required=True, metavar="BITS")
-    gen.add_argument("--out", metavar="F")
-    gen.set_defaults(func=cmd_gen_hard)
-
-    dich = sub.add_parser("verify-dichotomy", help="certify the welfare gap between string cases")
-    dich.add_argument("--p", type=int, required=True, metavar="N")
-    dich.add_argument("--x1", required=True, metavar="BITS")
-    dich.add_argument("--x2", required=True, metavar="BITS")
-    dich.set_defaults(func=cmd_verify_dichotomy)
-
-    closure = sub.add_parser("closure", help="emit the swap-closed allocation set")
-    closure.add_argument("--instance", required=True, metavar="F")
-    closure.set_defaults(func=cmd_closure)
-
+    for name, (func, summary, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for spelling, dest, default, required, kind, metavar, text in flags:
+            if kind is None:
+                command.add_argument(spelling, dest=dest, action="store_true", help=text)
+            else:
+                command.add_argument(
+                    spelling, dest=dest, type=kind, default=default, required=required, metavar=metavar, help=text
+                )
+        command.set_defaults(func=func)
     return parser
 
 
@@ -210,9 +249,59 @@ def _parser():
     return build_parser()
 
 
+def _read_argv(argv):
+    """The namespace argparse builds for ``argv``, read directly, or None.
+
+    Only a plain argv is read: a command, then flags of that command in
+    their exact spellings, each at most once and every required one
+    present, each followed by its value unless it is a switch.  No value
+    may start with ``-`` and an int value is ASCII digits.  Anything else
+    (``-h``, an abbreviation, ``--flag=value``, a repeat, ``--``, an extra
+    word, every error) gives None, and argparse reads it: its help text and
+    its error messages are the only ones.
+    """
+    words = iter(argv)
+    plain = _PLAIN.get(next(words, None))
+    if plain is None:
+        return None
+    flags, values, required = plain
+    values = values.copy()
+    seen = set()
+    for word in words:
+        flag = flags.get(word)
+        if flag is None or word in seen:
+            return None
+        seen.add(word)
+        dest, kind = flag
+        if kind is None:
+            values[dest] = True
+            continue
+        # a missing value reads as "-", which no value may start with
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past int's digit limit: argparse reports it
+                return None
+        values[dest] = value
+    if not required <= seen:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _args(argv):
+    """The namespace ``main`` runs for ``argv``: read directly when it is
+    plain, else parsed by argparse."""
+    return _read_argv(argv) or _parser().parse_args(argv)
+
+
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -607,7 +607,7 @@ class UtilityKernel(Value):
     def of(cls, inst):
         table = inst.utilities.table
         columns = inst.allocations.columns
-        own_num = tuple(tuple(map(row.__getitem__, column)) for row, column in zip(table, columns))
+        own_num = tuple(map(_gather, table, columns))
         vectors = tuple(zip(*own_num))
         points = tuple(dict.fromkeys(vectors))
         # members are collected for the frontier points only, in one pass
@@ -615,6 +615,15 @@ class UtilityKernel(Value):
         for j, point in compress(enumerate(vectors), map(members.__contains__, vectors)):
             members[point].append(j)
         return cls(own_num, points, tuple(members), tuple(map(tuple, members.values())))
+
+
+def _gather(row, column):
+    """``row``'s entries at ``column``'s indices, as a tuple, gathered by
+    ``itemgetter`` in C; one index is read directly, since ``itemgetter``
+    of a single index returns the bare entry."""
+    if len(column) == 1:
+        return (row[column[0]],)
+    return itemgetter(*column)(row)
 
 
 def pareto_frontier(vectors):

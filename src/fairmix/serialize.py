@@ -353,11 +353,12 @@ def dumps(obj):
     whose closures leave a reference cycle behind on every call; this
     printer builds one list of parts and leaves none.  A dict, list or
     tuple is laid out by ``indent=2``'s rules, a str is written by
-    ``json``'s own ASCII string encoder and an int by ``int.__repr__``;
-    every other value (a float, a bool, None, a subclass of str or int) is
-    written by ``json.dumps`` itself, which raises ``TypeError`` for a type
-    JSON cannot hold.  A container that holds itself raises
-    ``RecursionError``, where ``json`` raises ``ValueError``."""
+    ``json``'s own ASCII string encoder, an int by ``int.__repr__`` and
+    None, True and False as their literals; every other value (a float, a
+    subclass of str or int) is written by ``json.dumps`` itself, which
+    raises ``TypeError`` for a type JSON cannot hold.  A container that
+    holds itself raises ``RecursionError``, where ``json`` raises
+    ``ValueError``."""
     parts = []
     _print(obj, "\n", parts)
     parts.append("\n")
@@ -372,6 +373,12 @@ def _print(obj, newline, parts):
         parts.append(json.encoder.encode_basestring_ascii(obj))
     elif kind is int:
         parts.append(int.__repr__(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -397,7 +404,7 @@ def _print(obj, newline, parts):
             parts.append(",")
         parts[-1] = newline + "}"
     else:
-        # a float, a bool, None, or a subclass of str or int
+        # a float, or a subclass of str or int
         parts.append(json.dumps(obj))
 
 

@@ -8,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import fairmix
 from fairmix import cli, errors
@@ -510,6 +512,118 @@ class TestFlagContract:
         assert proc.stdout == "[]\n"
 
 
+    def test_a_plain_verify_loads_no_argparse(self, tmp_path):
+        # a well-formed command line is read without argparse, which (with
+        # the gettext it imports) loads only to parse what the direct
+        # reader leaves to it, such as an unknown flag
+        src = os.path.dirname(os.path.dirname(fairmix.__file__))
+        instance = symmetric_instance(tmp_path)
+        lottery = allocation_file(tmp_path, [{"bundles": [[1], [2]], "probability": "1/1"}])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from fairmix.cli import main; "
+            "code = main(sys.argv[2:]); print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        )
+        argv = [sys.executable, "-I", "-c", code, src, "verify", "--instance", instance, "--allocation", lottery]
+        proc = subprocess.run(argv, capture_output=True, encoding="utf-8")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        proc = subprocess.run([*argv, "--bogus"], capture_output=True, encoding="utf-8")
+        assert proc.stdout == "1 ['argparse', 'gettext']\n"
+        assert proc.stderr.startswith("error: unrecognized arguments: --bogus")
+
+
+# words a command line is drawn from: every flag spelling, abbreviations,
+# "=" forms, help and the end-of-flags marker, and values that are plain,
+# empty, start with "-", or are int-like without being ASCII digits
+FLAGS = sorted({flag[0] for _, _, flags in cli._COMMANDS.values() for flag in flags})
+WORDS = [
+    *FLAGS,
+    *cli._COMMANDS,
+    "--inst", "--alloc", "--eps", "--tr", "--str", "--x", "--o", "--instance=F", "--p=3", "--strict=1",
+    "-h", "--help", "--", "-", "-x", "-1", "--bogus",
+    "F", "a b", "", "0", "3", "007", "1" * 5000, "x", " 3", "+3", "3_0", "\u0663", "\u00b3",
+]
+
+
+@st.composite
+def plain_argvs(draw):
+    """A command, then its required flags and some of its others in any
+    order, each with a plain value or one drawn from ``WORDS`` (a switch
+    takes none)."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [name]
+    for spelling, _, _, required, kind, _, _ in draw(st.permutations(cli._COMMANDS[name][2])):
+        if required or draw(st.booleans()):
+            argv.append(spelling)
+            if kind is not None:
+                argv.append(draw(st.one_of(st.sampled_from(["F", "2", "10"]), st.sampled_from(WORDS))))
+    return argv
+
+
+class TestReadArgv:
+    """The direct reader gives argparse's namespace, or leaves the argv to it."""
+
+    @given(
+        st.one_of(
+            plain_argvs(),
+            st.lists(st.sampled_from(WORDS), max_size=8),
+            st.builds(
+                lambda name, rest: [name, *rest],
+                st.sampled_from(sorted(cli._COMMANDS)),
+                st.lists(st.sampled_from(WORDS), max_size=7),
+            ),
+        )
+    )
+    @example(["solve", "--instance", "F"])
+    @example(["solve", "--strict", "--instance", "F", "--trace", "T", "--epsilon", "1/9"])
+    @example(["gen-hard", "--p", "007", "--x1", "1", "--x2", "0", "--out", ""])
+    @example(["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "0"])
+    @example(["verify-dichotomy", "--p", "\u0663", "--x1", "1", "--x2", "0"])
+    @example(["verify", "--instance", "F", "--allocation"])
+    def test_reader_agrees_with_argparse(self, argv):
+        got = cli._read_argv(argv)
+        if got is not None:
+            assert vars(got) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--instance", "F"],
+            ["solve", "--instance", "F", "--strict", "--epsilon", "auto", "--trace", "T"],
+            ["verify", "--allocation", "L", "--instance", "F"],
+            ["envy-graph", "--instance", "F", "--allocation", "L"],
+            ["gen-hard", "--p", "3", "--x1", "10", "--x2", "01", "--out", "H"],
+            ["verify-dichotomy", "--p", "2", "--x1", "1", "--x2", "0"],
+            ["closure", "--instance", "F"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_is_read_directly(self, argv):
+        got = cli._read_argv(argv)
+        assert got is not None and vars(got) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["solve", "-h"],
+            ["solve", "--inst", "F"],
+            ["solve", "--instance=F"],
+            ["solve", "--instance", "F", "--instance", "G"],
+            ["solve", "--instance", "F", "--strict", "--strict"],
+            ["solve", "--", "--instance", "F"],
+            ["solve", "--instance", "F", "extra"],
+            ["solve", "--instance", "-F"],
+            ["solve", "--instance"],
+            ["solve", "--epsilon", "auto"],
+            ["gen-hard", "--p", " 3", "--x1", "1", "--x2", "0"],
+            ["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "0"],
+        ],
+    )
+    def test_anything_else_is_left_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
 
 def test_session_without_default_encodings(tmp_path):
     # every file the CLI reads or writes names its encoding, so a session
@@ -532,8 +646,9 @@ def test_session_without_default_encodings(tmp_path):
 
 class TestRepeatedMain:
     def test_in_process_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
-        # main builds its parser on the first call and reuses it; every call
-        # must still print what a fresh process prints, wall time aside
+        # main builds its parser on the first call that needs one and reuses
+        # it; every call must still print what a fresh process prints, wall
+        # time aside
         instance = symmetric_instance(tmp_path)
         lottery = allocation_file(
             tmp_path,
@@ -559,15 +674,19 @@ class TestRepeatedMain:
         monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
         cli._parser.cache_clear()
         codes = []
+        built = []
         try:
             for argv in runs:
                 codes.append(main(argv))
+                built.append(len(builds))
                 out, err = capsys.readouterr()
                 fresh = subprocess.run(
                     [sys.executable, "-m", "fairmix", *argv], capture_output=True, encoding="utf-8", env=env
                 )
                 assert (codes[-1], scrub(out), err) == (fresh.returncode, scrub(fresh.stdout), fresh.stderr)
-            assert len(builds) == 1
         finally:
             cli._parser.cache_clear()
         assert codes == [0, 1, 0, 0]
+        # the plain solve and verify are read without a parser; the unknown
+        # flag builds one, and nothing builds it again
+        assert built == [0, 1, 1, 1]

@@ -278,6 +278,26 @@ def test_kernel_matches_reference_on_seeded_cases(case):
     assert_kernel_matches_reference(make_instance(*case), case_id(case))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 1, "m": 0, "utilities": {"type": "additive", "items": [[]]}, "allocations": "all_partitions"},
+        {"n": 3, "m": 0, "utilities": {"type": "additive", "items": [[]] * 3}, "allocations": "all_partitions"},
+        {"n": 2, "m": 0, "utilities": {"type": "table", "values": [[[0, "1"]]] * 2}, "allocations": "all_partitions"},
+        {"n": 1, "m": 2, "utilities": {"type": "additive", "items": [["1", "2"]]}, "allocations": [[[1, 2]]]},
+    ],
+    ids=["m0-n1", "m0-n3", "m0-table", "listed-n1"],
+)
+def test_kernel_of_a_one_allocation_set(data):
+    # with one allocation each player's column has one index, where a C
+    # gather of several indices would return a bare entry, not a tuple
+    inst = load_instance(data)
+    assert inst.allocations.k == 1
+    assert_kernel_matches_reference(inst, "one allocation")
+    assert all(type(own) is tuple and len(own) == 1 for own in inst.kernel.own_num)
+    assert inst.kernel.members == ((0,),)
+
+
 class TestFrontier:
     def test_skyline_drops_weakly_dominated(self):
         vectors = ((F(1), F(2)), (F(1), F(3)), (F(2), F(1)), (F(0), F(0)), (F(2), F(1, 2)))

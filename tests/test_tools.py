@@ -61,14 +61,17 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     assert entry["sets"] == ["certify"] and entry["repeats"] == 1
     assert list(entry["stages"]) == ["certify"]
     stages = entry["stages"]["certify"]
-    assert list(stages) == ["load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps"]
+    assert list(stages) == [
+        "argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps"
+    ]
     for stats in stages.values():
         assert set(stats) == {"calls", "best_s", "median_s", "q1_s", "q3_s"}
         # one pass: its time is the best, the median and both quartiles
         assert 0 <= stats["best_s"] == stats["q1_s"] == stats["median_s"] == stats["q3_s"]
     # the certify set is 12 gen-hard instances and 48 lotteries over them,
-    # each printed as its certificate
-    assert [stats["calls"] for stats in stages.values()] == [12, 12, 12, 12, 48, 48, 48]
+    # each one verify command line that names two files, and each printed
+    # as its certificate
+    assert [stats["calls"] for stats in stages.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48]
 
 
 @pytest.mark.parametrize("content", ["", '{"earlier": "entry"}'], ids=["empty", "object"])

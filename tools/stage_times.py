@@ -6,10 +6,14 @@
 Each chosen ``tests/data`` set is read once.  Its instances are the solve
 sets' instance files, or the certify set's ``gen-hard`` instances, and its
 lotteries are the certify set's listed lotteries, or each solve instance's
-answer, found once by ``find_fixed_point`` outside the timed passes.  Seven
-stages are then timed, each as one pass over the whole set, ``--repeats``
-times:
+answer, found once by ``find_fixed_point`` outside the timed passes.  Each
+operation's command line is built as the benchmark runs it, a ``verify``
+of each certify lottery or a ``solve`` of each solve instance, over files
+written once to a temporary folder.  Nine stages are then timed, each as
+one pass over the whole set, ``--repeats`` times:
 
+- ``argv``: ``cli._args``, the CLI's reading of every command line;
+- ``read``: ``cli._read_json`` of every file the command lines name;
 - ``load``: ``serialize.load_instance`` of every instance file;
 - ``allocations``: the allocation-set build inside it, by
   ``all_partitions_allocation_set``, or by ``swap_closure`` of the listed
@@ -44,15 +48,17 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 SETS = ("desk", "wide", "certify")
-STAGES = ("load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
+STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from fairmix import cli  # noqa: E402
 from fairmix.engine import find_fixed_point  # noqa: E402
 from fairmix.envy import certify  # noqa: E402
 from fairmix.hard import DisjointnessInput, build_hard_instance  # noqa: E402
@@ -103,6 +109,26 @@ def read_set(name):
     return data, lotteries, documents
 
 
+def write_ops(name, files, lotteries, folder):
+    """Each operation's command line as the benchmark runs it, over files
+    written to ``folder``: a verify of each certify lottery, or a solve of
+    each instance of a solve set."""
+
+    def write(stem, data):
+        path = os.path.join(folder, f"{name}-{stem}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        return path
+
+    paths = [write(f"instance-{j}", entry) for j, entry in enumerate(files)]
+    if name != "certify":
+        return [["solve", "--instance", path] for path in paths]
+    return [
+        ["verify", "--instance", paths[j], "--allocation", write(f"lottery-{t}", support)]
+        for t, (j, support) in enumerate(lotteries)
+    ]
+
+
 def _build(entry):
     """The argument-free allocation-set build for one instance file."""
     n, m, spec = entry["n"], entry["m"], entry["allocations"]
@@ -112,12 +138,15 @@ def _build(entry):
     return lambda: swap_closure(listed)
 
 
-def stage_calls(files, lotteries, documents):
+def stage_calls(files, lotteries, documents, argvs):
     """Each stage's calls of one pass, as argument-free functions."""
     insts = [load_instance(entry) for entry in files]
     rho = Instance.__dict__["rho"].func
     pairs = [(load_mixed_allocation(data, insts[j]), insts[j]) for j, data in lotteries]
     return {
+        "argv": [lambda argv=argv: cli._args(argv) for argv in argvs],
+        # a command line's files are its flags' values: every second word from the third
+        "read": [lambda path=path: cli._read_json(path) for argv in argvs for path in argv[2::2]],
         "load": [lambda entry=entry: load_instance(entry) for entry in files],
         "allocations": [_build(entry) for entry in files],
         "kernel": [lambda inst=inst: UtilityKernel.of(inst) for inst in insts],
@@ -180,9 +209,11 @@ def main(argv=None):
 
     entries = read_entries(args.out)
     times = {}
-    for name in sets:
-        calls = stage_calls(*read_set(name))
-        times[name] = {stage: pass_stats(calls[stage], args.repeats) for stage in STAGES}
+    with tempfile.TemporaryDirectory() as folder:
+        for name in sets:
+            files, lotteries, documents = read_set(name)
+            calls = stage_calls(files, lotteries, documents, write_ops(name, files, lotteries, folder))
+            times[name] = {stage: pass_stats(calls[stage], args.repeats) for stage in STAGES}
     status = _git("status", "--porcelain", "--", "src")
     entry = {
         "commit": _git("rev-parse", "--short", "HEAD"),
