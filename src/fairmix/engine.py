@@ -45,7 +45,7 @@ two sides.
 The certificate's PE side takes the vertex weight as its witness: the
 answer is supported on the w-argmax with every w_i >= eps > 0, so
 ``certify`` re-checks that by an integer scan over every own vector of the
-instance instead of solving a domination LP.  A witness that fails the scan
+instance instead of solving the efficiency LP.  A witness that fails the scan
 is an invariant failure, like any other disagreement with the theory.
 
 The weight floor eps is the search's one setting.  It must stay below

@@ -8,15 +8,17 @@ every w_i > 0, it is an integer scan: every support allocation of the
 lottery must reach the maximum w-welfare over all of the instance's own
 vectors, and then a dominating lottery would have strictly larger w-welfare
 than the maximum, which is impossible (Geoffrion 1968).  A failed witness
-proves nothing, so that verdict carries no dominator.  With no witness, a
-single exact LP decides: maximize the total slack by which another lottery
-beats the current one player-by-player; the optimum is zero precisely when
-no dominating lottery exists.  The LP has one column per vector of the
-instance's Pareto frontier (``Instance.kernel``), not one per allocation:
-any lottery can move its mass onto frontier vectors that weakly dominate its
-own, so the optimum is the same.  Every negative LP answer carries a
-witness, mapped back onto one allocation per frontier vector and
-re-verified outside the LP.
+proves nothing, so that verdict carries no dominator.  With no witness, one
+exact LP searches for such a weight: a lottery is efficient iff some
+strictly positive weight makes its own-utility vector welfare-maximal
+(Geoffrion 1968; Isermann 1974).  The LP has one row per vector of the
+instance's Pareto frontier (``Instance.kernel``), not one per allocation,
+since the frontier weakly dominates every other vector, and every
+right-hand side is 0 or 1, so it solves from the slack basis.  Either
+answer carries a witness checked outside the LP: a positive optimum gives a
+weight, re-checked by the integer scan above, and a zero optimum gives a
+dual lottery over frontier vectors that dominates, mapped back onto one
+allocation per vector and re-verified against the lottery's own views.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class EfCheck(Value):
 
 
 class PeCheck(Value):
-    """PE verdict: a re-verified ``dominator`` with its ``gains`` when the LP
-    finds one, or the ``weight`` witness that proved efficiency."""
+    """PE verdict: the ``weight`` witness that proved efficiency, or, when
+    the LP proves inefficiency, a re-verified ``dominator`` with its ``gains``."""
 
     def __init__(self, ok, dominator=None, gains=None, weight=None):
         self.__dict__.update(ok=ok, dominator=dominator, gains=gains, weight=weight)
@@ -119,16 +121,21 @@ def check_pareto_efficient(p, inst, weight=None):
     On either path a lottery over another number of allocations than the
     instance has raises ``MalformedInstanceError``.
 
-    Without a weight, the LP's variables are a lottery p' over the frontier
-    vectors and slacks t_i >= 0 with the constraints sum p' = 1 and
-    (own utility of p')_i >= (own utility of p)_i + t_i, every row built
-    times the denominator of p's view matrix: all ints, the right-hand
-    sides that matrix's diagonal, wrapped unchecked by ``LinearProgram._of``
-    (see ``lp``).  The optimum, the sum of the t_i, is exactly 0 iff p is
-    Pareto efficient, read as every t_i's int numerator in the verified
-    optimum being 0; otherwise the optimal p', placed on the first member
-    allocation of each vector, dominates and is returned after
-    re-verification against the diagonal of its own view matrix.
+    Without a weight, the LP searches for one as w = z + sigma * 1 with
+    z, sigma >= 0: maximize sigma subject to one row per frontier point u,
+    sum_i a_i * z_i + (sum_i a_i) * sigma <= 0, that is w . (u - U) <= 0 for
+    U the lottery's own utilities, and sum z + n * sigma <= 1.  Each a_i is
+    the int u_i * p_den - views[i][i], the gap u_i - U_i times the
+    denominator of p's view matrix, so the rows are ints over right-hand
+    sides 0 and 1, wrapped unchecked by ``LinearProgram._of`` (see ``lp``).
+    At an optimum sigma > 0, w is strictly positive and sums to 1, and it is
+    returned as the verdict's weight once the witness scan above accepts it.
+    At sigma = 0 the dual multipliers of the frontier rows, normalized, are
+    a lottery over frontier points whose own utilities are at least U's,
+    and in sum larger (a theorem of the alternative); placed on the first
+    member allocation of each point, that dominator is returned with its
+    gains after re-verification against the diagonal of its own view
+    matrix.  A witness that fails its check raises ``EngineInvariantError``.
     """
     if weight is not None:
         try:
@@ -137,29 +144,34 @@ def check_pareto_efficient(p, inst, weight=None):
             raise PreconditionError(str(exc)) from exc
         return _check_weight_witness(p, inst, w)
     kernel = inst.kernel
-    cols = len(kernel.frontier)
     n = inst.n
     views, den = expected_utility(p, inst)
     p_den = den // inst.utilities.scale  # frontier points are over the scale, views over den
+    own = [views[i][i] for i in range(n)]
 
-    objective = (0,) * cols + (1,) * n
-    rows = [((den,) * cols + (0,) * n, "=", den)]
-    for i in range(n):
-        row = tuple(point[i] * p_den for point in kernel.frontier)
-        row += tuple(-den if t == i else 0 for t in range(n))
-        rows.append((row, ">=", views[i][i]))
-    result = solve_lp(LinearProgram._of(objective, tuple(rows)))
+    rows = []
+    for point in kernel.frontier:
+        gaps = [u * p_den - v for u, v in zip(point, own)]
+        rows.append(((*gaps, sum(gaps)), "<=", 0))
+    rows.append(((1,) * n + (n,), "<=", 1))
+    result = solve_lp(LinearProgram._of((0,) * n + (1,), tuple(rows)))
     if result.status != OPTIMAL:
-        raise EngineInvariantError(f"domination program ended {result.status}")
-    if not any(result.x_num[cols:]):
-        return PeCheck(True)
+        raise EngineInvariantError(f"weight program ended {result.status}")
+    x, d = result.x_num, result.d
+    if x[n]:
+        check = _check_weight_witness(p, inst, tuple(Fraction(z + x[n], d) for z in x[:n]))
+        if not check.ok:
+            raise EngineInvariantError("weight witness failed re-verification")
+        return check
 
-    # zip stops before the slack variables t
-    dominator = MixedAllocation.from_support(
-        len(inst.allocations), zip((js[0] for js in kernel.members), result.solution)
-    )
+    dual = result.y_num[:-1]
+    total = sum(dual)
+    if total <= 0 or min(dual) < 0:
+        raise EngineInvariantError("dual of the weight program is not a lottery over the frontier")
+    pairs = sorted((js[0], Fraction(y, total)) for js, y in zip(kernel.members, dual) if y)
+    dominator = MixedAllocation._of(len(inst.allocations), tuple(pairs))
     better, den_b = expected_utility(dominator, inst)
-    gains = tuple(Fraction(better[i][i] * den - views[i][i] * den_b, den * den_b) for i in range(n))
+    gains = tuple(Fraction(better[i][i] * den - own[i] * den_b, den * den_b) for i in range(n))
     if not (all(g >= 0 for g in gains) and any(gains)):
         raise EngineInvariantError("dominating witness failed re-verification")
     return PeCheck(False, dominator=dominator, gains=gains)
@@ -184,7 +196,7 @@ def certify(p, inst, residual=None, weight=None):
     """Full certificate: exact EF check plus PE check.
 
     PE is checked against ``weight`` when one is given (see
-    ``check_pareto_efficient``), and by the domination LP otherwise.
+    ``check_pareto_efficient``), and by the weight LP otherwise.
     """
     return Certificate(
         ef=check_envy_free(p, inst),

@@ -15,10 +15,12 @@ the lcm L of its denominators, its artificial's phase-1 cost 1/L times the
 lcm of every L, and the objective times its own lcm.  ``LinearProgram(...)``
 checks and coerces a caller's program and builds that form on its first
 solve.  The engine and the verifier wrap their rows, in the utility table's
-ints, with ``LinearProgram._of``: no checks, every weight 1.  The engine's
-two programs, the tie-breaking game and the lowest-vertex program, have
-only <= rows over right-hand sides >= 0, so the slack basis is feasible:
-they build no artificial and run no phase 1.
+ints, with ``LinearProgram._of``: no checks, every weight 1.  All three of
+their programs, the engine's tie-breaking game and lowest-vertex program
+and the verifier's efficiency weight program, have only <= rows over
+right-hand sides >= 0, so the slack basis is feasible: they build no
+artificial and run no phase 1, which serves only programs that
+``LinearProgram(...)`` built.
 
 Fraction-free tableau.  The tableau T, its two cost rows included, holds
 the rational tableau times one common denominator D > 0.  A pivot on (r, c)
@@ -54,7 +56,10 @@ over its final D > 0, and ``_verify`` substitutes them into the int rows:
 every x_num_j >= 0 and every row a . x_num rel b * D, exactly the check
 x_j >= 0 and a . x rel b on x = x_num / D; no answer carries a tolerance.
 The ``LpResult`` keeps ``x_num`` and ``d``, which the engine and the
-verifier read, and builds its Fractions only when they are read.
+verifier read, and builds its Fractions only when they are read.  It also
+keeps the final tableau, so that a slack-basis program's dual can be read
+from its cost row when asked (``y_num``); a caller that never asks pays
+nothing.
 
 Projection in integers.  ``project_onto_truncated_simplex`` checks and
 coerces its input as rationals, then puts y and the floor over one
@@ -156,7 +161,8 @@ class LinearProgram(Value):
 class LpResult(Value):
     """A status and, at an optimum, the solution and objective value as
     Fractions.  An optimum ``solve_lp`` returns builds them on first read
-    from ``x_num``, int numerators over the tableau's final ``d`` > 0."""
+    from ``x_num``, int numerators over the tableau's final ``d`` > 0, and
+    reads the dual ``y_num``, over the same ``d``, only when asked."""
 
     def __init__(self, status, solution=None, objective_value=None):
         self.__dict__.update(status=status, solution=solution, objective_value=objective_value)
@@ -169,6 +175,24 @@ class LpResult(Value):
     def objective_value(self):
         cost, scale = self._lp._ints[:2]
         return Fraction(sum(map(mul, cost, self.x_num)), scale * self.d)
+
+    @cached_property
+    def y_num(self):
+        """The optimum's dual solution y >= 0 of the program's integer form,
+        one int numerator over ``d`` per row, read from the final cost row:
+        a stored slack column's entry is its row's dual times d, and a basic
+        slack's dual is 0.  Defined for a program of <= rows over right-hand
+        sides >= 0, which solves from the slack basis; any other program
+        raises ``PreconditionError``."""
+        rows = self._lp._ints[2]
+        if not all(rel == "<=" and b >= 0 for _, rel, b in rows):
+            raise PreconditionError("duals are read only from a program of <= rows over right-hand sides >= 0")
+        ncols = self._lp.num_vars
+        y = [0] * len(rows)
+        for col, c in zip(self._tab, self._cols):
+            if c >= ncols:
+                y[c - ncols] = col[-1]
+        return y
 
     def _key(self):
         return self.status, self.solution, self.objective_value
@@ -321,7 +345,7 @@ def solve_lp(lp):
             x_num[c] = b
     _verify(lp, x_num, d)
     result = object.__new__(LpResult)
-    result.__dict__.update(status=OPTIMAL, x_num=x_num, d=d, _lp=lp)
+    result.__dict__.update(status=OPTIMAL, x_num=x_num, d=d, _lp=lp, _tab=tab, _cols=cols)
     return result
 
 

@@ -13,7 +13,11 @@ that ``fairmix.model.normalize_utilities`` does in integers; and
 ``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
 own-utility kernel that ``fairmix.model.Instance.rho`` and
 ``fairmix.model.UtilityKernel`` derive from the integer utility table.
-``reference_envelope_vertices`` is of a third kind: the double description
+``reference_domination`` is the domination LP that
+``fairmix.envy.check_pareto_efficient`` solved before its slack-basis
+weight program, over ``fraction_kernel``'s frontier and solved by
+``fraction_simplex``, so the two programs' verdicts can be required to
+agree.  ``reference_envelope_vertices`` is of a third kind: the double description
 ``fairmix.engine._envelope_vertices`` runs, written with generator
 expressions as it was before its loops were tuned and adding the rows in
 index order, not the engine's welfare order, so that the engine can be
@@ -47,7 +51,7 @@ from operator import ge
 
 from fairmix import model
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError
-from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult
 
 
 def project_by_pattern_enumeration(y, eps):
@@ -375,6 +379,29 @@ def fraction_simplex(lp):
     x = tuple(basic[:ncols])
     value = sum(c * v for c, v in zip(objective, x))
     return LpResult(OPTIMAL, x, value)
+
+
+def reference_domination(p, inst):
+    """The optimum of the domination LP, in Fractions: 0 exactly when p is
+    Pareto efficient.
+
+    Its variables are a lottery p' over the frontier vectors of
+    ``fraction_kernel`` and slacks t_i >= 0, with sum p' = 1 and (own
+    utility of p')_i >= (own utility of p)_i + t_i; it maximizes the sum of
+    the t_i.  A lottery over frontier vectors can stand for any lottery,
+    since the frontier weakly dominates every own vector.
+    """
+    ref = fraction_kernel(inst)
+    n, frontier = inst.n, ref["frontier_vectors"]
+    cols = len(frontier)
+    current = [sum((q * ref["own"][i][j] for j, q in p.pairs), Fraction(0)) for i in range(n)]
+    rows = [((Fraction(1),) * cols + (Fraction(0),) * n, "=", Fraction(1))]
+    for i in range(n):
+        slacks = tuple(Fraction(-1) if t == i else Fraction(0) for t in range(n))
+        rows.append((tuple(vec[i] for vec in frontier) + slacks, ">=", current[i]))
+    result = fraction_simplex(LinearProgram((Fraction(0),) * cols + (Fraction(1),) * n, rows))
+    assert result.status == OPTIMAL, result.status
+    return result.objective_value
 
 
 def fraction_normalize(raw):

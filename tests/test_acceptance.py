@@ -530,7 +530,7 @@ def test_generated_utilities_submodular(dichotomy_samples):
 
 
 def test_efficiency_oracle_cross_validation():
-    """The LP domination check and the exhaustive geometric search agree."""
+    """The LP efficiency check and the exhaustive geometric domination search agree."""
     rng = random.Random(SEED + 5)
     disagreements = 0
     checked = 0

@@ -6,21 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import additive_table, random_table_instance, seeded_rng
+from conftest import additive_table, random_allocation_list, random_table_instance, seeded_rng
+from fairmix import envy
 from fairmix.engine import find_fixed_point
 from fairmix.envy import (
     Certificate,
     EnvyGraph,
     PeCheck,
+    _check_weight_witness,
     build_envy_graph,
     certify,
     check_envy_free,
     check_pareto_efficient,
     is_acyclic,
 )
-from fairmix.errors import MalformedInstanceError, PreconditionError
-from fairmix.model import Instance, MixedAllocation, all_partitions_allocation_set
-from oracles import find_dominating_vertex_or_pair, fraction_normalize, weight_witness_ok
+from fairmix.errors import EngineInvariantError, MalformedInstanceError, PreconditionError
+from fairmix.model import Instance, MixedAllocation, all_partitions_allocation_set, swap_closure
+from oracles import (
+    find_dominating_vertex_or_pair,
+    fraction_kernel,
+    fraction_normalize,
+    reference_domination,
+    weight_witness_ok,
+)
 
 F = Fraction
 
@@ -279,6 +287,169 @@ class TestWeightWitness:
         for weight in ((F(2, 3), F(1, 3)), None):
             with pytest.raises(MalformedInstanceError, match=message):
                 check_pareto_efficient(p, inst, weight=weight)
+
+
+# the most items per player count that keeps (n + 1)^m at 64 or fewer
+ITEMS = {1: 4, 2: 3, 3: 3, 4: 2, 5: 2}
+
+
+def pe_instance(rng, n, m, listed):
+    """Additive or table utilities over 0-9 thirds, on all partitions or on
+    the swap closure of a few random allocations."""
+    if rng.random() < 0.5:
+        raw = [additive_table([Fraction(rng.randint(0, 9), rng.choice((1, 3))) for _ in range(m)]) for _ in range(n)]
+    else:
+        raw = [{mask: Fraction(rng.randint(0, 9), rng.choice((1, 3))) for mask in range(1 << m)} for _ in range(n)]
+    if listed:
+        return Instance.build(raw, swap_closure(random_allocation_list(rng, n, m, rng.randint(1, 3))))
+    return Instance.build(raw, all_partitions_allocation_set(n, m))
+
+
+def pe_lotteries(rng, inst):
+    """Seeded lotteries: the whole argmax of a random positive weight, shared
+    equally (efficient), two point masses and a mixture of up to three
+    allocations (often dominated)."""
+    k = len(inst.allocations)
+    w = [rng.randint(1, 5) for _ in range(inst.n)]
+    welfare = [sum(a * row[j] for a, row in zip(w, inst.kernel.own_num)) for j in range(k)]
+    top = [j for j, v in enumerate(welfare) if v == max(welfare)]
+    out = [MixedAllocation.from_support(k, {j: Fraction(1, len(top)) for j in top})]
+    out += [MixedAllocation.point_mass(k, rng.randrange(k)) for _ in range(2)]
+    support = rng.sample(range(k), min(3, k))
+    raw = [rng.randint(1, 9) for _ in support]
+    out.append(MixedAllocation.from_support(k, {j: Fraction(r, sum(raw)) for j, r in zip(support, raw)}))
+    return out
+
+
+def own_utilities(p, ref):
+    """A lottery's own utilities in Fractions from ``fraction_kernel``'s table."""
+    return [sum((q * row[j] for j, q in p.pairs), Fraction(0)) for row in ref["own"]]
+
+
+def assert_pe_witness_holds(p, inst):
+    """The verdict agrees with the Fraction domination LP, and its witness
+    holds: a weight > 0 summing to 1 that both witness scans accept, or a
+    dominator over first frontier members whose gains are exactly its own
+    utilities' gains and dominate.  Returns the verdict."""
+    check = check_pareto_efficient(p, inst)
+    assert check.ok == (reference_domination(p, inst) == 0)
+    if check.ok:
+        assert check.dominator is None and check.gains is None
+        assert all(x > 0 for x in check.weight) and sum(check.weight) == 1
+        assert _check_weight_witness(p, inst, check.weight).ok
+        assert weight_witness_ok(p, inst, check.weight)
+        return True
+    assert check.weight is None
+    ref = fraction_kernel(inst)
+    gains = [b - a for a, b in zip(own_utilities(p, ref), own_utilities(check.dominator, ref))]
+    assert list(check.gains) == gains
+    assert all(g >= 0 for g in gains) and any(gains)
+    assert set(check.dominator.support()) <= {js[0] for js in ref["frontier_members"]}
+    return False
+
+
+class TestWeightProgram:
+    """The slack-basis weight program against the domination LP it replaced."""
+
+    @given(
+        n=st.integers(1, 5),
+        listed=st.booleans(),
+        seed=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_verdict_and_witness_match_the_domination_lp(self, n, listed, seed, data):
+        m = data.draw(st.integers(1, ITEMS[n]))
+        rng = seeded_rng(seed)
+        inst = pe_instance(rng, n, m, listed)
+        for p in pe_lotteries(rng, inst):
+            assert_pe_witness_holds(p, inst)
+
+    def test_seeded_instances_reach_both_verdicts_at_every_n(self):
+        for n in range(1, 6):
+            verdicts = set()
+            for seed in range(12):
+                rng = seeded_rng(100 * n + seed)
+                inst = pe_instance(rng, n, ITEMS[n], seed % 2 == 1)
+                verdicts.update(assert_pe_witness_holds(p, inst) for p in pe_lotteries(rng, inst))
+            assert verdicts == {True, False}, n
+
+
+def corrupted_program(monkeypatch, corrupt):
+    """Route the weight program's optimum through ``corrupt(result, n)``."""
+    solve = envy.solve_lp
+
+    def solve_and_corrupt(lp):
+        result = solve(lp)
+        corrupt(result, lp.num_vars - 1)
+        return result
+
+    monkeypatch.setattr(envy, "solve_lp", solve_and_corrupt)
+
+
+def zero_weight(result, n):
+    # w_0 = z_0 + sigma becomes 0
+    result.x_num[0] = -result.x_num[n]
+
+
+def set_dual(values):
+    def corrupt(result, n):
+        result.__dict__["y_num"] = values(result.y_num)
+
+    return corrupt
+
+
+def seeded_verdicts(efficient):
+    """Seeded (instance, lottery) pairs of one verdict, n = 1-5."""
+    out = []
+    for n in range(1, 6):
+        for seed in range(6):
+            rng = seeded_rng(100 * n + seed)
+            inst = pe_instance(rng, n, ITEMS[n], seed % 2 == 1)
+            out += [(inst, p) for p in pe_lotteries(rng, inst) if check_pareto_efficient(p, inst).ok == efficient]
+    assert out
+    return out
+
+
+def test_corrupted_weight_from_the_program_raises(monkeypatch):
+    cases = seeded_verdicts(efficient=True)
+    corrupted_program(monkeypatch, zero_weight)
+    for inst, p in cases:
+        with pytest.raises(EngineInvariantError, match="weight witness failed"):
+            check_pareto_efficient(p, inst)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [lambda y: [0] * len(y), lambda y: [-v for v in y[:-1]] + y[-1:]],
+    ids=["zero", "negated"],
+)
+def test_corrupted_dual_that_is_no_lottery_raises(monkeypatch, values):
+    cases = seeded_verdicts(efficient=False)
+    corrupted_program(monkeypatch, set_dual(values))
+    for inst, p in cases:
+        with pytest.raises(EngineInvariantError, match="not a lottery over the frontier"):
+            check_pareto_efficient(p, inst)
+
+
+def test_corrupted_dual_on_a_worse_point_raises(monkeypatch):
+    # all of the dual moved onto one frontier row whose point is worse than
+    # the lottery for some player: that point mass does not dominate
+    cases = []
+    for inst, p in seeded_verdicts(efficient=False):
+        own = own_utilities(p, fraction_kernel(inst))
+        worse = [
+            f for f, vec in enumerate(fraction_kernel(inst)["frontier_vectors"])
+            if any(u < c for u, c in zip(vec, own))
+        ]
+        if worse:
+            cases.append((inst, p, worse[0]))
+    assert cases
+    for inst, p, f in cases:
+        with monkeypatch.context() as patch:
+            corrupted_program(patch, set_dual(lambda y, f=f: [int(r == f) for r in range(len(y))]))
+            with pytest.raises(EngineInvariantError, match="dominating witness failed"):
+                check_pareto_efficient(p, inst)
 
 
 class TestCertificate:

@@ -1,8 +1,8 @@
 """The per-instance utility kernel against dense references.
 
 The engine scores only Pareto-frontier own-utility vectors in integers, and
-the efficiency check solves its domination LP over frontier columns or, given
-a weight witness, scores the kernel's integer own vectors.  The references
+the efficiency check solves its weight LP over frontier rows or, given a
+weight witness, scores the kernel's integer own vectors.  The references
 here do none of that: a Fraction argmax over every allocation, a domination
 LP with one column per allocation, and the Fraction witness oracle, each
 scoring the raw values through the Fraction rescale ``fraction_normalize``.

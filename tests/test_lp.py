@@ -1,19 +1,24 @@
 """Exact simplex kernel against hand cases, the vertex-enumeration oracle and
 the Fraction simplex it replaced."""
 
+import importlib.util
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import additive_table, fraction_views, seeded_rng
-from fairmix import engine, envy
+from fairmix import engine, envy, hard
 from fairmix import lp as lp_module
-from fairmix.errors import EngineInvariantError, MalformedLpError
+from fairmix.errors import EngineInvariantError, MalformedLpError, PreconditionError
+from fairmix.hard import DisjointnessInput, verify_welfare_dichotomy
 from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
 from fairmix.model import Instance, MixedAllocation, WeightVector, all_partitions_allocation_set
 from oracles import brute_force_lp_max, dense_simplex, fraction_simplex, satisfies
@@ -431,6 +436,8 @@ def test_verify_rejects_a_zero_denominator(monkeypatch):
 
 @pytest.mark.parametrize("case", CASES[::2], ids=case_id)
 def test_domination_lps_match_fraction_simplex(case, monkeypatch):
+    # the efficiency check's program, once the domination LP, is now the
+    # slack-basis weight program
     seen = assert_each_lp_matches_fraction_simplex(monkeypatch, envy)
     inst = make_instance(*case)
     for p in lotteries(inst, seeded_rng(11)):
@@ -524,7 +531,7 @@ def test_int_programs_pivot_as_the_dense_one():
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_pinned_set_lps_pivot_as_the_dense_tableau(workload, tmp_path, monkeypatch):
     """Every LP that solving or verifying a pinned set runs, select,
-    domination and lowest-vertex programs alike, pivots as the dense one."""
+    weight and lowest-vertex programs alike, pivots as the dense one."""
     seen = []
     for module in (engine, envy):
         monkeypatch.setattr(module, "solve_lp", lambda lp: seen.append(lp) or solve_lp(lp))
@@ -535,6 +542,150 @@ def test_pinned_set_lps_pivot_as_the_dense_tableau(workload, tmp_path, monkeypat
     for lp in seen:
         pivoted += bool(assert_pivots_like_dense(lp))
     assert pivoted > 0
+
+
+# --- the dual read from the final cost row ---------------------------------
+#
+# At an optimum of a program of <= rows over right-hand sides >= 0,
+# ``LpResult.y_num`` over ``d`` is a dual solution of its integer form:
+# y >= 0, A^T y >= c and b . y = c . x, each checked here in ints.
+
+
+def dual_certifies(lp, x_num, y_num, d):
+    """Whether y_num / d proves x_num / d optimal for ``lp``'s integer form."""
+    objective, _, rows, _ = lp._ints
+    if len(y_num) != len(rows) or any(v < 0 for v in y_num):
+        return False
+    for j, c in enumerate(objective):
+        if sum(y * row[j] for y, (row, _, _) in zip(y_num, rows)) < c * d:
+            return False
+    return sum(y * b for y, (_, _, b) in zip(y_num, rows)) == sum(map(mul, objective, x_num))
+
+
+def dual_corruptions(lp, y_num):
+    """Changes to one entry of y_num that no dual check may accept: a nonzero
+    entry negated, and an entry over a positive right-hand side raised by 1,
+    which moves b . y off c . x."""
+    rows = lp._ints[2]
+    out = []
+    j = next((j for j, v in enumerate(y_num) if v), None)
+    if j is not None:
+        out.append(y_num[:j] + [-y_num[j]] + y_num[j + 1 :])
+    j = next((j for j, (_, _, b) in enumerate(rows) if b > 0), None)
+    if j is not None:
+        out.append(y_num[:j] + [y_num[j] + 1] + y_num[j + 1 :])
+    return out
+
+
+def assert_dual_certifies(lp):
+    """Solve ``lp`` and check its dual exactly; each corruption of the dual
+    must fail the same check.  Returns how many corruptions were tried."""
+    result = solve_lp(lp)
+    assert result.status == OPTIMAL
+    assert dual_certifies(lp, result.x_num, result.y_num, result.d)
+    corruptions = dual_corruptions(lp, result.y_num)
+    for bad in corruptions:
+        assert not dual_certifies(lp, result.x_num, bad, result.d)
+    return len(corruptions)
+
+
+def random_slack_lp(rng):
+    """A small program of <= rows over right-hand sides >= 0, so it solves from
+    the slack basis; some are unbounded, and one objective in ten is zero."""
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
+
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        coeffs = tuple(rational() if rng.random() < 0.75 else F(0) for _ in range(n))
+        rows.append((coeffs, "<=", abs(rational()) if rng.random() < 0.8 else F(0)))
+    for i in range(n):
+        if rng.random() < 0.6:
+            rows.append((tuple(F(int(j == i)) for j in range(n)), "<=", F(rng.randint(1, 9), 2)))
+    objective = (F(0),) * n if rng.random() < 0.1 else tuple(rational() for _ in range(n))
+    return LinearProgram(objective=objective, constraints=tuple(rows))
+
+
+def test_seeded_slack_basis_duals_certify_the_optimum():
+    rng = random.Random(41)
+    optimal = corrupted = 0
+    for _ in range(300):
+        lp = random_slack_lp(rng)
+        result = solve_lp(lp)
+        assert result == fraction_simplex(lp)
+        if result.status == OPTIMAL:
+            optimal += 1
+            corrupted += assert_dual_certifies(lp)
+            # the int-row form the package builds reads the same dual
+            scaled, _ = int_program(lp, rng)
+            corrupted += assert_dual_certifies(scaled)
+    assert optimal >= 150 and corrupted >= optimal, (optimal, corrupted)
+
+
+def test_dual_is_refused_without_a_slack_basis():
+    lps = [
+        LinearProgram(objective=(-1,), constraints=(((-1,), "<=", -1),)),
+        LinearProgram(objective=(-1,), constraints=(((1,), ">=", 1),)),
+        LinearProgram(objective=(1,), constraints=(((1,), "=", 1),)),
+        # a >= row over a negative right-hand side solves from the slack
+        # basis negated, but its dual sign is not the one y_num reads
+        LinearProgram(objective=(-1,), constraints=(((-1,), ">=", -2),)),
+    ]
+    for lp in lps:
+        result = solve_lp(lp)
+        assert result.status == OPTIMAL
+        with pytest.raises(PreconditionError, match="duals are read only"):
+            result.y_num
+
+
+def load_lp_stage():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "lp_stage.py")
+    spec = importlib.util.spec_from_file_location("lp_stage", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def captured_programs():
+    """Every program ``tools/lp_stage.py`` captures on every pinned set, by kind."""
+    lp_stage = load_lp_stage()
+    return lp_stage.capture(lp_stage.SETS)
+
+
+def test_captured_duals_certify_the_optimum(captured_programs):
+    assert set(captured_programs) == {"select", "lowest", "weight"}
+    for kind, lps in captured_programs.items():
+        assert lps, kind
+        corrupted = sum(assert_dual_certifies(lp) for lp in lps)
+        assert corrupted >= len(lps), kind
+
+
+def dichotomy_programs(monkeypatch):
+    """Every program the p = 3 dichotomy hands to ``solve_lp``, on each of the
+    certify set's ``gen-hard`` strings."""
+    seen = []
+    for module in (engine, envy, hard):
+        if hasattr(module, "solve_lp"):
+            monkeypatch.setattr(module, "solve_lp", lambda lp: seen.append(lp) or solve_lp(lp))
+    with open(os.path.join(os.path.dirname(__file__), "data", "certify.json"), encoding="utf-8") as fh:
+        strings = json.load(fh)["hard"]
+    for p, x1, x2 in strings:
+        verify_welfare_dichotomy(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2))))
+    return seen
+
+
+def test_package_programs_need_no_phase_one(captured_programs, monkeypatch):
+    # every program engine, envy and hard build starts at its slack basis:
+    # phase 1 serves only programs built by LinearProgram(...)
+    programs = [lp for lps in captured_programs.values() for lp in lps]
+    dichotomy = dichotomy_programs(monkeypatch)
+    assert dichotomy
+    for lp in programs + dichotomy:
+        assert lp.__dict__["_ints"][1:] == (1, lp.constraints, (1,) * len(lp.constraints))
+        assert all(rel == "<=" and rhs >= 0 for _, rel, rhs in lp.constraints)
 
 
 # --- hand cases for the paths only the integer tableau has ----------------

@@ -626,10 +626,12 @@ class TestCertificateJson:
         h = inst.allocations.index[(2, 1)]
         p = MixedAllocation.from_support(len(inst.allocations), {j: F(1, 2), h: F(1, 2)})
         dumped = dump_certificate(certify(p, inst, residual=F(0)), inst)
+        # with no weight given, the efficiency LP finds one: the split is
+        # welfare-maximal only at equal weights
         assert dumped == {
             "ok": True,
             "ef": {"ok": True, "witness": None},
-            "pe": {"ok": True, "dominator": None, "gains": None, "weight": None},
+            "pe": {"ok": True, "dominator": None, "gains": None, "weight": ["1/2", "1/2"]},
             "fixed_point_residual": "0/1",
         }
 

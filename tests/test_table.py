@@ -4,10 +4,10 @@
 into int numerators over one scale shared by all players;
 ``UtilityKernel`` builds the own-utility vectors and their Pareto frontier
 from that table, and ``Instance.rho`` the envy-gap constant; the
-tie-breaking and domination LPs build their rows from it, as the Fraction
-rows times the table's scale (the tie-breaking LP's then shifted so that
-their least entry is 1, the domination LP's also times the lottery's
-common denominator).
+tie-breaking and efficiency weight LPs build their rows from it, as the
+Fraction rows times the table's scale (the tie-breaking LP's then shifted
+so that their least entry is 1, the weight LP's frontier rows also times
+the lottery's common denominator).
 ``tests/oracles.py`` keeps the Fraction versions, which read the raw
 values, not the table under test; every quantity here must come out equal
 to them.
@@ -108,14 +108,16 @@ def fraction_select_rows(inst, argmax):
 
 
 def fraction_pe_rows(ref, p):
-    """The domination LP's per-player rows over the reference frontier."""
+    """The efficiency weight LP's rows over the reference frontier: for each
+    frontier vector u, the gaps u_i - U_i to the lottery's own utilities U
+    and their sum, <= 0; then sum z + n * sigma <= 1."""
     n = len(ref["own"])
+    current = [sum((q * ref["own"][i][j] for j, q in p.pairs), F(0)) for i in range(n)]
     rows = []
-    for i in range(n):
-        coeffs = tuple(vec[i] for vec in ref["frontier_vectors"])
-        slacks = tuple(F(-1) if t == i else F(0) for t in range(n))
-        current = sum((q * ref["own"][i][j] for j, q in p.pairs), F(0))
-        rows.append((coeffs + slacks, ">=", current))
+    for vec in ref["frontier_vectors"]:
+        gaps = tuple(u - c for u, c in zip(vec, current))
+        rows.append((gaps + (sum(gaps),), "<=", F(0)))
+    rows.append(((F(1),) * n + (F(n),), "<=", F(1)))
     return rows
 
 
@@ -155,9 +157,9 @@ def assert_matches_fraction_reference(inst):
             check_pareto_efficient(p, inst)
         lp = spy.call_args.args[0]
         den = lcm(*(q.denominator for _, q in p.pairs)) * scale
-        assert list(lp.constraints[1:]) == [
-            (times(row, den), rel, rhs * den) for row, rel, rhs in fraction_pe_rows(ref, p)
-        ]
+        *frontier_rows, total_row = fraction_pe_rows(ref, p)
+        assert list(lp.constraints[:-1]) == [(times(row, den), rel, rhs * den) for row, rel, rhs in frontier_rows]
+        assert lp.constraints[-1] == total_row
     for w in weights(inst.n):
         amax = argmax_allocations(w, inst)
         assert amax == dense_argmax(w, ref["own"])

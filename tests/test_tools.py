@@ -23,14 +23,14 @@ def test_lp_stage_appends_one_entry_with_every_key(tmp_path):
     entry = entries[1]
     assert set(entry) == {"commit", "src_dirty", "python", "sets", "repeats", "kinds"}
     assert entry["sets"] == ["envious"] and entry["repeats"] == 1
-    assert set(entry["kinds"]) == {"select", "lowest", "domination"}
+    assert set(entry["kinds"]) == {"select", "lowest", "weight"}
     for stats in entry["kinds"].values():
         assert set(stats) == {"lps", "cells", "pivots", "best_s"}
         assert stats["best_s"] >= 0 and (stats["lps"] > 0) == (stats["cells"] > 0)
     # each of the six envious solves runs one lowest-vertex program, and
-    # solving verifies by weight witness, with no domination program
+    # solving verifies by the answer's own weight, with no weight program
     assert entry["kinds"]["lowest"]["lps"] == 6 and entry["kinds"]["select"]["lps"] > 0
-    assert entry["kinds"]["domination"]["lps"] == 0
+    assert entry["kinds"]["weight"]["lps"] == 0
 
 
 @pytest.mark.parametrize("content", ["", "not json", '{"earlier": "entry"}'], ids=["empty", "not-json", "object"])

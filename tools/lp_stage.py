@@ -8,7 +8,7 @@ every lottery of the certify set, once through ``fairmix.cli.main``, as
 ``tests/test_golden.py`` does, and records each program ``engine`` and
 ``envy`` hand to ``solve_lp``.  Its kind is the function that built it: the
 tie-breaking program (``select``), the lowest-vertex program (``lowest``)
-or the PE domination program (``domination``).  Each kind's programs are
+or the efficiency weight program (``weight``).  Each kind's programs are
 then solved again by ``solve_lp``, all of them per pass, and the best pass
 of ``--repeats`` is kept; one more pass counts the pivots.  One entry is
 appended to the JSON list in ``--out``: the commit and whether ``src``
@@ -35,7 +35,7 @@ from contextlib import redirect_stderr, redirect_stdout
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 SETS = ("desk", "wide", "many", "envious", "certify")
-KINDS = {"select_p_in_P": "select", "_lowest_vertex": "lowest", "check_pareto_efficient": "domination"}
+KINDS = {"select_p_in_P": "select", "_lowest_vertex": "lowest", "check_pareto_efficient": "weight"}
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
