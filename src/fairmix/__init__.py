@@ -7,7 +7,6 @@ from .errors import (
     EnumerationLimitError,
     FairmixError,
     MalformedInstanceError,
-    MalformedLpError,
     PreconditionError,
 )
 from .model import (
@@ -23,12 +22,7 @@ from .model import (
     normalize_utilities,
     swap_closure,
 )
-from .lp import (
-    LinearProgram,
-    LpResult,
-    project_onto_truncated_simplex,
-    solve_lp,
-)
+from .lp import project_onto_truncated_simplex
 from .envy import (
     Certificate,
     EfCheck,

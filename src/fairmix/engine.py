@@ -59,7 +59,7 @@ The scan takes the same path with or without a sink.
 
 The lottery chosen in P(w) is one that minimizes the largest envy
 margin, an optimal strategy of a zero-sum matrix game over the argmax,
-found by the game's packing LP from its slack basis, with no phase 1 (see
+found by the game's packing LP from its slack basis (see
 ``select_p_in_P``).  The lottery is envy-free exactly when that least
 largest margin is at most 0.
 
@@ -140,9 +140,9 @@ def select_p_in_P(w, inst, argmax=None):
     argmax.  Every entry is raised by ``shift = 1 - (least entry)``, so
     each is at least 1 and the game's value V is positive, and x = p / V
     solves max sum x subject to C'x <= 1 and x >= 0 (Dantzig 1951).  Its
-    right-hand sides are all 1, so the slack basis is feasible: the solver
-    builds no artificial column and runs no phase 1.  The rows enter the
-    solver unchecked through ``LinearProgram._of`` (see ``lp``).  ``w``
+    right-hand sides are all 1, so the slack basis is feasible, the start
+    ``solve_lp`` serves; ``LinearProgram`` stores the rows as built (see
+    ``lp``).  ``w``
     must have one entry per player, and a given ``argmax`` must be a
     non-empty tuple or list of indices in 0..k-1, or this raises
     ``PreconditionError``.
@@ -182,7 +182,7 @@ def select_p_in_P(w, inst, argmax=None):
                 margins.append([values[column[j]] - own[j] for j in argmax])
     shift = 1 - min(map(min, margins))
     rows = tuple((tuple(a + shift for a in row), "<=", 1) for row in margins)
-    result = solve_lp(LinearProgram._of((1,) * len(argmax), rows))
+    result = solve_lp(LinearProgram((1,) * len(argmax), rows))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"tie-breaking program ended {result.status}")
     total = sum(result.x_num)
@@ -406,7 +406,7 @@ def _lowest_vertex(points, eps):
     with c the largest v_u the LP maximizes sigma subject to sum x <= X and
     sum_{i<n} (u_i - u_n) x_i + sigma <= c - v_u for every point, so
     t = (c - sigma)/den.  Every right-hand side is at least 0, so the slack
-    basis is feasible and no artificial column is built.  An optimal basic
+    basis is feasible, the start ``solve_lp`` serves.  An optimal basic
     solution is a vertex of the envelope: at sigma > 0 no constraint but the
     envelope's is tight, and at sigma = 0 the feasible x are the minimizers
     of t, a face of the envelope.  Its mask is the set of the LP's tight
@@ -423,7 +423,7 @@ def _lowest_vertex(points, eps):
     top = max(base)
     rows = [((1,) * (n - 1) + (0,), "<=", room)]
     rows.extend(((*(x - u[-1] for x in u[:-1]), 1), "<=", top - v) for u, v in zip(points, base))
-    result = solve_lp(LinearProgram._of((0,) * (n - 1) + (1,), tuple(rows)))
+    result = solve_lp(LinearProgram((0,) * (n - 1) + (1,), tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"lowest-vertex program ended {result.status}")
     x_num, d = result.x_num, result.d

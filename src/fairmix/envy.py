@@ -127,7 +127,7 @@ def check_pareto_efficient(p, inst, weight=None):
     U the lottery's own utilities, and sum z + n * sigma <= 1.  Each a_i is
     the int u_i * p_den - views[i][i], the gap u_i - U_i times the
     denominator of p's view matrix, so the rows are ints over right-hand
-    sides 0 and 1, wrapped unchecked by ``LinearProgram._of`` (see ``lp``).
+    sides 0 and 1, stored as built by ``LinearProgram`` (see ``lp``).
     At an optimum sigma > 0, w is strictly positive and sums to 1, and it is
     returned as the verdict's weight once the witness scan above accepts it.
     At sigma = 0 the dual multipliers of the frontier rows, normalized, are
@@ -154,7 +154,7 @@ def check_pareto_efficient(p, inst, weight=None):
         gaps = [u * p_den - v for u, v in zip(point, own)]
         rows.append(((*gaps, sum(gaps)), "<=", 0))
     rows.append(((1,) * n + (n,), "<=", 1))
-    result = solve_lp(LinearProgram._of((0,) * n + (1,), tuple(rows)))
+    result = solve_lp(LinearProgram((0,) * n + (1,), tuple(rows)))
     if result.status != OPTIMAL:
         raise EngineInvariantError(f"weight program ended {result.status}")
     x, d = result.x_num, result.d

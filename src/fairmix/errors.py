@@ -13,10 +13,6 @@ class EnumerationLimitError(FairmixError):
     """An enumeration would exceed its module's fixed limit."""
 
 
-class MalformedLpError(FairmixError):
-    """Linear program dimensions or coefficients are inconsistent."""
-
-
 class EmptyDomainError(FairmixError):
     """The truncated simplex is empty (floor larger than 1/n)."""
 

@@ -5,10 +5,12 @@ types: projections are re-derived by enumerating all clamp patterns, LPs by
 enumerating candidate vertices, and domination by direct 2D geometry.  The
 exceptions in spirit are the Fraction code that integer code in the package
 replaced, kept here so that the two can be required to return equal
-results: ``fraction_simplex``, the two-phase simplex that ``fairmix.lp``
-runs in integers, pivot rule and all; ``dense_simplex``, the fraction-free
-tableau that stored every column before ``fairmix.lp`` condensed it to the
-nonbasic ones, with its pivot sequence; ``fraction_normalize``, the rescale
+results: ``fraction_simplex``, a two-phase simplex over Fractions with the
+pivot rule that ``fairmix.lp`` runs in integers from the slack basis (its
+phase 1 serves the ``=`` and ``>=`` rows of the references' own
+``Program``s); ``dense_simplex``, the fraction-free tableau that stored
+every column before ``fairmix.lp`` condensed it to the nonbasic ones,
+with its pivot sequence; ``fraction_normalize``, the rescale
 that ``fairmix.model.normalize_utilities`` does in integers; and
 ``fraction_rho`` and ``fraction_kernel``, the envy-gap constant and
 own-utility kernel that ``fairmix.model.Instance.rho`` and
@@ -46,12 +48,30 @@ does not need.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import ge
+from typing import NamedTuple
 
 from fairmix import model
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError
-from fairmix.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpResult
+from fairmix.lp import OPTIMAL, UNBOUNDED, LpResult
+
+INFEASIBLE = "infeasible"
+
+
+class Program(NamedTuple):
+    """A linear program for the references: maximize objective . x subject
+    to rows (a, rel, b), rel one of "<=", "=" and ">=", and every x_j >= 0,
+    with rational entries (ints, Fractions).  ``fraction_simplex``,
+    ``satisfies`` and ``brute_force_lp_max`` read it as they read a
+    ``fairmix.lp.LinearProgram``, which has the same three names."""
+
+    objective: tuple
+    constraints: tuple = ()
+
+    @property
+    def num_vars(self):
+        return len(self.objective)
 
 
 def project_by_pattern_enumeration(y, eps):
@@ -124,7 +144,7 @@ def brute_force_lp_max(lp):
     None when no vertex is feasible.
     """
     n = lp.num_vars
-    eqs = [(tuple(row), rhs) for row, rel, rhs in lp.constraints]
+    eqs = [(tuple(map(Fraction, row)), Fraction(rhs)) for row, rel, rhs in lp.constraints]
     for i in range(n):
         eqs.append((tuple(Fraction(1 if j == i else 0) for j in range(n)), Fraction(0)))
     best = None
@@ -249,7 +269,7 @@ def _fraction_pivot(tab, rhs, basis, r, c):
         if f:
             row_r = tab[r]
             row_i = tab[i]
-            tab[i] = [a - f * b for a, b in zip(row_i, row_r)]
+            tab[i] = [a - f * b if b else a for a, b in zip(row_i, row_r)]
             rhs[i] = rhs[i] - f * rhs[r]
     basis[r] = c
 
@@ -293,12 +313,13 @@ def _fraction_phase(tab, rhs, basis, cost):
 def fraction_simplex(lp):
     """Reference two-phase simplex over Fraction, with Bland's rule.
 
-    The same standard form, column order and pivot rule as ``fairmix.lp``:
-    column j is x_j >= 0, rows with a negative right-hand side are negated,
+    Column j is x_j >= 0, rows with a negative right-hand side are negated,
     and each row gets a slack (<=), a surplus and an artificial (>=) or an
-    artificial (=).  Every entry is read through ``Fraction``, since a
-    program the package builds itself holds plain ints.  Returns an
-    ``LpResult`` without the substitution check.
+    artificial (=).  On a program of <= rows over right-hand sides >= 0
+    there is no artificial and no phase 1, and the column order and pivot
+    rule are ``fairmix.lp``'s.  Every entry is read through ``Fraction``,
+    so a ``Program`` and the package's int ``LinearProgram`` both serve.
+    Returns an ``LpResult`` without the substitution check.
     """
     ncols = lp.num_vars
     objective = [Fraction(c) for c in lp.objective]
@@ -399,7 +420,7 @@ def reference_domination(p, inst):
     for i in range(n):
         slacks = tuple(Fraction(-1) if t == i else Fraction(0) for t in range(n))
         rows.append((tuple(vec[i] for vec in frontier) + slacks, ">=", current[i]))
-    result = fraction_simplex(LinearProgram((Fraction(0),) * cols + (Fraction(1),) * n, rows))
+    result = fraction_simplex(Program((Fraction(0),) * cols + (Fraction(1),) * n, tuple(rows)))
     assert result.status == OPTIMAL, result.status
     return result.objective_value
 
@@ -718,97 +739,21 @@ def _dense_phase(rows, basis, d, ncols, pivots):
 
 def dense_simplex(lp):
     """``fairmix.lp.solve_lp`` as it was written on the dense fraction-free
-    tableau, which stores every column, basic ones included: the same
-    standard form, scaling, phases and Bland's rule on the column index.
-    Returns ``(result, pivots, d)``: the ``LpResult`` without the
-    substitution check, every pivot as (leaving column, entering column,
-    the pivot element that becomes the new d), and the final d > 0."""
-    ncols = lp.num_vars
-    oriented = []
-    for row, rel, rhs in lp.constraints:
-        row = tuple(Fraction(a) for a in row)
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            row = tuple(-a for a in row)
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            rhs = -rhs
-        oriented.append((row, rel, rhs))
-
-    m = len(oriented)
-    n_slack = sum(1 for _, rel, _ in oriented if rel != "=")
-    n_art = sum(1 for _, rel, _ in oriented if rel != "<=")
-    art_start = ncols + n_slack
-    total = art_start + n_art
-
-    def over_lcm(values):
-        den = lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], den
-
+    tableau, which stores every column, basic ones included: the same int
+    rows (a, "<=", b) with b >= 0, the same slack basis to start from and
+    Bland's rule on the column index.  Returns ``(result, pivots, d)``: the
+    ``LpResult`` without the substitution check, every pivot as (leaving
+    column, entering column, the pivot element that becomes the new d), and
+    the final d > 0."""
+    ncols, m = lp.num_vars, len(lp.constraints)
     rows = []
-    basis = []
-    art_rows = []
-    slack_at = ncols
-    art_at = art_start
-    for coeffs, rel, rhs in oriented:
-        nums, scale = over_lcm((*coeffs, rhs))
-        row = nums[:ncols] + [0] * (total - ncols) + nums[ncols:]
-        if rel == "<=":
-            row[slack_at] = 1
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = -1
-            slack_at += 1
-            row[art_at] = 1
-            basis.append(art_at)
-            art_rows.append((row, art_at, scale))
-            art_at += 1
-        else:
-            row[art_at] = 1
-            basis.append(art_at)
-            art_rows.append((row, art_at, scale))
-            art_at += 1
-        rows.append(row)
-
-    costs = over_lcm([Fraction(c) for c in lp.objective])[0]
-    rows.append([-c for c in costs] + [0] * (total - ncols + 1))
-    d = 1
+    for r, (row, rel, rhs) in enumerate(lp.constraints):
+        assert rel == "<=" and rhs >= 0, (rel, rhs)
+        rows.append([*row, *(int(i == r) for i in range(m)), rhs])
+    rows.append([-c for c in lp.objective] + [0] * (m + 1))
+    basis = list(range(ncols, ncols + m))
     pivots = []
-
-    if n_art:
-        scale = lcm(*(s for _, _, s in art_rows))
-        cost1 = [0] * (total + 1)
-        for row, col, s in art_rows:
-            w = scale // s
-            for j, a in enumerate(row):
-                if a:
-                    cost1[j] -= w * a
-            cost1[col] += w
-        rows.append(cost1)
-        status, d = _dense_phase(rows, basis, d, total, pivots)
-        assert status == OPTIMAL
-        if rows.pop()[-1] < 0:
-            return LpResult(INFEASIBLE), pivots, d
-        drop = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                row = rows[i]
-                j = next((j for j in range(art_start) if row[j]), -1)
-                if j < 0:
-                    drop.append(i)
-                    continue
-                d = _dense_pivot(rows, i, j, d)
-                pivots.append((basis[i], j, d))
-                basis[i] = j
-                if d < 0:
-                    rows = [[-a for a in row] for row in rows]
-                    d = -d
-        keep = [i for i in range(m) if i not in drop]
-        basis = [basis[i] for i in keep]
-        rows = [rows[i][:art_start] + rows[i][-1:] for i in keep + [m]]
-        m = len(basis)
-
-    status, d = _dense_phase(rows, basis, d, art_start, pivots)
+    status, d = _dense_phase(rows, basis, 1, ncols + m, pivots)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED), pivots, d
     x_num = [0] * ncols

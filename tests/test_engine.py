@@ -560,7 +560,7 @@ def test_lowest_vertex_is_a_reference_vertex_of_least_t(workload):
 
 def test_lowest_vertex_lp_needs_no_phase_one(monkeypatch):
     # every row is <= with a right-hand side >= 0: the slack basis is
-    # feasible, the solver builds no artificial column, and only phase 2 runs
+    # feasible, and the solver runs one simplex from it
     programs, phases = [], []
     solve, simplex = engine.solve_lp, lp_module._simplex
     monkeypatch.setattr(lp_module, "_simplex", lambda *args: phases.append(1) or simplex(*args))
@@ -578,8 +578,8 @@ def test_lowest_vertex_lp_needs_no_phase_one(monkeypatch):
 
 def test_select_lp_needs_no_phase_one(monkeypatch):
     # the margin game's rows are all <= 1 over entries >= 1: the slack basis
-    # is feasible, the solver builds no artificial column, and only phase 2
-    # runs, over the program's columns and one slack per row; each _simplex
+    # is feasible, and the solver runs one simplex from it, over the
+    # program's columns and one slack per row; each _simplex
     # call records the largest original column index it sees
     programs, calls, selects = [], [], []
     solve, simplex, select = engine.solve_lp, lp_module._simplex, engine.select_p_in_P

@@ -26,7 +26,7 @@ from fairmix.engine import (
 )
 from fairmix.envy import check_pareto_efficient
 from fairmix.hard import DisjointnessInput, build_hard_instance
-from fairmix.lp import OPTIMAL, LinearProgram, solve_lp
+from fairmix.lp import OPTIMAL
 from fairmix.model import (
     Instance,
     MixedAllocation,
@@ -37,9 +37,11 @@ from fairmix.model import (
 )
 from fairmix.serialize import dump_instance, load_instance
 from oracles import (
+    Program,
     find_dominating_vertex_or_pair,
     fraction_kernel,
     fraction_normalize,
+    fraction_simplex,
     reference_envelope_vertices,
     reference_kernel,
     weight_witness_ok,
@@ -62,7 +64,7 @@ def dense_argmax(w, inst):
 
 
 def dense_pe_ok(p, inst):
-    """Domination LP with one column per allocation, as exact as the kernel's."""
+    """Domination LP with one column per allocation, solved in Fractions."""
     k, n = len(inst.allocations), inst.n
     own = own_vectors(inst)
     current = [sum(q * own[j][i] for j, q in p.pairs) for i in range(n)]
@@ -70,8 +72,7 @@ def dense_pe_ok(p, inst):
     for i in range(n):
         coeffs = tuple(vec[i] for vec in own)
         rows.append((coeffs + tuple(F(-1) if t == i else F(0) for t in range(n)), ">=", current[i]))
-    lp = LinearProgram(objective=(F(0),) * k + (F(1),) * n, constraints=tuple(rows))
-    result = solve_lp(lp)
+    result = fraction_simplex(Program((F(0),) * k + (F(1),) * n, tuple(rows)))
     assert result.status == OPTIMAL
     return result.objective_value == 0
 

@@ -1,7 +1,7 @@
 """Time the stages that prepare and check an answer, on the pinned sets.
 
-    python3 tools/stage_times.py [--sets desk,wide,certify] [--repeats 7]
-                                 [--out BENCH_stages.json]
+    python3 tools/stage_times.py [--sets desk,wide,many,envious,certify]
+                                 [--repeats 7] [--out BENCH_stages.json]
 
 Each chosen ``tests/data`` set is read once.  Its instances are the solve
 sets' instance files, or the certify set's ``gen-hard`` instances, and its
@@ -53,7 +53,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
-SETS = ("desk", "wide", "certify")
+SETS = ("desk", "wide", "many", "envious", "certify")
 STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
