@@ -67,7 +67,7 @@ class Program(NamedTuple):
     ``fairmix.lp.LinearProgram``, which has the same three names."""
 
     objective: tuple
-    constraints: tuple = ()
+    constraints: tuple
 
     @property
     def num_vars(self):
