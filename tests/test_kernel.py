@@ -4,8 +4,9 @@ The engine scores only Pareto-frontier own-utility vectors in integers, and
 the efficiency check solves its weight LP over frontier rows or, given a
 weight witness, scores the kernel's integer own vectors.  The references
 here do none of that: a Fraction argmax over every allocation, a domination
-LP with one column per allocation, and the Fraction witness oracle, each
-scoring the raw values through the Fraction rescale ``fraction_normalize``.
+LP with one column per brute-force maximal own vector, and the Fraction
+witness oracle, each scoring the raw values through the Fraction rescale
+``fraction_normalize``.
 """
 
 import json
@@ -63,14 +64,24 @@ def dense_argmax(w, inst):
     return tuple(j for j, v in enumerate(welfare) if v == top)
 
 
+def maximal_vectors(vectors):
+    """The distinct ``vectors`` no other one weakly dominates, by brute force."""
+    distinct = dict.fromkeys(vectors)
+    return [v for v in distinct if not any(u != v and all(a >= b for a, b in zip(u, v)) for u in distinct)]
+
+
 def dense_pe_ok(p, inst):
-    """Domination LP with one column per allocation, solved in Fractions."""
-    k, n = len(inst.allocations), inst.n
+    """Domination LP with one column per maximal own vector, solved in
+    Fractions; a lottery over any own vectors is weakly dominated by one
+    over maximal ones, so the optimum is that of one column per allocation."""
+    n = inst.n
     own = own_vectors(inst)
+    maximal = maximal_vectors(own)
+    k = len(maximal)
     current = [sum(q * own[j][i] for j, q in p.pairs) for i in range(n)]
     rows = [((F(1),) * k + (F(0),) * n, "=", F(1))]
     for i in range(n):
-        coeffs = tuple(vec[i] for vec in own)
+        coeffs = tuple(vec[i] for vec in maximal)
         rows.append((coeffs + tuple(F(-1) if t == i else F(0) for t in range(n)), ">=", current[i]))
     result = fraction_simplex(Program((F(0),) * k + (F(1),) * n, tuple(rows)))
     assert result.status == OPTIMAL

@@ -559,23 +559,18 @@ def test_seeded_slack_basis_duals_certify_the_optimum():
     assert optimal >= 150 and corrupted >= optimal, (optimal, corrupted)
 
 
-def load_lp_stage():
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "lp_stage.py")
-    spec = importlib.util.spec_from_file_location("lp_stage", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def captured_programs():
-    """Every program ``tools/lp_stage.py`` captures on every pinned set, by kind."""
-    lp_stage = load_lp_stage()
-    return lp_stage.capture(lp_stage.SETS)
+    """Every program ``tools/stage_times.py`` captures on every pinned set, by LP stage."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "stage_times.py")
+    spec = importlib.util.spec_from_file_location("stage_times", path)
+    stage_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_times)
+    return stage_times.capture(stage_times.SETS)
 
 
 def test_captured_duals_certify_the_optimum(captured_programs):
-    assert set(captured_programs) == {"select", "lowest", "weight"}
+    assert set(captured_programs) == {"lp_select", "lp_lowest", "lp_weight"}
     for kind, lps in captured_programs.items():
         assert lps, kind
         corrupted = sum(assert_dual_certifies(lp) for lp in lps)

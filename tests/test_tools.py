@@ -1,6 +1,6 @@
-"""The stage harnesses in their smallest mode, one pinned set and one timed
-pass: ``tools/lp_stage.py`` (the LP kernel) and ``tools/stage_times.py``
-(loading and checking an answer)."""
+"""The stage harness, ``tools/stage_times.py``, in its smallest mode: one
+timed pass over the sets CI runs it on, of loading and checking an answer
+and of the exact LP kernel on the programs the sets run."""
 
 import json
 import os
@@ -10,77 +10,60 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "tools", "stage_times.py")
+LP_STAGES = ["lp_select", "lp_lowest", "lp_weight"]
 
 
-def test_lp_stage_appends_one_entry_with_every_key(tmp_path):
-    out = tmp_path / "BENCH_lp.json"
-    out.write_text(json.dumps([{"earlier": "entry"}]), encoding="utf-8")
-    script = os.path.join(ROOT, "tools", "lp_stage.py")
-    argv = [sys.executable, script, "--sets", "envious", "--repeats", "1", "--out", str(out)]
-    subprocess.run(argv, check=True, capture_output=True, timeout=120)
-    entries = json.loads(out.read_text(encoding="utf-8"))
-    assert len(entries) == 2 and entries[0] == {"earlier": "entry"}
-    entry = entries[1]
-    assert set(entry) == {"commit", "src_dirty", "python", "sets", "repeats", "kinds"}
-    assert entry["sets"] == ["envious"] and entry["repeats"] == 1
-    assert set(entry["kinds"]) == {"select", "lowest", "weight"}
-    for stats in entry["kinds"].values():
-        assert set(stats) == {"lps", "cells", "pivots", "best_s"}
-        assert stats["best_s"] >= 0 and (stats["lps"] > 0) == (stats["cells"] > 0)
-    # each of the six envious solves runs one lowest-vertex program, and
-    # solving verifies by the answer's own weight, with no weight program
-    assert entry["kinds"]["lowest"]["lps"] == 6 and entry["kinds"]["select"]["lps"] > 0
-    assert entry["kinds"]["weight"]["lps"] == 0
-
-
-@pytest.mark.parametrize("content", ["", "not json", '{"earlier": "entry"}'], ids=["empty", "not-json", "object"])
-def test_lp_stage_refuses_an_out_file_that_holds_no_list(tmp_path, content):
-    # the file is read before any program is captured or timed, and the run
-    # ends with one line naming it, not a traceback, and leaves it as it was
-    out = tmp_path / "BENCH_lp.json"
-    out.write_text(content, encoding="utf-8")
-    script = os.path.join(ROOT, "tools", "lp_stage.py")
-    argv = [sys.executable, script, "--sets", "envious", "--repeats", "1", "--out", str(out)]
-    proc = subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=120)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("lp_stage: ") and proc.stderr.count("\n") == 1
-    assert str(out) in proc.stderr and "Traceback" not in proc.stderr
-    assert out.read_text(encoding="utf-8") == content
+def run_harness(sets, out):
+    argv = [sys.executable, SCRIPT, "--sets", sets, "--repeats", "1", "--out", str(out)]
+    return subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=120)
 
 
 def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     out = tmp_path / "BENCH_stages.json"
     out.write_text(json.dumps([{"earlier": "entry"}]), encoding="utf-8")
-    script = os.path.join(ROOT, "tools", "stage_times.py")
-    argv = [sys.executable, script, "--sets", "certify", "--repeats", "1", "--out", str(out)]
-    subprocess.run(argv, check=True, capture_output=True, timeout=120)
+    proc = run_harness("envious,certify", out)
+    assert proc.returncode == 0, proc.stderr
     entries = json.loads(out.read_text(encoding="utf-8"))
     assert len(entries) == 2 and entries[0] == {"earlier": "entry"}
     entry = entries[1]
     assert set(entry) == {"commit", "src_dirty", "python", "sets", "repeats", "stages"}
-    assert entry["sets"] == ["certify"] and entry["repeats"] == 1
-    assert list(entry["stages"]) == ["certify"]
-    stages = entry["stages"]["certify"]
-    assert list(stages) == [
-        "argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps"
-    ]
-    for stats in stages.values():
-        assert set(stats) == {"calls", "best_s", "median_s", "q1_s", "q3_s"}
-        # one pass: its time is the best, the median and both quartiles
-        assert 0 <= stats["best_s"] == stats["q1_s"] == stats["median_s"] == stats["q3_s"]
+    assert entry["sets"] == ["envious", "certify"] and entry["repeats"] == 1
+    assert list(entry["stages"]) == ["envious", "certify"]
+    for stages in entry["stages"].values():
+        assert list(stages) == [
+            "argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps",
+            *LP_STAGES,
+        ]
+        for name, stats in stages.items():
+            extra = {"cells", "pivots"} if name in LP_STAGES else set()
+            assert set(stats) == {"calls", "best_s", "median_s", "q1_s", "q3_s"} | extra
+            # one pass: its time is the best, the median and both quartiles
+            assert 0 <= stats["best_s"] == stats["q1_s"] == stats["median_s"] == stats["q3_s"]
+    # each of the six envious solves runs one lowest-vertex program, and
+    # solving verifies by the answer's own weight, with no weight program
+    envious = entry["stages"]["envious"]
+    assert envious["lp_lowest"]["calls"] == 6 and envious["lp_select"]["calls"] > 0
+    assert envious["lp_weight"]["calls"] == 0
+    for name in LP_STAGES:
+        assert (envious[name]["calls"] > 0) == (envious[name]["cells"] > 0) == (envious[name]["pivots"] > 0)
     # the certify set is 12 gen-hard instances and 48 lotteries over them,
     # each one verify command line that names two files, and each printed
-    # as its certificate
-    assert [stats["calls"] for stats in stages.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48]
+    # as its certificate; each verify solves one weight program, of 2 rows
+    # by 3 variables here, in one pivot, and no engine program
+    certify = entry["stages"]["certify"]
+    assert [stats["calls"] for stats in certify.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48, 0, 0, 48]
+    assert [(certify[name]["cells"], certify[name]["pivots"]) for name in LP_STAGES] == [(0, 0), (0, 0), (288, 48)]
 
 
-@pytest.mark.parametrize("content", ["", '{"earlier": "entry"}'], ids=["empty", "object"])
+@pytest.mark.parametrize("content", ["", "not json", '{"earlier": "entry"}'], ids=["empty", "not-json", "object"])
 def test_stage_times_refuses_an_out_file_that_holds_no_list(tmp_path, content):
+    # the file is read before any set is read, captured or timed, and the
+    # run ends with one line naming it, not a traceback, and leaves it as
+    # it was
     out = tmp_path / "BENCH_stages.json"
     out.write_text(content, encoding="utf-8")
-    script = os.path.join(ROOT, "tools", "stage_times.py")
-    argv = [sys.executable, script, "--sets", "certify", "--repeats", "1", "--out", str(out)]
-    proc = subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=120)
+    proc = run_harness("certify", out)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("stage_times: ") and proc.stderr.count("\n") == 1
     assert str(out) in proc.stderr and "Traceback" not in proc.stderr

@@ -9,8 +9,11 @@ lotteries are the certify set's listed lotteries, or each solve instance's
 answer, found once by ``find_fixed_point`` outside the timed passes.  Each
 operation's command line is built as the benchmark runs it, a ``verify``
 of each certify lottery or a ``solve`` of each solve instance, over files
-written once to a temporary folder.  Nine stages are then timed, each as
-one pass over the whole set, ``--repeats`` times:
+written once to a temporary folder.  While the answers are found, every
+program ``engine`` and ``envy`` hand to ``solve_lp`` is recorded, filed
+under the function that built it; the recording is removed before any pass
+is timed.  Twelve stages are then timed, each as one pass over the whole
+set, ``--repeats`` times:
 
 - ``argv``: ``cli._args``, the CLI's reading of every command line;
 - ``read``: ``cli._read_json`` of every file the command lines name;
@@ -24,7 +27,11 @@ one pass over the whole set, ``--repeats`` times:
 - ``certify``: ``envy.certify`` of every lottery;
 - ``dumps``: ``serialize.dumps`` of the document the CLI prints for each,
   a solve instance's answer (with a wall time of 0.0) or a certify
-  lottery's certificate, built outside the timed passes.
+  lottery's certificate, built outside the timed passes;
+- ``lp_select``, ``lp_lowest`` and ``lp_weight``: ``solve_lp`` of every
+  recorded tie-breaking program (``select_p_in_P``), lowest-vertex program
+  (``_lowest_vertex``) or efficiency weight program
+  (``check_pareto_efficient``).
 
 The stages after ``load`` run on instances loaded once, so caches an
 instance or its set keeps (the set's columns, the kernel) are warm there,
@@ -34,8 +41,10 @@ version, the sets, the repeats, and per set and stage the calls of one
 pass and, in seconds, the best pass, the median pass and the lower and
 upper quartiles of the passes (``statistics.quantiles``, inclusive), so
 that a difference between two entries can be weighed against the spread
-of each.  ``--out`` is read first, and a file there that holds no JSON
-list ends the run at once with a one-line error.
+of each; an LP stage also has its programs' constraint-by-variable
+``cells`` and the ``pivots`` of one untimed pass before the timed ones.
+``--out`` is read first, and a file there that holds no JSON list ends the
+run at once with a one-line error.
 The ``fairmix`` imported is this checkout's ``src``.
 """
 
@@ -54,11 +63,14 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 SETS = ("desk", "wide", "many", "envious", "certify")
+KINDS = {"select_p_in_P": "lp_select", "_lowest_vertex": "lp_lowest", "check_pareto_efficient": "lp_weight"}
 STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
+STAGES += tuple(KINDS.values())
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from fairmix import cli  # noqa: E402
+from fairmix import cli, engine, envy  # noqa: E402
+from fairmix import lp as lp_module  # noqa: E402
 from fairmix.engine import find_fixed_point  # noqa: E402
 from fairmix.envy import certify  # noqa: E402
 from fairmix.hard import DisjointnessInput, build_hard_instance  # noqa: E402
@@ -83,8 +95,34 @@ from fairmix.serialize import (  # noqa: E402
 
 def read_set(name):
     """The set's instance files, its lotteries, as (instance position,
-    support file) pairs, and the documents the CLI prints for them: each
-    solve instance's answer, or each certify lottery's certificate."""
+    support file) pairs, the documents the CLI prints for them (each solve
+    instance's answer, or each certify lottery's certificate) and, by LP
+    stage, every program ``engine`` and ``envy`` hand to ``solve_lp`` while
+    the documents are found."""
+    programs = {kind: [] for kind in KINDS.values()}
+
+    def recording(lp):
+        programs[KINDS[sys._getframe(1).f_code.co_name]].append(lp)
+        return lp_module.solve_lp(lp)
+
+    saved = engine.solve_lp, envy.solve_lp
+    engine.solve_lp = envy.solve_lp = recording
+    try:
+        return (*_answers(name), programs)
+    finally:
+        engine.solve_lp, envy.solve_lp = saved
+
+
+def capture(sets):
+    """Every program the sets hand to ``solve_lp`` in ``read_set``, by LP stage."""
+    programs = {kind: [] for kind in KINDS.values()}
+    for name in sets:
+        for kind, lps in read_set(name)[3].items():
+            programs[kind] += lps
+    return programs
+
+
+def _answers(name):
     with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     if name == "certify":
@@ -138,7 +176,7 @@ def _build(entry):
     return lambda: swap_closure(listed)
 
 
-def stage_calls(files, lotteries, documents, argvs):
+def stage_calls(files, lotteries, documents, programs, argvs):
     """Each stage's calls of one pass, as argument-free functions."""
     insts = [load_instance(entry) for entry in files]
     rho = Instance.__dict__["rho"].func
@@ -156,6 +194,7 @@ def stage_calls(files, lotteries, documents, argvs):
         ],
         "certify": [lambda p=p, inst=inst: certify(p, inst) for p, inst in pairs],
         "dumps": [lambda doc=doc: dumps(doc) for doc in documents],
+        **{kind: [lambda lp=lp: lp_module.solve_lp(lp) for lp in lps] for kind, lps in programs.items()},
     }
 
 
@@ -172,6 +211,26 @@ def pass_stats(calls, repeats):
     q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive") if repeats > 1 else times * 3
     stats = {"best_s": min(times), "median_s": statistics.median(times), "q1_s": q1, "q3_s": q3}
     return {"calls": len(calls), **{key: round(value, 6) for key, value in stats.items()}}
+
+
+def lp_counts(lps):
+    """The programs' constraint-by-variable cells, and the pivots of one
+    pass of ``solve_lp`` over them."""
+    pivots = 0
+    pivot = lp_module._pivot
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args)
+
+    lp_module._pivot = counting
+    try:
+        for lp in lps:
+            lp_module.solve_lp(lp)
+    finally:
+        lp_module._pivot = pivot
+    return {"cells": sum(len(lp.constraints) * lp.num_vars for lp in lps), "pivots": pivots}
 
 
 def _git(*args):
@@ -211,9 +270,12 @@ def main(argv=None):
     times = {}
     with tempfile.TemporaryDirectory() as folder:
         for name in sets:
-            files, lotteries, documents = read_set(name)
-            calls = stage_calls(files, lotteries, documents, write_ops(name, files, lotteries, folder))
-            times[name] = {stage: pass_stats(calls[stage], args.repeats) for stage in STAGES}
+            files, lotteries, documents, programs = read_set(name)
+            calls = stage_calls(files, lotteries, documents, programs, write_ops(name, files, lotteries, folder))
+            counts = {kind: lp_counts(lps) for kind, lps in programs.items()}
+            times[name] = {
+                stage: {**pass_stats(calls[stage], args.repeats), **counts.get(stage, {})} for stage in STAGES
+            }
     status = _git("status", "--porcelain", "--", "src")
     entry = {
         "commit": _git("rev-parse", "--short", "HEAD"),
