@@ -13,6 +13,7 @@ import json
 import os
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -64,8 +65,10 @@ def dense_argmax(w, inst):
     return tuple(j for j, v in enumerate(welfare) if v == top)
 
 
+@cache
 def maximal_vectors(vectors):
-    """The distinct ``vectors`` no other one weakly dominates, by brute force."""
+    """The distinct ``vectors`` (a tuple) no other one weakly dominates, by
+    brute force; cached, since each instance's lotteries share them."""
     distinct = dict.fromkeys(vectors)
     return [v for v in distinct if not any(u != v and all(a >= b for a, b in zip(u, v)) for u in distinct)]
 
@@ -76,7 +79,7 @@ def dense_pe_ok(p, inst):
     over maximal ones, so the optimum is that of one column per allocation."""
     n = inst.n
     own = own_vectors(inst)
-    maximal = maximal_vectors(own)
+    maximal = maximal_vectors(tuple(own))
     k = len(maximal)
     current = [sum(q * own[j][i] for j, q in p.pairs) for i in range(n)]
     rows = [((F(1),) * k + (F(0),) * n, "=", F(1))]
