@@ -80,7 +80,7 @@ from operator import mul, sub
 
 from .envy import certify
 from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
-from .lp import OPTIMAL, LinearProgram, project_onto_truncated_simplex, solve_lp
+from .lp import LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, Value, WeightVector, as_fraction, expected_utility, is_int, is_swappable
 from .model import _shown, over_common_denominator
 
@@ -181,12 +181,10 @@ def select_p_in_P(w, inst, argmax=None):
             if h != i:
                 margins.append([values[column[j]] - own[j] for j in argmax])
     shift = 1 - min(map(min, margins))
-    rows = tuple((tuple(a + shift for a in row), "<=", 1) for row in margins)
-    result = solve_lp(LinearProgram((1,) * len(argmax), rows))
-    if result.status != OPTIMAL:
-        raise EngineInvariantError(f"tie-breaking program ended {result.status}")
-    total = sum(result.x_num)
-    return MixedAllocation._of(k, tuple((j, Fraction(v, total)) for j, v in zip(argmax, result.x_num) if v))
+    rows = tuple((tuple(a + shift for a in row), 1) for row in margins)
+    x_num = solve_lp(LinearProgram((1,) * len(argmax), rows)).x_num
+    total = sum(x_num)
+    return MixedAllocation._of(k, tuple((j, Fraction(v, total)) for j, v in zip(argmax, x_num) if v))
 
 
 def _views(p, inst):
@@ -413,28 +411,22 @@ def _lowest_vertex(points, eps):
     point rows.  The LP's dual is the lottery over points maximizing
     (1 - n*eps) min_i U_i + eps sum_i U_i, a nearly egalitarian choice.
     Everything after the LP stays in ints: the optimum's numerators x_num
-    over its denominator d give the weights times den * d, and a row is
-    tight when a . x_num equals b * d.
+    over its denominator d give the weights times den * d, and the tight
+    point rows are read from the optimal tableau (``Tableau.tight``).
     """
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
     room = den - n * num
     base = [num * sum(u) + room * u[-1] for u in points]
     top = max(base)
-    rows = [((1,) * (n - 1) + (0,), "<=", room)]
-    rows.extend(((*(x - u[-1] for x in u[:-1]), 1), "<=", top - v) for u, v in zip(points, base))
-    result = solve_lp(LinearProgram((0,) * (n - 1) + (1,), tuple(rows)))
-    if result.status != OPTIMAL:
-        raise EngineInvariantError(f"lowest-vertex program ended {result.status}")
-    x_num, d = result.x_num, result.d
-    mask = 0
-    for f, (row, _, rhs) in enumerate(rows[1:]):
-        if sum(map(mul, row, x_num)) == rhs * d:
-            mask |= 1 << f
-    x = x_num[:-1]
+    rows = [((1,) * (n - 1) + (0,), room)]
+    rows.extend(((*(x - u[-1] for x in u[:-1]), 1), top - v) for u, v in zip(points, base))
+    optimum = solve_lp(LinearProgram((0,) * (n - 1) + (1,), tuple(rows)))
+    x, d = optimum.x_num[:-1], optimum.d
     weights = [num * d + a for a in x]
     weights.append((num + room) * d - sum(x))
-    return _primitive(tuple(weights)), mask
+    # row 0 is sum x <= X, and row f + 1 is point f's
+    return _primitive(tuple(weights)), optimum.tight >> 1
 
 
 def _scan_vertices(points, eps):

@@ -28,7 +28,7 @@ from graphlib import CycleError, TopologicalSorter
 from operator import mul
 
 from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import LinearProgram, solve_lp
 from .model import MixedAllocation, Value, _entries, _require_lottery_for, as_fraction, expected_utility
 from .model import over_common_denominator
 
@@ -152,19 +152,17 @@ def check_pareto_efficient(p, inst, weight=None):
     rows = []
     for point in kernel.frontier:
         gaps = [u * p_den - v for u, v in zip(point, own)]
-        rows.append(((*gaps, sum(gaps)), "<=", 0))
-    rows.append(((1,) * n + (n,), "<=", 1))
-    result = solve_lp(LinearProgram((0,) * n + (1,), tuple(rows)))
-    if result.status != OPTIMAL:
-        raise EngineInvariantError(f"weight program ended {result.status}")
-    x, d = result.x_num, result.d
+        rows.append(((*gaps, sum(gaps)), 0))
+    rows.append(((1,) * n + (n,), 1))
+    optimum = solve_lp(LinearProgram((0,) * n + (1,), tuple(rows)))
+    x, d = optimum.x_num, optimum.d
     if x[n]:
         check = _check_weight_witness(p, inst, tuple(Fraction(z + x[n], d) for z in x[:n]))
         if not check.ok:
             raise EngineInvariantError("weight witness failed re-verification")
         return check
 
-    dual = result.y_num[:-1]
+    dual = optimum.y_num[:-1]
     total = sum(dual)
     if total <= 0 or min(dual) < 0:
         raise EngineInvariantError("dual of the weight program is not a lottery over the frontier")

@@ -4,15 +4,16 @@ A simplex with Bland's rule on a condensed tableau, sized for desk-scale
 problems (tens of rows, hundreds of columns), run in Python ints with no
 float and no Fraction inside the pivot loop.
 
-Slack-basis programs.  A program is max c . x over rows (a, "<=", b) and
-every x_j >= 0, with int entries and every right-hand side b >= 0, so x = 0
-with every slack basic is a feasible start: there is no phase 1.  The
-engine's tie-breaking game and lowest-vertex program and the verifier's
-efficiency weight program all have that form, in the utility table's ints,
-and ``LinearProgram`` stores their rows as they are built, with no checks.
-A program outside that form is not served: a negative right-hand side
-makes the start infeasible, and ``_verify`` refuses whatever optimum the
-pivots reach from there.
+Slack-basis programs.  A program is max c . x over rows (a, b), each the
+constraint a . x <= b, and every x_j >= 0, with int entries and every
+right-hand side b >= 0, so x = 0 with every slack basic is a feasible
+start: there is no phase 1.  The engine's tie-breaking game and
+lowest-vertex program and the verifier's efficiency weight program all
+have that form, in the utility table's ints, and all are bounded, so an
+unbounded end is an internal error.  ``LinearProgram`` stores their rows
+as they are built, with no checks.  A program outside that form is not
+served: a negative right-hand side makes the start infeasible, and
+``_verify`` refuses whatever optimum the pivots reach from there.
 
 Fraction-free tableau.  The tableau T, its cost row included, holds the
 rational tableau times one common denominator D > 0.  A pivot on (r, c)
@@ -42,14 +43,14 @@ as the original and has the same solution.  The tie-breaking game's int
 rows are its rational rows, each margin plus shift/scale over a right-hand
 side of 1/scale, times the table's scale.
 
-Int results out.  The optimum leaves the tableau as int numerators x_num
-over its final D > 0, and ``_verify`` substitutes them into the int rows:
-every x_num_j >= 0 and every row a . x_num <= b * D, exactly the check
-x_j >= 0 and a . x <= b on x = x_num / D; no answer carries a tolerance.
-The ``LpResult`` keeps ``x_num`` and ``d``, which the engine and the
-verifier read, and builds its Fractions only when they are read.  It also
-keeps the final tableau, so that the dual can be read from its cost row
-when asked (``y_num``); a caller that never asks pays nothing.
+The optimal tableau out.  ``solve_lp`` returns the tableau it ends on, a
+``Tableau``, with the optimum's int numerators x_num over its final D > 0,
+which ``_verify`` has substituted into the int rows: every x_num_j >= 0
+and every row a . x_num <= b * D, exactly the check x_j >= 0 and
+a . x <= b on x = x_num / D; no answer carries a tolerance.  The rest is
+read from the tableau when asked: the dual from its cost row (``y_num``)
+and the tight rows from where the slacks stand (``tight``); a caller that
+never asks pays nothing.
 
 Projection in integers.  ``project_onto_truncated_simplex`` checks and
 coerces its input as rationals, then puts y and the floor over one
@@ -68,18 +69,15 @@ from operator import mul
 from .errors import EmptyDomainError, EngineInvariantError, MalformedInstanceError, PreconditionError
 from .model import Value, _entries, _shown, as_fraction, over_common_denominator
 
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-
 
 class LinearProgram(Value):
-    """Maximize objective . x subject to rows (a, "<=", b) and every x_j >= 0.
+    """Maximize objective . x subject to rows a . x <= b and every x_j >= 0.
 
     The objective is a tuple of ints, one per variable, and ``constraints``
-    a tuple of rows (a, "<=", b), each a a tuple of ints as long as the
-    objective and each b an int >= 0: the slack-basis form ``solve_lp``
-    serves (see the module docstring).  The engine and the verifier build
-    them; the program stores them as they are, with no checks.
+    a tuple of rows (a, b), each a a tuple of ints as long as the objective
+    and each b an int >= 0: the slack-basis form ``solve_lp`` serves (see
+    the module docstring).  The engine and the verifier build them; the
+    program stores them as they are, with no checks.
     """
 
     def __init__(self, objective, constraints):
@@ -90,37 +88,40 @@ class LinearProgram(Value):
         return len(self.objective)
 
 
-class LpResult(Value):
-    """A status and, at an optimum, the solution and objective value as
-    Fractions.  An optimum ``solve_lp`` returns builds them on first read
-    from ``x_num``, int numerators over the tableau's final ``d`` > 0, and
-    reads the dual ``y_num``, over the same ``d``, only when asked."""
+class Tableau:
+    """The optimal condensed tableau of ``lp``, as ``solve_lp`` ends on it:
+    the stored columns ``tab`` with the right-hand side last, the ``basis``
+    by row, the stored columns' original indices ``cols``, the common
+    denominator ``d`` > 0 and the verified solution's int numerators
+    ``x_num`` over ``d``.  Original index j < ``lp.num_vars`` is x_j, and
+    ``lp.num_vars`` + i is row i's slack."""
 
-    def __init__(self, status, solution=None, objective_value=None):
-        self.__dict__.update(status=status, solution=solution, objective_value=objective_value)
-
-    @cached_property
-    def solution(self):
-        return tuple(Fraction(v, self.d) for v in self.x_num)
-
-    @cached_property
-    def objective_value(self):
-        return Fraction(sum(map(mul, self._lp.objective, self.x_num)), self.d)
+    def __init__(self, lp, tab, basis, cols, d, x_num):
+        self.lp, self.tab, self.basis, self.cols, self.d, self.x_num = lp, tab, basis, cols, d, x_num
 
     @cached_property
     def y_num(self):
         """The optimum's dual solution y >= 0, one int numerator over ``d``
         per row, read from the final cost row: a stored slack column's entry
         is its row's dual times d, and a basic slack's dual is 0."""
-        ncols = self._lp.num_vars
-        y = [0] * len(self._lp.constraints)
-        for col, c in zip(self._tab, self._cols):
+        ncols = self.lp.num_vars
+        y = [0] * len(self.basis)
+        for col, c in zip(self.tab, self.cols):
             if c >= ncols:
                 y[c - ncols] = col[-1]
         return y
 
-    def _key(self):
-        return self.status, self.solution, self.objective_value
+    @property
+    def tight(self):
+        """The rows whose slack is 0 at the optimum, bit i for row i: every
+        row but those whose slack is basic at a positive value, that is
+        every row with a . x_num == b * d."""
+        ncols = self.lp.num_vars
+        mask = (1 << len(self.basis)) - 1
+        for b, c in zip(self.tab[-1], self.basis):
+            if b and c >= ncols:
+                mask ^= 1 << (c - ncols)
+        return mask
 
 
 def _pivot(tab, basis, cols, r, s, d):
@@ -158,8 +159,10 @@ def _simplex(tab, basis, cols, d):
     The entering column is the one of smallest original index ``cols[j]``
     with a negative cost.  Ratios over the constraint rows, the first
     ``len(basis)``, compare by cross-multiplying, ties going to the smaller
-    basic column.  Returns (status, d) with status "optimal" or "unbounded".
-    Mutates tab, basis and cols in place.
+    basic column.  Returns the final d.  An entering column with no
+    positive entry, an unbounded program, raises ``EngineInvariantError``:
+    every program the package builds is bounded.  Mutates tab, basis and
+    cols in place.
     """
     m = len(basis)
     while True:
@@ -168,7 +171,7 @@ def _simplex(tab, basis, cols, d):
             if tab[j][-1] < 0 and (enter < 0 or c < cols[enter]):
                 enter = j
         if enter < 0:
-            return OPTIMAL, d
+            return d
         col, rhs = tab[enter], tab[-1]
         leave = -1
         for i in range(m):
@@ -178,7 +181,7 @@ def _simplex(tab, basis, cols, d):
                 if leave < 0 or b * best_a < best_b * a or (b * best_a == best_b * a and basis[i] < basis[leave]):
                     leave, best_a, best_b = i, a, b
         if leave < 0:
-            return UNBOUNDED, d
+            raise EngineInvariantError("linear program is unbounded")
         d = _pivot(tab, basis, cols, leave, enter, d)
 
 
@@ -189,34 +192,29 @@ def _verify(lp, x_num, d):
         raise EngineInvariantError("solution denominator is not positive")
     if any(v < 0 for v in x_num):
         raise EngineInvariantError("solution has a negative variable")
-    for row, _, rhs in lp.constraints:
+    for row, rhs in lp.constraints:
         if sum(map(mul, row, x_num)) > rhs * d:
             raise EngineInvariantError(f"solution violates constraint <= {rhs}")
 
 
 def solve_lp(lp):
-    """Exact simplex on ``lp``'s int rows from the slack basis; the returned
-    optimum re-verifies by substitution and holds its solution as ints (``LpResult``)."""
+    """Exact simplex on ``lp``'s int rows from the slack basis; returns the
+    optimal ``Tableau``, whose solution is re-verified by substitution."""
     ncols, rows = lp.num_vars, lp.constraints
     # the slacks start basic, so the stored columns are the program's, each
     # with its cost -c_j, a reduced cost since the slacks cost 0
-    columns = zip(*(row for row, _, _ in rows)) if rows else [()] * ncols
+    columns = zip(*(row for row, _ in rows)) if rows else [()] * ncols
     tab = [[*col, -c] for col, c in zip(columns, lp.objective)]
-    tab.append([*(b for _, _, b in rows), 0])
+    tab.append([*(b for _, b in rows), 0])
     basis = list(range(ncols, ncols + len(rows)))
     cols = list(range(ncols))
-    status, d = _simplex(tab, basis, cols, 1)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
-
+    d = _simplex(tab, basis, cols, 1)
     x_num = [0] * ncols
     for b, c in zip(tab[-1], basis):
         if c < ncols:
             x_num[c] = b
     _verify(lp, x_num, d)
-    result = object.__new__(LpResult)
-    result.__dict__.update(status=OPTIMAL, x_num=x_num, d=d, _lp=lp, _tab=tab, _cols=cols)
-    return result
+    return Tableau(lp, tab, basis, cols, d, x_num)
 
 
 def project_onto_truncated_simplex(y, epsilon):

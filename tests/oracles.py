@@ -54,17 +54,25 @@ from typing import NamedTuple
 
 from fairmix import model
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError
-from fairmix.lp import OPTIMAL, UNBOUNDED, LpResult
 
-INFEASIBLE = "infeasible"
+OPTIMAL, UNBOUNDED, INFEASIBLE = "optimal", "unbounded", "infeasible"
+
+
+class FractionResult(NamedTuple):
+    """A reference simplex's answer: a status and, at an optimum, the
+    solution and objective value as Fractions."""
+
+    status: str
+    solution: tuple = None
+    objective_value: Fraction = None
 
 
 class Program(NamedTuple):
     """A linear program for the references: maximize objective . x subject
     to rows (a, rel, b), rel one of "<=", "=" and ">=", and every x_j >= 0,
-    with rational entries (ints, Fractions).  ``fraction_simplex``,
-    ``satisfies`` and ``brute_force_lp_max`` read it as they read a
-    ``fairmix.lp.LinearProgram``, which has the same three names."""
+    with rational entries (ints, Fractions).  ``fraction_simplex`` also
+    reads a ``fairmix.lp.LinearProgram``, which has the same three names
+    and rows (a, b), each a . x <= b."""
 
     objective: tuple
     constraints: tuple
@@ -162,51 +170,58 @@ def find_dominating_vertex_or_pair(p, inst):
     """Search point masses and two-allocation mixtures for a domination witness.
 
     Complete for two players: the feasible expected-utility vectors form a
-    polygon (the convex hull of the pure outcomes), and any dominating region
-    that is nonempty contains either a polygon vertex or a point on an edge.
-    Returns a dominating probability vector or None.
+    polygon (the convex hull of the pure outcomes), and if any of its points
+    dominates, so does one on its strong Pareto frontier, which is made of
+    the distinct own vectors that no other one weakly dominates and the
+    segments between them; only those are searched, each vector at its
+    first allocation.  Returns a dominating probability vector or None.
     """
     n = inst.n
     k = len(inst.allocations)
     values = fraction_normalize(inst.utilities.raw_values)
     own = [[values[i][a.bundles[i]] for a in inst.allocations] for i in range(n)]
     current = [sum(q * own[i][j] for j, q in p.pairs) for i in range(n)]
+    first = {}
+    for j in range(k):
+        first.setdefault(tuple(row[j] for row in own), j)
+    maximal = [
+        (vec, j) for vec, j in first.items() if not any(u != vec and all(map(ge, u, vec)) for u in first)
+    ]
 
     def dominates(point):
         return all(a >= b for a, b in zip(point, current)) and any(
             a > b for a, b in zip(point, current)
         )
 
-    for j in range(k):
-        if dominates([own[i][j] for i in range(n)]):
-            vec = [Fraction(0)] * k
-            vec[j] = Fraction(1)
-            return tuple(vec)
+    for vec, j in maximal:
+        if dominates(vec):
+            out = [Fraction(0)] * k
+            out[j] = Fraction(1)
+            return tuple(out)
     if n != 2:
         raise ValueError("pair search is only complete for two players")
-    for j1 in range(k):
-        for j2 in range(j1 + 1, k):
-            lo, hi = Fraction(0), Fraction(1)
-            feasible = True
-            for i in range(n):
-                coef = own[i][j1] - own[i][j2]
-                need = current[i] - own[i][j2]
-                if coef > 0:
-                    lo = max(lo, need / coef)
-                elif coef < 0:
-                    hi = min(hi, need / coef)
-                elif need > 0:
-                    feasible = False
-                    break
-            if not feasible or lo > hi:
-                continue
-            for alpha in (lo, (lo + hi) / 2, hi):
-                point = [alpha * own[i][j1] + (1 - alpha) * own[i][j2] for i in range(n)]
-                if dominates(point):
-                    vec = [Fraction(0)] * k
-                    vec[j1] = alpha
-                    vec[j2] = 1 - alpha
-                    return tuple(vec)
+    for (v1, j1), (v2, j2) in combinations(maximal, 2):
+        lo, hi = Fraction(0), Fraction(1)
+        feasible = True
+        for i in range(n):
+            coef = v1[i] - v2[i]
+            need = current[i] - v2[i]
+            if coef > 0:
+                lo = max(lo, need / coef)
+            elif coef < 0:
+                hi = min(hi, need / coef)
+            elif need > 0:
+                feasible = False
+                break
+        if not feasible or lo > hi:
+            continue
+        for alpha in (lo, (lo + hi) / 2, hi):
+            point = [alpha * v1[i] + (1 - alpha) * v2[i] for i in range(n)]
+            if dominates(point):
+                out = [Fraction(0)] * k
+                out[j1] = alpha
+                out[j2] = 1 - alpha
+                return tuple(out)
     return None
 
 
@@ -318,15 +333,14 @@ def fraction_simplex(lp):
     artificial (=).  On a program of <= rows over right-hand sides >= 0
     there is no artificial and no phase 1, and the column order and pivot
     rule are ``fairmix.lp``'s.  Every entry is read through ``Fraction``,
-    so a ``Program`` and the package's int ``LinearProgram`` both serve.
-    Returns an ``LpResult`` without the substitution check.
+    so a ``Program`` and the package's int ``LinearProgram``, whose rows
+    (a, b) are read as (a, "<=", b), both serve.  Returns a
+    ``FractionResult``.
     """
     ncols = lp.num_vars
     objective = [Fraction(c) for c in lp.objective]
-    std_rows = [
-        ({c: Fraction(a) for c, a in enumerate(row) if a}, rel, Fraction(rhs))
-        for row, rel, rhs in lp.constraints
-    ]
+    tagged = (row if len(row) == 3 else (row[0], "<=", row[1]) for row in lp.constraints)
+    std_rows = [({c: Fraction(a) for c, a in enumerate(row) if a}, rel, Fraction(rhs)) for row, rel, rhs in tagged]
 
     oriented = []
     for acc, rel, rhs in std_rows:
@@ -373,7 +387,7 @@ def fraction_simplex(lp):
         status, value = _fraction_phase(tab, rhs_col, basis, phase1)
         assert status == OPTIMAL
         if value > 0:
-            return LpResult(INFEASIBLE)
+            return FractionResult(INFEASIBLE)
         drop = []
         for i in range(m):
             if basis[i] >= art_start:
@@ -392,14 +406,14 @@ def fraction_simplex(lp):
     cost2 = [-c for c in objective] + [Fraction(0)] * n_slack
     status, _ = _fraction_phase(tab, rhs_col, basis, cost2)
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
+        return FractionResult(UNBOUNDED)
 
     basic = [Fraction(0)] * art_start
     for i in range(m):
         basic[basis[i]] = rhs_col[i]
     x = tuple(basic[:ncols])
     value = sum(c * v for c, v in zip(objective, x))
-    return LpResult(OPTIMAL, x, value)
+    return FractionResult(OPTIMAL, x, value)
 
 
 def reference_domination(p, inst):
@@ -740,29 +754,29 @@ def _dense_phase(rows, basis, d, ncols, pivots):
 def dense_simplex(lp):
     """``fairmix.lp.solve_lp`` as it was written on the dense fraction-free
     tableau, which stores every column, basic ones included: the same int
-    rows (a, "<=", b) with b >= 0, the same slack basis to start from and
-    Bland's rule on the column index.  Returns ``(result, pivots, d)``: the
-    ``LpResult`` without the substitution check, every pivot as (leaving
-    column, entering column, the pivot element that becomes the new d), and
-    the final d > 0."""
+    rows (a, b), each a . x <= b, with b >= 0, the same slack basis to start
+    from and Bland's rule on the column index.  Returns
+    ``(result, pivots, d)``: the ``FractionResult`` without the substitution
+    check, every pivot as (leaving column, entering column, the pivot
+    element that becomes the new d), and the final d > 0."""
     ncols, m = lp.num_vars, len(lp.constraints)
     rows = []
-    for r, (row, rel, rhs) in enumerate(lp.constraints):
-        assert rel == "<=" and rhs >= 0, (rel, rhs)
+    for r, (row, rhs) in enumerate(lp.constraints):
+        assert rhs >= 0, rhs
         rows.append([*row, *(int(i == r) for i in range(m)), rhs])
     rows.append([-c for c in lp.objective] + [0] * (m + 1))
     basis = list(range(ncols, ncols + m))
     pivots = []
     status, d = _dense_phase(rows, basis, 1, ncols + m, pivots)
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED), pivots, d
+        return FractionResult(UNBOUNDED), pivots, d
     x_num = [0] * ncols
     for i in range(m):
         if basis[i] < ncols:
             x_num[basis[i]] = rows[i][-1]
     x = tuple(Fraction(v, d) for v in x_num)
     value = sum(Fraction(c) * v for c, v in zip(lp.objective, x))
-    return LpResult(OPTIMAL, x, value), pivots, d
+    return FractionResult(OPTIMAL, x, value), pivots, d
 
 
 def _field_error(field, detail):

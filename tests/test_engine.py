@@ -571,7 +571,7 @@ def test_lowest_vertex_lp_needs_no_phase_one(monkeypatch):
         eps = choose_epsilon(compute_rho(inst), inst.n)
         engine._lowest_vertex(inst.kernel.frontier, eps)
         (lp,) = programs
-        assert all(rel == "<=" and rhs >= 0 for _, rel, rhs in lp.constraints)
+        assert all(rhs >= 0 for _, rhs in lp.constraints)
         assert len(lp.constraints) == len(inst.kernel.frontier) + 1
         assert phases == [1]
 
@@ -601,7 +601,7 @@ def test_select_lp_needs_no_phase_one(monkeypatch):
     assert selects
     for n, lp, largest in selects:
         assert len(lp.constraints) == n * (n - 1)
-        assert all(rel == "<=" and rhs == 1 and min(row) >= 1 for row, rel, rhs in lp.constraints)
+        assert all(rhs == 1 and min(row) >= 1 for row, rhs in lp.constraints)
         assert len(largest) == 1 and largest[0] < lp.num_vars + len(lp.constraints)
 
 

@@ -28,7 +28,6 @@ from fairmix.engine import (
 )
 from fairmix.envy import check_pareto_efficient
 from fairmix.hard import DisjointnessInput, build_hard_instance
-from fairmix.lp import OPTIMAL
 from fairmix.model import (
     Instance,
     MixedAllocation,
@@ -39,6 +38,7 @@ from fairmix.model import (
 )
 from fairmix.serialize import dump_instance, load_instance
 from oracles import (
+    OPTIMAL,
     Program,
     find_dominating_vertex_or_pair,
     fraction_kernel,

@@ -19,9 +19,10 @@ from fairmix import engine, envy, hard
 from fairmix import lp as lp_module
 from fairmix.errors import EngineInvariantError
 from fairmix.hard import DisjointnessInput, verify_welfare_dichotomy
-from fairmix.lp import OPTIMAL, UNBOUNDED, LinearProgram, LpResult, solve_lp
+from fairmix.lp import LinearProgram, solve_lp
 from fairmix.model import Instance, MixedAllocation, WeightVector, all_partitions_allocation_set
-from oracles import Program, brute_force_lp_max, dense_simplex, fraction_simplex, satisfies
+from oracles import OPTIMAL, UNBOUNDED, FractionResult, Program, brute_force_lp_max, dense_simplex, fraction_simplex
+from oracles import satisfies
 from test_golden import WORKLOADS, answers
 from test_kernel import CASES, case_id, lotteries, make_instance, sample_weights, tie_weights
 from test_table import fraction_select_rows, game_rows
@@ -29,44 +30,54 @@ from test_table import fraction_select_rows, game_rows
 F = Fraction
 
 
+def as_fractions(t):
+    """The optimal tableau ``t`` read as the reference simplexes answer: its
+    solution Fraction(v, t.d) and the objective value there."""
+    x = tuple(F(v, t.d) for v in t.x_num)
+    return FractionResult(OPTIMAL, x, sum(c * v for c, v in zip(t.lp.objective, x)))
+
+
+def assert_solves_like(lp, want):
+    """``solve_lp(lp)`` gives the reference answer ``want``: it raises where
+    ``want`` is unbounded, and reads as ``want`` otherwise.  Returns ``want``."""
+    if want.status == UNBOUNDED:
+        with pytest.raises(EngineInvariantError, match="unbounded"):
+            solve_lp(lp)
+    else:
+        assert as_fractions(solve_lp(lp)) == want
+    return want
+
+
 def test_simplex_vertex():
-    lp = LinearProgram((1, 0), (((1, 1), "<=", 1),))
-    res = solve_lp(lp)
-    assert res.status == OPTIMAL
-    assert res.solution == (F(1), F(0))
-    assert res.objective_value == F(1)
+    lp = LinearProgram((1, 0), (((1, 1), 1),))
+    assert as_fractions(solve_lp(lp)) == FractionResult(OPTIMAL, (F(1), F(0)), F(1))
 
 
 def test_separable_box_optimum():
     # x <= 1/3 and y <= 1/2, each row times its denominator
-    lp = LinearProgram((1, 1), (((3, 0), "<=", 1), ((0, 2), "<=", 1)))
-    res = solve_lp(lp)
-    assert res.status == OPTIMAL
-    assert res.objective_value == F(5, 6)
+    lp = LinearProgram((1, 1), (((3, 0), 1), ((0, 2), 1)))
+    assert as_fractions(solve_lp(lp)).objective_value == F(5, 6)
 
 
 def test_unbounded():
+    # every program the package builds is bounded, so an unbounded end is
+    # an internal error
     lp = LinearProgram((1,), ())
-    assert solve_lp(lp).status == UNBOUNDED
+    with pytest.raises(EngineInvariantError, match="unbounded"):
+        solve_lp(lp)
 
 
 def test_free_variable():
     # a free x written as x+ - x-, two opposite-sign columns, in -2 <= x <= 3
-    lp = LinearProgram((1, -1), (((1, -1), "<=", 3), ((-1, 1), "<=", 2)))
-    res = solve_lp(lp)
-    assert res.status == OPTIMAL
-    assert res.solution == (F(3), F(0))
-    assert res.objective_value == F(3)
+    lp = LinearProgram((1, -1), (((1, -1), 3), ((-1, 1), 2)))
+    assert as_fractions(solve_lp(lp)) == FractionResult(OPTIMAL, (F(3), F(0)), F(3))
     res = solve_lp(LinearProgram((-1, 1), lp.constraints))
-    assert res.solution == (F(0), F(2))
-    assert res.objective_value == F(2)
+    assert as_fractions(res) == FractionResult(OPTIMAL, (F(0), F(2)), F(2))
 
 
 def test_upper_bound_only():
-    lp = LinearProgram((1,), (((2,), "<=", 5),))
-    res = solve_lp(lp)
-    assert res.status == OPTIMAL
-    assert res.objective_value == F(5, 2)
+    lp = LinearProgram((1,), (((2,), 5),))
+    assert as_fractions(solve_lp(lp)).objective_value == F(5, 2)
 
 
 def test_degenerate_pivoting_terminates():
@@ -82,9 +93,8 @@ def test_degenerate_pivoting_terminates():
         + tuple((tuple(int(j == i) for j in range(4)), "<=", 10) for i in range(4)),
     )
     lp, factor = int_program(rational, random.Random(0))
-    res = solve_lp(lp)
+    res = as_fractions(solve_lp(lp))
     value, _ = brute_force_lp_max(rational)
-    assert res.status == OPTIMAL
     assert value == F(1, 20)
     assert res.objective_value == value * factor
 
@@ -96,8 +106,8 @@ def test_a_negative_right_hand_side_never_returns_an_optimum():
     # cost row but breaks the row; for max x with x <= -2 the ratio test
     # pivots x in at -2.
     cases = [
-        (LinearProgram((-1,), (((-1,), "<=", -1),)), "solution violates constraint"),
-        (LinearProgram((1,), (((1,), "<=", -2),)), "solution has a negative variable"),
+        (LinearProgram((-1,), (((-1,), -1),)), "solution violates constraint"),
+        (LinearProgram((1,), (((1,), -2),)), "solution has a negative variable"),
     ]
     for lp, message in cases:
         with pytest.raises(EngineInvariantError, match=message):
@@ -105,9 +115,9 @@ def test_a_negative_right_hand_side_never_returns_an_optimum():
 
 
 def test_a_program_that_is_not_optimal_is_an_invariant_failure(monkeypatch):
-    # Each of the package's three programs must end optimal; a solver that
-    # returns any other status makes its caller raise, and nothing it read
-    # from an unverified optimum is returned.
+    # Each of the package's three programs must end optimal.  Without its
+    # rows each is unbounded (every objective has a positive entry): the
+    # simplex then raises, and the caller returns nothing.
     inst = make_instance(3, 2, False, 0)
     eps = F(1, 4 * inst.n)
     argmax = tuple(range(len(inst.allocations)))
@@ -119,10 +129,17 @@ def test_a_program_that_is_not_optimal_is_an_invariant_failure(monkeypatch):
     ]
     for module, kind, call in calls:
         call()
+        programs = []
+
+        def unbounded(lp):
+            programs.append(lp)
+            return solve_lp(LinearProgram(lp.objective, ()))
+
         with monkeypatch.context() as patch:
-            patch.setattr(module, "solve_lp", lambda lp: LpResult(UNBOUNDED))
-            with pytest.raises(EngineInvariantError, match=f"{kind} program ended unbounded"):
+            patch.setattr(module, "solve_lp", unbounded)
+            with pytest.raises(EngineInvariantError, match="linear program is unbounded"):
                 call()
+        assert len(programs) == 1, kind
 
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -135,16 +152,17 @@ def int_program(lp, rng):
     Scaling moves no solution, and the optimal value by the factor."""
     rows = []
     for row, rel, rhs in lp.constraints:
+        assert rel == "<=", rel
         factor = lcm(*(F(a).denominator for a in (*row, rhs))) * rng.randint(1, 3)
-        rows.append((tuple(int(a * factor) for a in row), rel, int(rhs * factor)))
+        rows.append((tuple(int(a * factor) for a in row), int(rhs * factor)))
     factor = lcm(*(F(c).denominator for c in lp.objective)) * rng.randint(1, 3)
     return LinearProgram(tuple(int(c * factor) for c in lp.objective), tuple(rows)), factor
 
 
 def assert_solves_as_scaled(result, rational, factor):
-    """``result``, the int program's, against ``fraction_simplex`` on the
-    rational program it was scaled from: the same status and solution, and
-    the value times the objective's factor."""
+    """``result``, the int program's ``FractionResult``, against
+    ``fraction_simplex`` on the rational program it was scaled from: the
+    same status and solution, and the value times the objective's factor."""
     want = fraction_simplex(rational)
     assert (result.status, result.solution) == (want.status, want.solution)
     if want.status == OPTIMAL:
@@ -173,8 +191,7 @@ def test_random_box_lps_match_vertex_oracle(n, rows, rng):
     objective = tuple(rows.draw(st.integers(-3, 3)) for _ in range(n))
     rational = Program(objective, tuple(constraints))
     lp, factor = int_program(rational, rng)
-    res = solve_lp(lp)
-    assert res.status == OPTIMAL
+    res = as_fractions(solve_lp(lp))
     assert satisfies(rational, res.solution)
     value, _ = brute_force_lp_max(rational)
     assert res.objective_value == value * factor
@@ -183,8 +200,8 @@ def test_random_box_lps_match_vertex_oracle(n, rows, rng):
 # --- the integer simplex against the Fraction simplex it replaced ---------
 #
 # ``fraction_simplex`` runs the same pivot rule on the rational tableau, so
-# the two must agree on the whole result: status, solution and value, not
-# only on the optimum.
+# the two must agree on the whole result: an unbounded end, or the solution
+# and value, not only the optimum.
 
 
 def random_lp(rng):
@@ -229,8 +246,7 @@ def random_lp(rng):
 def test_integer_simplex_matches_fraction_simplex(rng):
     rational = random_lp(rng)
     lp, factor = int_program(rational, rng)
-    result = solve_lp(lp)
-    assert result == fraction_simplex(lp)
+    result = assert_solves_like(lp, fraction_simplex(lp))
     assert_solves_as_scaled(result, rational, factor)
 
 
@@ -240,8 +256,7 @@ def test_random_lps_cover_every_status():
     for _ in range(200):
         rational = random_lp(rng)
         lp, factor = int_program(rational, rng)
-        result = solve_lp(lp)
-        assert result == fraction_simplex(lp)
+        result = assert_solves_like(lp, fraction_simplex(lp))
         assert_solves_as_scaled(result, rational, factor)
         statuses.add(result.status)
     assert statuses == {OPTIMAL, UNBOUNDED}
@@ -252,7 +267,7 @@ def assert_each_lp_matches_fraction_simplex(monkeypatch, module):
 
     def both(lp):
         result = solve_lp(lp)
-        assert result == fraction_simplex(lp)
+        assert as_fractions(result) == fraction_simplex(lp)
         seen.append(lp)
         return result
 
@@ -306,7 +321,7 @@ def assert_game_value_is_the_least_largest_margin(inst, argmax, lp, result, p):
     margins = fraction_select_rows(inst, argmax)
     rows, shift = game_rows(margins, scale)
     assert lp.objective == (1,) * q and lp.constraints == rows
-    bound = 1 / result.objective_value - shift
+    bound = 1 / as_fractions(result).objective_value - shift
     views = fraction_views(p, inst)
     assert bound == scale * max(views[i][h] - views[i][i] for i in range(n) for h in range(n) if h != i)
     min_s = Program(
@@ -417,9 +432,10 @@ def test_domination_lps_match_fraction_simplex(case, monkeypatch):
 # column by column, through the same pivot elements, to the same final d.
 
 
-def solve_logged(patch, lp):
-    """``solve_lp(lp)`` with its pivots as (leaving column, entering column,
-    new d), and the d of its verified optimum (None if it has none)."""
+def log_pivots(patch):
+    """Lists that, while ``patch`` holds, gain each pivot ``solve_lp`` makes,
+    as (leaving column, entering column, new d), and the d of each optimum
+    it verifies."""
     pivots, verified = [], []
     pivot, verify = lp_module._pivot, lp_module._verify
 
@@ -435,18 +451,16 @@ def solve_logged(patch, lp):
 
     patch.setattr(lp_module, "_pivot", logged_pivot)
     patch.setattr(lp_module, "_verify", logged_verify)
-    result = solve_lp(lp)
-    return result, pivots, verified[0] if verified else None
+    return pivots, verified
 
 
 def assert_pivots_like_dense(lp):
-    with pytest.MonkeyPatch.context() as patch:
-        result, pivots, d = solve_logged(patch, lp)
     want, want_pivots, want_d = dense_simplex(lp)
-    assert result == want
+    with pytest.MonkeyPatch.context() as patch:
+        pivots, verified = log_pivots(patch)
+        assert_solves_like(lp, want)
     assert pivots == want_pivots
-    if result.status == OPTIMAL:
-        assert d == want_d
+    assert verified == ([] if want.status == UNBOUNDED else [want_d])
     return pivots
 
 
@@ -474,7 +488,7 @@ def test_int_programs_pivot_as_the_dense_one():
             pivots = assert_pivots_like_dense(lp)
         degenerate += any(flat)
         chained += any(flat[:-1]) and len(pivots) > 1
-        result = solve_lp(lp)
+        result = assert_solves_like(lp, fraction_simplex(lp))
         unbounded += result.status == UNBOUNDED and bool(pivots)
         assert_solves_as_scaled(result, rational, factor)
     assert degenerate and chained and unbounded, (degenerate, chained, unbounded)
@@ -499,7 +513,7 @@ def test_pinned_set_lps_pivot_as_the_dense_tableau(workload, tmp_path, monkeypat
 # --- the dual read from the final cost row ---------------------------------
 #
 # At an optimum of a program of <= rows over right-hand sides >= 0,
-# ``LpResult.y_num`` over ``d`` is a dual solution of its integer form:
+# ``Tableau.y_num`` over ``d`` is a dual solution of its integer form:
 # y >= 0, A^T y >= c and b . y = c . x, each checked here in ints.
 
 
@@ -509,9 +523,9 @@ def dual_certifies(lp, x_num, y_num, d):
     if len(y_num) != len(rows) or any(v < 0 for v in y_num):
         return False
     for j, c in enumerate(objective):
-        if sum(y * row[j] for y, (row, _, _) in zip(y_num, rows)) < c * d:
+        if sum(y * row[j] for y, (row, _) in zip(y_num, rows)) < c * d:
             return False
-    return sum(y * b for y, (_, _, b) in zip(y_num, rows)) == sum(map(mul, objective, x_num))
+    return sum(y * b for y, (_, b) in zip(y_num, rows)) == sum(map(mul, objective, x_num))
 
 
 def dual_corruptions(lp, y_num):
@@ -523,7 +537,7 @@ def dual_corruptions(lp, y_num):
     j = next((j for j, v in enumerate(y_num) if v), None)
     if j is not None:
         out.append(y_num[:j] + [-y_num[j]] + y_num[j + 1 :])
-    j = next((j for j, (_, _, b) in enumerate(rows) if b > 0), None)
+    j = next((j for j, (_, b) in enumerate(rows) if b > 0), None)
     if j is not None:
         out.append(y_num[:j] + [y_num[j] + 1] + y_num[j + 1 :])
     return out
@@ -533,7 +547,6 @@ def assert_dual_certifies(lp):
     """Solve ``lp`` and check its dual exactly; each corruption of the dual
     must fail the same check.  Returns how many corruptions were tried."""
     result = solve_lp(lp)
-    assert result.status == OPTIMAL
     assert dual_certifies(lp, result.x_num, result.y_num, result.d)
     corruptions = dual_corruptions(lp, result.y_num)
     for bad in corruptions:
@@ -547,8 +560,7 @@ def test_seeded_slack_basis_duals_certify_the_optimum():
     for _ in range(300):
         rational = random_lp(rng)
         lp, factor = int_program(rational, rng)
-        result = solve_lp(lp)
-        assert result == fraction_simplex(lp)
+        result = assert_solves_like(lp, fraction_simplex(lp))
         assert_solves_as_scaled(result, rational, factor)
         if result.status == OPTIMAL:
             optimal += 1
@@ -560,13 +572,28 @@ def test_seeded_slack_basis_duals_certify_the_optimum():
 
 
 @pytest.fixture(scope="module")
-def captured_programs():
-    """Every program ``tools/stage_times.py`` captures on every pinned set, by LP stage."""
+def stage_times():
+    """The stage harness, ``tools/stage_times.py``, as a module."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "stage_times.py")
     spec = importlib.util.spec_from_file_location("stage_times", path)
-    stage_times = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(stage_times)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def captured_programs(stage_times):
+    """Every program ``tools/stage_times.py`` captures on every pinned set, by LP stage."""
     return stage_times.capture(stage_times.SETS)
+
+
+def test_pinned_sets_take_the_same_lp_work(stage_times, captured_programs):
+    # the programs, their constraint-by-variable cells and the pivots of
+    # solving them, by LP stage, over desk, wide, many, envious and certify:
+    # a change to how a program is built or solved that moves any of them
+    # moves this pin, on purpose
+    work = {kind: (len(lps), *stage_times.lp_counts(lps).values()) for kind, lps in captured_programs.items()}
+    assert work == {"lp_select": (141, 6204, 520), "lp_lowest": (156, 7273, 652), "lp_weight": (48, 288, 48)}
 
 
 def test_captured_duals_certify_the_optimum(captured_programs):
@@ -593,16 +620,16 @@ def dichotomy_programs(monkeypatch):
 
 def test_package_programs_need_no_phase_one(captured_programs, monkeypatch):
     # every program engine, envy and hard build starts at its slack basis,
-    # the only start solve_lp has: int entries, <= rows and right-hand
-    # sides >= 0
+    # the only start solve_lp has: int entries, rows (a, b) for a . x <= b
+    # and right-hand sides b >= 0
     programs = [lp for lps in captured_programs.values() for lp in lps]
     dichotomy = dichotomy_programs(monkeypatch)
     assert dichotomy
     for lp in programs + dichotomy:
         assert type(lp) is LinearProgram and lp.num_vars > 0
         assert all(type(c) is int for c in lp.objective)
-        for row, rel, rhs in lp.constraints:
-            assert rel == "<=" and type(rhs) is int and rhs >= 0
+        for row, rhs in lp.constraints:
+            assert type(rhs) is int and rhs >= 0
             assert len(row) == lp.num_vars and all(type(a) is int for a in row)
 
 
@@ -613,9 +640,48 @@ def test_fractional_objective_keeps_its_proportions():
     rng = random.Random(5)
     rational = Program((F(1, 3), F(1, 2), F(1, 5)), (((1, 1, 1), "<=", 1),))
     lp, factor = int_program(rational, rng)
-    res = solve_lp(lp)
-    assert res == LpResult(OPTIMAL, (F(0), F(1), F(0)), F(1, 2) * factor)
+    res = as_fractions(solve_lp(lp))
+    assert res == FractionResult(OPTIMAL, (F(0), F(1), F(0)), F(1, 2) * factor)
     assert_solves_as_scaled(res, rational, factor)
     rational = Program(rational.objective, rational.constraints + (((0, 1, 0), "<=", F(1, 2)),))
     lp, factor = int_program(rational, rng)
-    assert solve_lp(lp) == LpResult(OPTIMAL, (F(1, 2), F(1, 2), F(0)), F(5, 12) * factor)
+    assert as_fractions(solve_lp(lp)) == FractionResult(OPTIMAL, (F(1, 2), F(1, 2), F(0)), F(5, 12) * factor)
+
+
+# --- the tight rows read from the tableau ----------------------------------
+#
+# A row's slack is 0 when it is nonbasic, or basic at value 0: ``tight``
+# reads that from the basis and the right-hand side, with no pass over the
+# rows, and must equal the rows that hold with equality when the solution
+# is substituted into them.
+
+
+def substitution_mask(t):
+    """The rows a . x_num == b * d of ``t``'s program, bit i for row i."""
+    rows = t.lp.constraints
+    return sum(1 << i for i, (row, b) in enumerate(rows) if sum(map(mul, row, t.x_num)) == b * t.d)
+
+
+def assert_tight_by_substitution(lp):
+    """Solve ``lp`` and require ``tight`` to be the substitution mask;
+    returns whether a slack is basic at 0 there, the degenerate case."""
+    t = solve_lp(lp)
+    assert t.tight == substitution_mask(t)
+    ncols = lp.num_vars
+    return any(c >= ncols and not b for b, c in zip(t.tab[-1], t.basis))
+
+
+def test_tight_rows_are_the_rows_the_solution_meets(captured_programs):
+    rng = random.Random(47)
+    optimal = degenerate = 0
+    for _ in range(300):
+        lp, _ = int_program(random_lp(rng), rng)
+        if fraction_simplex(lp).status == OPTIMAL:
+            optimal += 1
+            degenerate += assert_tight_by_substitution(lp)
+    for lps in captured_programs.values():
+        for lp in lps:
+            degenerate += assert_tight_by_substitution(lp)
+    # a tight row whose slack stays basic must occur, or a reader that
+    # counts only the nonbasic slacks would pass
+    assert optimal >= 150 and degenerate, (optimal, degenerate)

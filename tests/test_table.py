@@ -110,14 +110,14 @@ def fraction_select_rows(inst, argmax):
 def fraction_pe_rows(ref, p):
     """The efficiency weight LP's rows over the reference frontier: for each
     frontier vector u, the gaps u_i - U_i to the lottery's own utilities U
-    and their sum, <= 0; then sum z + n * sigma <= 1."""
+    and their sum, <= 0; then sum z + n * sigma <= 1, each as (a, b)."""
     n = len(ref["own"])
     current = [sum((q * ref["own"][i][j] for j, q in p.pairs), F(0)) for i in range(n)]
     rows = []
     for vec in ref["frontier_vectors"]:
         gaps = tuple(u - c for u, c in zip(vec, current))
-        rows.append((gaps + (sum(gaps),), "<=", F(0)))
-    rows.append(((F(1),) * n + (F(n),), "<=", F(1)))
+        rows.append((gaps + (sum(gaps),), F(0)))
+    rows.append(((F(1),) * n + (F(n),), F(1)))
     return rows
 
 
@@ -131,7 +131,7 @@ def game_rows(margins, scale):
     the scale, then each entry raised by one shift, so the least is 1."""
     scaled = [times(row, scale) for row in margins]
     shift = 1 - min(map(min, scaled))
-    return tuple((tuple(a + shift for a in row), "<=", 1) for row in scaled), shift
+    return tuple((tuple(a + shift for a in row), 1) for row in scaled), shift
 
 
 def assert_matches_fraction_reference(inst):
@@ -158,7 +158,7 @@ def assert_matches_fraction_reference(inst):
         lp = spy.call_args.args[0]
         den = lcm(*(q.denominator for _, q in p.pairs)) * scale
         *frontier_rows, total_row = fraction_pe_rows(ref, p)
-        assert list(lp.constraints[:-1]) == [(times(row, den), rel, rhs * den) for row, rel, rhs in frontier_rows]
+        assert list(lp.constraints[:-1]) == [(times(row, den), rhs * den) for row, rhs in frontier_rows]
         assert lp.constraints[-1] == total_row
     for w in weights(inst.n):
         amax = argmax_allocations(w, inst)

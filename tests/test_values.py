@@ -11,7 +11,7 @@ import pytest
 from fairmix.engine import FixedPointState
 from fairmix.envy import Certificate, EfCheck, EnvyGraph, PeCheck
 from fairmix.hard import CertifiedOutcome, DichotomyReport, DisjointnessInput
-from fairmix.lp import LinearProgram, LpResult
+from fairmix.lp import LinearProgram
 from fairmix.model import (
     Instance,
     MixedAllocation,
@@ -72,12 +72,8 @@ CASES = {
         " gains=None, weight=(Fraction(1, 2), Fraction(1, 2))), fixed_point_residual=None)",
     ),
     "LinearProgram": (
-        lambda: LinearProgram(objective=(1, 2), constraints=(((1, 1), "<=", 1),)),
-        "LinearProgram(objective=(1, 2), constraints=(((1, 1), '<=', 1),))",
-    ),
-    "LpResult": (
-        lambda: LpResult(status="unbounded"),
-        "LpResult(status='unbounded', solution=None, objective_value=None)",
+        lambda: LinearProgram(objective=(1, 2), constraints=(((1, 1), 1),)),
+        "LinearProgram(objective=(1, 2), constraints=(((1, 1), 1),))",
     ),
     "DisjointnessInput": (
         lambda: DisjointnessInput(p=1, x1=[1], x2=(0,)),
@@ -167,8 +163,6 @@ def test_keyword_defaults():
     assert (pe.dominator, pe.gains, pe.weight) == (None, None, None)
     assert EfCheck(ok=False).witness is None
     assert Certificate(ef=EfCheck(True), pe=pe).fixed_point_residual is None
-    result = LpResult(status="unbounded")
-    assert (result.solution, result.objective_value) == (None, None)
 
 
 def test_positional_and_keyword_construction_agree():

@@ -112,7 +112,7 @@ def test_certify_lotteries_match_the_fraction_oracle():
 
 def is_int_program(lp):
     ints = [*lp.objective]
-    for row, _, rhs in lp.constraints:
+    for row, rhs in lp.constraints:
         ints += [*row, rhs]
     return all(type(x) is int for x in ints)
 
