@@ -31,7 +31,7 @@ F = Fraction
 
 
 def as_fractions(t):
-    """The optimal tableau ``t`` read as the reference simplexes answer: its
+    """The optimal tableau ``t`` read as a reference simplex answers: its
     solution Fraction(v, t.d) and the objective value there."""
     x = tuple(F(v, t.d) for v in t.x_num)
     return FractionResult(OPTIMAL, x, sum(c * v for c, v in zip(t.lp.objective, x)))
