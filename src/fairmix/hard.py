@@ -15,9 +15,11 @@ outcome stays at or below 6p - 1.  Deciding between the cases is deciding
 set intersection, which is what makes the family a stress test.
 
 The exhaustive steps stop at fixed limits, read from the module constants
-when called: ``SPLIT_BUDGET`` splits, ``SUBMODULAR_ITEM_CAP`` items for the
-submodularity check and half-count ``DICHOTOMY_P_CAP`` for the dichotomy
-check.  Past a limit they raise ``EnumerationLimitError``.
+when called: ``SPLIT_BUDGET`` splits and ``SUBMODULAR_ITEM_CAP`` items for
+the submodularity check.  The instance itself is all 3^(2p) partitions, so
+``model.DEFAULT_ENUMERATION_BUDGET`` bounds ``build_hard_instance`` and
+the dichotomy check at p <= 5.  Past a limit they raise
+``EnumerationLimitError``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .model import (
 
 SPLIT_BUDGET = 10_000
 SUBMODULAR_ITEM_CAP = 12
-DICHOTOMY_P_CAP = 3
 
 
 def _require_half_count(p):
@@ -217,14 +218,12 @@ def verify_welfare_dichotomy(inp):
     all certified ones must equal it.  No shared index: every certified
     deterministic outcome must stay at or below 6p - 1; lotteries above that
     line are reported in ``flagged_mixed`` rather than failing the check,
-    since the dichotomy's case analysis is deterministic.
+    since the dichotomy's case analysis is deterministic.  The instance is
+    built first, so a p past the allocation budget is refused before any
+    split is enumerated.
     """
-    if inp.p > DICHOTOMY_P_CAP:
-        raise EnumerationLimitError(
-            f"exhaustive certification is capped at p = {DICHOTOMY_P_CAP}, got {inp.p}"
-        )
-    splits = enumerate_splits(inp.p)
     inst = build_hard_instance(inp)
+    splits = enumerate_splits(inp.p)
     k = len(inst.allocations)
     m = 2 * inp.p
     full = (1 << m) - 1

@@ -1,9 +1,35 @@
-"""Deterministic instance builders shared across test modules."""
+"""Deterministic instance builders and the pinned-set reader shared across
+test modules."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
+from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.model import Instance, all_partitions_allocation_set, expected_utility
+from fairmix.serialize import dump_instance, load_instance
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def pinned_entries(name):
+    """The JSON document ``tests/data/<name>.json``: a pinned set as written,
+    or ``golden``, the answers pinned for them."""
+    with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def pinned_instances(name):
+    """The instances of one pinned set, loaded as the CLI loads them; the
+    certify set's are its ``gen-hard`` instances, written out and read back."""
+    data = pinned_entries(name)
+    if name == "certify":
+        data = [
+            dump_instance(build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2)))))
+            for p, x1, x2 in data["hard"]
+        ]
+    return [load_instance(entry) for entry in data]
 
 
 def additive_table(item_values):

@@ -11,17 +11,14 @@ envious vertices only, traced or not, where a zero residual is an invariant
 failure, and the tie-breaking LP reads any argmax as its ascending set.
 """
 
-import json
-import os
 from fractions import Fraction
 
 import pytest
 
-from conftest import additive_table, random_allocation_list, seeded_rng
+from conftest import additive_table, pinned_instances, random_allocation_list, seeded_rng
 from fairmix import engine
 from fairmix.engine import choose_epsilon, compute_rho, find_fixed_point, select_p_in_P
 from fairmix.errors import EngineInvariantError
-from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.model import (
     AllocationSet,
     Instance,
@@ -33,7 +30,6 @@ from fairmix.model import (
     over_common_denominator,
     pareto_frontier,
 )
-from fairmix.serialize import dump_instance, load_instance
 from oracles import (
     fraction_rho,
     fraction_skyline,
@@ -42,25 +38,12 @@ from oracles import (
 )
 
 F = Fraction
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def pinned(workload):
-    """The instances of one pinned set, loaded as the CLI loads them."""
-    with open(os.path.join(DATA, f"{workload}.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    if workload == "certify":
-        data = [
-            dump_instance(build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2)))))
-            for p, x1, x2 in data["hard"]
-        ]
-    return [load_instance(entry) for entry in data]
 
 
 def traced_solves(workload):
     """(instance, scanned states, answer state) for every solve of a set."""
     out = []
-    for inst in pinned(workload):
+    for inst in pinned_instances(workload):
         trace = []
         state, _ = find_fixed_point(inst, trace_sink=trace)
         out.append((inst, trace, state))
@@ -85,7 +68,7 @@ def test_share_step_matches_the_fraction_step_on_every_traced_state(workload):
 
 def test_share_step_is_scale_free_in_the_weights():
     # the scan passes a vertex's weights times x0, not reduced ones
-    inst = pinned("desk")[0]
+    inst = pinned_instances("desk")[0]
     trace = []
     find_fixed_point(inst, trace_sink=trace)
     for state in trace:
@@ -98,14 +81,14 @@ def test_share_step_is_scale_free_in_the_weights():
 
 @pytest.mark.parametrize("workload", ["desk", "wide", "certify", "many", "envious"])
 def test_rho_matches_the_per_pair_pass_and_the_fraction_scan(workload):
-    for j, inst in enumerate(pinned(workload)):
+    for j, inst in enumerate(pinned_instances(workload)):
         assert inst.allocations.built_closed
         rho = compute_rho(inst)
         assert rho == reference_rho(inst) == fraction_rho(inst), f"{workload}[{j}]"
 
 
 def test_rho_on_an_unrecorded_closed_copy():
-    for j, built in enumerate(pinned("desk")[:40]):
+    for j, built in enumerate(pinned_instances("desk")[:40]):
         copy = Instance.build(built.utilities.raw_values, AllocationSet(built.allocations.bundles))
         assert not copy.allocations.built_closed
         assert compute_rho(copy) == compute_rho(built) == reference_rho(copy), f"desk[{j}]"
@@ -217,7 +200,7 @@ def below_the_floor(weights, points, eps):
 def test_a_vertex_below_the_floor_is_an_invariant_failure(monkeypatch):
     # the floor check covers the lowest vertex, scanned first, and every
     # enumerated vertex, reached when the lowest vertex has envy
-    inst = pinned("desk")[0]
+    inst = pinned_instances("desk")[0]
     eps = choose_epsilon(compute_rho(inst), inst.n)
     lowest = engine._lowest_vertex(inst.kernel.frontier, eps)
     with monkeypatch.context() as patch:
@@ -225,7 +208,7 @@ def test_a_vertex_below_the_floor_is_an_invariant_failure(monkeypatch):
         with pytest.raises(EngineInvariantError, match="below the weight floor"):
             find_fixed_point(inst)
 
-    inst = pinned("envious")[0]
+    inst = pinned_instances("envious")[0]
     eps = choose_epsilon(compute_rho(inst), inst.n)
     weights, mask = engine._lowest_vertex(inst.kernel.frontier, eps)
     vertices = engine._envelope_vertices(inst.kernel.frontier, eps)
@@ -244,7 +227,7 @@ def test_the_map_runs_on_envious_vertices_only(workload, monkeypatch):
     calls = []
     project = engine.project_onto_truncated_simplex
     monkeypatch.setattr(engine, "project_onto_truncated_simplex", lambda y, eps: calls.append(1) or project(y, eps))
-    for j, inst in enumerate(pinned(workload)):
+    for j, inst in enumerate(pinned_instances(workload)):
         calls.clear()
         trace = []
         find_fixed_point(inst, trace_sink=trace)

@@ -15,6 +15,7 @@ import fairmix
 from fairmix import cli, errors
 from fairmix.cli import main
 from fairmix.errors import EngineInvariantError, FairmixError
+from fairmix.hard import split_count
 
 
 def write_json(path, data):
@@ -436,17 +437,28 @@ class TestGenHard:
 
 
 class TestVerifyDichotomy:
+    # p = 4 (r = 35) and p = 5 (r = 126) are under the allocation budget,
+    # at 3^8 and 3^10 allocations; each string flags every third index
+    # from ``start``, so strings of different starts are disjoint
+    @staticmethod
+    def strings(p, start):
+        return "".join("1" if j % 3 == start else "0" for j in range(split_count(p)))
+
     def test_intersecting_pair(self, capsys):
-        assert main(["verify-dichotomy", "--p", "1", "--x1", "1", "--x2", "1"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["intersecting"] is True
-        assert report["dichotomy_holds"] is True
+        pairs = [("1", "1", "1")] + [(str(p), self.strings(p, 0), self.strings(p, 0)) for p in (4, 5)]
+        for p, x1, x2 in pairs:
+            assert main(["verify-dichotomy", "--p", p, "--x1", x1, "--x2", x2]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["intersecting"] is True
+            assert report["dichotomy_holds"] is True
 
     def test_disjoint_pair(self, capsys):
-        assert main(["verify-dichotomy", "--p", "2", "--x1", "100", "--x2", "010"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["intersecting"] is False
-        assert report["dichotomy_holds"] is True
+        pairs = [("2", "100", "010")] + [(str(p), self.strings(p, 0), self.strings(p, 1)) for p in (4, 5)]
+        for p, x1, x2 in pairs:
+            assert main(["verify-dichotomy", "--p", p, "--x1", x1, "--x2", x2]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["intersecting"] is False
+            assert report["dichotomy_holds"] is True
 
 
 class TestClosure:

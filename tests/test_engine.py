@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     additive_table,
     fraction_views,
+    pinned_instances,
     random_additive_instance,
     random_table_instance,
     seeded_rng,
@@ -47,7 +48,6 @@ from fairmix.model import (
     over_common_denominator,
     swap_closure,
 )
-from fairmix.serialize import load_instance
 from oracles import (
     find_dominating_vertex_or_pair,
     reference_envelope_vertices,
@@ -55,10 +55,8 @@ from oracles import (
     reference_scan_weights,
     weight_witness_ok,
 )
-from test_answer_path import pinned
 
 F = Fraction
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def identical_players_instance(m=2):
@@ -450,11 +448,6 @@ def test_weight_of_the_wrong_length_is_a_precondition_error(call, length):
         call(w, inst)
 
 
-def pinned_entries(workload):
-    with open(os.path.join(DATA, f"{workload}.json"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def lowest_reference_vertices(points, eps):
     """The reference envelope's vertices of least t, as normalized weight: mask."""
     vertices, height = {}, {}
@@ -474,7 +467,7 @@ def test_scan_visits_maximal_masks_larger_first(workload, monkeypatch):
     reference's weight at its position.  That holds for the scan as it
     stops at its answer and for the whole order, seen by a scan whose envy
     screen rejects every vertex and so runs out of vertices."""
-    insts = [load_instance(entry) for entry in pinned_entries(workload)]
+    insts = pinned_instances(workload)
     orders = []
     for j, inst in enumerate(insts):
         eps = choose_epsilon(compute_rho(inst), inst.n)
@@ -503,7 +496,7 @@ def test_scan_visits_maximal_masks_larger_first(workload, monkeypatch):
 def test_answers_do_not_depend_on_the_vertex_order(workload, monkeypatch):
     """The scan reads the envelope as a set: the same answers, scan positions
     included, whatever order ``_envelope_vertices`` lists the vertices in."""
-    insts = [load_instance(entry) for entry in pinned_entries(workload)]
+    insts = pinned_instances(workload)
     want = [find_fixed_point(inst)[0] for inst in insts]
     enumerate_vertices = engine._envelope_vertices
     rng = seeded_rng(f"vertex-order:{workload}")
@@ -523,7 +516,7 @@ def test_answers_do_not_depend_on_the_vertex_order(workload, monkeypatch):
 def test_envious_set_scans_past_the_lowest_vertex():
     # each instance's lowest vertex has envy, so its answer comes from the
     # enumerated envelope, at every player count from 2 to 6
-    insts = [load_instance(entry) for entry in pinned_entries("envious")]
+    insts = pinned_instances("envious")
     assert sorted(inst.n for inst in insts) == [2, 3, 3, 4, 5, 6]
     for j, inst in enumerate(insts):
         trace = []
@@ -543,12 +536,7 @@ def small_instances():
 
 @pytest.mark.parametrize("workload", ["desk", "wide", "certify", "many", "envious", "small"])
 def test_lowest_vertex_is_a_reference_vertex_of_least_t(workload):
-    if workload == "small":
-        insts = small_instances()
-    elif workload == "certify":
-        insts = pinned("certify")
-    else:
-        insts = [load_instance(entry) for entry in pinned_entries(workload)]
+    insts = small_instances() if workload == "small" else pinned_instances(workload)
     for j, inst in enumerate(insts):
         points = inst.kernel.frontier
         eps = choose_epsilon(compute_rho(inst), inst.n)
@@ -565,7 +553,7 @@ def test_lowest_vertex_lp_needs_no_phase_one(monkeypatch):
     solve, simplex = engine.solve_lp, lp_module._simplex
     monkeypatch.setattr(lp_module, "_simplex", lambda *args: phases.append(1) or simplex(*args))
     monkeypatch.setattr(engine, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
-    for inst in [load_instance(entry) for entry in pinned_entries("wide")] + small_instances():
+    for inst in pinned_instances("wide") + small_instances():
         programs.clear()
         phases.clear()
         eps = choose_epsilon(compute_rho(inst), inst.n)
@@ -596,8 +584,8 @@ def test_select_lp_needs_no_phase_one(monkeypatch):
 
     monkeypatch.setattr(engine, "select_p_in_P", recording)
     for workload in ("desk", "wide", "many", "envious"):
-        for entry in pinned_entries(workload):
-            find_fixed_point(load_instance(entry))
+        for inst in pinned_instances(workload):
+            find_fixed_point(inst)
     assert selects
     for n, lp, largest in selects:
         assert len(lp.constraints) == n * (n - 1)
@@ -608,7 +596,7 @@ def test_select_lp_needs_no_phase_one(monkeypatch):
 def test_a_lowest_vertex_the_enumeration_lacks_is_an_invariant_failure(monkeypatch):
     # the lowest vertex is envious here, so the scan enumerates the envelope,
     # which must hold the same vertex with the same argmax mask
-    inst = load_instance(pinned_entries("envious")[0])
+    inst = pinned_instances("envious")[0]
     eps = choose_epsilon(compute_rho(inst), inst.n)
     weights, mask = engine._lowest_vertex(inst.kernel.frontier, eps)
     enumerate_vertices = engine._envelope_vertices

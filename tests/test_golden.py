@@ -18,17 +18,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pinned_entries
 from fairmix.cli import main
 from fairmix.serialize import load_instance, load_mixed_allocation
 from oracles import weight_witness_ok
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
 WORKLOADS = ("desk", "certify", "wide", "many", "envious")
-
-
-def read(name):
-    with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def write(path, data):
@@ -51,7 +46,7 @@ def run(argv):
 
 def answers(workload, directory):
     """Every normalized answer of one workload's set, in file order."""
-    data = read(workload)
+    data = pinned_entries(workload)
     if workload != "certify":
         return [
             run(["solve", "--instance", write(os.path.join(directory, f"{workload}-{j}.json"), inst)])
@@ -103,17 +98,17 @@ def test_first_difference_names_the_field():
 
 
 def test_sets_have_the_benchmark_sizes():
-    assert len(read("desk")) == 120
-    assert len(read("wide")) == 24
-    certify = read("certify")
+    assert len(pinned_entries("desk")) == 120
+    assert len(pinned_entries("wide")) == 24
+    certify = pinned_entries("certify")
     assert len(certify["hard"]) == 12 and len(certify["lotteries"]) == 48
-    assert sorted(inst["n"] for inst in read("many")) == [5, 5, 6, 6, 7, 7]
-    assert sorted(inst["n"] for inst in read("envious")) == [2, 3, 3, 4, 5, 6]
+    assert sorted(inst["n"] for inst in pinned_entries("many")) == [5, 5, 6, 6, 7, 7]
+    assert sorted(inst["n"] for inst in pinned_entries("envious")) == [2, 3, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_answers_match_golden(workload, tmp_path):
-    want = read("golden")[workload]
+    want = pinned_entries("golden")[workload]
     got = answers(workload, str(tmp_path))
     assert len(got) == len(want)
     for j, (a, b) in enumerate(zip(got, want)):
@@ -122,7 +117,7 @@ def test_answers_match_golden(workload, tmp_path):
 
 
 def assert_answers_pass_the_fraction_oracles(name):
-    for j, (entry, answer) in enumerate(zip(read(name), read("golden")[name])):
+    for j, (entry, answer) in enumerate(zip(pinned_entries(name), pinned_entries("golden")[name])):
         inst = load_instance(entry)
         p = load_mixed_allocation(answer["out"]["p"], inst)
         assert weight_witness_ok(p, inst, [Fraction(x) for x in answer["out"]["w"]]), f"{name}[{j}]"
@@ -140,5 +135,5 @@ def test_many_answers_pass_the_fraction_oracles():
 
 def test_envious_answers_pass_the_fraction_oracles():
     """So is each answer the scan reaches past an envious lowest vertex."""
-    assert all(answer["out"]["iterations"] >= 2 for answer in read("golden")["envious"])
+    assert all(answer["out"]["iterations"] >= 2 for answer in pinned_entries("golden")["envious"])
     assert_answers_pass_the_fraction_oracles("envious")

@@ -22,10 +22,12 @@ from fairmix import (
     check_pareto_efficient,
     check_submodular,
     enumerate_splits,
+    hard,
     hard_utility_tables,
     split_count,
     verify_welfare_dichotomy,
 )
+from fairmix.cli import main
 
 from oracles import check_monotone
 
@@ -305,10 +307,35 @@ class TestDichotomy:
         det = [c for c in report.certified if c.kind == "deterministic"]
         assert all(c.welfare <= 11 for c in det)
 
-    def test_half_count_cap(self):
-        bits = (0,) * split_count(4)
-        with pytest.raises(EnumerationLimitError, match="capped at p = 3, got 4"):
-            verify_welfare_dichotomy(DisjointnessInput(4, bits, bits))
+    def test_p6_is_refused_by_the_allocation_budget_before_any_split(self, monkeypatch, capsys):
+        def no_splits(p):
+            raise AssertionError(f"enumerate_splits({p}) was called")
+
+        monkeypatch.setattr(hard, "enumerate_splits", no_splits)
+        bits = (0,) * split_count(6)
+        with pytest.raises(EnumerationLimitError, match=r"3\^12 = 531441 allocations"):
+            verify_welfare_dichotomy(DisjointnessInput(6, bits, bits))
+        text = "0" * split_count(6)
+        assert main(["verify-dichotomy", "--p", "6", "--x1", text, "--x2", text]) == 1
+        assert "3^12 = 531441 allocations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_split_lotteries_stay_at_or_below_one_less_than_full_welfare(self, p):
+        # player 1 flags only first halves, which hold item 1, and so values
+        # any second half at 3p - 1; player 2 flags only second halves and
+        # values any first half at 3p - 1.  A split lottery gives each
+        # player each side with probability 1/2, so its welfare is at most
+        # (3p + 3p - 1)/2 + (3p - 1 + 3p)/2 = 6p - 1 in both string cases
+        r = split_count(p)
+        ones, zeros = (1,) * r, (0,) * r
+        lotteries = []
+        for x1, x2 in [(ones, ones), (zeros, zeros)]:
+            report = verify_welfare_dichotomy(DisjointnessInput(p, x1, x2))
+            assert report.dichotomy_holds and report.flagged_mixed == ()
+            lotteries += [c for c in report.certified if c.kind == "split_lottery"]
+        # the all-zero strings certify every split lottery, at 6p - 2 each
+        assert len(lotteries) == r
+        assert all(c.welfare <= 6 * p - 1 for c in lotteries)
 
     def test_certified_outcomes_recheck_under_oracles(self):
         """Everything the report certifies must independently pass both checks."""

@@ -9,8 +9,6 @@ witness oracle, each scoring the raw values through the Fraction rescale
 ``fraction_normalize``.
 """
 
-import json
-import os
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -19,7 +17,16 @@ from math import lcm
 
 import pytest
 
-from conftest import additive_table, fraction_points, fraction_views, random_allocation_list, seeded_rng, swapped
+from conftest import (
+    additive_table,
+    fraction_points,
+    fraction_views,
+    pinned_entries,
+    pinned_instances,
+    random_allocation_list,
+    seeded_rng,
+    swapped,
+)
 from fairmix.engine import (
     _envelope_vertices,
     argmax_allocations,
@@ -36,7 +43,7 @@ from fairmix.model import (
     pareto_frontier,
     swap_closure,
 )
-from fairmix.serialize import dump_instance, load_instance
+from fairmix.serialize import load_instance
 from oracles import (
     OPTIMAL,
     Program,
@@ -50,7 +57,6 @@ from oracles import (
 )
 
 F = Fraction
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def own_vectors(inst):
@@ -258,19 +264,6 @@ def test_weight_witness_implies_efficiency(case):
             if inst.n == 2:
                 assert find_dominating_vertex_or_pair(p, inst) is None
     assert held
-
-
-def pinned_instances(workload):
-    """The instances of one pinned set in ``tests/data``, loaded as the CLI
-    loads them; certify's are its ``gen-hard`` instances, written and read back."""
-    with open(os.path.join(DATA, f"{workload}.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    if workload == "certify":
-        data = [
-            dump_instance(build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2)))))
-            for p, x1, x2 in data["hard"]
-        ]
-    return [load_instance(entry) for entry in data]
 
 
 def assert_kernel_matches_reference(inst, name):
@@ -502,8 +495,7 @@ def mask_back(mask, order):
 @pytest.mark.parametrize("workload", ["desk", "wide"])
 def test_envelope_is_the_same_set_for_any_point_order(workload):
     # a permutation changes the start row and every later row's turn
-    with open(os.path.join(DATA, f"{workload}.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = pinned_entries(workload)
     rng = seeded_rng(f"permute:{workload}")
     for j in range(0, len(data), 4):
         inst = load_instance(data[j])
@@ -567,8 +559,7 @@ ENVELOPE_ENTRIES = {"many": (0, 2, 4)}
 
 @pytest.mark.parametrize("workload", ["desk", "wide", "envious", "many"])
 def test_benchmark_set_envelopes_match_reference(workload):
-    with open(os.path.join(DATA, f"{workload}.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = pinned_entries(workload)
     for j in ENVELOPE_ENTRIES.get(workload, range(len(data))):
         inst = load_instance(data[j])
         assert_envelope_matches_reference(inst.kernel.frontier, choose_epsilon(compute_rho(inst), inst.n))

@@ -2,7 +2,6 @@
 the Fraction simplex it replaced."""
 
 import importlib.util
-import json
 import os
 import random
 from fractions import Fraction
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import additive_table, fraction_views, seeded_rng
+from conftest import additive_table, fraction_views, pinned_entries, seeded_rng
 from fairmix import engine, envy, hard
 from fairmix import lp as lp_module
 from fairmix.errors import EngineInvariantError
@@ -611,8 +610,7 @@ def dichotomy_programs(monkeypatch):
     for module in (engine, envy, hard):
         if hasattr(module, "solve_lp"):
             monkeypatch.setattr(module, "solve_lp", lambda lp: seen.append(lp) or solve_lp(lp))
-    with open(os.path.join(os.path.dirname(__file__), "data", "certify.json"), encoding="utf-8") as fh:
-        strings = json.load(fh)["hard"]
+    strings = pinned_entries("certify")["hard"]
     for p, x1, x2 in strings:
         verify_welfare_dichotomy(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2))))
     return seen

@@ -1,7 +1,5 @@
 """Domain model: allocations, utility normalization, swap closure, lotteries."""
 
-import json
-import os
 import sys
 import time
 import tracemalloc
@@ -44,11 +42,10 @@ from fairmix.serialize import (
     load_instance,
     load_mixed_allocation,
 )
-from conftest import random_allocation_list, seeded_rng, swapped
+from conftest import pinned_entries, random_allocation_list, seeded_rng, swapped
 from oracles import fraction_normalize, reference_swap_closure
 
 F = Fraction
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def rescaled(prof):
@@ -339,9 +336,7 @@ def builder_outputs():
         r = split_count(p)
         inst = build_hard_instance(DisjointnessInput(p, (1,) * r, (0,) * r))
         sets.append((f"hard-p{p}", inst.allocations))
-    with open(os.path.join(DATA, "wide.json"), encoding="utf-8") as fh:
-        wide = json.load(fh)
-    for j, entry in enumerate(wide):
+    for j, entry in enumerate(pinned_entries("wide")):
         if isinstance(entry["allocations"], list):
             sets.append((f"wide-{j}", load_instance(entry).allocations))
     return sets
@@ -438,8 +433,7 @@ class TestStoredForm:
             inst = load_instance(hard)
             dump_certificate(certify(load_mixed_allocation(data, inst), inst), inst)
             assert not {"bundles", "index"} & set(inst.allocations.__dict__)
-        with open(os.path.join(DATA, "desk.json"), encoding="utf-8") as fh:
-            desk = json.load(fh)
+        desk = pinned_entries("desk")
         for entry in desk[:: len(desk) // 8]:
             inst = load_instance(entry)
             trace = []

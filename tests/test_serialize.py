@@ -2,7 +2,6 @@
 
 import gc
 import json
-import os
 import random
 import re
 import sys
@@ -41,10 +40,8 @@ from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.model import SHOWN_CHARS, WeightVector, _num_den, as_fraction
 from fairmix.serialize import dump_solve_result, dumps, items_to_mask, mask_to_items
 
-from conftest import additive_table
+from conftest import additive_table, pinned_entries, pinned_instances
 from oracles import reference_table_rows
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 F = Fraction
 
@@ -377,9 +374,7 @@ class TestInstanceLoad:
     def test_loaded_profile_matches_normalize_utilities(self, workload):
         # load_instance normalizes the tables it has checked without checking
         # them again; normalize_utilities, with every check, agrees
-        with open(os.path.join(os.path.dirname(__file__), "data", f"{workload}.json"), encoding="utf-8") as fh:
-            data = json.load(fh)
-        for entry in data:
+        for entry in pinned_entries(workload):
             profile = load_instance(entry).utilities
             assert normalize_utilities(profile.raw_values) == profile
 
@@ -736,14 +731,9 @@ def documents():
 
 def certify_certificates():
     """``dump_certificate`` of every lottery in the pinned certify set."""
-    with open(os.path.join(DATA, "certify.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    insts = [
-        build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2))))
-        for p, x1, x2 in data["hard"]
-    ]
+    insts = pinned_instances("certify")
     certificates = []
-    for entry in data["lotteries"]:
+    for entry in pinned_entries("certify")["lotteries"]:
         inst = insts[entry["hard"]]
         p = load_mixed_allocation({"support": entry["support"]}, inst)
         certificates.append(dump_certificate(certify(p, inst), inst))
@@ -814,8 +804,7 @@ class TestDumps:
         assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
 
     def test_every_golden_answer(self):
-        with open(os.path.join(DATA, "golden.json"), encoding="utf-8") as fh:
-            golden = json.load(fh)
+        golden = pinned_entries("golden")
         answers = [entry["out"] for entries in golden.values() for entry in entries]
         assert len(answers) == 204
         for answer in answers:

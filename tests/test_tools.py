@@ -1,6 +1,7 @@
 """The stage harness, ``tools/stage_times.py``, in its smallest mode: one
-timed pass over the sets CI runs it on, of loading and checking an answer
-and of the exact LP kernel on the programs the sets run."""
+timed pass over the sets CI runs it on, of loading and checking an answer,
+of the solve's lowest-vertex and tie-breaking steps, and of the exact LP
+kernel on the programs the sets run."""
 
 import json
 import os
@@ -33,26 +34,28 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     for stages in entry["stages"].values():
         assert list(stages) == [
             "argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps",
-            *LP_STAGES,
+            "lowest", "select", *LP_STAGES,
         ]
         for name, stats in stages.items():
             extra = {"cells", "pivots"} if name in LP_STAGES else set()
             assert set(stats) == {"calls", "best_s", "median_s", "q1_s", "q3_s"} | extra
             # one pass: its time is the best, the median and both quartiles
             assert 0 <= stats["best_s"] == stats["q1_s"] == stats["median_s"] == stats["q3_s"]
-    # each of the six envious solves runs one lowest-vertex program, and
+    # each of the six envious solves runs one lowest-vertex step, with its
+    # program, and scans two vertices, each with one tie-breaking step; and
     # solving verifies by the answer's own weight, with no weight program
     envious = entry["stages"]["envious"]
-    assert envious["lp_lowest"]["calls"] == 6 and envious["lp_select"]["calls"] > 0
+    assert envious["lowest"]["calls"] == envious["lp_lowest"]["calls"] == 6
+    assert envious["select"]["calls"] == 12 and envious["lp_select"]["calls"] > 0
     assert envious["lp_weight"]["calls"] == 0
     for name in LP_STAGES:
         assert (envious[name]["calls"] > 0) == (envious[name]["cells"] > 0) == (envious[name]["pivots"] > 0)
     # the certify set is 12 gen-hard instances and 48 lotteries over them,
     # each one verify command line that names two files, and each printed
     # as its certificate; each verify solves one weight program, of 2 rows
-    # by 3 variables here, in one pivot, and no engine program
+    # by 3 variables here, in one pivot, and no engine step or program
     certify = entry["stages"]["certify"]
-    assert [stats["calls"] for stats in certify.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48, 0, 0, 48]
+    assert [stats["calls"] for stats in certify.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48, 0, 0, 0, 0, 48]
     assert [(certify[name]["cells"], certify[name]["pivots"]) for name in LP_STAGES] == [(0, 0), (0, 0), (288, 48)]
 
 

@@ -10,23 +10,19 @@ every value with a Fraction oracle built from the raw values through
 int programs.
 """
 
-import json
-import os
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_additive_instance, random_table_instance, seeded_rng
+from conftest import pinned_entries, pinned_instances, random_additive_instance, random_table_instance, seeded_rng
 from fairmix import engine, envy
 from fairmix.engine import find_fixed_point
 from fairmix.envy import build_envy_graph, check_envy_free, check_pareto_efficient
-from fairmix.hard import DisjointnessInput, build_hard_instance
 from fairmix.model import MixedAllocation, expected_utility
 from fairmix.serialize import load_mixed_allocation
 from oracles import find_dominating_vertex_or_pair, fraction_normalize
 
 F = Fraction
-DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def oracle_views(p, inst):
@@ -90,15 +86,10 @@ def test_lotteries_over_d_match_the_fraction_oracle(d):
 
 def certify_cases():
     """The certify set: (instance, lottery) for each of its 48 verify calls."""
-    with open(os.path.join(DATA, "certify.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    hard = [
-        build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2))))
-        for p, x1, x2 in data["hard"]
-    ]
+    hard = pinned_instances("certify")
     return [
         (hard[e["hard"]], load_mixed_allocation({"support": e["support"]}, hard[e["hard"]]))
-        for e in data["lotteries"]
+        for e in pinned_entries("certify")["lotteries"]
     ]
 
 

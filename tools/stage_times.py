@@ -11,9 +11,10 @@ operation's command line is built as the benchmark runs it, a ``verify``
 of each certify lottery or a ``solve`` of each solve instance, over files
 written once to a temporary folder.  While the answers are found, every
 program ``engine`` and ``envy`` hand to ``solve_lp`` is recorded, filed
-under the function that built it; the recording is removed before any pass
-is timed.  Twelve stages are then timed, each as one pass over the whole
-set, ``--repeats`` times:
+under the function that built it, and so are the arguments of every call
+of the solve's lowest-vertex and tie-breaking steps; the recording is
+removed before any pass is timed.  Fourteen stages are then timed, each as
+one pass over the whole set, ``--repeats`` times:
 
 - ``argv``: ``cli._args``, the CLI's reading of every command line;
 - ``read``: ``cli._read_json`` of every file the command lines name;
@@ -28,6 +29,9 @@ set, ``--repeats`` times:
 - ``dumps``: ``serialize.dumps`` of the document the CLI prints for each,
   a solve instance's answer (with a wall time of 0.0) or a certify
   lottery's certificate, built outside the timed passes;
+- ``lowest`` and ``select``: ``engine._lowest_vertex`` and
+  ``engine.select_p_in_P`` on every recorded call's arguments, each step
+  whole, its program's build and its reading of the optimum included;
 - ``lp_select``, ``lp_lowest`` and ``lp_weight``: ``solve_lp`` of every
   recorded tie-breaking program (``select_p_in_P``), lowest-vertex program
   (``_lowest_vertex``) or efficiency weight program
@@ -64,8 +68,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 SETS = ("desk", "wide", "many", "envious", "certify")
 KINDS = {"select_p_in_P": "lp_select", "_lowest_vertex": "lp_lowest", "check_pareto_efficient": "lp_weight"}
+STEPS = {"_lowest_vertex": "lowest", "select_p_in_P": "select"}
 STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
-STAGES += tuple(KINDS.values())
+STAGES += (*STEPS.values(), *KINDS.values())
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
@@ -96,21 +101,34 @@ from fairmix.serialize import (  # noqa: E402
 def read_set(name):
     """The set's instance files, its lotteries, as (instance position,
     support file) pairs, the documents the CLI prints for them (each solve
-    instance's answer, or each certify lottery's certificate) and, by LP
+    instance's answer, or each certify lottery's certificate), by LP
     stage, every program ``engine`` and ``envy`` hand to ``solve_lp`` while
-    the documents are found."""
+    the documents are found, and by step stage, the arguments of every call
+    of that ``engine`` step meanwhile."""
     programs = {kind: [] for kind in KINDS.values()}
+    steps = {stage: [] for stage in STEPS.values()}
 
     def recording(lp):
         programs[KINDS[sys._getframe(1).f_code.co_name]].append(lp)
         return lp_module.solve_lp(lp)
 
-    saved = engine.solve_lp, envy.solve_lp
-    engine.solve_lp = envy.solve_lp = recording
+    def recorder(step, calls):
+        def record(*args):
+            calls.append(args)
+            return step(*args)
+
+        return record
+
+    swaps = [(engine, "solve_lp", recording), (envy, "solve_lp", recording)]
+    swaps += [(engine, step, recorder(getattr(engine, step), steps[stage])) for step, stage in STEPS.items()]
+    saved = [(module, attr, getattr(module, attr)) for module, attr, _ in swaps]
+    for module, attr, wrapper in swaps:
+        setattr(module, attr, wrapper)
     try:
-        return (*_answers(name), programs)
+        return (*_answers(name), programs, steps)
     finally:
-        engine.solve_lp, envy.solve_lp = saved
+        for module, attr, original in saved:
+            setattr(module, attr, original)
 
 
 def capture(sets):
@@ -176,7 +194,7 @@ def _build(entry):
     return lambda: swap_closure(listed)
 
 
-def stage_calls(files, lotteries, documents, programs, argvs):
+def stage_calls(files, lotteries, documents, programs, steps, argvs):
     """Each stage's calls of one pass, as argument-free functions."""
     insts = [load_instance(entry) for entry in files]
     rho = Instance.__dict__["rho"].func
@@ -194,6 +212,10 @@ def stage_calls(files, lotteries, documents, programs, argvs):
         ],
         "certify": [lambda p=p, inst=inst: certify(p, inst) for p, inst in pairs],
         "dumps": [lambda doc=doc: dumps(doc) for doc in documents],
+        **{
+            stage: [lambda step=getattr(engine, step), args=args: step(*args) for args in steps[stage]]
+            for step, stage in STEPS.items()
+        },
         **{kind: [lambda lp=lp: lp_module.solve_lp(lp) for lp in lps] for kind, lps in programs.items()},
     }
 
@@ -270,8 +292,9 @@ def main(argv=None):
     times = {}
     with tempfile.TemporaryDirectory() as folder:
         for name in sets:
-            files, lotteries, documents, programs = read_set(name)
-            calls = stage_calls(files, lotteries, documents, programs, write_ops(name, files, lotteries, folder))
+            files, lotteries, documents, programs, steps = read_set(name)
+            ops = write_ops(name, files, lotteries, folder)
+            calls = stage_calls(files, lotteries, documents, programs, steps, ops)
             counts = {kind: lp_counts(lps) for kind, lps in programs.items()}
             times[name] = {
                 stage: {**pass_stats(calls[stage], args.repeats), **counts.get(stage, {})} for stage in STAGES
