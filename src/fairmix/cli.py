@@ -17,8 +17,6 @@ to the argparse parser built from the same table.  argparse is imported
 only then, so a process that runs a plain command never loads it.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import sys

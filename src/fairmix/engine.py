@@ -71,8 +71,6 @@ one int sum.  Values the scan builds are wrapped without re-checking, by
 it at or above the floor, and the tie-breaking LP's verified optimum.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain
 from math import gcd

@@ -21,10 +21,7 @@ dual lottery over frontier vectors that dominates, mapped back onto one
 allocation per vector and re-verified against the lottery's own views.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from operator import mul
 
 from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
@@ -91,6 +88,9 @@ def is_acyclic(graph):
     ``CycleError`` names the cycle that way with its first player repeated,
     and the repeat is dropped.
     """
+    # graphlib loads only here: solve and verify never check for a cycle
+    from graphlib import CycleError, TopologicalSorter
+
     sorter = TopologicalSorter()
     for i, h, _ in graph.edges:
         sorter.add(h, i)

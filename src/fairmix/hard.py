@@ -22,8 +22,6 @@ the dichotomy check at p <= 5.  Past a limit they raise
 ``EnumerationLimitError``.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -228,18 +226,18 @@ def verify_welfare_dichotomy(inp):
     m = 2 * inp.p
     full = (1 << m) - 1
 
+    # the candidates are built unchecked, as ascending (index, Fraction)
+    # pairs: a split's two sides give two distinct allocations
+    one, half = Fraction(1), Fraction(1, 2)
+    position = inst.allocations.position
     candidates = []
     for s1 in range(1 << m):
         bundles = (s1, full ^ s1)
-        j = inst.allocations.position(bundles)
-        candidates.append(("deterministic", bundles, None, MixedAllocation.point_mass(k, j)))
-    half = Fraction(1, 2)
+        lottery = MixedAllocation._of(k, ((position(bundles), one),))
+        candidates.append(("deterministic", bundles, None, lottery))
     for idx, (t1, t2) in enumerate(splits):
-        ja = inst.allocations.position((t1, t2))
-        jb = inst.allocations.position((t2, t1))
-        candidates.append(
-            ("split_lottery", None, idx, MixedAllocation.from_support(k, {ja: half, jb: half}))
-        )
+        ja, jb = sorted((position((t1, t2)), position((t2, t1))))
+        candidates.append(("split_lottery", None, idx, MixedAllocation._of(k, ((ja, half), (jb, half)))))
 
     certified = []
     for kind, bundles, idx, p in candidates:

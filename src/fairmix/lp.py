@@ -10,10 +10,11 @@ right-hand side b >= 0, so x = 0 with every slack basic is a feasible
 start: there is no phase 1.  The engine's tie-breaking game and
 lowest-vertex program and the verifier's efficiency weight program all
 have that form, in the utility table's ints, and all are bounded, so an
-unbounded end is an internal error.  ``LinearProgram`` stores their rows
-as they are built, with no checks.  A program outside that form is not
-served: a negative right-hand side makes the start infeasible, and
-``_verify`` refuses whatever optimum the pivots reach from there.
+unbounded end is an internal error.  ``solve_lp`` takes them as a
+``LinearProgram``, which stores the objective and rows as they are built,
+with no checks.  A program outside that form is not served: a negative
+right-hand side makes the start infeasible, and ``_verify`` refuses
+whatever optimum the pivots reach from there.
 
 Fraction-free tableau.  The tableau T, its cost row included, holds the
 rational tableau times one common denominator D > 0.  A pivot on (r, c)
@@ -60,8 +61,6 @@ one int and every clamp test, the KKT audit and the sum check are int
 comparisons.  Only the result is built as Fractions.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -77,7 +76,9 @@ class LinearProgram(Value):
     a tuple of rows (a, b), each a a tuple of ints as long as the objective
     and each b an int >= 0: the slack-basis form ``solve_lp`` serves (see
     the module docstring).  The engine and the verifier build them; the
-    program stores them as they are, with no checks.
+    program stores them as they are, with no checks.  It is kept as
+    ``solve_lp``'s one argument because ``bench/tracing.py`` reads the
+    ``constraints`` and ``num_vars`` of each program a solve is given.
     """
 
     def __init__(self, objective, constraints):
@@ -89,22 +90,23 @@ class LinearProgram(Value):
 
 
 class Tableau:
-    """The optimal condensed tableau of ``lp``, as ``solve_lp`` ends on it:
-    the stored columns ``tab`` with the right-hand side last, the ``basis``
-    by row, the stored columns' original indices ``cols``, the common
-    denominator ``d`` > 0 and the verified solution's int numerators
-    ``x_num`` over ``d``.  Original index j < ``lp.num_vars`` is x_j, and
-    ``lp.num_vars`` + i is row i's slack."""
+    """The optimal condensed tableau, as ``solve_lp`` ends on it: the stored
+    columns ``tab`` with the right-hand side last, the ``basis`` by row, the
+    stored columns' original indices ``cols``, the common denominator
+    ``d`` > 0 and the verified solution's int numerators ``x_num`` over
+    ``d``.  A condensed tableau stores one column per variable of the
+    program, so with n = ``len(cols)``, original index j < n is x_j, and
+    n + i is row i's slack."""
 
-    def __init__(self, lp, tab, basis, cols, d, x_num):
-        self.lp, self.tab, self.basis, self.cols, self.d, self.x_num = lp, tab, basis, cols, d, x_num
+    def __init__(self, tab, basis, cols, d, x_num):
+        self.tab, self.basis, self.cols, self.d, self.x_num = tab, basis, cols, d, x_num
 
     @cached_property
     def y_num(self):
         """The optimum's dual solution y >= 0, one int numerator over ``d``
         per row, read from the final cost row: a stored slack column's entry
         is its row's dual times d, and a basic slack's dual is 0."""
-        ncols = self.lp.num_vars
+        ncols = len(self.cols)
         y = [0] * len(self.basis)
         for col, c in zip(self.tab, self.cols):
             if c >= ncols:
@@ -116,7 +118,7 @@ class Tableau:
         """The rows whose slack is 0 at the optimum, bit i for row i: every
         row but those whose slack is basic at a positive value, that is
         every row with a . x_num == b * d."""
-        ncols = self.lp.num_vars
+        ncols = len(self.cols)
         mask = (1 << len(self.basis)) - 1
         for b, c in zip(self.tab[-1], self.basis):
             if b and c >= ncols:
@@ -185,14 +187,14 @@ def _simplex(tab, basis, cols, d):
         d = _pivot(tab, basis, cols, leave, enter, d)
 
 
-def _verify(lp, x_num, d):
-    """Substitute the solution x_num / d, d > 0, into ``lp``'s int rows: every
+def _verify(rows, x_num, d):
+    """Substitute the solution x_num / d, d > 0, into the int ``rows``: every
     x_num_j >= 0 and every row a . x_num <= b * d, or ``EngineInvariantError``."""
     if d <= 0:
         raise EngineInvariantError("solution denominator is not positive")
     if any(v < 0 for v in x_num):
         raise EngineInvariantError("solution has a negative variable")
-    for row, rhs in lp.constraints:
+    for row, rhs in rows:
         if sum(map(mul, row, x_num)) > rhs * d:
             raise EngineInvariantError(f"solution violates constraint <= {rhs}")
 
@@ -213,8 +215,8 @@ def solve_lp(lp):
     for b, c in zip(tab[-1], basis):
         if c < ncols:
             x_num[c] = b
-    _verify(lp, x_num, d)
-    return Tableau(lp, tab, basis, cols, d, x_num)
+    _verify(rows, x_num, d)
+    return Tableau(tab, basis, cols, d, x_num)
 
 
 def project_onto_truncated_simplex(y, epsilon):

@@ -28,8 +28,6 @@ concurrent first reads may each compute it, and they compute the same
 value.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from fractions import Fraction

@@ -11,8 +11,6 @@ readable next to worked examples:
   into a particular ordering, so files are portable across closures.
 """
 
-from __future__ import annotations
-
 import json
 
 from .envy import is_acyclic
@@ -214,7 +212,6 @@ def _checked_row(row, top, field):
 def dump_instance(inst):
     """Inverse of load_instance; writes the raw (pre-rescale) utility tables."""
     aset = inst.allocations
-    allocations: object
     # a caller's list may hold all partitions in their order too
     if aset.partitions_of == inst.m or (
         len(aset) == (inst.n + 1) ** inst.m and aset == all_partitions_allocation_set(inst.n, inst.m)

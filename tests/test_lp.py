@@ -29,11 +29,13 @@ from test_table import fraction_select_rows, game_rows
 F = Fraction
 
 
-def as_fractions(t):
-    """The optimal tableau ``t`` read as a reference simplex answers: its
-    solution Fraction(v, t.d) and the objective value there."""
+def as_fractions(lp, t=None):
+    """``lp``'s optimal tableau ``t``, by default a fresh ``solve_lp(lp)``,
+    read as a reference simplex answers: its solution Fraction(v, t.d) and
+    the objective value there."""
+    t = solve_lp(lp) if t is None else t
     x = tuple(F(v, t.d) for v in t.x_num)
-    return FractionResult(OPTIMAL, x, sum(c * v for c, v in zip(t.lp.objective, x)))
+    return FractionResult(OPTIMAL, x, sum(c * v for c, v in zip(lp.objective, x)))
 
 
 def assert_solves_like(lp, want):
@@ -43,19 +45,19 @@ def assert_solves_like(lp, want):
         with pytest.raises(EngineInvariantError, match="unbounded"):
             solve_lp(lp)
     else:
-        assert as_fractions(solve_lp(lp)) == want
+        assert as_fractions(lp) == want
     return want
 
 
 def test_simplex_vertex():
     lp = LinearProgram((1, 0), (((1, 1), 1),))
-    assert as_fractions(solve_lp(lp)) == FractionResult(OPTIMAL, (F(1), F(0)), F(1))
+    assert as_fractions(lp) == FractionResult(OPTIMAL, (F(1), F(0)), F(1))
 
 
 def test_separable_box_optimum():
     # x <= 1/3 and y <= 1/2, each row times its denominator
     lp = LinearProgram((1, 1), (((3, 0), 1), ((0, 2), 1)))
-    assert as_fractions(solve_lp(lp)).objective_value == F(5, 6)
+    assert as_fractions(lp).objective_value == F(5, 6)
 
 
 def test_unbounded():
@@ -69,14 +71,13 @@ def test_unbounded():
 def test_free_variable():
     # a free x written as x+ - x-, two opposite-sign columns, in -2 <= x <= 3
     lp = LinearProgram((1, -1), (((1, -1), 3), ((-1, 1), 2)))
-    assert as_fractions(solve_lp(lp)) == FractionResult(OPTIMAL, (F(3), F(0)), F(3))
-    res = solve_lp(LinearProgram((-1, 1), lp.constraints))
-    assert as_fractions(res) == FractionResult(OPTIMAL, (F(0), F(2)), F(2))
+    assert as_fractions(lp) == FractionResult(OPTIMAL, (F(3), F(0)), F(3))
+    assert as_fractions(LinearProgram((-1, 1), lp.constraints)) == FractionResult(OPTIMAL, (F(0), F(2)), F(2))
 
 
 def test_upper_bound_only():
     lp = LinearProgram((1,), (((2,), 5),))
-    assert as_fractions(solve_lp(lp)).objective_value == F(5, 2)
+    assert as_fractions(lp).objective_value == F(5, 2)
 
 
 def test_degenerate_pivoting_terminates():
@@ -92,7 +93,7 @@ def test_degenerate_pivoting_terminates():
         + tuple((tuple(int(j == i) for j in range(4)), "<=", 10) for i in range(4)),
     )
     lp, factor = int_program(rational, random.Random(0))
-    res = as_fractions(solve_lp(lp))
+    res = as_fractions(lp)
     value, _ = brute_force_lp_max(rational)
     assert value == F(1, 20)
     assert res.objective_value == value * factor
@@ -190,7 +191,7 @@ def test_random_box_lps_match_vertex_oracle(n, rows, rng):
     objective = tuple(rows.draw(st.integers(-3, 3)) for _ in range(n))
     rational = Program(objective, tuple(constraints))
     lp, factor = int_program(rational, rng)
-    res = as_fractions(solve_lp(lp))
+    res = as_fractions(lp)
     assert satisfies(rational, res.solution)
     value, _ = brute_force_lp_max(rational)
     assert res.objective_value == value * factor
@@ -266,7 +267,7 @@ def assert_each_lp_matches_fraction_simplex(monkeypatch, module):
 
     def both(lp):
         result = solve_lp(lp)
-        assert as_fractions(result) == fraction_simplex(lp)
+        assert as_fractions(lp, result) == fraction_simplex(lp)
         seen.append(lp)
         return result
 
@@ -320,7 +321,7 @@ def assert_game_value_is_the_least_largest_margin(inst, argmax, lp, result, p):
     margins = fraction_select_rows(inst, argmax)
     rows, shift = game_rows(margins, scale)
     assert lp.objective == (1,) * q and lp.constraints == rows
-    bound = 1 / as_fractions(result).objective_value - shift
+    bound = 1 / as_fractions(lp, result).objective_value - shift
     views = fraction_views(p, inst)
     assert bound == scale * max(views[i][h] - views[i][i] for i in range(n) for h in range(n) if h != i)
     min_s = Program(
@@ -364,9 +365,9 @@ def test_verify_rejects_a_corrupted_solution(case, monkeypatch):
     verify = lp_module._verify
     optima = []
 
-    def keep(lp, x_num, d):
-        verify(lp, x_num, d)
-        optima.append((lp, list(x_num), d))
+    def keep(rows, x_num, d):
+        verify(rows, x_num, d)
+        optima.append((rows, list(x_num), d))
 
     monkeypatch.setattr(lp_module, "_verify", keep)
     inst = make_instance(*case)
@@ -379,8 +380,8 @@ def test_verify_rejects_a_corrupted_solution(case, monkeypatch):
         assert_corruptions_fail(verify, *optimum)
 
 
-def assert_corruptions_fail(verify, lp, x_num, d):
-    verify(lp, x_num, d)
+def assert_corruptions_fail(verify, rows, x_num, d):
+    verify(rows, x_num, d)
     j = next(j for j, v in enumerate(x_num) if v)
     raised, negated = list(x_num), list(x_num)
     raised[j] += 1
@@ -389,7 +390,7 @@ def assert_corruptions_fail(verify, lp, x_num, d):
     corruptions = [(raised, d, "violates"), (negated, d, "negative"), (x_num, d - 1, smaller)]
     for bad_num, bad_d, message in corruptions:
         with pytest.raises(EngineInvariantError, match=message):
-            verify(lp, bad_num, bad_d)
+            verify(rows, bad_num, bad_d)
 
 
 def test_verify_rejects_a_zero_denominator(monkeypatch):
@@ -408,9 +409,9 @@ def test_verify_rejects_a_zero_denominator(monkeypatch):
     assert a < b
     p = engine.select_p_in_P(WeightVector.uniform(2, F(1, 4)), inst, (a, b))
     assert p == MixedAllocation.point_mass(len(inst.allocations), a)
-    ((lp, x_num, d),) = optima
+    ((rows, x_num, d),) = optima
     assert d == 1
-    assert_corruptions_fail(verify, lp, x_num, d)
+    assert_corruptions_fail(verify, rows, x_num, d)
 
 
 @pytest.mark.parametrize("case", CASES[::2], ids=case_id)
@@ -444,8 +445,8 @@ def log_pivots(patch):
         pivots.append((leaving, entering, p))
         return p
 
-    def logged_verify(lp, x_num, d):
-        verify(lp, x_num, d)
+    def logged_verify(rows, x_num, d):
+        verify(rows, x_num, d)
         verified.append(d)
 
     patch.setattr(lp_module, "_pivot", logged_pivot)
@@ -638,12 +639,12 @@ def test_fractional_objective_keeps_its_proportions():
     rng = random.Random(5)
     rational = Program((F(1, 3), F(1, 2), F(1, 5)), (((1, 1, 1), "<=", 1),))
     lp, factor = int_program(rational, rng)
-    res = as_fractions(solve_lp(lp))
+    res = as_fractions(lp)
     assert res == FractionResult(OPTIMAL, (F(0), F(1), F(0)), F(1, 2) * factor)
     assert_solves_as_scaled(res, rational, factor)
     rational = Program(rational.objective, rational.constraints + (((0, 1, 0), "<=", F(1, 2)),))
     lp, factor = int_program(rational, rng)
-    assert as_fractions(solve_lp(lp)) == FractionResult(OPTIMAL, (F(1, 2), F(1, 2), F(0)), F(5, 12) * factor)
+    assert as_fractions(lp) == FractionResult(OPTIMAL, (F(1, 2), F(1, 2), F(0)), F(5, 12) * factor)
 
 
 # --- the tight rows read from the tableau ----------------------------------
@@ -654,9 +655,8 @@ def test_fractional_objective_keeps_its_proportions():
 # is substituted into them.
 
 
-def substitution_mask(t):
-    """The rows a . x_num == b * d of ``t``'s program, bit i for row i."""
-    rows = t.lp.constraints
+def substitution_mask(t, rows):
+    """The ``rows`` a . x_num == b * d that ``t``'s solution meets, bit i for row i."""
     return sum(1 << i for i, (row, b) in enumerate(rows) if sum(map(mul, row, t.x_num)) == b * t.d)
 
 
@@ -664,7 +664,7 @@ def assert_tight_by_substitution(lp):
     """Solve ``lp`` and require ``tight`` to be the substitution mask;
     returns whether a slack is basic at 0 there, the degenerate case."""
     t = solve_lp(lp)
-    assert t.tight == substitution_mask(t)
+    assert t.tight == substitution_mask(t, lp.constraints)
     ncols = lp.num_vars
     return any(c >= ncols and not b for b, c in zip(t.tab[-1], t.basis))
 

@@ -3,12 +3,15 @@ timed pass over the sets CI runs it on, of loading and checking an answer,
 of the solve's lowest-vertex and tie-breaking steps, and of the exact LP
 kernel on the programs the sets run."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from fairmix import envy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "stage_times.py")
@@ -57,6 +60,20 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     certify = entry["stages"]["certify"]
     assert [stats["calls"] for stats in certify.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48, 0, 0, 0, 0, 48]
     assert [(certify[name]["cells"], certify[name]["pivots"]) for name in LP_STAGES] == [(0, 0), (0, 0), (288, 48)]
+
+
+def test_solve_sets_certify_each_answer_by_its_weight(monkeypatch):
+    # a solve certifies its answer against the answer's vertex weight, so
+    # the solve sets' certify stage solves no efficiency weight program
+    spec = importlib.util.spec_from_file_location("stage_times", SCRIPT)
+    stage_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_times)
+    files, lotteries, documents, programs, steps = stage_times.read_set("envious")
+    calls = stage_times.stage_calls(files, lotteries, documents, programs, steps, [])["certify"]
+    solved = []
+    monkeypatch.setattr(envy, "solve_lp", solved.append)
+    assert len(calls) == 6 and all(call().ok for call in calls)
+    assert solved == []
 
 
 @pytest.mark.parametrize("content", ["", "not json", '{"earlier": "entry"}'], ids=["empty", "not-json", "object"])

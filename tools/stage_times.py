@@ -6,7 +6,8 @@
 Each chosen ``tests/data`` set is read once.  Its instances are the solve
 sets' instance files, or the certify set's ``gen-hard`` instances, and its
 lotteries are the certify set's listed lotteries, or each solve instance's
-answer, found once by ``find_fixed_point`` outside the timed passes.  Each
+answer with its vertex weight, found once by ``find_fixed_point`` outside
+the timed passes.  Each
 operation's command line is built as the benchmark runs it, a ``verify``
 of each certify lottery or a ``solve`` of each solve instance, over files
 written once to a temporary folder.  While the answers are found, every
@@ -25,7 +26,9 @@ one pass over the whole set, ``--repeats`` times:
 - ``kernel``: ``UtilityKernel.of`` on every loaded instance;
 - ``rho``: the ``Instance.rho`` computation on every loaded instance;
 - ``load_mixed_allocation``: every lottery read against its instance;
-- ``certify``: ``envy.certify`` of every lottery;
+- ``certify``: ``envy.certify`` of every lottery, as the CLI certifies it:
+  a solve set's answer against its own vertex weight, by the integer
+  witness scan, and a certify lottery by the efficiency weight program;
 - ``dumps``: ``serialize.dumps`` of the document the CLI prints for each,
   a solve instance's answer (with a wall time of 0.0) or a certify
   lottery's certificate, built outside the timed passes;
@@ -100,7 +103,8 @@ from fairmix.serialize import (  # noqa: E402
 
 def read_set(name):
     """The set's instance files, its lotteries, as (instance position,
-    support file) pairs, the documents the CLI prints for them (each solve
+    support file, weight) triples, the weight None for a certify lottery
+    and the answer's vertex weight for a solve instance, the documents the CLI prints for them (each solve
     instance's answer, or each certify lottery's certificate), by LP
     stage, every program ``engine`` and ``envy`` hand to ``solve_lp`` while
     the documents are found, and by step stage, the arguments of every call
@@ -148,10 +152,10 @@ def _answers(name):
             dump_instance(build_hard_instance(DisjointnessInput(p, tuple(map(int, x1)), tuple(map(int, x2)))))
             for p, x1, x2 in data["hard"]
         ]
-        lotteries = [(entry["hard"], {"support": entry["support"]}) for entry in data["lotteries"]]
+        lotteries = [(entry["hard"], {"support": entry["support"]}, None) for entry in data["lotteries"]]
         insts = [load_instance(entry) for entry in files]
         documents = []
-        for j, support in lotteries:
+        for j, support, _ in lotteries:
             p = load_mixed_allocation(support, insts[j])
             documents.append(dump_certificate(certify(p, insts[j]), insts[j]))
         return files, lotteries, documents
@@ -160,7 +164,7 @@ def _answers(name):
     for j, entry in enumerate(data):
         inst = load_instance(entry)
         state, cert = find_fixed_point(inst)
-        lotteries.append((j, dump_mixed_allocation(state.p, inst)))
+        lotteries.append((j, dump_mixed_allocation(state.p, inst), state.w.w))
         documents.append(dump_solve_result(state, cert, inst, 0.0))
     return data, lotteries, documents
 
@@ -181,7 +185,7 @@ def write_ops(name, files, lotteries, folder):
         return [["solve", "--instance", path] for path in paths]
     return [
         ["verify", "--instance", paths[j], "--allocation", write(f"lottery-{t}", support)]
-        for t, (j, support) in enumerate(lotteries)
+        for t, (j, support, _) in enumerate(lotteries)
     ]
 
 
@@ -198,7 +202,7 @@ def stage_calls(files, lotteries, documents, programs, steps, argvs):
     """Each stage's calls of one pass, as argument-free functions."""
     insts = [load_instance(entry) for entry in files]
     rho = Instance.__dict__["rho"].func
-    pairs = [(load_mixed_allocation(data, insts[j]), insts[j]) for j, data in lotteries]
+    checks = [(load_mixed_allocation(data, insts[j]), insts[j], weight) for j, data, weight in lotteries]
     return {
         "argv": [lambda argv=argv: cli._args(argv) for argv in argvs],
         # a command line's files are its flags' values: every second word from the third
@@ -208,9 +212,9 @@ def stage_calls(files, lotteries, documents, programs, steps, argvs):
         "kernel": [lambda inst=inst: UtilityKernel.of(inst) for inst in insts],
         "rho": [lambda inst=inst: rho(inst) for inst in insts],
         "load_mixed_allocation": [
-            lambda data=data, inst=insts[j]: load_mixed_allocation(data, inst) for j, data in lotteries
+            lambda data=data, inst=insts[j]: load_mixed_allocation(data, inst) for j, data, _ in lotteries
         ],
-        "certify": [lambda p=p, inst=inst: certify(p, inst) for p, inst in pairs],
+        "certify": [lambda p=p, inst=inst, w=w: certify(p, inst, weight=w) for p, inst, w in checks],
         "dumps": [lambda doc=doc: dumps(doc) for doc in documents],
         **{
             stage: [lambda step=getattr(engine, step), args=args: step(*args) for args in steps[stage]]
