@@ -1,13 +1,14 @@
 """Rewrite the pinned instance sets and answers that tests/test_golden.py checks.
 
-    python3 tests/data/make_goldens.py inputs   # desk.json, wide.json, certify.json, many.json, envious.json
+    python3 tests/data/make_goldens.py inputs   # desk, wide, certify, many, envious and fallback .json
     python3 tests/data/make_goldens.py golden   # golden.json, from the current src
 
 Run from the repository root.  ``inputs`` takes the benchmark's fixed sets
 from ``bench/workloads.py`` (its constant-seed pools) and draws the n = 5-7
 set ``many`` from a constant seed; ``envious`` holds, for each of a few shapes, the first
 constant-seed draw whose first scanned vertex has envy, as the code under
-``src`` scans it; ``golden`` solves and verifies them with the code under
+``src`` scans it, and ``fallback`` the first three such draws of each of a
+few n = 5-8 shapes; ``golden`` solves and verifies them with the code under
 ``src`` and records every answer.
 """
 
@@ -61,23 +62,45 @@ def draw(rng, n, m, kind):
     return {"n": n, "m": m, "utilities": utilities, "allocations": "all_partitions"}
 
 
-def envious():
+# (n, m) of each ``fallback`` shape, table values 1-9: the scan goes past
+# an envious lowest vertex at every n from 5 to 8, on draws that each solve
+# in well under 0.1 s
+FALLBACK_SHAPES = ((5, 3), (6, 3), (7, 2), (8, 2))
+FALLBACK_DRAWS = 3
+
+
+def envious_draws(seed, n, m, kind, count):
+    """The first ``count`` draws from ``seed`` whose first scanned vertex has envy."""
     from fairmix.engine import find_fixed_point
     from fairmix.serialize import load_instance
 
+    rng = random.Random(seed)
     out = []
-    for n, m, kind in ENVIOUS_SHAPES:
-        rng = random.Random(f"envious:{n}:{m}:{kind}")
-        for _ in range(10_000):
-            entry = draw(rng, n, m, kind)
-            trace = []
-            find_fixed_point(load_instance(entry), trace_sink=trace)
-            if trace[0].residual:
-                out.append(entry)
-                break
-        else:
-            raise SystemExit(f"no envious draw of shape {(n, m, kind)}")
-    return out
+    for _ in range(10_000):
+        entry = draw(rng, n, m, kind)
+        trace = []
+        find_fixed_point(load_instance(entry), trace_sink=trace)
+        if trace[0].residual:
+            out.append(entry)
+            if len(out) == count:
+                return out
+    raise SystemExit(f"fewer than {count} envious draws of shape {(n, m, kind)}")
+
+
+def envious():
+    return [
+        entry
+        for n, m, kind in ENVIOUS_SHAPES
+        for entry in envious_draws(f"envious:{n}:{m}:{kind}", n, m, kind, 1)
+    ]
+
+
+def fallback():
+    return [
+        entry
+        for n, m in FALLBACK_SHAPES
+        for entry in envious_draws(f"fallback:{n}:{m}", n, m, "table", FALLBACK_DRAWS)
+    ]
 
 
 def inputs():
@@ -86,6 +109,7 @@ def inputs():
 
     save("many", many())
     save("envious", envious())
+    save("fallback", fallback())
 
     save("desk", workloads._pool("desk", workloads.DESK_STRATA, workloads.DESK_PER_STRATUM, workloads._desk_instance))
     save("wide", workloads._pool("wide", workloads.WIDE_STRATA, workloads.WIDE_PER_STRATUM, workloads._wide_instance))

@@ -492,7 +492,7 @@ def test_scan_visits_maximal_masks_larger_first(workload, monkeypatch):
     assert longest > 1
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide", "envious"])
+@pytest.mark.parametrize("workload", ["desk", "wide", "envious", "fallback"])
 def test_answers_do_not_depend_on_the_vertex_order(workload, monkeypatch):
     """The scan reads the envelope as a set: the same answers, scan positions
     included, whatever order ``_envelope_vertices`` lists the vertices in."""

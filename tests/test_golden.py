@@ -2,8 +2,9 @@
 
 ``tests/data`` holds the desk (120) and wide (24) solve instances, the
 certify set (12 ``gen-hard`` strings plus 48 lotteries), two sets that are
-not benchmark sets: six n = 5-7 solve instances (``many``) and six n = 2-6
-solve instances whose lowest envelope vertex has envy (``envious``), and
+not benchmark sets: six n = 5-7 solve instances (``many``), six n = 2-6
+solve instances whose lowest envelope vertex has envy (``envious``) and
+twelve more at n = 5-8, three per shape (``fallback``), and
 ``golden.json`` the answer the CLI gave for each: its exit code, its
 stdout JSON without ``wall_time``, and its stderr.  Any change of answer fails here, naming the
 first instance and field that differ.  ``tests/data/make_goldens.py``
@@ -23,7 +24,7 @@ from fairmix.cli import main
 from fairmix.serialize import load_instance, load_mixed_allocation
 from oracles import weight_witness_ok
 
-WORKLOADS = ("desk", "certify", "wide", "many", "envious")
+WORKLOADS = ("desk", "certify", "wide", "many", "envious", "fallback")
 
 
 def write(path, data):
@@ -104,6 +105,7 @@ def test_sets_have_the_benchmark_sizes():
     assert len(certify["hard"]) == 12 and len(certify["lotteries"]) == 48
     assert sorted(inst["n"] for inst in pinned_entries("many")) == [5, 5, 6, 6, 7, 7]
     assert sorted(inst["n"] for inst in pinned_entries("envious")) == [2, 3, 3, 4, 5, 6]
+    assert sorted(inst["n"] for inst in pinned_entries("fallback")) == [5, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -133,7 +135,16 @@ def test_many_answers_pass_the_fraction_oracles():
     assert_answers_pass_the_fraction_oracles("many")
 
 
+def assert_answers_scan_past_the_lowest_vertex(name):
+    assert all(answer["out"]["iterations"] >= 2 for answer in pinned_entries("golden")[name])
+    assert_answers_pass_the_fraction_oracles(name)
+
+
 def test_envious_answers_pass_the_fraction_oracles():
     """So is each answer the scan reaches past an envious lowest vertex."""
-    assert all(answer["out"]["iterations"] >= 2 for answer in pinned_entries("golden")["envious"])
-    assert_answers_pass_the_fraction_oracles("envious")
+    assert_answers_scan_past_the_lowest_vertex("envious")
+
+
+def test_fallback_answers_pass_the_fraction_oracles():
+    """And each such answer at n = 5-8."""
+    assert_answers_scan_past_the_lowest_vertex("fallback")

@@ -553,11 +553,13 @@ def test_one_vector_envelope_is_the_corners(n):
 
 
 # one instance of each n in many: n = 5, 6 and 7, with 71, 27 and 37
-# frontier points, where the brute-force check stops at n = 4
-ENVELOPE_ENTRIES = {"many": (0, 2, 4)}
+# frontier points, and in fallback, the one with the most frontier points:
+# n = 5, 6, 7 and 8, with 13, 13, 16 and 17, where the brute-force check
+# stops at n = 4
+ENVELOPE_ENTRIES = {"many": (0, 2, 4), "fallback": (2, 4, 7, 9)}
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide", "envious", "many"])
+@pytest.mark.parametrize("workload", ["desk", "wide", "envious", "many", "fallback"])
 def test_benchmark_set_envelopes_match_reference(workload):
     data = pinned_entries(workload)
     for j in ENVELOPE_ENTRIES.get(workload, range(len(data))):

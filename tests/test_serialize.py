@@ -806,7 +806,7 @@ class TestDumps:
     def test_every_golden_answer(self):
         golden = pinned_entries("golden")
         answers = [entry["out"] for entries in golden.values() for entry in entries]
-        assert len(answers) == 204
+        assert len(answers) == 216
         for answer in answers:
             self.assert_as_json(answer)
 

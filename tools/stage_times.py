@@ -1,6 +1,6 @@
 """Time the stages that prepare and check an answer, on the pinned sets.
 
-    python3 tools/stage_times.py [--sets desk,wide,many,envious,certify]
+    python3 tools/stage_times.py [--sets desk,wide,many,envious,fallback,certify]
                                  [--repeats 7] [--out BENCH_stages.json]
 
 Each chosen ``tests/data`` set is read once.  Its instances are the solve
@@ -69,7 +69,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
-SETS = ("desk", "wide", "many", "envious", "certify")
+SETS = ("desk", "wide", "many", "envious", "fallback", "certify")
 KINDS = {"select_p_in_P": "lp_select", "_lowest_vertex": "lp_lowest", "check_pareto_efficient": "lp_weight"}
 STEPS = {"_lowest_vertex": "lowest", "select_p_in_P": "select"}
 STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
