@@ -513,29 +513,18 @@ class TestFlagContract:
 
     def test_import_loads_no_code_generation_modules(self):
         # a fresh process pays for every module the CLI imports; these pull
-        # in source parsing and disassembly that no operation needs
+        # in source parsing and disassembly that no operation needs, and
+        # neither graphlib, which only envy-graph's cycle check imports, nor
+        # __future__, which no module's annotations need, may load either
         src = os.path.dirname(os.path.dirname(fairmix.__file__))
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import fairmix.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'graphlib', '__future__'}"
+            " & set(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, encoding="utf-8")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
-
-    def test_import_loads_no_graphlib_or_future(self):
-        # graphlib loads only for envy-graph's cycle check, and no module's
-        # annotations need __future__
-        src = os.path.dirname(os.path.dirname(fairmix.__file__))
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]); import fairmix.cli; "
-            "before = sorted({'graphlib', '__future__'} & set(sys.modules)); "
-            "from fairmix.envy import EnvyGraph, is_acyclic; is_acyclic(EnvyGraph(2, ())); "
-            "print(before, 'graphlib' in sys.modules)"
-        )
-        proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, encoding="utf-8")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[] True\n"
 
 
     def test_a_plain_verify_loads_no_argparse(self, tmp_path):
