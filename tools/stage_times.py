@@ -7,15 +7,15 @@ Each chosen ``tests/data`` set is read once.  Its instances are the solve
 sets' instance files, or the certify set's ``gen-hard`` instances, and its
 lotteries are the certify set's listed lotteries, or each solve instance's
 answer with its vertex weight, found once by ``find_fixed_point`` outside
-the timed passes.  Each
-operation's command line is built as the benchmark runs it, a ``verify``
-of each certify lottery or a ``solve`` of each solve instance, over files
-written once to a temporary folder.  While the answers are found, every
-program ``engine`` and ``envy`` hand to ``solve_lp`` is recorded, filed
-under the function that built it, and so are the arguments of every call
-of the solve's lowest-vertex and tie-breaking steps; the recording is
-removed before any pass is timed.  Fourteen stages are then timed, each as
-one pass over the whole set, ``--repeats`` times:
+the timed passes.  Each operation's command line is built as the benchmark
+runs it, a ``verify`` of each certify lottery or a ``solve`` of each solve
+instance, over files written once to a temporary folder.  While the
+answers are found, every program ``engine`` and ``envy`` hand to
+``solve_lp`` is recorded, filed under the function that built it, and so
+are the arguments of every call of the solve's lowest-vertex and
+tie-breaking steps; the recording is removed before any pass is timed.
+Fourteen stages are then timed, each as one pass over the whole set,
+``--repeats`` times:
 
 - ``argv``: ``cli._args``, the CLI's reading of every command line;
 - ``read``: ``cli._read_json`` of every file the command lines name;
@@ -102,13 +102,13 @@ from fairmix.serialize import (  # noqa: E402
 
 
 def read_set(name):
-    """The set's instance files, its lotteries, as (instance position,
-    support file, weight) triples, the weight None for a certify lottery
-    and the answer's vertex weight for a solve instance, the documents the CLI prints for them (each solve
-    instance's answer, or each certify lottery's certificate), by LP
-    stage, every program ``engine`` and ``envy`` hand to ``solve_lp`` while
-    the documents are found, and by step stage, the arguments of every call
-    of that ``engine`` step meanwhile."""
+    """The set's instance files, its lotteries, as (instance position, support
+    file, weight) triples, the weight None for a certify lottery and the
+    answer's vertex weight for a solve instance, the documents the CLI prints
+    for them (each solve instance's answer, or each certify lottery's
+    certificate), by LP stage, every program ``engine`` and ``envy`` hand to
+    ``solve_lp`` while the documents are found, and by step stage, the
+    arguments of every call of that ``engine`` step meanwhile."""
     programs = {kind: [] for kind in KINDS.values()}
     steps = {stage: [] for stage in STEPS.values()}
 
