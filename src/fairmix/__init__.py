@@ -1,8 +1,6 @@
 """Exact solver and verifier for Pareto efficient, envy-free lotteries."""
 
 from .errors import (
-    ConfigurationError,
-    EmptyDomainError,
     EngineInvariantError,
     EnumerationLimitError,
     FairmixError,

@@ -85,8 +85,8 @@ def _bits(text):
 class _TraceWriter:
     """Streams one JSON line per scanned welfare-envelope vertex.
 
-    The file is opened on the first record, so a solve rejected before the
-    scan (a bad ``--epsilon``, say) leaves any earlier trace untouched.
+    The file is opened on the first record, so a solve that fails before
+    its first record leaves any earlier trace untouched.
     """
 
     def __init__(self, path, inst):
@@ -110,7 +110,7 @@ def cmd_solve(args):
     sink = _TraceWriter(args.trace, inst) if args.trace else None
     try:
         start = time.perf_counter()
-        state, cert = find_fixed_point(inst, args.epsilon, trace_sink=sink)
+        state, cert = find_fixed_point(inst, trace_sink=sink)
         wall = time.perf_counter() - start
     finally:
         if sink:
@@ -172,7 +172,6 @@ def _flag(spelling, metavar=None, *, required=False, default=None, kind=str, hel
 _COMMANDS = {
     "solve": (cmd_solve, "find a certified efficient envy-free lottery", (
         _flag("--instance", "F", required=True),
-        _flag("--epsilon", "Q", default="auto", help="weight floor, a rational or 'auto'"),
         _flag("--trace", "F", help="write one JSON line per scanned vertex here"),
         _flag("--strict", default=False, kind=None, help="reject allocation lists that need closing"),
     )),

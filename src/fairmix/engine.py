@@ -48,10 +48,10 @@ answer is supported on the w-argmax with every w_i >= eps > 0, so
 instance instead of solving the efficiency LP.  A witness that fails the scan
 is an invariant failure, like any other disagreement with the theory.
 
-The weight floor eps is the search's one setting.  It must stay below
-rho^n/n, where rho in (0, 1] is the instance's envy-gap constant, so it is
-below 1/n; "auto" takes half that bound, and ``choose_epsilon`` checks an
-explicit floor.
+The weight floor eps is derived from the instance, not set: any floor
+below rho^n/n, where rho in (0, 1] is the instance's envy-gap constant,
+keeps the scan complete and every answer certified, and ``choose_epsilon``
+takes half that bound, which is below 1/n.
 
 Each scanned vertex is described by one ``FixedPointState``: the trace
 sink receives those states, and the answer is the state of its vertex.
@@ -77,7 +77,7 @@ from math import gcd
 from operator import mul, sub
 
 from .envy import certify
-from .errors import ConfigurationError, EngineInvariantError, MalformedInstanceError, PreconditionError
+from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
 from .lp import LinearProgram, project_onto_truncated_simplex, solve_lp
 from .model import MixedAllocation, Value, WeightVector, as_fraction, expected_utility, is_int, is_swappable
 from .model import _shown, over_common_denominator
@@ -253,39 +253,26 @@ def compute_rho(inst):
     return rho
 
 
-def choose_epsilon(rho, n, epsilon="auto"):
-    """Floor for the weight domain: "auto" takes rho^n/(2n), halving the bound.
+def choose_epsilon(rho, n):
+    """Floor for the weight domain: rho^n/(2n), half the bound rho^n/n.
 
-    ``rho`` must be a rational (see ``as_fraction``) in (0, 1], as every
-    swap-closed instance's is, or this raises ``PreconditionError``; it is
-    coerced exactly, so the floor is always a Fraction.  An explicit floor
-    is a rational and must be positive and strictly below rho^n/n, which is
-    at most 1/n; otherwise this raises ``ConfigurationError``, or
-    ``MalformedInstanceError`` when it is not a rational at all.
+    ``n`` must be an int >= 1, and ``rho`` a rational (see ``as_fraction``)
+    in (0, 1], as every swap-closed instance's is, or this raises
+    ``PreconditionError``; it is coerced exactly, so the floor is always a
+    Fraction, and it is below 1/n.
     """
     if not (is_int(n) and n >= 1):
         raise PreconditionError(f"player count must be an integer >= 1, got {_shown(n)}")
-    if epsilon != "auto":
-        eps = as_fraction(epsilon)
-        if eps <= 0:
-            raise ConfigurationError("explicit floor must be positive")
     try:
         rho = as_fraction(rho)
     except MalformedInstanceError as exc:
         raise PreconditionError(f"gap constant must be rational, got {rho!r}") from exc
     if not 0 < rho <= 1:
         raise PreconditionError(f"gap constant must lie in (0, 1], got {_shown(rho, str)}")
-    bound = rho**n / n
-    if epsilon == "auto":
-        return rho**n / (2 * n)
-    if eps >= bound:
-        raise ConfigurationError(
-            f"floor {_shown(eps, str)} is not below the envy-gap bound {_shown(bound, str)}"
-        )
-    return eps
+    return rho**n / (2 * n)
 
 
-def find_fixed_point(inst, epsilon="auto", trace_sink=None):
+def find_fixed_point(inst, *, trace_sink=None):
     """Search for a certified efficient envy-free lottery.
 
     Scans the welfare-envelope vertices as described in the module
@@ -293,7 +280,7 @@ def find_fixed_point(inst, epsilon="auto", trace_sink=None):
     ``iteration`` is the 1-based scan position of the answer.  The returned
     lottery always carries a fully verified certificate.  The scan is
     complete, so running out of vertices raises ``EngineInvariantError``.
-    ``epsilon`` is the weight floor, checked by ``choose_epsilon``.
+    The weight floor is ``choose_epsilon``'s, derived from the instance.
     ``trace_sink``, if given, receives the ``FixedPointState`` of every
     scanned vertex, in scan order, the answer's last.
     """
@@ -305,7 +292,7 @@ def find_fixed_point(inst, epsilon="auto", trace_sink=None):
             raise PreconditionError(
                 f"allocation set is not swappable: allocation {j} lacks the ({g},{h}) swap"
             )
-    eps = choose_epsilon(compute_rho(inst), inst.n, epsilon)
+    eps = choose_epsilon(compute_rho(inst), inst.n)
     hit = _fallback_search(inst, eps, trace_sink)
     if hit is None:
         raise EngineInvariantError(

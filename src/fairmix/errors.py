@@ -13,16 +13,8 @@ class EnumerationLimitError(FairmixError):
     """An enumeration would exceed its module's fixed limit."""
 
 
-class EmptyDomainError(FairmixError):
-    """The truncated simplex is empty (floor larger than 1/n)."""
-
-
 class PreconditionError(FairmixError):
     """A documented precondition of an operation was violated by the caller."""
-
-
-class ConfigurationError(FairmixError):
-    """An explicit weight floor is invalid (not positive, or not below its bound)."""
 
 
 class EngineInvariantError(FairmixError):

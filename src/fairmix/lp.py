@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .errors import EmptyDomainError, EngineInvariantError, MalformedInstanceError, PreconditionError
+from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
 from .model import Value, _entries, _shown, as_fraction, over_common_denominator
 
 
@@ -225,8 +225,9 @@ def project_onto_truncated_simplex(y, epsilon):
     Active-set iteration: clamp violators to the floor, re-center the rest by
     a common shift, repeat.  The clamp set only grows, so at most n rounds.
     The KKT system is audited exactly before returning.  A ``y`` that is not
-    a sequence, or a non-rational entry or floor, raises ``PreconditionError``.
-    The iteration runs in ints (see the module docstring).
+    a sequence of rationals summing to 1, or a floor that is not a rational
+    in (0, 1/n], raises ``PreconditionError``.  The iteration runs in ints
+    (see the module docstring).
     """
     try:
         y = tuple(as_fraction(v) for v in _entries(y, "projection input"))
@@ -239,7 +240,7 @@ def project_onto_truncated_simplex(y, epsilon):
     if eps <= 0:
         raise PreconditionError(f"floor must be positive, got {_shown(eps, str)}")
     if eps.numerator * n > eps.denominator:
-        raise EmptyDomainError(f"floor {_shown(eps, str)} exceeds 1/{n}; the truncated simplex is empty")
+        raise PreconditionError(f"floor {_shown(eps, str)} exceeds 1/{n}; the truncated simplex is empty")
     # y_i = a[i] / den and eps = e / den
     (*a, e), den = over_common_denominator(y + (eps,))
     total = sum(a)

@@ -13,6 +13,7 @@ readable next to worked examples:
 
 import json
 
+from . import model
 from .envy import is_acyclic
 from .errors import MalformedInstanceError
 from .model import (
@@ -212,9 +213,11 @@ def _checked_row(row, top, field):
 def dump_instance(inst):
     """Inverse of load_instance; writes the raw (pre-rescale) utility tables."""
     aset = inst.allocations
-    # a caller's list may hold all partitions in their order too
+    # a caller's list may hold all partitions in their order too; one over
+    # the budget cannot be built to compare, so it is written as its list
     if aset.partitions_of == inst.m or (
-        len(aset) == (inst.n + 1) ** inst.m and aset == all_partitions_allocation_set(inst.n, inst.m)
+        len(aset) == (inst.n + 1) ** inst.m <= model.DEFAULT_ENUMERATION_BUDGET
+        and aset == all_partitions_allocation_set(inst.n, inst.m)
     ):
         allocations = "all_partitions"
     else:

@@ -39,6 +39,12 @@ def allocation_file(tmp_path, support, name="allocation.json"):
     return write_json(tmp_path / name, {"support": support})
 
 
+def verify_with_probability(tmp_path, probability):
+    """A verify argv whose lottery's one allocation has this probability."""
+    allocation = allocation_file(tmp_path, [{"bundles": [[1], [2]], "probability": probability}])
+    return ["verify", "--instance", symmetric_instance(tmp_path), "--allocation", allocation]
+
+
 class TestSolve:
     def test_symmetric_instance_certifies(self, tmp_path, capsys):
         code = main(["solve", "--instance", symmetric_instance(tmp_path)])
@@ -145,49 +151,18 @@ class TestSolve:
         assert code == 1
         assert "error: cannot write" in capsys.readouterr().err
 
-    def test_rejected_solve_keeps_earlier_trace(self, tmp_path, capsys):
+    def test_rejected_solve_keeps_earlier_trace(self, tmp_path, capsys, monkeypatch):
+        # a solve that fails before its first record never opens the file
+        def boom(inst, *, trace_sink=None):
+            raise EngineInvariantError("residual zero but envy present")
+
+        monkeypatch.setattr("fairmix.cli.find_fixed_point", boom)
         trace = tmp_path / "trace.jsonl"
         trace.write_text('{"earlier": true}\n', encoding="utf-8")
-        code = main(
-            [
-                "solve",
-                "--instance",
-                symmetric_instance(tmp_path),
-                "--epsilon",
-                "1/4",
-                "--trace",
-                str(trace),
-            ]
-        )
-        assert code == 1
-        assert "envy-gap bound" in capsys.readouterr().err
+        code = main(["solve", "--instance", symmetric_instance(tmp_path), "--trace", str(trace)])
+        assert code == 4
+        assert "internal check failed" in capsys.readouterr().err
         assert trace.read_text(encoding="utf-8") == '{"earlier": true}\n'
-
-    def test_explicit_epsilon_and_budgets(self, tmp_path, capsys):
-        code = main(
-            [
-                "solve",
-                "--instance",
-                symmetric_instance(tmp_path),
-                "--epsilon",
-                "1/16",
-            ]
-        )
-        assert code == 0
-
-    def test_explicit_floor_on_hard_instance(self, tmp_path, capsys):
-        hard = str(tmp_path / "hard.json")
-        assert main(["gen-hard", "--p", "2", "--x1", "100", "--x2", "100", "--out", hard]) == 0
-        assert main(["solve", "--instance", hard, "--epsilon", "1/100"]) == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["w"] == ["1/100", "99/100"]
-        assert result["certificate"]["pe"]["weight"] == result["w"]
-        # rho = 1/3 here, so 1/18 is exactly the bound rho^2/2 and is rejected before the scan
-        trace = tmp_path / "trace.jsonl"
-        code = main(["solve", "--instance", hard, "--epsilon", "1/18", "--trace", str(trace)])
-        assert code == 1
-        assert "floor 1/18 is not below the envy-gap bound 1/18" in capsys.readouterr().err
-        assert not trace.exists()
 
     # A decimal exponent is refused before ``Fraction`` expands it into an int
     # past the 4300-digit limit; '1e20000000' once built a 66-million-bit int.
@@ -199,41 +174,30 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"field 'utilities.items[0]': bad rational {value!r}: its exponent makes an int of more than" in err
 
-    @pytest.mark.parametrize("epsilon", ["1e-20000000", "1e-5000", "0.5e-4300"])
-    def test_epsilon_with_a_huge_exponent_is_refused(self, tmp_path, capsys, epsilon):
-        assert main(["solve", "--instance", symmetric_instance(tmp_path), "--epsilon", epsilon]) == 1
-        assert f"bad rational {epsilon!r}: its exponent makes an int of more than" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("epsilon", ["1/" + "9" * 5000, "x" * 5000], ids=["digits", "letters"])
-    def test_over_long_epsilon_is_clipped_in_the_error(self, tmp_path, capsys, epsilon):
-        assert main(["solve", "--instance", symmetric_instance(tmp_path), "--epsilon", epsilon]) == 1
-        err = capsys.readouterr().err
-        assert len(err.encode()) < 300 and f"... ({len(repr(epsilon))} characters)" in err
-
     @pytest.mark.parametrize(
         "argv",
         [
             lambda tmp_path: ["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "1"],
             lambda tmp_path: ["solve", "--instance", "a" * 5000],
             lambda tmp_path: ["solve", "--instance", symmetric_instance(tmp_path), "--" + "a" * 5000],
+            lambda tmp_path: verify_with_probability(tmp_path, "1/" + "9" * 5000),
+            lambda tmp_path: verify_with_probability(tmp_path, "x" * 5000),
         ],
-        ids=["long-int-flag", "long-instance-name", "long-unknown-flag"],
+        ids=["long-int-flag", "long-instance-name", "long-unknown-flag", "long-rational", "long-word"],
     )
     def test_over_long_arguments_are_clipped_in_the_error(self, tmp_path, capsys, argv):
-        # argparse's message or the path is clipped, and the OS error's own
-        # text, which repeats the path, is not shown
+        # argparse's message, the path or a value read from a file is
+        # clipped, and the OS error's own text, which repeats the path, is
+        # not shown
         assert main(argv(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.encode()) < 400 and "... (50" in err
 
-    def test_bad_epsilon_values(self, tmp_path, capsys):
-        instance = symmetric_instance(tmp_path)
-        assert main(["solve", "--instance", instance, "--epsilon", "abc"]) == 1
-        assert main(["solve", "--instance", instance, "--epsilon", "0"]) == 1
-        assert main(["solve", "--instance", instance, "--epsilon", "2/1"]) == 1
-        # legal floor values must also clear the instance's envy-gap bound
-        assert main(["solve", "--instance", instance, "--epsilon", "1/4"]) == 1
+    def test_retired_epsilon_flag_is_refused(self, tmp_path, capsys):
+        # the weight floor is derived from the instance and cannot be set
+        assert main(["solve", "--instance", symmetric_instance(tmp_path), "--epsilon", "1/100"]) == 1
+        assert "unrecognized arguments: --epsilon 1/100" in capsys.readouterr().err
 
     def test_unclosed_list_warns_then_solves(self, tmp_path, capsys):
         instance = write_json(
@@ -261,7 +225,7 @@ class TestSolve:
         assert main(["solve", "--instance", instance, "--strict"]) == 1
 
     def test_internal_invariant_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
-        def boom(inst, epsilon, trace_sink=None):
+        def boom(inst, *, trace_sink=None):
             raise EngineInvariantError("residual zero but envy present")
 
         monkeypatch.setattr("fairmix.cli.find_fixed_point", boom)
@@ -342,11 +306,9 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: field 'support[0]': allocation [[1, 2], []] is not in the instance's set\n"
 
-    @pytest.mark.parametrize("probability", ["1e-20000000", "1e5000"])
+    @pytest.mark.parametrize("probability", ["1e-20000000", "0.5e-4300", "1e5000"])
     def test_probability_with_a_huge_exponent_is_refused(self, tmp_path, capsys, probability):
-        instance = symmetric_instance(tmp_path)
-        allocation = allocation_file(tmp_path, [{"bundles": [[1], [2]], "probability": probability}])
-        assert main(["verify", "--instance", instance, "--allocation", allocation]) == 1
+        assert main(verify_with_probability(tmp_path, probability)) == 1
         err = capsys.readouterr().err
         assert f"field 'support[0]': bad rational {probability!r}: its exponent makes an int of more than" in err
 
@@ -590,7 +552,7 @@ class TestReadArgv:
         )
     )
     @example(["solve", "--instance", "F"])
-    @example(["solve", "--strict", "--instance", "F", "--trace", "T", "--epsilon", "1/9"])
+    @example(["solve", "--strict", "--instance", "F", "--trace", "T"])
     @example(["gen-hard", "--p", "007", "--x1", "1", "--x2", "0", "--out", ""])
     @example(["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "0"])
     @example(["verify-dichotomy", "--p", "\u0663", "--x1", "1", "--x2", "0"])
@@ -604,7 +566,7 @@ class TestReadArgv:
         "argv",
         [
             ["solve", "--instance", "F"],
-            ["solve", "--instance", "F", "--strict", "--epsilon", "auto", "--trace", "T"],
+            ["solve", "--instance", "F", "--strict", "--trace", "T"],
             ["verify", "--allocation", "L", "--instance", "F"],
             ["envy-graph", "--instance", "F", "--allocation", "L"],
             ["gen-hard", "--p", "3", "--x1", "10", "--x2", "01", "--out", "H"],
@@ -631,7 +593,7 @@ class TestReadArgv:
             ["solve", "--instance", "F", "extra"],
             ["solve", "--instance", "-F"],
             ["solve", "--instance"],
-            ["solve", "--epsilon", "auto"],
+            ["solve", "--trace", "T"],
             ["gen-hard", "--p", " 3", "--x1", "1", "--x2", "0"],
             ["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "0"],
         ],

@@ -31,12 +31,7 @@ from fairmix.engine import (
     varpi,
 )
 from fairmix.envy import build_envy_graph
-from fairmix.errors import (
-    ConfigurationError,
-    EngineInvariantError,
-    MalformedInstanceError,
-    PreconditionError,
-)
+from fairmix.errors import EngineInvariantError, PreconditionError
 from fairmix.lp import project_onto_truncated_simplex
 from fairmix.model import (
     AllocationSet,
@@ -199,36 +194,22 @@ class TestChooseEpsilon:
         assert choose_epsilon(F(1, 2), 2) == F(1, 16)
 
     def test_auto_unit_rho(self):
-        assert choose_epsilon(F(1), 3, "auto") == F(1, 6)
-
-    def test_explicit_above_bound(self):
-        with pytest.raises(ConfigurationError, match="not below the envy-gap bound 1/8"):
-            choose_epsilon(F(1, 2), 2, F(1, 2))
-        # the bound itself is rejected: the floor must lie strictly below it
-        with pytest.raises(ConfigurationError, match="not below"):
-            choose_epsilon(F(1, 2), 2, F(1, 8))
-
-    def test_explicit_valid(self):
-        assert choose_epsilon(F(1, 2), 2, F(1, 20)) == F(1, 20)
-        assert choose_epsilon(F(1, 2), 2, "1/20") == F(1, 20)
+        assert choose_epsilon(F(1), 3) == F(1, 6)
 
     def test_rejects_rho_above_one(self):
-        # every swap-closed instance has rho <= 1, which keeps every floor below 1/n
-        for floor in ("auto", F(1, 2), F(3, 4)):
-            with pytest.raises(PreconditionError, match=r"gap constant must lie in \(0, 1\], got 2"):
-                choose_epsilon(F(2), 2, floor)
+        # every swap-closed instance has rho <= 1, which keeps the floor below 1/n
+        with pytest.raises(PreconditionError, match=r"gap constant must lie in \(0, 1\], got 2"):
+            choose_epsilon(F(2), 2)
 
     def test_int_rho_gives_fraction(self):
         eps = choose_epsilon(1, 2)
         assert eps == F(1, 4) and type(eps) is F
         assert WeightVector.uniform(2, eps).epsilon == F(1, 4)
-        assert choose_epsilon(1, 2, F(1, 5)) == F(1, 5)
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, None, True], ids=["float", "float-one", "none", "bool"])
     def test_rejects_non_rational_rho(self, rho):
-        for floor in ("auto", F(1, 100)):
-            with pytest.raises(PreconditionError, match="gap constant must be rational"):
-                choose_epsilon(rho, 2, floor)
+        with pytest.raises(PreconditionError, match="gap constant must be rational"):
+            choose_epsilon(rho, 2)
 
     @pytest.mark.parametrize("rho, n, want", [(F(1, 2), 2, F(1, 16)), (F(1, 3), 3, F(1, 162)), (F(1), 1, F(1, 2))])
     def test_fraction_rho_unchanged(self, rho, n, want):
@@ -241,33 +222,19 @@ class TestChooseEpsilon:
         assert 0 < eps < rho**n / n
         assert eps <= F(1, n)
 
-    @pytest.mark.parametrize(
-        "floor", [F(0), F(-1, 4), 0, "-1/3"], ids=["zero", "negative", "int-zero", "negative-string"]
-    )
-    def test_rejects_nonpositive_floor(self, floor):
-        with pytest.raises(ConfigurationError, match="explicit floor must be positive"):
-            choose_epsilon(F(1, 2), 2, floor)
-
-    @pytest.mark.parametrize("floor", [0.1, None, "abc", True])
-    def test_rejects_non_rational_floor(self, floor):
-        with pytest.raises(MalformedInstanceError):
-            choose_epsilon(F(1, 2), 2, floor)
-
     @pytest.mark.parametrize("n", [0, 2.0, True, -1, "2"], ids=["zero", "float", "bool", "negative", "string"])
     def test_rejects_bad_player_count(self, n):
-        for floor in ("auto", F(1, 100)):
-            with pytest.raises(PreconditionError, match="player count must be an integer >= 1"):
-                choose_epsilon(F(1, 2), n, floor)
+        with pytest.raises(PreconditionError, match="player count must be an integer >= 1"):
+            choose_epsilon(F(1, 2), n)
 
-    def test_find_fixed_point_checks_the_floor(self):
+    def test_find_fixed_point_takes_no_floor(self):
+        # the floor is derived from the instance; a positional one is refused
+        # at the call rather than taken as the trace sink
         inst = opposed_tastes_instance()
-        with pytest.raises(ConfigurationError, match="explicit floor must be positive"):
-            find_fixed_point(inst, F(0))
-        bound = compute_rho(inst) ** 2 / 2
-        with pytest.raises(ConfigurationError, match="not below the envy-gap bound"):
-            find_fixed_point(inst, bound)
-        state, cert = find_fixed_point(inst, bound / 2)
-        assert cert.ok and state.w.epsilon == bound / 2
+        with pytest.raises(TypeError):
+            find_fixed_point(inst, F(1, 100))
+        state, cert = find_fixed_point(inst)
+        assert cert.ok and state.w.epsilon == compute_rho(inst) ** 2 / 4
 
 
 class TestFindFixedPoint:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmix.errors import EmptyDomainError, PreconditionError
+from fairmix.errors import PreconditionError
 from fairmix.lp import project_onto_truncated_simplex as project
 from oracles import project_by_pattern_enumeration as oracle
 
@@ -41,7 +41,7 @@ def test_single_coordinate():
 
 
 def test_empty_domain():
-    with pytest.raises(EmptyDomainError):
+    with pytest.raises(PreconditionError, match="exceeds 1/2; the truncated simplex is empty"):
         project((F(1, 2), F(1, 2)), F(2, 3))
 
 

@@ -511,6 +511,27 @@ class TestInstanceRoundTrip:
         assert dumped["allocations"] == [[[], [1]], [[1], []], [[], []]]
         assert load_instance(dumped) == inst
 
+    def test_every_partition_over_the_budget_round_trips(self, monkeypatch):
+        # all 9 partitions of n = 2, m = 2 in all-partitions order load as a
+        # list past a budget of 8, which refuses building the all-partitions
+        # set to compare with, so the dump writes the list back
+        monkeypatch.setattr("fairmix.model.DEFAULT_ENUMERATION_BUDGET", 8)
+        listed = [
+            [[], []], [[2], []], [[], [2]],
+            [[1], []], [[1, 2], []], [[1], [2]],
+            [[], [1]], [[2], [1]], [[], [1, 2]],
+        ]
+        data = {
+            "n": 2,
+            "m": 2,
+            "utilities": {"type": "additive", "items": [["1/2", "1/3"], ["2/1", "5/7"]]},
+            "allocations": listed,
+        }
+        inst = load_instance(data)
+        dumped = dump_instance(inst)
+        assert dumped["allocations"] == listed
+        assert load_instance(dumped) == inst
+
     def test_explicit_set_round_trips(self):
         data = {
             "n": 2,
