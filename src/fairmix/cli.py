@@ -106,7 +106,7 @@ class _TraceWriter:
 
 
 def cmd_solve(args):
-    inst = load_instance(_read_json(args.instance), strict=args.strict, warn=_warn)
+    inst = load_instance(_read_json(args.instance), warn=_warn)
     sink = _TraceWriter(args.trace, inst) if args.trace else None
     try:
         start = time.perf_counter()
@@ -161,8 +161,7 @@ def cmd_closure(args):
 
 def _flag(spelling, metavar=None, *, required=False, default=None, kind=str, help=None):
     """One flag's row: (spelling, dest, default, required, kind, metavar,
-    help); ``kind`` is ``str`` or ``int`` for a flag that takes a value and
-    None for a switch that stores True."""
+    help); ``kind`` is ``str`` or ``int``, the type of the flag's value."""
     return spelling, spelling[2:].replace("-", "_"), default, required, kind, metavar, help
 
 
@@ -173,7 +172,6 @@ _COMMANDS = {
     "solve": (cmd_solve, "find a certified efficient envy-free lottery", (
         _flag("--instance", "F", required=True),
         _flag("--trace", "F", help="write one JSON line per scanned vertex here"),
-        _flag("--strict", default=False, kind=None, help="reject allocation lists that need closing"),
     )),
     "verify": (cmd_verify, "certify a given lottery", (
         _flag("--instance", "F", required=True),
@@ -229,12 +227,9 @@ def build_parser():
     for name, (func, summary, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
         for spelling, dest, default, required, kind, metavar, text in flags:
-            if kind is None:
-                command.add_argument(spelling, dest=dest, action="store_true", help=text)
-            else:
-                command.add_argument(
-                    spelling, dest=dest, type=kind, default=default, required=required, metavar=metavar, help=text
-                )
+            command.add_argument(
+                spelling, dest=dest, type=kind, default=default, required=required, metavar=metavar, help=text
+            )
         command.set_defaults(func=func)
     return parser
 
@@ -251,11 +246,11 @@ def _read_argv(argv):
 
     Only a plain argv is read: a command, then flags of that command in
     their exact spellings, each at most once and every required one
-    present, each followed by its value unless it is a switch.  No value
-    may start with ``-`` and an int value is ASCII digits.  Anything else
-    (``-h``, an abbreviation, ``--flag=value``, a repeat, ``--``, an extra
-    word, every error) gives None, and argparse reads it: its help text and
-    its error messages are the only ones.
+    present, each followed by its value.  No value may start with ``-``
+    and an int value is ASCII digits.  Anything else (``-h``, an
+    abbreviation, ``--flag=value``, a repeat, ``--``, an extra word, every
+    error) gives None, and argparse reads it: its help text and its error
+    messages are the only ones.
     """
     words = iter(argv)
     plain = _PLAIN.get(next(words, None))
@@ -270,9 +265,6 @@ def _read_argv(argv):
             return None
         seen.add(word)
         dest, kind = flag
-        if kind is None:
-            values[dest] = True
-            continue
         # a missing value reads as "-", which no value may start with
         value = next(words, "-")
         if value.startswith("-"):

@@ -92,12 +92,12 @@ def _parse_allocation_entry(entry, n, m, field):
     return _in_field(field, lambda: PureAllocation(tuple(items_to_mask(bundle, m) for bundle in entry)))
 
 
-def load_instance(data, strict=False, warn=None):
+def load_instance(data, warn=None):
     """Build an Instance from the documented JSON shape.
 
-    Explicit allocation lists are closed under pairwise swaps on load;
-    ``warn`` (a callable taking a message) fires when the closure added
-    allocations, and ``strict`` turns that situation into an error.  Every
+    Explicit allocation lists are always closed under pairwise swaps on
+    load, as the existence theorem assumes; ``warn`` (a callable taking a
+    message) fires when the closure added allocations.  Every
     ``MalformedInstanceError`` names its field, as ``field 'name': detail``.
 
     A table row is read whole (``_plain_row``) when every entry is an
@@ -139,16 +139,11 @@ def load_instance(data, strict=False, warn=None):
             _parse_allocation_entry(entry, n, m, f"allocations[{j}]") for j, entry in enumerate(spec)
         )
         aset = swap_closure(listed)
-        given = len(listed)
-        if len(aset) > given:
-            message = (
+        if len(aset) > len(listed) and warn is not None:
+            warn(
                 f"allocation list was not swap-closed; closure grew it from "
-                f"{given} to {len(aset)} allocations"
+                f"{len(listed)} to {len(aset)} allocations"
             )
-            if strict:
-                raise MalformedInstanceError(f"field 'allocations': {message}")
-            if warn is not None:
-                warn(message)
 
     raw = []
     if kind == "table":

@@ -212,18 +212,6 @@ class TestSolve:
         assert main(["solve", "--instance", instance]) == 0
         assert "warning" in capsys.readouterr().err
 
-    def test_strict_rejects_unclosed_list(self, tmp_path, capsys):
-        instance = write_json(
-            tmp_path / "open.json",
-            {
-                "n": 2,
-                "m": 2,
-                "utilities": {"type": "additive", "items": [["1/1", "1/1"], ["1/1", "2/1"]]},
-                "allocations": [[[1], [2]]],
-            },
-        )
-        assert main(["solve", "--instance", instance, "--strict"]) == 1
-
     def test_internal_invariant_failure_maps_to_four(self, tmp_path, capsys, monkeypatch):
         def boom(inst, *, trace_sink=None):
             raise EngineInvariantError("residual zero but envy present")
@@ -453,6 +441,11 @@ class TestFlagContract:
         instance = symmetric_instance(tmp_path)
         assert main(["solve", "--instance", instance, "--max-iters", "16"]) == 1
 
+    def test_removed_strict_flag_is_unknown(self, tmp_path, capsys):
+        # explicit allocation lists are always closed, with a warning
+        assert main(["solve", "--instance", symmetric_instance(tmp_path), "--strict"]) == 1
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
     def test_missing_required_flag(self, capsys):
         assert main(["solve"]) == 1
 
@@ -516,7 +509,7 @@ FLAGS = sorted({flag[0] for _, _, flags in cli._COMMANDS.values() for flag in fl
 WORDS = [
     *FLAGS,
     *cli._COMMANDS,
-    "--inst", "--alloc", "--eps", "--tr", "--str", "--x", "--o", "--instance=F", "--p=3", "--strict=1",
+    "--inst", "--alloc", "--eps", "--tr", "--x", "--o", "--instance=F", "--p=3", "--strict",
     "-h", "--help", "--", "-", "-x", "-1", "--bogus",
     "F", "a b", "", "0", "3", "007", "1" * 5000, "x", " 3", "+3", "3_0", "\u0663", "\u00b3",
 ]
@@ -525,15 +518,12 @@ WORDS = [
 @st.composite
 def plain_argvs(draw):
     """A command, then its required flags and some of its others in any
-    order, each with a plain value or one drawn from ``WORDS`` (a switch
-    takes none)."""
+    order, each with a plain value or one drawn from ``WORDS``."""
     name = draw(st.sampled_from(sorted(cli._COMMANDS)))
     argv = [name]
-    for spelling, _, _, required, kind, _, _ in draw(st.permutations(cli._COMMANDS[name][2])):
+    for spelling, _, _, required, _, _, _ in draw(st.permutations(cli._COMMANDS[name][2])):
         if required or draw(st.booleans()):
-            argv.append(spelling)
-            if kind is not None:
-                argv.append(draw(st.one_of(st.sampled_from(["F", "2", "10"]), st.sampled_from(WORDS))))
+            argv.extend([spelling, draw(st.one_of(st.sampled_from(["F", "2", "10"]), st.sampled_from(WORDS)))])
     return argv
 
 
@@ -552,7 +542,7 @@ class TestReadArgv:
         )
     )
     @example(["solve", "--instance", "F"])
-    @example(["solve", "--strict", "--instance", "F", "--trace", "T"])
+    @example(["solve", "--trace", "T", "--instance", "F"])
     @example(["gen-hard", "--p", "007", "--x1", "1", "--x2", "0", "--out", ""])
     @example(["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "0"])
     @example(["verify-dichotomy", "--p", "\u0663", "--x1", "1", "--x2", "0"])
@@ -566,7 +556,7 @@ class TestReadArgv:
         "argv",
         [
             ["solve", "--instance", "F"],
-            ["solve", "--instance", "F", "--strict", "--trace", "T"],
+            ["solve", "--instance", "F", "--trace", "T"],
             ["verify", "--allocation", "L", "--instance", "F"],
             ["envy-graph", "--instance", "F", "--allocation", "L"],
             ["gen-hard", "--p", "3", "--x1", "10", "--x2", "01", "--out", "H"],
@@ -588,7 +578,7 @@ class TestReadArgv:
             ["solve", "--inst", "F"],
             ["solve", "--instance=F"],
             ["solve", "--instance", "F", "--instance", "G"],
-            ["solve", "--instance", "F", "--strict", "--strict"],
+            ["solve", "--instance", "F", "--trace", "T", "--trace", "U"],
             ["solve", "--", "--instance", "F"],
             ["solve", "--instance", "F", "extra"],
             ["solve", "--instance", "-F"],

@@ -245,14 +245,15 @@ class TestInstanceLoad:
         assert len(inst.allocations) == 2  # the swap was added
         assert messages and "closure" in messages[0]
 
-    def test_strict_rejects_unclosed_list(self):
+    def test_removed_strict_option_is_refused(self):
+        # an explicit list is always closed; no option refuses it instead
         data = {
             "n": 2,
             "m": 2,
             "utilities": {"type": "additive", "items": [["1/1", "1/1"], ["1/1", "2/1"]]},
             "allocations": [[[1], [2]]],
         }
-        with pytest.raises(MalformedInstanceError):
+        with pytest.raises(TypeError):
             load_instance(data, strict=True)
 
     def test_closed_list_loads_silently(self):

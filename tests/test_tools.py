@@ -26,14 +26,14 @@ def run_harness(sets, out):
 def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     out = tmp_path / "BENCH_stages.json"
     out.write_text(json.dumps([{"earlier": "entry"}]), encoding="utf-8")
-    proc = run_harness("envious,certify", out)
+    proc = run_harness("envious,fallback,certify", out)
     assert proc.returncode == 0, proc.stderr
     entries = json.loads(out.read_text(encoding="utf-8"))
     assert len(entries) == 2 and entries[0] == {"earlier": "entry"}
     entry = entries[1]
     assert set(entry) == {"commit", "src_dirty", "python", "sets", "repeats", "stages"}
-    assert entry["sets"] == ["envious", "certify"] and entry["repeats"] == 1
-    assert list(entry["stages"]) == ["envious", "certify"]
+    assert entry["sets"] == ["envious", "fallback", "certify"] and entry["repeats"] == 1
+    assert list(entry["stages"]) == ["envious", "fallback", "certify"]
     for stages in entry["stages"].values():
         assert list(stages) == [
             "argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps",
@@ -51,8 +51,15 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     assert envious["lowest"]["calls"] == envious["lp_lowest"]["calls"] == 6
     assert envious["select"]["calls"] == 12 and envious["lp_select"]["calls"] > 0
     assert envious["lp_weight"]["calls"] == 0
-    for name in LP_STAGES:
-        assert (envious[name]["calls"] > 0) == (envious[name]["cells"] > 0) == (envious[name]["pivots"] > 0)
+    # the fallback set's twelve solves at n = 5-8 each run one lowest-vertex
+    # step and two tie-breaking steps, and likewise no weight program
+    fallback = entry["stages"]["fallback"]
+    assert fallback["lowest"]["calls"] == fallback["lp_lowest"]["calls"] == 12
+    assert fallback["select"]["calls"] == fallback["lp_select"]["calls"] == 24
+    assert fallback["lp_weight"]["calls"] == 0
+    for solves in (envious, fallback):
+        for name in LP_STAGES:
+            assert (solves[name]["calls"] > 0) == (solves[name]["cells"] > 0) == (solves[name]["pivots"] > 0)
     # the certify set is 12 gen-hard instances and 48 lotteries over them,
     # each one verify command line that names two files, and each printed
     # as its certificate; each verify solves one weight program, of 2 rows
