@@ -316,14 +316,15 @@ def _envelope_vertices(points, eps):
     written down directly, so only the other vectors' rows are built.  They
     are added in descending uniform welfare (the sum of the vector), ties by
     index.  The row order sets how much work the method does (Fukuda and
-    Prodon 1996); this one tests about half the ray pairs of index order
-    on the n = 4 instances in ``tests/data``.  Each row splits the rays by
-    sign and joins every adjacent pair across the split, adjacency being
-    the combinatorial test: no third ray is tight on every row the pair
-    shares.  The rays with x0 > 0 at the end are the vertices, and the
-    vector rows a ray is tight on are its argmax.  The vertex set does not
-    depend on the row order; the order of the returned list does, and no
-    caller may rely on it.
+    Prodon 1996): over the solves of the pinned ``envious`` and
+    ``fallback`` sets, which run this method on every instance, it tests
+    4,530 and 58,223 ray pairs across the split, where index order tests
+    10,696 and 156,533.  Each row splits the rays by sign and joins every
+    adjacent pair across the split, adjacency being the combinatorial test:
+    no third ray is tight on every row the pair shares.  The rays with
+    x0 > 0 at the end are the vertices, and the vector rows a ray is tight
+    on are its argmax.  The vertex set does not depend on the row order;
+    the order of the returned list does, and no caller may rely on it.
     """
     n = len(points[0])
     num, den = eps.numerator, eps.denominator

@@ -2,8 +2,9 @@
 
 Bundles are bitmasks over items (bit ``i`` is item ``i + 1``).  Rationals
 are read in one place: ``_num_den`` turns an accepted value (an int, a
-Fraction or a 'num/den' string) into an int (numerator, denominator) pair,
-or refuses it, and ``as_fraction`` builds its Fraction from that pair.
+Fraction, or a string in the one grammar the package writes, ASCII
+'[-]num[/den]') into an int (numerator, denominator) pair, or refuses it,
+and ``as_fraction`` builds its Fraction from that pair.
 Utility values are read as such pairs; ``normalize_utilities`` normalizes
 them once, in ints, straight into a :class:`UtilityProfile` of int
 numerators over one denominator shared by every player, and everything
@@ -28,8 +29,6 @@ concurrent first reads may each compute it, and they compute the same
 value.
 """
 
-import re
-import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, compress, permutations
@@ -41,10 +40,6 @@ from .errors import EnumerationLimitError, MalformedInstanceError
 MAX_ITEMS = 24
 DEFAULT_ENUMERATION_BUDGET = 200_000
 SHOWN_CHARS = 60
-# a decimal string with an exponent, in the syntax ``Fraction`` reads:
-# integer digits, fraction digits and the exponent, each with underscores;
-# compiled on first use, by ``re``'s cache, to keep it out of the import
-_EXPONENT_FORM = r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
 
 
 def _shown(value, text=repr):
@@ -80,41 +75,24 @@ def _clipped(text, limit=SHOWN_CHARS):
 
 
 def as_fraction(value):
-    """Coerce ints, Fractions and 'num/den' strings to a Fraction; reject
-    floats, bools and x/0.  A value of type Fraction is returned as it is;
-    any other is read by ``_num_den``, with its errors."""
+    """Coerce ints, Fractions and ASCII '[-]num[/den]' strings to a Fraction;
+    reject floats, bools, x/0 and every other string.  A value of type
+    Fraction is returned as it is; any other is read by ``_num_den``, with
+    its errors."""
     if type(value) is Fraction:
         return value
     return Fraction(*_num_den(value))
 
 
-def _refuse_huge_exponent(text):
-    """``MalformedInstanceError`` for a decimal string whose exponent would make
-    ``Fraction`` build an int past Python's int-to-str digit limit (4300 by
-    default), the limit that refuses the same value written out in digits.
-    Expanding the exponent costs time that grows with it: '1e20000000'
-    builds a 66-million-bit int."""
-    if "e" not in text and "E" not in text:
-        return
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    match = re.fullmatch(_EXPONENT_FORM, text) if limit else None
-    if match is None:
-        return
-    whole, part, exp = (group.replace("_", "") for group in match.groups(""))
-    if len(exp.lstrip("+-")) > limit:
-        return  # ``Fraction`` refuses the exponent itself, as an int past the limit
-    shift = int(exp) - len(part)
-    digits = (len((whole + part).lstrip("0")) or 1) + shift if shift >= 0 else 1 - shift
-    if digits > limit:
-        message = f"its exponent makes an int of more than {limit} digits"
-        raise MalformedInstanceError(f"bad rational {_shown(text)}: {message}")
-
-
 def _plain_ratio(text):
-    """A plain ASCII 'digits/digits' string as an int pair, not reduced; None
-    for any other string, or one over the int-from-str digit limit."""
-    num, _, den = text.partition("/")
-    if text.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
+    """A string in the one grammar the package writes rationals in, ASCII
+    '[-]digits' or '[-]digits/digits' with a nonzero denominator, as an int
+    pair, not reduced; None for any other string, or one with a part over
+    the int-from-str digit limit."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        den = "1"
+    if text.isascii() and num.removeprefix("-").isdigit() and den.isdigit() and den.strip("0"):
         try:
             return int(num), int(den)
         except ValueError:
@@ -124,23 +102,17 @@ def _plain_ratio(text):
 
 def _num_den(value):
     """``value`` as an int pair ``(numerator, denominator)``, the denominator > 0;
-    the package's one reader of rationals.  A plain ASCII 'digits/digits'
-    string is split in ints, not reduced, with no Fraction built; any other
-    string is read by ``Fraction`` once ``_refuse_huge_exponent`` has passed
-    it.  An int, or a Fraction, gives its own numerator and denominator;
-    floats, bools and anything else are a ``MalformedInstanceError``."""
+    the package's one reader of rationals.  A string is read by
+    ``_plain_ratio``, with no Fraction built, and any string it refuses is a
+    ``MalformedInstanceError``.  An int, or a Fraction, gives its own
+    numerator and denominator; floats, bools and anything else are a
+    ``MalformedInstanceError``."""
     if isinstance(value, str):
         pair = _plain_ratio(value)
-        if pair is not None:
-            return pair
-        _refuse_huge_exponent(value)
-        try:
-            q = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            # Fraction's own message may echo the string whole
-            shown = _shown(value)
-            raise MalformedInstanceError(f"bad rational {shown}: {str(exc).replace(repr(value), shown)}") from exc
-        return q.numerator, q.denominator
+        if pair is None:
+            expected = "expected an integer or 'num/den' in ASCII digits"
+            raise MalformedInstanceError(f"bad rational {_shown(value)}: {expected}")
+        return pair
     if isinstance(value, bool):
         raise MalformedInstanceError(f"boolean is not a rational value: {value!r}")
     if isinstance(value, int):

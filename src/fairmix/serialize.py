@@ -3,7 +3,8 @@
 Conventions, chosen so files survive bit-exact round trips and stay
 readable next to worked examples:
 
-* rationals are always ``"num/den"`` strings, never floats;
+* rationals are always written as ``"num/den"`` strings, never floats,
+  and read only as JSON ints or ASCII ``"[-]num[/den]"`` strings;
 * players and items are numbered from 1 in files (library APIs use
   0-based indices); utility tables key bundles by bitmask with bit i-1
   standing for item i;
@@ -100,12 +101,14 @@ def load_instance(data, warn=None):
     message) fires when the closure added allocations.  Every
     ``MalformedInstanceError`` names its field, as ``field 'name': detail``.
 
-    A table row is read whole (``_plain_row``) when every entry is an
-    ``[int mask, 'digits/digits']`` pair and the masks are distinct and in
-    range, the form ``dump_instance`` writes; any other row, and every
-    error, goes through the per-entry reader (``_checked_row``), which
-    reports a row's first bad entry.  The rows then go, as int lists, to
-    the one normalizer behind ``normalize_utilities``, so no value is
+    Every rational, in table rows and item lists, is a JSON int or an
+    ASCII ``'[-]num[/den]'`` string and nothing else (``_num_den``).  A
+    table row is read whole (``_plain_row``) when every entry is an
+    ``[int mask, string]`` pair, the masks distinct and in range and every
+    string read, the form ``dump_instance`` writes; any other row, and
+    every error, goes through the per-entry reader (``_checked_row``),
+    which reports a row's first bad entry.  The rows then go, as int lists,
+    to the one normalizer behind ``normalize_utilities``, so no value is
     checked or coerced twice.
     """
     _require(isinstance(data, dict), "$", "instance must be a JSON object")
@@ -167,13 +170,13 @@ def load_instance(data, warn=None):
 
 
 def _plain_row(row, top):
-    """A table row whose entries are all ``[mask, 'digits/digits']`` lists,
-    with distinct int masks in 0..top-1 and values that ``_plain_ratio``
-    reads, as parallel (masks, numerators, denominators) tuples; None for any
-    other row.  Every check is a C-level pass over the row, and each
-    distinct value string is read once, so this returns only what
-    ``_checked_row`` would, and leaves every other row, and every error,
-    to it."""
+    """A table row whose entries are all ``[mask, string]`` lists, with
+    distinct int masks in 0..top-1 and strings that ``_plain_ratio`` reads
+    (ASCII '[-]num[/den]'), as parallel (masks, numerators, denominators)
+    tuples; None for any other row.  Every check is a C-level pass over
+    the row, and each distinct value string is read once, so this returns
+    only what ``_checked_row`` would, and leaves every other row, and every
+    error, to it."""
     if set(map(type, row)) != {list} or set(map(len, row)) != {2}:
         return None
     masks, values = zip(*row)

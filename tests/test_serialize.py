@@ -6,7 +6,6 @@ import random
 import re
 import sys
 import time
-from decimal import Decimal, InvalidOperation
 from enum import IntEnum
 from fractions import Fraction
 
@@ -37,13 +36,15 @@ from fairmix import (
 )
 from fairmix.engine import FixedPointState, find_fixed_point
 from fairmix.hard import DisjointnessInput, build_hard_instance
-from fairmix.model import SHOWN_CHARS, WeightVector, _num_den, as_fraction
-from fairmix.serialize import dump_solve_result, dumps, items_to_mask, mask_to_items
+from fairmix.model import SHOWN_CHARS, WeightVector, _normalize_rows, _num_den, as_fraction
+from fairmix.serialize import _checked_row, _plain_row, dump_solve_result, dumps, items_to_mask, mask_to_items
 
 from conftest import additive_table, pinned_entries, pinned_instances
 from oracles import reference_table_rows
 
 F = Fraction
+# the one message a string outside the rational grammar gets, after its value
+EXPECTED = "expected an integer or 'num/den' in ASCII digits"
 
 
 def symmetric_instance_data():
@@ -79,14 +80,11 @@ class TestRationals:
     @pytest.mark.parametrize(
         "value, message",
         [
-            ("abc", "bad rational 'abc': Invalid literal for Fraction: 'abc'"),
-            ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+            ("abc", f"bad rational 'abc': {EXPECTED}"),
+            ("1/0", f"bad rational '1/0': {EXPECTED}"),
             ([1, "2"], "non-rational value of type list: [1, '2']"),
             # a string of SHOWN_CHARS - 2 characters has a repr of exactly SHOWN_CHARS
-            (
-                "x" * (SHOWN_CHARS - 2),
-                "bad rational {0!r}: Invalid literal for Fraction: {0!r}".format("x" * (SHOWN_CHARS - 2)),
-            ),
+            ("x" * (SHOWN_CHARS - 2), f"bad rational {'x' * (SHOWN_CHARS - 2)!r}: {EXPECTED}"),
         ],
         ids=["letters", "zero-denominator", "list", "at-the-limit"],
     )
@@ -101,7 +99,7 @@ class TestRationals:
         ids=["digits", "just-over", "letters", "list"],
     )
     def test_long_values_are_clipped_to_a_prefix_and_their_length(self, value):
-        # the digit-limit case: Python's own message follows the clipped value
+        # the digit-limit case: a string of plain digits too long to read
         with pytest.raises(MalformedInstanceError) as info:
             as_fraction(value)
         message = str(info.value)
@@ -118,7 +116,7 @@ class TestRationals:
     @given(
         st.one_of(
             st.text(alphabet="0123456789/-+ ._e\u0663\u00b3", max_size=12),
-            st.from_regex(r"\A[0-9]{1,6}/[0-9]{1,6}\Z"),
+            st.from_regex(r"\A-?[0-9]{1,6}(/[0-9]{1,6})?\Z"),
             st.text(max_size=8),
         )
     )
@@ -141,14 +139,10 @@ class TestRationals:
     @example("1_0e4_298")
     @example("0e99999")
     def test_agrees_with_as_fraction(self, text):
-        # the reference is Fraction itself, with its two parse errors mapped,
-        # except that a decimal whose exponent makes an int past the digit
-        # limit (its unreduced numerator or denominator, as Decimal reads the
-        # coefficient and exponent) is refused before Fraction expands it
-        if "e" in text.lower() and self.expands_past_the_limit(text):
-            reference = MalformedInstanceError
-        else:
-            reference = self.outcome(Fraction, text, (ValueError, ZeroDivisionError))
+        # the reference is the one grammar the package writes: ASCII
+        # '[-]digits' or '[-]digits/digits' with a nonzero denominator,
+        # each part within the int-from-str digit limit
+        reference = self.read_in_the_grammar(text)
         assert self.outcome(as_fraction, text, MalformedInstanceError) == reference
         # as_fraction reads through _num_den, the one reader, and hands a
         # Fraction back as the same object
@@ -157,17 +151,15 @@ class TestRationals:
             assert as_fraction(reference) is reference
 
     @staticmethod
-    def expands_past_the_limit(text):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-        try:
-            number = Decimal(text)
-        except (InvalidOperation, ValueError):
-            return False
-        if not limit or not number.is_finite():
-            return False
-        _, digits, exponent = number.as_tuple()
-        coefficient = len("".join(map(str, digits)).lstrip("0")) or 1
-        return (coefficient + exponent if exponent >= 0 else 1 - exponent) > limit
+    def read_in_the_grammar(text):
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text) is None:
+            return MalformedInstanceError
+        num, _, den = text.partition("/")
+        den = den or "1"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(len(num.lstrip("-")), len(den)) > limit or int(den) == 0:
+            return MalformedInstanceError
+        return Fraction(int(num), int(den))
 
 
 class TestMasks:
@@ -432,7 +424,7 @@ class TestTableRows:
 
     @pytest.mark.parametrize(
         "value",
-        [5, 0, -3, "0.5", "1e2", "-1/2", " 1/2", "\u0661/\u0662", "1_0/3", "00/01", "7/00", "+1/2", "1/2/3", "",
+        [5, 0, -3, "3", "-3", "-007/010", "0.5", "1e2", "-1/2", " 1/2", "\u0661/\u0662", "1_0/3", "00/01", "7/00", "+1/2", "1/2/3", "",
          "1" + "0" * 4300 + "/1", "1/" + "1" * 4301, True, None, 1.5, [1, 2]],
         ids=lambda value: repr(value)[:20],
     )
@@ -478,13 +470,30 @@ class TestTableRows:
             if seed % 8 == 5:
                 # a bundle left out: the instance build refuses the rows
                 masks.pop()
-            zeros = "0" * rng.randrange(2)
-            rows.append([[mask, f"{zeros}{rng.randrange(40)}/{rng.randrange(1, 13)}"] for mask in masks])
+            # whole rows of negative, unreduced and bare-integer strings
+            # stay with the whole-row reader
+            rows.append([[mask, self.drawn_value(rng)] for mask in masks])
         if seed % 4 == 3:
             # one entry in another form: the row goes to the per-entry reader
             row = rng.choice(rows)
             row[rng.randrange(len(row))][1] = rng.choice([7, "1/0", "x", "0.25", "3", "-2/5"])
         assert_rows_read_as_reference(rows, m)
+
+    @staticmethod
+    def drawn_value(rng):
+        sign = rng.choice(["", "", "-"])
+        zeros = "0" * rng.randrange(2)
+        den = rng.choice(["", f"/{zeros}{rng.randrange(1, 13)}"])
+        return f"{sign}{zeros}{rng.randrange(40)}{den}"
+
+    def test_negative_and_integer_strings_take_the_whole_row_reader(self):
+        row = [[0, "-1/2"], [1, "3"], [2, "-1/2"], [3, "-007/010"]]
+        plain = _plain_row(row, 4)
+        checked = _checked_row(row, 4, "utilities.values[0]")
+        assert plain is not None
+        assert list(map(list, plain)) == list(checked) == [[0, 1, 2, 3], [-1, 3, -1, -7], [2, 1, 2, 10]]
+        assert _normalize_rows([plain]) == _normalize_rows([checked])
+        assert_rows_read_as_reference([row], 2)
 
 
 class TestInstanceRoundTrip:
