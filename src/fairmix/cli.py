@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract:
   0  success (certified result / checks passed)
-  1  input error (bad flags, unreadable input or unwritable output file,
-     schema violation)
+  1  input error (bad flags, an unreadable input file, an output file
+     that cannot be written, at open or at write, schema violation)
   2  retired: once "search failed"; the search is complete, so it is never
      returned, and it is not reused
   3  verification failure (certificate or dichotomy check did not hold)
@@ -69,11 +69,12 @@ def _read_json(path):
 
 
 def _open_for_writing(path):
+    return open(path, "w", encoding="utf-8")
+
+
+def _cannot_write(path, exc):
     # the OS error's own text repeats the path, so only its reason is shown
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {_clipped(path, _ECHO_CHARS)}: {exc.strerror or exc}") from exc
+    return CliError(f"cannot write {_clipped(path, _ECHO_CHARS)}: {exc.strerror or exc}")
 
 
 def _bits(text):
@@ -108,13 +109,17 @@ class _TraceWriter:
 def cmd_solve(args):
     inst = load_instance(_read_json(args.instance), warn=_warn)
     sink = _TraceWriter(args.trace, inst) if args.trace else None
+    # the trace is the only file a solve writes; a failed record fails its close too
     try:
-        start = time.perf_counter()
-        state, cert = find_fixed_point(inst, trace_sink=sink)
-        wall = time.perf_counter() - start
-    finally:
-        if sink:
-            sink.close()
+        try:
+            start = time.perf_counter()
+            state, cert = find_fixed_point(inst, trace_sink=sink)
+            wall = time.perf_counter() - start
+        finally:
+            if sink:
+                sink.close()
+    except OSError as exc:
+        raise _cannot_write(args.trace, exc) from exc
     sys.stdout.write(dumps(dump_solve_result(state, cert, inst, wall)))
     return 0
 
@@ -138,8 +143,11 @@ def cmd_gen_hard(args):
     inp = DisjointnessInput(args.p, _bits(args.x1), _bits(args.x2))
     payload = dumps(dump_instance(build_hard_instance(inp)))
     if args.out:
-        with _open_for_writing(args.out) as fh:
-            fh.write(payload)
+        try:
+            with _open_for_writing(args.out) as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _cannot_write(args.out, exc) from exc
     else:
         sys.stdout.write(payload)
     return 0

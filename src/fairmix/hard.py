@@ -14,21 +14,23 @@ full welfare 6p; when they are disjoint, every certified deterministic
 outcome stays at or below 6p - 1.  Deciding between the cases is deciding
 set intersection, which is what makes the family a stress test.
 
-The exhaustive steps stop at fixed limits, read from the module constants
-when called: ``SPLIT_BUDGET`` splits and ``SUBMODULAR_ITEM_CAP`` items for
-the submodularity check.  The instance itself is all 3^(2p) partitions, so
-``model.DEFAULT_ENUMERATION_BUDGET`` bounds ``build_hard_instance`` and
-the dichotomy check at p <= 5.  Past a limit they raise
-``EnumerationLimitError``.
+A half-count is an int in 1..``MAX_ITEMS // 2``.  Each exhaustive step
+counts what it would build against ``model.DEFAULT_ENUMERATION_BUDGET``,
+read when called, and past it raises ``EnumerationLimitError`` before
+building anything: the r splits (p <= 10), the 2^(2p) bundle values per
+player (p <= 8), the m * 3^(m-1) comparisons of the submodularity check
+(m <= 10), and the instance's 3^(2p) partitions (p <= 5).
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
 
+from . import model
 from .envy import check_envy_free, check_pareto_efficient
 from .errors import EnumerationLimitError, MalformedInstanceError
 from .model import (
+    MAX_ITEMS,
     Instance,
     MixedAllocation,
     Value,
@@ -39,14 +41,18 @@ from .model import (
     is_int,
 )
 
-SPLIT_BUDGET = 10_000
-SUBMODULAR_ITEM_CAP = 12
-
 
 def _require_half_count(p):
-    """The one check of a half-count: p must be an int >= 1, not a bool."""
-    if not is_int(p) or p < 1:
-        raise MalformedInstanceError(f"half-count must be an integer >= 1, got {_shown(p)}")
+    """The one check of a half-count: p must be an int in 1..MAX_ITEMS // 2, not a bool."""
+    if not is_int(p) or not 1 <= p <= MAX_ITEMS // 2:
+        raise MalformedInstanceError(f"half-count must be an integer in 1..{MAX_ITEMS // 2}, got {_shown(p)}")
+
+
+def _within_budget(count, what):
+    """Refuse to build ``count`` ``what`` past the allocation budget, read now."""
+    budget = model.DEFAULT_ENUMERATION_BUDGET
+    if count > budget:
+        raise EnumerationLimitError(f"{count} {what} exceed the budget of {budget}")
 
 
 def split_count(p):
@@ -55,34 +61,16 @@ def split_count(p):
     return math.comb(2 * p, p) // 2
 
 
-def _split_count_text(p):
-    """r for a message: in full where it can be printed, else its lower bound,
-    in numbers where ``_shown`` shows p whole."""
-    # past this half-count r takes seconds to build; below it, str(r) may
-    # still exceed Python's int-to-str digit limit
-    if p <= 10_000:
-        try:
-            return str(split_count(p))
-        except ValueError:
-            pass
-    if _shown(p).isdigit():
-        return f"C({2 * p}, {p})/2 >= 2^{p - 1}"
-    return "C(2p, p)/2 >= 2^(p - 1)"
-
-
 class DisjointnessInput(Value):
     """Half-count p plus one r-bit string per player."""
 
     def __init__(self, p, x1, x2):
-        _require_half_count(p)
+        r = split_count(p)
         strings = {}
         for name, bits in (("x1", x1), ("x2", x2)):
             bits = tuple(_entries(bits, name))
-            # r >= 2^(p-1): a shorter string is rejected before r is built
-            if len(bits).bit_length() < p or len(bits) != split_count(p):
-                raise MalformedInstanceError(
-                    f"{name} has {len(bits)} bits, expected r = {_split_count_text(p)} for p = {_shown(p)}"
-                )
+            if len(bits) != r:
+                raise MalformedInstanceError(f"{name} has {len(bits)} bits, expected r = {r} for p = {p}")
             for b in bits:
                 if not is_int(b) or b not in (0, 1):
                     raise MalformedInstanceError(f"{name} contains a non-bit entry {_shown(b)}")
@@ -96,10 +84,7 @@ class DisjointnessInput(Value):
 def enumerate_splits(p):
     """All p-subsets of {1..2p} containing item 1, lexicographic, as a tuple
     of ``(first, second)`` bundle masks."""
-    _require_half_count(p)
-    # r >= 2^(p-1): past the budget's bit length r is not built at all
-    if p > SPLIT_BUDGET.bit_length() or split_count(p) > SPLIT_BUDGET:
-        raise EnumerationLimitError(f"{_split_count_text(p)} splits exceed the budget of {SPLIT_BUDGET}")
+    _within_budget(split_count(p), "splits")
     full = (1 << (2 * p)) - 1
     splits = []
     for rest in combinations(range(1, 2 * p), p - 1):
@@ -112,9 +97,10 @@ def enumerate_splits(p):
 
 def hard_utility_tables(inp):
     """Raw (unnormalized) bundle tables for both players."""
-    splits = enumerate_splits(inp.p)
     p = inp.p
     m = 2 * p
+    _within_budget(1 << m, "bundle values per player")
+    splits = enumerate_splits(p)
     tables = []
     for bits, side in ((inp.x1, 0), (inp.x2, 1)):
         flagged = {splits[j][side] for j in range(len(bits)) if bits[j]}
@@ -154,10 +140,11 @@ def check_submodular(values, m):
     _require_int(m, "item count m")
     if m < 0:
         raise MalformedInstanceError(f"negative item count m={_shown(m)}")
-    if m > SUBMODULAR_ITEM_CAP:
-        raise EnumerationLimitError(
-            f"m = {_shown(m)} exceeds the exhaustive-check cap of {SUBMODULAR_ITEM_CAP}"
-        )
+    budget = model.DEFAULT_ENUMERATION_BUDGET
+    # m * 3^(m-1) >= 2^(m-1) exceeds the budget once m passes its bit
+    # length, so a large m is refused before 3^(m-1) is built
+    if m > budget.bit_length() or m * 3**m // 3 > budget:
+        raise EnumerationLimitError(f"m = {_shown(m)} needs m * 3^(m-1) comparisons, over the budget of {budget}")
     _entries(values, "bundle table")
     for mask in range(1 << m):
         if mask not in values:

@@ -1,5 +1,7 @@
 """Exit-code contract and end-to-end command behaviour."""
 
+import errno
+import io
 import json
 import os
 import re
@@ -240,6 +242,69 @@ class TestSolve:
         assert "internal check failed" in capsys.readouterr().err
 
 
+class FullDisk(io.StringIO):
+    """An output file that opened on a full disk: ``write`` or ``flush``,
+    whichever is ``fails``, raises ENOSPC.  As with a buffered file, a
+    failed write is retried by every later flush, and closing flushes, then
+    closes even when that fails."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            self.fails = "flush"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.fails == "flush" and not self.closed:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        try:
+            self.flush()
+        finally:
+            super().close()
+
+
+def output_argv(command, tmp_path, path):
+    if command == "gen-hard":
+        return ["gen-hard", "--p", "1", "--x1", "1", "--x2", "1", "--out", path]
+    return ["solve", "--instance", symmetric_instance(tmp_path), "--trace", path]
+
+
+class TestFailedWrite:
+    # an output file that opens but cannot be written is reported as one
+    # that cannot be opened: one clipped line naming it and the OS's
+    # reason, exit 1, and the file closed; the failed write is retried as
+    # the file closes, and fails again, with no second message
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    @pytest.mark.parametrize("command", ["gen-hard", "solve"])
+    def test_a_failed_write_is_one_input_error(self, tmp_path, capsys, monkeypatch, command, fails):
+        opened = []
+
+        def full_disk(path):
+            opened.append(FullDisk(fails))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "_open_for_writing", full_disk)
+        path = "F" * 5000
+        assert main(output_argv(command, tmp_path, path)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {cli._clipped(path, cli._ECHO_CHARS)}: {os.strerror(errno.ENOSPC)}\n"
+        assert len(err) < 400
+        assert len(opened) == 1 and opened[0].closed
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", ["gen-hard", "solve"])
+    def test_a_full_device_is_one_input_error(self, tmp_path, capsys, command):
+        assert main(output_argv(command, tmp_path, "/dev/full")) == 1
+        assert capsys.readouterr().err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
 FAIRMIX_ERRORS = sorted(
     (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, FairmixError)),
     key=lambda c: c.__name__,
@@ -399,13 +464,13 @@ class TestGenHard:
     @pytest.mark.parametrize("command", ["gen-hard", "verify-dichotomy"])
     @pytest.mark.parametrize("p", [100_000, 1_000_000])
     def test_short_bits_with_a_huge_half_count(self, command, p, capsys):
-        # r = C(2p, p)/2 has over 60,000 digits here: the short strings are
-        # rejected without building it, and without a raw int-to-str error
+        # 2p items pass the 24-item cap: one range check refuses p before
+        # the strings are read, and C(2p, p) is never built
         start = time.perf_counter()
         assert main([command, "--p", str(p), "--x1", "1", "--x2", "1"]) == 1
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: x1 has 1 bits, expected r = C({2 * p}, {p})/2 >= 2^{p - 1} for p = {p}")
+        assert err.startswith(f"error: half-count must be an integer in 1..12, got {p}")
         assert "Traceback" not in err
 
     def test_wrong_bit_length_names_r(self, capsys):

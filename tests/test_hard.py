@@ -24,6 +24,7 @@ from fairmix import (
     enumerate_splits,
     hard,
     hard_utility_tables,
+    model,
     split_count,
     verify_welfare_dichotomy,
 )
@@ -94,19 +95,26 @@ class TestSplits:
         assert len(seen) == split_count(p)
 
     def test_budget_enforced(self):
-        # r = 6,435 for p = 8 is within SPLIT_BUDGET = 10,000; r = 24,310 for p = 9 is not
-        assert len(enumerate_splits(8)) == 6435
-        with pytest.raises(EnumerationLimitError, match="24310 splits exceed the budget of 10000"):
-            enumerate_splits(9)
+        # the allocation budget of 200,000 counts the splits: r = 92,378 for
+        # p = 10 is within it, and r = 352,716 for p = 11 is not
+        assert len(enumerate_splits(10)) == 92378
+        with pytest.raises(EnumerationLimitError, match="^352716 splits exceed the budget of 200000$"):
+            enumerate_splits(11)
 
     @pytest.mark.parametrize("p", [7_147, 100_000, 1_000_000])
     def test_budget_refuses_a_huge_half_count_quickly(self, p):
-        # r has 4,300 digits or more: it is printed as its bound, and past
-        # p = 10,000 it is not built at all
+        # 2p items pass the 24-item cap: one range check refuses p, and
+        # C(2p, p) is never built
         start = time.perf_counter()
-        with pytest.raises(EnumerationLimitError, match=rf"^C\({2 * p}, {p}\)/2 >= 2\^{p - 1} splits exceed"):
+        with pytest.raises(MalformedInstanceError, match=f"^half-count must be an integer in 1..12, got {p}$"):
             enumerate_splits(p)
         assert time.perf_counter() - start < 1
+
+    def test_half_count_is_at_most_half_the_item_cap(self):
+        assert split_count(12) == 1352078
+        for call in (split_count, enumerate_splits, lambda p: DisjointnessInput(p, (0,), (0,))):
+            with pytest.raises(MalformedInstanceError, match="^half-count must be an integer in 1..12, got 13$"):
+                call(13)
 
     def test_nonpositive_half_count_rejected(self):
         with pytest.raises(MalformedInstanceError):
@@ -120,6 +128,48 @@ class TestSplits:
             split_count(p)
 
 
+class TestOneBudget:
+    """The allocation budget, ``model.DEFAULT_ENUMERATION_BUDGET``, read when
+    called, is the hard family's one limit besides the 24-item cap."""
+
+    def test_every_step_follows_the_allocation_budget(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"built past the budget: {args}")
+
+        class Untouched:
+            __iter__ = __contains__ = __getitem__ = unbuilt
+
+        monkeypatch.setattr(model, "DEFAULT_ENUMERATION_BUDGET", 10)
+        # within the budget: r = 10 splits at p = 3, and at p = 1 2^2 bundle
+        # values per player and 3^2 allocations, and 2 * 3^1 comparisons at m = 2
+        assert len(enumerate_splits(3)) == 10
+        assert len(build_hard_instance(DisjointnessInput(1, (1,), (0,))).allocations) == 9
+        assert check_submodular({0: 0, 1: 1, 2: 1, 3: 2}, 2) == (True, None)
+        # past it, each step is refused before it builds anything
+        monkeypatch.setattr(hard, "combinations", unbuilt)
+        with pytest.raises(EnumerationLimitError, match="^35 splits exceed the budget of 10$"):
+            enumerate_splits(4)
+        monkeypatch.setattr(hard, "enumerate_splits", unbuilt)
+        with pytest.raises(EnumerationLimitError, match="^16 bundle values per player exceed the budget of 10$"):
+            hard_utility_tables(DisjointnessInput(2, (0, 0, 0), (0, 0, 0)))
+        with pytest.raises(EnumerationLimitError, match="^m = 3 needs .* over the budget of 10$"):
+            check_submodular(Untouched(), 3)
+        with pytest.raises(EnumerationLimitError, match=r"3\^4 = 81 allocations, over the budget of 10$"):
+            build_hard_instance(DisjointnessInput(2, (0, 0, 0), (0, 0, 0)))
+
+    def test_tables_refuse_p9_before_any_split(self, monkeypatch):
+        # at p = 9 the r = 24,310 splits are within the budget of 200,000, but
+        # the 2^18 = 262,144 bundle values per player are not; p = 8's 2^16 are
+        def no_splits(p):
+            raise AssertionError(f"enumerate_splits({p}) was called")
+
+        bits = (0,) * split_count(9)
+        assert len(hard_utility_tables(DisjointnessInput(8, (0,) * 6435, (1,) * 6435))[1]) == 2**16
+        monkeypatch.setattr(hard, "enumerate_splits", no_splits)
+        with pytest.raises(EnumerationLimitError, match="^262144 bundle values per player exceed the budget of 200000$"):
+            hard_utility_tables(DisjointnessInput(9, bits, bits))
+
+
 class TestDisjointnessInput:
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedInstanceError):
@@ -127,7 +177,6 @@ class TestDisjointnessInput:
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_only_r_bits_pass_near_the_bound(self, p):
-        # r >= 2^(p-1) decides short strings without building r
         r = split_count(p)
         for count in {1, 2 ** (p - 1) - 1, 2 ** (p - 1), r - 1, r + 1} - {0, r}:
             with pytest.raises(MalformedInstanceError, match=f"^x1 has {count} bits, expected r = {r} for p = {p}$"):
@@ -211,11 +260,30 @@ class TestSubmodularity:
         assert witness == (0b00, 0b10, 0)  # adding item 1 gains more atop {2}
 
     def test_item_cap(self):
-        # SUBMODULAR_ITEM_CAP = 12: m = 12 passes the cap and fails on the empty table
+        # the allocation budget of 200,000 counts the m * 3^(m-1) comparisons:
+        # 196,830 at m = 10, which passes and fails on the empty table, and
+        # 649,539 at m = 11, which is refused
         with pytest.raises(MalformedInstanceError):
-            check_submodular({}, 12)
-        with pytest.raises(EnumerationLimitError, match="cap of 12"):
-            check_submodular({}, 13)
+            check_submodular({}, 10)
+        with pytest.raises(EnumerationLimitError, match=r"^m = 11 needs m \* 3\^\(m-1\) comparisons, over the budget of 200000$"):
+            check_submodular({}, 11)
+
+    @pytest.mark.parametrize("m", [19, 10**5000], ids=["19", "10**5000"])
+    def test_a_huge_item_count_is_refused_quickly(self, m):
+        # past the budget's bit length 3^(m-1) is not built at all
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimitError, match="comparisons, over the budget of 200000$"):
+            check_submodular({}, m)
+        assert time.perf_counter() - start < 1
+
+    def test_both_tables_of_a_p5_pair_are_submodular(self):
+        # m = 10 is the largest size the budget checks, and every instance
+        # build_hard_instance can build (p <= 5) is checked in full
+        r = split_count(5)
+        x1 = tuple(int(j % 3 == 0) for j in range(r))
+        x2 = tuple(int(j % 3 == 1) for j in range(r))
+        for vals in hard_utility_tables(DisjointnessInput(5, x1, x2)):
+            assert check_submodular(vals, 10) == (True, None)
 
     def test_missing_entry_rejected(self):
         with pytest.raises(MalformedInstanceError):

@@ -991,7 +991,7 @@ def _instance_json(n=2, m=1, mask=1):
 INT_SITES = [
     ("PureAllocation", lambda x: PureAllocation((x, 0)), "bundle mask {x!r} is not an integer >= 0"),
     ("normalize_utilities", lambda x: normalize_utilities([{x: 1}]), "bundle mask {x!r} is not an integer >= 0"),
-    ("split_count", lambda x: split_count(x), "half-count must be an integer >= 1, got {x!r}"),
+    ("split_count", lambda x: split_count(x), "half-count must be an integer in 1..12, got {x!r}"),
     ("DisjointnessInput", lambda x: DisjointnessInput(1, (x,), (0,)), "x1 contains a non-bit entry {x!r}"),
     ("items_to_mask", lambda x: items_to_mask([x], 2), "item {x!r} outside 1..2"),
     ("load_instance-n", lambda x: load_instance(_instance_json(n=x)), "field 'n': need an integer >= 1"),

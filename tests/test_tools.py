@@ -1,7 +1,7 @@
 """The stage harness, ``tools/stage_times.py``, in its smallest mode: one
 timed pass over the sets CI runs it on, of loading and checking an answer,
-of the solve's lowest-vertex and tie-breaking steps, and of the exact LP
-kernel on the programs the sets run."""
+of whole solves, of the solve's lowest-vertex, tie-breaking and envelope
+steps, and of the exact LP kernel on the programs the sets run."""
 
 import importlib.util
 import json
@@ -37,7 +37,7 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     for stages in entry["stages"].values():
         assert list(stages) == [
             "argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps",
-            "lowest", "select", *LP_STAGES,
+            "solve", "lowest", "select", "envelope", *LP_STAGES,
         ]
         for name, stats in stages.items():
             extra = {"cells", "pivots"} if name in LP_STAGES else set()
@@ -45,15 +45,19 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
             # one pass: its time is the best, the median and both quartiles
             assert 0 <= stats["best_s"] == stats["q1_s"] == stats["median_s"] == stats["q3_s"]
     # each of the six envious solves runs one lowest-vertex step, with its
-    # program, and scans two vertices, each with one tie-breaking step; and
-    # solving verifies by the answer's own weight, with no weight program
+    # program, finds envy there and so enumerates the envelope once, and
+    # scans two vertices, each with one tie-breaking step; and solving
+    # verifies by the answer's own weight, with no weight program
     envious = entry["stages"]["envious"]
+    assert envious["solve"]["calls"] == envious["envelope"]["calls"] == 6
     assert envious["lowest"]["calls"] == envious["lp_lowest"]["calls"] == 6
     assert envious["select"]["calls"] == 12 and envious["lp_select"]["calls"] > 0
     assert envious["lp_weight"]["calls"] == 0
     # the fallback set's twelve solves at n = 5-8 each run one lowest-vertex
-    # step and two tie-breaking steps, and likewise no weight program
+    # step, one envelope enumeration and two tie-breaking steps, and
+    # likewise no weight program
     fallback = entry["stages"]["fallback"]
+    assert fallback["solve"]["calls"] == fallback["envelope"]["calls"] == 12
     assert fallback["lowest"]["calls"] == fallback["lp_lowest"]["calls"] == 12
     assert fallback["select"]["calls"] == fallback["lp_select"]["calls"] == 24
     assert fallback["lp_weight"]["calls"] == 0
@@ -63,9 +67,9 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
     # the certify set is 12 gen-hard instances and 48 lotteries over them,
     # each one verify command line that names two files, and each printed
     # as its certificate; each verify solves one weight program, of 2 rows
-    # by 3 variables here, in one pivot, and no engine step or program
+    # by 3 variables here, in one pivot, and no solve, engine step or program
     certify = entry["stages"]["certify"]
-    assert [stats["calls"] for stats in certify.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48, 0, 0, 0, 0, 48]
+    assert [stats["calls"] for stats in certify.values()] == [48, 96, 12, 12, 12, 12, 48, 48, 48, 0, 0, 0, 0, 0, 0, 48]
     assert [(certify[name]["cells"], certify[name]["pivots"]) for name in LP_STAGES] == [(0, 0), (0, 0), (288, 48)]
 
 

@@ -12,10 +12,10 @@ runs it, a ``verify`` of each certify lottery or a ``solve`` of each solve
 instance, over files written once to a temporary folder.  While the
 answers are found, every program ``engine`` and ``envy`` hand to
 ``solve_lp`` is recorded, filed under the function that built it, and so
-are the arguments of every call of the solve's lowest-vertex and
-tie-breaking steps; the recording is removed before any pass is timed.
-Fourteen stages are then timed, each as one pass over the whole set,
-``--repeats`` times:
+are the arguments of every call of the solve's lowest-vertex,
+tie-breaking and envelope steps; the recording is removed before any pass
+is timed.  Sixteen stages are then timed, each as one pass over the whole
+set, ``--repeats`` times:
 
 - ``argv``: ``cli._args``, the CLI's reading of every command line;
 - ``read``: ``cli._read_json`` of every file the command lines name;
@@ -32,9 +32,13 @@ Fourteen stages are then timed, each as one pass over the whole set,
 - ``dumps``: ``serialize.dumps`` of the document the CLI prints for each,
   a solve instance's answer (with a wall time of 0.0) or a certify
   lottery's certificate, built outside the timed passes;
-- ``lowest`` and ``select``: ``engine._lowest_vertex`` and
-  ``engine.select_p_in_P`` on every recorded call's arguments, each step
-  whole, its program's build and its reading of the optimum included;
+- ``solve``: ``find_fixed_point`` on every instance of a solve set (none
+  for the certify set), each loaded apart from the other stages' instances
+  and its kernel and ``rho`` built before the passes;
+- ``lowest``, ``select`` and ``envelope``: ``engine._lowest_vertex``,
+  ``engine.select_p_in_P`` and ``engine._envelope_vertices`` on every
+  recorded call's arguments, each step whole, a program's build and its
+  reading of the optimum included;
 - ``lp_select``, ``lp_lowest`` and ``lp_weight``: ``solve_lp`` of every
   recorded tie-breaking program (``select_p_in_P``), lowest-vertex program
   (``_lowest_vertex``) or efficiency weight program
@@ -71,8 +75,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 SETS = ("desk", "wide", "many", "envious", "fallback", "certify")
 KINDS = {"select_p_in_P": "lp_select", "_lowest_vertex": "lp_lowest", "check_pareto_efficient": "lp_weight"}
-STEPS = {"_lowest_vertex": "lowest", "select_p_in_P": "select"}
-STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps")
+STEPS = {"_lowest_vertex": "lowest", "select_p_in_P": "select", "_envelope_vertices": "envelope"}
+STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps", "solve")
 STAGES += (*STEPS.values(), *KINDS.values())
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -203,6 +207,12 @@ def stage_calls(files, lotteries, documents, programs, steps, argvs):
     insts = [load_instance(entry) for entry in files]
     rho = Instance.__dict__["rho"].func
     checks = [(load_mixed_allocation(data, insts[j]), insts[j], weight) for j, data, weight in lotteries]
+    # a solve set's lotteries are its answers, each with its vertex weight;
+    # the solve stage loads its own instances, so the other stages' caches
+    # stay as they were
+    solves = [load_instance(files[j]) for j, _, weight in lotteries if weight is not None]
+    for inst in solves:
+        inst.kernel, inst.rho  # built before the passes, as the other stages find them
     return {
         "argv": [lambda argv=argv: cli._args(argv) for argv in argvs],
         # a command line's files are its flags' values: every second word from the third
@@ -216,6 +226,7 @@ def stage_calls(files, lotteries, documents, programs, steps, argvs):
         ],
         "certify": [lambda p=p, inst=inst, w=w: certify(p, inst, weight=w) for p, inst, w in checks],
         "dumps": [lambda doc=doc: dumps(doc) for doc in documents],
+        "solve": [lambda inst=inst: find_fixed_point(inst) for inst in solves],
         **{
             stage: [lambda step=getattr(engine, step), args=args: step(*args) for args in steps[stage]]
             for step, stage in STEPS.items()
