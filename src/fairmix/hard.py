@@ -42,12 +42,6 @@ from .model import (
 )
 
 
-def _require_half_count(p):
-    """The one check of a half-count: p must be an int in 1..MAX_ITEMS // 2, not a bool."""
-    if not is_int(p) or not 1 <= p <= MAX_ITEMS // 2:
-        raise MalformedInstanceError(f"half-count must be an integer in 1..{MAX_ITEMS // 2}, got {_shown(p)}")
-
-
 def _within_budget(count, what):
     """Refuse to build ``count`` ``what`` past the allocation budget, read now."""
     budget = model.DEFAULT_ENUMERATION_BUDGET
@@ -56,8 +50,10 @@ def _within_budget(count, what):
 
 
 def split_count(p):
-    """r = C(2p, p) / 2, the number of halves containing item 1."""
-    _require_half_count(p)
+    """r = C(2p, p) / 2, the number of halves containing item 1.  This is the
+    one check of a half-count: p must be an int in 1..MAX_ITEMS // 2, not a bool."""
+    if not is_int(p) or not 1 <= p <= MAX_ITEMS // 2:
+        raise MalformedInstanceError(f"half-count must be an integer in 1..{MAX_ITEMS // 2}, got {_shown(p)}")
     return math.comb(2 * p, p) // 2
 
 
