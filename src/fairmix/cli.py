@@ -2,23 +2,22 @@
 
 Exit codes are a stable contract:
   0  success (certified result / checks passed)
-  1  input error (bad flags, an unreadable input file, an output file
-     that cannot be written, at open or at write, schema violation)
+  1  input error (bad flags, an unreadable input file, an output file or
+     standard output that cannot be written, schema violation)
   2  retired: once "search failed"; the search is complete, so it is never
      returned, and it is not reused
   3  verification failure (certificate or dichotomy check did not hold)
   4  internal check failed (an engine invariant broke: a bug, not bad input)
 
-Each command's flags are declared once, in ``_COMMANDS``.  A plain command
-line (exact flag spellings, each at most once, the required ones present,
-no value starting with ``-``, an int value in ASCII digits) is read from
-that table directly; anything else, help and every error included, goes
-to the argparse parser built from the same table.  argparse is imported
-only then, so a process that runs a plain command never loads it.
+Every command is declared once, in ``_COMMANDS``.  ``_read_argv`` reads
+each command line by that table, and ``-h`` or ``--help`` prints the usage
+built from it.  Each command returns its text and exit code, and ``_write``
+writes that text, to ``--out`` when it is given, else to standard output.
 """
 
-import functools
+import contextlib
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -42,13 +41,17 @@ from .serialize import (
 )
 
 
-# argparse's own words and real file paths run longer than the values
-# ``_shown`` echoes, so a message or path is clipped at four times as much
+# real file paths and a run of unknown words run longer than the values
+# ``_shown`` echoes, so a path or those words are clipped at four times as much
 _ECHO_CHARS = 4 * SHOWN_CHARS
 
 
 class CliError(Exception):
     """Flag or file problem surfaced before any computation ran."""
+
+
+class _Help(Exception):
+    """Raised by ``_read_argv`` for ``-h`` or ``--help``, or no word at all."""
 
 
 def _warn(message):
@@ -75,6 +78,29 @@ def _open_for_writing(path):
 def _cannot_write(path, exc):
     # the OS error's own text repeats the path, so only its reason is shown
     return CliError(f"cannot write {_clipped(path, _ECHO_CHARS)}: {exc.strerror or exc}")
+
+
+def _write(path, text):
+    """Writes ``text`` to the file at ``path``, or to standard output when
+    there is none; a failed write, flush or close is one input error."""
+    try:
+        if path:
+            with _open_for_writing(path) as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not path:
+            # what stays in stdout's buffer would be written again, and fail
+            # again, as the interpreter exits; it goes to the null device
+            # instead.  A stream with no file behind it (a StringIO) keeps it.
+            with contextlib.suppress(OSError):
+                fd = sys.stdout.fileno()
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+        raise _cannot_write(path or "standard output", exc) from exc
 
 
 def _bits(text):
@@ -106,10 +132,14 @@ class _TraceWriter:
             self.fh.close()
 
 
+# Each command returns the text to write and its exit code.
+
+
 def cmd_solve(args):
+    """find a certified efficient envy-free lottery"""
     inst = load_instance(_read_json(args.instance), warn=_warn)
     sink = _TraceWriter(args.trace, inst) if args.trace else None
-    # the trace is the only file a solve writes; a failed record fails its close too
+    # the trace is the only file a solve writes itself; a failed record fails its close too
     try:
         try:
             start = time.perf_counter()
@@ -120,193 +150,162 @@ def cmd_solve(args):
                 sink.close()
     except OSError as exc:
         raise _cannot_write(args.trace, exc) from exc
-    sys.stdout.write(dumps(dump_solve_result(state, cert, inst, wall)))
-    return 0
+    return dumps(dump_solve_result(state, cert, inst, wall)), 0
 
 
 def cmd_verify(args):
+    """certify a given lottery"""
     inst = load_instance(_read_json(args.instance), warn=_warn)
     p = load_mixed_allocation(_read_json(args.allocation), inst)
     cert = certify(p, inst)
-    sys.stdout.write(dumps(dump_certificate(cert, inst)))
-    return 0 if cert.ok else 3
+    return dumps(dump_certificate(cert, inst)), 0 if cert.ok else 3
 
 
 def cmd_envy_graph(args):
+    """emit the envy graph in DOT form"""
     inst = load_instance(_read_json(args.instance), warn=_warn)
     p = load_mixed_allocation(_read_json(args.allocation), inst)
-    sys.stdout.write(envy_graph_to_dot(build_envy_graph(p, inst)))
-    return 0
+    return envy_graph_to_dot(build_envy_graph(p, inst)), 0
 
 
 def cmd_gen_hard(args):
+    """generate a two-player intersection-hard instance"""
     inp = DisjointnessInput(args.p, _bits(args.x1), _bits(args.x2))
-    payload = dumps(dump_instance(build_hard_instance(inp)))
-    if args.out:
-        try:
-            with _open_for_writing(args.out) as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise _cannot_write(args.out, exc) from exc
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return dumps(dump_instance(build_hard_instance(inp))), 0
 
 
 def cmd_verify_dichotomy(args):
+    """certify the welfare gap between string cases"""
     inp = DisjointnessInput(args.p, _bits(args.x1), _bits(args.x2))
     report = verify_welfare_dichotomy(inp)
-    sys.stdout.write(dumps(dump_dichotomy_report(report)))
-    return 0 if report.dichotomy_holds else 3
+    return dumps(dump_dichotomy_report(report)), 0 if report.dichotomy_holds else 3
 
 
 def cmd_closure(args):
+    """emit the swap-closed allocation set"""
     inst = load_instance(_read_json(args.instance))
-    closed = [[mask_to_items(b) for b in bs] for bs in inst.allocations.bundles]
-    sys.stdout.write(dumps(closed))
-    return 0
+    return dumps([[mask_to_items(b) for b in bs] for bs in inst.allocations.bundles]), 0
 
 
-def _flag(spelling, metavar=None, *, required=False, default=None, kind=str, help=None):
-    """One flag's row: (spelling, dest, default, required, kind, metavar,
-    help); ``kind`` is ``str`` or ``int``, the type of the flag's value."""
-    return spelling, spelling[2:].replace("-", "_"), default, required, kind, metavar, help
-
-
-# Every command and its flags, declared once: ``build_parser`` builds the
-# argparse parser from this table, and ``_read_argv`` reads a plain argv
-# by it directly.
+# Every command, declared once: its function, whose docstring is its
+# summary, and its synopsis.  A synopsis lists each flag with the name of
+# its value; a flag in brackets may be left out, and an ``N`` value is an int.
 _COMMANDS = {
-    "solve": (cmd_solve, "find a certified efficient envy-free lottery", (
-        _flag("--instance", "F", required=True),
-        _flag("--trace", "F", help="write one JSON line per scanned vertex here"),
-    )),
-    "verify": (cmd_verify, "certify a given lottery", (
-        _flag("--instance", "F", required=True),
-        _flag("--allocation", "F", required=True),
-    )),
-    "envy-graph": (cmd_envy_graph, "emit the envy graph in DOT form", (
-        _flag("--instance", "F", required=True),
-        _flag("--allocation", "F", required=True),
-    )),
-    "gen-hard": (cmd_gen_hard, "generate a two-player intersection-hard instance", (
-        _flag("--p", "N", required=True, kind=int, help="half-count; m = 2p items"),
-        _flag("--x1", "BITS", required=True),
-        _flag("--x2", "BITS", required=True),
-        _flag("--out", "F"),
-    )),
-    "verify-dichotomy": (cmd_verify_dichotomy, "certify the welfare gap between string cases", (
-        _flag("--p", "N", required=True, kind=int),
-        _flag("--x1", "BITS", required=True),
-        _flag("--x2", "BITS", required=True),
-    )),
-    "closure": (cmd_closure, "emit the swap-closed allocation set", (
-        _flag("--instance", "F", required=True),
-    )),
+    "solve": (cmd_solve, "--instance F [--trace F]"),
+    "verify": (cmd_verify, "--instance F --allocation F"),
+    "envy-graph": (cmd_envy_graph, "--instance F --allocation F"),
+    "gen-hard": (cmd_gen_hard, "--p N --x1 BITS --x2 BITS [--out F]"),
+    "verify-dichotomy": (cmd_verify_dichotomy, "--p N --x1 BITS --x2 BITS"),
+    "closure": (cmd_closure, "--instance F"),
 }
 
-# per command: each flag's spelling mapped to its (dest, kind), the
-# namespace's starting values (the command, its function and every
-# default), and the spellings that must be given
-_PLAIN = {
-    name: (
-        {spelling: (dest, kind) for spelling, dest, _, _, kind, _, _ in flags},
-        {"command": name, "func": func, **{dest: default for _, dest, default, _, _, _, _ in flags}},
-        frozenset(spelling for spelling, _, _, required, _, _, _ in flags if required),
-    )
-    for name, (func, _, flags) in _COMMANDS.items()
+_FLAG_HELP = {
+    "--instance": "an instance, as JSON",
+    "--allocation": "a lottery, as JSON, or a whole solve result",
+    "--trace": "write one JSON line per scanned vertex here",
+    "--p": "half-count; m = 2p items",
+    "--x1": "player 1's flags, one bit per split",
+    "--x2": "player 2's flags, one bit per split",
+    "--out": "write the instance here, not to standard output",
 }
 
 
-def build_parser():
-    # argparse (with the gettext it imports) loads only when a parser is
-    # built: for help, an error or any argv _read_argv leaves to it
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        # argparse exits with code 2 on bad flags by default; flag errors are
-        # input errors (exit 1) under the exit-code contract, and 2 stays retired.
-        # Its message echoes what was typed: a value, a flag or every extra word.
-        def error(self, message):
-            raise CliError(_clipped(message, _ECHO_CHARS))
-
-    parser = _Parser(prog="fairmix", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
-        for spelling, dest, default, required, kind, metavar, text in flags:
-            command.add_argument(
-                spelling, dest=dest, type=kind, default=default, required=required, metavar=metavar, help=text
-            )
-        command.set_defaults(func=func)
-    return parser
+def _lookup(name, func, synopsis):
+    """A command's lookup, built once: each flag's spelling mapped to its
+    (dest, kind), the namespace's starting values (the command, its
+    function and None for each flag), and each required (spelling, dest)."""
+    flags, values, required = {}, {"command": name, "func": func}, []
+    words = synopsis.split()
+    for word, value in zip(words[::2], words[1::2]):
+        spelling = word.lstrip("[")
+        dest = spelling[2:].replace("-", "_")
+        flags[spelling] = dest, int if value.rstrip("]") == "N" else str
+        values[dest] = None
+        if spelling == word:
+            required.append((spelling, dest))
+    return flags, values, required
 
 
-@functools.cache
-def _parser():
-    # built on the first call rather than at import, then reused: parsing
-    # leaves the parser unchanged
-    return build_parser()
+_LOOKUP = {name: _lookup(name, func, synopsis) for name, (func, synopsis) in _COMMANDS.items()}
+_HELP = ("-h", "--help")
+
+
+def _usage():
+    """Each command's synopsis and summary, then each flag's help."""
+    lines = [f"fairmix {name} {synopsis}\n    {func.__doc__}" for name, (func, synopsis) in _COMMANDS.items()]
+    lines += ["", *(f"  {flag:<12}  {text}" for flag, text in _FLAG_HELP.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _int(flag, value):
+    try:
+        if value.isascii() and value.isdigit():
+            return int(value)
+    except ValueError:  # past int's digit limit
+        pass
+    raise CliError(f"argument {flag}: invalid int value: {_shown(value)}")
 
 
 def _read_argv(argv):
-    """The namespace argparse builds for ``argv``, read directly, or None.
-
-    Only a plain argv is read: a command, then flags of that command in
-    their exact spellings, each at most once and every required one
-    present, each followed by its value.  No value may start with ``-``
-    and an int value is ASCII digits.  Anything else (``-h``, an
-    abbreviation, ``--flag=value``, a repeat, ``--``, an extra word, every
-    error) gives None, and argparse reads it: its help text and its error
-    messages are the only ones.
-    """
+    """The namespace ``main`` runs for ``argv``: a command, then flags of
+    that command in their exact spellings, each at most once and every
+    required one present, each followed by a value that does not start with
+    ``-`` (an int in ASCII digits).  No word at all, or ``-h`` or ``--help``
+    first or right after the command, raises ``_Help``; anything else (an
+    abbreviation, ``--flag=value``, a repeat, ``--``, an extra word) raises
+    ``CliError`` with one line."""
     words = iter(argv)
-    plain = _PLAIN.get(next(words, None))
-    if plain is None:
-        return None
-    flags, values, required = plain
+    name = next(words, "-h")
+    if name in _HELP:
+        raise _Help
+    lookup = _LOOKUP.get(name)
+    if lookup is None:
+        raise CliError(f"argument command: invalid choice: {_shown(name)} (choose from {', '.join(_COMMANDS)})")
+    flags, values, required = lookup
     values = values.copy()
-    seen = set()
+    unknown = []
     for word in words:
         flag = flags.get(word)
-        if flag is None or word in seen:
-            return None
-        seen.add(word)
+        if flag is None:
+            if word in _HELP and word == argv[1]:  # right after the command
+                raise _Help
+            unknown.append(word)
+            continue
         dest, kind = flag
+        if values[dest] is not None:
+            raise CliError(f"argument {word}: may be given only once")
         # a missing value reads as "-", which no value may start with
         value = next(words, "-")
         if value.startswith("-"):
-            return None
-        if kind is int:
-            if not (value.isascii() and value.isdigit()):
-                return None
-            try:
-                value = int(value)
-            except ValueError:  # past int's digit limit: argparse reports it
-                return None
-        values[dest] = value
-    if not required <= seen:
-        return None
+            raise CliError(f"argument {word}: expected one argument")
+        values[dest] = _int(word, value) if kind is int else value
+    if unknown:
+        raise CliError(f"unrecognized arguments: {_clipped(' '.join(unknown), _ECHO_CHARS)}")
+    for _, dest in required:
+        if values[dest] is None:
+            missing = ", ".join(spelling for spelling, dest in required if values[dest] is None)
+            raise CliError(f"the following arguments are required: {missing}")
     return SimpleNamespace(**values)
 
 
-def _args(argv):
-    """The namespace ``main`` runs for ``argv``: read directly when it is
-    plain, else parsed by argparse."""
-    return _read_argv(argv) or _parser().parse_args(argv)
-
-
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _args(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            args = _read_argv(argv)
+        except _Help:
+            if not argv:  # no command: the usage is the error
+                print(_usage(), end="", file=sys.stderr)
+                return 1
+            _write(None, _usage())
+            return 0
+        text, code = args.func(args)
+        _write(getattr(args, "out", None), text)
+        return code
     except EngineInvariantError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 4
-    except FairmixError as exc:
+    except (CliError, FairmixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

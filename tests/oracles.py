@@ -43,16 +43,21 @@ no kernel, ``find_dominating_vertex_or_pair`` and ``reference_nu``, the
 paper's corrected weights from Fraction views.  A fault in
 ``normalize_utilities`` therefore shows up as a disagreement.
 ``check_monotone`` is a check on the hard-instance tables that the package
-does not need.
+does not need.  ``reference_parser`` is the argparse parser the CLI once
+ran for help, errors and any command line its direct reader left to it;
+it reads each synopsis in ``fairmix.cli._COMMANDS`` on its own, so every
+namespace ``fairmix.cli._read_argv`` returns can be required to be the one
+argparse builds.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import ge
 from typing import NamedTuple
 
-from fairmix import model
+from fairmix import cli, model
 from fairmix.errors import EnumerationLimitError, MalformedInstanceError
 
 OPTIMAL, UNBOUNDED, INFEASIBLE = "optimal", "unbounded", "infeasible"
@@ -809,3 +814,21 @@ def reference_table_rows(rows, m):
                 raise _field_error(field, exc) from exc
         tables.append(table)
     return tables
+
+
+def reference_parser():
+    """An argparse parser with a subcommand per entry of ``cli._COMMANDS``:
+    each synopsis word pair is a flag and its value's name, a bracketed
+    flag is optional, and an ``N`` value is parsed by ``int``."""
+    parser = argparse.ArgumentParser(prog="fairmix")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, synopsis) in cli._COMMANDS.items():
+        command = sub.add_parser(name)
+        words = synopsis.split()
+        for flag, metavar in zip(words[::2], words[1::2]):
+            optional = flag.startswith("[")
+            metavar = metavar.rstrip("]")
+            kind = int if metavar == "N" else str
+            command.add_argument(flag.lstrip("["), type=kind, required=not optional, metavar=metavar)
+        command.set_defaults(func=func)
+    return parser

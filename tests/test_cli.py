@@ -18,6 +18,7 @@ from fairmix import cli, errors
 from fairmix.cli import main
 from fairmix.errors import EngineInvariantError, FairmixError
 from fairmix.hard import split_count
+from oracles import reference_parser
 
 
 # Rationals are read only as ASCII '[-]num[/den]' strings (or JSON ints):
@@ -305,6 +306,59 @@ class TestFailedWrite:
         assert capsys.readouterr().err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
+def fresh_fairmix(argv, **kwargs):
+    """``python -m fairmix`` in a fresh process, on the fairmix this process imports."""
+    src = os.path.dirname(os.path.dirname(fairmix.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "fairmix", *argv], env=env, timeout=60, **kwargs)
+
+
+def stdout_argv(command, tmp_path):
+    if command == "gen-hard":
+        return ["gen-hard", "--p", "2", "--x1", "100", "--x2", "100"]
+    if command == "solve":
+        return ["solve", "--instance", symmetric_instance(tmp_path)]
+    return ["-h"]
+
+
+class TestFailedStdout:
+    # every result that goes to standard output is written, then flushed, by
+    # the one writer: a write that fails there is the same one input error
+    # line as a file that cannot be written, exit 1, and the bytes left in
+    # the buffer are not retried, with a second message, as the process exits
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", ["gen-hard", "solve", "help"])
+    def test_a_full_stdout_is_one_input_error(self, tmp_path, command):
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            proc = fresh_fairmix(stdout_argv(command, tmp_path), stdout=full, stderr=subprocess.PIPE, encoding="utf-8")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+    @pytest.mark.parametrize("command", ["gen-hard", "solve"])
+    def test_a_closed_pipe_is_one_input_error(self, tmp_path, command):
+        # the pipe's reading end is closed before the process starts
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = fresh_fairmix(stdout_argv(command, tmp_path), stdout=write, stderr=subprocess.PIPE, encoding="utf-8")
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    @pytest.mark.parametrize("command", ["gen-hard", "solve", "help"])
+    def test_a_failed_write_in_process_is_one_input_error(self, tmp_path, capsys, monkeypatch, command, fails):
+        # a stream with no file behind it: its fileno raises, so no
+        # descriptor of this process is touched
+        argv = stdout_argv(command, tmp_path)
+        stdout = FullDisk(fails)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 1
+        stdout.fails = None  # what it keeps can be flushed as it is collected
+        assert capsys.readouterr().err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
 FAIRMIX_ERRORS = sorted(
     (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, FairmixError)),
     key=lambda c: c.__name__,
@@ -575,9 +629,8 @@ class TestFlagContract:
 
 
     def test_a_plain_verify_loads_no_argparse(self, tmp_path):
-        # a well-formed command line is read without argparse, which (with
-        # the gettext it imports) loads only to parse what the direct
-        # reader leaves to it, such as an unknown flag
+        # every command line is read without argparse, and neither it nor
+        # the gettext it imports loads for an error or for help either
         src = os.path.dirname(os.path.dirname(fairmix.__file__))
         instance = symmetric_instance(tmp_path)
         lottery = allocation_file(tmp_path, [{"bundles": [[1], [2]], "probability": "1/1"}])
@@ -590,14 +643,18 @@ class TestFlagContract:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[-1] == "0 []"
         proc = subprocess.run([*argv, "--bogus"], capture_output=True, encoding="utf-8")
-        assert proc.stdout == "1 ['argparse', 'gettext']\n"
-        assert proc.stderr.startswith("error: unrecognized arguments: --bogus")
+        assert proc.stdout == "1 []\n"
+        assert proc.stderr == "error: unrecognized arguments: --bogus\n"
+        proc = subprocess.run([*argv[:5], "-h"], capture_output=True, encoding="utf-8")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("fairmix solve ") and proc.stdout.splitlines()[-1] == "0 []"
 
 
+REFERENCE = reference_parser()
 # words a command line is drawn from: every flag spelling, abbreviations,
 # "=" forms, help and the end-of-flags marker, and values that are plain,
 # empty, start with "-", or are int-like without being ASCII digits
-FLAGS = sorted({flag[0] for _, _, flags in cli._COMMANDS.values() for flag in flags})
+FLAGS = sorted({spelling for flags, _, _ in cli._LOOKUP.values() for spelling in flags})
 WORDS = [
     *FLAGS,
     *cli._COMMANDS,
@@ -612,15 +669,24 @@ def plain_argvs(draw):
     """A command, then its required flags and some of its others in any
     order, each with a plain value or one drawn from ``WORDS``."""
     name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags, _, required = cli._LOOKUP[name]
+    needed = {spelling for spelling, _ in required}
     argv = [name]
-    for spelling, _, _, required, _, _, _ in draw(st.permutations(cli._COMMANDS[name][2])):
-        if required or draw(st.booleans()):
+    for spelling in draw(st.permutations(sorted(flags))):
+        if spelling in needed or draw(st.booleans()):
             argv.extend([spelling, draw(st.one_of(st.sampled_from(["F", "2", "10"]), st.sampled_from(WORDS)))])
     return argv
 
 
+def one_line_error(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
 class TestReadArgv:
-    """The direct reader gives argparse's namespace, or leaves the argv to it."""
+    """The one reader gives the namespace argparse builds, or refuses."""
 
     @given(
         st.one_of(
@@ -640,9 +706,13 @@ class TestReadArgv:
     @example(["verify-dichotomy", "--p", "\u0663", "--x1", "1", "--x2", "0"])
     @example(["verify", "--instance", "F", "--allocation"])
     def test_reader_agrees_with_argparse(self, argv):
-        got = cli._read_argv(argv)
-        if got is not None:
-            assert vars(got) == vars(cli._parser().parse_args(argv))
+        # whatever is not refused, and is not a request for help, reads as
+        # argparse reads it
+        try:
+            got = cli._read_argv(argv)
+        except (cli.CliError, cli._Help):
+            return
+        assert vars(got) == vars(REFERENCE.parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -658,30 +728,61 @@ class TestReadArgv:
         ids=lambda argv: argv[0],
     )
     def test_every_command_is_read_directly(self, argv):
-        got = cli._read_argv(argv)
-        assert got is not None and vars(got) == vars(cli._parser().parse_args(argv))
+        assert vars(cli._read_argv(argv)) == vars(REFERENCE.parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from solve, verify, "),
+            (["solve", "--inst", "F"], "unrecognized arguments: --inst F"),
+            (["solve", "--instance=F"], "unrecognized arguments: --instance=F"),
+            (["solve", "--instance", "F", "--instance", "G"], "argument --instance: may be given only once"),
+            (["solve", "--instance", "F", "--trace", "T", "--trace", "U"], "argument --trace: may be given only once"),
+            (["solve", "--", "--instance", "F"], "unrecognized arguments: --"),
+            (["solve", "--instance", "F", "extra"], "unrecognized arguments: extra"),
+            (["solve", "--instance", "F", "-h"], "unrecognized arguments: -h"),
+            (["solve", "--instance", "-F"], "argument --instance: expected one argument"),
+            (["solve", "--instance"], "argument --instance: expected one argument"),
+            (["solve", "--trace", "T"], "the following arguments are required: --instance"),
+            (["gen-hard", "--p", "1"], "the following arguments are required: --x1, --x2"),
+            (["gen-hard", "--p", " 3", "--x1", "1", "--x2", "0"], "argument --p: invalid int value: ' 3'"),
+            (["gen-hard", "--p", "+3", "--x1", "1", "--x2", "0"], "argument --p: invalid int value: '+3'"),
+            (["gen-hard", "--p", "3_0", "--x1", "1", "--x2", "0"], "argument --p: invalid int value: '3_0'"),
+            (["gen-hard", "--p", "\u0663", "--x1", "1", "--x2", "0"], "argument --p: invalid int value: '\u0663'"),
+            (["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "0"], "argument --p: invalid int value: '111"),
+        ],
+        ids=[
+            "unknown-command", "abbreviation", "equals", "repeat", "repeat-optional", "end-of-flags", "extra-word",
+            "late-help", "dash-value", "missing-value", "missing-required", "missing-two", "spaced-int", "plus-int",
+            "underscore-int", "non-ascii-int", "long-int",
+        ],
+    )
+    def test_anything_else_is_refused(self, argv, message, capsys):
+        assert one_line_error(argv, capsys).startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            [],
-            ["-h"],
-            ["solve", "-h"],
-            ["solve", "--inst", "F"],
-            ["solve", "--instance=F"],
-            ["solve", "--instance", "F", "--instance", "G"],
-            ["solve", "--instance", "F", "--trace", "T", "--trace", "U"],
-            ["solve", "--", "--instance", "F"],
-            ["solve", "--instance", "F", "extra"],
-            ["solve", "--instance", "-F"],
-            ["solve", "--instance"],
-            ["solve", "--trace", "T"],
-            ["gen-hard", "--p", " 3", "--x1", "1", "--x2", "0"],
-            ["gen-hard", "--p", "1" * 5000, "--x1", "1", "--x2", "0"],
-        ],
+        [["-h"], ["--help"], ["solve", "-h"], ["closure", "--help", "--bogus"]],
+        ids=["h", "help", "solve-h", "closure-help"],
     )
-    def test_anything_else_is_left_to_argparse(self, argv):
-        assert cli._read_argv(argv) is None
+    def test_help_prints_the_usage(self, argv, capsys):
+        # the usage names every command with its synopsis and summary, and
+        # every flag with its help
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out == cli._usage()
+        for name, (func, synopsis) in cli._COMMANDS.items():
+            assert f"fairmix {name} {synopsis}\n    {func.__doc__}\n" in out
+        for flag in FLAGS:
+            assert re.search(f"^  {flag} +[a-z]", out, re.MULTILINE), flag
+
+    def test_no_word_prints_the_usage_as_the_error(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr() == ("", cli._usage())
+
+    def test_the_readme_shows_the_usage(self):
+        with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md"), encoding="utf-8") as fh:
+            assert f"```\n{cli._usage()}```\n" in fh.read()
 
 
 def test_session_without_default_encodings(tmp_path):
@@ -704,10 +805,9 @@ def test_session_without_default_encodings(tmp_path):
 
 
 class TestRepeatedMain:
-    def test_in_process_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
-        # main builds its parser on the first call that needs one and reuses
-        # it; every call must still print what a fresh process prints, wall
-        # time aside
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, capsys):
+        # every in-process call must print what a fresh process prints,
+        # wall time aside, whatever ran before it in the same process
         instance = symmetric_instance(tmp_path)
         lottery = allocation_file(
             tmp_path,
@@ -720,32 +820,17 @@ class TestRepeatedMain:
             ["solve", "--instance", instance],
             ["solve", "--instance", instance, "--bogus"],
             ["verify", "--instance", instance, "--allocation", lottery],
+            ["-h"],
             ["solve", "--instance", instance],
         ]
-        src = os.path.dirname(os.path.dirname(fairmix.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
         def scrub(text):
             return re.sub(r'"wall_time": [^,}\n]+', '"wall_time": 0', text)
 
-        builds = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-        cli._parser.cache_clear()
         codes = []
-        built = []
-        try:
-            for argv in runs:
-                codes.append(main(argv))
-                built.append(len(builds))
-                out, err = capsys.readouterr()
-                fresh = subprocess.run(
-                    [sys.executable, "-m", "fairmix", *argv], capture_output=True, encoding="utf-8", env=env
-                )
-                assert (codes[-1], scrub(out), err) == (fresh.returncode, scrub(fresh.stdout), fresh.stderr)
-        finally:
-            cli._parser.cache_clear()
-        assert codes == [0, 1, 0, 0]
-        # the plain solve and verify are read without a parser; the unknown
-        # flag builds one, and nothing builds it again
-        assert built == [0, 1, 1, 1]
+        for argv in runs:
+            codes.append(main(argv))
+            out, err = capsys.readouterr()
+            fresh = fresh_fairmix(argv, capture_output=True, encoding="utf-8")
+            assert (codes[-1], scrub(out), err) == (fresh.returncode, scrub(fresh.stdout), fresh.stderr)
+        assert codes == [0, 1, 0, 0, 0]

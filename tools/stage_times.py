@@ -17,7 +17,7 @@ tie-breaking and envelope steps; the recording is removed before any pass
 is timed.  Sixteen stages are then timed, each as one pass over the whole
 set, ``--repeats`` times:
 
-- ``argv``: ``cli._args``, the CLI's reading of every command line;
+- ``argv``: ``cli._read_argv``, the CLI's reading of every command line;
 - ``read``: ``cli._read_json`` of every file the command lines name;
 - ``load``: ``serialize.load_instance`` of every instance file;
 - ``allocations``: the allocation-set build inside it, by
@@ -214,7 +214,7 @@ def stage_calls(files, lotteries, documents, programs, steps, argvs):
     for inst in solves:
         inst.kernel, inst.rho  # built before the passes, as the other stages find them
     return {
-        "argv": [lambda argv=argv: cli._args(argv) for argv in argvs],
+        "argv": [lambda argv=argv: cli._read_argv(argv) for argv in argvs],
         # a command line's files are its flags' values: every second word from the third
         "read": [lambda path=path: cli._read_json(path) for argv in argvs for path in argv[2::2]],
         "load": [lambda entry=entry: load_instance(entry) for entry in files],
