@@ -136,7 +136,6 @@ class _TraceWriter:
 
 
 def cmd_solve(args):
-    """find a certified efficient envy-free lottery"""
     inst = load_instance(_read_json(args.instance), warn=_warn)
     sink = _TraceWriter(args.trace, inst) if args.trace else None
     # the trace is the only file a solve writes itself; a failed record fails its close too
@@ -154,7 +153,6 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    """certify a given lottery"""
     inst = load_instance(_read_json(args.instance), warn=_warn)
     p = load_mixed_allocation(_read_json(args.allocation), inst)
     cert = certify(p, inst)
@@ -162,41 +160,37 @@ def cmd_verify(args):
 
 
 def cmd_envy_graph(args):
-    """emit the envy graph in DOT form"""
     inst = load_instance(_read_json(args.instance), warn=_warn)
     p = load_mixed_allocation(_read_json(args.allocation), inst)
     return envy_graph_to_dot(build_envy_graph(p, inst)), 0
 
 
 def cmd_gen_hard(args):
-    """generate a two-player intersection-hard instance"""
     inp = DisjointnessInput(args.p, _bits(args.x1), _bits(args.x2))
     return dumps(dump_instance(build_hard_instance(inp))), 0
 
 
 def cmd_verify_dichotomy(args):
-    """certify the welfare gap between string cases"""
     inp = DisjointnessInput(args.p, _bits(args.x1), _bits(args.x2))
     report = verify_welfare_dichotomy(inp)
     return dumps(dump_dichotomy_report(report)), 0 if report.dichotomy_holds else 3
 
 
 def cmd_closure(args):
-    """emit the swap-closed allocation set"""
     inst = load_instance(_read_json(args.instance))
     return dumps([[mask_to_items(b) for b in bs] for bs in inst.allocations.bundles]), 0
 
 
-# Every command, declared once: its function, whose docstring is its
-# summary, and its synopsis.  A synopsis lists each flag with the name of
-# its value; a flag in brackets may be left out, and an ``N`` value is an int.
+# Every command, declared once: its function, synopsis and summary.  A
+# synopsis lists each flag with the name of its value; a flag in brackets
+# may be left out, and an ``N`` value is an int.
 _COMMANDS = {
-    "solve": (cmd_solve, "--instance F [--trace F]"),
-    "verify": (cmd_verify, "--instance F --allocation F"),
-    "envy-graph": (cmd_envy_graph, "--instance F --allocation F"),
-    "gen-hard": (cmd_gen_hard, "--p N --x1 BITS --x2 BITS [--out F]"),
-    "verify-dichotomy": (cmd_verify_dichotomy, "--p N --x1 BITS --x2 BITS"),
-    "closure": (cmd_closure, "--instance F"),
+    "solve": (cmd_solve, "--instance F [--trace F]", "find a certified efficient envy-free lottery"),
+    "verify": (cmd_verify, "--instance F --allocation F", "certify a given lottery"),
+    "envy-graph": (cmd_envy_graph, "--instance F --allocation F", "emit the envy graph in DOT form"),
+    "gen-hard": (cmd_gen_hard, "--p N --x1 BITS --x2 BITS [--out F]", "generate an intersection-hard instance"),
+    "verify-dichotomy": (cmd_verify_dichotomy, "--p N --x1 BITS --x2 BITS", "certify the welfare dichotomy"),
+    "closure": (cmd_closure, "--instance F", "emit the swap-closed allocation set"),
 }
 
 _FLAG_HELP = {
@@ -226,13 +220,13 @@ def _lookup(name, func, synopsis):
     return flags, values, required
 
 
-_LOOKUP = {name: _lookup(name, func, synopsis) for name, (func, synopsis) in _COMMANDS.items()}
+_LOOKUP = {name: _lookup(name, func, synopsis) for name, (func, synopsis, _) in _COMMANDS.items()}
 _HELP = ("-h", "--help")
 
 
 def _usage():
     """Each command's synopsis and summary, then each flag's help."""
-    lines = [f"fairmix {name} {synopsis}\n    {func.__doc__}" for name, (func, synopsis) in _COMMANDS.items()]
+    lines = [f"fairmix {name} {synopsis}\n    {summary}" for name, (_, synopsis, summary) in _COMMANDS.items()]
     lines += ["", *(f"  {flag:<12}  {text}" for flag, text in _FLAG_HELP.items())]
     return "\n".join(lines) + "\n"
 
@@ -283,7 +277,7 @@ def _read_argv(argv):
         raise CliError(f"unrecognized arguments: {_clipped(' '.join(unknown), _ECHO_CHARS)}")
     for _, dest in required:
         if values[dest] is None:
-            missing = ", ".join(spelling for spelling, dest in required if values[dest] is None)
+            missing = ", ".join(spelling for spelling, key in required if values[key] is None)
             raise CliError(f"the following arguments are required: {missing}")
     return SimpleNamespace(**values)
 

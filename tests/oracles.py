@@ -822,7 +822,7 @@ def reference_parser():
     flag is optional, and an ``N`` value is parsed by ``int``."""
     parser = argparse.ArgumentParser(prog="fairmix")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, synopsis) in cli._COMMANDS.items():
+    for name, (func, synopsis, _) in cli._COMMANDS.items():
         command = sub.add_parser(name)
         words = synopsis.split()
         for flag, metavar in zip(words[::2], words[1::2]):
