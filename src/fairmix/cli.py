@@ -3,7 +3,7 @@
 Exit codes are a stable contract:
   0  success (certified result / checks passed)
   1  input error (bad flags, an unreadable input file, an output file or
-     standard output that cannot be written, schema violation)
+     standard output that cannot be written or is closed, schema violation)
   2  retired: once "search failed"; the search is complete, so it is never
      returned, and it is not reused
   3  verification failure (certificate or dichotomy check did not hold)
@@ -13,9 +13,11 @@ Every command is declared once, in ``_COMMANDS``.  ``_read_argv`` reads
 each command line by that table, and ``-h`` or ``--help`` prints the usage
 built from it.  Each command returns its text and exit code, and ``_write``
 writes that text, to ``--out`` when it is given, else to standard output.
+A closed standard error loses the warning and error lines; no exit code changes.
 """
 
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -28,6 +30,7 @@ from .errors import EngineInvariantError, FairmixError
 from .hard import DisjointnessInput, build_hard_instance, verify_welfare_dichotomy
 from .model import SHOWN_CHARS, _clipped, _shown
 from .serialize import (
+    dump_allocation_set,
     dump_certificate,
     dump_dichotomy_report,
     dump_instance,
@@ -37,7 +40,6 @@ from .serialize import (
     envy_graph_to_dot,
     load_instance,
     load_mixed_allocation,
-    mask_to_items,
 )
 
 
@@ -54,8 +56,15 @@ class _Help(Exception):
     """Raised by ``_read_argv`` for ``-h`` or ``--help``, or no word at all."""
 
 
+def _say(text):
+    """Writes ``text`` to standard error; it is lost when that is closed (None) or fails."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(text)
+
+
 def _warn(message):
-    print(f"warning: {message}", file=sys.stderr)
+    _say(f"warning: {message}\n")
 
 
 def _read_json(path):
@@ -82,16 +91,18 @@ def _cannot_write(path, exc):
 
 def _write(path, text):
     """Writes ``text`` to the file at ``path``, or to standard output when
-    there is none; a failed write, flush or close is one input error."""
+    there is none; a failed write, flush or close, or a closed stdout, is one input error."""
     try:
         if path:
             with _open_for_writing(path) as fh:
                 fh.write(text)
+        elif sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not path:
+        if not path and sys.stdout is not None:
             # what stays in stdout's buffer would be written again, and fail
             # again, as the interpreter exits; it goes to the null device
             # instead.  A stream with no file behind it (a StringIO) keeps it.
@@ -178,7 +189,7 @@ def cmd_verify_dichotomy(args):
 
 def cmd_closure(args):
     inst = load_instance(_read_json(args.instance))
-    return dumps([[mask_to_items(b) for b in bs] for bs in inst.allocations.bundles]), 0
+    return dumps(dump_allocation_set(inst.allocations)), 0
 
 
 # Every command, declared once: its function, synopsis and summary.  A
@@ -289,7 +300,7 @@ def main(argv=None):
             args = _read_argv(argv)
         except _Help:
             if not argv:  # no command: the usage is the error
-                print(_usage(), end="", file=sys.stderr)
+                _say(_usage())
                 return 1
             _write(None, _usage())
             return 0
@@ -297,10 +308,10 @@ def main(argv=None):
         _write(getattr(args, "out", None), text)
         return code
     except EngineInvariantError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
+        _say(f"internal check failed: {exc}\n")
         return 4
     except (CliError, FairmixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}\n")
         return 1
 
 

@@ -14,7 +14,6 @@ readable next to worked examples:
 
 import json
 
-from . import model
 from .envy import is_acyclic
 from .errors import MalformedInstanceError
 from .model import (
@@ -208,18 +207,16 @@ def _checked_row(row, top, field):
     return list(table), [x for x, _ in table.values()], [d for _, d in table.values()]
 
 
+def dump_allocation_set(aset):
+    """An allocation set, in its order, as lists of per-player 1-based item lists."""
+    return [[mask_to_items(b) for b in bs] for bs in aset.bundles]
+
+
 def dump_instance(inst):
-    """Inverse of load_instance; writes the raw (pre-rescale) utility tables."""
+    """Inverse of load_instance; writes the raw (pre-rescale) utility tables,
+    a set built as all partitions as ``"all_partitions"`` and any other as its list."""
     aset = inst.allocations
-    # a caller's list may hold all partitions in their order too; one over
-    # the budget cannot be built to compare, so it is written as its list
-    if aset.partitions_of == inst.m or (
-        len(aset) == (inst.n + 1) ** inst.m <= model.DEFAULT_ENUMERATION_BUDGET
-        and aset == all_partitions_allocation_set(inst.n, inst.m)
-    ):
-        allocations = "all_partitions"
-    else:
-        allocations = [[mask_to_items(b) for b in bs] for bs in aset.bundles]
+    allocations = "all_partitions" if aset.partitions_of == inst.m else dump_allocation_set(aset)
     values = []
     for i in range(inst.n):
         table = inst.utilities.raw_values[i]
@@ -345,18 +342,18 @@ def envy_graph_to_dot(graph):
 
 
 def dumps(obj):
-    """Stable pretty JSON used by every CLI command: exactly
-    ``json.dumps(obj, indent=2) + "\n"``, written by a direct recursive
-    printer.  ``indent=2`` makes ``json`` run its pure-Python encoder,
-    whose closures leave a reference cycle behind on every call; this
-    printer builds one list of parts and leaves none.  A dict, list or
-    tuple is laid out by ``indent=2``'s rules, a str is written by
-    ``json``'s own ASCII string encoder, an int by ``int.__repr__`` and
-    None, True and False as their literals; every other value (a float, a
-    subclass of str or int) is written by ``json.dumps`` itself, which
-    raises ``TypeError`` for a type JSON cannot hold.  A container that
-    holds itself raises ``RecursionError``, where ``json`` raises
-    ``ValueError``."""
+    """Stable pretty JSON used by every CLI command: for the documents the
+    package builds, exactly ``json.dumps(obj, indent=2) + "\n"``, written
+    by a direct recursive printer.  ``indent=2`` makes ``json`` run its
+    pure-Python encoder, whose closures leave a reference cycle behind on
+    every call; this printer builds one list of parts and leaves none.  A
+    dict, list or tuple is laid out by ``indent=2``'s rules, a str or dict
+    key by ``json``'s own ASCII string encoder (a key that is not a str
+    raises ``TypeError``), an int by ``int.__repr__`` and None, True and
+    False as their literals; every other value (a float, a subclass of str
+    or int) is written by ``json.dumps`` itself, which raises ``TypeError``
+    for a type JSON cannot hold.  A container that holds itself raises
+    ``RecursionError``, where ``json`` raises ``ValueError``."""
     parts = []
     _print(obj, "\n", parts)
     parts.append("\n")
@@ -396,7 +393,7 @@ def _print(obj, newline, parts):
         parts.append("{")
         for key, value in obj.items():
             parts.append(inner)
-            parts.append(json.encoder.encode_basestring_ascii(key if type(key) is str else _key(key)))
+            parts.append(json.encoder.encode_basestring_ascii(key))
             parts.append(": ")
             _print(value, inner, parts)
             parts.append(",")
@@ -404,12 +401,3 @@ def _print(obj, newline, parts):
     else:
         # a float, or a subclass of str or int
         parts.append(json.dumps(obj))
-
-
-def _key(key):
-    """A dict key as the str ``json`` writes for it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

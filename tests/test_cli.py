@@ -356,6 +356,33 @@ class TestFailedStdout:
         assert proc.returncode == 1
         assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
 
+    @pytest.mark.parametrize("command", ["gen-hard", "solve", "help"])
+    def test_a_closed_stdout_is_one_input_error(self, tmp_path, command):
+        # fd 1 is closed before the interpreter starts, so sys.stdout is None
+        argv = stdout_argv(command, tmp_path)
+        proc = fresh_fairmix(argv, preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, encoding="utf-8")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["solve", "--instance", "unclosed"], 0), (["solve", "--bogus"], 1)],
+        ids=["unclosed-list-warns", "bogus-flag"],
+    )
+    def test_a_closed_stderr_loses_only_its_lines(self, tmp_path, argv, code):
+        # with fd 2 closed, sys.stderr is None, where print would write to
+        # stdout: the warning or error line is lost, and stdout holds only
+        # the answer, with the exit code unchanged
+        unclosed = {"n": 2, "m": 1, "utilities": {"type": "additive", "items": [["1"], ["1"]]}}
+        path = write_json(tmp_path / "unclosed.json", {**unclosed, "allocations": [[[1], []]]})
+        argv = [path if word == "unclosed" else word for word in argv]
+        proc = fresh_fairmix(argv, preexec_fn=lambda: os.close(2), stdout=subprocess.PIPE, encoding="utf-8")
+        assert proc.returncode == code
+        if code:
+            assert proc.stdout == ""
+        else:
+            assert set(json.loads(proc.stdout)) == {"p", "w", "certificate", "iterations", "wall_time"}
+
     @pytest.mark.parametrize("fails", ["write", "flush"])
     @pytest.mark.parametrize("command", ["gen-hard", "solve", "help"])
     def test_a_failed_write_in_process_is_one_input_error(self, tmp_path, capsys, monkeypatch, command, fails):
