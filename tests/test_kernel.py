@@ -9,6 +9,9 @@ witness oracle, each scoring the raw values through the Fraction rescale
 ``fraction_normalize``.
 """
 
+import importlib.util
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -51,6 +54,7 @@ from oracles import (
     fraction_kernel,
     fraction_normalize,
     fraction_simplex,
+    fraction_skyline,
     reference_envelope_vertices,
     reference_kernel,
     weight_witness_ok,
@@ -286,6 +290,32 @@ def test_kernel_matches_reference_on_seeded_cases(case):
     assert_kernel_matches_reference(make_instance(*case), case_id(case))
 
 
+def golden_draw():
+    """``tests/data/make_goldens.py::draw``, loaded with ``sys.path`` kept as it was."""
+    path = os.path.join(os.path.dirname(__file__), "data", "make_goldens.py")
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module.draw
+
+
+@pytest.mark.parametrize("n, m", [(3, 5), (2, 7)])
+@pytest.mark.parametrize("kind", ["additive", "table"])
+def test_kernel_matches_reference_on_larger_draws(n, m, kind):
+    # all partitions of more items than the pinned sets hold at n = 2 and 3,
+    # where the frontier is found by the sweep
+    rng = seeded_rng(f"sweep:{n}:{m}:{kind}")
+    draw = golden_draw()
+    for t in range(2):
+        inst = load_instance(draw(rng, n, m, kind))
+        assert len(inst.allocations) == (n + 1) ** m
+        assert_kernel_matches_reference(inst, f"{kind} ({n}, {m}) draw {t}")
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -320,6 +350,48 @@ class TestFrontier:
         points = ((2, 1), (2, 3), (1, 3), (3, 0), (3, 1), (0, 5))
         assert pareto_frontier(points) == [1, 4, 5]
         assert pareto_frontier(((4,), (7,), (5,))) == [1]
+        assert pareto_frontier(()) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_skyline_matches_the_fraction_skyline(self, n):
+        # coordinates in 0..3 give runs of equal coordinate 0, equal
+        # coordinate 1 (where the n = 3 staircase replaces an entry),
+        # repeated vectors, and long antichains
+        rng = seeded_rng(f"skyline:{n}")
+        widest = tied = 0
+        for t in range(120):
+            vectors = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 40)))
+            if t % 4 == 0:
+                vectors = tuple(tuple(F(x, rng.randint(1, 3)) for x in vec) for vec in vectors)
+            kept = pareto_frontier(vectors)
+            assert kept == fraction_skyline(vectors), vectors
+            widest = max(widest, len(kept))
+            tied += len({vectors[v][0] for v in kept}) < len(kept)
+        # antichains of 4 or more, and from n = 3 kept vectors that tie in
+        # coordinate 0 (at n = 2 the later of two such is dominated)
+        assert n == 1 or widest >= 4
+        assert n <= 2 or tied
+
+    @pytest.mark.parametrize(
+        "vectors, kept",
+        [
+            # each vector ties the previous kept one in coordinate 1 and
+            # beats it in coordinate 2, so it replaces that staircase entry
+            (((3, 1, 1), (2, 1, 2), (1, 1, 3)), [0, 1, 2]),
+            # the third covers both entries before it and drops them
+            (((3, 0, 2), (3, 2, 0), (1, 2, 2), (0, 1, 1)), [0, 1, 2]),
+            (((2, 5, 0), (2, 0, 5), (1, 4, 4), (1, 5, 0), (0, 4, 4)), [0, 1, 2]),
+            (((1, 2), (1, 3), (2, 1), (1, 3)), [1, 2]),
+        ],
+    )
+    def test_skyline_staircase_cases(self, vectors, kept):
+        assert pareto_frontier(vectors) == kept == fraction_skyline(vectors)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_skyline_keeps_the_first_of_repeated_vectors(self, n):
+        top, low = tuple(range(1, n + 1)), (0,) * n
+        assert pareto_frontier((low, top, top, low, top)) == [1 if n else 0]
+        assert pareto_frontier((top,) * 3) == [0]
         assert pareto_frontier(()) == []
 
     def test_many_distinct_points_take_little_memory(self):

@@ -1,7 +1,9 @@
 """The stage harness, ``tools/stage_times.py``, in its smallest mode: one
 timed pass over the sets CI runs it on, of loading and checking an answer,
 of whole solves, of the solve's lowest-vertex, tie-breaking and envelope
-steps, and of the exact LP kernel on the programs the sets run."""
+steps, and of the exact LP kernel on the programs the sets run.  And the
+pair recorder, ``tools/bench_pairs.py``, in its smallest mode: one
+certify pair, with this checkout as both sides."""
 
 import importlib.util
 import json
@@ -15,7 +17,9 @@ from fairmix import envy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "stage_times.py")
+PAIRS = os.path.join(ROOT, "tools", "bench_pairs.py")
 LP_STAGES = ["lp_select", "lp_lowest", "lp_weight"]
+METRICS = ["answers_per_s", "solved_ratio", "latency_s.middle", "latency_s.tail", "setup_s", "peak_rss_mb"]
 
 
 def run_harness(sets, out):
@@ -99,3 +103,66 @@ def test_stage_times_refuses_an_out_file_that_holds_no_list(tmp_path, content):
     assert proc.stderr.startswith("stage_times: ") and proc.stderr.count("\n") == 1
     assert str(out) in proc.stderr and "Traceback" not in proc.stderr
     assert out.read_text(encoding="utf-8") == content
+
+
+def run_pairs(out):
+    argv = [sys.executable, PAIRS, "--parent", ROOT, "--workload", "certify", "--pairs", "1"]
+    argv += ["--seed", "1", "--seconds", "1", "--out", str(out)]
+    return subprocess.run(argv, capture_output=True, encoding="utf-8", timeout=120)
+
+
+def schema(value):
+    """The keys of a JSON value, nested, with each leaf's type."""
+    if isinstance(value, dict):
+        return {key: schema(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [schema(item) for item in value]
+    return type(value).__name__
+
+
+def test_bench_pairs_appends_one_entry_per_run_with_one_schema(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_certify.json"
+    proc = run_pairs(out)
+    assert proc.returncode == 0, proc.stderr
+    (first,) = json.loads(out.read_text(encoding="utf-8"))
+    # a second run, in process, whose benchmark runs return the first run's
+    # values, appends an entry of the same schema and keeps the first
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    sides = iter(["parent", "change"])
+
+    def run_once(*args):
+        side = next(sides)
+        return {name: metric[side]["values"][0] for name, metric in first["metrics"].items()}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", ROOT, "--workload", "certify", "--pairs", "1", "--seed", "1", "--seconds", "1"]
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
+    entries = json.loads(out.read_text(encoding="utf-8"))
+    assert len(entries) == 2 and entries[0] == first
+    assert schema(entries[1]) == schema(first) and entries[1]["metrics"] == first["metrics"]
+    assert list(first) == ["workload", "pairs", "seconds", "seeds", "python", "parent", "change", "metrics"]
+    assert (first["workload"], first["pairs"], first["seconds"], first["seeds"]) == ("certify", 1, 1.0, [1])
+    for side in ("parent", "change"):
+        assert set(first[side]) == {"commit", "src_dirty"}
+    assert list(first["metrics"]) == METRICS
+    for metric in first["metrics"].values():
+        assert list(metric) == ["unit", "better", "parent", "change", "wins"]
+        assert metric["better"] in ("higher", "lower") and metric["wins"] in (0, 1)
+        for side in ("parent", "change"):
+            stats = metric[side]
+            assert list(stats) == ["median", "q1", "q3", "values"] and len(stats["values"]) == 1
+            # one pair: its value is the median and both quartiles
+            assert stats["values"][0] == stats["q1"] == stats["median"] == stats["q3"]
+    assert first["metrics"]["solved_ratio"]["change"]["values"] == [1.0]
+
+
+def test_bench_pairs_refuses_an_out_file_that_holds_no_list(tmp_path):
+    # the file is read before any run, and the refusal is one line
+    out = tmp_path / "BENCH_certify.json"
+    out.write_text('{"earlier": "entry"}', encoding="utf-8")
+    proc = run_pairs(out)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("bench_pairs: ") and proc.stderr.count("\n") == 1
+    assert out.read_text(encoding="utf-8") == '{"earlier": "entry"}'
