@@ -41,9 +41,9 @@ def fail(message):
     raise SystemExit(f"bench_pairs: {message}")
 
 
-def end_to_end(root):
+def end_to_end():
     """The end-to-end metrics ``BENCHMARK.json`` declares, as (name, unit, better)."""
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         return [(m["name"], m["unit"], m["better"]) for m in json.load(fh)["end_to_end"]]
 
 
@@ -76,6 +76,7 @@ def git_state(checkout):
             return None
         return out.stdout.strip()
 
+    # an archive unpacked inside another repository must not report that one's commit
     commit = git("rev-parse", "--short", "HEAD") if os.path.exists(os.path.join(checkout, ".git")) else None
     status = None if commit is None else git("status", "--porcelain", "--", "src")
     return {"commit": commit, "src_dirty": None if status is None else bool(status)}
@@ -121,7 +122,7 @@ def main(argv=None):
             runs[side].append(run_once(checkouts[side], args.workload, seed, args.seconds))
 
     metrics = {}
-    for name, unit, better in end_to_end(ROOT):
+    for name, unit, better in end_to_end():
         values = {side: [run[name] for run in runs[side]] for side in SIDES}
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
