@@ -605,78 +605,62 @@ def pareto_frontier(vectors):
     be dominated by one that came before it, so one pass that keeps each
     vector no kept vector dominates finds the maximal set.  The sort is
     stable, so of repeated vectors the first index comes first and is kept.
-
     Every earlier vector is at least the current one in coordinate 0, so
-    the current one is dominated exactly when an earlier kept vector is at
-    least it in coordinates 1..n-1 (an earlier dropped one has a kept
-    dominator).  For n <= 3 that leaves at most two coordinates, and the
-    classic maxima sweep (Kung, Luccio and Preparata 1975) answers each
-    test in one step: ``_sweep``.  For n >= 4 the test is a dominance query
-    in three or more coordinates, which no such single structure answers
-    (kept vectors ordered by coordinate 1, with a suffix maximum of
-    coordinate 2, ran slower than the scan on n = 4 sets), so each vector
-    is tested against the kept ones in turn.  Neighbours in
-    that order tend to share a dominator, so the last dominator found is
-    tested first, a move-to-front of one entry (Börzsönyi, Kossmann and
-    Stocker 2001); it costs one reference of extra memory.
+    coordinate 0 needs no test: the current vector is dominated exactly
+    when an earlier kept vector is at least it in coordinates 1..n-1 (an
+    earlier dropped one has a kept dominator).
+
+    The kept vectors' maximal (coordinate 1, coordinate 2) pairs, an absent
+    coordinate read as 0, form a staircase (the maxima sweep of Kung,
+    Luccio and Preparata 1975): coordinate 1 strictly ascending in ``ys``
+    and coordinate 2 strictly descending in ``zs``.  The entries at least
+    (y, z) in coordinate 1 start at ``bisect_left(ys, y)``, and the first
+    of them is the highest in coordinate 2, so one binary search tells
+    whether some kept vector reaches the current one in coordinates 1 and
+    2.  A vector the staircase does not reach is kept, and its entry drops
+    the entries it covers, which sit just before it, and one at its own y.
+    For n <= 3 those two coordinates are all that is left to test, so the
+    staircase is exact: a vector it reaches is dropped.
+
+    For n >= 4 a vector the staircase reaches may still beat every kept
+    vector in a later coordinate, so the hit is confirmed by testing the
+    kept vectors in turn.  Neighbours in the order tend to share a
+    dominator, so the last dominator found is tested first, before the
+    staircase, a move-to-front of one entry (Börzsönyi, Kossmann and
+    Stocker 2001); for n <= 3 it is never set.  The staircase is only a
+    filter in front of that scan, and a kept vector it reaches adds no
+    entry to it.  A structure that decided n = 4 alone (kept vectors
+    ordered by coordinate 1, with a suffix maximum of coordinate 2) ran
+    slower than the scan on n = 4 sets.
     """
     order = sorted(range(len(vectors)), key=vectors.__getitem__, reverse=True)
     n = len(vectors[0]) if vectors else 0
-    if n <= 3:
-        return _sweep(vectors, order, n)
-    kept = []
+    has_y, has_z, scan = n > 1, n > 2, n > 3
+    kept, ys, zs = [], [], []
     last = None
     for v in order:
         vec = vectors[v]
         if last is not None and all(map(ge, last, vec)):
             continue
-        for u in kept:
-            if all(map(ge, vectors[u], vec)):
-                last = vectors[u]
-                break
-        else:
-            kept.append(v)
-    return sorted(kept)
-
-
-def _sweep(vectors, order, n):
-    """``pareto_frontier`` of n <= 3 coordinates, over its descending ``order``.
-
-    At n <= 1 the first vector of the order dominates every other.  At
-    n = 2 the test against the kept vectors is one against the largest
-    coordinate 1 kept so far.  At n = 3 the kept vectors' maximal
-    (coordinate 1, coordinate 2) pairs form a staircase, coordinate 1
-    strictly ascending in ``ys`` and coordinate 2 strictly descending in
-    ``zs``: the entries at least (y, z) in coordinate 1 start at
-    ``bisect_left(ys, y)``, and the first of them is the highest in
-    coordinate 2, so one binary search decides.  A kept vector then drops
-    the entries it covers, which sit just before it, and one at its own y.
-    """
-    if n <= 1:
-        return order[:1]
-    # the first vector is kept; in the loops it meets its own entry
-    kept = [order[0]]
-    if n == 2:
-        top = vectors[order[0]][1]
-        for v in order:
-            y = vectors[v][1]
-            if y > top:
-                top = y
-                kept.append(v)
-        return sorted(kept)
-    _, y, z = vectors[order[0]]
-    ys, zs = [y], [z]
-    for v in order:
-        _, y, z = vectors[v]
+        y = vec[1] if has_y else 0
+        z = vec[2] if has_z else 0
         i = bisect_left(ys, y)
         if i < len(ys) and zs[i] >= z:
+            if scan:
+                for u in kept:
+                    if all(map(ge, vectors[u], vec)):
+                        last = vectors[u]
+                        break
+                else:
+                    kept.append(v)
             continue
         j = i
         while j and zs[j - 1] <= z:
             j -= 1
-        k = i + 1 if i < len(ys) and ys[i] == y else i
-        ys[j:k] = (y,)
-        zs[j:k] = (z,)
+        if i < len(ys) and ys[i] == y:
+            i += 1
+        ys[j:i] = (y,)
+        zs[j:i] = (z,)
         kept.append(v)
     return sorted(kept)
 

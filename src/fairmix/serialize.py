@@ -155,13 +155,22 @@ def load_instance(data, warn=None):
             _require(isinstance(row, list), field, "need a list of [mask, value] pairs")
             raw.append(_plain_row(row, top) or _checked_row(row, top, field))
     else:
-        needed = list(aset.bundles_seen | {0})
+        # all partitions need every mask, in ascending order, and each sum is
+        # then one addition to a smaller subset's; a listed set needs only
+        # the masks it holds, summed one by one
+        every = aset.partitions_of == m
+        needed = range(1 << m) if every else list(aset.bundles_seen | {0})
         for i, row in enumerate(rows):
             field = f"utilities.items[{i}]"
             _require(isinstance(row, list) and len(row) == m, field, f"need {m} item values")
             pairs = _in_field(field, list, map(_num_den, row))
             per_item, den = _over_lcm([x for x, _ in pairs], [d for _, d in pairs])
-            sums = [sum(per_item[g] for g in range(m) if mask >> g & 1) for mask in needed]
+            if every:
+                sums = [0]
+                for x in per_item:
+                    sums += [s + x for s in sums]
+            else:
+                sums = [sum(per_item[g] for g in range(m) if mask >> g & 1) for mask in needed]
             raw.append((needed, sums, [den] * len(needed)))
 
     # every mask is checked and every value an int pair: skip the re-check

@@ -352,7 +352,7 @@ class TestFrontier:
         assert pareto_frontier(((4,), (7,), (5,))) == [1]
         assert pareto_frontier(()) == []
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_skyline_matches_the_fraction_skyline(self, n):
         # coordinates in 0..3 give runs of equal coordinate 0, equal
         # coordinate 1 (where the n = 3 staircase replaces an entry),
@@ -382,6 +382,18 @@ class TestFrontier:
             (((3, 0, 2), (3, 2, 0), (1, 2, 2), (0, 1, 1)), [0, 1, 2]),
             (((2, 5, 0), (2, 0, 5), (1, 4, 4), (1, 5, 0), (0, 4, 4)), [0, 1, 2]),
             (((1, 2), (1, 3), (2, 1), (1, 3)), [1, 2]),
+            # n = 2: the second vector replaces the one entry; of the rest,
+            # a repeat and two that tie it in coordinate 1 are dropped
+            (((2, 1), (1, 2), (1, 2), (0, 2), (1, 1)), [0, 1]),
+            (((1, 3), (2, 1), (1, 3), (2, 1)), [0, 1]),
+            # n = 4: the first vector reaches the second in coordinates 0..2
+            # but not in coordinate 3, so the scan keeps it; the scan finds
+            # the first above the third, and as the last dominator found the
+            # first then drops the fourth before the staircase
+            (((2, 2, 2, 0), (1, 1, 1, 1), (1, 2, 0, 0), (0, 0, 0, 0)), [0, 1]),
+            # n = 4: the scan drops the second; no kept vector reaches the
+            # third in coordinates 1 and 2, so it is kept without a scan
+            (((3, 1, 1, 1), (2, 0, 0, 0), (1, 0, 2, 0)), [0, 2]),
         ],
     )
     def test_skyline_staircase_cases(self, vectors, kept):

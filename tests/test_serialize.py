@@ -212,6 +212,36 @@ class TestInstanceLoad:
         assert inst.utilities.scale == reference.utilities.scale
         assert inst.utilities.table == reference.utilities.table
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("listed", [False, True], ids=["all_partitions", "listed"])
+    def test_additive_sums_match_the_item_by_item_table(self, m, listed):
+        # all partitions sum every mask by doubling; a listed set sums only
+        # its own masks, one by one, here the half that leaves item 1 to
+        # nobody; both give the item-by-item table, entry for entry and in
+        # the same mask order
+        rng = random.Random(f"additive:{m}")
+        items = [[F(rng.randint(-5, 9), rng.randint(1, 4)) for _ in range(m)] for _ in range(2)]
+        spec = "all_partitions"
+        if listed:
+            every = dump_allocation_set(all_partitions_allocation_set(2, m))
+            spec = [entry for entry in every if not any(1 in bundle for bundle in entry)]
+        data = {
+            "n": 2,
+            "m": m,
+            "utilities": {"type": "additive", "items": [list(map(format_rational, row)) for row in items]},
+            "allocations": spec,
+        }
+        inst = load_instance(data)
+        assert (inst.allocations.partitions_of == m) is not listed
+        masks = list(inst.allocations.bundles_seen | {0})
+        assert sorted(masks) == list(range(0, 1 << m, 2 if listed else 1))
+        assert listed or masks == list(range(1 << m))
+        reference = Instance.build([{mask: additive_table(row)[mask] for mask in masks} for row in items], inst.allocations)
+        ours, theirs = inst.utilities, reference.utilities
+        assert ours == theirs
+        for mine, other in zip(ours.table + ours.raw_num, theirs.table + theirs.raw_num):
+            assert list(mine.items()) == list(other.items())
+
     def test_table_utilities(self):
         data = {
             "n": 1,
