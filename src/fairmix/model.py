@@ -657,10 +657,9 @@ def pareto_frontier(vectors):
         j = i
         while j and zs[j - 1] <= z:
             j -= 1
-        if i < len(ys) and ys[i] == y:
-            i += 1
-        ys[j:i] = (y,)
-        zs[j:i] = (z,)
+        k = i + 1 if i < len(ys) and ys[i] == y else i
+        ys[j:k] = (y,)
+        zs[j:k] = (z,)
         kept.append(v)
     return sorted(kept)
 
