@@ -382,8 +382,9 @@ class TestFrontier:
             (((3, 0, 2), (3, 2, 0), (1, 2, 2), (0, 1, 1)), [0, 1, 2]),
             (((2, 5, 0), (2, 0, 5), (1, 4, 4), (1, 5, 0), (0, 4, 4)), [0, 1, 2]),
             (((1, 2), (1, 3), (2, 1), (1, 3)), [1, 2]),
-            # n = 2: the second vector replaces the one entry; of the rest,
-            # a repeat and two that tie it in coordinate 1 are dropped
+            # n = 2: the second vector replaces the first's entry; of the
+            # rest, its repeat, one that ties it in coordinate 1 and one
+            # that ties the first there are dropped
             (((2, 1), (1, 2), (1, 2), (0, 2), (1, 1)), [0, 1]),
             (((1, 3), (2, 1), (1, 3), (2, 1)), [0, 1]),
             # n = 4: the first vector reaches the second in coordinates 0..2
