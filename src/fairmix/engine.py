@@ -26,14 +26,12 @@ any order: exhausting the scan means an invariant broke.
 The scan starts at the envelope's lowest vertex, the one of least t,
 found by one LP (``_lowest_vertex``), as reverse search and lrs start at
 the vertex one LP finds (Avis and Fukuda 1992; Avis 2000).  Its lottery is
-usually envy-free, and only when it has envy does the scan enumerate the
-whole envelope, by double description in exact integers; that
-enumeration must hold the lowest vertex.  The rest of the order is a
-function of the vertex set alone, never of the order the enumeration lists
-it in: one sort of the vertices, larger argmax sets first, then farther
-from the floor first, and a vertex whose argmax set lies in a scanned one,
-the lowest vertex's included, is skipped, so each other maximal set is
-scanned at its vertex farthest from the floor (see ``_fallback_search``).
+usually envy-free, and only when it has envy does the scan go on, by a
+walk from that LP's optimal tableau over the bases ``lp``'s lexicographic
+pivots reach, in exact integers, best first: larger argmax sets first,
+then farther from the floor first (see ``_envelope_walk``).  It stops at
+the first envy-free vertex, and a vertex whose argmax set lies in a
+scanned one is skipped (see ``_fallback_search``).
 
 The map is kept where its lemma can fail.  At a vertex whose lottery has
 envy the map runs, and its residual must be positive, since a fixed point
@@ -72,9 +70,9 @@ it at or above the floor, and the tie-breaking LP's verified optimum.
 """
 
 from fractions import Fraction
-from itertools import chain
+from heapq import heappop, heappush
+from itertools import chain, count
 from math import gcd
-from operator import mul, sub
 
 from .envy import certify
 from .errors import EngineInvariantError, MalformedInstanceError, PreconditionError
@@ -149,8 +147,8 @@ def select_p_in_P(w, inst, argmax=None):
     exact and summing to 1, and its largest margin times the table's
     scale is d / sum x_num - shift, the least over P(w): at most 0 exactly
     when P(w) holds an envy-free lottery.  Where that optimum is not
-    unique, the lottery is the one Bland's rule reaches from the slack
-    basis.
+    unique, the lottery is the one Bland's rule, with ``lp``'s
+    lexicographic ratio test, reaches from the slack basis.
 
     A given ``argmax`` is read as its set, ascending, so its order and
     repeats change nothing.  The LP's solution is verified by substitution,
@@ -301,150 +299,101 @@ def find_fixed_point(inst, *, trace_sink=None):
     return hit
 
 
-def _envelope_vertices(points, eps):
-    """Vertices of {(w, t) : w in W, t >= w.u for every u in ``points``}, exactly.
-
-    Returns ``(weights, tight)`` pairs: the vertex weight times x0 (below),
-    as positive ints summing to x0, and the bitmask of the vectors of
-    maximum welfare there (bit f for point f).
-    Double description over primitive integer rays in homogeneous
-    coordinates (x0, w_1..w_{n-1}, T), where w_n = x0 - sum of the others
-    and T is t times the table's scale, over which the points are ints.  The
-    start is the simplicial cone of the n floor rows (bits 0..n-1) and the
-    first vector's row (bit n), independent because eps < 1/n; its rays,
-    the n corners of W and the recession direction (0, .., 0, 1), are
-    written down directly, so only the other vectors' rows are built.  They
-    are added in descending uniform welfare (the sum of the vector), ties by
-    index.  The row order sets how much work the method does (Fukuda and
-    Prodon 1996): over the solves of the pinned ``envious`` and
-    ``fallback`` sets, which run this method on every instance, it tests
-    4,530 and 58,223 ray pairs across the split, where index order tests
-    10,696 and 156,533.  Each row splits the rays by sign and joins every
-    adjacent pair across the split, adjacency being the combinatorial test:
-    no third ray is tight on every row the pair shares.  The rays with
-    x0 > 0 at the end are the vertices, and the vector rows a ray is tight
-    on are its argmax.  The vertex set does not depend on the row order;
-    the order of the returned list does, and no caller may rely on it.
-    """
-    n = len(points[0])
-    num, den = eps.numerator, eps.denominator
-
-    # corner i scaled by den: x0 = den, w_i = den - (n-1)*num, the others num
-    corner = den - (n - 1) * num
-    rays = []
-    for i in range(n):
-        w = [corner if c == i else num for c in range(n)]
-        t = sum(a * b for a, b in zip(w, points[0]))
-        tight = sum(1 << r for r in range(n) if r != i) | (1 << n)
-        rays.append((_primitive((den, *w[:-1], t)), tight))
-    rays.append(((0,) * n + (1,), (1 << n) - 1))
-
-    # point f keeps bit n + f whatever its turn, so no mask is remapped
-    for f in sorted(range(1, len(points)), key=lambda f: -sum(points[f])):
-        u = points[f]
-        row = (-u[-1], *(u[-1] - x for x in u[:-1]), 1)
-        bit = 1 << (n + f)
-        pos, neg, kept = [], [], []
-        for ray, tight in rays:
-            s = sum(map(mul, row, ray))
-            if s > 0:
-                pos.append((ray, tight, s))
-                kept.append((ray, tight))
-            elif s < 0:
-                neg.append((ray, tight, s))
-            else:
-                kept.append((ray, tight | bit))
-        if not neg:
-            rays = kept
-            continue
-        masks = [tight for _, tight in rays]
-        for rp, zp, sp in pos:
-            for rn, zn, sn in neg:
-                common = zp & zn
-                if common.bit_count() < n - 1:
-                    continue
-                for z in masks:
-                    if z & common == common and z != zp and z != zn:
-                        break
-                else:
-                    ray = tuple(map(sub, map(sp.__mul__, rn), map(sn.__mul__, rp)))
-                    kept.append((_primitive(ray), common | bit))
-        rays = kept
-
-    return [((*ray[1:n], ray[0] - sum(ray[1:n])), tight >> n) for ray, tight in rays if ray[0]]
-
-
 def _primitive(ray):
     g = gcd(*ray)
     return tuple(map(g.__rfloordiv__, ray)) if g > 1 else ray
 
 
 def _lowest_vertex(points, eps):
-    """The welfare-envelope vertex of least t, as a ``(weights, mask)`` pair of
-    ``_envelope_vertices``, with primitive weights, found by one LP.
+    """The optimal ``Tableau`` of the envelope's program, whose basis is the
+    welfare-envelope vertex of least t, found by one LP from the slack basis.
 
     With eps = num/den and X = den - n*num, the weight is
     w_i = (num + x_i)/den for i < n and w_n = (num + X - sum x)/den, so
     x >= 0 and sum x <= X is W.  Point u's welfare is then
-    (v_u + sum_{i<n} (u_i - u_n) x_i)/den with v_u = num*sum(u) + X*u_n, and
-    with c the largest v_u the LP maximizes sigma subject to sum x <= X and
-    sum_{i<n} (u_i - u_n) x_i + sigma <= c - v_u for every point, so
-    t = (c - sigma)/den.  Every right-hand side is at least 0, so the slack
-    basis is feasible, the start ``solve_lp`` serves.  An optimal basic
-    solution is a vertex of the envelope: at sigma > 0 no constraint but the
-    envelope's is tight, and at sigma = 0 the feasible x are the minimizers
-    of t, a face of the envelope.  Its mask is the set of the LP's tight
-    point rows.  The LP's dual is the lottery over points maximizing
+    (v_u + sum_{i<n} (u_i - u_n) x_i)/den with v_u = num*sum(u) + X*u_n.
+    With top = den * (largest point coordinate) + 1, the program maximizes
+    s subject to sum x <= X and sum_{i<n} (u_i - u_n) x_i + s <= top - v_u
+    for every point, so s = top - den*t on the envelope, where t is at most
+    the largest coordinate: s >= 1 there.  Every right-hand side is at least 1,
+    so the slack basis is feasible, the start ``solve_lp`` serves.  The
+    region is the envelope over W and its bottom face s = 0, whose n
+    corners are the bases with s nonbasic and no point row tight.  An
+    optimal basic solution is a vertex of the envelope of least t (see
+    ``_vertex``).  Its dual is the lottery over points maximizing
     (1 - n*eps) min_i U_i + eps sum_i U_i, a nearly egalitarian choice.
-    Everything after the LP stays in ints: the optimum's numerators x_num
-    over its denominator d give the weights times den * d, and the tight
-    point rows are read from the optimal tableau (``Tableau.tight``).
     """
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
     room = den - n * num
-    base = [num * sum(u) + room * u[-1] for u in points]
-    top = max(base)
+    top = den * max(map(max, points)) + 1
     rows = [((1,) * (n - 1) + (0,), room)]
-    rows.extend(((*(x - u[-1] for x in u[:-1]), 1), top - v) for u, v in zip(points, base))
-    optimum = solve_lp(LinearProgram((0,) * (n - 1) + (1,), tuple(rows)))
-    x, d = optimum.x_num[:-1], optimum.d
-    weights = [num * d + a for a in x]
-    weights.append((num + room) * d - sum(x))
-    # row 0 is sum x <= X, and row f + 1 is point f's
-    return _primitive(tuple(weights)), optimum.tight >> 1
+    rows.extend(((*(x - u[-1] for x in u[:-1]), 1), top - num * sum(u) - room * u[-1]) for u in points)
+    return solve_lp(LinearProgram((0,) * (n - 1) + (1,), tuple(rows)))
 
 
-def _scan_vertices(points, eps):
-    """The vertices the scan may visit, in order: the lowest vertex, then,
-    only when the scan asks for more, every envelope vertex in
-    ``_scan_order``.  The lowest vertex must be one of those, or this raises
-    ``EngineInvariantError``."""
-    lowest = _lowest_vertex(points, eps)
-    yield lowest
-    vertices = _envelope_vertices(points, eps)
-    weights, mask = lowest
-    if not any(tight == mask and _primitive(w) == weights for w, tight in vertices):
-        raise EngineInvariantError("the lowest vertex is not a vertex of the welfare envelope")
-    yield from _scan_order(vertices)
+def _vertex(tableau, num, room):
+    """The envelope point of one basis of ``_lowest_vertex``'s program, as
+    ``(weights, mask)``: its weight times a positive constant, as primitive
+    positive ints, and the bitmask of its points of maximum welfare, bit f
+    for point f.  Everything stays in ints: the basic solution's numerators
+    x_num over d give the weights times den * d, and the tight point rows
+    are read from the tableau (``Tableau.tight``); row 0 is sum x <= X,
+    and row f + 1 is point f's.  The mask is 0 exactly at a corner of the
+    bottom face, since every point row is slack at s = 0."""
+    *x, _ = tableau.x_num
+    d = tableau.d
+    return _primitive((*(num * d + a for a in x), (num + room) * d - sum(x))), tableau.tight >> 1
 
 
-def _scan_order(vertices):
-    """The ``(weights, mask)`` vertices in scan order, by one key: the larger
-    mask first, then the larger least share min(w)/sum(w), then the
-    ascending mask, then the lexicographically greater normalized weight.
-    Each mask size is sorted only when reached."""
+def _envelope_walk(points, eps):
+    """The welfare-envelope vertices, best first, each once, as ``(weights,
+    mask)`` pairs of ``_vertex``: a walk over the lex-feasible bases of
+    ``_lowest_vertex``'s program from its optimal tableau (Avis and Fukuda
+    1992).
 
-    def key(vertex):
-        weights, mask = vertex
+    Those bases are the vertices of a simple polytope, the program
+    perturbed as ``lp``'s lexicographic rule perturbs it, and the n pivots
+    of a basis, one per nonbasic column each with ``Tableau.leaving``'s
+    row, are its n edges.  That graph is connected, so the walk reaches
+    every basis, and every vertex of the region is the point of some basis.
+    A heap holds the bases reached and not yet expanded, each keyed by its
+    point: the larger mask first, then the leximin weight, the
+    lexicographically larger sorted normalized weight, whose first entry is
+    the least share min(w)/sum(w); bases of equal key come in the order
+    they were reached.  A basis is reached once, by its set of nonbasic
+    columns, and a popped basis yields its point if it is on the envelope
+    (mask not 0) and not yielded yet, and is then expanded.  The optimal
+    tableau is popped first, so the first vertex is the lowest, and the
+    walk pivots only when asked for the next vertex.
+    """
+    n = len(points[0])
+    num, den = eps.numerator, eps.denominator
+    room = den - n * num
+    heap, order = [], count()
+
+    def reach(tableau):
+        weights, mask = vertex = _vertex(tableau, num, room)
         total = sum(weights)
-        return Fraction(-min(weights), total), mask, [Fraction(-x, total) for x in weights]
+        key = -mask.bit_count(), [Fraction(-x, total) for x in sorted(weights)]
+        heappush(heap, (key, next(order), vertex, tableau))
 
-    by_size = {}
-    for vertex in vertices:
-        by_size.setdefault(vertex[1].bit_count(), []).append(vertex)
-    for size in sorted(by_size, reverse=True):
-        yield from sorted(by_size[size], key=key)
+    start = _lowest_vertex(points, eps)
+    seen = {sum(1 << c for c in start.cols)}
+    yielded = set()
+    reach(start)
+    while heap:
+        _, _, vertex, tableau = heappop(heap)
+        if vertex[1] and vertex not in yielded:
+            yielded.add(vertex)
+            yield vertex
+        nonbasic = sum(1 << c for c in tableau.cols)
+        for s, c in enumerate(tableau.cols):
+            r = tableau.leaving(s)
+            after = nonbasic ^ 1 << c ^ 1 << tableau.basis[r]
+            if after not in seen:
+                seen.add(after)
+                reach(tableau.pivot(r, s))
 
 
 def _fallback_search(inst, eps, trace_sink=None):
@@ -457,25 +406,22 @@ def _fallback_search(inst, eps, trace_sink=None):
     least as well on envy.  The scan is therefore complete: by the paper's
     existence theorem some maximal vertex yields an envy-free lottery.
 
-    The lowest vertex comes first (``_scan_vertices``), and the enumerated
-    envelope is read only if it has envy.  Its vertices are sorted by one
-    key (``_scan_order``), and a vertex is skipped when its mask lies in a
-    scanned one, its own and the lowest vertex's included.  So every
-    maximal mask is still scanned, each other than the lowest vertex's at
-    its vertex of the largest least share min(w)/sum(w), ties to the
-    lexicographically greatest normalized weight.  Returns ``(state,
-    certificate)`` for the first vertex that yields an envy-free lottery,
-    or None.  The scan is the only search; it keeps the name
-    ``bench/tracing.py`` binds.
+    The vertices come from ``_envelope_walk``, best first, the lowest
+    vertex first, and the walk goes on only while the scanned vertices have
+    envy.  A vertex is skipped when its mask lies in a scanned one: its
+    argmax set is then inside a scanned vertex's, so its P(w) is too.  A
+    maximal mask lies only in itself, so at exhaustion every maximal mask
+    has been scanned, at the first of its vertices the walk yields.
+    Returns ``(state, certificate)`` for the first vertex that yields an
+    envy-free lottery, or None.  The scan is the only search; it keeps the
+    name ``bench/tracing.py`` binds.
     """
     kernel = inst.kernel
     points, members = kernel.frontier, kernel.members
     floor_num, floor_den = eps.numerator, eps.denominator
-    # larger first: a strict superset comes first, and containment is
-    # transitive, so a mask no scanned mask contains is maximal; a repeated
-    # mask contains itself, so it is scanned at its first vertex only
+    # a repeated mask contains itself, so it is scanned at its first vertex only
     scanned = []
-    for weights, mask in _scan_vertices(points, eps):
+    for weights, mask in _envelope_walk(points, eps):
         if any(kept & mask == mask for kept in scanned):
             continue
         scanned.append(mask)

@@ -34,15 +34,28 @@ original index, never the stored position, so the pivots, the final D and
 the solution are the dense tableau's; ``tests/oracles.py`` keeps the dense
 code to require that.
 
+One leaving rule.  Ratio ties go by the lexicographic rule (Dantzig, Orden
+and Wolfe 1955): each tied row is read with its row of B^-1, the slack
+columns in row order, over its entering entry, and the lexicographically
+least leaves.  Those rows are independent, so one row always wins, the
+simplex cannot cycle, and from the slack basis every basis it reaches is
+lex-feasible: a vertex of the program with every right-hand side b_i raised
+by eps^(i+1), for every small eps > 0, which is a simple polytope.  A basic
+slack's column is D times a unit vector, so only the stored slacks and the
+tied rows' own slacks can tell two rows apart.  ``Tableau.pivot`` on the
+row ``Tableau.leaving`` picks takes one such step from a returned tableau,
+along an edge of that polytope.
+
 Same pivots as the rational tableau.  Scaling a row, a slack column or the
 cost row by a positive factor, and multiplying everything by D > 0, keeps
 the sign of every entry and reduced cost and scales all ratios in one
-column alike, so Bland's rule and the cross-multiplied ratio test enter and
-leave the same columns as on the rational tableau, and rhs/D is the same
-point.  So a program whose rows are all times one positive constant pivots
-as the original and has the same solution.  The tie-breaking game's int
-rows are its rational rows, each margin plus shift/scale over a right-hand
-side of 1/scale, times the table's scale.
+column alike, and every entry of a slack column alike across the rows, so
+Bland's rule and the lexicographic ratio test enter and leave the same
+columns as on the rational tableau, and rhs/D is the same point.  So a
+program whose rows are all times one positive constant pivots as the
+original and has the same solution.  The tie-breaking game's int rows are
+its rational rows, each margin plus shift/scale over a right-hand side of
+1/scale, times the table's scale.
 
 The optimal tableau out.  ``solve_lp`` returns the tableau it ends on, a
 ``Tableau``, with the optimum's int numerators x_num over its final D > 0,
@@ -90,16 +103,26 @@ class LinearProgram(Value):
 
 
 class Tableau:
-    """The optimal condensed tableau, as ``solve_lp`` ends on it: the stored
-    columns ``tab`` with the right-hand side last, the ``basis`` by row, the
-    stored columns' original indices ``cols``, the common denominator
-    ``d`` > 0 and the verified solution's int numerators ``x_num`` over
-    ``d``.  A condensed tableau stores one column per variable of the
-    program, so with n = ``len(cols)``, original index j < n is x_j, and
-    n + i is row i's slack."""
+    """A lex-feasible condensed tableau, as ``solve_lp`` ends on it or
+    ``pivot`` reaches it: the stored columns ``tab`` with the right-hand
+    side last, the ``basis`` by row, the stored columns' original indices
+    ``cols`` and the common denominator ``d`` > 0.  A condensed tableau
+    stores one column per variable of the program, so with n =
+    ``len(cols)``, original index j < n is x_j, and n + i is row i's
+    slack."""
 
-    def __init__(self, tab, basis, cols, d, x_num):
-        self.tab, self.basis, self.cols, self.d, self.x_num = tab, basis, cols, d, x_num
+    def __init__(self, tab, basis, cols, d):
+        self.tab, self.basis, self.cols, self.d = tab, basis, cols, d
+
+    @cached_property
+    def x_num(self):
+        """The basic solution's int numerators over ``d``, one per variable."""
+        ncols = len(self.cols)
+        x = [0] * ncols
+        for b, c in zip(self.tab[-1], self.basis):
+            if c < ncols:
+                x[c] = b
+        return x
 
     @cached_property
     def y_num(self):
@@ -115,7 +138,7 @@ class Tableau:
 
     @property
     def tight(self):
-        """The rows whose slack is 0 at the optimum, bit i for row i: every
+        """The rows whose slack is 0 at the solution, bit i for row i: every
         row but those whose slack is basic at a positive value, that is
         every row with a . x_num == b * d."""
         ncols = len(self.cols)
@@ -124,6 +147,17 @@ class Tableau:
             if b and c >= ncols:
                 mask ^= 1 << (c - ncols)
         return mask
+
+    def leaving(self, s):
+        """The row that leaves when the stored column at position s enters
+        (``_leaving``)."""
+        return _leaving(self.tab, self.basis, self.cols, s, self.d)
+
+    def pivot(self, r, s):
+        """The tableau one pivot on row r and stored column s away.  ``_pivot``
+        builds every column it changes anew, so this one is left as it is."""
+        tab, basis, cols = list(self.tab), list(self.basis), list(self.cols)
+        return Tableau(tab, basis, cols, _pivot(tab, basis, cols, r, s, self.d))
 
 
 def _pivot(tab, basis, cols, r, s, d):
@@ -155,18 +189,50 @@ def _pivot(tab, basis, cols, r, s, d):
     return p
 
 
+def _leaving(tab, basis, cols, s, d):
+    """The row that leaves when the stored column at position s enters: the
+    least ratio rhs_i / a_i over the constraint rows, the first
+    ``len(basis)``, with a_i > 0, compared by cross-multiplying, and ties to
+    the lexicographically least row of B^-1 over a_i (see the module
+    docstring).  An entering column with no positive entry, an unbounded
+    program, raises ``EngineInvariantError``: every program the package
+    builds is bounded."""
+    col, rhs = tab[s], tab[-1]
+    leave = -1
+    for i in range(len(basis)):
+        a = col[i]
+        if a > 0:
+            b = rhs[i]
+            if leave < 0 or b * best_a < best_b * a:
+                leave, best_a, best_b = i, a, b
+            elif b * best_a == best_b * a and _lex_less(tab, basis, cols, d, i, a, leave, best_a):
+                leave, best_a, best_b = i, a, b
+    if leave < 0:
+        raise EngineInvariantError("linear program is unbounded")
+    return leave
+
+
+def _lex_less(tab, basis, cols, d, i, a, h, b):
+    """Whether row i of B^-1 over a is lexicographically less than row h
+    over b.  Row r of B^-1 times d is the slack columns' entries in row r:
+    a stored slack's, or d where the slack is basic in row r, else 0."""
+    ncols = len(cols)
+    entries = [(c, col[i] * b, col[h] * a) for col, c in zip(tab, cols) if c >= ncols]
+    if basis[i] >= ncols:
+        entries.append((basis[i], d * b, 0))
+    if basis[h] >= ncols:
+        entries.append((basis[h], 0, d * a))
+    # the rows are independent, so some slack tells them apart
+    return min((c, x < y) for c, x, y in entries if x != y)[1]
+
+
 def _simplex(tab, basis, cols, d):
     """Minimize the cost in the last row of ``tab``'s columns; Bland's rule.
 
     The entering column is the one of smallest original index ``cols[j]``
-    with a negative cost.  Ratios over the constraint rows, the first
-    ``len(basis)``, compare by cross-multiplying, ties going to the smaller
-    basic column.  Returns the final d.  An entering column with no
-    positive entry, an unbounded program, raises ``EngineInvariantError``:
-    every program the package builds is bounded.  Mutates tab, basis and
-    cols in place.
+    with a negative cost, and the leaving row is ``_leaving``'s.  Returns
+    the final d.  Mutates tab, basis and cols in place.
     """
-    m = len(basis)
     while True:
         enter = -1
         for j, c in enumerate(cols):
@@ -174,17 +240,7 @@ def _simplex(tab, basis, cols, d):
                 enter = j
         if enter < 0:
             return d
-        col, rhs = tab[enter], tab[-1]
-        leave = -1
-        for i in range(m):
-            a = col[i]
-            if a > 0:
-                b = rhs[i]
-                if leave < 0 or b * best_a < best_b * a or (b * best_a == best_b * a and basis[i] < basis[leave]):
-                    leave, best_a, best_b = i, a, b
-        if leave < 0:
-            raise EngineInvariantError("linear program is unbounded")
-        d = _pivot(tab, basis, cols, leave, enter, d)
+        d = _pivot(tab, basis, cols, _leaving(tab, basis, cols, enter, d), enter, d)
 
 
 def _verify(rows, x_num, d):
@@ -201,7 +257,8 @@ def _verify(rows, x_num, d):
 
 def solve_lp(lp):
     """Exact simplex on ``lp``'s int rows from the slack basis; returns the
-    optimal ``Tableau``, whose solution is re-verified by substitution."""
+    optimal ``Tableau``, whose solution ``x_num`` is re-verified by
+    substitution."""
     ncols, rows = lp.num_vars, lp.constraints
     # the slacks start basic, so the stored columns are the program's, each
     # with its cost -c_j, a reduced cost since the slacks cost 0
@@ -210,13 +267,9 @@ def solve_lp(lp):
     tab.append([*(b for _, b in rows), 0])
     basis = list(range(ncols, ncols + len(rows)))
     cols = list(range(ncols))
-    d = _simplex(tab, basis, cols, 1)
-    x_num = [0] * ncols
-    for b, c in zip(tab[-1], basis):
-        if c < ncols:
-            x_num[c] = b
-    _verify(rows, x_num, d)
-    return Tableau(tab, basis, cols, d, x_num)
+    optimum = Tableau(tab, basis, cols, _simplex(tab, basis, cols, 1))
+    _verify(rows, optimum.x_num, optimum.d)
+    return optimum
 
 
 def project_onto_truncated_simplex(y, epsilon):

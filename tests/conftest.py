@@ -1,9 +1,11 @@
 """Deterministic instance builders and the pinned-set reader shared across
 test modules."""
 
+import importlib.util
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 from fairmix.hard import DisjointnessInput, build_hard_instance
@@ -18,6 +20,18 @@ def pinned_entries(name):
     or ``golden``, the answers pinned for them."""
     with open(os.path.join(DATA, f"{name}.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def golden_draw():
+    """``tests/data/make_goldens.py::draw``, loaded with ``sys.path`` kept as it was."""
+    spec = importlib.util.spec_from_file_location("make_goldens", os.path.join(DATA, "make_goldens.py"))
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module.draw
 
 
 def pinned_instances(name):

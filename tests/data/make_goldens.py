@@ -49,8 +49,9 @@ def many():
 
 # (n, m, utility type) of each ``envious`` instance, item or bundle values
 # 1-9: the scan starts at the envelope's lowest vertex, and answers there on
-# every benchmark instance but one, so these keep its enumerated envelope,
-# and the share step at an envious vertex, covered at every n from 2 to 6
+# every benchmark instance but one, so these keep its walk past the lowest
+# vertex, and the share step at an envious vertex, covered at every n from
+# 2 to 6
 ENVIOUS_SHAPES = ((2, 2, "table"), (3, 2, "table"), (3, 3, "additive"), (4, 3, "additive"), (5, 2, "table"), (6, 2, "table"))
 
 

@@ -19,14 +19,11 @@ own-utility kernel that ``fairmix.model.Instance.rho`` and
 ``fairmix.envy.check_pareto_efficient`` solved before its slack-basis
 weight program, over ``fraction_kernel``'s frontier and solved by
 ``fraction_simplex``, so the two programs' verdicts can be required to
-agree.  ``reference_envelope_vertices`` is of a third kind: the double description
-``fairmix.engine._envelope_vertices`` runs, written with generator
-expressions as it was before its loops were tuned and adding the rows in
-index order, not the engine's welfare order, so that the engine can be
-required to return the same vertex set (the list order differs, and the
-scan reads none of it).  ``reference_scan_weights`` derives the scan
-order after its first vertex from that set alone, in Fractions, with its
-own maximal-mask filter.
+agree.  ``reference_envelope_vertices`` is of a third kind: the double
+description the engine ran before its walk, ``fairmix.engine._envelope_walk``,
+replaced it, written with generator expressions as it was before its loops
+were tuned and adding the rows in index order, so that the walk run to
+exhaustion can be required to reach the same vertex set.
 ``reference_kernel`` keeps the integer kernel's grouping loop and
 sort-based skyline, ``reference_share_step`` the Fraction share step and
 projection that the engine now runs in integers, ``reference_rho`` the
@@ -294,8 +291,11 @@ def _fraction_pivot(tab, rhs, basis, r, c):
     basis[r] = c
 
 
-def _fraction_phase(tab, rhs, basis, cost):
-    """Minimize cost.x on a tableau in canonical form; Bland's rule.
+def _fraction_phase(tab, rhs, basis, cost, start):
+    """Minimize cost.x on a tableau in canonical form; Bland's rule, with
+    ratio ties to the lexicographically least row of B^-1 over its entering
+    entry, B^-1 being the columns ``start`` of the starting basis, in row
+    order.
 
     Every reduced cost is recomputed from the basis on every pass.
     Returns ("optimal", value) or ("unbounded", None).  Mutates in place.
@@ -322,7 +322,9 @@ def _fraction_phase(tab, rhs, basis, cost):
             a = tab[i][enter]
             if a > 0:
                 ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                if best is None or ratio < best or (
+                    ratio == best and _lex_row(tab, i, start, enter) < _lex_row(tab, leave, start, enter)
+                ):
                     best = ratio
                     leave = i
         if leave < 0:
@@ -330,8 +332,15 @@ def _fraction_phase(tab, rhs, basis, cost):
         _fraction_pivot(tab, rhs, basis, leave, enter)
 
 
+def _lex_row(tab, i, start, enter):
+    """Row i of B^-1, the starting basis's columns ``start``, over row i's
+    entry in the entering column."""
+    return [tab[i][c] / tab[i][enter] for c in start]
+
+
 def fraction_simplex(lp):
-    """Reference two-phase simplex over Fraction, with Bland's rule.
+    """Reference two-phase simplex over Fraction, with Bland's rule and the
+    lexicographic ratio test.
 
     Column j is x_j >= 0, rows with a negative right-hand side are negated,
     and each row gets a slack (<=), a surplus and an artificial (>=) or an
@@ -387,9 +396,12 @@ def fraction_simplex(lp):
         tab.append(row)
         rhs_col.append(rhs)
 
+    # B^-1 is read from the starting basis's columns, so phase 2 keeps the
+    # artificial columns, but never lets one enter
+    start = list(basis)
     if n_art:
         phase1 = [Fraction(0)] * art_start + [Fraction(1)] * n_art
-        status, value = _fraction_phase(tab, rhs_col, basis, phase1)
+        status, value = _fraction_phase(tab, rhs_col, basis, phase1, start)
         assert status == OPTIMAL
         if value > 0:
             return FractionResult(INFEASIBLE)
@@ -403,13 +415,13 @@ def fraction_simplex(lp):
                 else:
                     drop.append(i)
         keep = [i for i in range(m) if i not in drop]
-        tab = [tab[i][:art_start] for i in keep]
+        tab = [tab[i] for i in keep]
         rhs_col = [rhs_col[i] for i in keep]
         basis = [basis[i] for i in keep]
         m = len(tab)
 
     cost2 = [-c for c in objective] + [Fraction(0)] * n_slack
-    status, _ = _fraction_phase(tab, rhs_col, basis, cost2)
+    status, _ = _fraction_phase(tab, rhs_col, basis, cost2, start)
     if status == UNBOUNDED:
         return FractionResult(UNBOUNDED)
 
@@ -546,9 +558,9 @@ def reference_kernel(inst):
 
 
 def reference_envelope_vertices(points, eps):
-    """``fairmix.engine._envelope_vertices`` as it was written with generator
-    expressions, adding the rows in index order: the engine adds them in
-    another order, so the two must return equal sets of (weight, mask)."""
+    """The welfare-envelope vertices by double description, as (weight, mask)
+    pairs in ``fairmix.engine._vertex``'s form, adding the rows in index
+    order: the engine's walk must reach the same set."""
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
     rows = []
@@ -602,29 +614,6 @@ def reference_envelope_vertices(points, eps):
 def _primitive(ray):
     g = gcd(*ray)
     return tuple(x // g for x in ray) if g > 1 else ray
-
-
-def reference_scan_weights(points, eps, first):
-    """The scan order of ``fairmix.engine._fallback_search`` after its first
-    vertex ``first``, a (normalized weight, mask) pair that the caller checks
-    to be a reference vertex of least t, derived from the vertex set alone,
-    in Fractions: each argmax mask's weight is its vertex of the largest
-    least share min(w), ties to the lexicographically greatest weight; the
-    masks no other mask strictly contains and ``first``'s mask does not
-    contain are then sorted larger first, then by the larger least share,
-    then by ascending mask value, and follow ``first``'s weight."""
-    first_w, first_mask = first
-    best = {}
-    for weights, mask in set(reference_envelope_vertices(points, eps)):
-        w = tuple(Fraction(x, sum(weights)) for x in weights)
-        best[mask] = max(best.get(mask, w), w, key=lambda v: (min(v), v))
-    maximal = [
-        (mask, w) for mask, w in best.items()
-        if not any(other != mask and other & mask == mask for other in best)
-        and first_mask & mask != mask
-    ]
-    maximal.sort(key=lambda item: (-item[0].bit_count(), -min(item[1]), item[0]))
-    return [first_w] + [w for _, w in maximal]
 
 
 def reference_share_step(views, w):
@@ -730,9 +719,12 @@ def _dense_pivot(rows, r, c, d):
 
 def _dense_phase(rows, basis, d, ncols, pivots):
     """Minimize the cost in the last row of a dense tableau; Bland's rule on
-    the first ``ncols`` columns, ratio ties to the smaller basic column.
-    Appends (leaving column, entering column, new d) to ``pivots``."""
+    the first ``ncols`` columns, ratio ties to the lexicographically least
+    row of B^-1 over its entering entry, B^-1 being the slack columns, the
+    last m before the right-hand side.  Appends (leaving column, entering
+    column, new d) to ``pivots``."""
     m = len(basis)
+    slacks = range(ncols - m, ncols)
     while True:
         cost = rows[-1]
         enter = next((j for j in range(ncols) if cost[j] < 0), -1)
@@ -747,7 +739,11 @@ def _dense_phase(rows, basis, d, ncols, pivots):
                     leave, best_a, best_b = i, a, b
                     continue
                 lhs, rhs = b * best_a, best_b * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                if lhs == rhs:
+                    # rows over a and best_a, cross-multiplied
+                    lhs = [rows[i][c] * best_a for c in slacks]
+                    rhs = [rows[leave][c] * a for c in slacks]
+                if lhs < rhs:
                     leave, best_a, best_b = i, a, b
         if leave < 0:
             return UNBOUNDED, d
@@ -760,10 +756,10 @@ def dense_simplex(lp):
     """``fairmix.lp.solve_lp`` as it was written on the dense fraction-free
     tableau, which stores every column, basic ones included: the same int
     rows (a, b), each a . x <= b, with b >= 0, the same slack basis to start
-    from and Bland's rule on the column index.  Returns
-    ``(result, pivots, d)``: the ``FractionResult`` without the substitution
-    check, every pivot as (leaving column, entering column, the pivot
-    element that becomes the new d), and the final d > 0."""
+    from, Bland's rule on the column index and the lexicographic ratio
+    test.  Returns ``(result, pivots, d)``: the ``FractionResult`` without
+    the substitution check, every pivot as (leaving column, entering
+    column, the pivot element that becomes the new d), and the final d > 0."""
     ncols, m = lp.num_vars, len(lp.constraints)
     rows = []
     for r, (row, rhs) in enumerate(lp.constraints):

@@ -199,25 +199,22 @@ def below_the_floor(weights, points, eps):
 
 def test_a_vertex_below_the_floor_is_an_invariant_failure(monkeypatch):
     # the floor check covers the lowest vertex, scanned first, and every
-    # enumerated vertex, reached when the lowest vertex has envy
-    inst = pinned_instances("desk")[0]
-    eps = choose_epsilon(compute_rho(inst), inst.n)
-    lowest = engine._lowest_vertex(inst.kernel.frontier, eps)
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "_lowest_vertex", lambda points, eps: below_the_floor(lowest[0], points, eps))
-        with pytest.raises(EngineInvariantError, match="below the weight floor"):
-            find_fixed_point(inst)
+    # later vertex of the walk, reached when the lowest vertex has envy
+    walk = engine._envelope_walk
 
-    inst = pinned_instances("envious")[0]
-    eps = choose_epsilon(compute_rho(inst), inst.n)
-    weights, mask = engine._lowest_vertex(inst.kernel.frontier, eps)
-    vertices = engine._envelope_vertices(inst.kernel.frontier, eps)
-    (start,) = [v for v in vertices if v[1] == mask and engine._primitive(v[0]) == weights]
-    other = next(v for v in vertices if mask & v[1] != v[1])
-    broken = [start, below_the_floor(other[0], inst.kernel.frontier, eps)]
-    monkeypatch.setattr(engine, "_envelope_vertices", lambda points, eps: broken)
-    with pytest.raises(EngineInvariantError, match="below the weight floor"):
-        find_fixed_point(inst)
+    def broken_at(position):
+        def broken(points, eps):
+            for t, vertex in enumerate(walk(points, eps)):
+                yield below_the_floor(vertex[0], points, eps) if t == position else vertex
+
+        return broken
+
+    for name, position in (("desk", 0), ("envious", 1)):
+        inst = pinned_instances(name)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_envelope_walk", broken_at(position))
+            with pytest.raises(EngineInvariantError, match="below the weight floor"):
+                find_fixed_point(inst)
 
 
 @pytest.mark.parametrize("workload", ["desk", "wide"])

@@ -47,7 +47,6 @@ from oracles import (
     find_dominating_vertex_or_pair,
     reference_envelope_vertices,
     reference_nu,
-    reference_scan_weights,
     weight_witness_ok,
 )
 
@@ -426,63 +425,51 @@ def lowest_reference_vertices(points, eps):
     return {w: mask for w, mask in vertices.items() if height[w] == least}
 
 
+def maximal_reference_masks(points, eps):
+    """The reference envelope's argmax masks that no other mask strictly contains."""
+    masks = {mask for _, mask in reference_envelope_vertices(points, eps)}
+    return {mask for mask in masks if not any(other != mask and other & mask == mask for other in masks)}
+
+
 @pytest.mark.parametrize("workload", ["desk", "wide", "envious"])
-def test_scan_visits_maximal_masks_larger_first(workload, monkeypatch):
+def test_scan_visits_every_maximal_mask(workload, monkeypatch):
     """The scan starts at the lowest vertex, a reference vertex of least t,
-    and then visits the reference's order, which it derives from the
-    reference vertex set alone: every scanned state's weight is the
-    reference's weight at its position.  That holds for the scan as it
-    stops at its answer and for the whole order, seen by a scan whose envy
-    screen rejects every vertex and so runs out of vertices."""
+    and every vertex it scans is a reference vertex whose mask lies in no
+    mask scanned before it.  A scan whose envy screen rejects every vertex
+    runs out of vertices, and by then it has scanned every maximal mask of
+    the reference, each once."""
     insts = pinned_instances(workload)
-    orders = []
     for j, inst in enumerate(insts):
         eps = choose_epsilon(compute_rho(inst), inst.n)
         trace = []
         find_fixed_point(inst, trace_sink=trace)
         first = trace[0].w.w
-        lowest = lowest_reference_vertices(inst.kernel.frontier, eps)
-        assert first in lowest, f"{workload}[{j}]"
-        orders.append(reference_scan_weights(inst.kernel.frontier, eps, (first, lowest[first])))
-        assert [state.w.w for state in trace] == orders[-1][: len(trace)], f"{workload}[{j}]"
+        assert first in lowest_reference_vertices(inst.kernel.frontier, eps), f"{workload}[{j}]"
 
     monkeypatch.setattr(engine, "_envious", lambda views: True)
     monkeypatch.setattr(engine, "_share_step", lambda views, weights, eps: ((), (), F(1)))
     longest = 0
-    for j, (inst, want) in enumerate(zip(insts, orders)):
+    for j, inst in enumerate(insts):
+        points, members = inst.kernel.frontier, inst.kernel.members
+        eps = choose_epsilon(compute_rho(inst), inst.n)
+        weights = {}
+        for vertex, mask in reference_envelope_vertices(points, eps):
+            weights.setdefault(tuple(F(x, sum(vertex)) for x in vertex), mask)
         trace = []
         with pytest.raises(EngineInvariantError, match="without an envy-free lottery"):
             find_fixed_point(inst, trace_sink=trace)
-        assert [state.w.w for state in trace] == want, f"{workload}[{j}]"
+        masks = [weights[state.w.w] for state in trace]
+        for t, mask in enumerate(masks):
+            assert not any(kept & mask == mask for kept in masks[:t]), f"{workload}[{j}] scan {t + 1}"
+        assert maximal_reference_masks(points, eps) <= set(masks), f"{workload}[{j}]"
         longest = max(longest, len(trace))
     # some envelope has a maximal mask besides the lowest vertex's
     assert longest > 1
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide", "envious", "fallback"])
-def test_answers_do_not_depend_on_the_vertex_order(workload, monkeypatch):
-    """The scan reads the envelope as a set: the same answers, scan positions
-    included, whatever order ``_envelope_vertices`` lists the vertices in."""
-    insts = pinned_instances(workload)
-    want = [find_fixed_point(inst)[0] for inst in insts]
-    enumerate_vertices = engine._envelope_vertices
-    rng = seeded_rng(f"vertex-order:{workload}")
-
-    def shuffled(points, eps):
-        vertices = enumerate_vertices(points, eps)
-        rng.shuffle(vertices)
-        return vertices
-
-    for reorder in (lambda points, eps: enumerate_vertices(points, eps)[::-1], shuffled):
-        monkeypatch.setattr(engine, "_envelope_vertices", reorder)
-        for j, inst in enumerate(insts):
-            state = find_fixed_point(inst)[0]
-            assert (state.p, state.w, state.iteration) == (want[j].p, want[j].w, want[j].iteration), f"{workload}[{j}]"
-
-
 def test_envious_set_scans_past_the_lowest_vertex():
     # each instance's lowest vertex has envy, so its answer comes from the
-    # enumerated envelope, at every player count from 2 to 6
+    # walk past it, at every player count from 2 to 6
     insts = pinned_instances("envious")
     assert sorted(inst.n for inst in insts) == [2, 3, 3, 4, 5, 6]
     for j, inst in enumerate(insts):
@@ -507,7 +494,7 @@ def test_lowest_vertex_is_a_reference_vertex_of_least_t(workload):
     for j, inst in enumerate(insts):
         points = inst.kernel.frontier
         eps = choose_epsilon(compute_rho(inst), inst.n)
-        weights, mask = engine._lowest_vertex(points, eps)
+        weights, mask = next(engine._envelope_walk(points, eps))
         assert type(weights) is tuple and all(type(x) is int and x > 0 for x in weights)
         w = tuple(F(x, sum(weights)) for x in weights)
         assert lowest_reference_vertices(points, eps).get(w) == mask, f"{workload}[{j}]"
@@ -560,27 +547,32 @@ def test_select_lp_needs_no_phase_one(monkeypatch):
         assert len(largest) == 1 and largest[0] < lp.num_vars + len(lp.constraints)
 
 
-def test_a_lowest_vertex_the_enumeration_lacks_is_an_invariant_failure(monkeypatch):
-    # the lowest vertex is envious here, so the scan enumerates the envelope,
-    # which must hold the same vertex with the same argmax mask
-    inst = pinned_instances("envious")[0]
-    eps = choose_epsilon(compute_rho(inst), inst.n)
-    weights, mask = engine._lowest_vertex(inst.kernel.frontier, eps)
-    enumerate_vertices = engine._envelope_vertices
-
-    def same(vertex):
-        return vertex[1] == mask and engine._primitive(vertex[0]) == weights
-
-    corruptions = [
-        lambda vertices: [v for v in vertices if not same(v)],
-        lambda vertices: [(v[0], v[1] | 1 << len(inst.kernel.frontier)) if same(v) else v for v in vertices],
-    ]
-    for corrupt in corruptions:
-        monkeypatch.setattr(engine, "_envelope_vertices", lambda points, eps: corrupt(enumerate_vertices(points, eps)))
-        with pytest.raises(EngineInvariantError, match="lowest vertex is not a vertex"):
-            find_fixed_point(inst)
-    monkeypatch.setattr(engine, "_envelope_vertices", enumerate_vertices)
+def test_a_walk_vertex_whose_mask_disagrees_with_the_argmax_is_an_invariant_failure(monkeypatch):
+    # the lowest vertex is envious here, so the scan reads the walk's next
+    # vertices, and each one's mask must be the points of its argmax: one
+    # with a point added to its mask, or one removed, is refused (n = 3,
+    # 14 frontier points)
+    inst = pinned_instances("envious")[2]
+    walk = engine._envelope_walk
     assert find_fixed_point(inst)[0].iteration >= 2
+
+    def corrupted(change):
+        def corrupt(points, eps):
+            vertices = walk(points, eps)
+            yield next(vertices)
+            for weights, mask in vertices:
+                yield weights, change(mask, len(points))
+
+        return corrupt
+
+    changes = [
+        lambda mask, k: mask | next(1 << f for f in range(k) if not mask >> f & 1),
+        lambda mask, k: mask & (mask - 1),
+    ]
+    for change in changes:
+        monkeypatch.setattr(engine, "_envelope_walk", corrupted(change))
+        with pytest.raises(EngineInvariantError, match="disagrees with the argmax"):
+            find_fixed_point(inst)
 
 
 def test_fallback_solve_imports_neither_numpy_nor_scipy():

@@ -14,13 +14,15 @@ rewrites the files.
 import io
 import json
 import os
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from conftest import pinned_entries
+from conftest import golden_draw, pinned_entries
 from fairmix.cli import main
+from fairmix.engine import find_fixed_point
 from fairmix.serialize import load_instance, load_mixed_allocation
 from oracles import weight_witness_ok
 
@@ -118,15 +120,21 @@ def test_answers_match_golden(workload, tmp_path):
         assert diff is None, f"{workload}[{j}]{diff}"
 
 
+def assert_answer_passes_the_fraction_oracles(inst, p, w, label):
+    """``p`` is efficient by its weight witness ``w`` and envy-free, both
+    scored in Fractions from the instance's raw values."""
+    assert weight_witness_ok(p, inst, w), label
+    raw = inst.utilities.raw_values
+    for i in range(inst.n):
+        views = [sum(q * raw[i][inst.allocations[a].bundles[h]] for a, q in p.pairs) for h in range(inst.n)]
+        assert max(views) == views[i], f"{label} player {i}"
+
+
 def assert_answers_pass_the_fraction_oracles(name):
     for j, (entry, answer) in enumerate(zip(pinned_entries(name), pinned_entries("golden")[name])):
         inst = load_instance(entry)
         p = load_mixed_allocation(answer["out"]["p"], inst)
-        assert weight_witness_ok(p, inst, [Fraction(x) for x in answer["out"]["w"]]), f"{name}[{j}]"
-        raw = inst.utilities.raw_values
-        for i in range(inst.n):
-            views = [sum(q * raw[i][inst.allocations[a].bundles[h]] for a, q in p.pairs) for h in range(inst.n)]
-            assert max(views) == views[i], f"{name}[{j}] player {i}"
+        assert_answer_passes_the_fraction_oracles(inst, p, [Fraction(x) for x in answer["out"]["w"]], f"{name}[{j}]")
 
 
 def test_many_answers_pass_the_fraction_oracles():
@@ -148,3 +156,16 @@ def test_envious_answers_pass_the_fraction_oracles():
 def test_fallback_answers_pass_the_fraction_oracles():
     """And each such answer at n = 5-8."""
     assert_answers_scan_past_the_lowest_vertex("fallback")
+
+
+def test_a_ten_player_answer_past_the_lowest_vertex_passes_the_fraction_oracles():
+    """``make_goldens.py``'s table draw 1 at (10, 3), values 1-9, seeded
+    ``big:10:3``: its lowest vertex has envy, and the walk answers past it."""
+    rng = random.Random("big:10:3")
+    draw = golden_draw()
+    entry = [draw(rng, 10, 3, "table") for _ in range(2)][1]
+    inst = load_instance(entry)
+    trace = []
+    state, cert = find_fixed_point(inst, trace_sink=trace)
+    assert cert.ok and state.iteration >= 2 and trace[0].residual > 0
+    assert_answer_passes_the_fraction_oracles(inst, state.p, state.w.w, "(10, 3) draw 1")

@@ -9,9 +9,6 @@ witness oracle, each scoring the raw values through the Fraction rescale
 ``fraction_normalize``.
 """
 
-import importlib.util
-import os
-import sys
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -24,6 +21,7 @@ from conftest import (
     additive_table,
     fraction_points,
     fraction_views,
+    golden_draw,
     pinned_entries,
     pinned_instances,
     random_allocation_list,
@@ -31,7 +29,9 @@ from conftest import (
     swapped,
 )
 from fairmix.engine import (
-    _envelope_vertices,
+    _envelope_walk,
+    _lowest_vertex,
+    _vertex,
     argmax_allocations,
     choose_epsilon,
     compute_rho,
@@ -290,19 +290,6 @@ def test_kernel_matches_reference_on_seeded_cases(case):
     assert_kernel_matches_reference(make_instance(*case), case_id(case))
 
 
-def golden_draw():
-    """``tests/data/make_goldens.py::draw``, loaded with ``sys.path`` kept as it was."""
-    path = os.path.join(os.path.dirname(__file__), "data", "make_goldens.py")
-    spec = importlib.util.spec_from_file_location("make_goldens", path)
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.path[:]
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
-    return module.draw
-
-
 @pytest.mark.parametrize("n, m", [(3, 5), (2, 7)])
 @pytest.mark.parametrize("kind", ["additive", "table"])
 def test_kernel_matches_reference_on_larger_draws(n, m, kind):
@@ -503,17 +490,19 @@ def frontier_of(vectors):
     return tuple(tuple(int(x * scale) for x in vec) for vec in vectors)
 
 
+def walked_vertices(points, eps):
+    """``_envelope_walk`` run to exhaustion."""
+    return list(_envelope_walk(points, eps))
+
+
 def envelope_vertices(points, eps):
-    """``_envelope_vertices`` with each vertex weight as exact Fractions:
-    the int weights over their sum, the vertex's homogeneous coordinate."""
-    return [
-        (tuple(F(x, sum(weights)) for x in weights), tight)
-        for weights, tight in _envelope_vertices(points, eps)
-    ]
+    """``walked_vertices`` with each vertex weight as exact Fractions: the
+    int weights over their sum."""
+    return [(tuple(F(x, sum(weights)) for x in weights), tight) for weights, tight in walked_vertices(points, eps)]
 
 
 def tight_indices(found):
-    """``_envelope_vertices`` output with each tight bitmask as ascending
+    """``envelope_vertices`` output with each tight bitmask as ascending
     frontier indices, the brute force's format."""
     return {w: tuple(f for f in range(mask.bit_length()) if mask >> f & 1) for w, mask in found}
 
@@ -550,15 +539,18 @@ ENVELOPE_CANDIDATES = [
 ENVELOPE_CASES = [case for case in ENVELOPE_CANDIDATES if len(make_instance(*case).kernel.frontier) <= 14]
 
 
-# The scan reads the vertex set alone, so only the set is pinned: each
-# envelope must hold exactly the (weight, mask) pairs of the reference double
-# description, which adds the rows in index order, each vertex once.
+# The walk run to exhaustion must reach exactly the (weight, mask) pairs of
+# the reference double description, which adds the rows in index order, each
+# vertex once, and its first vertex must be that of the lowest-vertex LP's
+# optimal tableau.
 
 
 def assert_envelope_matches_reference(points, eps):
-    found = _envelope_vertices(points, eps)
+    found = walked_vertices(points, eps)
     assert len(set(found)) == len(found)
     assert set(found) == set(reference_envelope_vertices(points, eps))
+    n = len(points[0])
+    assert found[0] == _vertex(_lowest_vertex(points, eps), eps.numerator, eps.denominator - n * eps.numerator)
 
 
 @pytest.mark.parametrize("case", ENVELOPE_CASES, ids=case_id)
@@ -579,18 +571,19 @@ def mask_back(mask, order):
 
 @pytest.mark.parametrize("workload", ["desk", "wide"])
 def test_envelope_is_the_same_set_for_any_point_order(workload):
-    # a permutation changes the start row and every later row's turn
+    # a permutation reorders the program's rows, so the lexicographic rule
+    # breaks ties another way, and the walk may start at another basis
     data = pinned_entries(workload)
     rng = seeded_rng(f"permute:{workload}")
     for j in range(0, len(data), 4):
         inst = load_instance(data[j])
         points = inst.kernel.frontier
         eps = choose_epsilon(compute_rho(inst), inst.n)
-        want = set(_envelope_vertices(points, eps))
+        want = set(walked_vertices(points, eps))
         for _ in range(3):
             order = list(range(len(points)))
             rng.shuffle(order)
-            found = _envelope_vertices(tuple(points[f] for f in order), eps)
+            found = walked_vertices(tuple(points[f] for f in order), eps)
             assert {(w, mask_back(mask, order)) for w, mask in found} == want, f"{workload}[{j}]"
             assert len(found) == len(want)
 
@@ -599,7 +592,7 @@ def test_envelope_is_the_same_set_for_any_point_order(workload):
 def test_envelope_weights_are_positive_ints(case):
     inst = make_instance(*case)
     eps = choose_epsilon(compute_rho(inst), inst.n)
-    for weights, _ in _envelope_vertices(inst.kernel.frontier, eps):
+    for weights, _ in walked_vertices(inst.kernel.frontier, eps):
         assert type(weights) is tuple and len(weights) == inst.n
         assert all(type(x) is int and x > 0 for x in weights)
 
@@ -614,8 +607,9 @@ def test_envelope_cases_cover_every_player_count():
 @pytest.mark.parametrize("first", [False, True])
 def test_degenerate_envelope_matches_brute_force(first):
     # three collinear vectors tie on all of w_1 = w_2, so their rows meet in
-    # a 2-face whose non-adjacent vertices still share n - 1 = 3 rows: only
-    # the combinatorial adjacency test keeps the join of such a pair out
+    # a 2-face, and a vertex there has more tight rows than a basis has
+    # nonbasic columns: the walk must pass its several bases and reach the
+    # vertex once
     collinear = [(1, 3, 2, 2), (2, 2, 2, 2), (3, 1, 2, 2)]
     cutting = [(1, 1, 4, 1), (1, 1, 1, 4)]
     order = collinear + cutting if first else cutting + collinear
@@ -637,19 +631,31 @@ def test_one_vector_envelope_is_the_corners(n):
     assert_envelope_matches_reference(frontier_of((vec,)), eps)
 
 
-# one instance of each n in many: n = 5, 6 and 7, with 71, 27 and 37
-# frontier points, and in fallback, the one with the most frontier points:
-# n = 5, 6, 7 and 8, with 13, 13, 16 and 17, where the brute-force check
-# stops at n = 4
-ENVELOPE_ENTRIES = {"many": (0, 2, 4), "fallback": (2, 4, 7, 9)}
-
-
 @pytest.mark.parametrize("workload", ["desk", "wide", "envious", "many", "fallback"])
 def test_benchmark_set_envelopes_match_reference(workload):
-    data = pinned_entries(workload)
-    for j in ENVELOPE_ENTRIES.get(workload, range(len(data))):
-        inst = load_instance(data[j])
-        assert_envelope_matches_reference(inst.kernel.frontier, choose_epsilon(compute_rho(inst), inst.n))
+    # every instance with two or more frontier points: n = 2-8, up to 71
+    # frontier points (many[0], at n = 5)
+    seen = 0
+    for inst in pinned_instances(workload):
+        if len(inst.kernel.frontier) > 1:
+            seen += 1
+            assert_envelope_matches_reference(inst.kernel.frontier, choose_epsilon(compute_rho(inst), inst.n))
+    assert seen
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_drawn_envelopes_match_reference(n):
+    # make_goldens.py's table draws, values 1-9, over two items, and three
+    # up to n = 5: the first two draws of each shape whose frontier has two
+    # or more points
+    draw = golden_draw()
+    for m in (2, 3) if n <= 5 else (2,):
+        rng = seeded_rng(f"walk:{n}:{m}")
+        insts = (load_instance(draw(rng, n, m, "table")) for _ in range(20))
+        insts = [inst for inst in insts if len(inst.kernel.frontier) > 1][:2]
+        assert len(insts) == 2, (n, m)
+        for inst in insts:
+            assert_envelope_matches_reference(inst.kernel.frontier, choose_epsilon(compute_rho(inst), n))
 
 
 @pytest.mark.parametrize("seed", range(6))

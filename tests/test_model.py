@@ -416,8 +416,8 @@ class TestStoredForm:
         cert = certify(load_mixed_allocation(empty, inst), inst)
         out = dump_certificate(cert, inst)
         assert not out["ok"] and not out["pe"]["ok"]
-        assert out["pe"]["dominator"] == {"support": [{"bundles": [[1, 2, 3], [4, 5, 6]], "probability": "1/1"}]}
-        assert out["pe"]["gains"] == ["1/1", "8/9"]
+        assert out["pe"]["dominator"] == {"support": [{"bundles": [[1, 2, 4], [3, 5, 6]], "probability": "1/1"}]}
+        assert out["pe"]["gains"] == ["8/9", "1/1"]
         assert cli.main(["solve", "--instance", str(desk)]) == 0
 
     def test_verify_and_solve_build_no_bundle_tuples_or_index(self):

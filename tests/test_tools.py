@@ -48,22 +48,23 @@ def test_stage_times_appends_one_entry_with_every_key(tmp_path):
             assert set(stats) == {"calls", "best_s", "median_s", "q1_s", "q3_s"} | extra
             # one pass: its time is the best, the median and both quartiles
             assert 0 <= stats["best_s"] == stats["q1_s"] == stats["median_s"] == stats["q3_s"]
-    # each of the six envious solves runs one lowest-vertex step, with its
-    # program, finds envy there and so enumerates the envelope once, and
-    # scans two vertices, each with one tie-breaking step; and solving
-    # verifies by the answer's own weight, with no weight program
+    # each of the six envious solves walks the envelope once, from one
+    # lowest-vertex step with its program, finds envy there, and scans two
+    # vertices, each with one tie-breaking step; and solving verifies by the
+    # answer's own weight, with no weight program
     envious = entry["stages"]["envious"]
     assert envious["solve"]["calls"] == envious["envelope"]["calls"] == 6
     assert envious["lowest"]["calls"] == envious["lp_lowest"]["calls"] == 6
     assert envious["select"]["calls"] == 12 and envious["lp_select"]["calls"] > 0
     assert envious["lp_weight"]["calls"] == 0
-    # the fallback set's twelve solves at n = 5-8 each run one lowest-vertex
-    # step, one envelope enumeration and two tie-breaking steps, and
-    # likewise no weight program
+    # the fallback set's twelve solves at n = 5-8 each run one walk with
+    # its lowest-vertex step, and two tie-breaking steps, or three for the
+    # four answers at the third scanned vertex, and likewise no weight
+    # program
     fallback = entry["stages"]["fallback"]
     assert fallback["solve"]["calls"] == fallback["envelope"]["calls"] == 12
     assert fallback["lowest"]["calls"] == fallback["lp_lowest"]["calls"] == 12
-    assert fallback["select"]["calls"] == fallback["lp_select"]["calls"] == 24
+    assert fallback["select"]["calls"] == fallback["lp_select"]["calls"] == 28
     assert fallback["lp_weight"]["calls"] == 0
     for solves in (envious, fallback):
         for name in LP_STAGES:

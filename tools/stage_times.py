@@ -36,9 +36,10 @@ set, ``--repeats`` times:
   for the certify set), each loaded apart from the other stages' instances
   and its kernel and ``rho`` built before the passes;
 - ``lowest``, ``select`` and ``envelope``: ``engine._lowest_vertex``,
-  ``engine.select_p_in_P`` and ``engine._envelope_vertices`` on every
-  recorded call's arguments, each step whole, a program's build and its
-  reading of the optimum included;
+  ``engine.select_p_in_P`` and ``engine._envelope_walk`` on every
+  recorded call's arguments, each step whole, a program's build included,
+  and the walk, which every solve starts, run to exhaustion, its
+  lowest-vertex program included;
 - ``lp_select``, ``lp_lowest`` and ``lp_weight``: ``solve_lp`` of every
   recorded tie-breaking program (``select_p_in_P``), lowest-vertex program
   (``_lowest_vertex``) or efficiency weight program
@@ -62,6 +63,7 @@ The ``fairmix`` imported is this checkout's ``src``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -70,12 +72,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import deque
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 SETS = ("desk", "wide", "many", "envious", "fallback", "certify")
 KINDS = {"select_p_in_P": "lp_select", "_lowest_vertex": "lp_lowest", "check_pareto_efficient": "lp_weight"}
-STEPS = {"_lowest_vertex": "lowest", "select_p_in_P": "select", "_envelope_vertices": "envelope"}
+STEPS = {"_lowest_vertex": "lowest", "select_p_in_P": "select", "_envelope_walk": "envelope"}
 STAGES = ("argv", "read", "load", "allocations", "kernel", "rho", "load_mixed_allocation", "certify", "dumps", "solve")
 STAGES += (*STEPS.values(), *KINDS.values())
 
@@ -228,11 +231,17 @@ def stage_calls(files, lotteries, documents, programs, steps, argvs):
         "dumps": [lambda doc=doc: dumps(doc) for doc in documents],
         "solve": [lambda inst=inst: find_fixed_point(inst) for inst in solves],
         **{
-            stage: [lambda step=getattr(engine, step), args=args: step(*args) for args in steps[stage]]
+            stage: [lambda step=_whole(getattr(engine, step)), args=args: step(*args) for args in steps[stage]]
             for step, stage in STEPS.items()
         },
         **{kind: [lambda lp=lp: lp_module.solve_lp(lp) for lp in lps] for kind, lps in programs.items()},
     }
+
+
+def _whole(step):
+    """``step``, or, for a generator function such as the walk, a function
+    that runs it to exhaustion."""
+    return (lambda *args: deque(step(*args), 0)) if inspect.isgeneratorfunction(step) else step
 
 
 def pass_stats(calls, repeats):
