@@ -70,7 +70,6 @@ it at or above the floor, and the tie-breaking LP's verified optimum.
 """
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import chain, count
 from math import gcd
 
@@ -364,36 +363,38 @@ def _envelope_walk(points, eps):
     they were reached.  A basis is reached once, by its set of nonbasic
     columns, and a popped basis yields its point if it is on the envelope
     (mask not 0) and not yielded yet, and is then expanded.  The optimal
-    tableau is popped first, so the first vertex is the lowest, and the
-    walk pivots only when asked for the next vertex.
+    tableau comes first, so the first vertex is the lowest, and the walk
+    pivots only when asked for the next vertex.
     """
     n = len(points[0])
     num, den = eps.numerator, eps.denominator
     room = den - n * num
-    heap, order = [], count()
+    tableau = _lowest_vertex(points, eps)
+    vertex = _vertex(tableau, num, room)
+    yield vertex
+    # only a scan past the lowest vertex walks on, and pays for the import
+    from heapq import heappop, heappush
 
-    def reach(tableau):
-        weights, mask = vertex = _vertex(tableau, num, room)
-        total = sum(weights)
-        key = -mask.bit_count(), [Fraction(-x, total) for x in sorted(weights)]
-        heappush(heap, (key, next(order), vertex, tableau))
-
-    start = _lowest_vertex(points, eps)
-    seen = {sum(1 << c for c in start.cols)}
-    yielded = set()
-    reach(start)
-    while heap:
-        _, _, vertex, tableau = heappop(heap)
-        if vertex[1] and vertex not in yielded:
-            yielded.add(vertex)
-            yield vertex
+    yielded, seen, heap, order = {vertex}, set(), [], count()
+    while True:
         nonbasic = sum(1 << c for c in tableau.cols)
+        seen.add(nonbasic)
         for s, c in enumerate(tableau.cols):
             r = tableau.leaving(s)
             after = nonbasic ^ 1 << c ^ 1 << tableau.basis[r]
             if after not in seen:
                 seen.add(after)
-                reach(tableau.pivot(r, s))
+                reached = tableau.pivot(r, s)
+                weights, mask = point = _vertex(reached, num, room)
+                total = sum(weights)
+                key = -mask.bit_count(), [Fraction(-x, total) for x in sorted(weights)]
+                heappush(heap, (key, next(order), point, reached))
+        if not heap:
+            return
+        _, _, vertex, tableau = heappop(heap)
+        if vertex[1] and vertex not in yielded:
+            yielded.add(vertex)
+            yield vertex
 
 
 def _fallback_search(inst, eps, trace_sink=None):

@@ -106,23 +106,19 @@ class Tableau:
     """A lex-feasible condensed tableau, as ``solve_lp`` ends on it or
     ``pivot`` reaches it: the stored columns ``tab`` with the right-hand
     side last, the ``basis`` by row, the stored columns' original indices
-    ``cols`` and the common denominator ``d`` > 0.  A condensed tableau
+    ``cols``, the common denominator ``d`` > 0 and the basic solution's int
+    numerators ``x_num`` over ``d``, one per variable.  A condensed tableau
     stores one column per variable of the program, so with n =
     ``len(cols)``, original index j < n is x_j, and n + i is row i's
     slack."""
 
     def __init__(self, tab, basis, cols, d):
         self.tab, self.basis, self.cols, self.d = tab, basis, cols, d
-
-    @cached_property
-    def x_num(self):
-        """The basic solution's int numerators over ``d``, one per variable."""
-        ncols = len(self.cols)
-        x = [0] * ncols
-        for b, c in zip(self.tab[-1], self.basis):
+        ncols = len(cols)
+        self.x_num = x = [0] * ncols
+        for b, c in zip(tab[-1], basis):
             if c < ncols:
                 x[c] = b
-        return x
 
     @cached_property
     def y_num(self):
@@ -203,9 +199,11 @@ def _leaving(tab, basis, cols, s, d):
         a = col[i]
         if a > 0:
             b = rhs[i]
-            if leave < 0 or b * best_a < best_b * a:
+            if leave < 0:
                 leave, best_a, best_b = i, a, b
-            elif b * best_a == best_b * a and _lex_less(tab, basis, cols, d, i, a, leave, best_a):
+                continue
+            diff = b * best_a - best_b * a
+            if diff < 0 or not diff and _lex_less(tab, basis, cols, d, i, a, leave, best_a):
                 leave, best_a, best_b = i, a, b
     if leave < 0:
         raise EngineInvariantError("linear program is unbounded")

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import additive_table, pinned_instances, random_allocation_list, seeded_rng
 from fairmix import engine
-from fairmix.engine import choose_epsilon, compute_rho, find_fixed_point, select_p_in_P
+from fairmix.engine import compute_rho, find_fixed_point, select_p_in_P
 from fairmix.errors import EngineInvariantError
 from fairmix.model import (
     AllocationSet,

@@ -450,7 +450,7 @@ def test_scan_visits_every_maximal_mask(workload, monkeypatch):
     monkeypatch.setattr(engine, "_share_step", lambda views, weights, eps: ((), (), F(1)))
     longest = 0
     for j, inst in enumerate(insts):
-        points, members = inst.kernel.frontier, inst.kernel.members
+        points = inst.kernel.frontier
         eps = choose_epsilon(compute_rho(inst), inst.n)
         weights = {}
         for vertex, mask in reference_envelope_vertices(points, eps):
