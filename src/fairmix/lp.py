@@ -213,15 +213,21 @@ def _leaving(tab, basis, cols, s, d):
 def _lex_less(tab, basis, cols, d, i, a, h, b):
     """Whether row i of B^-1 over a is lexicographically less than row h
     over b.  Row r of B^-1 times d is the slack columns' entries in row r:
-    a stored slack's, or d where the slack is basic in row r, else 0."""
+    a stored slack's, or d where the slack is basic in row r, else 0.  The
+    rows are independent, so some slack tells them apart: the first one
+    decides, a basic one of row i for row h and one of row h for row i."""
     ncols = len(cols)
-    entries = [(c, col[i] * b, col[h] * a) for col, c in zip(tab, cols) if c >= ncols]
+    first, less = len(cols) + len(basis), None
     if basis[i] >= ncols:
-        entries.append((basis[i], d * b, 0))
-    if basis[h] >= ncols:
-        entries.append((basis[h], 0, d * a))
-    # the rows are independent, so some slack tells them apart
-    return min((c, x < y) for c, x, y in entries if x != y)[1]
+        first, less = basis[i], False
+    if ncols <= basis[h] < first:
+        first, less = basis[h], True
+    for col, c in zip(tab, cols):
+        if ncols <= c < first:
+            x, y = col[i] * b, col[h] * a
+            if x != y:
+                first, less = c, x < y
+    return less
 
 
 def _simplex(tab, basis, cols, d):
